@@ -135,7 +135,8 @@ class WatermarkCoordinator {
                        const StreamingOptions& options,
                        util::BoundedQueue<EmittedCnf>& queue, ChurnFold& churn,
                        LiveState& live, util::HwmGauge& gauge)
-      : grouper_(options.build, &pool_),
+      : num_days_(platform.config().num_days),
+        grouper_(options.build, &pool_),
         queue_(queue),
         churn_(churn),
         live_(live),
@@ -191,7 +192,13 @@ class WatermarkCoordinator {
       }
       for (ChurnObs& obs : churn) buffer_[obs.day].churn.push_back(obs);
       if (watermark > watermarks_[shard]) watermarks_[shard] = watermark;
-      const util::Day global = *std::min_element(watermarks_.begin(), watermarks_.end());
+      // Clamped to the run's end: once every shard is done the min jumps
+      // to kShardDone, and advancing to it here would mix the windows
+      // still open past the run into a watermark batch (key-sorted, so
+      // interleaved with windows ending inside the run) depending on
+      // which shard finished last.  Those are finish()'s flush, always.
+      const util::Day global =
+          std::min(*std::min_element(watermarks_.begin(), watermarks_.end()), num_days_);
       // CNF construction stays under the lock: build_group reads pool_,
       // which concurrent deliver() calls append to (intern reallocates),
       // so emitting outside would race.  The expensive half — SAT — is
@@ -270,7 +277,7 @@ class WatermarkCoordinator {
   void advance_locked(util::Day global, std::vector<EmittedCnf>& emitted,
                       std::vector<EmittedCnf>& ablated) {
     feed_locked(global);
-    if (global != kShardDone) churn_.retire_before(global);
+    churn_.retire_before(global);
     for (TomoCnf& tc : grouper_.advance_watermark(global)) {
       emitted.push_back(EmittedCnf{seq_++, std::move(tc)});
     }
@@ -279,13 +286,14 @@ class WatermarkCoordinator {
         ablated.push_back(EmittedCnf{ablation_->seq++, std::move(tc)});
       }
     }
-    if (live_.marks_enabled() && global != kShardDone && global > last_mark_) {
+    if (live_.marks_enabled() && global > last_mark_) {
       last_mark_ = global;
       live_.add_mark(global, seq_, churn_.snapshot());
     }
   }
 
   std::mutex mutex_;
+  util::Day num_days_;
   std::vector<util::Day> watermarks_;  // per shard
   std::map<util::Day, DayBuffer> buffer_;
   tomo::PathPool pool_;

@@ -19,11 +19,29 @@
 //     emits exactly the CNFs whose windows closed, while they are still
 //     warm, so SAT analysis can overlap ingest (README "Streaming
 //     ingest").
+//
+// Layout.  Groups live per *chain* — one (URL, anomaly) pair, at dense
+// index url_id * kNumAnomalies + anomaly — and each chain keeps one
+// window-ordered vector of open groups per granularity, each group two
+// plain path-id vectors (positives in first-occurrence order, negatives
+// in any order).  Dedupe is a per-chain open-addressing table keyed by
+// (path id, observed) whose entry stamps, per granularity, the last
+// window that already holds the pair: a clause is new to its window
+// exactly when the stamp differs from that window.  That relies on the
+// one ordering precondition — within a chain, clauses arrive in
+// non-decreasing day order (the canonical stream is day-major, and
+// windows nest: 7 | 28 | 364) — so a chain's current window at each
+// granularity is the back of its vector.  Cost per clause: one vector
+// index, one hash probe, and per granularity one compare plus at most
+// one push_back.  Each finished CNF is built with dense per-AS scratch
+// arrays (indexed by AsId).  Emission visits chains in index order,
+// granularities in enum order and windows in time order, which is
+// CnfKey order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -92,6 +110,13 @@ struct CnfBuildOptions {
 /// m.day < day delivered, closes the windows that end at or before the
 /// watermark, and returns their finished CNFs; flush() closes the rest.
 ///
+/// Ordering precondition: within one chain (URL, anomaly), clauses
+/// arrive in non-decreasing day order.  Different chains are
+/// independent — one may start at an earlier day than another has
+/// reached.  An add() that moves a chain back to an earlier window at
+/// any configured granularity throws std::logic_error, as does a late
+/// add() below the watermark.
+///
 /// Determinism contract: each call returns its batch sorted by CnfKey,
 /// a window never reopens once emitted (a late add() throws), and the
 /// concatenation of all emitted batches is, as a set, exactly what
@@ -99,6 +124,9 @@ struct CnfBuildOptions {
 /// both run this class.  The builder owns a private PathPool, so it can
 /// ingest clauses from any caller pool (e.g. the min-merged multi-shard
 /// stream) without coordinating path ids.
+///
+/// Memory: a chain's dedupe stamps are dropped as soon as it has no
+/// open group, so streaming state stays O(open windows).
 class StreamingCnfBuilder {
  public:
   explicit StreamingCnfBuilder(CnfBuildOptions options = {});
@@ -120,7 +148,8 @@ class StreamingCnfBuilder {
 
   /// Files `clause` (whose path_id resolves in `pool`) into its open
   /// window groups.  Throws std::logic_error if clause.day precedes the
-  /// watermark — that window has already been emitted.
+  /// watermark — that window has already been emitted — or if it moves
+  /// its chain back to an earlier window (the ordering precondition).
   void add(const PathPool& pool, const PathClause& clause);
 
   /// Raises the watermark to `complete_before` (no-op if not an
@@ -135,7 +164,7 @@ class StreamingCnfBuilder {
 
   /// Lowest day a new clause may still carry.
   util::Day watermark() const { return watermark_; }
-  std::size_t open_windows() const { return groups_.size(); }
+  std::size_t open_windows() const;
   std::int64_t emitted() const { return emitted_; }
 
   /// Checkpoint support (analysis/checkpoint.h): persists the open
@@ -149,23 +178,81 @@ class StreamingCnfBuilder {
   void load(util::ByteReader& r);
 
  private:
+  static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
+
+  /// One open (chain, granularity, window) group: deduplicated path ids
+  /// in first-occurrence order (positives keep it for the leakage
+  /// analysis; negatives only feed an AS union).
   struct Group {
-    // Deduplicated positive / negative path ids, insertion-ordered
-    // (positives keep path order for the leakage analysis).
+    std::int32_t window = 0;
     std::vector<PathPool::PathId> positive_ids;
-    std::set<PathPool::PathId> positive_seen;
-    std::set<PathPool::PathId> negative_seen;
+    std::vector<PathPool::PathId> negative_ids;
   };
 
-  TomoCnf build_group(const CnfKey& key, const Group& group) const;
+  /// A chain's dedupe table: open addressing with linear probing, keyed
+  /// by path_id << 1 | observed.  Each entry stamps, per granularity
+  /// (enum value), the last window that already holds the pair.
+  class StampTable {
+   public:
+    using Windows = std::array<std::int32_t, kNumGranularities>;
+
+    /// The entry of `key`, inserted with every stamp at -1 (no window)
+    /// on first sight.
+    Windows& find_or_insert(std::uint32_t key);
+
+   private:
+    /// add() rejects negative path ids, and no pool could hold
+    /// INT32_MAX paths, so no real key is all ones.
+    static constexpr std::uint32_t kEmpty = 0xffffffffu;
+    struct Slot {
+      std::uint32_t key = kEmpty;
+      Windows windows{};
+    };
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    int bits_ = 0;  // slots_.size() == 1 << bits_ once allocated
+  };
+
+  struct Chain {
+    /// Open groups per granularity (enum value), window-ascending.
+    std::array<std::vector<Group>, kNumGranularities> groups;
+    StampTable stamps;
+  };
+
+  /// build_group's dense per-AS scratch; `mark == generation` means the
+  /// slot belongs to the CNF being built, so nothing is cleared per CNF.
+  struct AsSlot {
+    std::uint32_t mark = 0;
+    bool clean = false;
+    sat::Var var = -1;
+  };
+
+  static std::size_t open_groups(const Chain& chain);
+  /// Inverse of the chain index: a key with url_id and anomaly set.
+  static CnfKey chain_key(std::size_t index);
+  Chain& chain_at(std::int32_t url_id, censor::Anomaly anomaly);
+  /// Emits (in key order) and drops every group ending at or before
+  /// `complete_before`, releasing the stamps of chains left empty.
+  std::vector<TomoCnf> close_before(util::Day complete_before);
+  TomoCnf build_group(const CnfKey& key, const Group& group);
+  AsSlot& touch(topo::AsId as);
   const PathPool& pool() const { return borrowed_pool_ ? *borrowed_pool_ : pool_; }
 
-  CnfBuildOptions options_;
+  bool require_positive_ = true;
+  /// The configured granularities, sorted by enum value with duplicates
+  /// removed (a duplicate granularity files into the same group).
+  std::vector<util::Granularity> granularities_;
   const PathPool* borrowed_pool_ = nullptr;
   PathPool pool_;  // used only when not borrowing
-  std::map<CnfKey, Group> groups_;
+  /// Indexed by url_id * censor::kNumAnomalies + anomaly.
+  std::vector<Chain> chains_;
   util::Day watermark_ = 0;
   std::int64_t emitted_ = 0;
+  std::vector<AsSlot> as_slots_;
+  std::vector<topo::AsId> as_list_;
+  std::uint32_t generation_ = 0;
 };
 
 /// Groups clauses into per-(URL, anomaly, window) CNFs.  Output is
