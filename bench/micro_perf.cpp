@@ -355,10 +355,8 @@ BENCHMARK(BM_Portfolio)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 /// core (the backbone constraints a long-lived anomaly keeps inducing
 /// every window) under a churning overlay of wide positive clauses
 /// (the per-window path disjunctions that come and go with the
-/// measurement mix).  This is the delta loader's target regime: each
-/// transition edits a couple of overlay clauses while the core — and
-/// everything the solver learnt about it — survives (README "Delta
-/// loading").  The core density is chosen in the satisfiable-but-hard
+/// measurement mix): each transition edits a couple of overlay
+/// clauses.  The core density is chosen in the satisfiable-but-hard
 /// band so every window's queries do real search.
 std::vector<sat::Cnf> chain_windows(int vars, int core_clauses, int overlay, int days,
                                     std::uint64_t seed) {
@@ -416,61 +414,22 @@ std::vector<tomo::TomoCnf> tomo_chain_batch(std::size_t chains, int windows) {
 }
 
 // Batch analysis over a chain-structured workload (8 URL chains x 30
-// adjacent windows, the engine's stream shape): Args = {threads, delta}
-// with threads 0 = hardware concurrency.  Verdicts are identical at
-// every arg (the equivalence suites enforce it); only wall-clock moves.
-// CDCL is pinned because only the CDCL route chains — the delta axis
-// measures the delta loader, not backend selection (BM_BackendMix).
+// adjacent windows, the engine's stream shape): Arg = threads, 0 =
+// hardware concurrency.  Verdicts are identical at every arg (the
+// equivalence suites enforce it); only wall-clock moves.  CDCL is
+// pinned so the bench measures pool scaling, not backend selection
+// (BM_BackendMix).
 void BM_AnalyzeCnfsBatch(benchmark::State& state) {
   static const std::vector<tomo::TomoCnf> cnfs = tomo_chain_batch(8, 30);
   tomo::AnalysisOptions options;
   options.num_threads = static_cast<unsigned>(state.range(0));
   options.backend.mode = sat::BackendSelector::Mode::kCdcl;
-  options.delta.enabled = state.range(1) != 0;
-  tomo::EngineStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tomo::analyze_cnfs(cnfs, options, &stats));
+    benchmark::DoNotOptimize(tomo::analyze_cnfs(cnfs, options));
   }
   state.counters["cnfs"] = static_cast<double>(cnfs.size());
-  state.counters["delta_loads"] = static_cast<double>(stats.delta_loads);
-  state.counters["clauses_reused"] = static_cast<double>(stats.clauses_reused);
 }
-BENCHMARK(BM_AnalyzeCnfsBatch)->ArgsProduct({{1, 2, 4, 0}, {0, 1}});
-
-// A year of one (URL, anomaly) chain at day granularity, delta loading
-// vs from-scratch rebuilds, on one session with the engine's query mix
-// per window.  Each window shares a dense constraint core (the stable
-// part of the topology) under a churning tomo-shaped overlay — the
-// regime the delta loader targets: rebuilding re-derives the core's
-// lemmas every window, a delta load keeps them.  The scratch/delta time
-// ratio is the per-chain win, reuse_ratio is how much of the clause
-// database each transition keeps hot.
-void BM_DeltaChain(benchmark::State& state, bool delta_on) {
-  static const std::vector<sat::Cnf>* windows =
-      new std::vector<sat::Cnf>(chain_windows(80, 324, 12, 365, 500));
-  const sat::BackendPlan plan;  // CDCL, the chainable route
-  sat::DeltaPolicy policy;
-  policy.enabled = delta_on;
-  sat::SessionStats stats;
-  for (auto _ : state) {
-    sat::SolverSession session;
-    for (const sat::Cnf& cnf : *windows) {
-      session.load_next(cnf, plan, policy);
-      benchmark::DoNotOptimize(session.classify());
-      benchmark::DoNotOptimize(session.count_models_capped(6));
-      benchmark::DoNotOptimize(session.potential_true_vars());
-    }
-    stats = session.stats();
-  }
-  state.counters["windows"] = static_cast<double>(windows->size());
-  state.counters["delta_loads"] = static_cast<double>(stats.delta_loads);
-  const double touched =
-      static_cast<double>(stats.clauses_reused + stats.clauses_retracted);
-  state.counters["reuse_ratio"] =
-      touched == 0.0 ? 0.0 : static_cast<double>(stats.clauses_reused) / touched;
-}
-BENCHMARK_CAPTURE(BM_DeltaChain, scratch, false)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DeltaChain, delta, true)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeCnfsBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(0);
 
 // Sharded platform execution: the full default-scenario measurement run
 // (platform simulation + clause building + churn/truth tracking, the

@@ -5,7 +5,7 @@
 // ground truth for each.  This is the "does tomography still localize
 // when the assumption breaks?" table archived in EXPERIMENTS.md.
 //
-//   $ [CT_SAT_BACKEND=...] [CT_SAT_DELTA=...] [CT_PLATFORM_SHARDS=N] \
+//   $ [CT_SAT_BACKEND=...] [CT_PLATFORM_SHARDS=N] \
 //       ./accuracy_report [--small] [seed]
 #include <cstdint>
 #include <cstdlib>
@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
 
   ct::analysis::ExperimentOptions options;
   options.analysis.backend = ct::sat::BackendSelector::from_env();
-  options.analysis.delta = ct::sat::DeltaPolicy::from_env();
 
   std::cout << "churntomo accuracy report: seed " << base.seed << ", "
             << base.topology.num_ases << " ASes, " << base.platform.num_days

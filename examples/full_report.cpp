@@ -2,7 +2,7 @@
 // table and figure of the paper, plus ground-truth validation.  Also
 // drops plot-ready CSV series for each figure.
 //
-//   $ [CT_SAT_BACKEND={auto,cdcl,count,unitprop}] [CT_SAT_DELTA={0,1}] \
+//   $ [CT_SAT_BACKEND={auto,cdcl,count,unitprop}] \
 //       [CT_SCENARIO={baseline,routing,multipath,adaptive,pathdiv}] \
 //       ./full_report [seed] [csv-dir]
 #include <cstdint>
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
 
   ct::analysis::ExperimentOptions options;
   options.analysis.backend = ct::sat::BackendSelector::from_env();
-  options.analysis.delta = ct::sat::DeltaPolicy::from_env();
 
   std::cout << "churntomo full report: seed " << config.seed << ", scenario "
             << ct::censor::to_string(config.regime.regime) << ", "
@@ -30,9 +29,7 @@ int main(int argc, char** argv) {
             << " vantage ASes x " << config.platform.vp_nodes_per_as << " nodes, "
             << config.platform.num_urls << " URLs, " << config.platform.num_days
             << " days, SAT backend "
-            << ct::sat::BackendSelector::to_string(options.analysis.backend.mode)
-            << ", delta loading " << (options.analysis.delta.enabled ? "on" : "off")
-            << "\n\n";
+            << ct::sat::BackendSelector::to_string(options.analysis.backend.mode) << "\n\n";
 
   ct::analysis::Scenario scenario(config);
   const ct::analysis::ExperimentResult result =

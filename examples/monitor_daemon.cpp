@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   ct::analysis::ScenarioConfig config = ct::analysis::default_scenario();
   MonitorOptions options;
   options.experiment.analysis.backend = ct::sat::BackendSelector::from_env();
-  options.experiment.analysis.delta = ct::sat::DeltaPolicy::from_env();
   options.checkpoint_every = 28;
 
   bool resume = false;

@@ -1,6 +1,7 @@
 #include "analysis/checkpoint.h"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "util/rng.h"
@@ -59,6 +60,17 @@ void save_leakage(util::ByteWriter& w, const tomo::LeakageReport& leakage) {
       [](util::ByteWriter& w, std::int64_t n) { w.i64(n); });
 }
 
+/// 64-bit FNV-1a over the payload bytes.  Every step is a bijection of
+/// the running hash, so any single corrupted byte always changes it.
+std::uint64_t payload_checksum(std::string_view payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : payload) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
 std::uint64_t config_fingerprint(const Scenario& scenario, const ExperimentOptions& options) {
@@ -96,6 +108,7 @@ std::string seal_checkpoint(std::uint64_t fingerprint, util::Day watermark,
   w.u32(kCheckpointVersion);
   w.u64(fingerprint);
   w.i32(watermark);
+  w.u64(payload_checksum(payload));
   w.str(payload);
   return w.take();
 }
@@ -121,8 +134,12 @@ OpenedCheckpoint open_checkpoint(const std::string& bytes,
     }
     OpenedCheckpoint opened;
     opened.watermark = r.i32();
+    const std::uint64_t checksum = r.u64();
     opened.payload = r.str();
     r.expect_end();
+    if (payload_checksum(opened.payload) != checksum) {
+      throw CheckpointError("checkpoint: payload checksum mismatch (corrupt checkpoint)");
+    }
     return opened;
   } catch (const util::SerdeError& e) {
     throw CheckpointError(std::string("checkpoint: ") + e.what());
@@ -247,11 +264,7 @@ void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats) {
   w.u64(stats.cnf_loads);
   w.u64(stats.solve_calls);
   w.u64(stats.models_found);
-  w.u64(stats.delta_loads);
-  w.u64(stats.clauses_retracted);
-  w.u64(stats.clauses_reused);
   w.u64(stats.fresh_clauses);
-  w.u64(stats.clauses_added);
   w.u32(stats.arenas);
   w.u64(stats.snapshots_published);
   w.u64(stats.snapshot_reads);
@@ -277,11 +290,7 @@ tomo::EngineStats load_engine_stats(util::ByteReader& r) {
   stats.cnf_loads = r.u64();
   stats.solve_calls = r.u64();
   stats.models_found = r.u64();
-  stats.delta_loads = r.u64();
-  stats.clauses_retracted = r.u64();
-  stats.clauses_reused = r.u64();
   stats.fresh_clauses = r.u64();
-  stats.clauses_added = r.u64();
   stats.arenas = r.u32();
   stats.snapshots_published = r.u64();
   stats.snapshot_reads = r.u64();

@@ -4,20 +4,24 @@
 // A checkpoint is a single byte string:
 //
 //   magic "CTCP" | format version | config fingerprint | watermark |
-//   payload length | payload
+//   payload checksum | payload length | payload
 //
 // The payload is the monitor's serialized persistent state (sealed
-// folds, open window groups, churn fold, per-chain session stats); this
+// folds, open window groups, churn fold, cumulative SAT counters); this
 // layer owns only the envelope, so the format version can evolve
 // without the monitor knowing about byte layouts.  open_checkpoint()
 // refuses — with a clean CheckpointError, never UB — anything whose
-// magic, version, or fingerprint does not match, and any truncated or
-// overlong buffer.
+// magic, version, or fingerprint does not match, any truncated or
+// overlong buffer, and any payload whose checksum does not match.  The
+// checksum is verified before a single payload byte is parsed, so a
+// corrupt length or id inside the payload (a huge url_id would make
+// StreamingCnfBuilder::load allocate in proportion to it) never
+// reaches a loader.
 //
 // The fingerprint hashes exactly the configuration that determines
 // results: the scenario (seed + geometry) and the analysis options
 // (min_support, fig1 granularities).  Execution knobs — shards,
-// threads, SAT backend, delta policy — are deliberately excluded:
+// threads, SAT backend — are deliberately excluded:
 // verdicts are pure functions of (CNF, options) across all of them, so
 // a checkpoint written under one execution mode may resume under
 // another and still reproduce the identical final report.
@@ -48,7 +52,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // v2: EngineStats grew the ipasir/portfolio backend counters and the
 // portfolio racing block — the byte layout changed, so v1 checkpoints
 // are refused instead of misread.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// v3: EngineStats lost the delta-load counters, and the envelope gained
+// the payload checksum; v2 checkpoints are refused by the same rule.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).
@@ -65,7 +71,7 @@ struct OpenedCheckpoint {
 
 /// Validates the envelope and returns the payload.  Throws
 /// CheckpointError on bad magic, unknown version, fingerprint mismatch,
-/// or a truncated/overlong buffer.
+/// a truncated/overlong buffer, or a payload checksum mismatch.
 OpenedCheckpoint open_checkpoint(const std::string& bytes, std::uint64_t expected_fingerprint);
 
 /// Crash-safe file write: writes to `path`.tmp, fsyncs, renames over

@@ -6,7 +6,6 @@
 
 #include "analysis/checkpoint.h"
 #include "analysis/platform_sinks.h"
-#include "util/rng.h"
 #include "util/serde.h"
 
 namespace ct::analysis {
@@ -52,19 +51,6 @@ tomo::CnfBuildOptions ablation_build_options(const ExperimentOptions& options) {
   tomo::CnfBuildOptions build;
   build.granularities = options.fig1_granularities;
   return build;
-}
-
-/// Deterministic chain -> arena lane: every window of one (URL,
-/// anomaly, granularity) chain lands on the same persistent arena in
-/// watermark order, so cross-window delta loading stays effective
-/// across per-day batches and ingest segments.  Verdicts never depend
-/// on the routing (equivalence suites), only delta hit rates do.
-std::size_t chain_lane(const tomo::ChainKey& chain, std::size_t lanes) {
-  std::uint64_t h = 0x4D4F4E49544F52ULL;  // "MONITOR"
-  h = util::mix64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(chain.url_id)));
-  h = util::mix64(h, static_cast<std::uint64_t>(chain.anomaly));
-  h = util::mix64(h, static_cast<std::uint64_t>(chain.granularity));
-  return static_cast<std::size_t>(h % lanes);
 }
 
 }  // namespace
@@ -207,18 +193,11 @@ std::vector<tomo::CnfVerdict> MonitorEngine::analyze_batch(
     const tomo::AnalysisOptions& options) {
   std::vector<tomo::CnfVerdict> out(cnfs.size());
   if (cnfs.empty()) return out;
-  const std::size_t lanes = arenas.size();
-  std::vector<std::vector<std::size_t>> lane_items(lanes);
-  for (std::size_t i = 0; i < cnfs.size(); ++i) {
-    lane_items[chain_lane(tomo::chain_of(cnfs[i].key), lanes)].push_back(i);
-  }
-  // One task per lane; a lane's arena is touched by exactly one task,
-  // and out[i] slots keep the key-sorted batch order, so the verdict
-  // vector is byte-identical for every lane count and interleaving.
-  analysis_pool_.for_each_index(lanes, [&](unsigned, std::size_t lane) {
-    for (const std::size_t i : lane_items[lane]) {
-      out[i] = arenas[lane].analyze(cnfs[i], options);
-    }
+  // Same scheduling as tomo::analyze_cnfs: one task per CNF on the
+  // worker's own arena, and out[i] slots keep the key-sorted batch
+  // order, so the verdict vector is byte-identical for any thread count.
+  analysis_pool_.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
+    out[i] = arenas[worker].analyze(cnfs[i], options);
   });
   return out;
 }

@@ -3,8 +3,8 @@
 // MonitorEngine runs the measurement platform as a *resident* loop:
 // measurements are ingested continuously in day segments, window-complete
 // CNFs are analyzed the moment the watermark seals them (on persistent
-// per-lane solver arenas, so cross-window delta chains stay hot across
-// segments), and every data product accumulates in the same
+// per-worker solver arenas, one fresh load per CNF), and every data
+// product accumulates in the same
 // ExperimentFolds the batch and streaming paths use — so
 // MonitorEngine::finalize() reproduces run_experiment()'s report byte
 // for byte (checkpoint.h's serialize_report() is the oracle).
@@ -19,9 +19,10 @@
 // constructed monitor and run to the *identical* final report: the
 // platform replay is deterministic from any day boundary (schedule-keyed
 // RNG), every fold is order-independent, and solver learnt state is
-// deliberately NOT checkpointed — sessions rebuild cold on resume, which
-// never changes a verdict (verdicts are pure functions of (CNF,
-// options); the delta/backend equivalence suites hold this).
+// never carried between CNFs at all, so a resumed monitor analyzes
+// every remaining CNF exactly as a straight run would (verdicts are
+// pure functions of (CNF, options); the backend equivalence suites hold
+// this).
 //
 // Memory: O(open windows), independent of run length.  Each segment's
 // raw clauses live only between its platform replay and its per-day
@@ -104,7 +105,7 @@ class LiveReportServer {
 
 struct MonitorOptions {
   /// Result-determining configuration (fingerprinted into checkpoints)
-  /// plus the execution knobs (threads, shards, backend, delta — all
+  /// plus the execution knobs (threads, shards, backend — all
   /// checkpoint-compatible across changes).  `experiment.streaming` is
   /// ignored: the monitor is its own ingest loop.
   ExperimentOptions experiment;

@@ -286,31 +286,10 @@ std::string render_backends(const ExperimentResult& result) {
   std::ostringstream out;
   out << table.render("SAT backend mix (main analysis pass)");
   out << "  CNF loads: " << fmt_count(static_cast<std::int64_t>(stats.cnf_loads))
+      << "   clauses loaded: " << fmt_count(static_cast<std::int64_t>(stats.fresh_clauses))
       << "   solver calls: " << fmt_count(static_cast<std::int64_t>(stats.solve_calls))
       << "   models found: " << fmt_count(static_cast<std::int64_t>(stats.models_found))
       << "   arenas: " << stats.arenas << "\n";
-  // Delta loading (README "Delta loading"): window transitions served
-  // by editing the previous formula in place instead of rebuilding.
-  const std::uint64_t total_loads = stats.cnf_loads + stats.delta_loads;
-  const std::uint64_t touched = stats.clauses_reused + stats.clauses_retracted;
-  out << "  delta loads: " << fmt_count(static_cast<std::int64_t>(stats.delta_loads)) << " of "
-      << fmt_count(static_cast<std::int64_t>(total_loads))
-      << "   clauses retracted: " << fmt_count(static_cast<std::int64_t>(stats.clauses_retracted))
-      << "   clauses reused: " << fmt_count(static_cast<std::int64_t>(stats.clauses_reused))
-      << " (" << fmt(touched == 0 ? 0.0
-                                  : 100.0 * static_cast<double>(stats.clauses_reused) /
-                                        static_cast<double>(touched),
-                     1)
-      << "% of delta-visited)\n";
-  // Clause conservation: fresh + reused + added covers every analyzed
-  // CNF's clauses exactly once (see tomo::EngineStats), so the delta
-  // counters can be audited against the CNF stream itself.
-  out << "  clauses loaded fresh: " << fmt_count(static_cast<std::int64_t>(stats.fresh_clauses))
-      << "   added by delta: " << fmt_count(static_cast<std::int64_t>(stats.clauses_added))
-      << "   conserved total: "
-      << fmt_count(static_cast<std::int64_t>(stats.fresh_clauses + stats.clauses_reused +
-                                             stats.clauses_added))
-      << "\n";
   // Portfolio racing (README "Portfolio racing"): races run on hard
   // CNFs, wins per diversified member, and the cost of losing searches.
   const sat::PortfolioStats& p = stats.portfolio;

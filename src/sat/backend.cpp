@@ -33,60 +33,7 @@ namespace {
                          " called on a backend without search support");
 }
 
-/// Variable headroom reserved above a retractable load's CNF, so
-/// adjacent windows whose AS set grows a little still fit the chain.
-constexpr std::int32_t kGuardHeadroom = 32;
-
 }  // namespace
-
-// --- delta -----------------------------------------------------------
-
-std::vector<std::vector<Lit>> canonical_clauses(const Cnf& cnf) {
-  std::vector<std::vector<Lit>> out(cnf.clauses);
-  for (auto& clause : out) std::sort(clause.begin(), clause.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-CnfDelta compute_cnf_delta(const Cnf& prev, const Cnf& next) {
-  return compute_cnf_delta(canonical_clauses(prev), prev.num_vars,
-                           canonical_clauses(next), next.num_vars);
-}
-
-CnfDelta compute_cnf_delta(const std::vector<std::vector<Lit>>& a, std::int32_t prev_vars,
-                           const std::vector<std::vector<Lit>>& b,
-                           std::int32_t next_vars) {
-  CnfDelta delta;
-  delta.var_growth = next_vars - prev_vars;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++delta.shared;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      delta.removed.push_back(a[i++]);
-    } else {
-      delta.added.push_back(b[j++]);
-    }
-  }
-  delta.removed.insert(delta.removed.end(), a.begin() + static_cast<std::ptrdiff_t>(i),
-                       a.end());
-  delta.added.insert(delta.added.end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
-  return delta;
-}
-
-DeltaPolicy DeltaPolicy::from_env() {
-  DeltaPolicy policy;
-  // Fail fast on an unrecognized value: strtoul-style parsing used to
-  // read any non-numeric string as 0, so a typo'd CI matrix entry
-  // (CT_SAT_DELTA=noo) silently *disabled* delta loading while the run
-  // kept passing.
-  policy.enabled = util::env_parse_bool("CT_SAT_DELTA", policy.enabled);
-  return policy;
-}
-
-bool SolverBackend::load_delta(const Cnf&, const CnfDelta&) { return false; }
 
 SolveResult SolverBackend::solve(std::span<const Lit>) { no_search("solve"); }
 Var SolverBackend::new_var() { no_search("new_var"); }
@@ -105,75 +52,12 @@ void CdclBackend::load(const Cnf& cnf) {
   solver_ = std::make_unique<Solver>(config_);
   solver_->set_stop_flag(stop_);
   solver_->set_conflict_budget(conflict_budget_);
-  guarded_ = false;
-  guard_base_ = 0;
-  selectors_.clear();
-  selector_of_.clear();
   solver_->add_cnf(cnf);  // a false return leaves the solver inconsistent,
                           // which every query handles via kUnsat
 }
 
-void CdclBackend::load_retractable(const Cnf& cnf) {
-  solver_ = std::make_unique<Solver>(config_);
-  solver_->set_stop_flag(stop_);
-  solver_->set_conflict_budget(conflict_budget_);
-  guarded_ = true;
-  guard_base_ = cnf.num_vars + kGuardHeadroom;
-  selectors_.clear();
-  selector_of_.clear();
-  solver_->ensure_vars(guard_base_);
-  for (const auto& clause : cnf.clauses) add_guarded(clause);
-}
-
-void CdclBackend::add_guarded(const std::vector<Lit>& clause) {
-  const Var s = solver_->new_var();
-  selectors_.push_back(s);
-  std::vector<Lit> canon(clause);
-  std::sort(canon.begin(), canon.end());
-  selector_of_[std::move(canon)].push_back(s);
-  std::vector<Lit> guarded;
-  guarded.reserve(clause.size() + 1);
-  guarded.emplace_back(s, /*negated=*/true);
-  guarded.insert(guarded.end(), clause.begin(), clause.end());
-  solver_->add_clause(guarded);
-}
-
-bool CdclBackend::load_delta(const Cnf& next, const CnfDelta& delta) {
-  if (!guarded_ || solver_ == nullptr || solver_->is_inconsistent()) return false;
-  if (next.num_vars > guard_base_) return false;  // outgrew the reserved space
-  // Retire one selector per removed clause (delta clauses are
-  // canonical, matching the selector_of_ keys), then prune all retired
-  // groups — and every learnt clause depending on one — in one sweep.
-  std::vector<Var> retired;
-  retired.reserve(delta.removed.size());
-  for (const auto& clause : delta.removed) {
-    const auto it = selector_of_.find(clause);
-    if (it == selector_of_.end() || it->second.empty()) return false;  // not our diff
-    retired.push_back(it->second.back());
-    it->second.pop_back();
-    if (it->second.empty()) selector_of_.erase(it);
-  }
-  if (!retired.empty()) {
-    std::vector<std::uint8_t> gone(static_cast<std::size_t>(solver_->num_vars()), 0);
-    for (const Var a : retired) gone[static_cast<std::size_t>(a)] = 1;
-    std::erase_if(selectors_,
-                  [&gone](const Var s) { return gone[static_cast<std::size_t>(s)] != 0; });
-    solver_->retract_activations(retired);
-  }
-  for (const auto& clause : delta.added) add_guarded(clause);
-  return true;
-}
-
 SolveResult CdclBackend::solve(std::span<const Lit> assumptions) {
-  if (!guarded_) return solver_->solve(assumptions);
-  // Assume every active selector, then the caller's assumptions — the
-  // solver behaves exactly as if the guarded clauses were asserted
-  // outright, while keeping each one individually retractable.
-  assume_buf_.clear();
-  assume_buf_.reserve(selectors_.size() + assumptions.size());
-  for (const Var s : selectors_) assume_buf_.emplace_back(s, /*negated=*/false);
-  assume_buf_.insert(assume_buf_.end(), assumptions.begin(), assumptions.end());
-  return solver_->solve(assume_buf_);
+  return solver_->solve(assumptions);
 }
 
 Var CdclBackend::new_var() { return solver_->new_var(); }
@@ -395,8 +279,8 @@ const char* BackendSelector::to_string(Mode mode) {
 
 BackendSelector BackendSelector::from_env() {
   BackendSelector selector;
-  // Fail fast on an unrecognized value (see DeltaPolicy::from_env): a
-  // misspelled backend name used to silently run auto selection.
+  // Fail fast on an unrecognized value: a misspelled backend name used
+  // to silently run auto selection.
   selector.mode = util::env_parse<Mode>("CT_SAT_BACKEND", selector.mode, parse,
                                         "auto, cdcl, count, unitprop, ipasir, portfolio");
   const bool racing = util::env_parse_bool("CT_SAT_PORTFOLIO", false);

@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -67,59 +66,6 @@ inline constexpr unsigned kDefaultPortfolioWidth = 2;
 
 const char* to_string(BackendKind kind);
 
-/// The clause-level difference between two adjacent CNFs (README "Delta
-/// loading"): what must be retracted from / asserted into a solver
-/// holding `prev` so that it holds `next`.  Clauses are compared in
-/// canonical form (literals sorted within the clause); `removed` and
-/// `added` hold canonical clauses, multiset semantics (a clause
-/// appearing twice in prev and once in next is removed once).
-struct CnfDelta {
-  std::vector<std::vector<Lit>> removed;  // in prev, not in next
-  std::vector<std::vector<Lit>> added;    // in next, not in prev
-  std::size_t shared = 0;                 // clauses common to both
-  std::int32_t var_growth = 0;            // next.num_vars - prev.num_vars
-
-  bool empty() const { return removed.empty() && added.empty(); }
-  /// Number of clause edits a delta load would perform.
-  std::size_t size() const { return removed.size() + added.size(); }
-};
-
-/// Clause list in canonical order: literals sorted within each clause,
-/// clauses sorted lexicographically (duplicates kept — multiset).
-std::vector<std::vector<Lit>> canonical_clauses(const Cnf& cnf);
-
-/// Canonical-order merge diff of two clause lists: O(n log n) in the
-/// larger CNF, independent of how the clauses are ordered.
-CnfDelta compute_cnf_delta(const Cnf& prev, const Cnf& next);
-/// As above on pre-canonicalized clause lists — linear, for callers
-/// that chain diffs window to window and cache the canonical form
-/// (SolverSession::load_next re-sorts each CNF exactly once this way).
-CnfDelta compute_cnf_delta(const std::vector<std::vector<Lit>>& prev_canon,
-                           std::int32_t prev_vars,
-                           const std::vector<std::vector<Lit>>& next_canon,
-                           std::int32_t next_vars);
-
-/// When and how SolverSession::load_next() prefers a delta load over a
-/// fresh one (README "Delta loading").  The knobs bound the two costs a
-/// delta chain can accrue: per-transition edit work (max_delta_fraction
-/// — past it a rebuild is cheaper than the diff replay) and solver
-/// garbage (max_chain_loads — retired clauses are never compacted out
-/// of the arena, so a periodic fresh load reclaims them).
-struct DeltaPolicy {
-  bool enabled = true;
-  /// Delta load only when delta.size() <= fraction * |next.clauses|.
-  double max_delta_fraction = 0.5;
-  /// Fresh load after this many consecutive delta loads on one session.
-  std::uint32_t max_chain_loads = 64;
-
-  /// Policy with `enabled` forced by the CT_SAT_DELTA environment
-  /// variable (0/false/off disables, 1/true/on enables) when set;
-  /// default (enabled) otherwise.  Any other value throws
-  /// util::EnvParseError — a typo must not silently run the wrong
-  /// configuration.  The CI equivalence matrix runs both values.
-  static DeltaPolicy from_env();
-};
-
 /// Outcome of a search-free presolve that fully decided the CNF.
 /// When solution_class > 0, `values` assigns every CNF variable either
 /// a forced value or kUndef (free): the model set is exactly "forced
@@ -148,24 +94,6 @@ class SolverBackend {
   /// (Re)loads a CNF, dropping all state of the previous one.
   virtual void load(const Cnf& cnf) = 0;
 
-  /// True when the backend can transform a retractably loaded CNF into
-  /// an adjacent one via load_delta() instead of rebuilding.
-  virtual bool supports_delta() const { return false; }
-
-  /// Loads `cnf` so that a later load_delta() can edit it in place.
-  /// Backends without a delta story just load() — the capability is
-  /// advertised by supports_delta(), not by this call succeeding.
-  virtual void load_retractable(const Cnf& cnf) { load(cnf); }
-
-  /// Transforms the retractably loaded CNF into `next` by applying
-  /// `delta` (= compute_cnf_delta(loaded, next)): retract the removed
-  /// clauses, assert the added ones, keep everything learnt from the
-  /// surviving clauses.  Returns false when the backend cannot apply
-  /// this delta (no retractable load active, or `next` outgrew the
-  /// reserved variable space) — the caller must fall back to a full
-  /// load.  Default: decline.
-  virtual bool load_delta(const Cnf& next, const CnfDelta& delta);
-
   /// False for presolve-only backends: the session must escalate when
   /// presolve() cannot decide the CNF instead of calling search ops.
   virtual bool supports_search() const { return true; }
@@ -190,21 +118,6 @@ class SolverBackend {
 
 /// The incremental CDCL Solver behind the backend contract (the
 /// default; exactly the pre-backend SolverSession behavior).
-///
-/// Delta loading (README "Delta loading"): load_retractable() guards
-/// every problem clause C with a fresh selector variable s — the solver
-/// holds (~s v C) and solve() assumes every active selector, so the
-/// search behaves exactly as if C were asserted outright.  Because a
-/// selector never occurs positively, ~s rides along on every learnt
-/// clause derived from its group; load_delta() therefore retracts a
-/// removed clause by retiring its selector (a permanent ~s assertion,
-/// which also sweeps out every learnt clause depending on it) and
-/// asserts added clauses under fresh selectors — learnt clauses whose
-/// premises all survive are kept.  Soundness: the clause database only
-/// ever grows monotonically (guarded clauses plus ~s facts), so every
-/// learnt clause remains a consequence of it forever; the models of the
-/// active-selector assumptions restricted to CNF variables are exactly
-/// the models of the current CNF.
 class CdclBackend : public SolverBackend {
  public:
   CdclBackend() = default;
@@ -214,9 +127,6 @@ class CdclBackend : public SolverBackend {
 
   BackendKind kind() const override { return BackendKind::kCdcl; }
   void load(const Cnf& cnf) override;
-  bool supports_delta() const override { return true; }
-  void load_retractable(const Cnf& cnf) override;
-  bool load_delta(const Cnf& next, const CnfDelta& delta) override;
   SolveResult solve(std::span<const Lit> assumptions) override;
   Var new_var() override;
   LBool model_value(Var v) const override;
@@ -234,21 +144,10 @@ class CdclBackend : public SolverBackend {
   void set_conflict_budget(std::uint64_t max_conflicts);
 
  private:
-  /// Adds one guarded problem clause under a fresh selector.
-  void add_guarded(const std::vector<Lit>& clause);
-
   SolverConfig config_;
   const std::atomic<bool>* stop_ = nullptr;
   std::uint64_t conflict_budget_ = 0;
   std::unique_ptr<Solver> solver_;  // rebuilt per load; Solver is not movable
-  // Retractable-load state (empty/false after a plain load()).
-  bool guarded_ = false;
-  std::int32_t guard_base_ = 0;   // CNF variable ceiling; selectors live above
-  std::vector<Var> selectors_;    // active selectors, assumption order
-  // Canonical clause -> its active selectors (multiset: duplicate
-  // clauses each get their own).
-  std::map<std::vector<Lit>, std::vector<Var>> selector_of_;
-  std::vector<Lit> assume_buf_;  // scratch: selectors + caller assumptions
 };
 
 /// CDCL for model queries + ModelCounter for exact counts: capped
@@ -259,10 +158,6 @@ class CountingBackend final : public CdclBackend {
  public:
   BackendKind kind() const override { return BackendKind::kCount; }
   void load(const Cnf& cnf) override;
-  /// No incremental story: the counter recounts from the retained CNF,
-  /// so a delta load would save nothing — decline and load fresh.
-  bool supports_delta() const override { return false; }
-  void load_retractable(const Cnf& cnf) override { load(cnf); }
   std::optional<std::uint64_t> exact_count() override;
 
  private:

@@ -23,9 +23,8 @@
 // IpasirBackend is the SolverBackend adapter consuming *only* this C
 // surface — no reach-around into Solver internals, so it works
 // unchanged against an external solver.  Retraction is emulated the
-// IPASIR way (a permanent unit clause on the activation literal) and
-// there is deliberately no delta story: the flat ABI has no clause
-// handles, so every window is a fresh ct_sat_init.
+// IPASIR way (a permanent unit clause on the activation literal), and
+// every load() is a fresh ct_sat_init.
 #pragma once
 
 #include <cstdint>

@@ -18,84 +18,16 @@ std::size_t idx(BackendKind kind) { return static_cast<std::size_t>(kind); }
 
 }  // namespace
 
-SessionStats& operator+=(SessionStats& a, const SessionStats& b) {
-  a.cnf_loads += b.cnf_loads;
-  a.solve_calls += b.solve_calls;
-  a.models_found += b.models_found;
-  a.blocking_clauses += b.blocking_clauses;
-  a.retractions += b.retractions;
-  a.delta_loads += b.delta_loads;
-  a.clauses_retracted += b.clauses_retracted;
-  a.clauses_reused += b.clauses_reused;
-  a.fresh_clauses += b.fresh_clauses;
-  a.clauses_added += b.clauses_added;
-  for (std::size_t k = 0; k < kNumBackendKinds; ++k) {
-    a.backends[k].selected += b.backends[k].selected;
-    a.backends[k].served += b.backends[k].served;
-    a.backends[k].escalated += b.backends[k].escalated;
-  }
-  a.portfolio += b.portfolio;
-  return a;
-}
-
 void SolverSession::load(const Cnf& cnf) { load(cnf, BackendPlan{}); }
 
 void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
-  do_load(cnf, plan, /*retractable=*/false);
-  retractable_ = false;
-  prev_canon_.clear();
-  chain_loads_ = 0;
-}
-
-void SolverSession::load_next(const Cnf& cnf, const BackendPlan& plan,
-                              const DeltaPolicy& policy) {
-  // Delta only continues a chain the previous load started: a live
-  // retractable CDCL load, the same CDCL routing for this CNF, no
-  // projected queries in between (a projection change restarts the
-  // chain), and the per-session garbage cap not yet hit.
-  const bool chainable = policy.enabled && retractable_ && full_projection_ &&
-                         plan.primary == BackendKind::kCdcl &&
-                         chain_loads_ < policy.max_chain_loads;
-  if (chainable) {
-    std::vector<std::vector<Lit>> canon = canonical_clauses(cnf);
-    const CnfDelta delta =
-        compute_cnf_delta(prev_canon_, prev_vars_, canon, cnf.num_vars);
-    const double budget =
-        policy.max_delta_fraction *
-        static_cast<double>(std::max<std::size_t>(cnf.clauses.size(), 1));
-    if (static_cast<double>(delta.size()) <= budget) {
-      // Blocking clauses enumerate the *previous* window's models; they
-      // must not constrain the next one.
-      retract_enumeration();
-      if (backend_->load_delta(cnf, delta)) {
-        reset_cnf_state(cnf);
-        ++stats_.delta_loads;
-        stats_.clauses_retracted += delta.removed.size();
-        stats_.clauses_reused += delta.shared;
-        stats_.clauses_added += delta.added.size();
-        ++stats_.backends[idx(BackendKind::kCdcl)].selected;
-        ++stats_.backends[idx(BackendKind::kCdcl)].served;
-        prev_canon_ = std::move(canon);
-        prev_vars_ = cnf.num_vars;
-        ++chain_loads_;
-        return;
-      }
-    }
-  }
-  const bool retractable = policy.enabled && plan.primary == BackendKind::kCdcl;
-  do_load(cnf, plan, retractable);
-  retractable_ = retractable;
-  if (retractable) {
-    prev_canon_ = canonical_clauses(cnf);
-    prev_vars_ = cnf.num_vars;
-  } else {
-    prev_canon_.clear();
-  }
-  chain_loads_ = 0;
-}
-
-void SolverSession::do_load(const Cnf& cnf, const BackendPlan& plan, bool retractable) {
-  reset_cnf_state(cnf);
+  cnf_vars_ = cnf.num_vars;
+  projection_.clear();
+  full_projection_ = true;
+  activation_ = kUndefVar;
+  models_.clear();
+  exhausted_ = false;
+  base_sat_ = -1;
   ++stats_.cnf_loads;
   stats_.fresh_clauses += cnf.clauses.size();
   ++stats_.backends[idx(plan.primary)].selected;
@@ -104,11 +36,7 @@ void SolverSession::do_load(const Cnf& cnf, const BackendPlan& plan, bool retrac
     // Width before load: changing it rebuilds the member set.
     static_cast<PortfolioBackend*>(backend_)->set_width(plan.portfolio_width);
   }
-  if (retractable) {
-    backend_->load_retractable(cnf);
-  } else {
-    backend_->load(cnf);
-  }
+  backend_->load(cnf);
   presolve_ = backend_->presolve();
   if (!presolve_ && !backend_->supports_search()) {
     // The primary could not decide the CNF and cannot search: escalate
@@ -123,17 +51,6 @@ void SolverSession::do_load(const Cnf& cnf, const BackendPlan& plan, bool retrac
     ++stats_.backends[idx(plan.primary)].served;
   }
   if (presolve_) base_sat_ = presolve_->solution_class > 0 ? 1 : 0;
-}
-
-void SolverSession::reset_cnf_state(const Cnf& cnf) {
-  cnf_vars_ = cnf.num_vars;
-  projection_.clear();
-  full_projection_ = true;
-  activation_ = kUndefVar;
-  models_.clear();
-  exhausted_ = false;
-  base_sat_ = -1;
-  presolve_.reset();
 }
 
 SolverBackend* SolverSession::fetch_backend(BackendKind kind) {

@@ -35,11 +35,13 @@
 // query returns exactly what the CDCL path would have — the
 // cross-backend suites enforce it.
 //
-// A session is single-threaded; for batch parallelism, give each worker
-// its own session and reuse it across CNFs via load() (the "session
-// arena" pattern in tomo::analyze_cnfs).  stats().cnf_loads counts
-// load() calls across the arena's lifetime, which is how tests assert
-// the one-load-per-verdict property.
+// Every CNF gets exactly one fresh load(): no solver state carries over
+// from one CNF to the next, matching the paper's per-(URL, anomaly,
+// window) solve.  A session is single-threaded; for batch parallelism,
+// give each worker its own session and reuse it across CNFs via load()
+// (the "session arena" pattern in tomo::analyze_cnfs).
+// stats().cnf_loads counts load() calls across the arena's lifetime,
+// which is how tests assert the one-load-per-verdict property.
 #pragma once
 
 #include <array>
@@ -58,33 +60,16 @@ namespace ct::sat {
 
 /// Cumulative session counters (survive load(), i.e. per-arena).
 struct SessionStats {
-  /// Fresh loads only; every CNF is accounted by exactly one of
-  /// cnf_loads and delta_loads, so cnf_loads + delta_loads equals the
-  /// number of CNFs the session analyzed.
+  /// One per load(), so it equals the number of CNFs the session
+  /// analyzed.
   std::uint64_t cnf_loads = 0;
   std::uint64_t solve_calls = 0;
   std::uint64_t models_found = 0;
   std::uint64_t blocking_clauses = 0;
   std::uint64_t retractions = 0;
-  /// Delta-load accounting (README "Delta loading"): loads served by
-  /// editing the previous window's formula in place, the clauses those
-  /// edits retracted, and the clauses they left untouched (the hot
-  /// state the delta path exists to preserve).
-  std::uint64_t delta_loads = 0;
-  std::uint64_t clauses_retracted = 0;
-  std::uint64_t clauses_reused = 0;
-  /// Clause-conservation counters: problem clauses asserted by fresh
-  /// loads, and clauses asserted by delta edits.  Every analyzed CNF is
-  /// covered exactly once, so for any load sequence — batch, streaming,
-  /// any worker count, any chain-LRU eviction pattern —
-  ///   fresh_clauses + clauses_reused + clauses_added
-  ///     == sum of |cnf.clauses| over the analyzed CNFs.
-  /// The equivalence suites cross-check the retract/reuse totals
-  /// through this identity (counts differ legitimately between batch
-  /// and streaming because chain interleaving differs; the conservation
-  /// sum may not).
+  /// Problem clauses asserted by load(): the sum of |cnf.clauses| over
+  /// the analyzed CNFs, for any batch, stream or worker count.
   std::uint64_t fresh_clauses = 0;
-  std::uint64_t clauses_added = 0;
   /// Per-backend selection/serving counters, indexed by BackendKind.
   std::array<BackendCounters, kNumBackendKinds> backends{};
   /// Racing counters (README "Portfolio racing"), mirrored from the
@@ -92,10 +77,6 @@ struct SessionStats {
   /// when racing never engaged.
   PortfolioStats portfolio;
 };
-
-/// Field-wise sum, for aggregating stats across sessions (the tomo
-/// arenas keep several live sessions under delta loading).
-SessionStats& operator+=(SessionStats& a, const SessionStats& b);
 
 class SolverSession {
  public:
@@ -113,15 +94,6 @@ class SolverSession {
   /// As above, but routes the CNF per `plan`: the primary backend's
   /// presolve may decide it outright, or escalate to the fallback.
   void load(const Cnf& cnf, const BackendPlan& plan);
-  /// Chain-aware load (README "Delta loading"): when `policy` allows
-  /// and `cnf` is adjacent to the previously loaded CNF (small
-  /// canonical diff, same CDCL routing, no projected queries in
-  /// between), applies the delta to the live solver instead of
-  /// rebuilding it — learnt clauses, activities, and phases whose
-  /// premises survive carry over.  Otherwise falls back to a fresh
-  /// load.  Queries answer identically either way; only stats_ (one
-  /// delta_load instead of one cnf_load) and speed differ.
-  void load_next(const Cnf& cnf, const BackendPlan& plan, const DeltaPolicy& policy);
   bool loaded() const { return backend_ != nullptr; }
 
   /// The backend actually answering queries for the loaded CNF (the
@@ -168,11 +140,6 @@ class SolverSession {
 
  private:
   SolveResult solve(std::span<const Lit> assumptions);
-  /// Fresh load on `plan`, retractably when the delta path may want to
-  /// extend this CNF into the next window.
-  void do_load(const Cnf& cnf, const BackendPlan& plan, bool retractable);
-  /// Resets all per-CNF query state (shared by fresh and delta loads).
-  void reset_cnf_state(const Cnf& cnf);
   /// Returns the cached backend instance for `kind`, creating it once.
   SolverBackend* fetch_backend(BackendKind kind);
   /// Grows the model cache to >= want models or exhaustion.
@@ -200,13 +167,6 @@ class SolverSession {
   std::vector<std::vector<Lit>> models_;  // discovery order, projected
   bool exhausted_ = false;                // no models beyond models_
   std::int8_t base_sat_ = -1;             // -1 unknown, else 0/1
-  // Delta-chain state: the loaded CNF's canonical clause list is
-  // retained (retractable loads only) so load_next() can diff the next
-  // window against it without re-sorting the previous one.
-  std::vector<std::vector<Lit>> prev_canon_;
-  std::int32_t prev_vars_ = 0;
-  bool retractable_ = false;      // current load can take a delta
-  std::uint32_t chain_loads_ = 0;  // consecutive delta loads so far
   SessionStats stats_;
 };
 

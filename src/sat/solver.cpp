@@ -110,41 +110,6 @@ bool Solver::retract_activation(Var a) {
   return true;
 }
 
-bool Solver::retract_activations(std::span<const Var> as) {
-  if (as.empty()) return ok_;
-  if (!ok_) return false;
-  cancel_until(0);
-  // Mark the ~a literal of every retired group; a clause belongs to a
-  // retired group iff it contains a marked literal.
-  std::vector<std::uint8_t> off(static_cast<std::size_t>(2 * num_vars()), 0);
-  for (const Var a : as) {
-    const Lit l(a, /*negated=*/true);
-    if (value(l) == LBool::kFalse) return false;  // `a` was asserted; not an activation var
-    if (value(l) == LBool::kUndef && !add_clause({l})) return false;
-    off[static_cast<std::size_t>(l.code())] = 1;
-  }
-  auto prune = [this, &off](std::vector<ClauseRef>& refs) {
-    std::size_t kept = 0;
-    for (const ClauseRef cref : refs) {
-      const Clause& c = clauses_[static_cast<std::size_t>(cref)];
-      const bool retired =
-          !c.deleted && std::any_of(c.lits.begin(), c.lits.end(), [&off](const Lit l) {
-            return off[static_cast<std::size_t>(l.code())] != 0;
-          });
-      if (retired) {
-        remove_clause(cref);
-        ++stats_.retracted_clauses;
-      } else {
-        refs[kept++] = cref;
-      }
-    }
-    refs.resize(kept);
-  };
-  prune(problem_clauses_);
-  prune(learnt_clauses_);
-  return true;
-}
-
 Solver::ClauseRef Solver::alloc_clause(std::vector<Lit> lits, bool learnt) {
   Clause c;
   c.lits = std::move(lits);

@@ -108,12 +108,6 @@ class Solver {
   /// database UNSAT (impossible for a true activation variable).
   bool retract_activation(Var a);
 
-  /// Batch form of retract_activation: asserts ~a for every variable in
-  /// `as` and prunes the clauses of all retired groups in one database
-  /// scan (retract_activation scans once per variable).  Used by the
-  /// delta-load path, which retires one activation per removed clause.
-  bool retract_activations(std::span<const Var> as);
-
   /// Optional conflict budget per solve() call; 0 disables the limit.
   void set_conflict_budget(std::uint64_t max_conflicts) { conflict_budget_ = max_conflicts; }
 

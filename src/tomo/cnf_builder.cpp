@@ -353,18 +353,6 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
   return builder.flush();
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> chain_runs(const std::vector<TomoCnf>& cnfs) {
-  std::vector<std::pair<std::size_t, std::size_t>> runs;
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i <= cnfs.size(); ++i) {
-    if (i == cnfs.size() || chain_of(cnfs[i].key) != chain_of(cnfs[begin].key)) {
-      runs.emplace_back(begin, i);
-      begin = i;
-    }
-  }
-  return runs;
-}
-
 bool ChurnStripFilter::keep(const PathPool& pool, const PathClause& clause) {
   if (pool.get(clause.path_id).empty()) return false;
   const auto key = std::make_pair(clause.vantage, clause.url_id);

@@ -59,22 +59,6 @@ struct CnfKey {
   auto operator<=>(const CnfKey&) const = default;
 };
 
-/// The (URL, anomaly, granularity) stream a window CNF belongs to.
-/// Consecutive windows of one chain are adjacent formulas — path churn
-/// edits a few clauses per window, the rest carries over — which is
-/// what the solver's delta-load path exploits (README "Delta loading").
-struct ChainKey {
-  std::int32_t url_id = 0;
-  censor::Anomaly anomaly = censor::Anomaly::kDns;
-  util::Granularity granularity = util::Granularity::kDay;
-
-  auto operator<=>(const ChainKey&) const = default;
-};
-
-inline ChainKey chain_of(const CnfKey& key) {
-  return ChainKey{key.url_id, key.anomaly, key.granularity};
-}
-
 /// A fully formed tomography SAT instance.
 struct TomoCnf {
   CnfKey key;
@@ -260,14 +244,6 @@ class StreamingCnfBuilder {
 /// fed with the whole stream and flushed once.
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
                                 const CnfBuildOptions& options = {});
-
-/// Maximal runs of consecutive same-chain CNFs in `cnfs`, as [begin,
-/// end) index pairs covering the whole batch in order.  On key-sorted
-/// batches (build_cnfs output) each run is one complete chain with its
-/// windows in time order — the per-stream consecutive-window iteration
-/// the delta scheduler hands to one solver arena.  Unsorted input just
-/// yields shorter runs; nothing is reordered.
-std::vector<std::pair<std::size_t, std::size_t>> chain_runs(const std::vector<TomoCnf>& cnfs);
 
 /// Streaming form of Figure 4's churn ablation: keeps, per
 /// (vantage, URL), only the clauses whose path equals the first path

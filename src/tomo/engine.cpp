@@ -11,47 +11,6 @@
 
 namespace ct::tomo {
 
-namespace {
-
-/// Live chain sessions per arena.  Watermark emission interleaves at
-/// most the chains of one window cohort between two windows of any one
-/// chain; a small cache keeps the hot ones alive without letting an
-/// arena hold a solver per chain of the whole run.
-constexpr std::size_t kMaxChainSessions = 8;
-
-}  // namespace
-
-sat::SolverSession& CnfAnalyzer::session_for(const CnfKey& key,
-                                             const AnalysisOptions& options) {
-  if (!options.delta.enabled) return session_;
-  const ChainKey chain = chain_of(key);
-  ++use_tick_;
-  ChainSlot* lru = nullptr;
-  for (ChainSlot& slot : chains_) {
-    if (slot.key == chain) {
-      slot.last_used = use_tick_;
-      return *slot.session;
-    }
-    if (lru == nullptr || slot.last_used < lru->last_used) lru = &slot;
-  }
-  if (chains_.size() < kMaxChainSessions) {
-    chains_.push_back(ChainSlot{chain, use_tick_, std::make_unique<sat::SolverSession>()});
-    return *chains_.back().session;
-  }
-  retired_ += lru->session->stats();
-  lru->key = chain;
-  lru->last_used = use_tick_;
-  lru->session = std::make_unique<sat::SolverSession>();
-  return *lru->session;
-}
-
-sat::SessionStats CnfAnalyzer::session_stats() const {
-  sat::SessionStats total = retired_;
-  total += session_.stats();
-  for (const ChainSlot& slot : chains_) total += slot.session->stats();
-  return total;
-}
-
 CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& options) {
   CnfVerdict verdict;
   verdict.key = tc.key;
@@ -65,18 +24,16 @@ CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& option
   // for (count_cap = 0 means *unbounded* at the session/selector level).
   const sat::BackendWorkload workload{options.count_cap,
                                       options.resolve_counts && options.count_cap > 2};
-  sat::SolverSession& session = session_for(tc.key, options);
-  session.load_next(tc.cnf, options.backend.plan(sat::shape_of(tc.cnf), workload),
-                    options.delta);
+  session_.load(tc.cnf, options.backend.plan(sat::shape_of(tc.cnf), workload));
 
   // Class first: at most two models enumerated.  Counts beyond 2 are
   // resolved lazily — class-0/1 CNFs already have their exact count, and
   // class-2 CNFs only pay for the full cap when a caller (Figure 4)
   // actually reads the histogram.
-  const sat::SolutionClassification cls = session.classify();
+  const sat::SolutionClassification cls = session_.classify();
   verdict.solution_class = cls.solution_class;
   if (options.resolve_counts && verdict.solution_class == 2 && options.count_cap > 2) {
-    verdict.capped_count = session.count_models_capped(options.count_cap);
+    verdict.capped_count = session_.count_models_capped(options.count_cap);
   } else {
     // Classification already counted exactly up to 2 (count_cap = 0
     // keeps the historical "always 0" result).
@@ -90,7 +47,7 @@ CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& option
     }
     std::sort(verdict.censors.begin(), verdict.censors.end());
   } else if (verdict.solution_class == 2) {
-    const sat::PotentialTrueResult split = session.potential_true_vars();
+    const sat::PotentialTrueResult split = session_.potential_true_vars();
     for (const sat::Var v : split.potential_true) {
       verdict.potential_censors.push_back(tc.vars[static_cast<std::size_t>(v)]);
     }
@@ -117,11 +74,7 @@ void EngineStats::add_arena(const sat::SessionStats& s) {
   cnf_loads += s.cnf_loads;
   solve_calls += s.solve_calls;
   models_found += s.models_found;
-  delta_loads += s.delta_loads;
-  clauses_retracted += s.clauses_retracted;
-  clauses_reused += s.clauses_reused;
   fresh_clauses += s.fresh_clauses;
-  clauses_added += s.clauses_added;
   for (std::size_t k = 0; k < sat::kNumBackendKinds; ++k) {
     backends[k].selected += s.backends[k].selected;
     backends[k].served += s.backends[k].served;
@@ -164,22 +117,9 @@ std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
 
   util::ThreadPool pool(threads);
   std::vector<CnfAnalyzer> arenas(pool.size());
-  if (options.delta.enabled) {
-    // Chain-affine scheduling: one task per run of consecutive
-    // same-chain windows, processed in order on one arena, so every
-    // window transition stays delta-eligible.  Work stealing balances
-    // at chain granularity; out[i] slots keep the batch order exact.
-    const std::vector<std::pair<std::size_t, std::size_t>> runs = chain_runs(cnfs);
-    pool.for_each_index(runs.size(), [&](unsigned worker, std::size_t r) {
-      for (std::size_t i = runs[r].first; i < runs[r].second; ++i) {
-        out[i] = arenas[worker].analyze(cnfs[i], options);
-      }
-    });
-  } else {
-    pool.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
-      out[i] = arenas[worker].analyze(cnfs[i], options);
-    });
-  }
+  pool.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
+    out[i] = arenas[worker].analyze(cnfs[i], options);
+  });
   for (const CnfAnalyzer& arena : arenas) accumulate(stats, arena.session_stats());
   return out;
 }
@@ -194,22 +134,14 @@ StreamingAnalyzer::StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue,
   // stays within the configured budget.
   const unsigned threads =
       std::max(1u, configured / options_.analysis.backend.racing_width());
-  // Chain -> worker affinity only matters with several workers; a lone
-  // worker sees every chain anyway and skips the dispatcher hop.
-  const bool affine = options_.analysis.delta.enabled && threads > 1;
   workers_.reserve(threads);
   try {
     for (unsigned w = 0; w < threads; ++w) {
       workers_.push_back(std::make_unique<Worker>());
       Worker* worker = workers_.back().get();
-      if (affine) {
-        worker->intake =
-            std::make_unique<util::BoundedQueue<EmittedCnf>>(queue_.capacity());
-      }
-      util::BoundedQueue<EmittedCnf>* intake = affine ? worker->intake.get() : &queue_;
-      worker->thread = std::thread([this, worker, intake] {
+      worker->thread = std::thread([this, worker] {
         try {
-          while (std::optional<EmittedCnf> item = intake->pop()) {
+          while (std::optional<EmittedCnf> item = queue_.pop()) {
             CnfVerdict verdict = worker->arena.analyze(item->cnf, options_.analysis);
             deliver(std::move(*item), std::move(verdict));
           }
@@ -217,38 +149,16 @@ StreamingAnalyzer::StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue,
           worker->error = std::current_exception();
           // Keep draining (and discarding) so a full queue never blocks
           // the producers after this worker bowed out.
-          while (intake->pop()) {
+          while (queue_.pop()) {
           }
         }
-      });
-    }
-    if (affine) {
-      dispatcher_ = std::thread([this] {
-        // Hash each CNF's chain to a worker, so every window of one
-        // (URL, anomaly, granularity) stream lands on the arena holding
-        // its predecessor's solver state.  The bounded intakes
-        // back-pressure the main queue when a worker falls behind.
-        const std::size_t n = workers_.size();
-        while (std::optional<EmittedCnf> item = queue_.pop()) {
-          const ChainKey chain = chain_of(item->cnf.key);
-          const std::size_t h = (static_cast<std::size_t>(chain.url_id) * 1000003u +
-                                 static_cast<std::size_t>(chain.anomaly) * 8191u +
-                                 static_cast<std::size_t>(chain.granularity)) %
-                                n;
-          workers_[h]->intake->push(std::move(*item));
-        }
-        for (auto& worker : workers_) worker->intake->close();
       });
     }
   } catch (...) {
     // A failed spawn (e.g. thread exhaustion) must not strand the
     // already-started workers on an open queue — and unwinding with
-    // joinable std::threads would terminate().  Closing the intakes
-    // here too covers the case where the dispatcher never started.
+    // joinable std::threads would terminate().
     queue_.close();
-    for (auto& worker : workers_) {
-      if (worker->intake) worker->intake->close();
-    }
     join_all();
     throw;
   }
@@ -261,9 +171,6 @@ StreamingAnalyzer::StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue,
 StreamingAnalyzer::~StreamingAnalyzer() { join_all(); }
 
 void StreamingAnalyzer::join_all() {
-  // The dispatcher closes the worker intakes on exit, so it must join
-  // first or the workers would never see end-of-stream.
-  if (dispatcher_.joinable()) dispatcher_.join();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }

@@ -15,14 +15,15 @@
 // the same solver backend — chosen per CNF by AnalysisOptions::backend
 // (CDCL, exact-count, or the unit-prop presolve fast path; see
 // sat/backend.h).  Backend choice never changes a verdict, only how it
-// is computed.  A CnfAnalyzer is the per-worker "session
-// arena": it owns one session and reuses it across CNFs via load(), so
-// its cumulative SessionStats expose the one-load-per-verdict invariant.
-// analyze_cnfs schedules a batch across a util::ThreadPool (work
-// stealing, one arena per worker) and writes verdict i into slot i, so
-// the output vector is byte-identical for any num_threads — including
-// num_threads == 1, which runs inline on the calling thread with no
-// threads spawned.
+// is computed.  Each CNF is solved on its own, as in the paper: no
+// solver state carries over from one window to the next.  A CnfAnalyzer
+// is the per-worker "session arena": it owns one session and reuses it
+// across CNFs via load(), so its cumulative SessionStats expose the
+// one-load-per-verdict invariant.  analyze_cnfs schedules a batch by
+// index across a util::ThreadPool (work stealing, one arena per
+// worker) and writes verdict i into slot i, so the output vector is
+// byte-identical for any num_threads — including num_threads == 1,
+// which runs inline on the calling thread with no threads spawned.
 #pragma once
 
 #include <array>
@@ -66,13 +67,6 @@ struct AnalysisOptions {
   /// byte-identical for every mode — the backend equivalence suite
   /// enforces it.
   sat::BackendSelector backend;
-  /// Cross-window delta loading (README "Delta loading"): adjacent
-  /// windows of one (URL, anomaly, granularity) chain are loaded as a
-  /// clause diff against the live solver instead of from scratch,
-  /// keeping learnt clauses / activities / phases hot (CT_SAT_DELTA via
-  /// sat::DeltaPolicy::from_env).  Verdicts are byte-identical with the
-  /// policy on or off — the equivalence suites run both.
-  sat::DeltaPolicy delta;
 };
 
 struct CnfVerdict {
@@ -97,22 +91,17 @@ struct CnfVerdict {
 
 /// Aggregate counters for a batch analysis (summed over all arenas).
 struct EngineStats {
-  /// Fresh solver loads; cnf_loads + delta_loads == CNFs analyzed.
+  /// Solver loads; one per CNF analyzed.
   std::uint64_t cnf_loads = 0;
   std::uint64_t solve_calls = 0;
   std::uint64_t models_found = 0;
-  /// Delta-load accounting (README "Delta loading"): window transitions
-  /// served by editing the previous formula in place, and the clauses
-  /// those edits retracted / carried over.
+  /// Always 0: every CNF is one fresh load.  Kept only because the
+  /// benchmark's sat.delta_loads metric reads it; a benchmark change
+  /// drops both.
   std::uint64_t delta_loads = 0;
-  std::uint64_t clauses_retracted = 0;
-  std::uint64_t clauses_reused = 0;
-  /// Clause conservation (see sat::SessionStats): fresh_clauses +
-  /// clauses_reused + clauses_added == sum of |cnf.clauses| over the
-  /// analyzed batch, for every execution mode — the equivalence suites
-  /// cross-check the delta counters through this identity.
+  /// Problem clauses loaded: the sum of |cnf.clauses| over the analyzed
+  /// batch, for every execution mode.
   std::uint64_t fresh_clauses = 0;
-  std::uint64_t clauses_added = 0;
   unsigned arenas = 0;  // worker sessions used
   /// LiveReport snapshot-server counters (analysis::LiveReportServer,
   /// monitor runs only): snapshots published, reader snapshot() calls,
@@ -124,7 +113,7 @@ struct EngineStats {
   std::uint64_t snapshot_peak_readers = 0;
   /// Per-backend selected/served/escalated counts, indexed by
   /// sat::BackendKind; sum of `selected` (and of `served`) equals
-  /// cnf_loads + delta_loads.
+  /// cnf_loads.
   std::array<sat::BackendCounters, sat::kNumBackendKinds> backends{};
   /// Portfolio racing counters (README "Portfolio racing"), summed over
   /// all arenas: races run/won per member, probe decisions, winner vs.
@@ -137,32 +126,16 @@ struct EngineStats {
   void add_arena(const sat::SessionStats& s);
 };
 
-/// Per-worker session arena: reusable SolverSessions, loaded once per
-/// analyzed CNF.  Under delta loading the arena keeps one live session
-/// per recently seen chain (LRU-capped), so interleaved streams — the
-/// watermark emission order interleaves every chain's windows — still
-/// land each window on the session holding its predecessor; with delta
-/// off it degenerates to the single-session arena of old.
+/// Per-worker session arena: one reusable SolverSession, loaded once
+/// per analyzed CNF.
 class CnfAnalyzer {
  public:
   CnfVerdict analyze(const TomoCnf& tc, const AnalysisOptions& options = {});
-  /// Counters summed over every session this arena ran (the delta-off
-  /// session, live chain sessions, and evicted ones).
-  sat::SessionStats session_stats() const;
+  /// Counters summed over every CNF this arena analyzed.
+  const sat::SessionStats& session_stats() const { return session_.stats(); }
 
  private:
-  /// The session that analyzes `tc` (chain-affine under delta).
-  sat::SolverSession& session_for(const CnfKey& key, const AnalysisOptions& options);
-
-  sat::SolverSession session_;  // delta off: one session, fresh loads
-  struct ChainSlot {
-    ChainKey key;
-    std::uint64_t last_used = 0;
-    std::unique_ptr<sat::SolverSession> session;
-  };
-  std::vector<ChainSlot> chains_;  // delta on: live chain sessions
-  std::uint64_t use_tick_ = 0;
-  sat::SessionStats retired_;  // stats of evicted chain sessions
+  sat::SolverSession session_;
 };
 
 /// Analyzes one CNF on a throwaway arena.
@@ -170,11 +143,8 @@ CnfVerdict analyze_cnf(const TomoCnf& tc, const AnalysisOptions& options = {});
 
 /// Analyzes a batch, possibly in parallel (options.num_threads); the
 /// result order matches `cnfs` and is independent of the thread count.
-/// Under delta loading, scheduling is chain-affine: whole chain_runs()
-/// of consecutive same-chain windows go to one worker arena in order,
-/// so every window transition is delta-eligible.  When `stats` is
-/// non-null it receives counters summed over all worker arenas
-/// (stats->cnf_loads + stats->delta_loads == cnfs.size() always holds).
+/// When `stats` is non-null it receives counters summed over all worker
+/// arenas (stats->cnf_loads == cnfs.size() always holds).
 std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
                                      const AnalysisOptions& options = {},
                                      EngineStats* stats = nullptr);
@@ -217,13 +187,6 @@ struct StreamingAnalyzerOptions {
 /// by key, for any worker count and any queue interleaving.  The
 /// ordered verdict callback sees the same pairs in emission order,
 /// which is likewise independent of workers and interleaving.
-///
-/// Under delta loading a dispatcher thread routes each CNF to the
-/// worker its chain hashes to (chain -> worker affinity), so every
-/// window of one (URL, anomaly, granularity) stream lands on the arena
-/// holding its predecessor's solver state.  Routing only changes which
-/// worker computes a verdict, never the verdict — the contract above is
-/// untouched.
 class StreamingAnalyzer {
  public:
   struct Result {
@@ -257,8 +220,6 @@ class StreamingAnalyzer {
     CnfAnalyzer arena;
     std::exception_ptr error;
     std::thread thread;
-    /// Delta mode: this worker's private intake, fed by the dispatcher.
-    std::unique_ptr<util::BoundedQueue<EmittedCnf>> intake;
   };
 
   void join_all();
@@ -268,7 +229,6 @@ class StreamingAnalyzer {
   util::BoundedQueue<EmittedCnf>& queue_;
   StreamingAnalyzerOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread dispatcher_;  // delta mode, multi-worker only
 
   /// Release state: guards the verdict callback (serialized), the
   /// ordered reorder buffer, and the retained results.

@@ -1,6 +1,6 @@
 // Fail-fast environment-variable parsing.
 //
-// The execution-mode knobs (CT_SAT_BACKEND, CT_SAT_DELTA, ...) select
+// The execution-mode knobs (CT_SAT_BACKEND, CT_SAT_PORTFOLIO, ...) select
 // between configurations that are *supposed* to produce identical
 // results — which is exactly why a typo'd value must not fall back to a
 // default: the run would silently test the wrong configuration while

@@ -47,13 +47,6 @@ std::uint64_t sum_served(const tomo::EngineStats& stats) {
   return total;
 }
 
-/// Clause conservation: however a load was served — fresh, or delta
-/// with some clauses reused and some added — every clause of every
-/// analyzed CNF is accounted for exactly once.
-std::uint64_t clauses_accounted(const tomo::EngineStats& stats) {
-  return stats.fresh_clauses + stats.clauses_reused + stats.clauses_added;
-}
-
 std::uint64_t total_clause_volume(const std::vector<tomo::TomoCnf>& cnfs) {
   std::uint64_t total = 0;
   for (const tomo::TomoCnf& tc : cnfs) total += tc.cnf.clauses.size();
@@ -74,11 +67,10 @@ TEST(BackendEquivalence, VerdictsByteIdenticalAcrossBackends) {
       tomo::AnalysisOptions baseline_options;
       baseline_options.resolve_counts = resolve_counts;
       baseline_options.backend.mode = Mode::kCdcl;
-      baseline_options.delta = sat::DeltaPolicy::from_env();
       tomo::EngineStats baseline_stats;
       const std::vector<tomo::CnfVerdict> baseline =
           tomo::analyze_cnfs(cnfs, baseline_options, &baseline_stats);
-      EXPECT_EQ(baseline_stats.cnf_loads + baseline_stats.delta_loads, cnfs.size());
+      EXPECT_EQ(baseline_stats.cnf_loads, cnfs.size());
 
       for (const Mode mode : kAllModes) {
         SCOPED_TRACE(std::string("backend=") + sat::BackendSelector::to_string(mode));
@@ -92,22 +84,14 @@ TEST(BackendEquivalence, VerdictsByteIdenticalAcrossBackends) {
         // sets, reduction_fraction (CnfVerdict::operator==).
         EXPECT_EQ(verdicts, baseline);
 
-        // The one-load-per-verdict invariant holds on every backend
-        // (every CNF is exactly one fresh or one delta load), and the
-        // per-backend counters account for every load.
-        const std::uint64_t loads = stats.cnf_loads + stats.delta_loads;
+        // The one-load-per-verdict invariant holds on every backend,
+        // the per-backend counters account for every load, and every
+        // load asserts exactly its CNF's clauses.
+        const std::uint64_t loads = stats.cnf_loads;
         EXPECT_EQ(loads, cnfs.size());
         EXPECT_EQ(sum_selected(stats), loads);
         EXPECT_EQ(sum_served(stats), loads);
-        // The delta aggregation audit: the fresh/reused/added split
-        // varies with the backend mix and chain luck, but the sum must
-        // equal the batch's exact clause volume in every mode.
-        EXPECT_EQ(clauses_accounted(stats), total_clause_volume(cnfs));
-        EXPECT_LE(stats.clauses_reused + stats.clauses_added,
-                  stats.delta_loads == 0 ? 0u : clauses_accounted(stats));
-        if (!options.delta.enabled) {
-          EXPECT_EQ(stats.delta_loads, 0u) << "CT_SAT_DELTA=0 must force fresh loads";
-        }
+        EXPECT_EQ(stats.fresh_clauses, total_clause_volume(cnfs));
         const auto up = static_cast<std::size_t>(BackendKind::kUnitProp);
         EXPECT_EQ(stats.backends[up].escalated + stats.backends[up].served,
                   stats.backends[up].selected);
@@ -180,26 +164,16 @@ void expect_results_equal(const ExperimentResult& a, const ExperimentResult& b) 
   EXPECT_EQ(a.score_all.true_positives, b.score_all.true_positives);
   EXPECT_EQ(a.score_all.false_positives, b.score_all.false_positives);
   EXPECT_EQ(a.score_all.false_negatives, b.score_all.false_negatives);
-  // The backend mix itself differs across modes (and the fresh/delta
-  // split differs with it — only CDCL-routed CNFs chain); only the
-  // total loads must match (one per CNF of the main pass, whatever the
-  // backend and however it was loaded).
-  EXPECT_EQ(a.engine_stats.cnf_loads + a.engine_stats.delta_loads,
-            b.engine_stats.cnf_loads + b.engine_stats.delta_loads);
-  // ...and so must the conserved clause volume: the same CNFs were
-  // loaded, whatever mix of fresh and delta loads served them.
-  EXPECT_EQ(clauses_accounted(a.engine_stats), clauses_accounted(b.engine_stats));
+  // The backend mix itself differs across modes; the loads (one per CNF
+  // of the main pass) and the clauses they asserted must not.
+  EXPECT_EQ(a.engine_stats.cnf_loads, b.engine_stats.cnf_loads);
+  EXPECT_EQ(a.engine_stats.fresh_clauses, b.engine_stats.fresh_clauses);
 }
 
 TEST(BackendEquivalence, RunExperimentAcrossBackendsShardsStreaming) {
-  // The baseline always loads from scratch; the matrix follows
-  // CT_SAT_DELTA (default on) — so the default run proves delta loading
-  // byte-identical to scratch across every backend x shards x streaming
-  // combination, and the CT_SAT_DELTA=0 axis pins scratch vs scratch.
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
-  baseline_options.analysis.delta.enabled = false;
   const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
   for (const Mode mode : kAllModes) {
@@ -211,14 +185,9 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsShardsStreaming) {
         Scenario scenario(shard_scenario(20170623));
         ExperimentOptions options;
         options.analysis.backend.mode = mode;
-        options.analysis.delta = sat::DeltaPolicy::from_env();
         options.num_platform_shards = shards;
         options.streaming = streaming;
-        const ExperimentResult got = run_experiment(scenario, options);
-        expect_results_equal(got, baseline);
-        if (!options.analysis.delta.enabled) {
-          EXPECT_EQ(got.engine_stats.delta_loads, 0u);
-        }
+        expect_results_equal(run_experiment(scenario, options), baseline);
       }
     }
   }
@@ -233,7 +202,6 @@ TEST(BackendEquivalence, RemainingSeedsShardedStreaming) {
     Scenario baseline_scenario(shard_scenario(seed));
     ExperimentOptions baseline_options;
     baseline_options.analysis.backend.mode = Mode::kCdcl;
-    baseline_options.analysis.delta.enabled = false;  // scratch-load truth
     const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
     for (const Mode mode : {Mode::kAuto, Mode::kCount, Mode::kUnitProp, Mode::kIpasir,
@@ -242,7 +210,6 @@ TEST(BackendEquivalence, RemainingSeedsShardedStreaming) {
       Scenario scenario(shard_scenario(seed));
       ExperimentOptions options;
       options.analysis.backend.mode = mode;
-      options.analysis.delta = sat::DeltaPolicy::from_env();
       options.num_platform_shards = 4;
       options.streaming = true;
       expect_results_equal(run_experiment(scenario, options), baseline);
@@ -286,7 +253,6 @@ TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
     ExperimentOptions options;
     options.analysis.backend.mode = c.mode;
     options.analysis.backend.portfolio_width = c.width;
-    options.analysis.delta = sat::DeltaPolicy::from_env();
     const ExperimentResult got = run_experiment(scenario, options);
     expect_results_equal(got, baseline);
     if (c.mode == Mode::kPortfolio) {

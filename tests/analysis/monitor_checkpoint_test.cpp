@@ -7,10 +7,10 @@
 // the process may die at arbitrary watermarks, restore the last
 // checkpoint into a freshly constructed monitor (under the same or a
 // *different* execution mode), and still land on the identical report.
-// The fuzz matrix drives 3 seeds x {serial, sharded} x {delta on, off}
-// with random crash points; the envelope tests pin down the refusal
-// behavior (unknown version, bad magic, truncation, trailing bytes,
-// fingerprint mismatch) as clean CheckpointErrors, never UB.
+// The fuzz matrix drives 3 seeds x {serial, sharded} with random crash
+// points; the envelope tests pin down the refusal behavior (unknown or
+// older version, bad magic, truncation, trailing bytes, fingerprint
+// mismatch, corrupt payload) as clean CheckpointErrors, never UB.
 #include "analysis/monitor.h"
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "analysis/experiment.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
+#include "sat/backend.h"
 #include "shard_env.h"
 
 namespace ct::analysis {
@@ -34,12 +35,19 @@ namespace {
 
 using test::shard_scenario;
 
-MonitorOptions monitor_options(unsigned shards, bool delta) {
+MonitorOptions monitor_options(unsigned shards) {
   MonitorOptions options;
   options.experiment.num_platform_shards = shards;
   options.experiment.num_threads = shards == 1 ? 1 : 4;
-  options.experiment.analysis.delta.enabled = delta;
   options.segment_days = 5;  // several segments per run, partial last one
+  return options;
+}
+
+/// monitor_options with every CNF pinned to the CDCL backend: a
+/// different execution mode that must reach the same report.
+MonitorOptions forced_cdcl_options(unsigned shards) {
+  MonitorOptions options = monitor_options(shards);
+  options.experiment.analysis.backend.mode = sat::BackendSelector::Mode::kCdcl;
   return options;
 }
 
@@ -81,7 +89,7 @@ TEST(MonitorEquivalence, FinalizeMatchesBatchExperiment) {
   const std::string expected = batch_report(config);
 
   Scenario scenario(config);
-  MonitorEngine monitor(scenario, monitor_options(1, true));
+  MonitorEngine monitor(scenario, monitor_options(1));
   EXPECT_EQ(serialize_report(monitor.finalize()), expected);
 }
 
@@ -90,7 +98,7 @@ TEST(MonitorEquivalence, ShardedSegmentsMatchBatchExperiment) {
   const std::string expected = batch_report(config);
 
   Scenario scenario(config);
-  MonitorEngine monitor(scenario, monitor_options(3, true));
+  MonitorEngine monitor(scenario, monitor_options(3));
   EXPECT_EQ(serialize_report(monitor.finalize()), expected);
 }
 
@@ -103,35 +111,32 @@ TEST(MonitorCrashResume, FuzzKillAtRandomWatermarksAcrossModes) {
     const ScenarioConfig config = shard_scenario(scenario_seed);
     const std::string expected = batch_report(config);
     for (const unsigned shards : {1u, 3u}) {
-      for (const bool delta : {true, false}) {
-        SCOPED_TRACE("seed " + std::to_string(scenario_seed) + " shards " +
-                     std::to_string(shards) + " delta " + std::to_string(delta));
-        // 1-3 random crash points, strictly increasing, inside the run.
-        const util::Day days = config.platform.num_days;
-        std::vector<util::Day> kill_days;
-        const int crashes = 1 + static_cast<int>(rng() % 3);
-        for (int i = 0; i < crashes; ++i) {
-          kill_days.push_back(1 + static_cast<util::Day>(rng() % (static_cast<std::uint64_t>(days) - 1)));
-        }
-        std::sort(kill_days.begin(), kill_days.end());
-        kill_days.erase(std::unique(kill_days.begin(), kill_days.end()), kill_days.end());
-        EXPECT_EQ(crashy_report(config, monitor_options(shards, delta), kill_days, {}),
-                  expected);
+      SCOPED_TRACE("seed " + std::to_string(scenario_seed) + " shards " +
+                   std::to_string(shards));
+      // 1-3 random crash points, strictly increasing, inside the run.
+      const util::Day days = config.platform.num_days;
+      std::vector<util::Day> kill_days;
+      const int crashes = 1 + static_cast<int>(rng() % 3);
+      for (int i = 0; i < crashes; ++i) {
+        kill_days.push_back(1 + static_cast<util::Day>(rng() % (static_cast<std::uint64_t>(days) - 1)));
       }
+      std::sort(kill_days.begin(), kill_days.end());
+      kill_days.erase(std::unique(kill_days.begin(), kill_days.end()), kill_days.end());
+      EXPECT_EQ(crashy_report(config, monitor_options(shards), kill_days, {}), expected);
     }
   }
 }
 
 TEST(MonitorCrashResume, ResumeUnderDifferentExecutionMode) {
-  // A checkpoint written under (serial, delta-on) resumes under
-  // (sharded, delta-off) and back — the fingerprint excludes execution
+  // A checkpoint written under (serial, auto backend) resumes under
+  // (sharded, forced CDCL) and back — the fingerprint excludes execution
   // knobs precisely because verdicts are pure functions of (CNF,
   // options) across all of them.
   const ScenarioConfig config = shard_scenario(31);
   const std::string expected = batch_report(config);
-  EXPECT_EQ(crashy_report(config, monitor_options(1, true), {4, 9, 16},
-                          {monitor_options(3, false), monitor_options(1, false),
-                           monitor_options(3, true)}),
+  EXPECT_EQ(crashy_report(config, monitor_options(1), {4, 9, 16},
+                          {forced_cdcl_options(3), forced_cdcl_options(1),
+                           monitor_options(3)}),
             expected);
 }
 
@@ -144,8 +149,7 @@ TEST(MonitorCrashResume, EveryRegimeSurvivesKillResume) {
     ScenarioConfig config = shard_scenario(61);
     config.regime.regime = regime;
     const std::string expected = batch_report(config);
-    EXPECT_EQ(crashy_report(config, monitor_options(1, true), {6, 13},
-                            {monitor_options(3, false)}),
+    EXPECT_EQ(crashy_report(config, monitor_options(1), {6, 13}, {forced_cdcl_options(3)}),
               expected);
   }
 }
@@ -156,19 +160,19 @@ TEST(MonitorCheckpoint, RefusesResumeUnderDifferentRegime) {
   ScenarioConfig routing = shard_scenario(62);
   routing.regime.regime = censor::ScenarioRegime::kRoutingInduced;
   Scenario routing_scenario(routing);
-  MonitorEngine source(routing_scenario, monitor_options(1, true));
+  MonitorEngine source(routing_scenario, monitor_options(1));
   source.run_until(6);
   const std::string bytes = source.checkpoint();
 
   ScenarioConfig baseline = shard_scenario(62);
   Scenario baseline_scenario(baseline);
-  MonitorEngine other_regime(baseline_scenario, monitor_options(1, true));
+  MonitorEngine other_regime(baseline_scenario, monitor_options(1));
   EXPECT_THROW(other_regime.restore(bytes), CheckpointError);
 
   ScenarioConfig other_knob = routing;
   other_knob.regime.ingress_fraction = 0.75;
   Scenario knob_scenario(other_knob);
-  MonitorEngine other(knob_scenario, monitor_options(1, true));
+  MonitorEngine other(knob_scenario, monitor_options(1));
   EXPECT_THROW(other.restore(bytes), CheckpointError);
 }
 
@@ -184,17 +188,17 @@ TEST(MonitorStatsTest, ChurnCountersReplayDeterministicallyAcrossResume) {
     config.regime.regime = regime;
     Scenario scenario(config);
 
-    MonitorEngine straight(scenario, monitor_options(1, true));
+    MonitorEngine straight(scenario, monitor_options(1));
     straight.run_until(12);
     const MonitorStats expected = straight.stats();
     EXPECT_GT(expected.churn_failures, 0);
     EXPECT_EQ(expected.churn_failures - expected.churn_repairs,
               static_cast<std::int64_t>(expected.churn_links_down));
 
-    auto crashy = std::make_unique<MonitorEngine>(scenario, monitor_options(1, true));
+    auto crashy = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
     crashy->run_until(7);
     const std::string bytes = crashy->checkpoint();
-    crashy = std::make_unique<MonitorEngine>(scenario, monitor_options(3, true));
+    crashy = std::make_unique<MonitorEngine>(scenario, monitor_options(3));
     crashy->restore(bytes);
     crashy->run_until(12);
     const MonitorStats resumed = crashy->stats();
@@ -210,13 +214,13 @@ TEST(MonitorCheckpoint, RestoreIsDeterministic) {
   // do their final reports.
   const ScenarioConfig config = shard_scenario(41);
   Scenario scenario(config);
-  auto first = std::make_unique<MonitorEngine>(scenario, monitor_options(1, true));
+  auto first = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
   first->run_until(8);
   const std::string bytes = first->checkpoint();
   first.reset();
 
-  MonitorEngine a(scenario, monitor_options(1, true));
-  MonitorEngine b(scenario, monitor_options(1, true));
+  MonitorEngine a(scenario, monitor_options(1));
+  MonitorEngine b(scenario, monitor_options(1));
   a.restore(bytes);
   b.restore(bytes);
   EXPECT_EQ(a.checkpoint(), b.checkpoint());
@@ -226,11 +230,11 @@ TEST(MonitorCheckpoint, RestoreIsDeterministic) {
 TEST(MonitorCheckpoint, RestorePublishesSnapshotAndRefusesUsedMonitor) {
   const ScenarioConfig config = shard_scenario(42);
   Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1, true));
+  MonitorEngine source(scenario, monitor_options(1));
   source.run_until(6);
   const std::string bytes = source.checkpoint();
 
-  MonitorEngine resumed(scenario, monitor_options(1, true));
+  MonitorEngine resumed(scenario, monitor_options(1));
   EXPECT_EQ(resumed.reports().snapshot(), nullptr) << "no snapshot before first ingest";
   resumed.restore(bytes);
   const auto snapshot = resumed.reports().snapshot();
@@ -247,7 +251,7 @@ TEST(MonitorCheckpoint, RestorePublishesSnapshotAndRefusesUsedMonitor) {
 TEST(MonitorCheckpoint, EnvelopeRefusals) {
   const ScenarioConfig config = shard_scenario(43);
   Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1, true));
+  MonitorEngine source(scenario, monitor_options(1));
   source.run_until(6);
   const std::string bytes = source.checkpoint();
   const std::uint64_t fingerprint = source.fingerprint();
@@ -255,7 +259,8 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   // The happy path holds before we start breaking things.
   EXPECT_EQ(open_checkpoint(bytes, fingerprint).watermark, 6);
 
-  // Envelope layout: magic u32 | version u32 | fingerprint u64 | ...
+  // Envelope layout: magic u32 | version u32 | fingerprint u64 |
+  // watermark i32 | payload checksum u64 | payload length u64 | payload.
   std::string bad_magic = bytes;
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
   EXPECT_THROW(open_checkpoint(bad_magic, fingerprint), CheckpointError);
@@ -271,7 +276,7 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   EXPECT_THROW(open_checkpoint(bytes, fingerprint + 1), CheckpointError);
   ScenarioConfig other_config = shard_scenario(44);
   Scenario other_scenario(other_config);
-  MonitorEngine other(other_scenario, monitor_options(1, true));
+  MonitorEngine other(other_scenario, monitor_options(1));
   EXPECT_THROW(other.restore(bytes), CheckpointError);
 
   // Truncation anywhere — inside the header or inside the payload —
@@ -281,31 +286,56 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
                CheckpointError);
   EXPECT_THROW(open_checkpoint(bytes + "x", fingerprint), CheckpointError);
   EXPECT_THROW(open_checkpoint(std::string(), fingerprint), CheckpointError);
+
+  // One flipped bit anywhere in the payload, or in the checksum field,
+  // fails the checksum, so no loader ever sees the corrupt bytes (a
+  // huge url_id, a bogus length).
+  constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4 + 8 + 8;
+  ASSERT_GT(bytes.size(), kHeaderBytes + 2);
+  for (const std::size_t at :
+       {std::size_t{20}, kHeaderBytes, (kHeaderBytes + bytes.size()) / 2, bytes.size() - 1}) {
+    SCOPED_TRACE("flipped byte " + std::to_string(at));
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
+    EXPECT_THROW(open_checkpoint(corrupt, fingerprint), CheckpointError);
+    MonitorEngine resumed(scenario, monitor_options(1));
+    EXPECT_THROW(resumed.restore(corrupt), CheckpointError);
+  }
+
+  // A version-2 envelope (no checksum, delta-load counters in the
+  // engine stats) is refused by its version field.
+  util::ByteWriter v2;
+  v2.u32(kCheckpointMagic);
+  v2.u32(2);
+  v2.u64(fingerprint);
+  v2.i32(6);
+  v2.str(open_checkpoint(bytes, fingerprint).payload);
+  EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
 }
 
 TEST(MonitorCheckpoint, FileRoundtripAndMissingFile) {
   const ScenarioConfig config = shard_scenario(45);
   Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1, true));
+  MonitorEngine source(scenario, monitor_options(1));
   source.run_until(6);
 
   const std::string path = ::testing::TempDir() + "ct_monitor_checkpoint_test.bin";
   source.checkpoint_to(path);
   EXPECT_EQ(source.stats().checkpoints_written, 1);
 
-  MonitorEngine resumed(scenario, monitor_options(1, true));
+  MonitorEngine resumed(scenario, monitor_options(1));
   resumed.restore_from(path);
   EXPECT_EQ(resumed.watermark(), 6);
   std::remove(path.c_str());
 
-  MonitorEngine cold(scenario, monitor_options(1, true));
+  MonitorEngine cold(scenario, monitor_options(1));
   EXPECT_THROW(cold.restore_from(path), CheckpointError) << "missing file is a clean error";
 }
 
 TEST(MonitorMemory, SegmentsDrainToZeroAndGaugeNeverUnderflows) {
   const ScenarioConfig config = shard_scenario(51);
   Scenario scenario(config);
-  MonitorEngine monitor(scenario, monitor_options(3, true));
+  MonitorEngine monitor(scenario, monitor_options(3));
   monitor.run_all();
   const MonitorStats stats = monitor.stats();
   EXPECT_EQ(stats.retained_clauses_now, 0) << "every segment's raw clauses must be freed";
@@ -316,30 +346,26 @@ TEST(MonitorMemory, SegmentsDrainToZeroAndGaugeNeverUnderflows) {
 }
 
 TEST(MonitorStatsTest, ClauseConservationAcrossResume) {
-  // The per-backend delta accounting must conserve clauses through a
-  // kill/resume: fresh + reused + added over the whole (resumed) run
-  // equals the clause volume the solver actually saw.
+  // Load accounting survives a kill/resume: the resumed run's loads and
+  // loaded clauses equal a straight run's exactly.
   const ScenarioConfig config = shard_scenario(52);
   Scenario scenario(config);
-  auto monitor = std::make_unique<MonitorEngine>(scenario, monitor_options(1, true));
+  auto monitor = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
   monitor->run_until(10);
   const std::string bytes = monitor->checkpoint();
-  monitor = std::make_unique<MonitorEngine>(scenario, monitor_options(1, true));
+  monitor = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
   monitor->restore(bytes);
   const ExperimentResult result = monitor->finalize();
 
   const tomo::EngineStats& engine = result.engine_stats;
   EXPECT_GT(engine.cnf_loads, 0u);
-  EXPECT_GT(engine.fresh_clauses + engine.clauses_reused + engine.clauses_added, 0u);
+  EXPECT_GT(engine.fresh_clauses, 0u);
   // Counters accumulate across the resume: the resumed run's loads
   // continue from the checkpointed base instead of restarting at zero.
-  MonitorEngine straight(scenario, monitor_options(1, true));
+  MonitorEngine straight(scenario, monitor_options(1));
   const ExperimentResult straight_result = straight.finalize();
   EXPECT_EQ(engine.cnf_loads, straight_result.engine_stats.cnf_loads);
-  EXPECT_EQ(engine.fresh_clauses + engine.clauses_reused + engine.clauses_added,
-            straight_result.engine_stats.fresh_clauses +
-                straight_result.engine_stats.clauses_reused +
-                straight_result.engine_stats.clauses_added);
+  EXPECT_EQ(engine.fresh_clauses, straight_result.engine_stats.fresh_clauses);
 }
 
 TEST(LiveReportServerTest, CountersAndPeakReaders) {

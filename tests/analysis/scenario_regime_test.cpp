@@ -6,7 +6,7 @@
 // contract: within a regime, the canonical report (serialize_report, the
 // same oracle the monitor and checkpoint suites use) must be
 // byte-identical across platform shard counts, the streaming pipeline,
-// delta loading on/off, and forced SAT backends.  And every stress
+// and forced SAT backends.  And every stress
 // regime must actually move the world: a regime whose report matches the
 // baseline byte for byte is dead wiring, not a scenario.
 #include <map>
@@ -59,11 +59,9 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
       EXPECT_EQ(report_bytes(config, streaming), expected) << "streaming diverged";
     }
     {
-      ExperimentOptions fresh;
-      fresh.analysis.delta.enabled = false;
-      fresh.analysis.backend.mode = sat::BackendSelector::Mode::kCdcl;
-      EXPECT_EQ(report_bytes(config, fresh), expected)
-          << "delta-off / forced-backend diverged";
+      ExperimentOptions forced;
+      forced.analysis.backend.mode = sat::BackendSelector::Mode::kCdcl;
+      EXPECT_EQ(report_bytes(config, forced), expected) << "forced-backend diverged";
     }
   }
 }
@@ -84,11 +82,12 @@ TEST(ScenarioRegime, StressRegimesActuallyChangeTheWorld) {
 
 TEST(ScenarioRegime, BaselineMatchesRegimeFreeConfig) {
   // The regime layer is strictly additive: a kBaseline RegimeConfig must
-  // reproduce the pre-regime pipeline byte for byte.
+  // reproduce the pre-regime pipeline byte for byte.  Both sides ignore
+  // CT_SCENARIO, so the comparison holds under every CI regime leg.
   ExperimentOptions options;
-  ScenarioConfig with_field = test::shard_scenario(20170623);
+  ScenarioConfig with_field = test::pinned_shard_scenario(20170623);
   with_field.regime = censor::RegimeConfig{};
-  ScenarioConfig untouched = test::shard_scenario(20170623);
+  const ScenarioConfig untouched = test::pinned_shard_scenario(20170623);
   EXPECT_EQ(report_bytes(with_field, options), report_bytes(untouched, options));
 }
 

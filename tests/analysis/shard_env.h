@@ -7,8 +7,6 @@
 //     (README "Streaming ingest"),
 //   * CT_SAT_BACKEND — per-CNF backend selection: auto (the default)
 //     or one forced backend for every CNF (README "Solver backends"),
-//   * CT_SAT_DELTA — cross-window delta loading: on (the default) vs
-//     every CNF loaded from scratch (README "Delta loading"),
 //   * CT_SCENARIO — scenario regime: baseline (the default) or one of
 //     the stress regimes (README "Scenarios").  Unlike the knobs above
 //     this changes the *world*, not the execution strategy — but within
@@ -45,7 +43,6 @@ inline void apply_env(ExperimentOptions& options) {
   options.num_platform_shards = shards_from_env();
   options.streaming = streaming_from_env();
   options.analysis.backend = sat::BackendSelector::from_env();
-  options.analysis.delta = sat::DeltaPolicy::from_env();
 }
 
 /// Applies the CT_SCENARIO regime knob to a scenario config, so every
@@ -56,11 +53,17 @@ inline void apply_env(ScenarioConfig& config) {
 
 /// The equivalence suites' scenario: small, but long enough (3 weeks)
 /// that day/week windows close mid-run and shard plans have room.
-/// Honors CT_SCENARIO.
-inline ScenarioConfig shard_scenario(std::uint64_t seed) {
+/// Ignores CT_SCENARIO, for tests that pin the regime themselves.
+inline ScenarioConfig pinned_shard_scenario(std::uint64_t seed) {
   ScenarioConfig cfg = small_scenario();
   cfg.platform.num_days = 3 * util::kDaysPerWeek;
   cfg.seed = seed;
+  return cfg;
+}
+
+/// pinned_shard_scenario under the CT_SCENARIO regime.
+inline ScenarioConfig shard_scenario(std::uint64_t seed) {
+  ScenarioConfig cfg = pinned_shard_scenario(seed);
   apply_env(cfg);
   return cfg;
 }

@@ -87,13 +87,10 @@ TEST(EngineParallel, OneCnfLoadPerVerdict) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     AnalysisOptions options;
     options.num_threads = threads;
-    options.delta = sat::DeltaPolicy::from_env();
     EngineStats stats;
     const auto verdicts = analyze_cnfs(cnfs, options, &stats);
-    EXPECT_EQ(stats.cnf_loads + stats.delta_loads, verdicts.size())
-        << "session engine must load each CNF exactly once — fresh or delta ("
-        << threads << " threads)";
-    if (!options.delta.enabled) EXPECT_EQ(stats.delta_loads, 0u);
+    EXPECT_EQ(stats.cnf_loads, verdicts.size())
+        << "session engine must load each CNF exactly once (" << threads << " threads)";
     EXPECT_GE(stats.solve_calls, verdicts.size());
     EXPECT_LE(stats.arenas, threads);
     EXPECT_GE(stats.arenas, 1u);
@@ -164,8 +161,7 @@ TEST(EngineParallel, ThrowawayAnalyzeCnfMatchesArena) {
     const CnfVerdict via_free = analyze_cnf(tc);
     EXPECT_TRUE(verdicts_equal(via_arena, via_free));
   }
-  const sat::SessionStats stats = arena.session_stats();
-  EXPECT_EQ(stats.cnf_loads + stats.delta_loads, cnfs.size());
+  EXPECT_EQ(arena.session_stats().cnf_loads, cnfs.size());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fail-fast environment parsing (util/env.h): unset -> fallback, a
 // recognized value -> parsed, an unrecognized value -> EnvParseError
 // naming the variable.  The execution-mode knobs (CT_SAT_BACKEND,
-// CT_SAT_DELTA) select between configurations that must produce
+// CT_SAT_PORTFOLIO) select between configurations that must produce
 // identical results, so a typo'd value silently falling back would test
 // the wrong configuration while passing — the bug this layer fixes.
 #include "util/env.h"
