@@ -9,7 +9,7 @@
 //     --small                small scenario (default: paper-scale year)
 //     --seed S               scenario seed
 //     --days N | --years N   override the scenario's run length
-//     --shards N             platform shards per segment (0 = hardware)
+//     --shards N             platform shards per segment (default 0 = hardware)
 //     --threads N            SAT worker lanes (0 = hardware)
 //     --segment-days N       ingest segment length (default 28)
 //     --checkpoint FILE      checkpoint file (atomic tmp+rename writes)

@@ -7,20 +7,28 @@
 // exhibits inside one window — the paper's Figure 3 — plus the
 // churn-by-destination-class breakdown (the paper's null result).
 //
-// The tracker is an *incremental fold* (ChurnFold): observations land
-// in per-(pair, window) distinct-signature sets, and retire_before()
-// reduces every window the watermark has sealed into fixed-size
-// accumulators (histogram / sample / changed counters) and drops its
-// raw sets — so a streaming run retains O(pairs x open windows), not
-// O(pairs x epochs of the whole run).  snapshot()/compute() are valid
-// at any point and equal the batch computation over exactly the
-// observations folded so far, sealed or not.
+// The tracker is an *incremental fold* (ChurnFold) over a dense layout.
+// Each pair owns a small table of the distinct signatures it has shown
+// (a few per pair: at most 16 over the default year), and a signature's
+// position in that table is its local id.  Each granularity keeps a
+// window-indexed deque of open windows; a window is one dense cell per
+// pair, a bitmask over local ids.  An observation is one scan of the
+// pair's table plus one OR per granularity.  Cells start one 64-bit
+// word wide and all widen by a word when any pair passes the current
+// width, so counts stay exact for any number of distinct paths.
+// retire_before() seals every window the watermark has closed into
+// fixed-size accumulators (histogram / sample / changed counters) by
+// popcount and drops its cells — so a streaming run retains
+// O(pairs x open windows), not O(pairs x epochs of the whole run).
+// snapshot()/compute() are valid at any point and equal the batch
+// computation over exactly the observations folded so far, sealed or
+// not.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "iclab/platform.h"
@@ -51,12 +59,13 @@ std::uint64_t path_signature(const std::vector<topo::AsId>& path);
 
 /// The incremental Figure-3 fold.  Observations are (pair, day,
 /// signature) triples; windows at all four granularities accumulate
-/// per-window distinct-signature sets, and retire_before() seals every
-/// window ending at or before the watermark into scalar accumulators
-/// (dropping the sets).  All statistics are sums and set unions, so the
-/// result is independent of observation order and of where the seal
-/// points fall — snapshot() after any retire_before() interleaving
-/// equals the batch fold of the same observations.
+/// per-(pair, window) distinct-signature bitmasks, and retire_before()
+/// seals every window ending at or before the watermark into scalar
+/// accumulators (dropping the cells).  All statistics are sums and set
+/// unions, so the result is independent of observation order, of the
+/// local ids each side assigned, and of where the seal points fall —
+/// snapshot() after any retire_before() interleaving equals the batch
+/// fold of the same observations.
 class ChurnFold {
  public:
   ChurnFold(const topo::AsGraph& graph, std::vector<topo::AsId> vantages,
@@ -69,19 +78,22 @@ class ChurnFold {
   }
 
   /// Records one non-empty-path signature for `pair` on `day`.  Throws
-  /// std::logic_error if the day's windows were already sealed.
+  /// std::logic_error if the day's windows were already sealed, and
+  /// std::out_of_range for a pair or day outside the geometry or a zero
+  /// ("no path") signature.
   void observe(std::size_t pair, util::Day day, std::uint64_t signature);
 
   /// Seals every window ending at or before `complete_before` into the
-  /// fixed-size accumulators and frees its raw signature sets.  Only a
-  /// fold that sees the *whole* observation stream (a serial tracker, or
+  /// fixed-size accumulators and frees its cells.  Only a fold that
+  /// sees the *whole* observation stream (a serial tracker, or
   /// the streaming coordinator's global fold) may seal mid-run: sealed
   /// folds cannot merge (a shard-local fold must stay unsealed so
   /// merge() can union windows that straddle shard boundaries).
   void retire_before(util::Day complete_before);
   util::Day retired_before() const { return retired_before_; }
 
-  /// Folds `other` into this fold (set unions + accumulator sums).
+  /// Folds `other` into this fold: each pair's signatures are remapped
+  /// into this fold's local ids once, then the cells are ORed.
   /// Associative and commutative; throws std::invalid_argument on
   /// geometry mismatch and std::logic_error if either side has sealed
   /// windows.
@@ -91,9 +103,10 @@ class ChurnFold {
   /// the resident monitor's segment absorption: a merged ingest
   /// segment's observations all land on days at or after this fold's
   /// seal point, so every window they touch is still open here and
-  /// plain set union is sound.  Throws std::invalid_argument on
-  /// geometry mismatch, std::logic_error if `other` has sealed windows
-  /// or carries an observation in a window this fold already sealed.
+  /// the same remap-and-OR as merge() is sound.  Throws
+  /// std::invalid_argument on geometry mismatch, std::logic_error if
+  /// `other` has sealed windows or carries an observation in a window
+  /// this fold already sealed (checked before anything is folded).
   void absorb_unsealed(ChurnFold&& other);
 
   /// The Figure-3 statistics over everything observed so far (sealed
@@ -102,7 +115,7 @@ class ChurnFold {
 
   /// Distinct signatures seen for one pair over the whole run so far.
   std::int64_t distinct_of_pair(std::size_t pair) const {
-    return static_cast<std::int64_t>(run_distinct_[pair].size());
+    return static_cast<std::int64_t>(sigs_.at(pair).size());
   }
 
   bool same_geometry(const ChurnFold& other) const {
@@ -115,29 +128,59 @@ class ChurnFold {
   util::Day num_days() const { return num_days_; }
   std::int32_t epochs_per_day() const { return epochs_per_day_; }
 
-  /// Unsealed (pair, window) entries across all granularities — the
-  /// fold's only run-length-sensitive state, O(pairs x open windows)
-  /// once retire_before() tracks the watermark.
+  /// Observed unsealed (pair, window) cells across all granularities —
+  /// the fold's only run-length-sensitive state, O(pairs x open windows)
+  /// once retire_before() tracks the watermark.  Counts cells that saw
+  /// an observation, not allocated ones.
   std::size_t open_window_entries() const;
 
   /// Checkpoint support (analysis/checkpoint.h): persists everything
-  /// except the graph pointer, geometry included.  load() requires this
-  /// fold to have been constructed with the saved geometry (throws
-  /// util::SerdeError on mismatch) — the graph reference is
-  /// reconstruction-time config the checkpoint envelope fingerprints.
+  /// except the graph pointer, geometry included.  The open cells are
+  /// written as (window, pair) entries in key order, each with its
+  /// sorted signature list, then each pair's sorted run-wide signature
+  /// list (checkpoint format v3), so the bytes do not depend on local
+  /// id order.  load()
+  /// requires this fold to have been constructed with the saved
+  /// geometry — the graph reference is reconstruction-time config the
+  /// checkpoint envelope fingerprints — and throws util::SerdeError,
+  /// before allocating any cell and leaving this fold untouched, on a
+  /// geometry mismatch, a pair or window outside it, a window already
+  /// sealed by the saved watermark, out-of-order entries, or a
+  /// signature that is zero or absent from its pair's run-wide list.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
-  /// Sealed scalar accumulators + unsealed window sets, per granularity.
+  /// Sealed scalar accumulators + open windows, per granularity.
+  /// open[i] holds window `base + i`: num_pairs() cells of `words_`
+  /// words each, or nothing until the window's first observation.  A
+  /// cell is a bitmask over its pair's local ids; nonzero = observed.
   struct GranState {
     util::BucketedCounts counts{4};  // buckets 0..4 + "5+"; 0 never used
     std::int64_t samples = 0;
     std::int64_t changed = 0;
-    /// Distinct signatures of still-open windows, keyed (window, pair)
-    /// so retire_before() seals an ordered map *prefix*.
-    std::map<std::pair<std::int32_t, std::uint32_t>, std::set<std::uint64_t>> open;
+    std::int32_t base = 0;  // window of open.front(); stale while empty
+    std::deque<std::vector<std::uint64_t>> open;
   };
+
+  /// The cells of window `window` in `gran`, allocated (zeroed) on
+  /// first use; grows the deque at either end.
+  std::vector<std::uint64_t>& slot(GranState& gran, std::int32_t window);
+  /// `pair`'s local id for `signature`, appending it (and widening
+  /// every cell if the pair outgrows them) on first sight.
+  std::size_t local_id(std::size_t pair, std::uint64_t signature);
+  /// Re-lays every allocated cell out at `words` words (> words_).
+  void widen(std::size_t words);
+  /// Distinct signatures in one pair's cell.
+  std::int64_t popcount(const std::vector<std::uint64_t>& cells, std::size_t pair) const;
+  /// Adds one window's observed cells to the Figure-3 accumulators.
+  void tally(const std::vector<std::uint64_t>& cells, util::BucketedCounts& counts,
+             std::int64_t& samples, std::int64_t& changed) const;
+  /// Observed cells over a granularity's open windows.
+  std::size_t observed_cells(const GranState& gran) const;
+  /// merge()/absorb_unsealed() after their checks: remaps `other`'s
+  /// local ids into ours, pair by pair, then ORs every open cell in.
+  void union_with(const ChurnFold& other);
 
   const topo::AsGraph* graph_;
   std::vector<topo::AsId> vantages_;
@@ -145,10 +188,12 @@ class ChurnFold {
   util::Day num_days_ = 0;
   std::int32_t epochs_per_day_ = 0;
   std::array<GranState, util::kAllGranularities.size()> grans_;
-  /// Per-pair distinct signatures over the whole run (the Figure-3
+  /// Per pair: local id -> signature, in first-seen order.  Its size is
+  /// the pair's distinct paths over the whole run (the Figure-3
   /// destination-class breakdown and distinct_paths_of_pair); bounded
   /// by the pair's distinct paths, not by run length.
-  std::vector<std::set<std::uint64_t>> run_distinct_;
+  std::vector<std::vector<std::uint64_t>> sigs_;
+  std::size_t words_ = 1;  // 64-bit words per cell
   util::Day retired_before_ = 0;
 };
 
@@ -164,13 +209,13 @@ class PathChurnTracker : public iclab::MeasurementSink {
 
   /// Folds a shard-local tracker into this one.  Both trackers must
   /// share geometry (vantages, destinations, days, epochs) and be
-  /// unsealed; per-window signature sets are unioned, so the result is
+  /// unsealed; per-window signature cells are unioned, so the result is
   /// associative and commutative, with a fresh tracker as identity.
   void merge(PathChurnTracker&& other);
 
   /// Streaming retire hook: seals every window ending at or before
   /// `complete_before` (driven by the platform's day-complete
-  /// watermark) and drops its raw signature sets.  compute() is
+  /// watermark) and drops its cells.  compute() is
   /// unchanged by sealing; memory drops to O(pairs x open windows).
   void retire_before(util::Day complete_before) { fold_.retire_before(complete_before); }
 
@@ -194,8 +239,9 @@ class PathChurnTracker : public iclab::MeasurementSink {
   const ChurnFold& fold() const { return fold_; }
 
  private:
-  std::map<topo::AsId, std::size_t> vantage_index_;
-  std::map<topo::AsId, std::size_t> dest_index_;
+  /// AsId -> position in fold().vantages() / dests(), -1 if untracked.
+  std::vector<std::int32_t> vantage_index_;
+  std::vector<std::int32_t> dest_index_;
   ChurnFold fold_;
 };
 

@@ -149,10 +149,11 @@ struct ExperimentOptions {
   /// pipeline's other serial wall).  The schedule is partitioned into
   /// (vantage, day) ranges executed concurrently on a thread pool, each
   /// streaming into shard-local sinks that are merged and canonicalized
-  /// afterwards.  1 = serial platform run, 0 = hardware concurrency.
-  /// Per-cell RNG streams keyed on schedule coordinates make the result
-  /// bit-identical for every value (see README "Sharded execution").
-  unsigned num_platform_shards = 1;
+  /// afterwards.  0 (the default) = hardware concurrency, 1 = serial
+  /// platform run.  Per-cell RNG streams keyed on schedule coordinates
+  /// make the result bit-identical for every value (see README "Sharded
+  /// execution").
+  unsigned num_platform_shards = 0;
   /// Runs the platform→CNF→SAT half of the pipeline fully overlapped:
   /// window-complete CNFs stream out of the clause builder as the
   /// measurement clock passes each window boundary and are analyzed

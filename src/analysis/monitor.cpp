@@ -142,19 +142,20 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   clause_stats_ += merged->clause_builder.stats();
   churn_fold_.absorb_unsealed(merged->churn_tracker.take_fold());
 
-  // Drain the segment's canonical clause stream day by day: re-intern
-  // each clause into the persistent pool (global first-use order ==
-  // the serial run's, so CNFs are bit-identical to the batch path's),
+  // Drain the segment's canonical clause stream day by day: translate
+  // each clause's path id into the persistent pool (interning each
+  // distinct segment path once, in global first-use order == the serial
+  // run's, so CNFs are bit-identical to the batch path's),
   // advance the watermark, analyze, fold, publish.  The raw clauses
   // live only inside this scope — the retained gauge proves it.
-  const tomo::PathPool& seg_pool = merged->clause_builder.pool();
+  tomo::PathRemap to_global(merged->clause_builder.pool(), pool_);
   const std::vector<tomo::PathClause>& clauses = merged->clause_builder.clauses();
   retained_.add(static_cast<std::int64_t>(clauses.size()));
   std::size_t i = 0;
   for (util::Day day = d0; day < d1; ++day) {
     const std::size_t begin = i;
     while (i < clauses.size() && clauses[i].day == day) ++i;
-    drain_day(seg_pool, clauses, begin, i, day);
+    drain_day(to_global, clauses, begin, i, day);
   }
   retained_.sub(static_cast<std::int64_t>(clauses.size()));
   // Seal the churn windows the segment completed; open entries stay
@@ -162,12 +163,12 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   churn_fold_.retire_before(d1);
 }
 
-void MonitorEngine::drain_day(const tomo::PathPool& seg_pool,
+void MonitorEngine::drain_day(tomo::PathRemap& to_global,
                               const std::vector<tomo::PathClause>& clauses,
                               std::size_t begin, std::size_t end, util::Day day) {
   for (std::size_t k = begin; k < end; ++k) {
     tomo::PathClause clause = clauses[k];
-    clause.path_id = pool_.intern(seg_pool.get(clause.path_id));
+    clause.path_id = to_global(clause.path_id);
     grouper_.add(pool_, clause);
     if (strip_.keep(pool_, clause)) ablation_grouper_.add(pool_, clause);
   }

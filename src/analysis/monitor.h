@@ -199,7 +199,7 @@ class MonitorEngine {
 
  private:
   void ingest_segment(util::Day d0, util::Day d1);
-  void drain_day(const tomo::PathPool& seg_pool, const std::vector<tomo::PathClause>& clauses,
+  void drain_day(tomo::PathRemap& to_global, const std::vector<tomo::PathClause>& clauses,
                  std::size_t begin, std::size_t end, util::Day day);
   std::vector<tomo::CnfVerdict> analyze_batch(std::vector<tomo::CnfAnalyzer>& arenas,
                                               const std::vector<tomo::TomoCnf>& cnfs,

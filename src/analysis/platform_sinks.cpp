@@ -46,6 +46,9 @@ std::unique_ptr<PlatformSinks> merge_shard_sinks(
     std::vector<std::unique_ptr<PlatformSinks>> shard_sinks) {
   // Fold shards in plan order, then restore canonical clause order —
   // after this the contents are indistinguishable from a serial run's.
+  std::size_t clauses = 0;
+  for (const auto& sinks : shard_sinks) clauses += sinks->clause_builder.clauses().size();
+  shard_sinks[0]->clause_builder.reserve(clauses);
   for (std::size_t i = 1; i < shard_sinks.size(); ++i) {
     shard_sinks[0]->merge(std::move(*shard_sinks[i]));
     shard_sinks[i].reset();  // cap peak memory at ~2x the serial run

@@ -157,14 +157,17 @@ void ClauseBuilder::merge(ClauseBuilder&& other) {
         "(the retained suffixes would masquerade as whole streams)");
   }
   stats_ += other.stats_;
-  clauses_.reserve(clauses_.size() + other.clauses_.size());
-  seqs_.reserve(seqs_.size() + other.seqs_.size());
-  for (std::size_t i = 0; i < other.clauses_.size(); ++i) {
-    PathClause clause = other.clauses_[i];
-    clause.path_id = pool_.intern(other.pool_.get(clause.path_id));
+  PathRemap remap(other.pool_, pool_);
+  for (PathClause clause : other.clauses_) {
+    clause.path_id = remap(clause.path_id);
     clauses_.push_back(clause);
-    seqs_.push_back(other.seqs_[i]);
   }
+  seqs_.insert(seqs_.end(), other.seqs_.begin(), other.seqs_.end());
+}
+
+void ClauseBuilder::reserve(std::size_t clauses) {
+  clauses_.reserve(clauses);
+  seqs_.reserve(clauses);
 }
 
 void ClauseBuilder::canonicalize() {
@@ -179,26 +182,29 @@ void ClauseBuilder::canonicalize() {
         "ClauseBuilder::canonicalize: the stream is partially retired — "
         "sorting the retained suffix would masquerade as the whole stream");
   }
-  std::vector<std::size_t> order(clauses_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Stable: a measurement's clauses share a seq and keep anomaly order.
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) { return seqs_[a] < seqs_[b]; });
-
-  PathPool pool;
-  std::vector<PathClause> clauses;
-  std::vector<std::int64_t> seqs;
-  clauses.reserve(clauses_.size());
-  seqs.reserve(seqs_.size());
-  for (const std::size_t i : order) {
-    PathClause clause = clauses_[i];
-    clause.path_id = pool.intern(pool_.get(clause.path_id));
-    clauses.push_back(clause);
-    seqs.push_back(seqs_[i]);
+  // Day-split shards merged in plan order (and any serial stream) are
+  // already in schedule order: only vantage-split grids need the sort.
+  if (!std::is_sorted(seqs_.begin(), seqs_.end())) {
+    std::vector<std::size_t> order(clauses_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    // Stable: a measurement's clauses share a seq and keep anomaly order.
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) { return seqs_[a] < seqs_[b]; });
+    std::vector<PathClause> clauses;
+    std::vector<std::int64_t> seqs;
+    clauses.reserve(clauses_.size());
+    seqs.reserve(seqs_.size());
+    for (const std::size_t i : order) {
+      clauses.push_back(clauses_[i]);
+      seqs.push_back(seqs_[i]);
+    }
+    clauses_ = std::move(clauses);
+    seqs_ = std::move(seqs);
   }
+  PathPool pool;
+  PathRemap remap(pool_, pool);
+  for (PathClause& clause : clauses_) clause.path_id = remap(clause.path_id);
   pool_ = std::move(pool);
-  clauses_ = std::move(clauses);
-  seqs_ = std::move(seqs);
 }
 
 }  // namespace ct::tomo

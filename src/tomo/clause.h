@@ -10,7 +10,10 @@
 //
 // Paths are interned in a PathPool: a year-long run emits millions of
 // clauses over a few thousand distinct AS paths, so clauses store a
-// 4-byte path id instead of a vector.
+// 4-byte path id instead of a vector.  Moving clauses between pools (a
+// shard merge, canonical renumbering, the monitor's segment drain) goes
+// through a PathRemap, which interns each distinct source path once and
+// then translates ids by table lookup, linear in clauses.
 #pragma once
 
 #include <array>
@@ -59,6 +62,29 @@ class PathPool {
  private:
   std::map<std::vector<topo::AsId>, PathId> index_;
   std::vector<std::vector<topo::AsId>> paths_;
+};
+
+/// Lazy id translation from one pool into another: a source path is
+/// interned into the target on its first translation only.  Translating
+/// a clause stream in order therefore grows the target exactly as
+/// interning every clause's path would — same ids, same pool order —
+/// at one PathPool::intern per distinct path instead of per clause.
+/// Both pools must outlive the remap, and the source must not grow.
+class PathRemap {
+ public:
+  PathRemap(const PathPool& from, PathPool& to)
+      : from_(&from), to_(&to), ids_(from.size(), -1) {}
+
+  PathPool::PathId operator()(PathPool::PathId id) {
+    PathPool::PathId& mapped = ids_.at(static_cast<std::size_t>(id));
+    if (mapped < 0) mapped = to_->intern(from_->get(id));
+    return mapped;
+  }
+
+ private:
+  const PathPool* from_;
+  PathPool* to_;
+  std::vector<PathPool::PathId> ids_;  // -1 = not yet interned
 };
 
 /// One boolean path constraint (20 bytes).
@@ -141,12 +167,18 @@ class ClauseBuilder : public iclab::MeasurementSink {
   std::vector<TomoCnf> flush();
 
   /// Folds a shard-local builder into this one: clauses are appended
-  /// with their path ids re-interned into this builder's pool, stats are
-  /// summed.  Associative, with a fresh builder as identity — but the
-  /// clause *order* after merging reflects merge order, so callers must
+  /// with their path ids translated into this builder's pool (one
+  /// intern per distinct path the appended clauses use, in first-use
+  /// order; a fully retired source interns nothing), stats are summed.
+  /// Associative, with a fresh builder as identity — but the clause
+  /// *order* after merging reflects merge order, so callers must
   /// canonicalize() before reading clauses()/pool() when more than one
   /// builder was merged.
   void merge(ClauseBuilder&& other);
+
+  /// Capacity for `clauses` retained clauses: merge_shard_sinks sizes
+  /// the merged stream once before folding the shards in.
+  void reserve(std::size_t clauses);
 
   /// Restores the canonical serial stream: clauses are sorted by their
   /// measurement's schedule position (Measurement::seq) and path ids are
@@ -154,6 +186,10 @@ class ClauseBuilder : public iclab::MeasurementSink {
   /// and a no-op on a builder fed by a serial Platform::run — after
   /// canonicalize(), pool() and clauses() are bit-identical regardless
   /// of how the stream was sharded or in which order shards merged.
+  /// When seqs() is already non-decreasing — always so for day-split
+  /// shards merged in plan order — the clauses are renumbered in place,
+  /// linear in clauses with one intern per distinct path; otherwise
+  /// (vantage-split grids) a stable sort by seq comes first.
   void canonicalize();
 
   /// O(open windows) retire hook: drops every clause with absolute

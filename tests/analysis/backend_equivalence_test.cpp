@@ -174,6 +174,7 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsShardsStreaming) {
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
+  baseline_options.num_platform_shards = test::shards_from_env();
   const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
   for (const Mode mode : kAllModes) {
@@ -202,6 +203,7 @@ TEST(BackendEquivalence, RemainingSeedsShardedStreaming) {
     Scenario baseline_scenario(shard_scenario(seed));
     ExperimentOptions baseline_options;
     baseline_options.analysis.backend.mode = Mode::kCdcl;
+    baseline_options.num_platform_shards = test::shards_from_env();
     const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
     for (const Mode mode : {Mode::kAuto, Mode::kCount, Mode::kUnitProp, Mode::kIpasir,
@@ -230,6 +232,7 @@ TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
+  baseline_options.num_platform_shards = test::shards_from_env();
   const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
   using std::chrono::milliseconds;
@@ -253,6 +256,7 @@ TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
     ExperimentOptions options;
     options.analysis.backend.mode = c.mode;
     options.analysis.backend.portfolio_width = c.width;
+    options.num_platform_shards = test::shards_from_env();
     const ExperimentResult got = run_experiment(scenario, options);
     expect_results_equal(got, baseline);
     if (c.mode == Mode::kPortfolio) {

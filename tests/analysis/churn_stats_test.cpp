@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "../support/fuzz_seed.h"
+#include "expect_churn.h"
 #include "topo/generator.h"
+#include "util/rng.h"
+#include "util/serde.h"
 
 namespace ct::analysis {
 namespace {
@@ -104,6 +115,365 @@ TEST(PathChurnTracker, ChurnByDestClass) {
   }
   ASSERT_GE(classes, 1);
   EXPECT_GT(sum, 0.0);  // at least one class saw churn
+}
+
+// --- ChurnFold against a map/set reference --------------------------------
+
+/// The fold's original layout, kept as the oracle: a std::set of
+/// signatures per (granularity, window, pair) and per pair, sealed by
+/// erasing map entries.
+class ReferenceFold {
+ public:
+  ReferenceFold(const topo::AsGraph& graph, std::vector<topo::AsId> dests,
+                std::size_t num_pairs)
+      : graph_(graph), dests_(std::move(dests)), run_(num_pairs) {}
+
+  void observe(std::size_t pair, util::Day day, std::uint64_t sig) {
+    for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
+      open_[{gi, util::window_of(day, util::kAllGranularities[gi]), pair}].insert(sig);
+    }
+    run_[pair].insert(sig);
+  }
+  void retire_before(util::Day before) {
+    for (auto it = open_.begin(); it != open_.end();) {
+      const auto [gi, window, pair] = it->first;
+      const util::Granularity g = util::kAllGranularities[gi];
+      if (util::window_start(window, g) + util::window_length(g) > before) {
+        ++it;
+        continue;
+      }
+      sealed_[gi].push_back(static_cast<std::int64_t>(it->second.size()));
+      it = open_.erase(it);
+    }
+  }
+  void absorb(const ReferenceFold& other) {
+    for (const auto& [key, sigs] : other.open_) open_[key].insert(sigs.begin(), sigs.end());
+    for (std::size_t p = 0; p < run_.size(); ++p) {
+      run_[p].insert(other.run_[p].begin(), other.run_[p].end());
+    }
+  }
+  ChurnStats snapshot() const {
+    std::array<std::vector<std::int64_t>, util::kAllGranularities.size()> samples = sealed_;
+    for (const auto& [key, sigs] : open_) {
+      samples[std::get<0>(key)].push_back(static_cast<std::int64_t>(sigs.size()));
+    }
+    ChurnStats stats;
+    for (std::size_t gi = 0; gi < samples.size(); ++gi) {
+      util::BucketedCounts counts(4);
+      std::int64_t changed = 0;
+      for (const std::int64_t n : samples[gi]) {
+        counts.add(n);
+        changed += n >= 2 ? 1 : 0;
+      }
+      const util::Granularity g = util::kAllGranularities[gi];
+      stats.changed_fraction[g] = samples[gi].empty() ? 0.0
+                                                      : static_cast<double>(changed) /
+                                                            static_cast<double>(samples[gi].size());
+      stats.distinct_paths.emplace(g, std::move(counts));
+    }
+    std::map<topo::AsClass, std::pair<std::int64_t, std::int64_t>> by_class;
+    for (std::size_t p = 0; p < run_.size(); ++p) {
+      if (run_[p].empty()) continue;
+      auto& [chg, tot] = by_class[graph_.as_info(dests_[p % dests_.size()]).cls];
+      ++tot;
+      chg += run_[p].size() >= 2 ? 1 : 0;
+    }
+    for (const auto& [cls, ct] : by_class) {
+      stats.changed_by_dest_class[cls] =
+          static_cast<double>(ct.first) / static_cast<double>(ct.second);
+    }
+    return stats;
+  }
+  std::int64_t distinct_of_pair(std::size_t p) const {
+    return static_cast<std::int64_t>(run_[p].size());
+  }
+  std::size_t open_window_entries() const { return open_.size(); }
+
+ private:
+  const topo::AsGraph& graph_;
+  std::vector<topo::AsId> dests_;
+  std::map<std::tuple<std::size_t, std::int32_t, std::size_t>, std::set<std::uint64_t>> open_;
+  std::array<std::vector<std::int64_t>, util::kAllGranularities.size()> sealed_;
+  std::vector<std::set<std::uint64_t>> run_;
+};
+
+void expect_fold_matches(const ChurnFold& fold, const ReferenceFold& reference) {
+  test::expect_churn_equal(fold.snapshot(), reference.snapshot());
+  for (std::size_t p = 0; p < fold.num_pairs(); ++p) {
+    EXPECT_EQ(fold.distinct_of_pair(p), reference.distinct_of_pair(p)) << "pair " << p;
+  }
+  EXPECT_EQ(fold.open_window_entries(), reference.open_window_entries());
+}
+
+std::string saved(const ChurnFold& fold) {
+  util::ByteWriter w;
+  fold.save(w);
+  return w.take();
+}
+
+TEST(ChurnFoldOracle, MatchesMapSetReferenceOnRandomStreams) {
+  const std::uint64_t seed = ct::test::fuzz_seed(20261017);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  const topo::AsGraph graph = tiny_graph();
+  const std::vector<topo::AsId> vantages{3, 10};
+  const std::vector<topo::AsId> dests{20, 21, 25};
+  const std::size_t num_pairs = vantages.size() * dests.size();
+  // Pair 0 draws from 150 signatures, so it passes 64 and often 128
+  // distinct paths (cells one, two and three words wide); the other
+  // pairs draw from 6, so windows repeat signatures.
+  std::vector<std::uint64_t> alphabet(150);
+  for (std::uint64_t& sig : alphabet) sig = rng() | 1;
+  int wide_rounds = 0;
+
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    const auto num_days = static_cast<util::Day>(rng.uniform_int(1, 80));
+    ChurnFold fold(graph, vantages, dests, num_days, 3);
+    ReferenceFold reference(graph, dests, num_pairs);
+    util::Day watermark = 0;
+
+    // Observations on open days, into `target` and the reference.
+    const auto observe = [&](ChurnFold& target, std::int64_t count) {
+      for (std::int64_t k = 0; k < count && watermark < num_days; ++k) {
+        const std::size_t pair = rng.bernoulli(0.5) ? 0 : rng.index(num_pairs);
+        const std::uint64_t sig = alphabet[rng.index(pair == 0 ? alphabet.size() : 6)];
+        const auto day = static_cast<util::Day>(rng.uniform_int(watermark, num_days - 1));
+        target.observe(pair, day, sig);
+        reference.observe(pair, day, sig);
+      }
+    };
+
+    const std::int64_t steps = rng.uniform_int(5, 30);
+    for (std::int64_t step = 0; step < steps; ++step) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          observe(fold, rng.uniform_int(0, 40));
+          break;
+        case 1: {
+          // A shard split: two unsealed folds merged, then merged or
+          // absorbed into the main fold.
+          ChurnFold left(graph, vantages, dests, num_days, 3);
+          ChurnFold right(graph, vantages, dests, num_days, 3);
+          observe(left, rng.uniform_int(0, 20));
+          observe(right, rng.uniform_int(0, 20));
+          left.merge(std::move(right));
+          if (fold.retired_before() == 0 && rng.bernoulli(0.5)) {
+            fold.merge(std::move(left));
+          } else {
+            fold.absorb_unsealed(std::move(left));
+          }
+          break;
+        }
+        case 2: {
+          const auto target = static_cast<util::Day>(rng.uniform_int(0, num_days + 30));
+          fold.retire_before(target);
+          reference.retire_before(target);
+          watermark = std::max(watermark, target);
+          break;
+        }
+        default: {
+          const std::string bytes = saved(fold);
+          ChurnFold restored(graph, vantages, dests, num_days, 3);
+          util::ByteReader r(bytes);
+          restored.load(r);
+          r.expect_end();
+          EXPECT_EQ(saved(restored), bytes);
+          fold = std::move(restored);
+          break;
+        }
+      }
+      expect_fold_matches(fold, reference);
+    }
+    if (fold.distinct_of_pair(0) > 64) ++wide_rounds;
+  }
+  EXPECT_GT(wide_rounds, 0) << "no round passed 64 distinct paths in one pair";
+}
+
+/// FNV-1a, to pin long checkpoint bytes in a short constant.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<std::uint8_t>(c) >> 4];
+    out += kDigits[static_cast<std::uint8_t>(c) & 0xf];
+  }
+  return out;
+}
+
+TEST(ChurnFold, CheckpointBytesAreStable) {
+  // The checkpoint payload of the std::map/std::set fold (format v3),
+  // captured from that implementation: the dense fold must write the
+  // same bytes.
+  const topo::AsGraph graph = tiny_graph();
+  ChurnFold fold(graph, {3, 10}, {20, 25}, 14, 2);
+  fold.observe(3, 0, 0xB0);
+  fold.observe(3, 0, 0xA0);
+  fold.observe(1, 2, 0xC0);
+  fold.observe(0, 8, 0xB0);
+  fold.observe(0, 9, 0x11);
+  fold.retire_before(7);
+  fold.observe(2, 13, 0xA0);
+  EXPECT_EQ(hex(saved(fold)),
+            "0200000000000000030000000a000000020000000000000014000000190000000e00000002000000"
+            "06000000000000000000000000000000010000000000000001000000000000000000000000000000"
+            "00000000000000000000000000000000020000000000000002000000000000000100000000000000"
+            "030000000000000008000000000000000100000000000000b0000000000000000900000000000000"
+            "010000000000000011000000000000000d000000020000000100000000000000a000000000000000"
+            "06000000000000000000000000000000010000000000000001000000000000000000000000000000"
+            "00000000000000000000000000000000020000000000000002000000000000000100000000000000"
+            "0200000000000000010000000000000002000000000000001100000000000000b000000000000000"
+            "01000000020000000100000000000000a00000000000000006000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000004000000000000000000000000000000"
+            "02000000000000001100000000000000b00000000000000000000000010000000100000000000000"
+            "c00000000000000000000000020000000100000000000000a0000000000000000000000003000000"
+            "0200000000000000a000000000000000b00000000000000006000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000004000000000000000000000000000000"
+            "02000000000000001100000000000000b00000000000000000000000010000000100000000000000"
+            "c00000000000000000000000020000000100000000000000a0000000000000000000000003000000"
+            "0200000000000000a000000000000000b00000000000000004000000000000000200000000000000"
+            "1100000000000000b0000000000000000100000000000000c0000000000000000100000000000000"
+            "a0000000000000000200000000000000a000000000000000b00000000000000007000000");
+
+  // A pair past 64 distinct paths: cells two words wide.
+  ChurnFold wide(graph, {3}, {20, 25}, 14, 1);
+  for (std::uint64_t k = 0; k < 70; ++k) {
+    wide.observe(1, static_cast<util::Day>(k % 14), util::mix64(k, 7) | 1);
+  }
+  wide.observe(0, 3, 5);
+  wide.retire_before(7);
+  const std::string wide_bytes = saved(wide);
+  EXPECT_EQ(wide_bytes.size(), 2872u);
+  EXPECT_EQ(fnv1a(wide_bytes), 5192782736478283193ULL);
+}
+
+// --- ChurnFold::load refuses crafted payloads -----------------------------
+
+/// A ChurnFold payload written field by field, as save() lays it out.
+struct Payload {
+  std::vector<topo::AsId> vantages{3};
+  std::vector<topo::AsId> dests{20, 25};
+  util::Day num_days = 14;
+  std::int32_t epochs_per_day = 1;
+  /// Per granularity: (window, pair, signatures) entries.
+  std::array<std::vector<std::tuple<std::int32_t, std::uint32_t, std::vector<std::uint64_t>>>,
+             util::kAllGranularities.size()>
+      open;
+  std::vector<std::vector<std::uint64_t>> run{{5}, {}};
+  util::Day retired_before = 0;
+
+  std::string bytes() const {
+    util::ByteWriter w;
+    const auto save_as = [](util::ByteWriter& w, topo::AsId as) { w.i32(as); };
+    const auto save_sigs = [](util::ByteWriter& w, const std::vector<std::uint64_t>& sigs) {
+      util::save_vec(w, sigs, [](util::ByteWriter& w, std::uint64_t s) { w.u64(s); });
+    };
+    util::save_vec(w, vantages, save_as);
+    util::save_vec(w, dests, save_as);
+    w.i32(num_days);
+    w.i32(epochs_per_day);
+    for (const auto& entries : open) {
+      util::BucketedCounts(4).save(w);
+      w.i64(0);
+      w.i64(0);
+      w.size(entries.size());
+      for (const auto& [window, pair, sigs] : entries) {
+        w.i32(window);
+        w.u32(pair);
+        save_sigs(w, sigs);
+      }
+    }
+    util::save_vec(w, run, save_sigs);
+    w.i32(retired_before);
+    return w.take();
+  }
+};
+
+/// A well-formed payload: pair 0 saw signature 5 on day 8.
+Payload valid_payload() {
+  Payload p;
+  p.open[0] = {{8, 0, {5}}};  // day 8
+  p.open[1] = {{1, 0, {5}}};  // week 1
+  p.open[2] = {{0, 0, {5}}};  // month 0
+  p.open[3] = {{0, 0, {5}}};  // year 0
+  p.retired_before = 7;
+  return p;
+}
+
+class ChurnFoldLoad : public ::testing::Test {
+ protected:
+  /// Loads `payload` into a fold that already holds one observation;
+  /// a refused payload must leave that fold as it was.
+  void expect_refused(const Payload& payload) {
+    ChurnFold fold(graph_, {3}, {20, 25}, 14, 1);
+    fold.observe(1, 10, 9);
+    const std::string before = saved(fold);
+    const std::string bytes = payload.bytes();
+    util::ByteReader r(bytes);
+    EXPECT_THROW(fold.load(r), util::SerdeError);
+    EXPECT_EQ(saved(fold), before);
+  }
+
+  const topo::AsGraph graph_ = tiny_graph();
+};
+
+TEST_F(ChurnFoldLoad, AcceptsWellFormedPayload) {
+  const std::string bytes = valid_payload().bytes();
+  ChurnFold fold(graph_, {3}, {20, 25}, 14, 1);
+  util::ByteReader r(bytes);
+  fold.load(r);
+  r.expect_end();
+  EXPECT_EQ(saved(fold), bytes);
+  EXPECT_EQ(fold.open_window_entries(), 4u);
+  EXPECT_EQ(fold.distinct_of_pair(0), 1);
+}
+
+TEST_F(ChurnFoldLoad, RejectsPairOutsideGeometry) {
+  Payload p = valid_payload();
+  p.open[0].emplace_back(9, 2, std::vector<std::uint64_t>{5});  // 2 pairs only
+  expect_refused(p);
+}
+
+TEST_F(ChurnFoldLoad, RejectsWindowAlreadySealed) {
+  Payload p = valid_payload();
+  p.open[0].insert(p.open[0].begin(), {3, 0, {5}});  // day 3 < watermark 7
+  expect_refused(p);
+  p = valid_payload();
+  p.open[1].insert(p.open[1].begin(), {0, 0, {5}});  // week 0 ends at day 7
+  expect_refused(p);
+}
+
+TEST_F(ChurnFoldLoad, RejectsWindowPastTheRun) {
+  Payload p = valid_payload();
+  p.open[0].emplace_back(14, 0, std::vector<std::uint64_t>{5});  // days 0..13
+  expect_refused(p);
+  p = valid_payload();
+  p.open[1].emplace_back(1 << 30, 0, std::vector<std::uint64_t>{5});
+  expect_refused(p);
+}
+
+TEST_F(ChurnFoldLoad, RejectsZeroSignature) {
+  Payload p = valid_payload();
+  p.open[0] = {{8, 0, {0, 5}}};
+  p.run[0] = {0, 5};
+  expect_refused(p);
+}
+
+TEST_F(ChurnFoldLoad, RejectsSignatureMissingFromRunWideSet) {
+  Payload p = valid_payload();
+  p.open[0] = {{8, 0, {5, 6}}};  // 6 never reached run[0]
+  expect_refused(p);
 }
 
 }  // namespace

@@ -109,6 +109,7 @@ TEST(CsvExport, WriteAllCreatesFiles) {
 TEST(CsvExport, StreamingRunCsvIsByteIdenticalToBatchRun) {
   Scenario batch_scenario(test::shard_scenario(20170623));
   ExperimentOptions batch_options;
+  batch_options.num_platform_shards = test::shards_from_env();
   const ExperimentResult batch = run_experiment(batch_scenario, batch_options);
 
   Scenario streaming_scenario(test::shard_scenario(20170623));

@@ -210,8 +210,10 @@ TEST(ExperimentDeterminism, ThreadCountDoesNotChangeResults) {
   Scenario s1(config), s2(config);
   ExperimentOptions serial;
   serial.num_threads = 1;
+  serial.num_platform_shards = test::shards_from_env();
   ExperimentOptions parallel;
   parallel.num_threads = 4;
+  parallel.num_platform_shards = test::shards_from_env();
   const ExperimentResult r1 = run_experiment(s1, serial);
   const ExperimentResult r2 = run_experiment(s2, parallel);
   EXPECT_EQ(r1.total_cnfs, r2.total_cnfs);

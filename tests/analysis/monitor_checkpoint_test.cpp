@@ -56,6 +56,7 @@ MonitorOptions forced_cdcl_options(unsigned shards) {
 std::string batch_report(const ScenarioConfig& config) {
   Scenario scenario(config);
   ExperimentOptions options;  // default execution mode: the contract
+  options.num_platform_shards = test::shards_from_env();
   return serialize_report(run_experiment(scenario, options));
 }
 

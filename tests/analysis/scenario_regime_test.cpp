@@ -68,6 +68,7 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
 
 TEST(ScenarioRegime, StressRegimesActuallyChangeTheWorld) {
   ExperimentOptions options;
+  options.num_platform_shards = test::shards_from_env();
   std::map<ScenarioRegime, std::string> reports;
   for (const ScenarioRegime regime : censor::all_regimes()) {
     reports[regime] = report_bytes(regime_scenario(regime), options);
@@ -85,6 +86,7 @@ TEST(ScenarioRegime, BaselineMatchesRegimeFreeConfig) {
   // reproduce the pre-regime pipeline byte for byte.  Both sides ignore
   // CT_SCENARIO, so the comparison holds under every CI regime leg.
   ExperimentOptions options;
+  options.num_platform_shards = test::shards_from_env();
   ScenarioConfig with_field = test::pinned_shard_scenario(20170623);
   with_field.regime = censor::RegimeConfig{};
   const ScenarioConfig untouched = test::pinned_shard_scenario(20170623);

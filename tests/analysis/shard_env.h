@@ -28,6 +28,10 @@
 
 namespace ct::analysis::test {
 
+/// CT_PLATFORM_SHARDS, or 1 when unset: tests run the platform serially
+/// unless the env asks otherwise, although the library's default
+/// (ExperimentOptions::num_platform_shards = 0) is one shard per
+/// hardware thread.
 inline unsigned shards_from_env() {
   const char* env = std::getenv("CT_PLATFORM_SHARDS");
   return env == nullptr ? 1 : static_cast<unsigned>(std::strtoul(env, nullptr, 10));

@@ -199,6 +199,7 @@ TEST(StreamingEquivalence, RunExperimentStreamingBitIdentical) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Scenario batch_scenario(shard_scenario(seed));
     ExperimentOptions batch_options;
+    batch_options.num_platform_shards = test::shards_from_env();
     const ExperimentResult batch = run_experiment(batch_scenario, batch_options);
 
     for (const unsigned shards : {1u, 4u}) {
