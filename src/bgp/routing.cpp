@@ -1,7 +1,6 @@
 #include "bgp/routing.h"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -166,7 +165,33 @@ std::vector<AsId> RouteTable::ecmp_path(AsId src, std::uint64_t flow_hash,
   throw std::logic_error("RouteTable::ecmp_path: path reconstruction did not terminate");
 }
 
-RouteComputer::RouteComputer(const topo::AsGraph& graph) : graph_(graph) {}
+RouteComputer::RouteComputer(const topo::AsGraph& graph) : graph_(graph) {
+  const auto n = static_cast<std::size_t>(graph.num_ases());
+  for (Csr* csr : {&providers_, &customers_, &peers_}) csr->offsets.assign(n + 1, 0);
+  auto csr_of = [this](NeighborKind kind) -> Csr& {
+    switch (kind) {
+      case NeighborKind::kProvider: return providers_;
+      case NeighborKind::kCustomer: return customers_;
+      case NeighborKind::kPeer: break;
+    }
+    return peers_;
+  };
+  for (std::size_t x = 0; x < n; ++x) {
+    for (const auto& nb : graph.neighbors(static_cast<AsId>(x))) {
+      csr_of(nb.kind).edges.push_back({nb.as, nb.link});
+    }
+    for (Csr* csr : {&providers_, &customers_, &peers_}) {
+      csr->offsets[x + 1] = static_cast<std::int32_t>(csr->edges.size());
+    }
+  }
+}
+
+std::vector<std::uint8_t> RouteComputer::link_mask(const std::vector<bool>& link_up) const {
+  if (link_up.size() != static_cast<std::size_t>(graph_.num_links())) {
+    throw std::invalid_argument("RouteComputer::compute: link_up size mismatch");
+  }
+  return std::vector<std::uint8_t>(link_up.begin(), link_up.end());
+}
 
 RouteTable RouteComputer::compute(topo::AsId dest) const {
   const std::vector<bool> all_up(static_cast<std::size_t>(graph_.num_links()), true);
@@ -174,98 +199,116 @@ RouteTable RouteComputer::compute(topo::AsId dest) const {
 }
 
 RouteTable RouteComputer::compute(topo::AsId dest, const std::vector<bool>& link_up) const {
+  Scratch scratch;
+  return compute(dest, link_mask(link_up).data(), scratch);
+}
+
+RouteTable RouteComputer::compute(topo::AsId dest, const std::uint8_t* up,
+                                  Scratch& scratch) const {
   if (dest < 0 || dest >= graph_.num_ases()) {
     throw std::invalid_argument("RouteComputer::compute: unknown destination");
   }
-  if (link_up.size() != static_cast<std::size_t>(graph_.num_links())) {
-    throw std::invalid_argument("RouteComputer::compute: link_up size mismatch");
-  }
   const auto n = static_cast<std::size_t>(graph_.num_ases());
+  const auto d = static_cast<std::size_t>(dest);
   RouteTable table(dest, graph_.num_ases());
+  constexpr std::int32_t kInf = RouteTable::kInf;
 
-  // --- Phase 1: customer routes, BFS up provider edges from dest. ---
-  table.cust_dist_[static_cast<std::size_t>(dest)] = 0;
-  std::vector<AsId> frontier{dest};
-  std::int32_t level = 0;
-  while (!frontier.empty()) {
-    std::vector<AsId> next_frontier;
-    std::sort(frontier.begin(), frontier.end());
-    for (const AsId x : frontier) {
-      for (const auto& nb : graph_.neighbors(x)) {
-        if (nb.kind != NeighborKind::kProvider) continue;  // propagate up only
-        if (!link_up[static_cast<std::size_t>(nb.link)]) continue;
-        const auto p = static_cast<std::size_t>(nb.as);
-        if (table.cust_dist_[p] > level + 1) {
-          table.cust_dist_[p] = level + 1;
-          table.cust_next_[p] = x;
-          next_frontier.push_back(nb.as);
-        } else if (table.cust_dist_[p] == level + 1 && x < table.cust_next_[p]) {
-          table.cust_next_[p] = x;  // deterministic tie-break: lowest next hop
-        }
+  // --- Phase 1: customer routes, FIFO BFS up provider edges from dest. ---
+  // An AS is enqueued when first reached, so at its final distance; a
+  // later same-level arrival only lowers the next hop.
+  std::vector<AsId>& queue = scratch.queue;
+  queue.clear();
+  queue.push_back(dest);
+  table.cust_dist_[d] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const AsId x = queue[head];
+    const auto row = static_cast<std::size_t>(x);
+    const std::int32_t cand = table.cust_dist_[row] + 1;
+    for (std::int32_t e = providers_.offsets[row]; e < providers_.offsets[row + 1]; ++e) {
+      const Edge& edge = providers_.edges[static_cast<std::size_t>(e)];
+      if (up[edge.link] == 0) continue;
+      const auto p = static_cast<std::size_t>(edge.as);
+      if (table.cust_dist_[p] > cand) {
+        table.cust_dist_[p] = cand;
+        table.cust_next_[p] = x;
+        queue.push_back(edge.as);
+      } else if (table.cust_dist_[p] == cand && x < table.cust_next_[p]) {
+        table.cust_next_[p] = x;
       }
     }
-    frontier = std::move(next_frontier);
-    ++level;
   }
 
   // --- Phase 2: peer routes (one peer hop onto a customer route). ---
   for (std::size_t x = 0; x < n; ++x) {
-    if (static_cast<AsId>(x) == dest) continue;
-    for (const auto& nb : graph_.neighbors(static_cast<AsId>(x))) {
-      if (nb.kind != NeighborKind::kPeer) continue;
-      if (!link_up[static_cast<std::size_t>(nb.link)]) continue;
-      const auto y = static_cast<std::size_t>(nb.as);
-      if (table.cust_dist_[y] >= RouteTable::kInf) continue;
-      const std::int32_t cand = table.cust_dist_[y] + 1;
+    if (x == d) continue;
+    for (std::int32_t e = peers_.offsets[x]; e < peers_.offsets[x + 1]; ++e) {
+      const Edge& edge = peers_.edges[static_cast<std::size_t>(e)];
+      if (up[edge.link] == 0) continue;
+      const std::int32_t via = table.cust_dist_[static_cast<std::size_t>(edge.as)];
+      if (via >= kInf) continue;
+      const std::int32_t cand = via + 1;
       if (cand < table.peer_dist_[x] ||
-          (cand == table.peer_dist_[x] && nb.as < table.peer_next_[x])) {
+          (cand == table.peer_dist_[x] && edge.as < table.peer_next_[x])) {
         table.peer_dist_[x] = cand;
-        table.peer_next_[x] = nb.as;
+        table.peer_next_[x] = edge.as;
       }
     }
   }
 
-  // --- Phase 3: provider routes, Dijkstra down customer edges. ---
-  // advertised(x): length of the route x exports to its customers = the
-  // length of x's *selected* route (customer > peer > provider).
-  auto advertised = [&table](std::size_t x) { return table.advertised(x); };
-
-  using Entry = std::pair<std::int32_t, AsId>;  // (advertised length, AS)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  // --- Phase 3: provider routes, bucket queue down customer edges. ---
+  // buckets[l] holds the ASes whose selected route (the one they export
+  // to customers) has length l.  ASes with a customer or peer route are
+  // seeded at that length and never move.  An AS without one enters
+  // when its provider route is first set, i.e. while its providers'
+  // bucket l is swept, so at its final length l + 1; later offers of
+  // l + 1 only lower the next hop.  Each AS is thus swept exactly once.
+  // Lengths stay below n: along any selected route they drop by one per
+  // hop down to dest, so its ASes are distinct.
+  std::vector<std::vector<AsId>>& buckets = scratch.buckets;
+  if (buckets.size() < n) buckets.resize(n);
+  std::size_t top = 0;  // one past the highest non-empty bucket
   for (std::size_t x = 0; x < n; ++x) {
-    const std::int32_t adv = advertised(x);
-    if (adv < RouteTable::kInf) pq.emplace(adv, static_cast<AsId>(x));
+    const std::int32_t adv = table.advertised(x);
+    if (adv >= kInf) continue;
+    const auto l = static_cast<std::size_t>(adv);
+    buckets[l].push_back(static_cast<AsId>(x));
+    top = std::max(top, l + 1);
   }
-  while (!pq.empty()) {
-    const auto [d, x] = pq.top();
-    pq.pop();
-    if (d != advertised(static_cast<std::size_t>(x))) continue;  // stale entry
-    for (const auto& nb : graph_.neighbors(x)) {
-      if (nb.kind != NeighborKind::kCustomer) continue;  // export down only
-      if (!link_up[static_cast<std::size_t>(nb.link)]) continue;
-      const auto c = static_cast<std::size_t>(nb.as);
-      if (static_cast<AsId>(c) == dest) continue;
-      const std::int32_t cand = d + 1;
-      if (cand < table.prov_dist_[c] ||
-          (cand == table.prov_dist_[c] && x < table.prov_next_[c])) {
-        const std::int32_t before = advertised(c);
-        table.prov_dist_[c] = cand;
-        table.prov_next_[c] = x;
-        // Only re-advertise if c's own selection (and thus export) improved.
-        if (advertised(c) < before) pq.emplace(advertised(c), static_cast<AsId>(c));
+  for (std::size_t l = 0; l < top; ++l) {
+    const auto cand = static_cast<std::int32_t>(l + 1);
+    for (std::size_t i = 0; i < buckets[l].size(); ++i) {
+      const AsId x = buckets[l][i];
+      const auto row = static_cast<std::size_t>(x);
+      for (std::int32_t e = customers_.offsets[row]; e < customers_.offsets[row + 1]; ++e) {
+        const Edge& edge = customers_.edges[static_cast<std::size_t>(e)];
+        if (up[edge.link] == 0) continue;
+        const auto c = static_cast<std::size_t>(edge.as);
+        if (c == d) continue;
+        if (cand < table.prov_dist_[c]) {
+          const bool enters = table.advertised(c) >= kInf;
+          table.prov_dist_[c] = cand;
+          table.prov_next_[c] = x;
+          if (enters) {
+            buckets[l + 1].push_back(edge.as);
+            top = std::max(top, l + 2);
+          }
+        } else if (cand == table.prov_dist_[c] && x < table.prov_next_[c]) {
+          table.prov_next_[c] = x;
+        }
       }
     }
+    buckets[l].clear();
   }
 
   // --- Final selection. ---
   for (std::size_t x = 0; x < n; ++x) {
-    if (static_cast<AsId>(x) == dest) {
+    if (x == d) {
       table.kind_[x] = RouteKind::kOrigin;
-    } else if (table.cust_dist_[x] < RouteTable::kInf) {
+    } else if (table.cust_dist_[x] < kInf) {
       table.kind_[x] = RouteKind::kCustomer;
-    } else if (table.peer_dist_[x] < RouteTable::kInf) {
+    } else if (table.peer_dist_[x] < kInf) {
       table.kind_[x] = RouteKind::kPeer;
-    } else if (table.prov_dist_[x] < RouteTable::kInf) {
+    } else if (table.prov_dist_[x] < kInf) {
       table.kind_[x] = RouteKind::kProvider;
     } else {
       table.kind_[x] = RouteKind::kNone;
@@ -277,9 +320,12 @@ RouteTable RouteComputer::compute(topo::AsId dest, const std::vector<bool>& link
 RouteTableSet::RouteTableSet(const RouteComputer& computer,
                              const std::vector<topo::AsId>& dests,
                              const std::vector<bool>& link_up) {
+  // One link-state conversion and one scratch for the whole epoch.
+  const std::vector<std::uint8_t> up = computer.link_mask(link_up);
+  RouteComputer::Scratch scratch;
   tables_.reserve(dests.size());
   for (const topo::AsId dest : dests) {
-    tables_.push_back(computer.compute(dest, link_up));
+    tables_.push_back(computer.compute(dest, up.data(), scratch));
   }
 }
 

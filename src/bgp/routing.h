@@ -10,9 +10,17 @@
 // paths are valley-free and loop-free.
 //
 // Computation is per-destination over the subset of links that are
-// currently up (the churn engine owns link state), in three phases:
-// customer routes via BFS up provider edges, peer routes in one step,
-// provider routes via a Dijkstra sweep down customer edges.
+// currently up (the churn engine owns link state, read here as a dense
+// byte mask), in three phases over per-relationship CSR adjacency built
+// once per RouteComputer:
+//   1. customer routes: one FIFO BFS from d up provider edges;
+//   2. peer routes: one peer hop onto a customer route, per AS;
+//   3. provider routes: a bucket queue indexed by advertised length
+//      sweeps down customer edges (unit weights, so buckets replace a
+//      heap, and every AS enters exactly one bucket).
+// Every phase takes the lowest next hop among equal-length candidates
+// explicitly, so the visit order within a BFS level or bucket never
+// changes a table.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +106,37 @@ class RouteComputer {
   RouteTable compute(topo::AsId dest) const;
 
  private:
+  friend class RouteTableSet;
+
+  /// Working memory of one compute() caller: the phase-1 FIFO and the
+  /// phase-3 length buckets.  Reused across the destinations of one
+  /// RouteTableSet; never shared between threads.
+  struct Scratch {
+    std::vector<topo::AsId> queue;
+    std::vector<std::vector<topo::AsId>> buckets;
+  };
+
+  /// One neighbor edge of a CSR row.
+  struct Edge {
+    topo::AsId as = topo::kInvalidAs;
+    topo::LinkId link = 0;
+  };
+
+  /// Neighbors of one relationship, in AsGraph::neighbors order:
+  /// row x is edges[offsets[x], offsets[x + 1]).
+  struct Csr {
+    std::vector<std::int32_t> offsets;
+    std::vector<Edge> edges;
+  };
+
+  /// link_up as one byte per link (1 = up), validated against the graph.
+  std::vector<std::uint8_t> link_mask(const std::vector<bool>& link_up) const;
+
+  /// The kernel behind both public overloads; `up` is link_mask()'s data.
+  RouteTable compute(topo::AsId dest, const std::uint8_t* up, Scratch& scratch) const;
+
   const topo::AsGraph& graph_;
+  Csr providers_, customers_, peers_;
 };
 
 /// Route tables toward a fixed destination list under one link state:

@@ -1,11 +1,17 @@
 // Longest-prefix-match IP-to-AS mapping.
 //
 // Substitutes for the CAIDA routed-prefix dataset the paper uses to
-// convert IP-level traceroutes to AS-level paths.  Implemented as a
-// binary trie over address bits; lookups return the AS of the most
-// specific covering prefix, or nothing for unmapped space (IXP fabrics,
-// unannounced ranges) — exactly the failure mode that produces the
-// paper's "IP-to-AS mapping was not possible" eliminations.
+// convert IP-level traceroutes to AS-level paths.  Lookups return the
+// AS of the most specific covering prefix, or nothing for unmapped
+// space (IXP fabrics, unannounced ranges) — exactly the failure mode
+// that produces the paper's "IP-to-AS mapping was not possible"
+// eliminations.
+//
+// Prefixes live in a binary trie over address bits.  In front of it, a
+// 65,536-slot table indexed by the top 16 address bits (4 bytes a slot,
+// 256 KiB) holds each /16's answer from prefixes of length <= 16, so a
+// lookup is one load unless a longer prefix falls inside the /16; such
+// slots defer to the trie.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +38,12 @@ class Ip2AsDb {
   void add_prefix(const Prefix& prefix, topo::AsId as_id);
 
   /// Longest-prefix-match lookup.
-  std::optional<topo::AsId> lookup(Ip4 ip) const;
+  std::optional<topo::AsId> lookup(Ip4 ip) const {
+    const std::int32_t slot = slots_[ip >> 16];
+    if (slot >= 0) return slot;
+    if (slot == kNoRoute) return std::nullopt;
+    return lookup_trie(ip);
+  }
 
   std::size_t num_prefixes() const { return num_prefixes_; }
 
@@ -41,7 +52,20 @@ class Ip2AsDb {
 
  private:
   struct Node;
+
+  /// Slot values besides an AS id (>= 0).
+  static constexpr std::int32_t kNoRoute = -1;   // no covering prefix
+  static constexpr std::int32_t kWalkTrie = -2;  // ask the trie
+
+  std::optional<topo::AsId> lookup_trie(Ip4 ip) const;
+  /// A /16's slot value, given its trie node (null if none) and the AS
+  /// of its longest covering prefix of length <= 16.
+  static std::int32_t slot_value(const Node* node, std::optional<topo::AsId> best);
+  /// Recomputes slots_[slot] from the trie.
+  void refresh_slot(std::uint32_t slot);
+
   std::unique_ptr<Node> root_;
+  std::vector<std::int32_t> slots_;  // one per /16, indexed by ip >> 16
   std::size_t num_prefixes_ = 0;
 };
 
@@ -63,8 +87,13 @@ struct AddressPlanConfig {
   std::int32_t unmapped_blocks = 8;
 };
 
-/// Assigns disjoint /16 blocks from 10.0.0.0-style space to every AS and
-/// builds the matching Ip2AsDb.  Deterministic given the graph.
+/// /16 blocks from 10.0.0.0 up to, not including, 192.168.0.0/16.
+inline constexpr std::int64_t kMaxAddressBlocks = ((192 << 8) + 168) - (10 << 8);
+
+/// Assigns disjoint /16 blocks from 10.0.0.0-style space to every AS
+/// (then to the unmapped pool).  Deterministic given the graph.  Throws
+/// std::invalid_argument when the plan needs more than
+/// kMaxAddressBlocks blocks.
 AddressPlan allocate_prefixes(const topo::AsGraph& graph, const AddressPlanConfig& config);
 
 /// Builds the lookup database from a plan (unmapped pool excluded).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "tomo/cnf_builder.h"
@@ -23,15 +24,22 @@ void PathPool::save(util::ByteWriter& w) const {
 }
 
 void PathPool::load(util::ByteReader& r) {
-  index_.clear();
-  util::load_vec(r, paths_, [](util::ByteReader& r) {
+  std::vector<std::vector<topo::AsId>> paths;
+  util::load_vec(r, paths, [](util::ByteReader& r) {
     std::vector<topo::AsId> path;
     util::load_vec(r, path, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
     return path;
   });
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    index_.emplace(paths_[i], static_cast<PathId>(i));
+  std::map<std::vector<topo::AsId>, PathId> index;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (!index.emplace(paths[i], static_cast<PathId>(i)).second) {
+      // intern() would answer the first id for both: ids would not survive.
+      throw util::SerdeError("PathPool::load: path " + std::to_string(i) +
+                             " duplicates an earlier path");
+    }
   }
+  index_ = std::move(index);
+  paths_ = std::move(paths);
 }
 
 ClauseBuilder::ClauseBuilder(const net::Ip2AsDb& db) : db_(db) {}

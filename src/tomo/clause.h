@@ -56,6 +56,8 @@ class PathPool {
   /// Checkpoint support (analysis/checkpoint.h).  save() emits the
   /// interned paths in id order; load() replaces the pool wholesale and
   /// rebuilds the dedup index, so ids survive a save/load round trip.
+  /// load() throws util::SerdeError, leaving the pool untouched, when a
+  /// path appears twice (intern() could not give back both ids).
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "topo/generator.h"
 
@@ -123,6 +125,44 @@ TEST(AddressPlan, BuildDbMapsEveryOwnedAddress) {
   for (const auto& p : plan.unmapped_pool) {
     EXPECT_FALSE(db.lookup(p.address + 1).has_value());
   }
+}
+
+/// One stub AS, so every block of a plan but the unmapped pool is its.
+topo::AsGraph one_stub_graph() {
+  topo::AsGraph g;
+  const auto country = g.add_country("CN", topo::Region::kAsia);
+  g.add_as(1, topo::AsTier::kStub, topo::AsClass::kContent, country);
+  return g;
+}
+
+TEST(AddressPlan, StopsBeforePrivateRange) {
+  const auto g = one_stub_graph();
+  AddressPlanConfig cfg;
+  cfg.unmapped_blocks = 0;
+  cfg.stub_prefixes = 46760;  // blocks 0..46759: 10.0.0.0/16 .. 192.167.0.0/16
+  const AddressPlan plan = allocate_prefixes(g, cfg);
+  ASSERT_EQ(plan.prefixes[0].size(), 46760u);
+  EXPECT_EQ(to_string(plan.prefixes[0].back()), "192.167.0.0/16");
+
+  cfg.stub_prefixes = 46761;  // block 46760 would be 192.168.0.0/16
+  try {
+    allocate_prefixes(g, cfg);
+    FAIL() << "a plan reaching 192.168.0.0/16 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("46760"), std::string::npos) << e.what();
+  }
+}
+
+TEST(AddressPlan, UnmappedPoolCountsTowardTheLimit) {
+  const auto g = one_stub_graph();
+  AddressPlanConfig cfg;
+  cfg.stub_prefixes = 46759;
+  cfg.unmapped_blocks = 1;
+  const AddressPlan plan = allocate_prefixes(g, cfg);
+  ASSERT_EQ(plan.unmapped_pool.size(), 1u);
+  EXPECT_EQ(to_string(plan.unmapped_pool[0]), "192.167.0.0/16");
+  cfg.unmapped_blocks = 2;
+  EXPECT_THROW(allocate_prefixes(g, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/serde.h"
+
 namespace ct::tomo {
 namespace {
 
@@ -21,6 +25,44 @@ TEST(PathPool, EmptyPathInternable) {
   PathPool pool;
   const auto id = pool.intern({});
   EXPECT_TRUE(pool.get(id).empty());
+}
+
+/// A PathPool checkpoint payload in save()'s layout: the path count,
+/// then each path as its length and AS ids.
+std::string pool_payload(const std::vector<std::vector<topo::AsId>>& paths) {
+  util::ByteWriter w;
+  w.size(paths.size());
+  for (const auto& path : paths) {
+    w.size(path.size());
+    for (const topo::AsId as : path) w.i32(as);
+  }
+  return w.take();
+}
+
+TEST(PathPoolLoad, AcceptsWellFormedPayload) {
+  const std::string bytes = pool_payload({{1, 2, 3}, {1, 2, 4}, {}});
+  PathPool pool;
+  util::ByteReader r(bytes);
+  pool.load(r);
+  r.expect_end();
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.intern({1, 2, 4}), 1);
+  EXPECT_EQ(pool.intern({}), 2);
+  util::ByteWriter w;
+  pool.save(w);
+  EXPECT_EQ(w.bytes(), bytes);
+}
+
+TEST(PathPoolLoad, RejectsDuplicatePath) {
+  PathPool pool;
+  pool.intern({7, 8});
+  // Path 2 repeats path 0: intern({1, 2, 3}) could not answer both ids.
+  const std::string bytes = pool_payload({{1, 2, 3}, {1, 2, 4}, {1, 2, 3}});
+  util::ByteReader r(bytes);
+  EXPECT_THROW(pool.load(r), util::SerdeError);
+  // A refused payload leaves the pool as it was.
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.intern({7, 8}), 0);
 }
 
 /// Builds a measurement whose traceroutes hit the given mini address
