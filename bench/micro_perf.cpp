@@ -10,7 +10,6 @@
 #include "analysis/monitor.h"
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
-#include "analysis/streaming_pipeline.h"
 #include "bgp/routing.h"
 #include "iclab/platform.h"
 #include "util/thread_pool.h"
@@ -456,94 +455,6 @@ BENCHMARK(BM_PlatformSharded)
     ->Arg(2)
     ->Arg(4)
     ->Arg(0)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-
-// Overlapped vs phase-separated execution of the pipeline's
-// platform→CNF→SAT half on the full default-scenario year.  Arg = 0 is
-// the batch path (run_platform, then build_cnfs, then analyze_cnfs);
-// Arg = 1 streams window-complete CNFs into the analyzer pool while
-// measurements are still arriving (README "Streaming ingest").  Both
-// produce byte-identical verdicts — the delta is pure wall-clock
-// overlap, so it only shows with >= 2 hardware threads.
-void BM_StreamingPipeline(benchmark::State& state) {
-  static analysis::Scenario* scenario =
-      new analysis::Scenario(analysis::default_scenario());
-  const bool streaming = state.range(0) != 0;
-  const unsigned shards = util::ThreadPool::hardware_threads();
-  std::size_t verdicts_out = 0;
-  for (auto _ : state) {
-    if (streaming) {
-      analysis::StreamingOptions options;
-      options.num_platform_shards = shards;
-      options.analysis.resolve_counts = false;
-      options.analysis.num_threads = 0;
-      const analysis::StreamingResult r =
-          analysis::run_streaming_pipeline(*scenario, options);
-      verdicts_out = r.verdicts.size();
-    } else {
-      const auto sinks = analysis::run_platform(*scenario, shards);
-      const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(
-          sinks->clause_builder.pool(), sinks->clause_builder.clauses());
-      tomo::AnalysisOptions analysis;
-      analysis.resolve_counts = false;
-      analysis.num_threads = 0;
-      verdicts_out = tomo::analyze_cnfs(cnfs, analysis).size();
-    }
-    benchmark::DoNotOptimize(verdicts_out);
-  }
-  state.counters["verdicts"] = static_cast<double>(verdicts_out);
-  state.counters["streaming"] = streaming ? 1.0 : 0.0;
-}
-BENCHMARK(BM_StreamingPipeline)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-
-// Memory trajectory of the streaming pipeline on the full
-// default-scenario year (README "Any-time results & memory model").
-// Arg = 1 is the O(open windows) configuration (clauses retired behind
-// the watermark, folds consume every verdict); Arg = 0 retains the full
-// stream (the legacy sink contract).  The headline counter is
-// peak_retained_clauses — the instrumented high-water mark — next to
-// total_clauses: in retire mode the ratio must stay flat as scenarios
-// grow longer, in retain mode it is 1 by construction.  Wall time is
-// reported too so the retire hooks' cost stays visible.
-void BM_StreamingMemory(benchmark::State& state) {
-  static analysis::Scenario* scenario =
-      new analysis::Scenario(analysis::default_scenario());
-  const bool retire = state.range(0) != 0;
-  analysis::StreamingMemoryStats memory;
-  std::int64_t verdicts_seen = 0;
-  for (auto _ : state) {
-    analysis::StreamingOptions options;
-    options.num_platform_shards = 1;  // serial ingest: the O(open windows) bound
-    options.analysis.resolve_counts = false;
-    options.analysis.num_threads = 0;
-    options.retain_clauses = !retire;
-    options.retain_results = false;
-    verdicts_seen = 0;
-    options.on_verdict = [&verdicts_seen](const tomo::TomoCnf&, const tomo::CnfVerdict&) {
-      ++verdicts_seen;
-    };
-    const analysis::StreamingResult r = analysis::run_streaming_pipeline(*scenario, options);
-    memory = r.memory;
-    benchmark::DoNotOptimize(memory.peak_retained_clauses);
-  }
-  state.counters["peak_retained_clauses"] =
-      static_cast<double>(memory.peak_retained_clauses);
-  state.counters["total_clauses"] = static_cast<double>(memory.total_clauses);
-  state.counters["peak_fraction"] =
-      memory.total_clauses == 0
-          ? 0.0
-          : static_cast<double>(memory.peak_retained_clauses) /
-                static_cast<double>(memory.total_clauses);
-  state.counters["verdicts"] = static_cast<double>(verdicts_seen);
-}
-BENCHMARK(BM_StreamingMemory)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 

@@ -14,9 +14,10 @@
 // magic, version, or fingerprint does not match, any truncated or
 // overlong buffer, and any payload whose checksum does not match.  The
 // checksum is verified before a single payload byte is parsed, so a
-// corrupt length or id inside the payload (a huge url_id would make
-// StreamingCnfBuilder::load allocate in proportion to it) never
-// reaches a loader.
+// corrupt length or id inside the payload never reaches a loader.  The
+// checksum is not a MAC: loaders still bound every id they index by
+// (StreamingCnfBuilder::load refuses a url_id outside the fingerprinted
+// URL count rather than allocate in proportion to it).
 //
 // The fingerprint hashes exactly the configuration that determines
 // results: the scenario (seed + geometry) and the analysis options

@@ -441,13 +441,6 @@ void PathChurnTracker::merge(PathChurnTracker&& other) {
   fold_.merge(std::move(other.fold_));
 }
 
-void PathChurnTracker::adopt(ChurnFold&& fold) {
-  if (!fold_.same_geometry(fold)) {
-    throw std::invalid_argument("PathChurnTracker::adopt: geometry mismatch");
-  }
-  fold_ = std::move(fold);
-}
-
 std::int64_t PathChurnTracker::distinct_paths_of_pair(topo::AsId vantage,
                                                       topo::AsId dest) const {
   const std::int32_t vi = lookup(vantage_index_, vantage);

@@ -18,7 +18,7 @@
 // width, so counts stay exact for any number of distinct paths.
 // retire_before() seals every window the watermark has closed into
 // fixed-size accumulators (histogram / sample / changed counters) by
-// popcount and drops its cells — so a streaming run retains
+// popcount and drops its cells — so the resident monitor retains
 // O(pairs x open windows), not O(pairs x epochs of the whole run).
 // snapshot()/compute() are valid at any point and equal the batch
 // computation over exactly the observations folded so far, sealed or
@@ -85,8 +85,8 @@ class ChurnFold {
 
   /// Seals every window ending at or before `complete_before` into the
   /// fixed-size accumulators and frees its cells.  Only a fold that
-  /// sees the *whole* observation stream (a serial tracker, or
-  /// the streaming coordinator's global fold) may seal mid-run: sealed
+  /// sees the *whole* observation stream (the resident monitor's global
+  /// fold) may seal mid-run: sealed
   /// folds cannot merge (a shard-local fold must stay unsealed so
   /// merge() can union windows that straddle shard boundaries).
   void retire_before(util::Day complete_before);
@@ -212,18 +212,6 @@ class PathChurnTracker : public iclab::MeasurementSink {
   /// unsealed; per-window signature cells are unioned, so the result is
   /// associative and commutative, with a fresh tracker as identity.
   void merge(PathChurnTracker&& other);
-
-  /// Streaming retire hook: seals every window ending at or before
-  /// `complete_before` (driven by the platform's day-complete
-  /// watermark) and drops its cells.  compute() is
-  /// unchanged by sealing; memory drops to O(pairs x open windows).
-  void retire_before(util::Day complete_before) { fold_.retire_before(complete_before); }
-
-  /// Replaces this tracker's fold with `fold` (same geometry) — the
-  /// sharded streaming pipeline folds churn globally behind the
-  /// min-merged watermark and hands the finished fold back to the
-  /// merged sink bundle here.
-  void adopt(ChurnFold&& fold);
 
   /// Moves the fold out (the tracker is spent afterwards) — the
   /// resident monitor absorbs each merged segment tracker's fold into

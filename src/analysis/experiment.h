@@ -1,6 +1,6 @@
 // The full evaluation pipeline (paper §4).
 //
-// run_experiment() executes: platform run (streaming into the dataset
+// run_experiment() executes: platform run (feeding the dataset
 // summary, clause builder, churn tracker, and truth tracker) → CNF
 // construction at all four granularities → SAT analysis → leakage
 // analysis → ground-truth scoring, and packages the data behind every
@@ -154,14 +154,6 @@ struct ExperimentOptions {
   /// make the result bit-identical for every value (see README "Sharded
   /// execution").
   unsigned num_platform_shards = 0;
-  /// Runs the platform→CNF→SAT half of the pipeline fully overlapped:
-  /// window-complete CNFs stream out of the clause builder as the
-  /// measurement clock passes each window boundary and are analyzed
-  /// while measurements are still arriving (README "Streaming ingest").
-  /// Composes with num_platform_shards (per-shard watermarks are
-  /// min-merged).  Results are bit-identical to the batch path — the
-  /// streaming equivalence suite enforces it.
-  bool streaming = false;
   /// Evidence threshold for declaring an AS a censor (distinct
   /// (URL, anomaly) pairs with unique-solution CNFs); filters one-off
   /// detector false positives.

@@ -2,11 +2,11 @@
 //
 // The batch pipeline derives the paper's figures from fully
 // materialized verdict vectors; these folds derive the same data
-// products one verdict at a time, so the streaming pipeline can drop
+// products one verdict at a time, so the resident monitor can drop
 // each CNF and verdict the moment it is analyzed (O(open windows)
-// memory) and surface a valid LiveReport at every watermark.  Both
-// run_experiment paths — batch and streaming — run on the same folds,
-// so their products cannot diverge: everything a fold accumulates is
+// memory) and surface a valid LiveReport at every segment boundary.
+// run_experiment and the monitor run on the same folds, so their
+// products cannot diverge: everything a fold accumulates is
 // order-independent (counts and set unions), and the one order-bearing
 // product (Figure 2's per-CNF sample vector) is key-sorted at
 // finalization, which is exactly the batch iteration order.
@@ -26,11 +26,11 @@
 
 namespace ct::analysis {
 
-/// Any-time snapshot of a streaming run, valid at a watermark: the
+/// Any-time snapshot of a monitor run, valid at a watermark: the
 /// verdict counts cover exactly the CNFs of windows sealed by the
 /// watermark (in emitted-CNF order), and the churn stats cover exactly
 /// the measurement days below it — so every LiveReport equals the batch
-/// computation over its sealed prefix (the property suite holds this).
+/// computation over its sealed prefix (MonitorLive holds this).
 struct LiveReport {
   /// Every window ending at or before this day is included.
   util::Day watermark = 0;
@@ -120,10 +120,10 @@ class Fig4Fold {
 
 /// The incremental folds every data product downstream of the main SAT
 /// pass is derived from.  Batch feeds them from the materialized
-/// verdict vectors (key order); streaming and the resident monitor feed
-/// them from the any-time callbacks (emission order).  Every fold is
-/// order-independent (or key-sorts at finalization), so all paths are
-/// byte-identical by construction.
+/// verdict vectors (key order); the resident monitor feeds them as
+/// windows seal (emission order).  Every fold is order-independent (or
+/// key-sorts at finalization), so batch and monitor are byte-identical by
+/// construction.
 struct ExperimentFolds {
   explicit ExperimentFolds(const ExperimentOptions& options)
       : verdicts(options.fig1_granularities), fig4(options.fig1_granularities) {}
@@ -147,7 +147,7 @@ struct ExperimentFolds {
 /// Derives the full ExperimentResult (tables, figures, censor lists,
 /// leakage, ground-truth scores) from sealed folds plus the run-wide
 /// sink products.  This is the one finalization path: run_experiment
-/// (batch and streaming) and MonitorEngine::finalize both end here, so
+/// and MonitorEngine::finalize both end here, so
 /// a resumed monitor run reproduces the batch report byte for byte.
 /// `engine_stats` is NOT filled in — the caller owns its SAT counters.
 ExperimentResult finalize_experiment_result(Scenario& scenario,

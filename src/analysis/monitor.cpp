@@ -146,8 +146,8 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   // each clause's path id into the persistent pool (interning each
   // distinct segment path once, in global first-use order == the serial
   // run's, so CNFs are bit-identical to the batch path's),
-  // advance the watermark, analyze, fold, publish.  The raw clauses
-  // live only inside this scope — the retained gauge proves it.
+  // advance the watermark, analyze, fold.  The raw clauses live only
+  // inside this scope — the retained gauge proves it.
   tomo::PathRemap to_global(merged->clause_builder.pool(), pool_);
   const std::vector<tomo::PathClause>& clauses = merged->clause_builder.clauses();
   retained_.add(static_cast<std::int64_t>(clauses.size()));
@@ -161,6 +161,10 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   // Seal the churn windows the segment completed; open entries stay
   // O(pairs x windows straddling the boundary).
   churn_fold_.retire_before(d1);
+  // Publish here, not per drained day: the whole segment's churn was
+  // absorbed before the drain, so only now do the counts and the churn
+  // both cover exactly the days below the watermark.
+  publish_report();
 }
 
 void MonitorEngine::drain_day(tomo::PathRemap& to_global,
@@ -185,8 +189,6 @@ void MonitorEngine::drain_day(tomo::PathRemap& to_global,
   const std::vector<tomo::CnfVerdict> ablation_verdicts =
       analyze_batch(ablation_arenas_, ablation_cnfs, ablation_analysis_);
   for (const tomo::CnfVerdict& v : ablation_verdicts) folds_.fig4.add(v);
-
-  publish_report();
 }
 
 std::vector<tomo::CnfVerdict> MonitorEngine::analyze_batch(
@@ -262,9 +264,10 @@ void MonitorEngine::restore(const std::string& bytes) {
   try {
     util::ByteReader r(opened.payload);
     pool_.load(r);
-    grouper_.load(r);
+    const std::int32_t num_urls = scenario_->platform().config().num_urls;
+    grouper_.load(r, num_urls);
     strip_.load(r);
-    ablation_grouper_.load(r);
+    ablation_grouper_.load(r, num_urls);
     churn_fold_.load(r);
     folds_.load(r);
     summary_.load(r);
@@ -279,7 +282,7 @@ void MonitorEngine::restore(const std::string& bytes) {
   watermark_ = opened.watermark;
   last_checkpoint_ = opened.watermark;
   // Resumed readers get a valid snapshot immediately, before the next
-  // ingested day publishes a fresh one.
+  // ingested segment publishes a fresh one.
   if (watermark_ > 0) publish_report();
 }
 

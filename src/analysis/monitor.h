@@ -4,10 +4,9 @@
 // measurements are ingested continuously in day segments, window-complete
 // CNFs are analyzed the moment the watermark seals them (on persistent
 // per-worker solver arenas, one fresh load per CNF), and every data
-// product accumulates in the same
-// ExperimentFolds the batch and streaming paths use — so
-// MonitorEngine::finalize() reproduces run_experiment()'s report byte
-// for byte (checkpoint.h's serialize_report() is the oracle).
+// product accumulates in the same ExperimentFolds run_experiment uses —
+// so MonitorEngine::finalize() reproduces run_experiment()'s report
+// byte for byte (checkpoint.h's serialize_report() is the oracle).
 //
 // Crash safety: checkpoint() serializes the monitor's complete
 // persistent state — the interned path pool, the open window groups of
@@ -31,9 +30,12 @@
 // retained-clause peak — the CI smoke job asserts it.
 //
 // LiveReports are served to any number of concurrent readers through
-// LiveReportServer: one atomic shared_ptr swap per watermark, wait-free
-// readers, with published/read/stale/peak-reader counters surfaced in
-// EngineStats.
+// LiveReportServer: one atomic shared_ptr swap per ingested segment
+// (plus one on restore() and one on finalize()), wait-free readers, with
+// published/read/stale/peak-reader counters surfaced in EngineStats.
+// A report is published only once the segment's churn windows are
+// sealed, so its counts and churn both cover exactly the days below its
+// watermark.
 #pragma once
 
 #include <atomic>
@@ -106,13 +108,12 @@ class LiveReportServer {
 struct MonitorOptions {
   /// Result-determining configuration (fingerprinted into checkpoints)
   /// plus the execution knobs (threads, shards, backend — all
-  /// checkpoint-compatible across changes).  `experiment.streaming` is
-  /// ignored: the monitor is its own ingest loop.
+  /// checkpoint-compatible across changes).
   ExperimentOptions experiment;
   /// Ingest segment length in days: each segment is one platform replay
   /// (sharded per `experiment.num_platform_shards`) whose clauses are
-  /// drained day by day and then freed.  Peak retained clauses scale
-  /// with this, not with the run length.
+  /// drained day by day and then freed, and one published LiveReport.
+  /// Peak retained clauses scale with this, not with the run length.
   util::Day segment_days = 28;
   /// Automatic checkpoint cadence in watermark days (0 = only explicit
   /// checkpoint() calls).  Checkpoints are written at segment
@@ -165,8 +166,8 @@ class MonitorEngine {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Ingests and analyzes through `target` (exclusive watermark day),
-  /// segment by segment, publishing a LiveReport at every completed day
-  /// and writing automatic checkpoints at the configured cadence.
+  /// segment by segment, publishing a LiveReport at every completed
+  /// segment and writing automatic checkpoints at the configured cadence.
   void run_until(util::Day target);
   void run_all() { run_until(num_days()); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bgp/route_cache.h"
 #include "util/thread_pool.h"
 
 namespace ct::analysis {
@@ -17,29 +18,26 @@ std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_sha
     return sinks;
   }
 
-  ShardPlan plan = plan_shard_sinks(scenario, shards);
+  const std::vector<iclab::ShardRange> ranges =
+      iclab::plan_shards(platform.config().num_days,
+                         static_cast<std::int32_t>(platform.vantages().size()),
+                         static_cast<std::int32_t>(shards));
+  std::vector<std::unique_ptr<PlatformSinks>> sinks;
   std::vector<iclab::MeasurementSink*> targets;
-  targets.reserve(plan.sinks.size());
-  for (const auto& sinks : plan.sinks) targets.push_back(&sinks->fanout);
-  platform.run_shards(plan.ranges, targets, plan.workers, plan.route_cache.get());
-  return merge_shard_sinks(std::move(plan.sinks));
-}
-
-ShardPlan plan_shard_sinks(Scenario& scenario, unsigned num_shards, bool attach_churn) {
-  const iclab::Platform& platform = scenario.platform();
-  ShardPlan plan;
-  plan.ranges = iclab::plan_shards(platform.config().num_days,
-                                   static_cast<std::int32_t>(platform.vantages().size()),
-                                   static_cast<std::int32_t>(num_shards));
-  plan.sinks.reserve(plan.ranges.size());
-  for (std::size_t i = 0; i < plan.ranges.size(); ++i) {
-    plan.sinks.push_back(std::make_unique<PlatformSinks>(scenario, attach_churn));
+  sinks.reserve(ranges.size());
+  targets.reserve(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    sinks.push_back(std::make_unique<PlatformSinks>(scenario));
+    targets.push_back(&sinks.back()->fanout);
   }
-  plan.workers = std::min(num_shards, util::ThreadPool::hardware_threads());
-  plan.route_cache = std::make_shared<bgp::EpochRouteCache>();
-  iclab::expect_shard_epochs(*plan.route_cache, plan.ranges,
-                             platform.config().epochs_per_day);
-  return plan;
+  // Pre-planned cache: vantage-split shards share each epoch's
+  // bgp::RouteTableSet instead of recomputing it per column, and
+  // day-split shards share their boundary-priming views.
+  bgp::EpochRouteCache route_cache;
+  iclab::expect_shard_epochs(route_cache, ranges, platform.config().epochs_per_day);
+  const unsigned workers = std::min(shards, util::ThreadPool::hardware_threads());
+  platform.run_shards(ranges, targets, workers, &route_cache);
+  return merge_shard_sinks(std::move(sinks));
 }
 
 std::unique_ptr<PlatformSinks> merge_shard_sinks(

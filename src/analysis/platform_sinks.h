@@ -1,8 +1,8 @@
-// The four streaming consumers of one platform run (or of one shard of
-// it), bundled with their fanout and fold.  run_experiment, the
-// platform-shard benchmark, and the equivalence tests all drive exactly
-// this bundle, so adding a sink or changing merge requirements happens
-// in one place.
+// The four consumers of one platform run (or of one shard of it),
+// bundled with their fanout and fold.  run_experiment, the resident
+// monitor, the platform-shard benchmark, and the equivalence tests all
+// drive exactly this bundle, so adding a sink or changing merge
+// requirements happens in one place.
 #pragma once
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "analysis/churn_stats.h"
 #include "analysis/scenario.h"
 #include "analysis/truth_tracker.h"
-#include "bgp/route_cache.h"
 #include "iclab/platform.h"
 #include "tomo/clause.h"
 
@@ -27,12 +26,7 @@ struct PlatformSinks {
   TruthTracker truth_tracker;
   iclab::SinkFanout fanout;
 
-  /// `attach_churn = false` leaves the churn tracker constructed but
-  /// detached from the fanout — the sharded streaming pipeline folds
-  /// churn *globally* behind the min-merged watermark (per-shard
-  /// trackers could not seal windows that straddle shard boundaries)
-  /// and hands the finished fold back via churn_tracker.adopt().
-  explicit PlatformSinks(Scenario& scenario, bool attach_churn = true)
+  explicit PlatformSinks(Scenario& scenario)
       : summary(scenario.graph()),
         clause_builder(scenario.ip2as()),
         churn_tracker(scenario.graph(), scenario.platform().vantages(),
@@ -42,7 +36,7 @@ struct PlatformSinks {
         truth_tracker(scenario.registry(), scenario.platform()) {
     fanout.add(&summary);
     fanout.add(&clause_builder);
-    if (attach_churn) fanout.add(&churn_tracker);
+    fanout.add(&churn_tracker);
     fanout.add(&truth_tracker);
   }
 
@@ -65,32 +59,10 @@ struct PlatformSinks {
 /// shard count.
 std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards);
 
-/// One planned sharded run: the shard ranges, a fresh sink bundle per
-/// shard, the worker count (shards capped at hardware threads), and the
-/// shared per-epoch route-table cache.  Shared by run_platform and the
-/// streaming pipeline so the plan and pool-sizing policy cannot diverge
-/// between the two paths.
-struct ShardPlan {
-  std::vector<iclab::ShardRange> ranges;
-  std::vector<std::unique_ptr<PlatformSinks>> sinks;  // parallel to ranges
-  unsigned workers = 1;
-  /// Pre-planned (expect_shard_epochs) cache: vantage-split shards
-  /// share each epoch's bgp::RouteTableSet instead of recomputing it
-  /// per column, and day-split shards share their boundary-priming
-  /// views.  Forwarded to every run_shard of the plan.
-  std::shared_ptr<bgp::EpochRouteCache> route_cache;
-};
-
-/// Plans `num_shards` (vantage, day) shards over the scenario's
-/// schedule and allocates their sink bundles and route cache.
-/// `attach_churn` is forwarded to every bundle (see PlatformSinks).
-ShardPlan plan_shard_sinks(Scenario& scenario, unsigned num_shards,
-                           bool attach_churn = true);
-
 /// Folds shard-local sink bundles (in plan order) into shard_sinks[0],
 /// canonicalizes the merged clause stream, and returns it; consumed
 /// bundles are freed as they fold, capping peak memory at ~2x the
-/// serial run.  Shared by run_platform and the streaming pipeline.
+/// serial run.  Shared by run_platform and the resident monitor.
 std::unique_ptr<PlatformSinks> merge_shard_sinks(
     std::vector<std::unique_ptr<PlatformSinks>> shard_sinks);
 

@@ -467,7 +467,6 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
           }
         }
       }
-      sink.on_epoch_complete(day, epoch);
     }
   }
 }

@@ -16,7 +16,6 @@
 // sinks so the (potentially large) dataset is streamed, not stored.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <set>
@@ -72,7 +71,7 @@ struct Measurement {
   std::array<bool, censor::kNumAnomalies> truth_censored{};
 };
 
-/// Streaming consumer of platform output.
+/// Consumer of platform output, fed measurement by measurement.
 class MeasurementSink {
  public:
   virtual ~MeasurementSink() = default;
@@ -85,28 +84,12 @@ class MeasurementSink {
                        topo::AsId /*dest*/, const std::vector<topo::AsId>& /*path*/) {}
   /// Called at the start of each simulated day.
   virtual void on_day_start(util::Day /*day*/) {}
-  /// Measurement-clock watermark: called after the last measurement of
-  /// each routing epoch, meaning every measurement of that (day, epoch)
-  /// — within the emitting shard's range — has been delivered.  When
-  /// `epoch` is the day's last, day `day` is complete; streaming
-  /// consumers use this to close time windows that end at `day + 1`:
-  /// CNF emission, the incremental churn/leakage folds' seal points,
-  /// clause retirement, and the any-time LiveReport snapshots all hang
-  /// off this one clock (see README "Streaming ingest" and "Any-time
-  /// results & memory model").
-  virtual void on_epoch_complete(util::Day /*day*/, std::int32_t /*epoch*/) {}
 };
 
 /// Fans one measurement stream out to several sinks.
 class SinkFanout : public MeasurementSink {
  public:
   void add(MeasurementSink* sink) { sinks_.push_back(sink); }
-  /// Detaches `sink` (no-op if absent) — callers that attach a sink
-  /// with a narrower lifetime than the fanout must remove it before
-  /// that lifetime ends.
-  void remove(MeasurementSink* sink) {
-    sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-  }
   void on_measurement(const Measurement& m) override {
     for (auto* s : sinks_) s->on_measurement(m);
   }
@@ -116,9 +99,6 @@ class SinkFanout : public MeasurementSink {
   }
   void on_day_start(util::Day day) override {
     for (auto* s : sinks_) s->on_day_start(day);
-  }
-  void on_epoch_complete(util::Day day, std::int32_t epoch) override {
-    for (auto* s : sinks_) s->on_epoch_complete(day, epoch);
   }
 
  private:

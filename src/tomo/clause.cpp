@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "tomo/cnf_builder.h"
 #include "util/serde.h"
 
 namespace ct::tomo {
@@ -42,79 +40,6 @@ void PathPool::load(util::ByteReader& r) {
   paths_ = std::move(paths);
 }
 
-ClauseBuilder::ClauseBuilder(const net::Ip2AsDb& db) : db_(db) {}
-ClauseBuilder::~ClauseBuilder() = default;
-
-ClauseBuilder::ClauseBuilder(ClauseBuilder&& other) noexcept
-    : db_(other.db_),
-      pool_(std::move(other.pool_)),
-      clauses_(std::move(other.clauses_)),
-      seqs_(std::move(other.seqs_)),
-      retired_(other.retired_),
-      stats_(other.stats_),
-      gauge_(other.gauge_),
-      streaming_(std::move(other.streaming_)) {
-  other.gauge_ = nullptr;  // the retained clauses moved with us
-  // The grouper borrowed the *source's* pool member; point it at ours.
-  if (streaming_ != nullptr) streaming_->rebind_pool(&pool_);
-}
-
-ClauseBuilder::ClauseBuilder(const ClauseBuilder& other)
-    : db_(other.db_),
-      pool_(other.pool_),
-      clauses_(other.clauses_),
-      seqs_(other.seqs_),
-      retired_(other.retired_),
-      stats_(other.stats_),
-      // A copy never inherits the gauge: the original keeps reporting
-      // its retained clauses, and double counting would inflate the
-      // high-water mark.
-      gauge_(nullptr),
-      streaming_(other.streaming_ == nullptr
-                     ? nullptr
-                     : std::make_unique<StreamingCnfBuilder>(*other.streaming_)) {
-  // The copied grouper borrowed the *source's* pool; point it at ours.
-  if (streaming_ != nullptr) streaming_->rebind_pool(&pool_);
-}
-
-void ClauseBuilder::retire_clauses(std::size_t before) {
-  if (before <= retired_) return;
-  const std::size_t drop = std::min(before - retired_, clauses_.size());
-  clauses_.erase(clauses_.begin(), clauses_.begin() + static_cast<std::ptrdiff_t>(drop));
-  seqs_.erase(seqs_.begin(), seqs_.begin() + static_cast<std::ptrdiff_t>(drop));
-  retired_ += drop;
-  if (gauge_ != nullptr) gauge_->sub(static_cast<std::int64_t>(drop));
-}
-
-void ClauseBuilder::set_retained_gauge(util::HwmGauge* gauge) {
-  gauge_ = gauge;
-  if (gauge_ != nullptr) gauge_->add(static_cast<std::int64_t>(clauses_.size()));
-}
-
-void ClauseBuilder::start_streaming(const CnfBuildOptions& options) {
-  if (!clauses_.empty()) {
-    throw std::logic_error("ClauseBuilder::start_streaming: clauses already buffered");
-  }
-  // Borrow our own pool: on_measurement interns each path exactly once.
-  streaming_ = std::make_unique<StreamingCnfBuilder>(options, &pool_);
-}
-
-void ClauseBuilder::start_streaming() { start_streaming(CnfBuildOptions{}); }
-
-std::vector<TomoCnf> ClauseBuilder::advance_watermark(util::Day complete_before) {
-  if (streaming_ == nullptr) {
-    throw std::logic_error("ClauseBuilder::advance_watermark: streaming mode is off");
-  }
-  return streaming_->advance_watermark(complete_before);
-}
-
-std::vector<TomoCnf> ClauseBuilder::flush() {
-  if (streaming_ == nullptr) {
-    throw std::logic_error("ClauseBuilder::flush: streaming mode is off");
-  }
-  return streaming_->flush();
-}
-
 void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
   ++stats_.measurements;
   const net::InferenceResult inferred = net::infer_as_path(m.traceroutes, db_);
@@ -147,23 +72,10 @@ void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
     clauses_.push_back(clause);
     seqs_.push_back(m.seq);
     ++stats_.clauses;
-    if (gauge_ != nullptr) gauge_->add(1);
-    if (streaming_ != nullptr) streaming_->add(pool_, clause);
   }
 }
 
 void ClauseBuilder::merge(ClauseBuilder&& other) {
-  if (streaming_ != nullptr || other.streaming_ != nullptr) {
-    throw std::logic_error(
-        "ClauseBuilder::merge: streaming builders cannot be merged "
-        "(use analysis::StreamingPipeline's min-merged watermark path)");
-  }
-  if ((retired_ > 0 && !clauses_.empty()) ||
-      (other.retired_ > 0 && !other.clauses_.empty())) {
-    throw std::logic_error(
-        "ClauseBuilder::merge: a partially retired stream cannot merge "
-        "(the retained suffixes would masquerade as whole streams)");
-  }
   stats_ += other.stats_;
   PathRemap remap(other.pool_, pool_);
   for (PathClause clause : other.clauses_) {
@@ -179,17 +91,6 @@ void ClauseBuilder::reserve(std::size_t clauses) {
 }
 
 void ClauseBuilder::canonicalize() {
-  if (streaming_ != nullptr) {
-    throw std::logic_error(
-        "ClauseBuilder::canonicalize: streaming mode borrows the pool and "
-        "cannot survive its renumbering (a streaming builder's stream is "
-        "already serial — there is nothing to canonicalize)");
-  }
-  if (retired_ > 0 && !clauses_.empty()) {
-    throw std::logic_error(
-        "ClauseBuilder::canonicalize: the stream is partially retired — "
-        "sorting the retained suffix would masquerade as the whole stream");
-  }
   // Day-split shards merged in plan order (and any serial stream) are
   // already in schedule order: only vantage-split grids need the sort.
   if (!std::is_sorted(seqs_.begin(), seqs_.end())) {

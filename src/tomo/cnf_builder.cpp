@@ -91,10 +91,6 @@ StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options, const PathPool
   borrowed_pool_ = pool;
 }
 
-void StreamingCnfBuilder::rebind_pool(const PathPool* pool) {
-  if (borrowed_pool_ != nullptr) borrowed_pool_ = pool;
-}
-
 std::size_t StreamingCnfBuilder::open_groups(const Chain& chain) {
   std::size_t n = 0;
   for (const auto& groups : chain.groups) n += groups.size();
@@ -301,7 +297,7 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
   w.i64(emitted_);
 }
 
-void StreamingCnfBuilder::load(util::ByteReader& r) {
+void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls) {
   pool_.load(r);
   chains_.clear();
   const std::size_t n = r.size();
@@ -313,6 +309,10 @@ void StreamingCnfBuilder::load(util::ByteReader& r) {
         static_cast<std::size_t>(key.granularity) >= kNumGranularities || key.url_id < 0 ||
         (i > 0 && !(previous < key))) {
       throw util::SerdeError("StreamingCnfBuilder::load: invalid or unordered window key");
+    }
+    if (key.url_id >= num_urls) {
+      throw util::SerdeError("StreamingCnfBuilder::load: url_id " + std::to_string(key.url_id) +
+                             " outside the run's " + std::to_string(num_urls) + " URLs");
     }
     previous = key;
     Group group;

@@ -16,9 +16,9 @@
 //     stream, return every CNF sorted by key.
 //   * StreamingCnfBuilder — the incremental path: feed clauses in
 //     stream order as measurements arrive, and advance_watermark(day)
-//     emits exactly the CNFs whose windows closed, while they are still
-//     warm, so SAT analysis can overlap ingest (README "Streaming
-//     ingest").
+//     emits exactly the CNFs whose windows closed, so the resident
+//     monitor analyzes each window as soon as it seals (README
+//     "Resident monitor & checkpoints").
 //
 // Layout.  Groups live per *chain* — one (URL, anomaly) pair, at dense
 // index url_id * kNumAnomalies + anomaly — and each chain keeps one
@@ -105,12 +105,12 @@ struct CnfBuildOptions {
 /// a window never reopens once emitted (a late add() throws), and the
 /// concatenation of all emitted batches is, as a set, exactly what
 /// build_cnfs() returns on the same stream — bit-identical CNFs, since
-/// both run this class.  The builder owns a private PathPool, so it can
-/// ingest clauses from any caller pool (e.g. the min-merged multi-shard
-/// stream) without coordinating path ids.
+/// both run this class.  In its default mode the builder owns a private
+/// PathPool, so it can ingest clauses from any caller pool without
+/// coordinating path ids.
 ///
 /// Memory: a chain's dedupe stamps are dropped as soon as it has no
-/// open group, so streaming state stays O(open windows).
+/// open group, so incremental state stays O(open windows).
 class StreamingCnfBuilder {
  public:
   explicit StreamingCnfBuilder(CnfBuildOptions options = {});
@@ -119,16 +119,12 @@ class StreamingCnfBuilder {
   /// are already canonical (equal id <=> equal path), so clauses are
   /// filed with no per-clause re-intern.  The pool must outlive the
   /// builder (appending to it is fine; renumbering is not).  Every
-  /// production caller uses this mode — build_cnfs, ClauseBuilder, and
-  /// the multi-shard WatermarkCoordinator (which interns shard clauses
-  /// into one pool as they arrive, then borrows it).  The default
-  /// owned-pool mode re-interns per add() for callers whose source pool
-  /// ids are not canonical or not stable.
+  /// production caller uses this mode — build_cnfs and the resident
+  /// monitor (which interns each segment's clauses into one persistent
+  /// pool, then borrows it).  The default owned-pool mode re-interns
+  /// per add() for callers whose source pool ids are not canonical or
+  /// not stable.
   StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool);
-
-  /// Re-targets borrowed-pool mode at `pool` (no-op when owning); for
-  /// copies whose source borrowed a pool that was copied along with it.
-  void rebind_pool(const PathPool* pool);
 
   /// Files `clause` (whose path_id resolves in `pool`) into its open
   /// window groups.  Throws std::logic_error if clause.day precedes the
@@ -157,9 +153,12 @@ class StreamingCnfBuilder {
   /// restoring caller must recreate identically (the checkpoint
   /// envelope's config fingerprint guards this).  In borrowed-pool mode
   /// the group path ids resolve in the borrowed pool, so the caller must
-  /// save/load that pool alongside.
+  /// save/load that pool alongside.  load() throws util::SerdeError for
+  /// a window whose url_id is not below `num_urls` (the chain table is
+  /// sized by the largest url_id, so an unbounded id would allocate in
+  /// proportion to it).
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_urls);
 
  private:
   static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
@@ -245,14 +244,14 @@ class StreamingCnfBuilder {
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
                                 const CnfBuildOptions& options = {});
 
-/// Streaming form of Figure 4's churn ablation: keeps, per
+/// Incremental form of Figure 4's churn ablation: keeps, per
 /// (vantage, URL), only the clauses whose path equals the first path
 /// observed for that pair — i.e., erases the effect of path churn.
 /// Clauses must arrive in canonical stream order and resolve in one
 /// interned pool (equal id <=> equal path; ids may only be appended, so
 /// the recorded first-path ids stay valid).  Stateful and O(pairs);
-/// both the batch strip_path_churn() and the streaming pipeline's
-/// overlapped Figure-4 pass run on this filter.
+/// both the batch strip_path_churn() and the resident monitor's
+/// Figure-4 pass run on this filter.
 class ChurnStripFilter {
  public:
   /// True iff `clause` survives the ablation.  Empty paths never do

@@ -45,7 +45,7 @@ struct LeakageReport {
 /// Incremental leakage fold: consumes (CNF, verdict) pairs one at a
 /// time and retains only the class-1 *evidence* — the verdict's censor
 /// set plus its anomaly-observed paths, interned in a private pool — so
-/// a streaming run never holds the full CNF/verdict stream for the
+/// a monitor run never holds the full CNF/verdict stream for the
 /// post-hoc leakage pass.  finalize() applies the min-support censor
 /// filter (only known once the run ends) and replays the evidence; the
 /// report is a pure function of the evidence *set* (victim sets and
@@ -84,7 +84,7 @@ class LeakageFold {
 /// must be parallel arrays (as produced by build_cnfs + analyze_cnfs).
 /// `min_support` is forwarded to identified_censors(); only supported
 /// censors generate leaks.  Implemented as a LeakageFold over the
-/// arrays, so batch and streaming share one leakage implementation.
+/// arrays, so batch and the monitor share one leakage implementation.
 LeakageReport analyze_leakage(const topo::AsGraph& graph, const std::vector<TomoCnf>& cnfs,
                               const std::vector<CnfVerdict>& verdicts,
                               std::int32_t min_support = 1);

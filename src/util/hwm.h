@@ -1,12 +1,11 @@
-// Retire/seal accounting for the streaming window machinery.
+// Retain/retire accounting for the resident monitor's window machinery.
 //
-// The O(open windows) memory contract (README "Any-time results &
-// memory model") says the streaming pipeline may retain raw clauses and
-// churn observations only until the watermark seals their window; the
-// holders of that state (tomo::ClauseBuilder, the streaming
-// coordinator's day buffer) report every retain/retire transition to a
-// shared HwmGauge, and the pipeline exposes the gauge's high-water mark
-// so tests and benchmarks can assert the bound instead of trusting it.
+// The O(open windows) memory contract (README "Resident monitor &
+// checkpoints") says the monitor may hold a segment's raw clauses only
+// until its per-day drain has filed them; the monitor reports every
+// retain/retire transition to an HwmGauge and exposes the gauge's
+// high-water mark so tests and benchmarks can assert the bound instead
+// of trusting it.
 #pragma once
 
 #include <atomic>

@@ -6,7 +6,7 @@
 // verdict level (every field of every verdict, byte-identical across
 // auto / cdcl / count / unitprop, three seeds, lazy and eager counting)
 // and at the experiment level (every table/figure data product, across
-// backends x shard counts x batch/streaming).
+// backends x shard counts).
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -170,7 +170,7 @@ void expect_results_equal(const ExperimentResult& a, const ExperimentResult& b) 
   EXPECT_EQ(a.engine_stats.fresh_clauses, b.engine_stats.fresh_clauses);
 }
 
-TEST(BackendEquivalence, RunExperimentAcrossBackendsShardsStreaming) {
+TEST(BackendEquivalence, RunExperimentAcrossBackendsAndShards) {
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
@@ -179,41 +179,12 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsShardsStreaming) {
 
   for (const Mode mode : kAllModes) {
     for (const unsigned shards : {1u, 4u}) {
-      for (const bool streaming : {false, true}) {
-        SCOPED_TRACE(std::string("backend=") + sat::BackendSelector::to_string(mode) +
-                     " shards=" + std::to_string(shards) +
-                     (streaming ? " streaming" : " batch"));
-        Scenario scenario(shard_scenario(20170623));
-        ExperimentOptions options;
-        options.analysis.backend.mode = mode;
-        options.num_platform_shards = shards;
-        options.streaming = streaming;
-        expect_results_equal(run_experiment(scenario, options), baseline);
-      }
-    }
-  }
-}
-
-// The remaining seeds run the maximally composed configuration
-// (sharded + streaming) per non-default backend: cheaper than the full
-// cross, still pinning every seed on every backend.
-TEST(BackendEquivalence, RemainingSeedsShardedStreaming) {
-  for (const std::uint64_t seed : {20170624ULL, 20170625ULL}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Scenario baseline_scenario(shard_scenario(seed));
-    ExperimentOptions baseline_options;
-    baseline_options.analysis.backend.mode = Mode::kCdcl;
-    baseline_options.num_platform_shards = test::shards_from_env();
-    const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
-
-    for (const Mode mode : {Mode::kAuto, Mode::kCount, Mode::kUnitProp, Mode::kIpasir,
-                            Mode::kPortfolio}) {
-      SCOPED_TRACE(std::string("backend=") + sat::BackendSelector::to_string(mode));
-      Scenario scenario(shard_scenario(seed));
+      SCOPED_TRACE(std::string("backend=") + sat::BackendSelector::to_string(mode) +
+                   " shards=" + std::to_string(shards));
+      Scenario scenario(shard_scenario(20170623));
       ExperimentOptions options;
       options.analysis.backend.mode = mode;
-      options.num_platform_shards = 4;
-      options.streaming = true;
+      options.num_platform_shards = shards;
       expect_results_equal(run_experiment(scenario, options), baseline);
     }
   }

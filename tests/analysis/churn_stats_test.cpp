@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +20,8 @@
 
 namespace ct::analysis {
 namespace {
+
+using test::expect_churn_equal;
 
 topo::AsGraph tiny_graph() {
   topo::TopologyConfig cfg;
@@ -308,6 +313,117 @@ std::string hex(const std::string& bytes) {
     out += kDigits[static_cast<std::uint8_t>(c) & 0xf];
   }
   return out;
+}
+
+// --- ChurnFold prefix-snapshot fuzz ---------------------------------------
+
+TEST(ChurnFoldFuzz, SnapshotsMatchUnsealedFoldUnderRandomRetireInterleavings) {
+  const std::uint64_t seed = ct::test::fuzz_seed(20260731);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  const topo::AsGraph graph = tiny_graph();
+  const std::vector<topo::AsId> vantages{3, 10};
+  const std::vector<topo::AsId> dests{20, 21, 25};
+  constexpr util::Day kDays = 5 * util::kDaysPerWeek;
+
+  for (int round = 0; round < 25; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    ChurnFold fold(graph, vantages, dests, kDays, 3);
+    std::vector<std::tuple<std::size_t, util::Day, std::uint64_t>> observed;
+    util::Day retired = 0;
+
+    auto check_snapshot = [&] {
+      ChurnFold reference(graph, vantages, dests, kDays, 3);
+      for (const auto& [pair, day, sig] : observed) reference.observe(pair, day, sig);
+      expect_churn_equal(fold.snapshot(), reference.snapshot());
+      for (std::size_t p = 0; p < fold.num_pairs(); ++p) {
+        EXPECT_EQ(fold.distinct_of_pair(p), reference.distinct_of_pair(p));
+      }
+    };
+
+    // A day-ascending observation stream with random density, random
+    // signature reuse, and random retire points — every snapshot along
+    // the way must equal the unsealed batch fold of the same prefix.
+    for (util::Day day = 0; day < kDays; ++day) {
+      const std::int64_t obs_today = rng.uniform_int(0, 6);
+      for (std::int64_t k = 0; k < obs_today; ++k) {
+        const auto pair = static_cast<std::size_t>(
+            rng.index(vantages.size() * dests.size()));
+        // Small signature alphabet: windows frequently see repeats (the
+        // distinct-set dedup path) and occasionally 5+ distinct values
+        // (the histogram overflow bucket).
+        const auto sig = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+        fold.observe(pair, day, sig);
+        observed.emplace_back(pair, day, sig);
+      }
+      if (rng.bernoulli(0.4)) {
+        // Any watermark at or below the current day is legal, including
+        // replays of old ones (monotone no-op).
+        const auto target = static_cast<util::Day>(rng.uniform_int(0, day));
+        fold.retire_before(target);
+        retired = std::max(retired, target);
+        EXPECT_EQ(fold.retired_before(), retired);
+      }
+      if (rng.bernoulli(0.25)) check_snapshot();
+    }
+    fold.retire_before(kDays);
+    check_snapshot();
+    // Month/year windows extend past the run, so they are still open at
+    // the end-of-run watermark; sealing past the year boundary drains
+    // every unsealed window without changing the snapshot.
+    EXPECT_GT(fold.open_window_entries(), 0u);
+    fold.retire_before(util::kDaysPerYear);
+    check_snapshot();
+    EXPECT_EQ(fold.open_window_entries(), 0u);
+  }
+}
+
+TEST(ChurnFoldFuzz, ShardedMergeMatchesSerialFoldOnRandomStreams) {
+  const std::uint64_t seed = ct::test::fuzz_seed(20260732);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  const topo::AsGraph graph = tiny_graph();
+  const std::vector<topo::AsId> vantages{3, 10};
+  const std::vector<topo::AsId> dests{20, 25};
+  constexpr util::Day kDays = 3 * util::kDaysPerWeek;
+
+  for (int round = 0; round < 25; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    // A random day split: windows straddle the boundary, so the merge
+    // must union partial windows, not just concatenate.
+    const auto split = static_cast<util::Day>(rng.uniform_int(1, kDays - 1));
+    ChurnFold serial(graph, vantages, dests, kDays, 3);
+    ChurnFold left(graph, vantages, dests, kDays, 3);
+    ChurnFold right(graph, vantages, dests, kDays, 3);
+    for (util::Day day = 0; day < kDays; ++day) {
+      const std::int64_t obs_today = rng.uniform_int(0, 4);
+      for (std::int64_t k = 0; k < obs_today; ++k) {
+        const auto pair =
+            static_cast<std::size_t>(rng.index(vantages.size() * dests.size()));
+        const auto sig = static_cast<std::uint64_t>(rng.uniform_int(1, 6));
+        serial.observe(pair, day, sig);
+        (day < split ? left : right).observe(pair, day, sig);
+      }
+    }
+    ChurnFold merged(left);
+    merged.merge(std::move(right));
+    expect_churn_equal(merged.snapshot(), serial.snapshot());
+
+    // Sealed folds refuse to merge: the same window may be open on the
+    // other side.
+    left.retire_before(split);
+    ChurnFold other(graph, vantages, dests, kDays, 3);
+    EXPECT_THROW(left.merge(std::move(other)), std::logic_error);
+  }
+}
+
+TEST(ChurnFold, LateObservationAfterSealThrows) {
+  const topo::AsGraph graph = tiny_graph();
+  ChurnFold fold(graph, {3}, {20}, 14, 1);
+  fold.observe(0, 3, 42);
+  fold.retire_before(4);
+  EXPECT_THROW(fold.observe(0, 3, 43), std::logic_error);
+  fold.observe(0, 4, 43);  // at the watermark: still open
 }
 
 TEST(ChurnFold, CheckpointBytesAreStable) {

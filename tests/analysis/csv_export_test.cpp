@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/experiment.h"
+#include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "shard_env.h"
 
@@ -100,23 +101,23 @@ TEST(CsvExport, WriteAllCreatesFiles) {
   std::filesystem::remove_all(dir);
 }
 
-// Streaming-vs-batch round-trip: every CSV series produced from a
-// streaming run — whose results come entirely from the incremental
-// folds, with no retained clause or verdict stream — must be
-// byte-identical to the batch run's.  The figure CSVs are the
+// Monitor-vs-batch round-trip: every CSV series produced from a
+// resident monitor run — whose results come entirely from the
+// incremental folds, with no retained clause or verdict stream — must
+// be byte-identical to the batch run's.  The figure CSVs are the
 // experiment's machine-readable products, so this is the end-to-end
 // form of the fold equivalence contract.
-TEST(CsvExport, StreamingRunCsvIsByteIdenticalToBatchRun) {
+TEST(CsvExport, MonitorRunCsvIsByteIdenticalToBatchRun) {
   Scenario batch_scenario(test::shard_scenario(20170623));
   ExperimentOptions batch_options;
   batch_options.num_platform_shards = test::shards_from_env();
   const ExperimentResult batch = run_experiment(batch_scenario, batch_options);
 
-  Scenario streaming_scenario(test::shard_scenario(20170623));
-  ExperimentOptions streaming_options;
-  streaming_options.streaming = true;
-  streaming_options.num_platform_shards = 2;
-  const ExperimentResult streamed = run_experiment(streaming_scenario, streaming_options);
+  Scenario monitor_scenario(test::shard_scenario(20170623));
+  MonitorOptions monitor_options;
+  monitor_options.experiment.num_platform_shards = 2;
+  monitor_options.segment_days = util::kDaysPerWeek;
+  const ExperimentResult monitored = MonitorEngine(monitor_scenario, monitor_options).finalize();
 
   using Writer = void (*)(std::ostream&, const ExperimentResult&);
   const std::pair<const char*, Writer> series[] = {
@@ -127,11 +128,11 @@ TEST(CsvExport, StreamingRunCsvIsByteIdenticalToBatchRun) {
   };
   for (const auto& [name, writer] : series) {
     SCOPED_TRACE(name);
-    std::ostringstream batch_csv, streaming_csv;
+    std::ostringstream batch_csv, monitor_csv;
     writer(batch_csv, batch);
-    writer(streaming_csv, streamed);
+    writer(monitor_csv, monitored);
     EXPECT_GT(batch_csv.str().size(), 0u);
-    EXPECT_EQ(streaming_csv.str(), batch_csv.str());  // byte-identical
+    EXPECT_EQ(monitor_csv.str(), batch_csv.str());  // byte-identical
   }
 }
 

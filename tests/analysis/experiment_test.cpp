@@ -16,10 +16,9 @@ namespace ct::analysis {
 namespace {
 
 /// One shared run (building it per-test would dominate test time).
-/// Honors CT_PLATFORM_SHARDS and CT_STREAMING: results are bit-identical
-/// in every mode (experiment_shard_test.cpp and
-/// streaming_equivalence_test.cpp prove it), so every assertion below
-/// holds in all CI configurations.
+/// Honors CT_PLATFORM_SHARDS: results are bit-identical in every mode
+/// (experiment_shard_test.cpp proves it), so every assertion below holds
+/// in all CI configurations.
 class ExperimentTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.h"
+#include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "shard_env.h"
 
@@ -25,7 +26,7 @@ namespace {
 // One golden file per scenario regime: the baseline keeps its historic
 // name, the stress regimes get a suffix (small_scenario_routing.txt,
 // ...).  CI's scenario matrix checks each regime's frozen numbers
-// through the sharded and streaming paths too.
+// through the sharded platform and the resident monitor too.
 std::string golden_path() {
   const censor::ScenarioRegime regime = censor::regime_from_env();
   if (regime == censor::ScenarioRegime::kBaseline) {
@@ -34,14 +35,20 @@ std::string golden_path() {
   return std::string(CT_GOLDEN_DIR "/small_scenario_") + censor::to_string(regime) + ".txt";
 }
 
-std::map<std::string, std::int64_t> headline_numbers(bool force_streaming = false) {
+std::map<std::string, std::int64_t> headline_numbers(bool through_monitor = false) {
   ScenarioConfig config = small_scenario();
   test::apply_env(config);
   Scenario scenario(config);
   ExperimentOptions options;
   test::apply_env(options);
-  if (force_streaming) options.streaming = true;
-  const ExperimentResult r = run_experiment(scenario, options);
+  ExperimentResult r;
+  if (through_monitor) {
+    MonitorOptions monitor_options;
+    monitor_options.experiment = options;
+    r = MonitorEngine(scenario, monitor_options).finalize();
+  } else {
+    r = run_experiment(scenario, options);
+  }
 
   std::map<std::string, std::int64_t> kv;
   kv["table1.measurements"] = r.table1.measurements;
@@ -112,17 +119,14 @@ TEST(GoldenRegression, SmallScenarioHeadlineNumbers) {
   expect_matches_golden(actual);
 }
 
-// The same frozen numbers must come out of the streaming pipeline:
-// a drift here but not above means the overlapped path diverged from
-// the batch path (see also streaming_equivalence_test.cpp).
-TEST(GoldenRegression, SmallScenarioHeadlineNumbersStreaming) {
+// The same frozen numbers must come out of the resident monitor: a
+// drift here but not above means the segment-by-segment run diverged
+// from the batch path (see also monitor_checkpoint_test.cpp).
+TEST(GoldenRegression, SmallScenarioHeadlineNumbersMonitor) {
   if (std::getenv("CT_UPDATE_GOLDEN") != nullptr) {
     GTEST_SKIP() << "golden file is regenerated by the batch test only";
   }
-  if (test::streaming_from_env()) {
-    GTEST_SKIP() << "CT_STREAMING=1 already runs the main test streaming";
-  }
-  expect_matches_golden(headline_numbers(/*force_streaming=*/true));
+  expect_matches_golden(headline_numbers(/*through_monitor=*/true));
 }
 
 }  // namespace

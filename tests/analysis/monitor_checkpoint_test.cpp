@@ -11,10 +11,18 @@
 // points; the envelope tests pin down the refusal behavior (unknown or
 // older version, bad magic, truncation, trailing bytes, fingerprint
 // mismatch, corrupt payload) as clean CheckpointErrors, never UB.
+//
+// MonitorLive holds the any-time contract: every published LiveReport
+// is valid at its watermark — its verdict counts cover exactly the CNFs
+// of the windows sealed by the watermark and its churn stats exactly
+// the measurement days below it, i.e. it equals the batch computation
+// over its sealed prefix.
 #include "analysis/monitor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -25,14 +33,20 @@
 #include "../support/fuzz_seed.h"
 #include "analysis/checkpoint.h"
 #include "analysis/experiment.h"
+#include "analysis/live_report.h"
+#include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
+#include "expect_churn.h"
 #include "sat/backend.h"
 #include "shard_env.h"
+#include "tomo/cnf_builder.h"
+#include "tomo/engine.h"
 
 namespace ct::analysis {
 namespace {
 
+using test::expect_churn_equal;
 using test::shard_scenario;
 
 MonitorOptions monitor_options(unsigned shards) {
@@ -344,6 +358,145 @@ TEST(MonitorMemory, SegmentsDrainToZeroAndGaugeNeverUnderflows) {
   EXPECT_GT(stats.retained_clauses_peak, 0);
   EXPECT_EQ(stats.watermark, config.platform.num_days);
   EXPECT_GT(stats.segments_ingested, 1);
+}
+
+// --- any-time snapshots -------------------------------------------------
+
+util::Day window_end(const tomo::CnfKey& key) {
+  return util::window_start(key.window, key.granularity) + util::window_length(key.granularity);
+}
+
+/// Records every on_path observation as (day, pair, signature) so churn
+/// prefixes can be replayed through a fresh ChurnFold.
+class PathRecorder : public iclab::MeasurementSink {
+ public:
+  struct Obs {
+    util::Day day;
+    std::size_t pair;
+    std::uint64_t sig;
+  };
+
+  explicit PathRecorder(const iclab::Platform& platform) {
+    const auto& vantages = platform.vantages();
+    const auto& dests = platform.dest_ases();
+    for (std::size_t i = 0; i < vantages.size(); ++i) vantage_index_[vantages[i]] = i;
+    for (std::size_t i = 0; i < dests.size(); ++i) dest_index_[dests[i]] = i;
+    num_dests_ = dests.size();
+  }
+
+  void on_measurement(const iclab::Measurement&) override {}
+  void on_path(util::Day day, std::int32_t /*epoch*/, topo::AsId vantage, topo::AsId dest,
+               const std::vector<topo::AsId>& path) override {
+    const auto vi = vantage_index_.find(vantage);
+    const auto di = dest_index_.find(dest);
+    if (vi == vantage_index_.end() || di == dest_index_.end()) return;
+    const std::uint64_t sig = path_signature(path);
+    if (sig == 0) return;
+    observations_.push_back(Obs{day, vi->second * num_dests_ + di->second, sig});
+  }
+
+  /// Unsealed batch fold of every observation with day < `before`.
+  ChurnStats prefix_churn(Scenario& scenario, util::Day before) const {
+    const auto& platform = scenario.platform();
+    ChurnFold fold(scenario.graph(), platform.vantages(), platform.dest_ases(),
+                   platform.config().num_days, platform.config().epochs_per_day);
+    for (const Obs& obs : observations_) {
+      if (obs.day < before) fold.observe(obs.pair, obs.day, obs.sig);
+    }
+    return fold.snapshot();
+  }
+
+ private:
+  std::map<topo::AsId, std::size_t> vantage_index_;
+  std::map<topo::AsId, std::size_t> dest_index_;
+  std::size_t num_dests_ = 0;
+  std::vector<Obs> observations_;
+};
+
+/// Batch verdict counts over the CNFs whose windows end at or before
+/// `watermark` — the reference a LiveReport must equal.
+LiveReport prefix_counts(const std::vector<tomo::TomoCnf>& cnfs,
+                         const std::vector<tomo::CnfVerdict>& verdicts,
+                         util::Day watermark) {
+  LiveReport expected;
+  expected.watermark = watermark;
+  for (std::size_t i = 0; i < cnfs.size(); ++i) {
+    if (window_end(cnfs[i].key) > watermark) continue;
+    const tomo::CnfVerdict& v = verdicts[i];
+    ++expected.cnfs_analyzed;
+    const auto cls = static_cast<std::size_t>(v.solution_class);
+    ++expected.overall.count[cls];
+    ++expected.by_url[v.key.url_id].count[cls];
+    if (v.solution_class == 1) {
+      for (const topo::AsId as : v.censors) ++expected.exact_censor_cnfs[as];
+    } else if (v.solution_class == 2) {
+      for (const topo::AsId as : v.potential_censors) ++expected.potential_censor_cnfs[as];
+    }
+  }
+  return expected;
+}
+
+void expect_counts_equal(const LiveReport& actual, const LiveReport& expected) {
+  EXPECT_EQ(actual.cnfs_analyzed, expected.cnfs_analyzed);
+  EXPECT_EQ(actual.overall, expected.overall);
+  EXPECT_EQ(actual.by_url, expected.by_url);
+  EXPECT_EQ(actual.exact_censor_cnfs, expected.exact_censor_cnfs);
+  EXPECT_EQ(actual.potential_censor_cnfs, expected.potential_censor_cnfs);
+}
+
+TEST(MonitorLive, EveryReportEqualsBatchOfSealedPrefix) {
+  const std::uint64_t seed = 20170623;
+  Scenario ref_scenario(shard_scenario(seed));
+  const std::unique_ptr<PlatformSinks> ref_sinks = run_platform(ref_scenario, 1);
+  const std::vector<tomo::TomoCnf> ref_cnfs =
+      tomo::build_cnfs(ref_sinks->clause_builder.pool(), ref_sinks->clause_builder.clauses());
+  tomo::AnalysisOptions analysis;
+  analysis.resolve_counts = false;
+  const std::vector<tomo::CnfVerdict> ref_verdicts = tomo::analyze_cnfs(ref_cnfs, analysis);
+
+  // Churn reference: the same platform stream, recorded day by day.
+  Scenario record_scenario(shard_scenario(seed));
+  PathRecorder recorder(record_scenario.platform());
+  record_scenario.platform().run(recorder);
+
+  for (const unsigned shards : {1u, 4u}) {
+    for (const util::Day segment_days : {7, 1}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " segment_days=" + std::to_string(segment_days));
+      Scenario scenario(shard_scenario(seed));
+      MonitorOptions options;
+      options.experiment.num_platform_shards = shards;
+      options.experiment.num_threads = 2;
+      options.segment_days = segment_days;
+      MonitorEngine monitor(scenario, options);
+      const util::Day num_days = monitor.num_days();
+
+      while (monitor.watermark() < num_days) {
+        monitor.run_until(monitor.watermark() + segment_days);
+        const auto report = monitor.reports().snapshot();
+        ASSERT_NE(report, nullptr);
+        SCOPED_TRACE("watermark " + std::to_string(report->watermark));
+        EXPECT_EQ(report->watermark, monitor.watermark());
+        expect_counts_equal(*report, prefix_counts(ref_cnfs, ref_verdicts, report->watermark));
+        expect_churn_equal(report->churn,
+                           recorder.prefix_churn(record_scenario, report->watermark));
+        // One report per ingested segment: a per-day report inside a
+        // segment would carry churn from days not yet drained.
+        EXPECT_EQ(monitor.reports().published(),
+                  static_cast<std::uint64_t>(monitor.stats().segments_ingested));
+      }
+
+      // The final report is the whole run: full verdict counts and the
+      // batch Figure-3 stats.
+      monitor.finalize();
+      const auto final_report = monitor.reports().snapshot();
+      ASSERT_NE(final_report, nullptr);
+      EXPECT_EQ(final_report->watermark, num_days);
+      expect_counts_equal(*final_report, prefix_counts(ref_cnfs, ref_verdicts,
+                                                       num_days + util::kDaysPerYear));
+      expect_churn_equal(final_report->churn, ref_sinks->churn_tracker.compute());
+    }
+  }
 }
 
 TEST(MonitorStatsTest, ClauseConservationAcrossResume) {

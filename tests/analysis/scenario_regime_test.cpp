@@ -5,7 +5,7 @@
 // experiment measures, but none of them may change the execution
 // contract: within a regime, the canonical report (serialize_report, the
 // same oracle the monitor and checkpoint suites use) must be
-// byte-identical across platform shard counts, the streaming pipeline,
+// byte-identical across platform shard counts, the resident monitor,
 // and forced SAT backends.  And every stress
 // regime must actually move the world: a regime whose report matches the
 // baseline byte for byte is dead wiring, not a scenario.
@@ -16,6 +16,7 @@
 
 #include "analysis/checkpoint.h"
 #include "analysis/experiment.h"
+#include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
 #include "sat/backend.h"
@@ -53,10 +54,12 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
       EXPECT_EQ(report_bytes(config, sharded), expected) << "sharded diverged";
     }
     {
-      ExperimentOptions streaming;
-      streaming.streaming = true;
-      streaming.num_platform_shards = 2;
-      EXPECT_EQ(report_bytes(config, streaming), expected) << "streaming diverged";
+      Scenario scenario(config);
+      MonitorOptions monitor;
+      monitor.experiment.num_platform_shards = 2;
+      monitor.segment_days = util::kDaysPerWeek;
+      EXPECT_EQ(serialize_report(MonitorEngine(scenario, monitor).finalize()), expected)
+          << "monitor diverged";
     }
     {
       ExperimentOptions forced;

@@ -3,17 +3,15 @@
 // CI runs the suite across a matrix of execution modes; results must be
 // identical in every configuration:
 //   * CT_PLATFORM_SHARDS — serial (1, the default) vs sharded platform,
-//   * CT_STREAMING — batch (0, the default) vs streaming pipeline
-//     (README "Streaming ingest"),
 //   * CT_SAT_BACKEND — per-CNF backend selection: auto (the default)
 //     or one forced backend for every CNF (README "Solver backends"),
 //   * CT_SCENARIO — scenario regime: baseline (the default) or one of
 //     the stress regimes (README "Scenarios").  Unlike the knobs above
 //     this changes the *world*, not the execution strategy — but within
 //     one regime every execution mode must still agree byte for byte.
-// Tests that run the full experiment read both knobs from here, so the
+// Tests that run the full experiment read the knobs from here, so the
 // env contract lives in exactly one place; the equivalence suites
-// (experiment_shard_test.cpp, streaming_equivalence_test.cpp) share
+// (experiment_shard_test.cpp, monitor_checkpoint_test.cpp) share
 // shard_scenario() for the same reason.
 #pragma once
 
@@ -37,15 +35,9 @@ inline unsigned shards_from_env() {
   return env == nullptr ? 1 : static_cast<unsigned>(std::strtoul(env, nullptr, 10));
 }
 
-inline bool streaming_from_env() {
-  const char* env = std::getenv("CT_STREAMING");
-  return env != nullptr && std::strtoul(env, nullptr, 10) != 0;
-}
-
 /// Applies the env knobs to an options struct.
 inline void apply_env(ExperimentOptions& options) {
   options.num_platform_shards = shards_from_env();
-  options.streaming = streaming_from_env();
   options.analysis.backend = sat::BackendSelector::from_env();
 }
 

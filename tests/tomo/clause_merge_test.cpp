@@ -126,29 +126,6 @@ TEST_F(ClauseMergeTest, MergedShardsReproduceSerialStream) {
   EXPECT_EQ(shard_clauses, static_cast<std::int64_t>(serial_->clauses().size()));
 }
 
-TEST_F(ClauseMergeTest, MergingFullyRetiredBuilderInternsNothing) {
-  // A fully retired shard keeps its stats and its pool, but no clause
-  // uses a pooled path any more: merging it adds stats and no path.
-  ClauseBuilder retired = *shards_[0];
-  retired.retire_clauses(retired.clause_count());
-  ASSERT_GT(retired.pool().size(), 0u);
-  ASSERT_TRUE(retired.clauses().empty());
-
-  ClauseBuilder fresh(scenario_->ip2as());
-  fresh.merge(ClauseBuilder(retired));
-  EXPECT_EQ(fresh.pool().size(), 0u);
-  EXPECT_TRUE(fresh.clauses().empty());
-  EXPECT_EQ(fresh.stats(), retired.stats());
-
-  ClauseBuilder merged = *shards_[1];
-  merged.merge(std::move(retired));
-  merged.canonicalize();
-  ClauseBuilder plain = *shards_[1];
-  plain.canonicalize();
-  EXPECT_EQ(merged.clauses(), plain.clauses());
-  EXPECT_EQ(merged.pool().size(), plain.pool().size());
-}
-
 TEST_F(ClauseMergeTest, StatsSum) {
   ClauseBuildStats sum;
   for (const auto& shard : shards_) sum += shard->stats();

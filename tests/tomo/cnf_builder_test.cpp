@@ -359,9 +359,11 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
     const std::vector<TomoCnf> want = reference_cnfs(pool, clauses, options);
     expect_cnfs_equal(build_cnfs(pool, clauses, options), want);
 
-    // The same stream through the streaming path, with random watermark
+    // The same stream through the incremental path, with random watermark
     // advances and save/load round trips into a fresh builder mid-run:
     // the rebuilt dedupe state must file nothing twice.
+    std::int32_t num_urls = 0;  // the tightest bound load() must accept
+    for (const PathClause& c : clauses) num_urls = std::max(num_urls, c.url_id + 1);
     auto builder = std::make_unique<StreamingCnfBuilder>(options, &pool);
     std::vector<TomoCnf> streamed;
     const auto take = [&streamed](std::vector<TomoCnf> batch) {
@@ -374,7 +376,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
         builder->save(w);
         builder = std::make_unique<StreamingCnfBuilder>(options, &pool);
         util::ByteReader r(w.bytes());
-        builder->load(r);
+        builder->load(r, num_urls);
         r.expect_end();
       }
       if (i + 1 < clauses.size() && rng.bernoulli(0.1)) {
@@ -450,7 +452,7 @@ TEST(CnfBuilder, CheckpointBytesAreStable) {
   // load() + save() reproduces the bytes.
   StreamingCnfBuilder restored;
   util::ByteReader r(w.bytes());
-  restored.load(r);
+  restored.load(r, /*num_urls=*/2);
   r.expect_end();
   util::ByteWriter again;
   restored.save(again);
@@ -470,7 +472,7 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
 
   StreamingCnfBuilder restored(CnfBuildOptions{}, &pool);
   util::ByteReader r(w.bytes());
-  restored.load(r);
+  restored.load(r, /*num_urls=*/1);
   // Both pairs already sit in every open window: nothing is filed, so
   // the state (negatives included, which no CNF field would show) is
   // byte-for-byte what was saved.
@@ -491,6 +493,52 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
     SCOPED_TRACE(util::window_label(tc.key.window, tc.key.granularity));
     EXPECT_EQ(tc.num_positive_clauses, 1);
   }
+}
+
+/// A hand-built owned-pool payload holding one open day window of
+/// `url_id` with one positive path — as a crafted checkpoint would.
+std::string one_window_payload(std::int32_t url_id) {
+  const auto save_id = [](util::ByteWriter& w, PathPool::PathId id) { w.i32(id); };
+  PathPool pool;
+  const std::vector<PathPool::PathId> ids{pool.intern({1, 2})};
+  util::ByteWriter w;
+  pool.save(w);
+  w.size(1);  // open windows
+  w.i32(url_id);
+  w.u8(static_cast<std::uint8_t>(censor::Anomaly::kDns));
+  w.u8(static_cast<std::uint8_t>(util::Granularity::kDay));
+  w.i32(0);  // window
+  util::save_vec(w, ids, save_id);  // positives, first-occurrence order
+  util::save_vec(w, ids, save_id);  // positive set
+  util::save_vec(w, std::vector<PathPool::PathId>{}, save_id);  // negatives
+  w.i32(0);  // watermark
+  w.i64(0);  // emitted
+  return w.take();
+}
+
+TEST(CnfBuilder, LoadRefusesUrlIdAtOrPastTheBound) {
+  constexpr std::int32_t kUrls = 120;
+  // Unchecked, 2^28 would size the chain table at 2^28 x 5 chains.
+  for (const std::int32_t url_id : {kUrls, std::int32_t{1} << 28}) {
+    SCOPED_TRACE("url_id=" + std::to_string(url_id));
+    const std::string payload = one_window_payload(url_id);
+    StreamingCnfBuilder builder;
+    util::ByteReader r(payload);
+    EXPECT_THROW(builder.load(r, kUrls), util::SerdeError);
+  }
+}
+
+TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
+  constexpr std::int32_t kUrls = 120;
+  const std::string payload = one_window_payload(kUrls - 1);
+  StreamingCnfBuilder builder;
+  util::ByteReader r(payload);
+  builder.load(r, kUrls);
+  r.expect_end();
+  EXPECT_EQ(builder.open_windows(), 1u);
+  util::ByteWriter again;
+  builder.save(again);
+  EXPECT_EQ(again.bytes(), payload);
 }
 
 TEST(StripPathChurn, KeepsOnlyFirstPathPerVantageUrl) {

@@ -1,4 +1,4 @@
-// Property/fuzz tests for the time-window math and the streaming
+// Property/fuzz tests for the time-window math and the incremental
 // window-closure contract.
 //
 // For randomized day/epoch sequences these hold:
@@ -202,37 +202,6 @@ TEST(StreamingWindowProperty, LateClauseForEmittedWindowThrows) {
   // Lowering the watermark is a no-op, never a reopen.
   EXPECT_TRUE(builder.advance_watermark(5).empty());
   EXPECT_EQ(builder.watermark(), 10);
-}
-
-TEST(StreamingWindowProperty, CopiedBuilderRebindsToItsOwnPool) {
-  // The borrowed-pool copy/rebind machinery ClauseBuilder's copy and
-  // move constructors rely on: a mid-stream copy, rebound to a copy of
-  // the pool, must keep emitting CNFs identical to the original's.
-  util::Rng rng(99);
-  const SyntheticStream s = make_stream(rng, 14);
-  StreamingCnfBuilder original(CnfBuildOptions{}, &s.pool);
-  std::size_t i = 0;
-  for (; i < s.clauses.size() && s.clauses[i].day < 7; ++i) {
-    original.add(s.pool, s.clauses[i]);
-  }
-  std::vector<TomoCnf> original_cnfs = original.advance_watermark(7);
-
-  const PathPool pool_copy = s.pool;
-  StreamingCnfBuilder copy = original;
-  copy.rebind_pool(&pool_copy);
-
-  for (std::size_t j = i; j < s.clauses.size(); ++j) {
-    original.add(s.pool, s.clauses[j]);
-    copy.add(pool_copy, s.clauses[j]);
-  }
-  const std::vector<TomoCnf> copy_cnfs = copy.flush();
-  const std::vector<TomoCnf> original_rest = original.flush();
-  // Fed identically past the copy point, copy and original close the
-  // same windows with byte-identical CNFs.
-  EXPECT_EQ(dimacs_by_key(copy_cnfs), dimacs_by_key(original_rest));
-  // And none of them re-emits a window closed before the copy.
-  const auto early = dimacs_by_key(original_cnfs);
-  for (const TomoCnf& tc : copy_cnfs) EXPECT_FALSE(early.count(tc.key));
 }
 
 TEST(StreamingWindowProperty, OpenWindowCountIsBounded) {
