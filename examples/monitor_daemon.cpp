@@ -18,7 +18,8 @@
 //     --kill-at DAY          simulate a crash: stop dead at watermark
 //                            DAY, exit 3 — no final checkpoint, no
 //                            report; resume from the last cadence write
-//     --readers N            concurrent LiveReport poller threads
+//     --readers N            concurrent LiveReport poller threads (at most
+//                            one per hardware thread)
 //     --pace-ms MS           live-feed pacing: sleep MS between segments
 //     --assert-flat-memory   verify the O(open windows) memory contract
 //
@@ -28,11 +29,13 @@
 // job compares a straight run against a killed-and-resumed run.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +45,7 @@
 #include "analysis/report.h"
 #include "censor/regime.h"
 #include "sat/backend.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -62,6 +66,22 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses `text` whole as a base-10 integer in [lo, hi].  Junk, trailing
+/// characters, overflow and out-of-range values are usage errors (exit
+/// 2) that name `flag`.
+template <typename Int>
+Int parse_flag(const char* argv0, const std::string& flag, const char* text, Int lo, Int hi) {
+  Int value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    std::cerr << flag << " needs an integer in [" << lo << ", " << hi << "], got \"" << text
+              << "\"\n";
+    std::exit(usage(argv0));
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,6 +99,9 @@ int main(int argc, char** argv) {
   ct::util::Day kill_at = -1;
   int readers = 0;
   int pace_ms = 0;
+  constexpr std::int32_t kMaxInt = std::numeric_limits<std::int32_t>::max();
+  constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
+  const auto max_readers = static_cast<std::int32_t>(ct::util::ThreadPool::hardware_threads());
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -89,32 +112,36 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Non-negative flag values: every count, day and duration below.
+    const auto count = [&] { return parse_flag<std::int32_t>(argv[0], arg, next(), 0, kMaxInt); };
     if (arg == "--small") {
       config = ct::analysis::small_scenario();
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next(), nullptr, 10);
+      config.seed = parse_flag<std::uint64_t>(argv[0], arg, next(), 0, kMaxSeed);
     } else if (arg == "--days") {
-      config.platform.num_days = static_cast<ct::util::Day>(std::atoi(next()));
+      config.platform.num_days = parse_flag<std::int32_t>(argv[0], arg, next(), 1, kMaxInt);
     } else if (arg == "--years") {
-      config.platform.num_days = ct::util::kDaysPerYear * std::atoi(next());
+      config.platform.num_days =
+          ct::util::kDaysPerYear * parse_flag<std::int32_t>(argv[0], arg, next(), 1,
+                                                            kMaxInt / ct::util::kDaysPerYear);
     } else if (arg == "--shards") {
-      options.experiment.num_platform_shards = static_cast<unsigned>(std::atoi(next()));
+      options.experiment.num_platform_shards = static_cast<unsigned>(count());
     } else if (arg == "--threads") {
-      options.experiment.num_threads = static_cast<unsigned>(std::atoi(next()));
+      options.experiment.num_threads = static_cast<unsigned>(count());
     } else if (arg == "--segment-days") {
-      options.segment_days = static_cast<ct::util::Day>(std::atoi(next()));
+      options.segment_days = parse_flag<std::int32_t>(argv[0], arg, next(), 1, kMaxInt);
     } else if (arg == "--checkpoint") {
       options.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      options.checkpoint_every = static_cast<ct::util::Day>(std::atoi(next()));
+      options.checkpoint_every = count();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--kill-at") {
-      kill_at = static_cast<ct::util::Day>(std::atoi(next()));
+      kill_at = count();
     } else if (arg == "--readers") {
-      readers = std::atoi(next());
+      readers = parse_flag<std::int32_t>(argv[0], arg, next(), 0, max_readers);
     } else if (arg == "--pace-ms") {
-      pace_ms = std::atoi(next());
+      pace_ms = count();
     } else if (arg == "--assert-flat-memory") {
       assert_flat = true;
     } else {

@@ -1,47 +1,23 @@
 #include "analysis/platform_sinks.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
-#include "bgp/route_cache.h"
 #include "util/thread_pool.h"
 
 namespace ct::analysis {
 
-std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards) {
-  iclab::Platform& platform = scenario.platform();
-  const unsigned shards =
-      num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards;
-  if (shards <= 1) {
-    auto sinks = std::make_unique<PlatformSinks>(scenario);
-    platform.run(sinks->fanout);
-    return sinks;
-  }
+namespace {
 
-  const std::vector<iclab::ShardRange> ranges =
-      iclab::plan_shards(platform.config().num_days,
-                         static_cast<std::int32_t>(platform.vantages().size()),
-                         static_cast<std::int32_t>(shards));
-  std::vector<std::unique_ptr<PlatformSinks>> sinks;
-  std::vector<iclab::MeasurementSink*> targets;
-  sinks.reserve(ranges.size());
-  targets.reserve(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    sinks.push_back(std::make_unique<PlatformSinks>(scenario));
-    targets.push_back(&sinks.back()->fanout);
-  }
-  // Pre-planned cache: vantage-split shards share each epoch's
-  // bgp::RouteTableSet instead of recomputing it per column, and
-  // day-split shards share their boundary-priming views.
-  bgp::EpochRouteCache route_cache;
-  iclab::expect_shard_epochs(route_cache, ranges, platform.config().epochs_per_day);
-  const unsigned workers = std::min(shards, util::ThreadPool::hardware_threads());
-  platform.run_shards(ranges, targets, workers, &route_cache);
-  return merge_shard_sinks(std::move(sinks));
-}
-
+/// Folds shard-local sink bundles (in plan order) into shard_sinks[0],
+/// canonicalizes the merged clause stream, and returns it; consumed
+/// bundles are freed as they fold, capping peak memory at ~2x the
+/// serial run.  A single bundle is returned untouched: one shard's
+/// stream is already in canonical order.
 std::unique_ptr<PlatformSinks> merge_shard_sinks(
     std::vector<std::unique_ptr<PlatformSinks>> shard_sinks) {
+  if (shard_sinks.size() == 1) return std::move(shard_sinks[0]);
   // Fold shards in plan order, then restore canonical clause order —
   // after this the contents are indistinguishable from a serial run's.
   std::size_t clauses = 0;
@@ -53,6 +29,39 @@ std::unique_ptr<PlatformSinks> merge_shard_sinks(
   }
   shard_sinks[0]->clause_builder.canonicalize();
   return std::move(shard_sinks[0]);
+}
+
+}  // namespace
+
+std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards,
+                                            util::Day day_begin, util::Day day_end) {
+  const iclab::Platform& platform = scenario.platform();
+  if (day_begin < 0 || day_begin >= day_end || day_end > platform.config().num_days) {
+    throw std::invalid_argument("run_platform: day range outside the schedule");
+  }
+  const unsigned shards =
+      num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards;
+
+  // Plan the range's rectangle as a schedule of its own, then shift the
+  // day ranges to its offset.
+  std::vector<iclab::ShardRange> ranges =
+      iclab::plan_shards(day_end - day_begin,
+                         static_cast<std::int32_t>(platform.vantages().size()),
+                         static_cast<std::int32_t>(shards));
+  for (iclab::ShardRange& range : ranges) {
+    range.day_begin += day_begin;
+    range.day_end += day_begin;
+  }
+  std::vector<std::unique_ptr<PlatformSinks>> sinks;
+  std::vector<iclab::MeasurementSink*> targets;
+  sinks.reserve(ranges.size());
+  targets.reserve(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    sinks.push_back(std::make_unique<PlatformSinks>(scenario));
+    targets.push_back(&sinks.back()->fanout);
+  }
+  platform.run_shards(ranges, targets, std::min(shards, util::ThreadPool::hardware_threads()));
+  return merge_shard_sinks(std::move(sinks));
 }
 
 }  // namespace ct::analysis

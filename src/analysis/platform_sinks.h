@@ -1,8 +1,9 @@
 // The four consumers of one platform run (or of one shard of it),
-// bundled with their fanout and fold.  run_experiment, the resident
-// monitor, the platform-shard benchmark, and the equivalence tests all
-// drive exactly this bundle, so adding a sink or changing merge
-// requirements happens in one place.
+// bundled with their fanout and fold, and run_platform, the one driver
+// of the platform.  run_experiment, the resident monitor, the
+// platform-shard benchmark, and the equivalence tests all drive exactly
+// this bundle, so adding a sink or changing merge requirements happens
+// in one place.
 #pragma once
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include "analysis/truth_tracker.h"
 #include "iclab/platform.h"
 #include "tomo/clause.h"
+#include "util/timewin.h"
 
 namespace ct::analysis {
 
@@ -50,20 +52,22 @@ struct PlatformSinks {
   }
 };
 
-/// Runs the measurement platform through all sinks, serially
-/// (num_shards <= 1) or split into (vantage, day) shards on a thread
-/// pool, merged and canonicalized back to the serial stream.  The
-/// returned sink contents are bit-identical either way (the equivalence
-/// tests hold this to the letter).  num_shards == 0 selects one shard
-/// per hardware thread; workers are capped at the hardware and the
-/// shard count.
-std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards);
+/// Runs days [day_begin, day_end) of the measurement platform through
+/// all sinks: the range is split into (vantage, day) shards with
+/// iclab::plan_shards, run on a thread pool, then merged and
+/// canonicalized back to the serial stream.  The returned sink contents
+/// are bit-identical for any shard count (the equivalence tests hold
+/// this to the letter).  num_shards == 0 selects one shard per hardware
+/// thread; workers are capped at the hardware and the shard count, and
+/// one shard runs inline on the calling thread.  This is the only code
+/// that drives the platform: run_experiment runs the whole schedule,
+/// the resident monitor one segment at a time.
+std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards,
+                                            util::Day day_begin, util::Day day_end);
 
-/// Folds shard-local sink bundles (in plan order) into shard_sinks[0],
-/// canonicalizes the merged clause stream, and returns it; consumed
-/// bundles are freed as they fold, capping peak memory at ~2x the
-/// serial run.  Shared by run_platform and the resident monitor.
-std::unique_ptr<PlatformSinks> merge_shard_sinks(
-    std::vector<std::unique_ptr<PlatformSinks>> shard_sinks);
+/// run_platform over the whole schedule.
+inline std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards) {
+  return run_platform(scenario, num_shards, 0, scenario.platform().config().num_days);
+}
 
 }  // namespace ct::analysis

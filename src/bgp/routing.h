@@ -58,10 +58,9 @@ class RouteTable {
   /// AS id.  path() always follows the lowest-id one; the others are
   /// the ECMP set a load-balancing forwarder may spread flows across.
   /// Recomputed on demand from the stored per-class distances, so the
-  /// table's storage (and its sharing through EpochRouteCache) is
-  /// unchanged.  `graph`/`link_up` must be the ones this table was
-  /// computed from.  Empty for the destination itself or unreachable
-  /// sources.
+  /// table stores nothing extra for it.  `graph`/`link_up` must be the
+  /// ones this table was computed from.  Empty for the destination
+  /// itself or unreachable sources.
   std::vector<topo::AsId> ecmp_next_hops(topo::AsId src, const topo::AsGraph& graph,
                                          const std::vector<bool>& link_up) const;
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "util/serde.h"
 #include "util/thread_pool.h"
@@ -189,8 +190,9 @@ std::vector<ShardRange> plan_shards(util::Day num_days, std::int32_t num_vantage
                                     std::int32_t num_shards) {
   if (num_shards < 1) throw std::invalid_argument("plan_shards: num_shards < 1");
   const std::int32_t day_chunks = std::min(num_shards, num_days);
+  // ceil(num_shards / day_chunks), in a form that cannot overflow.
   const std::int32_t vantage_chunks =
-      num_shards <= day_chunks ? 1 : (num_shards + day_chunks - 1) / day_chunks;
+      num_shards <= day_chunks ? 1 : (num_shards - 1) / day_chunks + 1;
   return plan_shard_grid(num_days, num_vantages, day_chunks, vantage_chunks);
 }
 
@@ -203,22 +205,7 @@ void Platform::run(MeasurementSink& sink) const {
   run_shard(sink, all);
 }
 
-void expect_shard_epochs(bgp::EpochRouteCache& cache, const std::vector<ShardRange>& ranges,
-                         std::int32_t epochs_per_day) {
-  for (const auto& r : ranges) {
-    for (util::Day day = r.day_begin; day < r.day_end; ++day) {
-      for (std::int32_t e = 0; e < epochs_per_day; ++e) {
-        cache.expect(static_cast<std::int64_t>(day) * epochs_per_day + e, 1);
-      }
-    }
-    if (r.day_begin > 0) {
-      cache.expect(static_cast<std::int64_t>(r.day_begin) * epochs_per_day - 1, 1);
-    }
-  }
-}
-
-void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
-                         bgp::EpochRouteCache* route_cache) const {
+void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
   if (range.day_begin < 0 || range.day_begin >= range.day_end ||
       range.day_end > config_.num_days || range.vantage_begin < 0 ||
       range.vantage_begin >= range.vantage_end ||
@@ -299,11 +286,20 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
 
   // Path of a vantage node: node 0 follows the AS's best BGP route;
   // further nodes exit through the AS's other providers (different PoP,
-  // different first hop) when the AS is multihomed.
+  // different first hop) when the AS is multihomed.  With a flow hash
+  // (multipath regime) the path beyond the exit load-balances across
+  // equal-cost alternates keyed on that hash; without one it follows
+  // the best route.
   auto node_path = [this](const bgp::RouteTable& table, AsId vp, std::size_t node,
-                          const std::vector<bool>& link_up) -> std::vector<AsId> {
+                          const std::vector<bool>& link_up,
+                          std::optional<std::uint64_t> flow_hash =
+                              std::nullopt) -> std::vector<AsId> {
+    const auto follow = [&](AsId from) {
+      return flow_hash ? table.ecmp_path(from, *flow_hash, graph_, link_up)
+                       : table.path(from);
+    };
     if (!table.reachable(vp)) return {};
-    if (node == 0) return table.path(vp);
+    if (node == 0) return follow(vp);
     std::vector<AsId> providers;
     for (const auto& nb : graph_.neighbors(vp)) {
       if (nb.kind == topo::NeighborKind::kProvider &&
@@ -312,51 +308,13 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
       }
     }
     std::sort(providers.begin(), providers.end());
-    if (providers.size() < 2) return table.path(vp);  // single-homed: same exit
+    if (providers.size() < 2) return follow(vp);  // single-homed: same exit
     const AsId exit = providers[node % providers.size()];
-    if (!table.reachable(exit)) return table.path(vp);
+    if (!table.reachable(exit)) return follow(vp);
     std::vector<AsId> path{vp};
-    const std::vector<AsId> rest = table.path(exit);
+    const std::vector<AsId> rest = follow(exit);
     path.insert(path.end(), rest.begin(), rest.end());
     return path;
-  };
-
-  // ECMP variant of node_path: same exit-provider selection, but the
-  // remainder of the path load-balances across equal-cost alternates
-  // keyed on the flow hash.
-  auto ecmp_node_path = [this](const bgp::RouteTable& table, AsId vp, std::size_t node,
-                               std::uint64_t flow_hash,
-                               const std::vector<bool>& link_up) -> std::vector<AsId> {
-    if (!table.reachable(vp)) return {};
-    if (node == 0) return table.ecmp_path(vp, flow_hash, graph_, link_up);
-    std::vector<AsId> providers;
-    for (const auto& nb : graph_.neighbors(vp)) {
-      if (nb.kind == topo::NeighborKind::kProvider &&
-          link_up[static_cast<std::size_t>(nb.link)]) {
-        providers.push_back(nb.as);
-      }
-    }
-    std::sort(providers.begin(), providers.end());
-    if (providers.size() < 2) return table.ecmp_path(vp, flow_hash, graph_, link_up);
-    const AsId exit = providers[node % providers.size()];
-    if (!table.reachable(exit)) return table.ecmp_path(vp, flow_hash, graph_, link_up);
-    std::vector<AsId> path{vp};
-    const std::vector<AsId> rest = table.ecmp_path(exit, flow_hash, graph_, link_up);
-    path.insert(path.end(), rest.begin(), rest.end());
-    return path;
-  };
-
-  // The routing view of the epoch the churn engine currently sits at:
-  // shared through the cache when one is attached (identical tables —
-  // the churn trajectory is a pure function of the seed), computed
-  // locally otherwise.
-  const auto epoch_tables = [&](std::int64_t global_epoch) {
-    if (route_cache != nullptr) {
-      return route_cache->get(global_epoch, [&] {
-        return bgp::RouteTableSet(computer, dest_ases_, churn.link_up());
-      });
-    }
-    return std::make_shared<const bgp::RouteTableSet>(computer, dest_ases_, churn.link_up());
   };
 
   // A shard starting mid-year reconstructs its starting state: the churn
@@ -365,9 +323,7 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
   // serial run would have left it.
   if (range.day_begin > 0) {
     churn.advance_to(static_cast<std::int64_t>(range.day_begin) * epochs_per_day - 1);
-    const std::shared_ptr<const bgp::RouteTableSet> tables_ptr =
-        epoch_tables(churn.epoch());
-    const bgp::RouteTableSet& tables = *tables_ptr;
+    const bgp::RouteTableSet tables(computer, dest_ases_, churn.link_up());
     for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
       for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
         for (std::size_t node = 0; node < nodes; ++node) {
@@ -385,11 +341,8 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
                                         static_cast<std::int64_t>(epoch);
       if (global_epoch > 0) churn.advance();
       // The shard's routing view of this epoch: one table per
-      // destination, shared by every vantage below (and, with a cache,
-      // by every shard covering this epoch).
-      const std::shared_ptr<const bgp::RouteTableSet> tables_ptr =
-          epoch_tables(global_epoch);
-      const bgp::RouteTableSet& tables = *tables_ptr;
+      // destination, shared by every vantage below.
+      const bgp::RouteTableSet tables(computer, dest_ases_, churn.link_up());
 
       for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
         const AsId dest = dest_ases_[di];
@@ -440,7 +393,7 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
                     util::mix64(seed_ ^ 0xEC3Fu, (static_cast<std::uint64_t>(vi) << 20) ^
                                                      static_cast<std::uint64_t>(node)),
                     static_cast<std::uint64_t>(static_cast<std::uint32_t>(url_id)));
-                mpath = ecmp_node_path(table, vp, node, flow_hash, churn.link_up());
+                mpath = node_path(table, vp, node, churn.link_up(), flow_hash);
               }
               m.truth_path = mpath;
               m.unreachable = mpath.empty();
@@ -473,7 +426,7 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range,
 
 void Platform::run_shards(const std::vector<ShardRange>& ranges,
                           const std::vector<MeasurementSink*>& sinks,
-                          unsigned num_threads, bgp::EpochRouteCache* route_cache) const {
+                          unsigned num_threads) const {
   if (ranges.size() != sinks.size()) {
     throw std::invalid_argument("Platform::run_shards: ranges/sinks size mismatch");
   }
@@ -483,7 +436,7 @@ void Platform::run_shards(const std::vector<ShardRange>& ranges,
       static_cast<unsigned>(ranges.size()));
   util::ThreadPool pool(workers);
   pool.for_each_index(ranges.size(), [&](unsigned /*worker*/, std::size_t i) {
-    run_shard(*sinks[i], ranges[i], route_cache);
+    run_shard(*sinks[i], ranges[i]);
   });
 }
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bgp/churn.h"
-#include "bgp/route_cache.h"
 #include "bgp/routing.h"
 #include "censor/policy.h"
 #include "net/traceroute.h"
@@ -191,13 +190,6 @@ std::vector<ShardRange> plan_shard_grid(util::Day num_days, std::int32_t num_van
 std::vector<ShardRange> plan_shards(util::Day num_days, std::int32_t num_vantages,
                                     std::int32_t num_shards);
 
-/// Registers every epoch the shards of `ranges` will request with the
-/// cache: one planned use per shard per covered epoch, plus one for
-/// each mid-year shard's flutter-priming epoch (the epoch before its
-/// first day).  Call once before running the shards against `cache`.
-void expect_shard_epochs(bgp::EpochRouteCache& cache, const std::vector<ShardRange>& ranges,
-                         std::int32_t epochs_per_day);
-
 class Platform {
  public:
   /// The graph, registry, and plan must outlive the platform.  Selects
@@ -209,7 +201,9 @@ class Platform {
            const net::AddressPlan& plan, const PlatformConfig& config, std::uint64_t seed,
            Endpoints endpoints);
 
-  /// Runs the full schedule, streaming into `sink`.
+  /// Runs the full schedule serially on the calling thread, streaming
+  /// into `sink`: the serial reference the shard-equivalence tests hold
+  /// analysis::run_platform to.
   void run(MeasurementSink& sink) const;
 
   /// Runs one shard of the schedule, streaming into `sink`.  Every
@@ -220,24 +214,19 @@ class Platform {
   /// state — so the union of the streams emitted by any disjoint tiling
   /// of shards is bit-identical to the serial run's stream.
   /// on_day_start fires once per shard per covered day (shards that
-  /// split the vantage dimension share days).
-  ///
-  /// When `route_cache` is non-null, per-epoch routing views are taken
-  /// from (and shared through) the cache instead of recomputed — the
-  /// tables are a pure function of the epoch, so the output stream is
-  /// unchanged.  Prime the cache with expect_shard_epochs().
-  void run_shard(MeasurementSink& sink, const ShardRange& range,
-                 bgp::EpochRouteCache* route_cache = nullptr) const;
+  /// split the vantage dimension share days).  The shard builds its own
+  /// routing view of every epoch it covers (plus the priming view), so
+  /// concurrent shards share no mutable state; shards that split the
+  /// vantage dimension each compute the same views.
+  void run_shard(MeasurementSink& sink, const ShardRange& range) const;
 
   /// Runs `ranges` concurrently on an internal thread pool
   /// (num_threads == 0 selects hardware concurrency), streaming shard i
   /// into *sinks[i].  Sinks must be distinct objects; each is driven
   /// from exactly one task, so sinks need no locking of their own.
-  /// `route_cache` is forwarded to every run_shard call.
   void run_shards(const std::vector<ShardRange>& ranges,
                   const std::vector<MeasurementSink*>& sinks,
-                  unsigned num_threads = 0,
-                  bgp::EpochRouteCache* route_cache = nullptr) const;
+                  unsigned num_threads = 0) const;
 
   const std::vector<topo::AsId>& vantages() const { return vantages_; }
   const std::vector<Url>& urls() const { return urls_; }

@@ -9,6 +9,7 @@
 // table/figure data product), across shard counts 2/4/7 and three
 // scenario seeds.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -21,7 +22,6 @@
 #include "analysis/experiment.h"
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
-#include "bgp/route_cache.h"
 #include "expect_churn.h"
 #include "sat/dimacs.h"
 #include "shard_env.h"
@@ -119,6 +119,8 @@ TEST(PlanShards, TilesTheScheduleExactly) {
 TEST(PlanShards, GridClampsToDimensions) {
   const auto ranges = iclab::plan_shard_grid(3, 2, 10, 10);
   EXPECT_EQ(ranges.size(), 6u);  // 3 day chunks x 2 vantage chunks
+  // The largest shard count clamps the same way instead of overflowing.
+  EXPECT_EQ(iclab::plan_shards(3, 2, std::numeric_limits<std::int32_t>::max()).size(), 6u);
   EXPECT_THROW(iclab::plan_shards(21, 15, 0), std::invalid_argument);
 }
 
@@ -193,80 +195,43 @@ TEST(ShardEquivalence, RunExperimentBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardEquivalence, RouteCacheSharesEpochTablesAcrossVantageShards) {
+TEST(ShardEquivalence, RunPlatformDayRangeMatchesSerialSlice) {
   Scenario scenario(shard_scenario(20170623));
-  PlatformSinks serial(scenario);
-  scenario.platform().run(serial.fanout);
-
-  const auto num_days = scenario.platform().config().num_days;
-  const auto epochs_per_day = scenario.platform().config().epochs_per_day;
   const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
 
-  // Three vantage columns over the full day range: every epoch's
-  // RouteTableSet is wanted by all three shards and must be computed
-  // exactly once.
-  const auto ranges = iclab::plan_shard_grid(num_days, num_vp, 1, 3);
-  ASSERT_EQ(ranges.size(), 3u);
+  // The whole schedule on one shard, a mid-run slice split by days, and
+  // a slice with more shards than days, which splits the vantage
+  // dimension (three vantage columns per day).
+  struct Case {
+    util::Day day_begin;
+    util::Day day_end;
+    unsigned shards;
+  };
+  for (const Case c : {Case{0, 21, 1}, Case{5, 12, 4}, Case{5, 8, 7}}) {
+    SCOPED_TRACE("days=[" + std::to_string(c.day_begin) + "," + std::to_string(c.day_end) +
+                 ") shards=" + std::to_string(c.shards));
+    PlatformSinks slice(scenario);
+    iclab::ShardRange range;
+    range.day_begin = c.day_begin;
+    range.day_end = c.day_end;
+    range.vantage_begin = 0;
+    range.vantage_end = num_vp;
+    scenario.platform().run_shard(slice.fanout, range);
 
-  bgp::EpochRouteCache cache;
-  iclab::expect_shard_epochs(cache, ranges, epochs_per_day);
-
-  std::vector<std::unique_ptr<PlatformSinks>> shards;
-  std::vector<iclab::MeasurementSink*> targets;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    shards.push_back(std::make_unique<PlatformSinks>(scenario));
-    targets.push_back(&shards.back()->fanout);
+    const std::unique_ptr<PlatformSinks> run =
+        run_platform(scenario, c.shards, c.day_begin, c.day_end);
+    EXPECT_EQ(run->clause_builder.clauses(), slice.clause_builder.clauses());
+    EXPECT_EQ(run->clause_builder.seqs(), slice.clause_builder.seqs());
+    expect_pools_equal(run->clause_builder.pool(), slice.clause_builder.pool());
+    EXPECT_EQ(run->summary.measurements(), slice.summary.measurements());
+    EXPECT_EQ(run->summary.unreachable(), slice.summary.unreachable());
+    for (const censor::Anomaly a : censor::kAllAnomalies) {
+      EXPECT_EQ(run->summary.anomaly_count(a), slice.summary.anomaly_count(a));
+    }
+    expect_churn_equal(run->churn_tracker.compute(), slice.churn_tracker.compute());
   }
-  scenario.platform().run_shards(ranges, targets, /*num_threads=*/3, &cache);
-
-  // Cache accounting: one lookup per shard per epoch, one compute per
-  // epoch, everything evicted once the planned users took their copy.
-  const auto total_epochs =
-      static_cast<std::uint64_t>(num_days) * static_cast<std::uint64_t>(epochs_per_day);
-  EXPECT_EQ(cache.lookups(), 3u * total_epochs);
-  EXPECT_EQ(cache.hits(), 2u * total_epochs)
-      << "vantage-split shards must share, not recompute, epoch tables";
-  EXPECT_EQ(cache.live_entries(), 0u);
-
-  // And sharing must not move a single bit of the output streams.
-  PlatformSinks merged(scenario);
-  for (auto& shard : shards) merged.merge(std::move(*shard));
-  merged.clause_builder.canonicalize();
-  EXPECT_EQ(merged.clause_builder.clauses(), serial.clause_builder.clauses());
-  EXPECT_EQ(merged.clause_builder.seqs(), serial.clause_builder.seqs());
-  expect_pools_equal(merged.clause_builder.pool(), serial.clause_builder.pool());
-  EXPECT_EQ(merged.summary.measurements(), serial.summary.measurements());
-  expect_churn_equal(merged.churn_tracker.compute(), serial.churn_tracker.compute());
-}
-
-TEST(ShardEquivalence, RouteCacheSharesDayBoundaryPrimingViews) {
-  Scenario scenario(shard_scenario(20170623));
-  const auto num_days = scenario.platform().config().num_days;
-  const auto epochs_per_day = scenario.platform().config().epochs_per_day;
-  const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
-
-  // Pure day split: each epoch is computed by exactly one shard, but a
-  // mid-year shard's flutter-priming epoch is the previous shard's last
-  // epoch — those two uses share one entry.
-  const auto ranges = iclab::plan_shard_grid(num_days, num_vp, 3, 1);
-  ASSERT_EQ(ranges.size(), 3u);
-
-  bgp::EpochRouteCache cache;
-  iclab::expect_shard_epochs(cache, ranges, epochs_per_day);
-
-  std::vector<std::unique_ptr<PlatformSinks>> shards;
-  std::vector<iclab::MeasurementSink*> targets;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    shards.push_back(std::make_unique<PlatformSinks>(scenario));
-    targets.push_back(&shards.back()->fanout);
-  }
-  scenario.platform().run_shards(ranges, targets, /*num_threads=*/3, &cache);
-
-  const auto total_epochs =
-      static_cast<std::uint64_t>(num_days) * static_cast<std::uint64_t>(epochs_per_day);
-  EXPECT_EQ(cache.lookups(), total_epochs + 2u);  // + two priming lookups
-  EXPECT_EQ(cache.hits(), 2u) << "each boundary view is computed once, shared once";
-  EXPECT_EQ(cache.live_entries(), 0u);
+  EXPECT_THROW(run_platform(scenario, 2, 5, 5), std::invalid_argument);
+  EXPECT_THROW(run_platform(scenario, 2, 0, 22), std::invalid_argument);
 }
 
 TEST(ShardEquivalence, CanonicalizeIsIdempotentAndSerialNoOp) {

@@ -360,6 +360,18 @@ TEST(MonitorMemory, SegmentsDrainToZeroAndGaugeNeverUnderflows) {
   EXPECT_GT(stats.segments_ingested, 1);
 }
 
+TEST(MonitorStatsTest, SatLanesCappedAtHardwareThreads) {
+  // Asking for more SAT lanes than the hardware has caps the pool at the
+  // hardware, as the platform caps its workers: one arena per lane and
+  // analysis pass.
+  Scenario scenario(shard_scenario(53));
+  MonitorOptions options = monitor_options(1);
+  const unsigned hw = util::ThreadPool::hardware_threads();
+  options.experiment.num_threads = hw + 2;
+  const MonitorEngine monitor(scenario, options);
+  EXPECT_EQ(monitor.stats().engine.arenas, 2 * hw);
+}
+
 // --- any-time snapshots -------------------------------------------------
 
 util::Day window_end(const tomo::CnfKey& key) {
