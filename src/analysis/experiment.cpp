@@ -8,6 +8,7 @@
 
 #include "analysis/live_report.h"
 #include "analysis/platform_sinks.h"
+#include "util/thread_pool.h"
 
 namespace ct::analysis {
 
@@ -16,11 +17,12 @@ namespace {
 /// Batch Figure 4: strip churn, rebuild, analyze with resolved counts —
 /// the phase-separated form of the monitor's ablation pass.
 void run_fig4_batch(const tomo::PathPool& pool, const std::vector<tomo::PathClause>& clauses,
-                    const ExperimentOptions& options, Fig4Fold& fig4) {
+                    const ExperimentOptions& options, util::ThreadPool& threads,
+                    Fig4Fold& fig4) {
   const std::vector<tomo::PathClause> stripped = tomo::strip_path_churn(pool, clauses);
   tomo::CnfBuildOptions build;
   build.granularities = options.fig1_granularities;
-  const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(pool, stripped, build);
+  const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(pool, stripped, build, &threads);
   // Figure 4 plots the solution-count histogram, so this is the one
   // pass that must resolve counts past the 0/1/2+ class.
   tomo::AnalysisOptions analysis = options.analysis;
@@ -138,15 +140,21 @@ ExperimentResult run_experiment(Scenario& scenario, const ExperimentOptions& opt
   tomo::EngineStats engine_stats;
 
   const std::unique_ptr<PlatformSinks> sinks = run_platform(scenario, options.num_platform_shards);
+  // Both grouping passes run on one pool, capped at the hardware as the
+  // SAT lanes are; the CNFs do not depend on its size.
+  const unsigned hw = util::ThreadPool::hardware_threads();
+  util::ThreadPool grouping(options.num_threads == 0 ? hw : std::min(options.num_threads, hw));
   {
-    const std::vector<tomo::TomoCnf> cnfs =
-        tomo::build_cnfs(sinks->clause_builder.pool(), sinks->clause_builder.clauses());
+    // The folds copy what they keep, so the main pass's CNFs and
+    // verdicts are released before the Figure-4 pass builds its own.
+    const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(
+        sinks->clause_builder.pool(), sinks->clause_builder.clauses(), {}, &grouping);
     const std::vector<tomo::CnfVerdict> verdicts =
         tomo::analyze_cnfs(cnfs, main_analysis, &engine_stats);
     for (std::size_t i = 0; i < cnfs.size(); ++i) folds.add_main(cnfs[i], verdicts[i]);
-    run_fig4_batch(sinks->clause_builder.pool(), sinks->clause_builder.clauses(), options,
-                   folds.fig4);
   }
+  run_fig4_batch(sinks->clause_builder.pool(), sinks->clause_builder.clauses(), options,
+                 grouping, folds.fig4);
 
   ExperimentResult result = finalize_experiment_result(
       scenario, options, folds, sinks->summary, sinks->clause_builder.stats(),

@@ -67,8 +67,11 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
     : scenario_(&scenario),
       options_(std::move(options)),
       fingerprint_(config_fingerprint(scenario, options_.experiment)),
-      grouper_(tomo::CnfBuildOptions{}, &pool_),
-      ablation_grouper_(ablation_build_options(options_.experiment), &pool_),
+      // The groupers only store the lane pool's address here; it is
+      // constructed before their first use.
+      grouper_(tomo::CnfBuildOptions{}, &pool_, &analysis_pool_),
+      strip_(scenario.graph().num_ases(), scenario.platform().config().num_urls),
+      ablation_grouper_(ablation_build_options(options_.experiment), &pool_, &analysis_pool_),
       churn_fold_(scenario.graph(), scenario.platform().vantages(),
                   scenario.platform().dest_ases(), scenario.platform().config().num_days,
                   scenario.platform().config().epochs_per_day),
@@ -124,7 +127,7 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   for (util::Day day = d0; day < d1; ++day) {
     const std::size_t begin = i;
     while (i < clauses.size() && clauses[i].day == day) ++i;
-    drain_day(to_global, clauses, begin, i, day);
+    drain_day(to_global, std::span(clauses).subspan(begin, i - begin), day);
   }
   retained_.sub(static_cast<std::int64_t>(clauses.size()));
   // Seal the churn windows the segment completed; open entries stay
@@ -137,14 +140,18 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
 }
 
 void MonitorEngine::drain_day(tomo::PathRemap& to_global,
-                              const std::vector<tomo::PathClause>& clauses,
-                              std::size_t begin, std::size_t end, util::Day day) {
-  for (std::size_t k = begin; k < end; ++k) {
-    tomo::PathClause clause = clauses[k];
-    clause.path_id = to_global(clause.path_id);
-    grouper_.add(pool_, clause);
-    if (strip_.keep(pool_, clause)) ablation_grouper_.add(pool_, clause);
+                              std::span<const tomo::PathClause> day_clauses, util::Day day) {
+  // Remap serially (PathRemap grows pool_ in first-use order), then
+  // group the whole day on the analysis lanes; the ablation grouper gets
+  // the strip's survivors, in stream order.
+  std::vector<tomo::PathClause> clauses(day_clauses.begin(), day_clauses.end());
+  for (tomo::PathClause& clause : clauses) clause.path_id = to_global(clause.path_id);
+  grouper_.add(pool_, clauses);
+  std::vector<tomo::PathClause> kept;
+  for (const tomo::PathClause& clause : clauses) {
+    if (strip_.keep(pool_, clause)) kept.push_back(clause);
   }
+  ablation_grouper_.add(pool_, kept);
   watermark_ = day + 1;
 
   const std::vector<tomo::TomoCnf> main_cnfs = grouper_.advance_watermark(day + 1);

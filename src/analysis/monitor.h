@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -200,8 +201,8 @@ class MonitorEngine {
 
  private:
   void ingest_segment(util::Day d0, util::Day d1);
-  void drain_day(tomo::PathRemap& to_global, const std::vector<tomo::PathClause>& clauses,
-                 std::size_t begin, std::size_t end, util::Day day);
+  void drain_day(tomo::PathRemap& to_global, std::span<const tomo::PathClause> day_clauses,
+                 util::Day day);
   std::vector<tomo::CnfVerdict> analyze_batch(std::vector<tomo::CnfAnalyzer>& arenas,
                                               const std::vector<tomo::TomoCnf>& cnfs,
                                               const tomo::AnalysisOptions& options);
@@ -217,6 +218,7 @@ class MonitorEngine {
 
   // Persistent pipeline state (everything here is checkpointed).
   tomo::PathPool pool_;  // global canonical path ids; both groupers borrow it
+  // Both groupers also borrow analysis_pool_'s lanes.
   tomo::StreamingCnfBuilder grouper_;
   tomo::ChurnStripFilter strip_;
   tomo::StreamingCnfBuilder ablation_grouper_;

@@ -1,12 +1,14 @@
 #include "tomo/cnf_builder.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace ct::tomo {
 
@@ -82,14 +84,12 @@ void StreamingCnfBuilder::StampTable::grow() {
   }
 }
 
-StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options)
+StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool,
+                                         util::ThreadPool* threads)
     : require_positive_(options.require_positive),
-      granularities_(canonical_granularities(std::move(options.granularities))) {}
-
-StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool)
-    : StreamingCnfBuilder(std::move(options)) {
-  borrowed_pool_ = pool;
-}
+      granularities_(canonical_granularities(std::move(options.granularities))),
+      borrowed_pool_(pool),
+      threads_(threads) {}
 
 std::size_t StreamingCnfBuilder::open_groups(const Chain& chain) {
   std::size_t n = 0;
@@ -103,6 +103,11 @@ std::size_t StreamingCnfBuilder::open_windows() const {
   return n;
 }
 
+std::size_t StreamingCnfBuilder::chain_index(std::int32_t url_id, censor::Anomaly anomaly) {
+  return static_cast<std::size_t>(url_id) * censor::kNumAnomalies +
+         static_cast<std::size_t>(anomaly);
+}
+
 CnfKey StreamingCnfBuilder::chain_key(std::size_t index) {
   CnfKey key;
   key.url_id = static_cast<std::int32_t>(index / censor::kNumAnomalies);
@@ -112,28 +117,99 @@ CnfKey StreamingCnfBuilder::chain_key(std::size_t index) {
 
 StreamingCnfBuilder::Chain& StreamingCnfBuilder::chain_at(std::int32_t url_id,
                                                           censor::Anomaly anomaly) {
-  const auto a = static_cast<std::size_t>(anomaly);
-  if (url_id < 0 || a >= censor::kNumAnomalies) {
-    throw std::logic_error("StreamingCnfBuilder: invalid chain (url " + std::to_string(url_id) +
-                           ", anomaly " + std::to_string(a) + ")");
-  }
-  const std::size_t index = static_cast<std::size_t>(url_id) * censor::kNumAnomalies + a;
+  const std::size_t index = chain_index(url_id, anomaly);
   if (index >= chains_.size()) chains_.resize(index + 1);
   return chains_[index];
 }
 
-void StreamingCnfBuilder::add(const PathPool& pool, const PathClause& clause) {
-  if (clause.day < watermark_) {
-    throw std::logic_error("StreamingCnfBuilder::add: clause for day " +
-                           std::to_string(clause.day) + " arrived after watermark " +
-                           std::to_string(watermark_) + " (window already emitted)");
+std::size_t StreamingCnfBuilder::lanes() const {
+  return threads_ != nullptr ? threads_->size() : 1;
+}
+
+std::size_t StreamingCnfBuilder::num_ranges(std::size_t max_ranges) const {
+  return std::max<std::size_t>(1, std::min({lanes(), chains_.size(), max_ranges}));
+}
+
+void StreamingCnfBuilder::for_each_range(std::size_t ranges, const RangeFn& fn) {
+  const std::size_t n = chains_.size();
+  const auto run = [&](unsigned worker, std::size_t r) {
+    fn(worker, r, r * n / ranges, (r + 1) * n / ranges);
+  };
+  if (ranges == 1) {
+    run(0, 0);
+  } else {
+    threads_->for_each_index(ranges, run);
   }
-  Chain& chain = chain_at(clause.url_id, clause.anomaly);
-  // Check the ordering precondition before touching any state, so a
-  // rejected clause leaves the builder as it was.
+}
+
+void StreamingCnfBuilder::add(const PathPool& pool, std::span<const PathClause> clauses) {
+  // Every check that does not depend on chain state runs before any
+  // state is touched, so such a rejected batch leaves no trace.
+  std::int32_t max_url = -1;
+  for (const PathClause& clause : clauses) {
+    if (clause.day < watermark_) {
+      throw std::logic_error("StreamingCnfBuilder::add: clause for day " +
+                             std::to_string(clause.day) + " arrived after watermark " +
+                             std::to_string(watermark_) + " (window already emitted)");
+    }
+    const auto a = static_cast<std::size_t>(clause.anomaly);
+    if (clause.url_id < 0 || a >= censor::kNumAnomalies) {
+      throw std::logic_error("StreamingCnfBuilder: invalid chain (url " +
+                             std::to_string(clause.url_id) + ", anomaly " + std::to_string(a) +
+                             ")");
+    }
+    if (clause.path_id < 0 || static_cast<std::size_t>(clause.path_id) >= pool.size()) {
+      throw std::logic_error("StreamingCnfBuilder::add: invalid path id " +
+                             std::to_string(clause.path_id));
+    }
+    max_url = std::max(max_url, clause.url_id);
+  }
+  if (clauses.empty()) return;
+  // Through the last chain of max_url.
+  const std::size_t needed = chain_index(max_url, censor::Anomaly::kDns) + censor::kNumAnomalies;
+  if (needed > chains_.size()) chains_.resize(needed);
+
+  // Owned pool: re-intern serially, then file the translated copy.
+  std::vector<PathClause> interned;
+  if (borrowed_pool_ == nullptr) {
+    interned.assign(clauses.begin(), clauses.end());
+    for (PathClause& clause : interned) clause.path_id = pool_.intern(pool.get(clause.path_id));
+    clauses = interned;
+  }
+  // Each range's worker scans the whole batch and files the clauses of
+  // its own chains, in batch order.  The stream is day-major, so the
+  // day's windows are recomputed only when the day changes.
+  for_each_range(num_ranges(clauses.size()),
+                 [&](unsigned, std::size_t, std::size_t begin, std::size_t end) {
+                   util::Day day = clauses.front().day;
+                   StampTable::Windows windows = windows_of(day);
+                   for (const PathClause& clause : clauses) {
+                     const std::size_t index = chain_index(clause.url_id, clause.anomaly);
+                     if (index < begin || index >= end) continue;
+                     if (clause.day != day) {
+                       day = clause.day;
+                       windows = windows_of(day);
+                     }
+                     file(chains_[index], clause, windows);
+                   }
+                 });
+}
+
+StreamingCnfBuilder::StampTable::Windows StreamingCnfBuilder::windows_of(util::Day day) {
+  StampTable::Windows windows{};
+  for (const util::Granularity g : util::kAllGranularities) {
+    windows[static_cast<std::size_t>(g)] = util::window_of(day, g);
+  }
+  return windows;
+}
+
+void StreamingCnfBuilder::file(Chain& chain, const PathClause& clause,
+                               const StampTable::Windows& windows) const {
+  // Check the ordering precondition before touching the chain, so a
+  // rejected clause leaves it as it was.
   for (const util::Granularity g : granularities_) {
     const auto& groups = chain.groups[static_cast<std::size_t>(g)];
-    if (!groups.empty() && groups.back().window > util::window_of(clause.day, g)) {
+    if (!groups.empty() && groups.back().window > windows[static_cast<std::size_t>(g)]) {
       throw std::logic_error("StreamingCnfBuilder::add: clause for day " +
                              std::to_string(clause.day) + " of url " +
                              std::to_string(clause.url_id) +
@@ -141,17 +217,11 @@ void StreamingCnfBuilder::add(const PathPool& pool, const PathClause& clause) {
                              " window (chain clauses must be day-ordered)");
     }
   }
-  // Borrowed pool: ids are already canonical there, no re-intern.
-  const PathPool::PathId path_id =
-      borrowed_pool_ ? clause.path_id : pool_.intern(pool.get(clause.path_id));
-  if (path_id < 0) {
-    throw std::logic_error("StreamingCnfBuilder::add: invalid path id " +
-                           std::to_string(path_id));
-  }
-  StampTable::Windows& stamps = chain.stamps.find_or_insert(stamp_key(path_id, clause.observed));
+  StampTable::Windows& stamps =
+      chain.stamps.find_or_insert(stamp_key(clause.path_id, clause.observed));
   for (const util::Granularity g : granularities_) {
     const std::size_t gi = static_cast<std::size_t>(g);
-    const std::int32_t window = util::window_of(clause.day, g);
+    const std::int32_t window = windows[gi];
     auto& groups = chain.groups[gi];
     if (groups.empty() || groups.back().window != window) {
       groups.push_back(Group{window, {}, {}});
@@ -159,55 +229,62 @@ void StreamingCnfBuilder::add(const PathPool& pool, const PathClause& clause) {
     if (stamps[gi] == window) continue;  // already in this window's group
     stamps[gi] = window;
     Group& group = groups.back();
-    (clause.observed ? group.positive_ids : group.negative_ids).push_back(path_id);
+    (clause.observed ? group.positive_ids : group.negative_ids).push_back(clause.path_id);
   }
 }
 
-StreamingCnfBuilder::AsSlot& StreamingCnfBuilder::touch(topo::AsId as) {
+StreamingCnfBuilder::AsSlot& StreamingCnfBuilder::EmitScratch::touch(topo::AsId as) {
   if (as < 0) {
     throw std::logic_error("StreamingCnfBuilder: negative AS id " + std::to_string(as) +
                            " on a path");
   }
   const auto index = static_cast<std::size_t>(as);
-  if (index >= as_slots_.size()) as_slots_.resize(index + 1);
-  AsSlot& slot = as_slots_[index];
-  if (slot.mark != generation_) {
-    slot.mark = generation_;
+  if (index >= as_slots.size()) as_slots.resize(index + 1);
+  AsSlot& slot = as_slots[index];
+  if (slot.mark != generation) {
+    slot.mark = generation;
     slot.clean = false;
-    as_list_.push_back(as);
+    as_list.push_back(as);
   }
   return slot;
 }
 
-TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group) {
+TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
+                                         EmitScratch& scratch) const {
   TomoCnf tc;
   tc.key = key;
 
   // A new generation invalidates every slot at once; on wrap-around
   // the marks are cleared so an ancient mark cannot alias.
-  if (++generation_ == 0) {
-    for (AsSlot& slot : as_slots_) slot.mark = 0;
-    generation_ = 1;
+  if (++scratch.generation == 0) {
+    for (AsSlot& slot : scratch.as_slots) slot.mark = 0;
+    scratch.generation = 1;
   }
-  as_list_.clear();
+  std::vector<AsSlot>& slots = scratch.as_slots;
+  scratch.as_list.clear();
   // ASes seen on any clean path (the negative units), then the rest of
   // the variable space: every AS observed in this CNF's clauses.
   for (const auto id : group.negative_ids) {
-    for (const topo::AsId as : pool().get(id)) touch(as).clean = true;
+    for (const topo::AsId as : pool().get(id)) scratch.touch(as).clean = true;
   }
   for (const auto id : group.positive_ids) {
-    for (const topo::AsId as : pool().get(id)) touch(as);
+    for (const topo::AsId as : pool().get(id)) scratch.touch(as);
   }
-  std::sort(as_list_.begin(), as_list_.end());
-  tc.vars = as_list_;
+  std::sort(scratch.as_list.begin(), scratch.as_list.end());
+  tc.vars = scratch.as_list;
   tc.cnf.num_vars = static_cast<std::int32_t>(tc.vars.size());
   for (std::size_t v = 0; v < tc.vars.size(); ++v) {
-    as_slots_[static_cast<std::size_t>(tc.vars[v])].var = static_cast<sat::Var>(v);
+    slots[static_cast<std::size_t>(tc.vars[v])].var = static_cast<sat::Var>(v);
   }
+
+  std::size_t num_clean = 0;
+  for (const topo::AsId as : tc.vars) num_clean += slots[static_cast<std::size_t>(as)].clean;
+  tc.cnf.clauses.reserve(num_clean + group.positive_ids.size());
+  tc.positive_paths.reserve(group.positive_ids.size());
 
   // Negative units, in variable (= AS id) order.
   for (std::size_t v = 0; v < tc.vars.size(); ++v) {
-    if (!as_slots_[static_cast<std::size_t>(tc.vars[v])].clean) continue;
+    if (!slots[static_cast<std::size_t>(tc.vars[v])].clean) continue;
     tc.cnf.add_clause({sat::Lit(static_cast<sat::Var>(v), /*negated=*/true)});
     ++tc.num_negative_units;
   }
@@ -217,7 +294,7 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group) 
     const auto& path = pool().get(id);
     std::vector<sat::Lit> lits;
     for (const topo::AsId as : path) {
-      const sat::Lit lit(as_slots_[static_cast<std::size_t>(as)].var, /*negated=*/false);
+      const sat::Lit lit(slots[static_cast<std::size_t>(as)].var, /*negated=*/false);
       if (std::find(lits.begin(), lits.end(), lit) == lits.end()) lits.push_back(lit);
     }
     tc.cnf.add_clause(std::move(lits));
@@ -227,31 +304,48 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group) 
   return tc;
 }
 
-std::vector<TomoCnf> StreamingCnfBuilder::close_before(util::Day complete_before) {
-  std::vector<TomoCnf> out;
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    Chain& chain = chains_[c];
-    if (open_groups(chain) == 0) continue;
-    CnfKey key = chain_key(c);
-    // Granularities in enum order, windows ascending: key order.
-    for (std::size_t gi = 0; gi < kNumGranularities; ++gi) {
-      auto& groups = chain.groups[gi];
-      key.granularity = static_cast<util::Granularity>(gi);
-      const std::int64_t length = util::window_length(key.granularity);
-      std::size_t closed = 0;
-      for (; closed < groups.size(); ++closed) {
-        const Group& group = groups[closed];
-        // 64-bit: a window end may exceed the Day range.
-        if ((group.window + std::int64_t{1}) * length > complete_before) break;
-        if (require_positive_ && group.positive_ids.empty()) continue;
-        key.window = group.window;
-        out.push_back(build_group(key, group));
-        ++emitted_;
-      }
-      groups.erase(groups.begin(), groups.begin() + static_cast<std::ptrdiff_t>(closed));
+void StreamingCnfBuilder::close_chain(std::size_t index, util::Day complete_before,
+                                      EmitScratch& scratch, std::vector<TomoCnf>& out) {
+  Chain& chain = chains_[index];
+  if (open_groups(chain) == 0) return;
+  CnfKey key = chain_key(index);
+  // Granularities in enum order, windows ascending: key order.
+  for (std::size_t gi = 0; gi < kNumGranularities; ++gi) {
+    auto& groups = chain.groups[gi];
+    key.granularity = static_cast<util::Granularity>(gi);
+    const std::int64_t length = util::window_length(key.granularity);
+    std::size_t closed = 0;
+    for (; closed < groups.size(); ++closed) {
+      const Group& group = groups[closed];
+      // 64-bit: a window end may exceed the Day range.
+      if ((group.window + std::int64_t{1}) * length > complete_before) break;
+      if (require_positive_ && group.positive_ids.empty()) continue;
+      key.window = group.window;
+      out.push_back(build_group(key, group, scratch));
     }
-    if (open_groups(chain) == 0) chain.stamps = StampTable{};
+    groups.erase(groups.begin(), groups.begin() + static_cast<std::ptrdiff_t>(closed));
   }
+  if (open_groups(chain) == 0) chain.stamps = StampTable{};
+}
+
+std::vector<TomoCnf> StreamingCnfBuilder::close_before(util::Day complete_before) {
+  const std::size_t ranges = num_ranges(chains_.size());
+  if (scratch_.size() < lanes()) scratch_.resize(lanes());  // workers index it
+  std::vector<std::vector<TomoCnf>> by_range(ranges);
+  for_each_range(ranges, [&](unsigned worker, std::size_t r, std::size_t begin, std::size_t end) {
+    std::vector<TomoCnf> part;  // local, so the lanes share no vector header
+    for (std::size_t c = begin; c < end; ++c) {
+      close_chain(c, complete_before, scratch_[worker], part);
+    }
+    by_range[r] = std::move(part);
+  });
+  // Ranges are contiguous and in chain order, which is key order.
+  std::size_t total = 0;
+  for (const auto& part : by_range) total += part.size();
+  std::vector<TomoCnf> out;
+  out.reserve(total);
+  for (auto& part : by_range) std::move(part.begin(), part.end(), std::back_inserter(out));
+  emitted_ += static_cast<std::int64_t>(out.size());
   return out;
 }
 
@@ -347,48 +441,117 @@ void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls) {
 }
 
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
-                                const CnfBuildOptions& options) {
-  StreamingCnfBuilder builder(options, &pool);
-  for (const PathClause& clause : clauses) builder.add(pool, clause);
+                                const CnfBuildOptions& options, util::ThreadPool* threads) {
+  if (threads == nullptr) {
+    util::ThreadPool local;
+    return build_cnfs(pool, clauses, options, &local);
+  }
+  StreamingCnfBuilder builder(options, &pool, threads);
+  builder.add(pool, clauses);
   return builder.flush();
 }
 
+ChurnStripFilter::ChurnStripFilter(std::int32_t num_vantages, std::int32_t num_urls)
+    : num_vantages_(static_cast<std::size_t>(std::max(num_vantages, 0))),
+      num_urls_(static_cast<std::size_t>(std::max(num_urls, 0))),
+      first_path_(num_vantages_ * num_urls_, kUnseen) {}
+
+bool ChurnStripFilter::in_table(std::int64_t vantage, std::int64_t url_id) const {
+  return vantage >= 0 && url_id >= 0 && static_cast<std::size_t>(vantage) < num_vantages_ &&
+         static_cast<std::size_t>(url_id) < num_urls_;
+}
+
+std::size_t ChurnStripFilter::slot(topo::AsId vantage, std::int32_t url_id) const {
+  return static_cast<std::size_t>(vantage) * num_urls_ + static_cast<std::size_t>(url_id);
+}
+
+void ChurnStripFilter::widen(topo::AsId vantage, std::int32_t url_id) {
+  // Geometric growth, so a stream whose ids climb one by one re-lays
+  // the table out O(log ids) times.
+  const auto grow = [](std::size_t size, std::int32_t id) {
+    const auto need = static_cast<std::size_t>(id) + 1;
+    return need <= size ? size : std::max(need, 2 * size);
+  };
+  const std::size_t num_vantages = grow(num_vantages_, vantage);
+  const std::size_t num_urls = grow(num_urls_, url_id);
+  std::vector<PathPool::PathId> wider(num_vantages * num_urls, kUnseen);
+  for (std::size_t v = 0; v < num_vantages_; ++v) {
+    std::copy_n(first_path_.begin() + static_cast<std::ptrdiff_t>(v * num_urls_), num_urls_,
+                wider.begin() + static_cast<std::ptrdiff_t>(v * num_urls));
+  }
+  first_path_ = std::move(wider);
+  num_vantages_ = num_vantages;
+  num_urls_ = num_urls;
+}
+
 bool ChurnStripFilter::keep(const PathPool& pool, const PathClause& clause) {
-  if (pool.get(clause.path_id).empty()) return false;
-  const auto key = std::make_pair(clause.vantage, clause.url_id);
+  if (clause.vantage < 0 || clause.url_id < 0) {
+    throw std::out_of_range("ChurnStripFilter::keep: negative vantage " +
+                            std::to_string(clause.vantage) + " or url " +
+                            std::to_string(clause.url_id));
+  }
+  if (!in_table(clause.vantage, clause.url_id)) widen(clause.vantage, clause.url_id);
   // First path observed per (vantage, URL); clause order is the
-  // platform's emission order, i.e. chronological within a URL.
-  const auto it = first_path_.emplace(key, clause.path_id).first;
-  return it->second == clause.path_id;
+  // platform's emission order, i.e. chronological within a URL.  A
+  // recorded first path is never empty, so an equal id is a kept clause.
+  PathPool::PathId& first = first_path_[slot(clause.vantage, clause.url_id)];
+  if (first != kUnseen) return first == clause.path_id;
+  if (pool.get(clause.path_id).empty()) return false;
+  first = clause.path_id;
+  return true;
 }
 
 void ChurnStripFilter::save(util::ByteWriter& w) const {
-  util::save_map(
-      w, first_path_,
-      [](util::ByteWriter& w, const std::pair<topo::AsId, std::int32_t>& key) {
-        w.i32(key.first);
-        w.i32(key.second);
-      },
-      save_path_id);
+  w.size(static_cast<std::size_t>(
+      std::count_if(first_path_.begin(), first_path_.end(),
+                    [](PathPool::PathId id) { return id != kUnseen; })));
+  // Row-major slots: (vantage, URL) order.
+  for (std::size_t s = 0; s < first_path_.size(); ++s) {
+    if (first_path_[s] == kUnseen) continue;
+    w.i32(static_cast<topo::AsId>(s / num_urls_));
+    w.i32(static_cast<std::int32_t>(s % num_urls_));
+    save_path_id(w, first_path_[s]);
+  }
 }
 
 void ChurnStripFilter::load(util::ByteReader& r) {
-  util::load_map(
-      r, first_path_,
-      [](util::ByteReader& r) {
-        const topo::AsId vantage = r.i32();
-        const std::int32_t url_id = r.i32();
-        return std::make_pair(vantage, url_id);
-      },
-      load_path_id);
+  std::vector<PathPool::PathId> loaded(first_path_.size(), kUnseen);
+  const std::size_t n = r.size();
+  std::size_t next_slot = 0;  // the lowest slot the next key may take
+  for (std::size_t i = 0; i < n; ++i) {
+    const topo::AsId vantage = r.i32();
+    const std::int32_t url_id = r.i32();
+    const PathPool::PathId id = load_path_id(r);
+    if (!in_table(vantage, url_id)) {
+      throw util::SerdeError("ChurnStripFilter::load: (vantage " + std::to_string(vantage) +
+                             ", url " + std::to_string(url_id) + ") outside the " +
+                             std::to_string(num_vantages_) + " x " +
+                             std::to_string(num_urls_) + " table");
+    }
+    const std::size_t at = slot(vantage, url_id);
+    if (at < next_slot) {
+      throw util::SerdeError("ChurnStripFilter::load: repeated or unordered key");
+    }
+    if (id < 0) throw util::SerdeError("ChurnStripFilter::load: negative path id");
+    loaded[at] = id;
+    next_slot = at + 1;
+  }
+  first_path_ = std::move(loaded);
 }
 
 std::vector<PathClause> strip_path_churn(const PathPool& pool,
                                          const std::vector<PathClause>& clauses) {
-  ChurnStripFilter filter;
+  ChurnStripFilter filter(0, 0);  // widens to the ids it meets
+  std::vector<std::uint8_t> kept(clauses.size());
+  std::size_t num_kept = 0;
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    kept[i] = filter.keep(pool, clauses[i]) ? 1 : 0;
+    num_kept += kept[i];
+  }
   std::vector<PathClause> out;
-  for (const PathClause& clause : clauses) {
-    if (filter.keep(pool, clause)) out.push_back(clause);
+  out.reserve(num_kept);
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    if (kept[i] != 0) out.push_back(clauses[i]);
   }
   return out;
 }

@@ -37,16 +37,31 @@
 // arrays (indexed by AsId).  Emission visits chains in index order,
 // granularities in enum order and windows in time order, which is
 // CnfKey order.
+//
+// Fan-out.  A chain owns all of its state, so chains are grouped on
+// every core with no locking: the builder borrows a util::ThreadPool
+// (as it borrows the PathPool) and splits the chain table into
+// contiguous index ranges, at most one per lane.  A batch add() has each
+// range's worker scan the whole clause span and file, in stream order,
+// only the clauses of its own chains; emission has each worker close its
+// own range with its own build_group scratch, and the range outputs are
+// concatenated in range order.  Chain index order is CnfKey order (the
+// key orders by url_id first), so the result is the same, CNF for CNF,
+// for any thread count — one lane, or no pool, runs inline.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "sat/types.h"
 #include "tomo/clause.h"
+
+namespace ct::util {
+class ThreadPool;
+}  // namespace ct::util
 
 namespace ct::tomo {
 
@@ -88,8 +103,8 @@ struct CnfBuildOptions {
 /// Incremental per-window CNF construction.
 ///
 /// Clauses must be added in canonical stream order (ClauseBuilder's
-/// serial emission order — ascending Measurement::seq); each add() files
-/// the clause into one open (URL, anomaly, window) group per configured
+/// serial emission order — ascending Measurement::seq); each clause is
+/// filed into one open (URL, anomaly, window) group per configured
 /// granularity.  advance_watermark(day) declares every measurement with
 /// m.day < day delivered, closes the windows that end at or before the
 /// watermark, and returns their finished CNFs; flush() closes the rest.
@@ -97,15 +112,16 @@ struct CnfBuildOptions {
 /// Ordering precondition: within one chain (URL, anomaly), clauses
 /// arrive in non-decreasing day order.  Different chains are
 /// independent — one may start at an earlier day than another has
-/// reached.  An add() that moves a chain back to an earlier window at
+/// reached.  A clause that moves a chain back to an earlier window at
 /// any configured granularity throws std::logic_error, as does a late
-/// add() below the watermark.
+/// clause below the watermark.
 ///
 /// Determinism contract: each call returns its batch sorted by CnfKey,
 /// a window never reopens once emitted (a late add() throws), and the
 /// concatenation of all emitted batches is, as a set, exactly what
 /// build_cnfs() returns on the same stream — bit-identical CNFs, since
-/// both run this class.  In its default mode the builder owns a private
+/// both run this class.  None of it depends on the borrowed thread
+/// pool's size.  In its default mode the builder owns a private
 /// PathPool, so it can ingest clauses from any caller pool without
 /// coordinating path ids.
 ///
@@ -113,24 +129,33 @@ struct CnfBuildOptions {
 /// open group, so incremental state stays O(open windows).
 class StreamingCnfBuilder {
  public:
-  explicit StreamingCnfBuilder(CnfBuildOptions options = {});
-
-  /// Borrowed-pool mode: every add() will come from `*pool`, whose ids
+  /// `pool` null selects owned-pool mode: every add() re-interns its
+  /// paths into a private pool, for callers whose source pool ids are
+  /// not canonical or not stable.  A non-null `pool` selects
+  /// borrowed-pool mode: every add() will come from `*pool`, whose ids
   /// are already canonical (equal id <=> equal path), so clauses are
-  /// filed with no per-clause re-intern.  The pool must outlive the
-  /// builder (appending to it is fine; renumbering is not).  Every
-  /// production caller uses this mode — build_cnfs and the resident
-  /// monitor (which interns each segment's clauses into one persistent
-  /// pool, then borrows it).  The default owned-pool mode re-interns
-  /// per add() for callers whose source pool ids are not canonical or
-  /// not stable.
-  StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool);
+  /// filed with no re-intern.  Every production caller borrows —
+  /// build_cnfs and the resident monitor (which interns each segment's
+  /// clauses into one persistent pool, then borrows it).  `threads`, if
+  /// given, runs filing and emission over chain ranges on its lanes;
+  /// null or one lane runs inline.  Both borrowed objects must outlive
+  /// the builder (appending to the pool is fine; renumbering is not),
+  /// and the builder must be the thread pool's only user while one of
+  /// its calls runs.
+  explicit StreamingCnfBuilder(CnfBuildOptions options = {}, const PathPool* pool = nullptr,
+                               util::ThreadPool* threads = nullptr);
 
-  /// Files `clause` (whose path_id resolves in `pool`) into its open
-  /// window groups.  Throws std::logic_error if clause.day precedes the
-  /// watermark — that window has already been emitted — or if it moves
-  /// its chain back to an earlier window (the ordering precondition).
-  void add(const PathPool& pool, const PathClause& clause);
+  /// Files `clauses` (whose path ids resolve in `pool`), in span order
+  /// within each chain, into their open window groups.  Throws
+  /// std::logic_error before touching any state if a clause precedes
+  /// the watermark (its window has already been emitted) or carries an
+  /// invalid path id, URL or anomaly.  A clause that moves its chain
+  /// back to an earlier window (the ordering precondition) throws too;
+  /// it is not filed, but other clauses of the batch may have been, and
+  /// in owned-pool mode the batch's paths stay interned.
+  void add(const PathPool& pool, std::span<const PathClause> clauses);
+  /// One clause: a span of one, filed inline.
+  void add(const PathPool& pool, const PathClause& clause) { add(pool, {&clause, 1}); }
 
   /// Raises the watermark to `complete_before` (no-op if not an
   /// increase) and emits the now-complete CNFs, sorted by key.  A window
@@ -148,11 +173,12 @@ class StreamingCnfBuilder {
   std::int64_t emitted() const { return emitted_; }
 
   /// Checkpoint support (analysis/checkpoint.h): persists the open
-  /// window groups, watermark, and emitted count — NOT the options or
-  /// the borrowed-pool binding, which are construction-time config the
-  /// restoring caller must recreate identically (the checkpoint
-  /// envelope's config fingerprint guards this).  In borrowed-pool mode
-  /// the group path ids resolve in the borrowed pool, so the caller must
+  /// window groups in chain order, the watermark, and the emitted count
+  /// — NOT the options or the borrowed pools, which are
+  /// construction-time config the restoring caller must recreate (the
+  /// checkpoint envelope's config fingerprint guards the options; the
+  /// thread count never changes the bytes).  In borrowed-pool mode the
+  /// group path ids resolve in the borrowed pool, so the caller must
   /// save/load that pool alongside.  load() throws util::SerdeError for
   /// a window whose url_id is not below `num_urls` (the chain table is
   /// sized by the largest url_id, so an unbounded id would allocate in
@@ -212,15 +238,47 @@ class StreamingCnfBuilder {
     sat::Var var = -1;
   };
 
+  /// One lane's emission scratch: the AS slots (indexed by AsId) and the
+  /// ASes of the CNF being built.  Cache-line aligned, so lanes writing
+  /// their own scratch do not share a line.
+  struct alignas(64) EmitScratch {
+    std::vector<AsSlot> as_slots;
+    std::vector<topo::AsId> as_list;
+    std::uint32_t generation = 0;
+
+    AsSlot& touch(topo::AsId as);
+  };
+
+  /// fn(worker, range, begin, end) for one contiguous chain range
+  /// [begin, end).
+  using RangeFn = std::function<void(unsigned, std::size_t, std::size_t, std::size_t)>;
+
   static std::size_t open_groups(const Chain& chain);
+  static std::size_t chain_index(std::int32_t url_id, censor::Anomaly anomaly);
   /// Inverse of the chain index: a key with url_id and anomaly set.
   static CnfKey chain_key(std::size_t index);
+  /// The chain of (url_id, anomaly), growing the table to hold it.
   Chain& chain_at(std::int32_t url_id, censor::Anomaly anomaly);
+  /// Splits the chain table into `ranges` contiguous ranges and runs fn
+  /// on each, on the borrowed lanes when there are two or more.
+  void for_each_range(std::size_t ranges, const RangeFn& fn);
+  /// The borrowed pool's lane count, 1 without one.
+  std::size_t lanes() const;
+  /// How many ranges to split into: one per lane, at most `max_ranges`
+  /// and one per chain, and at least one.
+  std::size_t num_ranges(std::size_t max_ranges) const;
+  /// The window of `day` at every granularity (enum value order).
+  static StampTable::Windows windows_of(util::Day day);
+  /// Files one validated clause, whose day has `windows`, into its
+  /// chain's open groups.
+  void file(Chain& chain, const PathClause& clause, const StampTable::Windows& windows) const;
   /// Emits (in key order) and drops every group ending at or before
   /// `complete_before`, releasing the stamps of chains left empty.
   std::vector<TomoCnf> close_before(util::Day complete_before);
-  TomoCnf build_group(const CnfKey& key, const Group& group);
-  AsSlot& touch(topo::AsId as);
+  /// close_before for one chain, appending to `out`.
+  void close_chain(std::size_t index, util::Day complete_before, EmitScratch& scratch,
+                   std::vector<TomoCnf>& out);
+  TomoCnf build_group(const CnfKey& key, const Group& group, EmitScratch& scratch) const;
   const PathPool& pool() const { return borrowed_pool_ ? *borrowed_pool_ : pool_; }
 
   bool require_positive_ = true;
@@ -229,47 +287,77 @@ class StreamingCnfBuilder {
   std::vector<util::Granularity> granularities_;
   const PathPool* borrowed_pool_ = nullptr;
   PathPool pool_;  // used only when not borrowing
-  /// Indexed by url_id * censor::kNumAnomalies + anomaly.
+  util::ThreadPool* threads_ = nullptr;
+  /// Indexed by chain_index(url_id, anomaly).
   std::vector<Chain> chains_;
   util::Day watermark_ = 0;
   std::int64_t emitted_ = 0;
-  std::vector<AsSlot> as_slots_;
-  std::vector<topo::AsId> as_list_;
-  std::uint32_t generation_ = 0;
+  /// Indexed by worker; grown to the lane count on first emission.
+  std::vector<EmitScratch> scratch_;
 };
 
 /// Groups clauses into per-(URL, anomaly, window) CNFs.  Output is
-/// sorted by key, deterministic.  Implemented as a StreamingCnfBuilder
-/// fed with the whole stream and flushed once.
+/// sorted by key, deterministic, and independent of the thread count.
+/// Implemented as a StreamingCnfBuilder fed with the whole stream as one
+/// batch and flushed once, on `threads` — or, if null, on a local pool of
+/// one lane per hardware thread.
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
-                                const CnfBuildOptions& options = {});
+                                const CnfBuildOptions& options = {},
+                                util::ThreadPool* threads = nullptr);
 
 /// Incremental form of Figure 4's churn ablation: keeps, per
 /// (vantage, URL), only the clauses whose path equals the first path
 /// observed for that pair — i.e., erases the effect of path churn.
 /// Clauses must arrive in canonical stream order and resolve in one
 /// interned pool (equal id <=> equal path; ids may only be appended, so
-/// the recorded first-path ids stay valid).  Stateful and O(pairs);
-/// both the batch strip_path_churn() and the resident monitor's
-/// Figure-4 pass run on this filter.
+/// the recorded first-path ids stay valid).  Both the batch
+/// strip_path_churn() and the resident monitor's Figure-4 pass run on
+/// this filter.
+///
+/// The first-path ids sit in a dense vantage x URL table of PathId,
+/// -1 meaning unseen: one lookup per clause, and a pool lookup only for
+/// a pair's first clauses (to refuse empty paths).
 class ChurnStripFilter {
  public:
+  /// A table for vantage ids in [0, num_vantages) (AS ids: the graph's
+  /// num_ases() covers every vantage) and URL ids in [0, num_urls).
+  ChurnStripFilter(std::int32_t num_vantages, std::int32_t num_urls);
+
   /// True iff `clause` survives the ablation.  Empty paths never do
-  /// (and never become a pair's first path).
+  /// (and never become a pair's first path).  A vantage or URL past the
+  /// table widens it; a negative one throws std::out_of_range.
   bool keep(const PathPool& pool, const PathClause& clause);
 
   /// Checkpoint support: persists the recorded first-path ids (which
-  /// resolve in the caller's pool — save/load that pool alongside).
+  /// resolve in the caller's pool — save/load that pool alongside) as a
+  /// count and then (vantage, URL, path id) entries in (vantage, URL)
+  /// order.  load() throws util::SerdeError, leaving the filter as it
+  /// was, for a vantage or URL outside the table, a negative path id,
+  /// or a key that repeats or is out of order.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
-  std::map<std::pair<topo::AsId, std::int32_t>, PathPool::PathId> first_path_;
+  static constexpr PathPool::PathId kUnseen = -1;
+
+  bool in_table(std::int64_t vantage, std::int64_t url_id) const;
+  std::size_t slot(topo::AsId vantage, std::int32_t url_id) const;
+  /// Grows the table to hold the non-negative (vantage, url_id),
+  /// keeping every entry.
+  void widen(topo::AsId vantage, std::int32_t url_id);
+
+  std::size_t num_vantages_;
+  std::size_t num_urls_;
+  /// Indexed by vantage * num_urls_ + url_id.
+  std::vector<PathPool::PathId> first_path_;
 };
 
 /// Figure 4's ablation filter: keeps, per (vantage, URL), only the
 /// clauses whose path equals the first path observed for that pair —
-/// i.e., erases the effect of path churn.  One ChurnStripFilter pass.
+/// i.e., erases the effect of path churn.  Two serial passes: the first
+/// runs a ChurnStripFilter over the stream and counts the survivors, the
+/// second copies them, in stream order, into an output of exactly that
+/// size.
 std::vector<PathClause> strip_path_churn(const PathPool& pool,
                                          const std::vector<PathClause>& clauses);
 

@@ -123,11 +123,14 @@ AsGraph generate_topology(const TopologyConfig& config, std::uint64_t seed) {
   };
 
   // Picks a provider for `as_country`, preferring same-country providers
-  // with probability intra_country_bias, excluding `exclude`.
+  // with probability intra_country_bias, excluding `exclude`.  The
+  // candidate lists are reused across calls.
+  std::vector<AsId> domestic;
+  std::vector<AsId> anywhere;
   auto pick_provider = [&](const std::vector<AsId>& pool, CountryId as_country,
                            const std::vector<AsId>& exclude) -> AsId {
-    std::vector<AsId> domestic;
-    std::vector<AsId> anywhere;
+    domestic.clear();
+    anywhere.clear();
     for (const AsId p : pool) {
       if (std::find(exclude.begin(), exclude.end(), p) != exclude.end()) continue;
       anywhere.push_back(p);

@@ -42,6 +42,7 @@
 #include "shard_env.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
+#include "util/serde.h"
 
 namespace ct::analysis {
 namespace {
@@ -326,6 +327,42 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   v2.i32(6);
   v2.str(open_checkpoint(bytes, fingerprint).payload);
   EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
+}
+
+TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(6);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+
+  // Payload layout: pool | main grouper | strip filter | ...  Skip to
+  // the filter's entries, (vantage, URL, path id) in key order.
+  util::ByteReader r(opened.payload);
+  tomo::PathPool pool;
+  pool.load(r);
+  tomo::StreamingCnfBuilder grouper;
+  grouper.load(r, scenario.platform().config().num_urls);
+  const std::size_t strip_at = opened.payload.size() - r.remaining();
+  const std::size_t entries = r.size();
+  ASSERT_GT(entries, 0u);
+
+  // The last entry's vantage becomes the graph's AS count: still in key
+  // order, one past the table.  Resealing gives a valid checksum, so
+  // only the filter's own bounds check can refuse it.
+  std::string payload = opened.payload;
+  const std::size_t last_vantage = strip_at + 8 + (entries - 1) * 12;
+  util::ByteWriter vantage;
+  vantage.i32(scenario.graph().num_ases());
+  payload.replace(last_vantage, 4, vantage.bytes());
+  const std::string crafted = seal_checkpoint(source.fingerprint(), opened.watermark, payload);
+
+  MonitorEngine resumed(scenario, monitor_options(1));
+  EXPECT_THROW(resumed.restore(crafted), CheckpointError);
+  // The untouched payload, resealed the same way, restores.
+  MonitorEngine control(scenario, monitor_options(1));
+  control.restore(seal_checkpoint(source.fingerprint(), opened.watermark, opened.payload));
+  EXPECT_EQ(control.watermark(), 6);
 }
 
 TEST(MonitorCheckpoint, FileRoundtripAndMissingFile) {

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "../support/fuzz_seed.h"
 #include "util/rng.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace ct::tomo {
 namespace {
@@ -343,6 +348,10 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
   const std::uint64_t seed = ct::test::fuzz_seed(20170623);
   SCOPED_TRACE(ct::test::fuzz_trace(seed));
   util::Rng rng(seed);
+  // More lanes than chains, fewer, and uneven splits: the CNFs may not
+  // depend on the chain ranges.
+  std::vector<std::unique_ptr<util::ThreadPool>> lanes;
+  for (const unsigned n : {1u, 2u, 3u, 7u}) lanes.push_back(std::make_unique<util::ThreadPool>(n));
   for (int trial = 0; trial < 200; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     PathPool pool;
@@ -359,36 +368,66 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
     const std::vector<TomoCnf> want = reference_cnfs(pool, clauses, options);
     expect_cnfs_equal(build_cnfs(pool, clauses, options), want);
 
-    // The same stream through the incremental path, with random watermark
-    // advances and save/load round trips into a fresh builder mid-run:
-    // the rebuilt dedupe state must file nothing twice.
     std::int32_t num_urls = 0;  // the tightest bound load() must accept
     for (const PathClause& c : clauses) num_urls = std::max(num_urls, c.url_id + 1);
-    auto builder = std::make_unique<StreamingCnfBuilder>(options, &pool);
-    std::vector<TomoCnf> streamed;
-    const auto take = [&streamed](std::vector<TomoCnf> batch) {
-      for (TomoCnf& tc : batch) streamed.push_back(std::move(tc));
-    };
-    for (std::size_t i = 0; i < clauses.size(); ++i) {
-      builder->add(pool, clauses[i]);
-      if (rng.bernoulli(0.05)) {
-        util::ByteWriter w;
-        builder->save(w);
-        builder = std::make_unique<StreamingCnfBuilder>(options, &pool);
-        util::ByteReader r(w.bytes());
-        builder->load(r, num_urls);
-        r.expect_end();
+    for (const auto& threads : lanes) {
+      SCOPED_TRACE("threads " + std::to_string(threads->size()));
+      expect_cnfs_equal(build_cnfs(pool, clauses, options, threads.get()), want);
+
+      // The same stream through the incremental path in random batches,
+      // with random watermark advances and save/load round trips into a
+      // fresh builder mid-run: the rebuilt dedupe state must file
+      // nothing twice.
+      auto builder = std::make_unique<StreamingCnfBuilder>(options, &pool, threads.get());
+      std::vector<TomoCnf> streamed;
+      const auto take = [&streamed](std::vector<TomoCnf> batch) {
+        for (TomoCnf& tc : batch) streamed.push_back(std::move(tc));
+      };
+      std::size_t i = 0;
+      while (i < clauses.size()) {
+        const std::size_t n = std::min(clauses.size() - i, 1 + rng.index(40));
+        builder->add(pool, std::span(clauses).subspan(i, n));
+        i += n;
+        if (rng.bernoulli(0.2)) {
+          util::ByteWriter w;
+          builder->save(w);
+          builder = std::make_unique<StreamingCnfBuilder>(options, &pool, threads.get());
+          util::ByteReader r(w.bytes());
+          builder->load(r, num_urls);
+          r.expect_end();
+        }
+        if (i < clauses.size() && rng.bernoulli(0.5)) {
+          take(builder->advance_watermark(clauses[i].day));
+        }
       }
-      if (i + 1 < clauses.size() && rng.bernoulli(0.1)) {
-        take(builder->advance_watermark(clauses[i + 1].day));
-      }
+      take(builder->flush());
+      std::sort(streamed.begin(), streamed.end(),
+                [](const TomoCnf& a, const TomoCnf& b) { return a.key < b.key; });
+      expect_cnfs_equal(streamed, want);
+      if (HasFailure()) return;
     }
-    take(builder->flush());
-    std::sort(streamed.begin(), streamed.end(),
-              [](const TomoCnf& a, const TomoCnf& b) { return a.key < b.key; });
-    expect_cnfs_equal(streamed, want);
-    if (HasFailure()) return;
   }
+}
+
+TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
+  PathPool pool;
+  util::ThreadPool threads(3);
+  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool, &threads);
+  builder.add(pool, make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/9));
+  builder.advance_watermark(7);  // closes day windows 0..6 (all empty)
+  const std::size_t open = builder.open_windows();
+  // Valid clauses of other chains first: the late one rejects the whole
+  // batch before any chain is touched.
+  const std::vector<PathClause> batch{
+      make_clause(pool, {3}, true, /*url=*/1, /*day=*/8),
+      make_clause(pool, {4}, false, /*url=*/2, /*day=*/9, censor::Anomaly::kRst),
+      make_clause(pool, {5}, true, /*url=*/3, /*day=*/6),
+  };
+  EXPECT_THROW(builder.add(pool, batch), std::logic_error);
+  EXPECT_EQ(builder.open_windows(), open);
+  const auto cnfs = builder.flush();
+  ASSERT_EQ(cnfs.size(), 4u);  // url 0's day, week, month and year windows
+  for (const auto& tc : cnfs) EXPECT_EQ(tc.key.url_id, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -564,6 +603,147 @@ TEST(StripPathChurn, DifferentUrlsTrackedSeparately) {
       make_clause(pool, {1, 3}, false, /*url=*/1, 0, censor::Anomaly::kDns, 7),
   };
   EXPECT_EQ(strip_path_churn(pool, clauses).size(), 2u);
+}
+
+/// A std::map churn filter, written independently of the dense table:
+/// the first non-empty path per (vantage, URL) is kept.
+struct MapStripReference {
+  std::map<std::pair<topo::AsId, std::int32_t>, PathPool::PathId> first_path;
+
+  bool keep(const PathPool& pool, const PathClause& clause) {
+    if (pool.get(clause.path_id).empty()) return false;
+    const auto it = first_path.emplace(std::make_pair(clause.vantage, clause.url_id),
+                                       clause.path_id).first;
+    return it->second == clause.path_id;
+  }
+
+  /// The checkpoint bytes the map wrote: a count, then (vantage, URL,
+  /// path id) in map order.
+  std::string save() const {
+    util::ByteWriter w;
+    w.size(first_path.size());
+    for (const auto& [key, id] : first_path) {
+      w.i32(key.first);
+      w.i32(key.second);
+      w.i32(id);
+    }
+    return w.take();
+  }
+};
+
+TEST(StripPathChurn, MatchesMapReferenceOnRandomStreams) {
+  const std::uint64_t seed = ct::test::fuzz_seed(20171212);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    PathPool pool;
+    // The empty path (never kept, never a first path) and a few real
+    // ones, so paths churn back and forth per pair.
+    std::vector<PathPool::PathId> ids{pool.intern({})};
+    const int num_paths = static_cast<int>(rng.uniform_int(1, 6));
+    for (int p = 0; p < num_paths; ++p) {
+      std::vector<topo::AsId> path(static_cast<std::size_t>(rng.uniform_int(1, 4)));
+      for (auto& as : path) as = static_cast<topo::AsId>(rng.uniform_int(0, 30));
+      ids.push_back(pool.intern(path));
+    }
+    const std::vector<topo::AsId> vantages{0, 3, 17, 99};
+    const auto num_vantages = static_cast<std::int32_t>(rng.uniform_int(1, 4));
+    const auto num_urls = static_cast<std::int32_t>(rng.uniform_int(1, 6));
+    std::vector<PathClause> clauses;
+    const std::size_t n = rng.index(400);
+    for (std::size_t i = 0; i < n; ++i) {
+      PathClause c;
+      c.path_id = ids[rng.index(ids.size())];
+      c.url_id = static_cast<std::int32_t>(rng.index(static_cast<std::size_t>(num_urls)));
+      c.vantage = vantages[rng.index(static_cast<std::size_t>(num_vantages))];
+      c.day = static_cast<util::Day>(i / 16);
+      c.anomaly = censor::kAllAnomalies[rng.index(censor::kAllAnomalies.size())];
+      c.observed = rng.bernoulli(0.4);
+      clauses.push_back(c);
+    }
+
+    MapStripReference reference;
+    std::vector<PathClause> want;
+    for (const PathClause& c : clauses) {
+      if (reference.keep(pool, c)) want.push_back(c);
+    }
+    EXPECT_EQ(strip_path_churn(pool, clauses), want);
+
+    // The streaming filter, sized as the monitor sizes it, with a
+    // save/load round trip into a fresh filter mid-stream: same
+    // survivors, and the map's checkpoint bytes.
+    const std::int32_t table_vantages = 100;
+    auto filter = std::make_unique<ChurnStripFilter>(table_vantages, num_urls);
+    MapStripReference prefix;
+    std::vector<PathClause> got;
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+      if (filter->keep(pool, clauses[i])) got.push_back(clauses[i]);
+      prefix.keep(pool, clauses[i]);
+      if (rng.bernoulli(0.05)) {
+        util::ByteWriter w;
+        filter->save(w);
+        ASSERT_EQ(w.bytes(), prefix.save());
+        filter = std::make_unique<ChurnStripFilter>(table_vantages, num_urls);
+        util::ByteReader r(w.bytes());
+        filter->load(r);
+        r.expect_end();
+      }
+    }
+    EXPECT_EQ(got, want);
+    util::ByteWriter w;
+    filter->save(w);
+    EXPECT_EQ(w.bytes(), reference.save());
+    if (HasFailure()) return;
+  }
+}
+
+/// A filter checkpoint: a count, then the given (vantage, URL, path id)
+/// entries as written.
+std::string strip_payload(const std::vector<std::array<std::int32_t, 3>>& entries) {
+  util::ByteWriter w;
+  w.size(entries.size());
+  for (const auto& [vantage, url, id] : entries) {
+    w.i32(vantage);
+    w.i32(url);
+    w.i32(id);
+  }
+  return w.take();
+}
+
+TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
+  const std::vector<std::vector<std::array<std::int32_t, 3>>> refused{
+      {{4, 0, 1}},             // vantage at the bound
+      {{-1, 0, 1}},            // negative vantage
+      {{0, 3, 1}},             // url at the bound
+      {{0, -1, 1}},            // negative url
+      {{0, 0, -1}},            // negative path id
+      {{1, 2, 1}, {1, 2, 2}},  // repeated key
+      {{1, 2, 1}, {1, 1, 2}},  // out of order within a vantage
+      {{2, 0, 1}, {1, 2, 2}},  // out of order across vantages
+  };
+  for (const auto& entries : refused) {
+    SCOPED_TRACE("first entry " + std::to_string(entries.front()[0]) + "," +
+                 std::to_string(entries.front()[1]) + " of " + std::to_string(entries.size()));
+    ChurnStripFilter filter(4, 3);
+    const std::string payload = strip_payload(entries);
+    util::ByteReader r(payload);
+    EXPECT_THROW(filter.load(r), util::SerdeError);
+    // The refused load left the filter empty.
+    util::ByteWriter w;
+    filter.save(w);
+    EXPECT_EQ(w.bytes(), strip_payload({}));
+  }
+
+  // The corners of the table load and save back byte for byte.
+  const std::string corners = strip_payload({{0, 0, 5}, {0, 2, 6}, {3, 0, 7}, {3, 2, 8}});
+  ChurnStripFilter filter(4, 3);
+  util::ByteReader r(corners);
+  filter.load(r);
+  r.expect_end();
+  util::ByteWriter w;
+  filter.save(w);
+  EXPECT_EQ(w.bytes(), corners);
 }
 
 }  // namespace

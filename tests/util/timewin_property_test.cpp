@@ -8,12 +8,15 @@
 //     an emitted window throws,
 //   * flush() emits exactly the complement of what advance_watermark()
 //     calls emitted: together they equal build_cnfs' batch output,
-//     DIMACS-exact.
+//     DIMACS-exact, on 1, 2, 3 and 7 lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "sat/dimacs.h"
 #include "tomo/cnf_builder.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timewin.h"
 
 namespace ct::util {
@@ -113,24 +117,31 @@ std::map<CnfKey, std::string> dimacs_by_key(const std::vector<TomoCnf>& cnfs) {
 
 TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
   util::Rng rng(20170623);
-  for (int trial = 0; trial < 25; ++trial) {
+  const std::array<unsigned, 4> lane_counts{1, 2, 3, 7};
+  std::vector<std::unique_ptr<util::ThreadPool>> lanes;
+  for (const unsigned n : lane_counts) lanes.push_back(std::make_unique<util::ThreadPool>(n));
+  for (int trial = 0; trial < 4 * 25; ++trial) {
+    // Each lane count in turn; the owned-pool builder files on them too.
+    util::ThreadPool& threads = *lanes[static_cast<std::size_t>(trial) % lanes.size()];
+    SCOPED_TRACE("threads " + std::to_string(threads.size()));
     const Day num_days = static_cast<Day>(rng.uniform_int(3, 70));
     const SyntheticStream s = make_stream(rng, num_days);
     CnfBuildOptions options;
     options.require_positive = rng.bernoulli(0.7);
 
-    StreamingCnfBuilder builder(options);
+    StreamingCnfBuilder builder(options, nullptr, &threads);
     std::vector<TomoCnf> streamed;
     std::set<CnfKey> emitted_by_watermark;
     std::size_t i = 0;
     Day watermark = 0;
     while (i < s.clauses.size()) {
-      // Feed a random run of clauses, then advance the watermark to a
-      // random legal value (at most the next clause's day, so windows
-      // still owed clauses never close early).
+      // Feed a random run of clauses as one batch, then advance the
+      // watermark to a random legal value (at most the next clause's
+      // day, so windows still owed clauses never close early).
       const std::size_t run_end =
           std::min(s.clauses.size(), i + 1 + rng.index(10));
-      for (; i < run_end; ++i) builder.add(s.pool, s.clauses[i]);
+      builder.add(s.pool, std::span(s.clauses).subspan(i, run_end - i));
+      i = run_end;
       const Day next_day = i < s.clauses.size() ? s.clauses[i].day : num_days;
       if (rng.bernoulli(0.7)) {
         watermark = static_cast<Day>(rng.uniform_int(0, next_day));
@@ -155,7 +166,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
     }
 
     // The union equals the batch build, DIMACS-exact.
-    const std::vector<TomoCnf> batch = build_cnfs(s.pool, s.clauses, options);
+    const std::vector<TomoCnf> batch = build_cnfs(s.pool, s.clauses, options, &threads);
     const auto streamed_map = dimacs_by_key(streamed);
     const auto batch_map = dimacs_by_key(batch);
     ASSERT_EQ(streamed_map.size(), batch_map.size()) << "trial " << trial;
