@@ -246,7 +246,7 @@ void MonitorEngine::restore(const std::string& bytes) {
     ablation_grouper_.load(r, num_urls);
     churn_fold_.load(r);
     folds_.load(r);
-    summary_.load(r);
+    summary_.load(r, num_urls);
     truth_.load(r);
     clause_stats_ = load_clause_stats(r);
     stats_base_ = load_engine_stats(r);

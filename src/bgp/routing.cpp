@@ -32,15 +32,15 @@ std::int32_t RouteTable::path_length(AsId src) const {
   return kInf;
 }
 
-std::vector<AsId> RouteTable::path(AsId src) const {
-  std::vector<AsId> out;
-  if (!reachable(src)) return out;
+void RouteTable::path_into(AsId src, std::vector<AsId>& out) const {
+  out.clear();
+  if (!reachable(src)) return;
   AsId x = src;
   RouteKind cls = kind_[static_cast<std::size_t>(src)];
   const auto limit = kind_.size() + 2;
   while (out.size() <= limit) {
     out.push_back(x);
-    if (x == dest_) return out;
+    if (x == dest_) return;
     const auto xs = static_cast<std::size_t>(x);
     switch (cls) {
       case RouteKind::kCustomer:
@@ -70,10 +70,10 @@ std::vector<AsId> RouteTable::path(AsId src) const {
       }
       case RouteKind::kOrigin:
       case RouteKind::kNone:
-        throw std::logic_error("RouteTable::path: inconsistent route state");
+        throw std::logic_error("RouteTable::path_into: inconsistent route state");
     }
   }
-  throw std::logic_error("RouteTable::path: path reconstruction did not terminate");
+  throw std::logic_error("RouteTable::path_into: path reconstruction did not terminate");
 }
 
 std::int32_t RouteTable::advertised(std::size_t x) const {

@@ -50,8 +50,17 @@ class RouteTable {
   /// AS-path length (number of AS hops, 0 for the destination itself).
   std::int32_t path_length(topo::AsId src) const;
 
-  /// Full AS path src..dest (inclusive).  Empty if unreachable.
-  std::vector<topo::AsId> path(topo::AsId src) const;
+  /// Writes the full AS path src..dest (inclusive) into `out`,
+  /// replacing its contents; empty if unreachable.  Keeps `out`'s
+  /// capacity, so a reused buffer allocates nothing once grown.
+  void path_into(topo::AsId src, std::vector<topo::AsId>& out) const;
+
+  /// path_into into a fresh vector.
+  std::vector<topo::AsId> path(topo::AsId src) const {
+    std::vector<topo::AsId> out;
+    path_into(src, out);
+    return out;
+  }
 
   /// Equal-cost alternates: every neighbor of `src` that offers a route
   /// of the same (class, length) as src's selected route, ascending by

@@ -239,14 +239,22 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
   // Deterministic session schedule: is (vantage AS, url) tested on
   // `day`?  A scheduled session runs from *every* node of the AS in
   // every epoch of the day (ICLab batches its URL list per vantage), so
-  // the draw depends on the AS, not the node or epoch.
-  auto session_scheduled = [this](util::Day day, std::size_t vi, std::int32_t url_id) {
-    const std::uint64_t key =
-        util::mix64(util::mix64(seed_ ^ 0x5E55u, static_cast<std::uint64_t>(day)),
-                    (static_cast<std::uint64_t>(vi) << 32) |
-                        static_cast<std::uint32_t>(url_id));
-    util::Rng rng(key);
-    return rng.bernoulli(config_.test_prob);
+  // the draw depends on the AS, not the node or epoch.  Filled once per
+  // day for the shard's vantages x every URL, then read by every
+  // (epoch, destination, node) cell of that day.
+  const std::size_t num_urls = urls_.size();
+  std::vector<std::uint8_t> scheduled((vantage_end - vantage_begin) * num_urls);
+  auto schedule_day = [&](util::Day day) {
+    for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
+      for (std::size_t u = 0; u < num_urls; ++u) {
+        const std::uint64_t key =
+            util::mix64(util::mix64(seed_ ^ 0x5E55u, static_cast<std::uint64_t>(day)),
+                        (static_cast<std::uint64_t>(vi) << 32) | static_cast<std::uint32_t>(u));
+        util::Rng rng(key);
+        scheduled[(vi - vantage_begin) * num_urls + u] =
+            rng.bernoulli(config_.test_prob) ? 1 : 0;
+      }
+    }
   };
 
   // Detector *misses* (false negatives) are correlated within a
@@ -284,23 +292,29 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
         static_cast<std::uint64_t>(node)));
   };
 
-  // Path of a vantage node: node 0 follows the AS's best BGP route;
-  // further nodes exit through the AS's other providers (different PoP,
-  // different first hop) when the AS is multihomed.  With a flow hash
-  // (multipath regime) the path beyond the exit load-balances across
-  // equal-cost alternates keyed on that hash; without one it follows
-  // the best route.
-  auto node_path = [this](const bgp::RouteTable& table, AsId vp, std::size_t node,
-                          const std::vector<bool>& link_up,
-                          std::optional<std::uint64_t> flow_hash =
-                              std::nullopt) -> std::vector<AsId> {
-    const auto follow = [&](AsId from) {
-      return flow_hash ? table.ecmp_path(from, *flow_hash, graph_, link_up)
-                       : table.path(from);
+  // Path of a vantage node, written into `out`: node 0 follows the AS's
+  // best BGP route; further nodes exit through the AS's other providers
+  // (different PoP, different first hop) when the AS is multihomed.
+  // With a flow hash (multipath regime) the path beyond the exit
+  // load-balances across equal-cost alternates keyed on that hash;
+  // without one it follows the best route.  `providers` and `rest` are
+  // the shard's scratch.
+  std::vector<AsId> providers;
+  std::vector<AsId> rest;
+  auto node_path_into = [&](const bgp::RouteTable& table, AsId vp, std::size_t node,
+                            const std::vector<bool>& link_up,
+                            std::optional<std::uint64_t> flow_hash, std::vector<AsId>& out) {
+    const auto follow = [&](AsId from, std::vector<AsId>& dst) {
+      if (flow_hash) {
+        dst = table.ecmp_path(from, *flow_hash, graph_, link_up);
+      } else {
+        table.path_into(from, dst);
+      }
     };
-    if (!table.reachable(vp)) return {};
-    if (node == 0) return follow(vp);
-    std::vector<AsId> providers;
+    out.clear();
+    if (!table.reachable(vp)) return;
+    if (node == 0) return follow(vp, out);
+    providers.clear();
     for (const auto& nb : graph_.neighbors(vp)) {
       if (nb.kind == topo::NeighborKind::kProvider &&
           link_up[static_cast<std::size_t>(nb.link)]) {
@@ -308,13 +322,12 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
       }
     }
     std::sort(providers.begin(), providers.end());
-    if (providers.size() < 2) return follow(vp);  // single-homed: same exit
+    if (providers.size() < 2) return follow(vp, out);  // single-homed: same exit
     const AsId exit = providers[node % providers.size()];
-    if (!table.reachable(exit)) return follow(vp);
-    std::vector<AsId> path{vp};
-    const std::vector<AsId> rest = follow(exit);
-    path.insert(path.end(), rest.begin(), rest.end());
-    return path;
+    if (!table.reachable(exit)) return follow(vp, out);
+    follow(exit, rest);
+    out.push_back(vp);
+    out.insert(out.end(), rest.begin(), rest.end());
   };
 
   // A shard starting mid-year reconstructs its starting state: the churn
@@ -327,15 +340,24 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
     for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
       for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
         for (std::size_t node = 0; node < nodes; ++node) {
-          prev_paths[(vi - vantage_begin) * nodes + node][di] =
-              node_path(tables.at(di), vantages_[vi], node, churn.link_up());
+          node_path_into(tables.at(di), vantages_[vi], node, churn.link_up(), std::nullopt,
+                         prev_paths[(vi - vantage_begin) * nodes + node][di]);
         }
       }
     }
   }
 
+  // Emission buffers, reused by every cell of the shard: each keeps its
+  // capacity, so steady-state emission allocates nothing.  The sink sees
+  // `m` only for the duration of on_measurement (MeasurementSink).
+  std::vector<AsId> default_path;
+  std::vector<AsId> path;
+  std::vector<AsId> ecmp_path;
+  Measurement m;
+
   for (util::Day day = range.day_begin; day < range.day_end; ++day) {
     sink.on_day_start(day);
+    schedule_day(day);
     for (std::int32_t epoch = 0; epoch < config_.epochs_per_day; ++epoch) {
       const std::int64_t global_epoch = static_cast<std::int64_t>(day) * epochs_per_day +
                                         static_cast<std::int64_t>(epoch);
@@ -351,24 +373,22 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
         for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
           const AsId vp = vantages_[vi];
           // AS-level churn tracking uses the AS's default best path.
-          {
-            const std::vector<AsId> default_path =
-                table.reachable(vp) ? table.path(vp) : std::vector<AsId>{};
-            sink.on_path(day, epoch, vp, dest, default_path);
-          }
+          table.path_into(vp, default_path);
+          sink.on_path(day, epoch, vp, dest, default_path);
+          const std::uint8_t* vantage_scheduled = &scheduled[(vi - vantage_begin) * num_urls];
 
           for (std::size_t node = 0; node < nodes; ++node) {
             const std::size_t node_index = vi * nodes + node;
             const std::size_t local_node_index = (vi - vantage_begin) * nodes + node;
             util::Rng rng = cell_rng(global_epoch, di, vi, node);
-            std::vector<AsId> path = node_path(table, vp, node, churn.link_up());
+            node_path_into(table, vp, node, churn.link_up(), std::nullopt, path);
+            std::vector<AsId>& prev = prev_paths[local_node_index][di];
 
             for (std::size_t ui = 0; ui < urls_by_dest[di].size(); ++ui) {
               const std::int32_t url_id = urls_by_dest[di][ui];
-              if (!session_scheduled(day, vi, url_id)) continue;
+              if (vantage_scheduled[static_cast<std::size_t>(url_id)] == 0) continue;
               const Url& url = urls_[static_cast<std::size_t>(url_id)];
 
-              Measurement m;
               m.vantage = vp;
               m.vp_node = static_cast<std::int32_t>(node);
               m.url_id = url_id;
@@ -382,31 +402,37 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
                     node) *
                        urls_.size() +
                    ui));
+              m.detected = {};
+              m.truth_censored = {};
               // Multipath regime: this flow's path may be an equal-cost
               // alternate of the default.  The flutter history and
               // on_path (AS-level churn tracking) stay keyed on the
               // default best path — ECMP spreads *flows*, it does not
               // change what BGP selected.
-              std::vector<AsId> mpath = path;
+              const std::vector<AsId>* mpath = &path;
               if (config_.ecmp_multipath && !path.empty()) {
                 const std::uint64_t flow_hash = util::mix64(
                     util::mix64(seed_ ^ 0xEC3Fu, (static_cast<std::uint64_t>(vi) << 20) ^
                                                      static_cast<std::uint64_t>(node)),
                     static_cast<std::uint64_t>(static_cast<std::uint32_t>(url_id)));
-                mpath = node_path(table, vp, node, churn.link_up(), flow_hash);
+                node_path_into(table, vp, node, churn.link_up(), flow_hash, ecmp_path);
+                mpath = &ecmp_path;
               }
-              m.truth_path = mpath;
-              m.unreachable = mpath.empty();
+              m.truth_path.assign(mpath->begin(), mpath->end());
+              m.unreachable = mpath->empty();
 
               if (m.unreachable) {
-                for (auto& t : m.traceroutes) t.error = true;
+                for (auto& t : m.traceroutes) {
+                  t.error = true;
+                  t.hops.clear();
+                }
               } else {
-                m.traceroutes = tracer.trace_triple(mpath, prev_paths[local_node_index][di],
-                                                    config_.flutter_prob, rng);
+                tracer.trace_triple_into(*mpath, prev, config_.flutter_prob, rng,
+                                         m.traceroutes);
                 for (const Anomaly a : kAllAnomalies) {
                   const auto ai = static_cast<std::size_t>(a);
                   const bool censored =
-                      registry_.path_censored(mpath, url.category, a, day);
+                      registry_.path_censored(*mpath, url.category, a, day);
                   m.truth_censored[ai] = censored;
                   m.detected[ai] =
                       censored
@@ -416,7 +442,9 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
               }
               sink.on_measurement(m);
             }
-            prev_paths[local_node_index][di] = std::move(path);
+            // The node's path becomes its flutter history; the old
+            // history's buffer is refilled by the next cell.
+            prev.swap(path);
           }
         }
       }
@@ -448,9 +476,56 @@ void DatasetSummary::on_measurement(const Measurement& m) {
       ++anomaly_counts_[static_cast<std::size_t>(a)];
     }
   }
-  seen_vantages_.insert(m.vantage);
-  seen_urls_.insert(m.url_id);
+  if (m.url_id < 0) throw std::out_of_range("DatasetSummary: negative URL id");
+  seen_vantages_.at(static_cast<std::size_t>(m.vantage)) = 1;
+  const auto url = static_cast<std::size_t>(m.url_id);
+  if (url >= seen_urls_.size()) seen_urls_.resize(url + 1, 0);
+  seen_urls_[url] = 1;
 }
+
+namespace {
+
+// Ids of the set flags, ascending.
+std::vector<std::int32_t> flagged_ids(const std::vector<std::uint8_t>& flags) {
+  std::vector<std::int32_t> ids;
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    if (flags[i] != 0) ids.push_back(static_cast<std::int32_t>(i));
+  }
+  return ids;
+}
+
+void or_flags(std::vector<std::uint8_t>& into, const std::vector<std::uint8_t>& from) {
+  if (into.size() < from.size()) into.resize(from.size(), 0);
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] |= from[i];
+}
+
+void save_flags(util::ByteWriter& w, const std::vector<std::uint8_t>& flags) {
+  const std::vector<std::int32_t> ids = flagged_ids(flags);
+  w.size(ids.size());
+  for (const std::int32_t id : ids) w.i32(id);
+}
+
+// Reads a count and strictly ascending ids in [0, bound) into flags of
+// size `bound`.
+std::vector<std::uint8_t> load_flags(util::ByteReader& r, std::int32_t bound,
+                                     const char* what) {
+  std::vector<std::uint8_t> flags(static_cast<std::size_t>(std::max(bound, 0)), 0);
+  const std::size_t n = r.size();
+  std::int32_t last = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t id = r.i32();
+    if (id < 0 || id >= bound || id <= last) {
+      throw util::SerdeError(std::string("DatasetSummary::load: ") + what + " id " +
+                             std::to_string(id) +
+                             " is negative, out of range, repeated or out of order");
+    }
+    flags[static_cast<std::size_t>(id)] = 1;
+    last = id;
+  }
+  return flags;
+}
+
+}  // namespace
 
 void DatasetSummary::merge(DatasetSummary&& other) {
   measurements_ += other.measurements_;
@@ -458,8 +533,8 @@ void DatasetSummary::merge(DatasetSummary&& other) {
   for (std::size_t i = 0; i < anomaly_counts_.size(); ++i) {
     anomaly_counts_[i] += other.anomaly_counts_[i];
   }
-  seen_vantages_.insert(other.seen_vantages_.begin(), other.seen_vantages_.end());
-  seen_urls_.insert(other.seen_urls_.begin(), other.seen_urls_.end());
+  or_flags(seen_vantages_, other.seen_vantages_);
+  or_flags(seen_urls_, other.seen_urls_);
 }
 
 double DatasetSummary::anomaly_fraction(Anomaly a) const {
@@ -469,16 +544,18 @@ double DatasetSummary::anomaly_fraction(Anomaly a) const {
 }
 
 std::int64_t DatasetSummary::distinct_vantages() const {
-  return static_cast<std::int64_t>(seen_vantages_.size());
+  return std::count(seen_vantages_.begin(), seen_vantages_.end(), std::uint8_t{1});
 }
 
 std::int64_t DatasetSummary::distinct_urls() const {
-  return static_cast<std::int64_t>(seen_urls_.size());
+  return std::count(seen_urls_.begin(), seen_urls_.end(), std::uint8_t{1});
 }
 
 std::int64_t DatasetSummary::distinct_countries() const {
   std::set<topo::CountryId> s;
-  for (const topo::AsId vp : seen_vantages_) s.insert(graph_.as_info(vp).country);
+  for (const std::int32_t vp : flagged_ids(seen_vantages_)) {
+    s.insert(graph_.as_info(vp).country);
+  }
   return static_cast<std::int64_t>(s.size());
 }
 
@@ -486,16 +563,22 @@ void DatasetSummary::save(util::ByteWriter& w) const {
   w.i64(measurements_);
   w.i64(unreachable_);
   for (const std::int64_t c : anomaly_counts_) w.i64(c);
-  util::save_set(w, seen_vantages_, [](util::ByteWriter& w, topo::AsId as) { w.i32(as); });
-  util::save_set(w, seen_urls_, [](util::ByteWriter& w, std::int32_t url) { w.i32(url); });
+  save_flags(w, seen_vantages_);
+  save_flags(w, seen_urls_);
 }
 
-void DatasetSummary::load(util::ByteReader& r) {
-  measurements_ = r.i64();
-  unreachable_ = r.i64();
-  for (std::int64_t& c : anomaly_counts_) c = r.i64();
-  util::load_set(r, seen_vantages_, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
-  util::load_set(r, seen_urls_, [](util::ByteReader& r) { return r.i32(); });
+void DatasetSummary::load(util::ByteReader& r, std::int32_t num_urls) {
+  const std::int64_t measurements = r.i64();
+  const std::int64_t unreachable = r.i64();
+  std::array<std::int64_t, kNumAnomalies> anomaly_counts{};
+  for (std::int64_t& c : anomaly_counts) c = r.i64();
+  std::vector<std::uint8_t> vantages = load_flags(r, graph_.num_ases(), "vantage");
+  std::vector<std::uint8_t> urls = load_flags(r, num_urls, "URL");
+  measurements_ = measurements;
+  unreachable_ = unreachable;
+  anomaly_counts_ = anomaly_counts;
+  seen_vantages_ = std::move(vantages);
+  seen_urls_ = std::move(urls);
 }
 
 }  // namespace ct::iclab

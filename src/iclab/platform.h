@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -74,11 +73,16 @@ struct Measurement {
 class MeasurementSink {
  public:
   virtual ~MeasurementSink() = default;
+  /// `m` is valid only for the duration of the call: each platform
+  /// shard reuses one Measurement (and its hop lists and path buffer)
+  /// for every record it emits, so a sink that needs a record later
+  /// must copy it.
   virtual void on_measurement(const Measurement& m) = 0;
   /// Called once per (day, epoch, vantage, destination AS) with the
   /// current BGP path (empty if unreachable), regardless of whether a
   /// measurement was scheduled — the churn analysis (Figure 3) consumes
-  /// this.
+  /// this.  Like `m` above, `path` is a reused buffer, valid only for
+  /// the duration of the call.
   virtual void on_path(util::Day /*day*/, std::int32_t /*epoch*/, topo::AsId /*vantage*/,
                        topo::AsId /*dest*/, const std::vector<topo::AsId>& /*path*/) {}
   /// Called at the start of each simulated day.
@@ -214,7 +218,10 @@ class Platform {
   /// state — so the union of the streams emitted by any disjoint tiling
   /// of shards is bit-identical to the serial run's stream.
   /// on_day_start fires once per shard per covered day (shards that
-  /// split the vantage dimension share days).  The shard builds its own
+  /// split the vantage dimension share days).  The shard emits through
+  /// one reused Measurement whose hop lists, truth path and path
+  /// buffers keep their capacity from record to record, so steady-state
+  /// emission allocates nothing.  The shard builds its own
   /// routing view of every epoch it covers (plus the priming view), so
   /// concurrent shards share no mutable state; shards that split the
   /// vantage dimension each compute the same views.
@@ -248,7 +255,8 @@ class Platform {
 /// Table-1 accumulator: dataset characteristics.
 class DatasetSummary : public MeasurementSink {
  public:
-  explicit DatasetSummary(const topo::AsGraph& graph) : graph_(graph) {}
+  explicit DatasetSummary(const topo::AsGraph& graph)
+      : graph_(graph), seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0) {}
 
   void on_measurement(const Measurement& m) override;
 
@@ -270,20 +278,26 @@ class DatasetSummary : public MeasurementSink {
   std::int64_t distinct_countries() const;
 
   /// Checkpoint support (analysis/checkpoint.h): persists everything
-  /// but the graph reference.
+  /// but the graph reference.  Each distinct set is written as its count,
+  /// then its ids in ascending order.  load() throws util::SerdeError,
+  /// leaving the summary untouched, for a negative id, a vantage id past
+  /// the graph, a URL id not below `num_urls`, or an id that repeats or
+  /// is out of order.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_urls);
 
  private:
   const topo::AsGraph& graph_;
   std::int64_t measurements_ = 0;
   std::int64_t unreachable_ = 0;
   std::array<std::int64_t, censor::kNumAnomalies> anomaly_counts_{};
-  // Distinct sets, not per-measurement logs: the resident monitor holds
-  // one summary for a multi-year stream, so per-measurement state here
-  // would break its O(open windows) memory contract.
-  std::set<topo::AsId> seen_vantages_;
-  std::set<std::int32_t> seen_urls_;
+  // Distinct sets as dense seen-flags, not per-measurement logs: the
+  // resident monitor holds one summary for a multi-year stream, so
+  // per-measurement state here would break its O(open windows) memory
+  // contract.  Vantage flags cover the graph; URL flags grow with the
+  // largest id seen.
+  std::vector<std::uint8_t> seen_vantages_;
+  std::vector<std::uint8_t> seen_urls_;
 };
 
 }  // namespace ct::iclab

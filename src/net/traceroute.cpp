@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ct::net {
 
@@ -28,12 +29,13 @@ Ip4 TracerouteEngine::random_address_of_as(topo::AsId as, util::Rng& rng) const 
   return random_address_in(prefixes[rng.index(prefixes.size())], rng);
 }
 
-Traceroute TracerouteEngine::trace(const std::vector<topo::AsId>& as_path,
-                                   util::Rng& rng) const {
-  Traceroute out;
+void TracerouteEngine::trace_into(const std::vector<topo::AsId>& as_path, util::Rng& rng,
+                                  Traceroute& out) const {
+  out.error = false;
+  out.hops.clear();
   if (as_path.empty() || rng.bernoulli(config_.error_prob)) {
     out.error = true;
-    return out;
+    return;
   }
   for (std::size_t i = 0; i < as_path.size(); ++i) {
     const topo::AsId as = as_path[i];
@@ -63,21 +65,19 @@ Traceroute TracerouteEngine::trace(const std::vector<topo::AsId>& as_path,
       }
     }
   }
-  return out;
 }
 
-std::array<Traceroute, 3> TracerouteEngine::trace_triple(
-    const std::vector<topo::AsId>& as_path, const std::vector<topo::AsId>& alternate_path,
-    double flutter_prob, util::Rng& rng) const {
-  std::array<Traceroute, 3> out;
+void TracerouteEngine::trace_triple_into(const std::vector<topo::AsId>& as_path,
+                                         const std::vector<topo::AsId>& alternate_path,
+                                         double flutter_prob, util::Rng& rng,
+                                         std::array<Traceroute, 3>& out) const {
   std::size_t flutter_index = 3;  // none
   if (!alternate_path.empty() && alternate_path != as_path && rng.bernoulli(flutter_prob)) {
     flutter_index = rng.index(3);
   }
   for (std::size_t i = 0; i < 3; ++i) {
-    out[i] = trace(i == flutter_index ? alternate_path : as_path, rng);
+    trace_into(i == flutter_index ? alternate_path : as_path, rng, out[i]);
   }
-  return out;
 }
 
 std::string to_string(InferenceDrop drop) {
@@ -91,14 +91,15 @@ std::string to_string(InferenceDrop drop) {
   return "?";
 }
 
-InferenceResult infer_single(const Traceroute& traceroute, const Ip2AsDb& db) {
-  InferenceResult result;
-  if (traceroute.error) {
-    result.drop = InferenceDrop::kTracerouteError;
-    return result;
-  }
+namespace {
 
-  std::vector<topo::AsId> path;
+// One traceroute's conversion (rules 1-3) into `path`, which is cleared
+// first and left empty unless the result is kNone.
+InferenceDrop infer_single_into(const Traceroute& traceroute, const Ip2AsDb& db,
+                                std::vector<topo::AsId>& path) {
+  path.clear();
+  if (traceroute.error) return InferenceDrop::kTracerouteError;
+
   topo::AsId last_as = topo::kInvalidAs;
   bool pending_gap = false;
   for (const Hop& hop : traceroute.hops) {
@@ -114,48 +115,50 @@ InferenceResult infer_single(const Traceroute& traceroute, const Ip2AsDb& db) {
       if (pending_gap) {
         // Rule 3: a gap flanked by two different ASes — the hidden hops
         // could belong to either side or a third AS entirely.
-        result.drop = InferenceDrop::kAmbiguousGap;
-        return result;
+        path.clear();
+        return InferenceDrop::kAmbiguousGap;
       }
       path.push_back(*mapped);
       last_as = *mapped;
     }
     pending_gap = false;
   }
-  if (path.empty()) {
-    // Rule 1: nothing in this traceroute was mappable.
-    result.drop = InferenceDrop::kNoMapping;
-    return result;
-  }
-  result.as_path = std::move(path);
+  // Rule 1: nothing in this traceroute was mappable.
+  return path.empty() ? InferenceDrop::kNoMapping : InferenceDrop::kNone;
+}
+
+}  // namespace
+
+InferenceResult infer_single(const Traceroute& traceroute, const Ip2AsDb& db) {
+  InferenceResult result;
+  result.drop = infer_single_into(traceroute, db, result.as_path);
   return result;
+}
+
+InferenceDrop infer_as_path_into(const std::array<Traceroute, 3>& traceroutes,
+                                 const Ip2AsDb& db,
+                                 std::array<std::vector<topo::AsId>, 3>& scratch) {
+  // Rule 2 first: any outright traceroute failure voids the record.
+  for (const auto& t : traceroutes) {
+    if (t.error) return InferenceDrop::kTracerouteError;
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    const InferenceDrop drop = infer_single_into(traceroutes[i], db, scratch[i]);
+    if (drop != InferenceDrop::kNone) return drop;
+  }
+  // Rule 4: all three conversions must agree on one AS-level path.
+  if (scratch[0] != scratch[1] || scratch[1] != scratch[2]) {
+    return InferenceDrop::kDivergentPaths;
+  }
+  return InferenceDrop::kNone;
 }
 
 InferenceResult infer_as_path(const std::array<Traceroute, 3>& traceroutes,
                               const Ip2AsDb& db) {
+  std::array<std::vector<topo::AsId>, 3> scratch;
   InferenceResult result;
-  // Rule 2 first: any outright traceroute failure voids the record.
-  for (const auto& t : traceroutes) {
-    if (t.error) {
-      result.drop = InferenceDrop::kTracerouteError;
-      return result;
-    }
-  }
-  std::vector<std::vector<topo::AsId>> paths;
-  for (const auto& t : traceroutes) {
-    InferenceResult single = infer_single(t, db);
-    if (single.drop != InferenceDrop::kNone) {
-      result.drop = single.drop;
-      return result;
-    }
-    paths.push_back(std::move(single.as_path));
-  }
-  // Rule 4: all three conversions must agree on one AS-level path.
-  if (paths[0] != paths[1] || paths[1] != paths[2]) {
-    result.drop = InferenceDrop::kDivergentPaths;
-    return result;
-  }
-  result.as_path = std::move(paths[0]);
+  result.drop = infer_as_path_into(traceroutes, db, scratch);
+  if (result.drop == InferenceDrop::kNone) result.as_path = std::move(scratch[0]);
   return result;
 }
 

@@ -12,6 +12,11 @@
 // hops per AS, unresponsive hops, unmapped border addresses, outright
 // errors); infer_as_path implements the conversion with exactly those
 // four elimination rules.
+//
+// Every renderer and the inference have an `_into` form that writes into
+// caller-owned buffers (the platform and the clause builder reuse one
+// set per shard, so steady-state emission allocates nothing) and a
+// value-returning wrapper over it; each rule has exactly one body.
 #pragma once
 
 #include <array>
@@ -57,18 +62,40 @@ class TracerouteEngine {
  public:
   TracerouteEngine(const AddressPlan& plan, const TracerouteConfig& config);
 
-  /// Renders one traceroute along the AS-level path (vantage first).
-  /// The destination's final hop is always rendered (when the traceroute
-  /// does not error), mirroring a completed probe.
-  Traceroute trace(const std::vector<topo::AsId>& as_path, util::Rng& rng) const;
+  /// Renders one traceroute along the AS-level path (vantage first)
+  /// into `out`, replacing its contents: `error` is reset and `hops` is
+  /// cleared and refilled, so a caller that passes the same Traceroute
+  /// for every measurement keeps the hop list's capacity and allocates
+  /// nothing once it has grown.  The destination's final hop is always
+  /// rendered (when the traceroute does not error), mirroring a
+  /// completed probe.
+  void trace_into(const std::vector<topo::AsId>& as_path, util::Rng& rng,
+                  Traceroute& out) const;
 
-  /// Renders the three traceroutes of one measurement.  With probability
-  /// `flutter_prob`, one of the three follows `alternate_path` instead
-  /// (route change racing the measurement) — the organic source of
-  /// rule-4 eliminations.  Pass an empty alternate to disable.
+  /// trace_into into a fresh Traceroute: same draws, same hops.
+  Traceroute trace(const std::vector<topo::AsId>& as_path, util::Rng& rng) const {
+    Traceroute out;
+    trace_into(as_path, rng, out);
+    return out;
+  }
+
+  /// Renders the three traceroutes of one measurement into `out` (each
+  /// through trace_into).  With probability `flutter_prob`, one of the
+  /// three follows `alternate_path` instead (route change racing the
+  /// measurement) — the organic source of rule-4 eliminations.  Pass an
+  /// empty alternate to disable.
+  void trace_triple_into(const std::vector<topo::AsId>& as_path,
+                         const std::vector<topo::AsId>& alternate_path, double flutter_prob,
+                         util::Rng& rng, std::array<Traceroute, 3>& out) const;
+
+  /// trace_triple_into into fresh Traceroutes: same draws, same hops.
   std::array<Traceroute, 3> trace_triple(const std::vector<topo::AsId>& as_path,
                                          const std::vector<topo::AsId>& alternate_path,
-                                         double flutter_prob, util::Rng& rng) const;
+                                         double flutter_prob, util::Rng& rng) const {
+    std::array<Traceroute, 3> out;
+    trace_triple_into(as_path, alternate_path, flutter_prob, rng, out);
+    return out;
+  }
 
  private:
   Ip4 random_address_in(const Prefix& prefix, util::Rng& rng) const;
@@ -97,13 +124,24 @@ struct InferenceResult {
   std::vector<topo::AsId> as_path;
 };
 
-/// Converts one raw traceroute to an AS path.  Leading unmappable hops
-/// (the vantage's private addresses) are benign; a gap *between* two
-/// different mapped ASes is ambiguous (rule 3).
+/// Converts one raw traceroute to an AS path (rules 1-3, through the
+/// same per-traceroute conversion infer_as_path_into runs).  Leading
+/// unmappable hops (the vantage's private addresses) are benign; a gap
+/// *between* two different mapped ASes is ambiguous (rule 3).
 InferenceResult infer_single(const Traceroute& traceroute, const Ip2AsDb& db);
 
 /// Applies all four elimination rules across a measurement's three
-/// traceroutes.
+/// traceroutes, in this precedence: rule 2 over all three traceroutes
+/// first, then rules 1 and 3 per traceroute in order, then rule 4.  The
+/// three conversions are written into `scratch`; on kNone the inferred
+/// path is scratch[0], otherwise the scratch contents are unspecified.
+/// A caller that keeps one scratch across measurements allocates
+/// nothing once its vectors have grown.
+InferenceDrop infer_as_path_into(const std::array<Traceroute, 3>& traceroutes,
+                                 const Ip2AsDb& db,
+                                 std::array<std::vector<topo::AsId>, 3>& scratch);
+
+/// infer_as_path_into with a fresh scratch.
 InferenceResult infer_as_path(const std::array<Traceroute, 3>& traceroutes,
                               const Ip2AsDb& db);
 

@@ -10,9 +10,14 @@
 namespace ct::tomo {
 
 PathPool::PathId PathPool::intern(const std::vector<topo::AsId>& path) {
-  const auto [it, inserted] = index_.emplace(path, static_cast<PathId>(paths_.size()));
-  if (inserted) paths_.push_back(path);
-  return it->second;
+  // Look up before inserting: emplace would build (and free) a node and
+  // a copy of the path even when the path is already interned.
+  const auto it = index_.lower_bound(path);
+  if (it != index_.end() && it->first == path) return it->second;
+  const auto id = static_cast<PathId>(paths_.size());
+  index_.emplace_hint(it, path, id);
+  paths_.push_back(path);
+  return id;
 }
 
 void PathPool::save(util::ByteWriter& w) const {
@@ -42,8 +47,7 @@ void PathPool::load(util::ByteReader& r) {
 
 void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
   ++stats_.measurements;
-  const net::InferenceResult inferred = net::infer_as_path(m.traceroutes, db_);
-  switch (inferred.drop) {
+  switch (net::infer_as_path_into(m.traceroutes, db_, infer_scratch_)) {
     case net::InferenceDrop::kNoMapping:
       ++stats_.dropped_no_mapping;
       return;
@@ -60,7 +64,7 @@ void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
       break;
   }
   ++stats_.usable_measurements;
-  const PathPool::PathId path_id = pool_.intern(inferred.as_path);
+  const PathPool::PathId path_id = pool_.intern(infer_scratch_[0]);
   for (const censor::Anomaly a : censor::kAllAnomalies) {
     PathClause clause;
     clause.path_id = path_id;

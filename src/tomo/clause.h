@@ -168,6 +168,8 @@ class ClauseBuilder : public iclab::MeasurementSink {
 
  private:
   const net::Ip2AsDb& db_;
+  /// net::infer_as_path_into's buffers, reused by every measurement.
+  std::array<std::vector<topo::AsId>, 3> infer_scratch_;
   PathPool pool_;
   std::vector<PathClause> clauses_;
   std::vector<std::int64_t> seqs_;

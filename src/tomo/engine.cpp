@@ -98,8 +98,10 @@ std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
   if (stats != nullptr) *stats = EngineStats{};
   std::vector<CnfVerdict> out(cnfs.size());
 
+  // Never more workers than cores: a larger request would oversubscribe.
+  const unsigned hardware = util::ThreadPool::hardware_threads();
   unsigned threads =
-      options.num_threads == 0 ? util::ThreadPool::hardware_threads() : options.num_threads;
+      options.num_threads == 0 ? hardware : std::min(options.num_threads, hardware);
   // Thread-budget rule (README "Portfolio racing"): every racing solve
   // runs `width` members concurrently, so divide the worker count by
   // the racing width to keep workers x width within the same budget.

@@ -51,8 +51,8 @@ struct AnalysisOptions {
   /// needs the full histogram.
   bool resolve_counts = true;
   /// Worker threads for analyze_cnfs: 1 = serial on the calling thread
-  /// (exact old behavior), 0 = hardware concurrency.  Verdicts are
-  /// independent of this value.
+  /// (exact old behavior), 0 = hardware concurrency; a larger request is
+  /// capped at the hardware.  Verdicts are independent of this value.
   unsigned num_threads = 1;
   /// Per-CNF SAT backend selection (README "Solver backends"): auto
   /// picks CDCL / exact-count / unit-prop by formula shape and the

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "topo/generator.h"
+#include "util/serde.h"
 
 namespace ct::iclab {
 namespace {
@@ -133,6 +136,107 @@ TEST(Platform, RunIsDeterministic) {
     EXPECT_EQ(s1.measurements[i].url_id, s2.measurements[i].url_id);
     EXPECT_EQ(s1.measurements[i].detected, s2.measurements[i].detected);
     EXPECT_EQ(s1.measurements[i].truth_path, s2.measurements[i].truth_path);
+  }
+}
+
+// Folds every field of every emitted record, and every on_path and
+// on_day_start call, into one 64-bit digest in call order.
+class DigestSink : public MeasurementSink {
+ public:
+  void on_measurement(const Measurement& m) override {
+    fold(1);
+    fold(m.vantage);
+    fold(m.vp_node);
+    fold(m.url_id);
+    fold(m.day);
+    fold(m.epoch_in_day);
+    fold(m.seq);
+    for (const bool d : m.detected) fold(d);
+    for (const auto& t : m.traceroutes) {
+      fold(t.error);
+      fold(t.hops.size());
+      for (const auto& hop : t.hops) {
+        fold(hop.has_value());
+        if (hop) fold(*hop);
+      }
+    }
+    fold(m.unreachable);
+    ++(m.unreachable ? unreachable : reachable);
+    fold_path(m.truth_path);
+    for (const bool c : m.truth_censored) fold(c);
+  }
+  void on_path(util::Day day, std::int32_t epoch, topo::AsId vantage, topo::AsId dest,
+               const std::vector<topo::AsId>& path) override {
+    fold(2);
+    fold(day);
+    fold(epoch);
+    fold(vantage);
+    fold(dest);
+    fold_path(path);
+  }
+  void on_day_start(util::Day day) override {
+    fold(3);
+    fold(day);
+  }
+
+  std::uint64_t digest = 0;
+  std::int64_t reachable = 0;
+  std::int64_t unreachable = 0;
+
+ private:
+  template <typename T>
+  void fold(T value) {
+    digest = util::mix64(digest, static_cast<std::uint64_t>(value));
+  }
+  void fold_path(const std::vector<topo::AsId>& path) {
+    fold(path.size());
+    for (const topo::AsId as : path) fold(as);
+  }
+};
+
+TEST(Platform, StreamDigestIsPinned) {
+  // The emitted stream, byte for byte, for the serial run and for one
+  // day x vantage tiling fed through run_shard in plan order, with and
+  // without the ECMP flow hash, and under churn heavy enough to cut
+  // vantages off (unreachable records).  Reused emission buffers that
+  // leak a stale hop, path or flag change these digests.
+  struct Expected {
+    bool ecmp;
+    bool heavy_churn;
+    std::uint64_t serial;
+    std::uint64_t tiled;
+  };
+  // Recorded from the emission kernel that rendered fresh buffers per
+  // measurement; never edit these to make a change pass.
+  const Expected cases[] = {
+      {false, false, 0x8257b1e5a66cb189ULL, 0x651f0182d355a003ULL},
+      {true, false, 0x06ec3a2edf51010eULL, 0xcb96aac6f51cfb87ULL},
+      {false, true, 0xe5f4d0807783aa3aULL, 0x7ef0c74bed46153dULL},
+      {true, true, 0xfa1cd23412f42d0aULL, 0x7c39b936914b4a75ULL},
+  };
+  for (const Expected& expected : cases) {
+    TestWorld w;
+    w.config.ecmp_multipath = expected.ecmp;
+    if (expected.heavy_churn) {
+      w.config.churn.stable_fail_prob = 0.1;
+      w.config.churn.repair_prob = 0.5;
+    }
+    Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+    DigestSink serial;
+    platform.run(serial);
+    DigestSink tiled;
+    for (const ShardRange& range : plan_shard_grid(w.config.num_days, w.config.num_vantages,
+                                                   3, 2)) {
+      platform.run_shard(tiled, range);
+    }
+    const std::string label = std::string("ecmp ") + (expected.ecmp ? "on" : "off") +
+                              ", churn " + (expected.heavy_churn ? "heavy" : "default");
+    EXPECT_EQ(serial.digest, expected.serial) << label;
+    EXPECT_EQ(tiled.digest, expected.tiled) << label;
+    if (expected.heavy_churn) {
+      EXPECT_GT(serial.unreachable, 0) << label;
+      EXPECT_GT(serial.reachable, serial.unreachable) << label;
+    }
   }
 }
 
@@ -298,6 +402,120 @@ TEST(DatasetSummary, CountsDistincts) {
     total_fraction += summary.anomaly_fraction(a);
   }
   EXPECT_LT(total_fraction, 1.0);
+}
+
+// The checkpoint bytes of a summary whose distinct sets are std::sets:
+// the layout DatasetSummary::save must keep.
+std::string reference_summary_bytes(const std::vector<Measurement>& stream) {
+  std::int64_t unreachable = 0;
+  std::array<std::int64_t, censor::kNumAnomalies> anomalies{};
+  std::set<topo::AsId> vantages;
+  std::set<std::int32_t> urls;
+  for (const Measurement& m : stream) {
+    unreachable += m.unreachable ? 1 : 0;
+    for (std::size_t a = 0; a < censor::kNumAnomalies; ++a) anomalies[a] += m.detected[a];
+    vantages.insert(m.vantage);
+    urls.insert(m.url_id);
+  }
+  util::ByteWriter w;
+  w.i64(static_cast<std::int64_t>(stream.size()));
+  w.i64(unreachable);
+  for (const std::int64_t c : anomalies) w.i64(c);
+  util::save_set(w, vantages, [](util::ByteWriter& w, topo::AsId as) { w.i32(as); });
+  util::save_set(w, urls, [](util::ByteWriter& w, std::int32_t url) { w.i32(url); });
+  return w.take();
+}
+
+std::string summary_bytes(const DatasetSummary& summary) {
+  util::ByteWriter w;
+  summary.save(w);
+  return w.take();
+}
+
+TEST(DatasetSummary, SaveBytesMatchSetReference) {
+  TestWorld w;
+  // Few URLs per vantage-day, so the two halves see different subsets.
+  w.config.test_prob = 0.05;
+  Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  CollectingSink sink;
+  platform.run(sink);
+  ASSERT_GT(sink.measurements.size(), 0u);
+
+  DatasetSummary serial(w.graph);
+  DatasetSummary first(w.graph);
+  DatasetSummary second(w.graph);
+  const std::size_t half = sink.measurements.size() / 2;
+  for (std::size_t i = 0; i < sink.measurements.size(); ++i) {
+    serial.on_measurement(sink.measurements[i]);
+    (i < half ? first : second).on_measurement(sink.measurements[i]);
+  }
+  const std::string expected = reference_summary_bytes(sink.measurements);
+  EXPECT_EQ(summary_bytes(serial), expected);
+
+  // The flags OR under merge, in either order.
+  DatasetSummary merged(w.graph);
+  merged.merge(DatasetSummary(second));
+  merged.merge(DatasetSummary(first));
+  EXPECT_EQ(summary_bytes(merged), expected);
+  EXPECT_EQ(merged.distinct_vantages(), serial.distinct_vantages());
+  EXPECT_EQ(merged.distinct_urls(), serial.distinct_urls());
+  EXPECT_EQ(merged.distinct_countries(), serial.distinct_countries());
+
+  // A round trip keeps the bytes and the distinct counts.
+  DatasetSummary loaded(w.graph);
+  util::ByteReader r(expected);
+  loaded.load(r, w.config.num_urls);
+  r.expect_end();
+  EXPECT_EQ(summary_bytes(loaded), expected);
+  EXPECT_EQ(loaded.distinct_vantages(), serial.distinct_vantages());
+  EXPECT_EQ(loaded.distinct_urls(), serial.distinct_urls());
+}
+
+TEST(DatasetSummary, LoadRefusesBadIds) {
+  TestWorld w;
+  Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  DatasetSummary summary(w.graph);
+  platform.run(summary);
+  const std::string before = summary_bytes(summary);
+
+  // A payload with the given vantage and URL id lists.
+  auto payload = [](const std::vector<std::int32_t>& vantages,
+                    const std::vector<std::int32_t>& urls) {
+    util::ByteWriter pw;
+    pw.i64(10);
+    pw.i64(1);
+    for (std::size_t a = 0; a < censor::kNumAnomalies; ++a) pw.i64(2);
+    for (const auto* ids : {&vantages, &urls}) {
+      pw.size(ids->size());
+      for (const std::int32_t id : *ids) pw.i32(id);
+    }
+    return pw.take();
+  };
+  const std::int32_t num_ases = w.graph.num_ases();
+  const std::int32_t num_urls = w.config.num_urls;
+  const std::vector<std::pair<std::vector<std::int32_t>, std::vector<std::int32_t>>> bad = {
+      {{-1, 3}, {0}},            // negative vantage
+      {{3, num_ases}, {0}},      // vantage past the graph
+      {{3, 3}, {0}},             // repeated vantage
+      {{5, 3}, {0}},             // vantages out of order
+      {{3}, {-1}},               // negative URL
+      {{3}, {0, num_urls}},      // URL past the list
+      {{3}, {2, 2}},             // repeated URL
+      {{3}, {4, 1}},             // URLs out of order
+  };
+  for (const auto& [vantages, urls] : bad) {
+    const std::string bytes = payload(vantages, urls);
+    util::ByteReader r(bytes);
+    EXPECT_THROW(summary.load(r, num_urls), util::SerdeError);
+    EXPECT_EQ(summary_bytes(summary), before) << "a refused load changed the summary";
+  }
+  // The same layout with valid ids loads.
+  const std::string good = payload({3, num_ases - 1}, {0, num_urls - 1});
+  util::ByteReader r(good);
+  summary.load(r, num_urls);
+  EXPECT_EQ(summary_bytes(summary), good);
+  EXPECT_EQ(summary.distinct_vantages(), 2);
+  EXPECT_EQ(summary.distinct_urls(), 2);
 }
 
 TEST(SinkFanout, ForwardsToAll) {

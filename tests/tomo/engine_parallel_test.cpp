@@ -9,6 +9,7 @@
 
 #include "tomo/engine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ct::tomo {
 namespace {
@@ -109,6 +110,25 @@ TEST(EngineParallel, HardwareConcurrencyDefaultMatchesSerial) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(verdicts_equal(a[i], b[i])) << "verdict " << i;
   }
+}
+
+TEST(EngineParallel, VerdictsIndependentOfThreadRequestAboveHardware) {
+  // A request above the core count is capped at the hardware: same
+  // verdicts, and no more arenas (workers) than cores.
+  const unsigned hardware = util::ThreadPool::hardware_threads();
+  const std::vector<TomoCnf> cnfs = random_batch(41, 48);
+  AnalysisOptions serial;
+  serial.num_threads = 1;
+  const auto reference = analyze_cnfs(cnfs, serial);
+  AnalysisOptions oversized;
+  oversized.num_threads = std::min(2 * hardware, 16u);
+  EngineStats stats;
+  const auto got = analyze_cnfs(cnfs, oversized, &stats);
+  ASSERT_EQ(got.size(), reference.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(verdicts_equal(got[i], reference[i])) << "verdict " << i;
+  }
+  EXPECT_LE(stats.arenas, hardware);
 }
 
 TEST(EngineParallel, LazyCountsOnlyDifferInCappedCount) {
