@@ -2,8 +2,9 @@
 // checkpoints"): runs the measurement platform as a continuous ingest
 // loop on analysis::MonitorEngine, serving LiveReport snapshots to
 // concurrent readers, periodically writing resumable checkpoints, and
-// finishing with the full experiment report — byte-identical to the
-// batch pipeline's, and to itself across any kill/resume sequence.
+// finishing with the full experiment report — byte-identical to
+// run_experiment's for any segment length, and to itself across any
+// kill/resume sequence.
 //
 //   $ ./monitor_daemon [flags]
 //     --small                small scenario (default: paper-scale year)

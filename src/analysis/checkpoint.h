@@ -55,7 +55,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // are refused instead of misread.
 // v3: EngineStats lost the delta-load counters, and the envelope gained
 // the payload checksum; v2 checkpoints are refused by the same rule.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// v4: the payload holds the main pass's, the Figure-4 pass's and the
+// snapshot server's counters as three EngineStats records instead of
+// one combined record; v3 checkpoints are refused by the same rule.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).
@@ -96,8 +99,9 @@ ChurnStats load_churn_stats(util::ByteReader& r);
 void save_live_report(util::ByteWriter& w, const LiveReport& report);
 LiveReport load_live_report(util::ByteReader& r);
 
-/// SAT engine counters — the monitor checkpoints its cumulative stats
-/// base so counters keep accumulating across a kill/resume (they are
+/// SAT engine counters — the monitor checkpoints one cumulative record
+/// per analysis pass (and one for its snapshot server) so counters keep
+/// accumulating across a kill/resume (they are
 /// still excluded from serialize_report(): a resumed run's counters
 /// legitimately differ from a straight run's).
 void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats);

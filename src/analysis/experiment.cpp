@@ -1,36 +1,16 @@
 #include "analysis/experiment.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "analysis/live_report.h"
-#include "analysis/platform_sinks.h"
-#include "util/thread_pool.h"
+#include "analysis/monitor.h"
 
 namespace ct::analysis {
 
 namespace {
-
-/// Batch Figure 4: strip churn, rebuild, analyze with resolved counts —
-/// the phase-separated form of the monitor's ablation pass.
-void run_fig4_batch(const tomo::PathPool& pool, const std::vector<tomo::PathClause>& clauses,
-                    const ExperimentOptions& options, util::ThreadPool& threads,
-                    Fig4Fold& fig4) {
-  const std::vector<tomo::PathClause> stripped = tomo::strip_path_churn(pool, clauses);
-  tomo::CnfBuildOptions build;
-  build.granularities = options.fig1_granularities;
-  const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(pool, stripped, build, &threads);
-  // Figure 4 plots the solution-count histogram, so this is the one
-  // pass that must resolve counts past the 0/1/2+ class.
-  tomo::AnalysisOptions analysis = options.analysis;
-  analysis.resolve_counts = true;
-  analysis.num_threads = options.num_threads;
-  const std::vector<tomo::CnfVerdict> verdicts = tomo::analyze_cnfs(cnfs, analysis);
-  for (const auto& v : verdicts) fig4.add(v);
-}
 
 std::vector<Table2Row> make_table2(const topo::AsGraph& graph,
                                    const std::vector<topo::AsId>& censors,
@@ -126,41 +106,9 @@ Fig5Data make_fig5(const topo::AsGraph& graph, const std::vector<topo::AsId>& ce
 }  // namespace
 
 ExperimentResult run_experiment(Scenario& scenario, const ExperimentOptions& options) {
-  // --- platform run + CNF construction + main SAT pass ---
-  // Run all sinks to completion, then build every CNF, then analyze the
-  // batch, then run the Figure-4 ablation as a second batch.  Nothing
-  // downstream of the main pass reads counts beyond the 0/1/2+ class
-  // (Figures 1/2, censor identification, leakage), so let the sessions
-  // stop enumerating at two models.
-  tomo::AnalysisOptions main_analysis = options.analysis;
-  main_analysis.resolve_counts = false;
-  main_analysis.num_threads = options.num_threads;
-
-  ExperimentFolds folds(options);
-  tomo::EngineStats engine_stats;
-
-  const std::unique_ptr<PlatformSinks> sinks = run_platform(scenario, options.num_platform_shards);
-  // Both grouping passes run on one pool, capped at the hardware as the
-  // SAT lanes are; the CNFs do not depend on its size.
-  const unsigned hw = util::ThreadPool::hardware_threads();
-  util::ThreadPool grouping(options.num_threads == 0 ? hw : std::min(options.num_threads, hw));
-  {
-    // The folds copy what they keep, so the main pass's CNFs and
-    // verdicts are released before the Figure-4 pass builds its own.
-    const std::vector<tomo::TomoCnf> cnfs = tomo::build_cnfs(
-        sinks->clause_builder.pool(), sinks->clause_builder.clauses(), {}, &grouping);
-    const std::vector<tomo::CnfVerdict> verdicts =
-        tomo::analyze_cnfs(cnfs, main_analysis, &engine_stats);
-    for (std::size_t i = 0; i < cnfs.size(); ++i) folds.add_main(cnfs[i], verdicts[i]);
-  }
-  run_fig4_batch(sinks->clause_builder.pool(), sinks->clause_builder.clauses(), options,
-                 grouping, folds.fig4);
-
-  ExperimentResult result = finalize_experiment_result(
-      scenario, options, folds, sinks->summary, sinks->clause_builder.stats(),
-      sinks->truth_tracker, sinks->churn_tracker.compute());
-  result.engine_stats = engine_stats;
-  return result;
+  MonitorOptions monitor_options;
+  monitor_options.experiment = options;
+  return MonitorEngine(scenario, std::move(monitor_options)).finalize();
 }
 
 ExperimentResult finalize_experiment_result(Scenario& scenario,

@@ -4,7 +4,8 @@
 // summary, clause builder, churn tracker, and truth tracker) → CNF
 // construction at all four granularities → SAT analysis → leakage
 // analysis → ground-truth scoring, and packages the data behind every
-// table and figure of the paper's evaluation.
+// table and figure of the paper's evaluation.  It is a run of the
+// resident monitor (analysis/monitor.h), the one driver.
 #pragma once
 
 #include <array>
@@ -141,18 +142,18 @@ struct ExperimentOptions {
   /// `num_threads` below, and counts are resolved only where a figure
   /// reads them (Figure 4's histogram), lazily elsewhere.
   tomo::AnalysisOptions analysis;
-  /// Worker threads for the CNF analysis batches (the experiment's
-  /// dominant cost).  0 = hardware concurrency, 1 = exact old serial
-  /// behavior.  Results are identical for every value.
+  /// Worker lanes for CNF grouping and the SAT analysis batches.
+  /// 0 = hardware concurrency; capped at the hardware and divided by
+  /// the backend's racing width, as analyze_cnfs does.  Results are
+  /// identical for every value.
   unsigned num_threads = 0;
-  /// Shards for the measurement-platform run + clause building (the
-  /// pipeline's other serial wall).  The schedule is partitioned into
-  /// (vantage, day) ranges executed concurrently on a thread pool, each
-  /// streaming into shard-local sinks that are merged and canonicalized
-  /// afterwards.  0 (the default) = hardware concurrency, 1 = serial
-  /// platform run.  Per-cell RNG streams keyed on schedule coordinates
-  /// make the result bit-identical for every value (see README "Sharded
-  /// execution").
+  /// Shards for each segment's platform run + clause building.  The
+  /// segment is partitioned into (vantage, day) ranges executed
+  /// concurrently on a thread pool, each streaming into shard-local
+  /// sinks that are merged and canonicalized afterwards.  0 (the
+  /// default) = hardware concurrency, 1 = serial platform run.
+  /// Per-cell RNG streams keyed on schedule coordinates make the result
+  /// bit-identical for every value (see README "Sharded execution").
   unsigned num_platform_shards = 0;
   /// Evidence threshold for declaring an AS a censor (distinct
   /// (URL, anomaly) pairs with unique-solution CNFs); filters one-off
@@ -163,7 +164,8 @@ struct ExperimentOptions {
       util::Granularity::kDay, util::Granularity::kWeek, util::Granularity::kMonth};
 };
 
-/// Runs the whole pipeline on a scenario.  Deterministic.
+/// Runs the whole pipeline on a scenario: MonitorEngine::finalize() with
+/// the default segments and no checkpoint path.  Deterministic.
 ExperimentResult run_experiment(Scenario& scenario, const ExperimentOptions& options = {});
 
 }  // namespace ct::analysis

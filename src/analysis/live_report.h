@@ -1,15 +1,14 @@
 // Incremental experiment analytics and the any-time results snapshot.
 //
-// The batch pipeline derives the paper's figures from fully
-// materialized verdict vectors; these folds derive the same data
-// products one verdict at a time, so the resident monitor can drop
+// These folds derive the paper's figures one verdict at a time, so the
+// resident monitor (the one driver, behind run_experiment too) can drop
 // each CNF and verdict the moment it is analyzed (O(open windows)
 // memory) and surface a valid LiveReport at every segment boundary.
-// run_experiment and the monitor run on the same folds, so their
-// products cannot diverge: everything a fold accumulates is
-// order-independent (counts and set unions), and the one order-bearing
-// product (Figure 2's per-CNF sample vector) is key-sorted at
-// finalization, which is exactly the batch iteration order.
+// Everything a fold accumulates is order-independent (counts and set
+// unions), and the one order-bearing product (Figure 2's per-CNF sample
+// vector) is key-sorted at finalization, so any segment length — or a
+// phase-separated caller folding whole verdict vectors in key order —
+// derives the same products.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +118,10 @@ class Fig4Fold {
 };
 
 /// The incremental folds every data product downstream of the main SAT
-/// pass is derived from.  Batch feeds them from the materialized
-/// verdict vectors (key order); the resident monitor feeds them as
-/// windows seal (emission order).  Every fold is order-independent (or
-/// key-sorts at finalization), so batch and monitor are byte-identical by
+/// pass is derived from.  The resident monitor feeds them as windows
+/// seal (emission order); a phase-separated caller may feed them whole
+/// verdict vectors (key order).  Every fold is order-independent (or
+/// key-sorts at finalization), so both are byte-identical by
 /// construction.
 struct ExperimentFolds {
   explicit ExperimentFolds(const ExperimentOptions& options)
@@ -146,9 +145,9 @@ struct ExperimentFolds {
 
 /// Derives the full ExperimentResult (tables, figures, censor lists,
 /// leakage, ground-truth scores) from sealed folds plus the run-wide
-/// sink products.  This is the one finalization path: run_experiment
-/// and MonitorEngine::finalize both end here, so
-/// a resumed monitor run reproduces the batch report byte for byte.
+/// sink products.  This is the one finalization path:
+/// MonitorEngine::finalize (and so run_experiment) ends here, as does a
+/// phase-separated caller, so their reports are byte-identical.
 /// `engine_stats` is NOT filled in — the caller owns its SAT counters.
 ExperimentResult finalize_experiment_result(Scenario& scenario,
                                             const ExperimentOptions& options,

@@ -53,12 +53,23 @@ tomo::CnfBuildOptions ablation_build_options(const ExperimentOptions& options) {
   return build;
 }
 
-/// SAT worker lanes: the requested count (0 = one per hardware thread),
-/// capped at the hardware as the platform caps its workers.  Verdicts
-/// do not depend on the lane count.
-unsigned analysis_lanes(unsigned requested) {
+/// SAT worker lanes, under analyze_cnfs's thread budget: the requested
+/// count (0 = one per hardware thread) capped at the hardware, divided
+/// by the racing width so lanes x racers stay within the cores.
+/// Verdicts do not depend on the lane count.
+unsigned analysis_lanes(const ExperimentOptions& options) {
   const unsigned hw = util::ThreadPool::hardware_threads();
-  return requested == 0 ? hw : std::min(requested, hw);
+  const unsigned lanes = options.num_threads == 0 ? hw : std::min(options.num_threads, hw);
+  return std::max(1u, lanes / options.analysis.backend.racing_width());
+}
+
+/// One analysis pass's cumulative counters: its checkpointed base plus
+/// its live arenas.
+tomo::EngineStats pass_stats(const tomo::EngineStats& base,
+                             const std::vector<tomo::CnfAnalyzer>& arenas) {
+  tomo::EngineStats stats = base;
+  for (const tomo::CnfAnalyzer& arena : arenas) stats.add_arena(arena.session_stats());
+  return stats;
 }
 
 }  // namespace
@@ -80,7 +91,7 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
       truth_(scenario.registry(), scenario.platform()),
       churn_probe_(scenario.graph(), scenario.platform().config().churn,
                    scenario.config().seed),
-      analysis_pool_(analysis_lanes(options_.experiment.num_threads)),
+      analysis_pool_(analysis_lanes(options_.experiment)),
       main_arenas_(analysis_pool_.size()),
       ablation_arenas_(analysis_pool_.size()) {
   if (options_.segment_days < 1) options_.segment_days = 1;
@@ -114,71 +125,61 @@ void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
   clause_stats_ += merged->clause_builder.stats();
   churn_fold_.absorb_unsealed(merged->churn_tracker.take_fold());
 
-  // Drain the segment's canonical clause stream day by day: translate
-  // each clause's path id into the persistent pool (interning each
+  // Drain the segment in one pass, in place: translate each clause's
+  // path id into the persistent pool serially (PathRemap interns each
   // distinct segment path once, in global first-use order == the serial
-  // run's, so CNFs are bit-identical to the batch path's),
-  // advance the watermark, analyze, fold.  The raw clauses live only
-  // inside this scope — the retained gauge proves it.
-  tomo::PathRemap to_global(merged->clause_builder.pool(), pool_);
-  const std::vector<tomo::PathClause>& clauses = merged->clause_builder.clauses();
-  retained_.add(static_cast<std::int64_t>(clauses.size()));
-  std::size_t i = 0;
-  for (util::Day day = d0; day < d1; ++day) {
-    const std::size_t begin = i;
-    while (i < clauses.size() && clauses[i].day == day) ++i;
-    drain_day(to_global, std::span(clauses).subspan(begin, i - begin), day);
+  // run's, so the CNFs are bit-identical to build_cnfs over the whole
+  // stream), group the segment on the analysis lanes, then compact it
+  // to the strip's survivors, in stream order, for the ablation
+  // grouper.  The raw clauses live only inside this scope — the
+  // retained gauge proves it.
+  {
+    tomo::PathRemap to_global(merged->clause_builder.pool(), pool_);
+    std::vector<tomo::PathClause> clauses = merged->clause_builder.take_clauses();
+    const auto retained = static_cast<std::int64_t>(clauses.size());
+    retained_.add(retained);
+    for (tomo::PathClause& clause : clauses) clause.path_id = to_global(clause.path_id);
+    grouper_.add(pool_, clauses);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+      if (strip_.keep(pool_, clauses[i])) clauses[kept++] = clauses[i];
+    }
+    clauses.resize(kept);
+    ablation_grouper_.add(pool_, clauses);
+    retained_.sub(retained);
   }
-  retained_.sub(static_cast<std::int64_t>(clauses.size()));
+  watermark_ = d1;
+  analyze_and_fold(grouper_.advance_watermark(d1), ablation_grouper_.advance_watermark(d1));
   // Seal the churn windows the segment completed; open entries stay
   // O(pairs x windows straddling the boundary).
   churn_fold_.retire_before(d1);
-  // Publish here, not per drained day: the whole segment's churn was
-  // absorbed before the drain, so only now do the counts and the churn
-  // both cover exactly the days below the watermark.
+  // Publish only now: the counts and the churn both cover exactly the
+  // days below the watermark.
   publish_report();
 }
 
-void MonitorEngine::drain_day(tomo::PathRemap& to_global,
-                              std::span<const tomo::PathClause> day_clauses, util::Day day) {
-  // Remap serially (PathRemap grows pool_ in first-use order), then
-  // group the whole day on the analysis lanes; the ablation grouper gets
-  // the strip's survivors, in stream order.
-  std::vector<tomo::PathClause> clauses(day_clauses.begin(), day_clauses.end());
-  for (tomo::PathClause& clause : clauses) clause.path_id = to_global(clause.path_id);
-  grouper_.add(pool_, clauses);
-  std::vector<tomo::PathClause> kept;
-  for (const tomo::PathClause& clause : clauses) {
-    if (strip_.keep(pool_, clause)) kept.push_back(clause);
-  }
-  ablation_grouper_.add(pool_, kept);
-  watermark_ = day + 1;
-
-  const std::vector<tomo::TomoCnf> main_cnfs = grouper_.advance_watermark(day + 1);
+void MonitorEngine::analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
+                                     const std::vector<tomo::TomoCnf>& ablation_cnfs) {
+  // Same scheduling as tomo::analyze_cnfs: one task per CNF on the
+  // worker's own arena, and out[i] slots keep the key-sorted batch
+  // order, so the verdict vector is byte-identical for any lane count.
+  const auto analyze = [this](std::vector<tomo::CnfAnalyzer>& arenas,
+                              const std::vector<tomo::TomoCnf>& cnfs,
+                              const tomo::AnalysisOptions& options) {
+    std::vector<tomo::CnfVerdict> out(cnfs.size());
+    analysis_pool_.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
+      out[i] = arenas[worker].analyze(cnfs[i], options);
+    });
+    return out;
+  };
   const std::vector<tomo::CnfVerdict> main_verdicts =
-      analyze_batch(main_arenas_, main_cnfs, main_analysis_);
+      analyze(main_arenas_, main_cnfs, main_analysis_);
   for (std::size_t k = 0; k < main_cnfs.size(); ++k) {
     folds_.add_main(main_cnfs[k], main_verdicts[k]);
   }
-
-  const std::vector<tomo::TomoCnf> ablation_cnfs = ablation_grouper_.advance_watermark(day + 1);
-  const std::vector<tomo::CnfVerdict> ablation_verdicts =
-      analyze_batch(ablation_arenas_, ablation_cnfs, ablation_analysis_);
-  for (const tomo::CnfVerdict& v : ablation_verdicts) folds_.fig4.add(v);
-}
-
-std::vector<tomo::CnfVerdict> MonitorEngine::analyze_batch(
-    std::vector<tomo::CnfAnalyzer>& arenas, const std::vector<tomo::TomoCnf>& cnfs,
-    const tomo::AnalysisOptions& options) {
-  std::vector<tomo::CnfVerdict> out(cnfs.size());
-  if (cnfs.empty()) return out;
-  // Same scheduling as tomo::analyze_cnfs: one task per CNF on the
-  // worker's own arena, and out[i] slots keep the key-sorted batch
-  // order, so the verdict vector is byte-identical for any thread count.
-  analysis_pool_.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
-    out[i] = arenas[worker].analyze(cnfs[i], options);
-  });
-  return out;
+  for (const tomo::CnfVerdict& v : analyze(ablation_arenas_, ablation_cnfs, ablation_analysis_)) {
+    folds_.fig4.add(v);
+  }
 }
 
 void MonitorEngine::publish_report() {
@@ -189,17 +190,20 @@ void MonitorEngine::publish_report() {
   server_.publish(std::move(report));
 }
 
-tomo::EngineStats MonitorEngine::engine_now() const {
-  tomo::EngineStats stats = stats_base_;
-  for (const tomo::CnfAnalyzer& arena : main_arenas_) stats.add_arena(arena.session_stats());
-  for (const tomo::CnfAnalyzer& arena : ablation_arenas_) {
-    stats.add_arena(arena.session_stats());
-  }
+tomo::EngineStats MonitorEngine::server_stats() const {
+  tomo::EngineStats stats = server_base_;
   stats.snapshots_published += server_.published();
   stats.snapshot_reads += server_.reads();
   stats.snapshot_stale_reads += server_.stale_reads();
   stats.snapshot_peak_readers =
       std::max(stats.snapshot_peak_readers, server_.peak_readers());
+  return stats;
+}
+
+tomo::EngineStats MonitorEngine::engine_now() const {
+  tomo::EngineStats stats = pass_stats(main_base_, main_arenas_);
+  stats += pass_stats(ablation_base_, ablation_arenas_);
+  stats += server_stats();
   return stats;
 }
 
@@ -214,7 +218,9 @@ std::string MonitorEngine::checkpoint() const {
   summary_.save(w);
   truth_.save(w);
   save_clause_stats(w, clause_stats_);
-  save_engine_stats(w, engine_now());
+  save_engine_stats(w, pass_stats(main_base_, main_arenas_));
+  save_engine_stats(w, pass_stats(ablation_base_, ablation_arenas_));
+  save_engine_stats(w, server_stats());
   w.i64(segments_);
   return seal_checkpoint(fingerprint_, watermark_, w.take());
 }
@@ -249,7 +255,9 @@ void MonitorEngine::restore(const std::string& bytes) {
     summary_.load(r, num_urls);
     truth_.load(r);
     clause_stats_ = load_clause_stats(r);
-    stats_base_ = load_engine_stats(r);
+    main_base_ = load_engine_stats(r);
+    ablation_base_ = load_engine_stats(r);
+    server_base_ = load_engine_stats(r);
     segments_ = r.i64();
     r.expect_end();
   } catch (const util::SerdeError& e) {
@@ -270,26 +278,16 @@ ExperimentResult MonitorEngine::finalize() {
   run_all();
 
   // Flush the trailing partial windows — exactly the complement of what
-  // advance_watermark() emitted, so the emitted union equals the batch
-  // build_cnfs() output.
-  const std::vector<tomo::TomoCnf> main_cnfs = grouper_.flush();
-  const std::vector<tomo::CnfVerdict> main_verdicts =
-      analyze_batch(main_arenas_, main_cnfs, main_analysis_);
-  for (std::size_t k = 0; k < main_cnfs.size(); ++k) {
-    folds_.add_main(main_cnfs[k], main_verdicts[k]);
-  }
-  const std::vector<tomo::TomoCnf> ablation_cnfs = ablation_grouper_.flush();
-  const std::vector<tomo::CnfVerdict> ablation_verdicts =
-      analyze_batch(ablation_arenas_, ablation_cnfs, ablation_analysis_);
-  for (const tomo::CnfVerdict& v : ablation_verdicts) folds_.fig4.add(v);
-
+  // advance_watermark() emitted, so the emitted union equals the
+  // build_cnfs() output over the whole stream.
+  analyze_and_fold(grouper_.flush(), ablation_grouper_.flush());
   churn_fold_.retire_before(num_days());
   publish_report();
 
   ExperimentResult result =
       finalize_experiment_result(*scenario_, options_.experiment, folds_, summary_,
                                  clause_stats_, truth_, churn_fold_.snapshot());
-  result.engine_stats = engine_now();
+  result.engine_stats = pass_stats(main_base_, main_arenas_);
   return result;
 }
 

@@ -1,12 +1,13 @@
-// Crash-safe resident monitor on the any-time analysis pipeline.
+// Crash-safe resident monitor on the any-time analysis pipeline, the
+// one driver of the experiment: run_experiment() is a MonitorEngine run
+// with the default segments and no checkpoint path.
 //
 // MonitorEngine runs the measurement platform as a *resident* loop:
-// measurements are ingested continuously in day segments, window-complete
-// CNFs are analyzed the moment the watermark seals them (on persistent
-// per-worker solver arenas, one fresh load per CNF), and every data
-// product accumulates in the same ExperimentFolds run_experiment uses —
-// so MonitorEngine::finalize() reproduces run_experiment()'s report
-// byte for byte (checkpoint.h's serialize_report() is the oracle).
+// measurements are ingested continuously in day segments, each segment
+// drains once — the CNFs of the windows it seals are analyzed as one
+// batch per analysis pass (on persistent per-worker solver arenas, one
+// fresh load per CNF) — and every data product accumulates in
+// ExperimentFolds (checkpoint.h's serialize_report() is the oracle).
 //
 // Crash safety: checkpoint() serializes the monitor's complete
 // persistent state — the interned path pool, the open window groups of
@@ -23,9 +24,9 @@
 // pure functions of (CNF, options); the backend equivalence suites hold
 // this).
 //
-// Memory: O(open windows), independent of run length.  Each segment's
-// raw clauses live only between its platform replay and its per-day
-// drain (tracked by an HwmGauge); the window groups, churn fold, and
+// Memory: O(open windows + one segment), independent of run length.
+// Each segment's raw clauses live only between its platform replay and
+// its drain (tracked by an HwmGauge); the window groups, churn fold, and
 // folds are all watermark-sealed.  A 10-year replay holds a flat
 // retained-clause peak — the CI smoke job asserts it.
 //
@@ -41,7 +42,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -112,9 +112,10 @@ struct MonitorOptions {
   /// checkpoint-compatible across changes).
   ExperimentOptions experiment;
   /// Ingest segment length in days: each segment is one platform replay
-  /// (sharded per `experiment.num_platform_shards`) whose clauses are
-  /// drained day by day and then freed, and one published LiveReport.
-  /// Peak retained clauses scale with this, not with the run length.
+  /// (sharded per `experiment.num_platform_shards`), one drain (one
+  /// watermark advance, one SAT batch per analysis pass) and one
+  /// published LiveReport.  Peak memory scales with this, not with the
+  /// run length.
   util::Day segment_days = 28;
   /// Automatic checkpoint cadence in watermark days (0 = only explicit
   /// checkpoint() calls).  Checkpoints are written at segment
@@ -150,8 +151,8 @@ struct MonitorStats {
   std::int64_t churn_failures = 0;
   std::int64_t churn_repairs = 0;
   std::int32_t churn_links_down = 0;
-  /// Cumulative SAT + snapshot-server counters (both analysis passes),
-  /// carried across resume via the checkpoint.
+  /// Cumulative SAT counters of both analysis passes plus the
+  /// snapshot-server counters, carried across resume via the checkpoint.
   tomo::EngineStats engine;
 };
 
@@ -188,10 +189,10 @@ class MonitorEngine {
   void restore_from(const std::string& path);
 
   /// Completes ingest (run_all), flushes the trailing partial windows,
-  /// and derives the final ExperimentResult through the same
-  /// finalize_experiment_result() as run_experiment — byte-identical to
-  /// the batch report (modulo engine_stats) no matter how many
-  /// kill/resume cycles the run went through.
+  /// and derives the final ExperimentResult through
+  /// finalize_experiment_result() — byte-identical (modulo engine_stats,
+  /// the main pass's counters) for any segment length and any number
+  /// of kill/resume cycles.
   ExperimentResult finalize();
 
   LiveReportServer& reports() { return server_; }
@@ -201,13 +202,12 @@ class MonitorEngine {
 
  private:
   void ingest_segment(util::Day d0, util::Day d1);
-  void drain_day(tomo::PathRemap& to_global, std::span<const tomo::PathClause> day_clauses,
-                 util::Day day);
-  std::vector<tomo::CnfVerdict> analyze_batch(std::vector<tomo::CnfAnalyzer>& arenas,
-                                              const std::vector<tomo::TomoCnf>& cnfs,
-                                              const tomo::AnalysisOptions& options);
+  /// One SAT batch per pass; folds the verdicts.
+  void analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
+                        const std::vector<tomo::TomoCnf>& ablation_cnfs);
   void publish_report();
   void maybe_checkpoint();
+  tomo::EngineStats server_stats() const;
   tomo::EngineStats engine_now() const;
 
   Scenario* scenario_;
@@ -227,10 +227,11 @@ class MonitorEngine {
   iclab::DatasetSummary summary_;
   TruthTracker truth_;
   tomo::ClauseBuildStats clause_stats_;
-  /// Engine counters restored from the checkpoint (the live arenas are
-  /// rebuilt cold on resume, so their counters restart from zero and
-  /// accumulate on top of this base).
-  tomo::EngineStats stats_base_;
+  /// Counters restored from the checkpoint (the live arenas and server
+  /// restart from zero on resume and accumulate on top of these).
+  tomo::EngineStats main_base_;
+  tomo::EngineStats ablation_base_;
+  tomo::EngineStats server_base_;
 
   // Execution state (never checkpointed).  The churn replica is lazily
   // replayed to the watermark inside stats() — it reconstructs the same

@@ -1,9 +1,8 @@
 // The four consumers of one platform run (or of one shard of it),
 // bundled with their fanout and fold, and run_platform, the one driver
-// of the platform.  run_experiment, the resident monitor, the
-// platform-shard benchmark, and the equivalence tests all drive exactly
-// this bundle, so adding a sink or changing merge requirements happens
-// in one place.
+// of the platform.  The resident monitor, the platform-shard benchmark,
+// and the equivalence tests all drive exactly this bundle, so adding a
+// sink or changing merge requirements happens in one place.
 #pragma once
 
 #include <memory>
@@ -60,8 +59,8 @@ struct PlatformSinks {
 /// this to the letter).  num_shards == 0 selects one shard per hardware
 /// thread; workers are capped at the hardware and the shard count, and
 /// one shard runs inline on the calling thread.  This is the only code
-/// that drives the platform: run_experiment runs the whole schedule,
-/// the resident monitor one segment at a time.
+/// that drives the platform: the resident monitor (and so
+/// run_experiment) runs it one segment at a time.
 std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards,
                                             util::Day day_begin, util::Day day_end);
 

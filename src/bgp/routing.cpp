@@ -10,15 +10,15 @@ namespace ct::bgp {
 using topo::AsId;
 using topo::NeighborKind;
 
-RouteTable::RouteTable(AsId dest, std::int32_t num_ases)
-    : dest_(dest),
-      kind_(static_cast<std::size_t>(num_ases), RouteKind::kNone),
-      cust_dist_(static_cast<std::size_t>(num_ases), kInf),
-      peer_dist_(static_cast<std::size_t>(num_ases), kInf),
-      prov_dist_(static_cast<std::size_t>(num_ases), kInf),
-      cust_next_(static_cast<std::size_t>(num_ases), topo::kInvalidAs),
-      peer_next_(static_cast<std::size_t>(num_ases), topo::kInvalidAs),
-      prov_next_(static_cast<std::size_t>(num_ases), topo::kInvalidAs) {}
+RouteTable::RouteTable(AsId dest, std::int32_t num_ases) { reset(dest, num_ases); }
+
+void RouteTable::reset(AsId dest, std::int32_t num_ases) {
+  const auto n = static_cast<std::size_t>(num_ases);
+  dest_ = dest;
+  kind_.assign(n, RouteKind::kNone);
+  for (auto* dist : {&cust_dist_, &peer_dist_, &prov_dist_}) dist->assign(n, kInf);
+  for (auto* next : {&cust_next_, &peer_next_, &prov_next_}) next->assign(n, topo::kInvalidAs);
+}
 
 std::int32_t RouteTable::path_length(AsId src) const {
   const auto s = static_cast<std::size_t>(src);
@@ -186,11 +186,12 @@ RouteComputer::RouteComputer(const topo::AsGraph& graph) : graph_(graph) {
   }
 }
 
-std::vector<std::uint8_t> RouteComputer::link_mask(const std::vector<bool>& link_up) const {
+void RouteComputer::link_mask(const std::vector<bool>& link_up,
+                              std::vector<std::uint8_t>& mask) const {
   if (link_up.size() != static_cast<std::size_t>(graph_.num_links())) {
     throw std::invalid_argument("RouteComputer::compute: link_up size mismatch");
   }
-  return std::vector<std::uint8_t>(link_up.begin(), link_up.end());
+  mask.assign(link_up.begin(), link_up.end());
 }
 
 RouteTable RouteComputer::compute(topo::AsId dest) const {
@@ -199,18 +200,17 @@ RouteTable RouteComputer::compute(topo::AsId dest) const {
 }
 
 RouteTable RouteComputer::compute(topo::AsId dest, const std::vector<bool>& link_up) const {
-  Scratch scratch;
-  return compute(dest, link_mask(link_up).data(), scratch);
+  return RouteTableSet(*this, {dest}, link_up).at(0);
 }
 
-RouteTable RouteComputer::compute(topo::AsId dest, const std::uint8_t* up,
-                                  Scratch& scratch) const {
+void RouteComputer::compute_into(topo::AsId dest, const std::uint8_t* up, Scratch& scratch,
+                                 RouteTable& table) const {
   if (dest < 0 || dest >= graph_.num_ases()) {
     throw std::invalid_argument("RouteComputer::compute: unknown destination");
   }
   const auto n = static_cast<std::size_t>(graph_.num_ases());
   const auto d = static_cast<std::size_t>(dest);
-  RouteTable table(dest, graph_.num_ases());
+  table.reset(dest, graph_.num_ases());
   constexpr std::int32_t kInf = RouteTable::kInf;
 
   // --- Phase 1: customer routes, FIFO BFS up provider edges from dest. ---
@@ -314,18 +314,16 @@ RouteTable RouteComputer::compute(topo::AsId dest, const std::uint8_t* up,
       table.kind_[x] = RouteKind::kNone;
     }
   }
-  return table;
 }
 
-RouteTableSet::RouteTableSet(const RouteComputer& computer,
-                             const std::vector<topo::AsId>& dests,
-                             const std::vector<bool>& link_up) {
+void RouteTableSet::recompute(const RouteComputer& computer,
+                              const std::vector<topo::AsId>& dests,
+                              const std::vector<bool>& link_up) {
   // One link-state conversion and one scratch for the whole epoch.
-  const std::vector<std::uint8_t> up = computer.link_mask(link_up);
-  RouteComputer::Scratch scratch;
-  tables_.reserve(dests.size());
-  for (const topo::AsId dest : dests) {
-    tables_.push_back(computer.compute(dest, up.data(), scratch));
+  computer.link_mask(link_up, up_);
+  tables_.resize(dests.size(), RouteTable(0, 0));
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    computer.compute_into(dests[i], up_.data(), scratch_, tables_[i]);
   }
 }
 

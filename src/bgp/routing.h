@@ -87,6 +87,8 @@ class RouteTable {
 
   static constexpr std::int32_t kInf = 1 << 28;
 
+  /// Every AS unreachable toward `dest`, keeping the arrays' capacity.
+  void reset(topo::AsId dest, std::int32_t num_ases);
   /// Length of the route `x` exports to customers (its selected route).
   std::int32_t advertised(std::size_t x) const;
   /// Equal-cost next hops out of `x` when forwarding in class `cls`.
@@ -137,25 +139,36 @@ class RouteComputer {
     std::vector<Edge> edges;
   };
 
-  /// link_up as one byte per link (1 = up), validated against the graph.
-  std::vector<std::uint8_t> link_mask(const std::vector<bool>& link_up) const;
+  /// Writes link_up into `mask` as one byte per link (1 = up), validated
+  /// against the graph.
+  void link_mask(const std::vector<bool>& link_up, std::vector<std::uint8_t>& mask) const;
 
-  /// The kernel behind both public overloads; `up` is link_mask()'s data.
-  RouteTable compute(topo::AsId dest, const std::uint8_t* up, Scratch& scratch) const;
+  /// The kernel behind both public overloads: routes toward `dest` into
+  /// `table`'s storage; `up` is link_mask()'s data.
+  void compute_into(topo::AsId dest, const std::uint8_t* up, Scratch& scratch,
+                    RouteTable& table) const;
 
   const topo::AsGraph& graph_;
   Csr providers_, customers_, peers_;
 };
 
 /// Route tables toward a fixed destination list under one link state:
-/// the routing view of a single epoch.  Platform shards build one per
-/// epoch they simulate (and one extra to prime route-flutter history),
-/// so each shard owns an independent, read-only view instead of sharing
-/// mutable routing state.
+/// the routing view of a single epoch.  Each platform shard owns one and
+/// recomputes it every epoch it simulates (and once more to prime
+/// route-flutter history), so shards share no mutable routing state.
 class RouteTableSet {
  public:
+  RouteTableSet() = default;
   RouteTableSet(const RouteComputer& computer, const std::vector<topo::AsId>& dests,
-                const std::vector<bool>& link_up);
+                const std::vector<bool>& link_up) {
+    recompute(computer, dests, link_up);
+  }
+
+  /// Replaces the view with the tables toward `dests` under `link_up`,
+  /// computed into the previous view's storage: bit-identical to a
+  /// freshly constructed set, and allocation-free once sized.
+  void recompute(const RouteComputer& computer, const std::vector<topo::AsId>& dests,
+                 const std::vector<bool>& link_up);
 
   std::size_t size() const { return tables_.size(); }
   /// Table toward dests[dest_index].
@@ -165,6 +178,8 @@ class RouteTableSet {
 
  private:
   std::vector<RouteTable> tables_;
+  std::vector<std::uint8_t> up_;
+  RouteComputer::Scratch scratch_;
 };
 
 }  // namespace ct::bgp

@@ -330,13 +330,17 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
     out.insert(out.end(), rest.begin(), rest.end());
   };
 
+  // The shard's routing view, recomputed in place every epoch: one
+  // table per destination, shared by every vantage.
+  bgp::RouteTableSet tables;
+
   // A shard starting mid-year reconstructs its starting state: the churn
   // process is replayed to the epoch before the shard's first, and that
   // epoch's routing view primes the flutter history exactly as the
   // serial run would have left it.
   if (range.day_begin > 0) {
     churn.advance_to(static_cast<std::int64_t>(range.day_begin) * epochs_per_day - 1);
-    const bgp::RouteTableSet tables(computer, dest_ases_, churn.link_up());
+    tables.recompute(computer, dest_ases_, churn.link_up());
     for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
       for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
         for (std::size_t node = 0; node < nodes; ++node) {
@@ -362,9 +366,7 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
       const std::int64_t global_epoch = static_cast<std::int64_t>(day) * epochs_per_day +
                                         static_cast<std::int64_t>(epoch);
       if (global_epoch > 0) churn.advance();
-      // The shard's routing view of this epoch: one table per
-      // destination, shared by every vantage below.
-      const bgp::RouteTableSet tables(computer, dest_ases_, churn.link_up());
+      tables.recompute(computer, dest_ases_, churn.link_up());
 
       for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
         const AsId dest = dest_ases_[di];

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "censor/policy.h"
@@ -161,6 +162,9 @@ class ClauseBuilder : public iclab::MeasurementSink {
 
   const PathPool& pool() const { return pool_; }
   const std::vector<PathClause>& clauses() const { return clauses_; }
+  /// Moves the clause stream out, leaving clauses() empty (the pool,
+  /// seqs and stats stay), for a caller that consumes it in place.
+  std::vector<PathClause> take_clauses() { return std::exchange(clauses_, {}); }
   /// Schedule position of each clause (parallel to clauses(); the
   /// kNumAnomalies clauses of one measurement share a value).
   const std::vector<std::int64_t>& seqs() const { return seqs_; }

@@ -83,6 +83,26 @@ void EngineStats::add_arena(const sat::SessionStats& s) {
   ++arenas;
 }
 
+EngineStats& EngineStats::operator+=(const EngineStats& other) {
+  cnf_loads += other.cnf_loads;
+  solve_calls += other.solve_calls;
+  models_found += other.models_found;
+  delta_loads += other.delta_loads;
+  fresh_clauses += other.fresh_clauses;
+  arenas += other.arenas;
+  snapshots_published += other.snapshots_published;
+  snapshot_reads += other.snapshot_reads;
+  snapshot_stale_reads += other.snapshot_stale_reads;
+  snapshot_peak_readers = std::max(snapshot_peak_readers, other.snapshot_peak_readers);
+  for (std::size_t k = 0; k < sat::kNumBackendKinds; ++k) {
+    backends[k].selected += other.backends[k].selected;
+    backends[k].served += other.backends[k].served;
+    backends[k].escalated += other.backends[k].escalated;
+  }
+  portfolio += other.portfolio;
+  return *this;
+}
+
 namespace {
 
 void accumulate(EngineStats* stats, const sat::SessionStats& s) {

@@ -118,6 +118,9 @@ struct EngineStats {
   /// bumps `arenas` — the one aggregation path shared by analyze_cnfs
   /// and the resident monitor.
   void add_arena(const sat::SessionStats& s);
+  /// Field-wise merge of another aggregate (peaks by max), for callers
+  /// that keep one aggregate per analysis pass.
+  EngineStats& operator+=(const EngineStats& other);
 };
 
 /// Per-worker session arena: one reusable SolverSession, loaded once

@@ -2,7 +2,7 @@
 //
 // The O(open windows) memory contract (README "Resident monitor &
 // checkpoints") says the monitor may hold a segment's raw clauses only
-// until its per-day drain has filed them; the monitor reports every
+// until its drain has filed them; the monitor reports every
 // retain/retire transition to an HwmGauge and exposes the gauge's
 // high-water mark so tests and benchmarks can assert the bound instead
 // of trusting it.

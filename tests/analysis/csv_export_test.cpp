@@ -10,6 +10,7 @@
 #include "analysis/experiment.h"
 #include "analysis/monitor.h"
 #include "analysis/scenario.h"
+#include "reference_experiment.h"
 #include "shard_env.h"
 
 namespace ct::analysis {
@@ -104,14 +105,15 @@ TEST(CsvExport, WriteAllCreatesFiles) {
 // Monitor-vs-batch round-trip: every CSV series produced from a
 // resident monitor run — whose results come entirely from the
 // incremental folds, with no retained clause or verdict stream — must
-// be byte-identical to the batch run's.  The figure CSVs are the
+// be byte-identical to the phase-separated batch reference's
+// (reference_experiment.h).  The figure CSVs are the
 // experiment's machine-readable products, so this is the end-to-end
 // form of the fold equivalence contract.
 TEST(CsvExport, MonitorRunCsvIsByteIdenticalToBatchRun) {
   Scenario batch_scenario(test::shard_scenario(20170623));
   ExperimentOptions batch_options;
   batch_options.num_platform_shards = test::shards_from_env();
-  const ExperimentResult batch = run_experiment(batch_scenario, batch_options);
+  const ExperimentResult batch = test::reference_experiment(batch_scenario, batch_options);
 
   Scenario monitor_scenario(test::shard_scenario(20170623));
   MonitorOptions monitor_options;

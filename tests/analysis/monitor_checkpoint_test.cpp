@@ -1,9 +1,10 @@
 // Crash-safety suite for the resident monitor (README "Resident
 // monitor & checkpoints").
 //
-// The contract under test: MonitorEngine::finalize() reproduces
-// run_experiment()'s report byte for byte (serialize_report() is the
-// oracle), and that byte-identity survives ANY kill/resume sequence —
+// The contract under test: MonitorEngine::finalize() reproduces the
+// phase-separated reference pipeline's report byte for byte
+// (reference_experiment.h; serialize_report() is the oracle), and that
+// byte-identity survives ANY kill/resume sequence —
 // the process may die at arbitrary watermarks, restore the last
 // checkpoint into a freshly constructed monitor (under the same or a
 // *different* execution mode), and still land on the identical report.
@@ -38,6 +39,7 @@
 #include "analysis/scenario.h"
 #include "censor/regime.h"
 #include "expect_churn.h"
+#include "reference_experiment.h"
 #include "sat/backend.h"
 #include "shard_env.h"
 #include "tomo/cnf_builder.h"
@@ -66,13 +68,13 @@ MonitorOptions forced_cdcl_options(unsigned shards) {
   return options;
 }
 
-/// The batch pipeline's canonical report bytes for `config` — the
-/// reference every monitor run must reproduce.
+/// The phase-separated reference's canonical report bytes for `config`
+/// — what every monitor run must reproduce.
 std::string batch_report(const ScenarioConfig& config) {
   Scenario scenario(config);
   ExperimentOptions options;  // default execution mode: the contract
   options.num_platform_shards = test::shards_from_env();
-  return serialize_report(run_experiment(scenario, options));
+  return serialize_report(test::reference_experiment(scenario, options));
 }
 
 /// Runs the monitor end to end, dying at each day in `kill_days`: the
@@ -116,6 +118,25 @@ TEST(MonitorEquivalence, ShardedSegmentsMatchBatchExperiment) {
   Scenario scenario(config);
   MonitorEngine monitor(scenario, monitor_options(3));
   EXPECT_EQ(serialize_report(monitor.finalize()), expected);
+}
+
+TEST(MonitorEquivalence, RunExperimentMatchesReference) {
+  // run_experiment is a monitor run with the default segments (longer
+  // than this run, so one segment and the flush); its report and its
+  // main-pass engine counters match the reference's.
+  const ScenarioConfig config = shard_scenario(13);
+  ExperimentOptions options;
+  options.num_platform_shards = test::shards_from_env();
+  Scenario reference_scenario(config);
+  const ExperimentResult expected = test::reference_experiment(reference_scenario, options);
+
+  Scenario scenario(config);
+  const ExperimentResult got = run_experiment(scenario, options);
+  EXPECT_EQ(serialize_report(got), serialize_report(expected));
+  EXPECT_EQ(got.engine_stats.cnf_loads, expected.engine_stats.cnf_loads);
+  EXPECT_EQ(got.engine_stats.solve_calls, expected.engine_stats.solve_calls);
+  EXPECT_EQ(got.engine_stats.fresh_clauses, expected.engine_stats.fresh_clauses);
+  EXPECT_EQ(got.engine_stats.backends, expected.engine_stats.backends);
 }
 
 TEST(MonitorCrashResume, FuzzKillAtRandomWatermarksAcrossModes) {
@@ -173,14 +194,15 @@ TEST(MonitorCrashResume, EveryRegimeSurvivesKillResume) {
 TEST(MonitorCheckpoint, RefusesResumeUnderDifferentRegime) {
   // The regime (and its knobs) are part of the config fingerprint:
   // execution modes may change across a resume, the *world* may not.
-  ScenarioConfig routing = shard_scenario(62);
+  // Both worlds pin their regime, so CT_SCENARIO cannot make them equal.
+  ScenarioConfig routing = test::pinned_shard_scenario(62);
   routing.regime.regime = censor::ScenarioRegime::kRoutingInduced;
   Scenario routing_scenario(routing);
   MonitorEngine source(routing_scenario, monitor_options(1));
   source.run_until(6);
   const std::string bytes = source.checkpoint();
 
-  ScenarioConfig baseline = shard_scenario(62);
+  ScenarioConfig baseline = test::pinned_shard_scenario(62);
   Scenario baseline_scenario(baseline);
   MonitorEngine other_regime(baseline_scenario, monitor_options(1));
   EXPECT_THROW(other_regime.restore(bytes), CheckpointError);
@@ -327,6 +349,17 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   v2.i32(6);
   v2.str(open_checkpoint(bytes, fingerprint).payload);
   EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
+
+  // A version-3 envelope (one combined EngineStats record) is refused by
+  // its version field too, even with a valid checksum.
+  ASSERT_EQ(kCheckpointVersion, 4u);
+  std::string v3 = bytes;
+  util::ByteWriter version;
+  version.u32(3);
+  v3.replace(4, 4, version.bytes());
+  EXPECT_THROW(open_checkpoint(v3, fingerprint), CheckpointError);
+  MonitorEngine resumed(scenario, monitor_options(1));
+  EXPECT_THROW(resumed.restore(v3), CheckpointError);
 }
 
 TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
@@ -407,6 +440,18 @@ TEST(MonitorStatsTest, SatLanesCappedAtHardwareThreads) {
   options.experiment.num_threads = hw + 2;
   const MonitorEngine monitor(scenario, options);
   EXPECT_EQ(monitor.stats().engine.arenas, 2 * hw);
+
+  // Racing solves run `width` members each, so the lanes are divided by
+  // the racing width, as analyze_cnfs divides its workers, and never
+  // drop below one.
+  for (const unsigned width : {2u, 3u, 4u}) {
+    SCOPED_TRACE("racing width " + std::to_string(width));
+    MonitorOptions racing = options;
+    racing.experiment.analysis.backend.portfolio_width = width;
+    ASSERT_EQ(racing.experiment.analysis.backend.racing_width(), width);
+    const MonitorEngine raced(scenario, racing);
+    EXPECT_EQ(raced.stats().engine.arenas, 2 * std::max(1u, hw / width));
+  }
 }
 
 // --- any-time snapshots -------------------------------------------------
@@ -563,6 +608,14 @@ TEST(MonitorStatsTest, ClauseConservationAcrossResume) {
   const tomo::EngineStats& engine = result.engine_stats;
   EXPECT_GT(engine.cnf_loads, 0u);
   EXPECT_GT(engine.fresh_clauses, 0u);
+  // engine_stats is the main pass alone, across the resume too: every
+  // main-pass CNF was loaded once and served by exactly one backend.
+  std::uint64_t served = 0;
+  for (const sat::BackendCounters& b : engine.backends) served += b.served;
+  EXPECT_EQ(engine.cnf_loads, static_cast<std::uint64_t>(result.total_cnfs));
+  EXPECT_EQ(served, static_cast<std::uint64_t>(result.total_cnfs));
+  // The monitor's own gauge still sums both passes.
+  EXPECT_GT(monitor->stats().engine.cnf_loads, engine.cnf_loads);
   // Counters accumulate across the resume: the resumed run's loads
   // continue from the checkpointed base instead of restarting at zero.
   MonitorEngine straight(scenario, monitor_options(1));

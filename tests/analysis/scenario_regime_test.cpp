@@ -19,6 +19,7 @@
 #include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
+#include "reference_experiment.h"
 #include "sat/backend.h"
 #include "shard_env.h"
 
@@ -43,9 +44,13 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
     SCOPED_TRACE(censor::to_string(regime));
     const ScenarioConfig config = regime_scenario(regime);
 
+    // The phase-separated reference, independent of the monitor that
+    // run_experiment drives.
     ExperimentOptions reference;
     reference.num_platform_shards = 1;
-    const std::string expected = report_bytes(config, reference);
+    Scenario reference_scenario(config);
+    const std::string expected =
+        serialize_report(test::reference_experiment(reference_scenario, reference));
     ASSERT_FALSE(expected.empty());
 
     {

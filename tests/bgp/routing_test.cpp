@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "topo/generator.h"
 
@@ -247,6 +249,45 @@ TEST(RouteTableSet, MatchesPerDestinationComputation) {
     EXPECT_EQ(tables.at(di).dest(), dests[di]);
     for (AsId src = 0; src < graph.num_ases(); ++src) {
       EXPECT_EQ(tables.at(di).path(src), direct.path(src));
+    }
+  }
+}
+
+TEST(RouteTableSet, RecomputeInPlaceMatchesFreshSet) {
+  // One set recomputed across link states and destination lists (equal,
+  // shorter, longer) holds exactly what a freshly built set holds, down
+  // to the per-class distances the ECMP alternates read: nothing of the
+  // previous view survives in the reused storage.
+  topo::TopologyConfig cfg;
+  cfg.num_ases = 120;
+  cfg.num_tier1 = 4;
+  cfg.num_transit = 24;
+  cfg.num_countries = 10;
+  const topo::AsGraph graph = topo::generate_topology(cfg, 9);
+  const RouteComputer computer(graph);
+  const std::vector<std::vector<topo::AsId>> dest_lists{
+      {3, 17, 42, 99}, {8, 17, 64, 101}, {5}, {0, 11, 23, 57, 88, 119}};
+
+  RouteTableSet reused;
+  for (std::size_t step = 0; step < 8; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<bool> up(static_cast<std::size_t>(graph.num_links()), true);
+    for (std::size_t i = step % 5; i < up.size(); i += 5 + step) up[i] = false;
+    const std::vector<topo::AsId>& dests = dest_lists[step % dest_lists.size()];
+
+    reused.recompute(computer, dests, up);
+    const RouteTableSet fresh(computer, dests, up);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (std::size_t di = 0; di < dests.size(); ++di) {
+      const RouteTable& got = reused.at(di);
+      const RouteTable& want = fresh.at(di);
+      EXPECT_EQ(got.dest(), want.dest());
+      for (AsId src = 0; src < graph.num_ases(); ++src) {
+        EXPECT_EQ(got.kind(src), want.kind(src));
+        EXPECT_EQ(got.path_length(src), want.path_length(src));
+        EXPECT_EQ(got.path(src), want.path(src));
+        EXPECT_EQ(got.ecmp_next_hops(src, graph, up), want.ecmp_next_hops(src, graph, up));
+      }
     }
   }
 }
