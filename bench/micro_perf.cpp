@@ -434,7 +434,7 @@ BENCHMARK(BM_AnalyzeCnfsBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(0);
 // (platform simulation + clause building + churn/truth tracking, the
 // pipeline's other serial wall) split into (vantage, day) shards on a
 // thread pool.  Arg = shard count (0 = hardware concurrency).  The
-// merged, canonicalized sink contents are bit-identical at every arg —
+// handed-off sink contents are bit-identical at every arg —
 // only wall-clock should move.  One iteration simulates the whole year,
 // so the benchmark pins Iterations(1).
 void BM_PlatformSharded(benchmark::State& state) {

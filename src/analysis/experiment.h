@@ -150,8 +150,11 @@ struct ExperimentOptions {
   /// Shards for each segment's platform run + clause building.  The
   /// segment is partitioned into (vantage, day) ranges executed
   /// concurrently on a thread pool, each streaming into shard-local
-  /// sinks that are merged and canonicalized afterwards.  0 (the
-  /// default) = hardware concurrency, 1 = serial platform run.
+  /// sinks that the monitor folds and hands off into its persistent
+  /// state in schedule order.  The next segment's platform run
+  /// overlaps this segment's drain, so up to this many platform
+  /// workers run beside the `num_threads` lanes.  0 (the default) =
+  /// hardware concurrency, 1 = serial platform run.
   /// Per-cell RNG streams keyed on schedule coordinates make the result
   /// bit-identical for every value (see README "Sharded execution").
   unsigned num_platform_shards = 0;

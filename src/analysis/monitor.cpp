@@ -1,11 +1,11 @@
 #include "analysis/monitor.h"
 
 #include <algorithm>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "analysis/checkpoint.h"
-#include "analysis/platform_sinks.h"
 #include "util/serde.h"
 
 namespace ct::analysis {
@@ -107,47 +107,75 @@ util::Day MonitorEngine::num_days() const {
 
 void MonitorEngine::run_until(util::Day target) {
   const util::Day end = std::min(target, num_days());
-  while (watermark_ < end) {
-    const util::Day d1 = std::min(end, watermark_ + options_.segment_days);
-    ingest_segment(watermark_, d1);
+  if (watermark_ >= end) return;
+  const unsigned shards = options_.experiment.num_platform_shards;
+  const auto segment_end = [&](util::Day d0) {
+    return std::min(end, d0 + options_.segment_days);
+  };
+  std::vector<std::unique_ptr<PlatformSinks>> bundles =
+      run_platform_shards(*scenario_, shards, watermark_, segment_end(watermark_));
+  for (;;) {
+    const util::Day d1 = segment_end(watermark_);
+    std::vector<tomo::PathClause> clauses = hand_off(std::move(bundles));
+    // The next segment's platform run starts only now, once this
+    // segment's bundles are freed, and runs beside this segment's
+    // drain.  It touches no monitor state (each shard owns its sinks),
+    // and the state still changes in segment order.  The future joins
+    // on every exit path, exceptions included.
+    std::future<std::vector<std::unique_ptr<PlatformSinks>>> next;
+    if (d1 < end) {
+      next = std::async(std::launch::async, [this, shards, d1, d2 = segment_end(d1)] {
+        return run_platform_shards(*scenario_, shards, d1, d2);
+      });
+    }
+    drain(std::move(clauses), d1);
     ++segments_;
     maybe_checkpoint();
+    if (!next.valid()) return;
+    bundles = next.get();
   }
 }
 
-void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
-  const std::unique_ptr<PlatformSinks> merged =
-      run_platform(*scenario_, options_.experiment.num_platform_shards, d0, d1);
+std::vector<tomo::PathClause> MonitorEngine::hand_off(
+    std::vector<std::unique_ptr<PlatformSinks>> bundles) {
+  // Translate every shard's clauses straight into the persistent pool,
+  // in canonical serial order (each distinct segment path interned
+  // once, in global first-use order == the serial run's, so the CNFs
+  // are bit-identical to build_cnfs over the whole stream).
+  std::vector<const tomo::ClauseBuilder*> builders;
+  builders.reserve(bundles.size());
+  for (const auto& bundle : bundles) builders.push_back(&bundle->clause_builder);
+  std::vector<tomo::PathClause> clauses = tomo::hand_off_clauses(builders, pool_);
+  retained_.add(static_cast<std::int64_t>(clauses.size()));
 
-  // Fold the segment's run-wide sink products into the persistent state.
-  summary_.merge(std::move(merged->summary));
-  truth_.merge(std::move(merged->truth_tracker));
-  clause_stats_ += merged->clause_builder.stats();
-  churn_fold_.absorb_unsealed(merged->churn_tracker.take_fold());
-
-  // Drain the segment in one pass, in place: translate each clause's
-  // path id into the persistent pool serially (PathRemap interns each
-  // distinct segment path once, in global first-use order == the serial
-  // run's, so the CNFs are bit-identical to build_cnfs over the whole
-  // stream), group the segment on the analysis lanes, then compact it
-  // to the strip's survivors, in stream order, for the ablation
-  // grouper.  The raw clauses live only inside this scope — the
-  // retained gauge proves it.
-  {
-    tomo::PathRemap to_global(merged->clause_builder.pool(), pool_);
-    std::vector<tomo::PathClause> clauses = merged->clause_builder.take_clauses();
-    const auto retained = static_cast<std::int64_t>(clauses.size());
-    retained_.add(retained);
-    for (tomo::PathClause& clause : clauses) clause.path_id = to_global(clause.path_id);
-    grouper_.add(pool_, clauses);
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < clauses.size(); ++i) {
-      if (strip_.keep(pool_, clauses[i])) clauses[kept++] = clauses[i];
-    }
-    clauses.resize(kept);
-    ablation_grouper_.add(pool_, clauses);
-    retained_.sub(retained);
+  // Fold each bundle's run-wide sink products into the persistent
+  // state (every fold is order-independent), freeing it as it goes.
+  for (std::unique_ptr<PlatformSinks>& bundle : bundles) {
+    summary_.merge(std::move(bundle->summary));
+    truth_.merge(std::move(bundle->truth_tracker));
+    clause_stats_ += bundle->clause_builder.stats();
+    churn_fold_.absorb_unsealed(bundle->churn_tracker.take_fold());
+    bundle.reset();
   }
+  return clauses;
+}
+
+void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
+  // Group the segment on the analysis lanes, then compact it in place
+  // to the strip's survivors, in stream order, for the ablation
+  // grouper.  The raw clauses live only until then — the retained
+  // gauge proves it.
+  const auto retained = static_cast<std::int64_t>(clauses.size());
+  grouper_.add(pool_, clauses);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    if (strip_.keep(pool_, clauses[i])) clauses[kept++] = clauses[i];
+  }
+  clauses.resize(kept);
+  ablation_grouper_.add(pool_, clauses);
+  clauses = {};
+  retained_.sub(retained);
+
   watermark_ = d1;
   analyze_and_fold(grouper_.advance_watermark(d1), ablation_grouper_.advance_watermark(d1));
   // Seal the churn windows the segment completed; open entries stay
@@ -243,26 +271,56 @@ void MonitorEngine::restore(const std::string& bytes) {
         "MonitorEngine::restore: only a freshly constructed monitor may restore");
   }
   const OpenedCheckpoint opened = open_checkpoint(bytes, fingerprint_);
+  // All or nothing: every component loads into a copy of its fresh
+  // member, and the members change only once the whole payload parsed,
+  // so a refused checkpoint leaves this monitor as constructed (it may
+  // still run cold).  The groupers' copies borrow the members' pools.
+  tomo::PathPool pool = pool_;
+  tomo::StreamingCnfBuilder grouper = grouper_;
+  tomo::ChurnStripFilter strip = strip_;
+  tomo::StreamingCnfBuilder ablation_grouper = ablation_grouper_;
+  ChurnFold churn_fold = churn_fold_;
+  ExperimentFolds folds = folds_;
+  iclab::DatasetSummary summary = summary_;
+  TruthTracker truth = truth_;
+  tomo::ClauseBuildStats clause_stats;
+  tomo::EngineStats main_base;
+  tomo::EngineStats ablation_base;
+  tomo::EngineStats server_base;
+  std::int64_t segments = 0;
   try {
     util::ByteReader r(opened.payload);
-    pool_.load(r);
+    pool.load(r);
     const std::int32_t num_urls = scenario_->platform().config().num_urls;
-    grouper_.load(r, num_urls);
-    strip_.load(r);
-    ablation_grouper_.load(r, num_urls);
-    churn_fold_.load(r);
-    folds_.load(r);
-    summary_.load(r, num_urls);
-    truth_.load(r);
-    clause_stats_ = load_clause_stats(r);
-    main_base_ = load_engine_stats(r);
-    ablation_base_ = load_engine_stats(r);
-    server_base_ = load_engine_stats(r);
-    segments_ = r.i64();
+    grouper.load(r, num_urls);
+    strip.load(r);
+    ablation_grouper.load(r, num_urls);
+    churn_fold.load(r);
+    folds.load(r);
+    summary.load(r, num_urls);
+    truth.load(r);
+    clause_stats = load_clause_stats(r);
+    main_base = load_engine_stats(r);
+    ablation_base = load_engine_stats(r);
+    server_base = load_engine_stats(r);
+    segments = r.i64();
     r.expect_end();
   } catch (const util::SerdeError& e) {
     throw CheckpointError(std::string("checkpoint payload: ") + e.what());
   }
+  pool_ = std::move(pool);
+  grouper_ = std::move(grouper);
+  strip_ = std::move(strip);
+  ablation_grouper_ = std::move(ablation_grouper);
+  churn_fold_ = std::move(churn_fold);
+  folds_ = std::move(folds);
+  summary_ = std::move(summary);
+  truth_ = std::move(truth);
+  clause_stats_ = clause_stats;
+  main_base_ = main_base;
+  ablation_base_ = ablation_base;
+  server_base_ = server_base;
+  segments_ = segments;
   watermark_ = opened.watermark;
   last_checkpoint_ = opened.watermark;
   // Resumed readers get a valid snapshot immediately, before the next

@@ -9,6 +9,18 @@
 // fresh load per CNF) — and every data product accumulates in
 // ExperimentFolds (checkpoint.h's serialize_report() is the oracle).
 //
+// Segment pipeline: a segment's shard bundles are handed off as they
+// are — each bundle's summary, truth tracker, stats and churn fold
+// folded directly, the shards' clauses translated straight into the
+// persistent pool (tomo::hand_off_clauses) — and freed.  Within one
+// run_until() call, the next segment's platform run starts on its own
+// thread right then, and runs beside this segment's grouping, strip,
+// watermark advance, SAT passes, folds, CNF release, publish and
+// cadence checkpoint.  It touches no monitor state, and the state
+// changes in segment order, so reports, checkpoints and fingerprints
+// are byte-identical to one-segment-at-a-time calls, which prefetch
+// nothing.
+//
 // Crash safety: checkpoint() serializes the monitor's complete
 // persistent state — the interned path pool, the open window groups of
 // both CNF builders, the ablation filter, the sealed churn fold, all
@@ -25,10 +37,13 @@
 // this).
 //
 // Memory: O(open windows + one segment), independent of run length.
-// Each segment's raw clauses live only between its platform replay and
-// its drain (tracked by an HwmGauge); the window groups, churn fold, and
-// folds are all watermark-sealed.  A 10-year replay holds a flat
-// retained-clause peak — the CI smoke job asserts it.
+// Each segment's raw clauses live only between its hand-off and its
+// drain (tracked by an HwmGauge); at most one segment's clauses plus
+// the next segment's platform sinks are held at once, since the next
+// platform run starts only after the hand-off freed the bundles.  The
+// window groups, churn fold, and folds are all watermark-sealed.  A
+// 10-year replay holds a flat retained-clause peak — the CI smoke job
+// asserts it.
 //
 // LiveReports are served to any number of concurrent readers through
 // LiveReportServer: one atomic shared_ptr swap per ingested segment
@@ -46,6 +61,7 @@
 #include <vector>
 
 #include "analysis/live_report.h"
+#include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
@@ -114,8 +130,11 @@ struct MonitorOptions {
   /// Ingest segment length in days: each segment is one platform replay
   /// (sharded per `experiment.num_platform_shards`), one drain (one
   /// watermark advance, one SAT batch per analysis pass) and one
-  /// published LiveReport.  Peak memory scales with this, not with the
-  /// run length.
+  /// published LiveReport.  Inside one run_until() call the next
+  /// segment's replay overlaps this segment's drain, starting once this
+  /// segment's shard bundles are handed off.  Peak memory scales with
+  /// this — one segment's clauses plus the next segment's platform
+  /// sinks — not with the run length.
   util::Day segment_days = 28;
   /// Automatic checkpoint cadence in watermark days (0 = only explicit
   /// checkpoint() calls).  Checkpoints are written at segment
@@ -170,6 +189,9 @@ class MonitorEngine {
   /// Ingests and analyzes through `target` (exclusive watermark day),
   /// segment by segment, publishing a LiveReport at every completed
   /// segment and writing automatic checkpoints at the configured cadence.
+  /// Each segment's platform run after the first overlaps the previous
+  /// segment's drain; a call that covers one segment runs no platform
+  /// ahead.
   void run_until(util::Day target);
   void run_all() { run_until(num_days()); }
 
@@ -184,7 +206,8 @@ class MonitorEngine {
   /// (same scenario + experiment config — the envelope fingerprint
   /// enforces it; execution knobs may differ).  Throws CheckpointError
   /// on any mismatch or corruption, std::logic_error if this monitor
-  /// already ingested data.
+  /// already ingested data.  All or nothing: a refused checkpoint
+  /// leaves the monitor as constructed, free to run cold.
   void restore(const std::string& bytes);
   void restore_from(const std::string& path);
 
@@ -201,7 +224,15 @@ class MonitorEngine {
   MonitorStats stats() const;
 
  private:
-  void ingest_segment(util::Day d0, util::Day d1);
+  /// The shard hand-off: translates the segment's clauses into pool_
+  /// (returned in canonical serial order, counted as retained) and
+  /// folds every bundle's other sinks into the persistent state,
+  /// freeing the bundles.
+  std::vector<tomo::PathClause> hand_off(std::vector<std::unique_ptr<PlatformSinks>> bundles);
+  /// Groups one handed-off segment, advances the watermark to `d1`,
+  /// analyzes and folds the sealed CNFs, seals the churn windows and
+  /// publishes.
+  void drain(std::vector<tomo::PathClause> clauses, util::Day d1);
   /// One SAT batch per pass; folds the verdicts.
   void analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
                         const std::vector<tomo::TomoCnf>& ablation_cnfs);

@@ -1,11 +1,12 @@
 // The four consumers of one platform run (or of one shard of it),
-// bundled with their fanout and fold, and run_platform, the one driver
-// of the platform.  The resident monitor, the platform-shard benchmark,
-// and the equivalence tests all drive exactly this bundle, so adding a
-// sink or changing merge requirements happens in one place.
+// bundled with their fanout and fold, and run_platform_shards, the one
+// driver of the platform.  The resident monitor, the platform-shard
+// benchmark, and the equivalence tests all drive exactly this bundle,
+// so adding a sink or changing merge requirements happens in one place.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,26 +42,42 @@ struct PlatformSinks {
     fanout.add(&truth_tracker);
   }
 
-  /// Folds a shard's sinks into this one.  Remember to canonicalize the
-  /// clause builder after the last fold.
-  void merge(PlatformSinks&& other) {
-    summary.merge(std::move(other.summary));
-    clause_builder.merge(std::move(other.clause_builder));
-    churn_tracker.merge(std::move(other.churn_tracker));
-    truth_tracker.merge(std::move(other.truth_tracker));
+  /// Folds shard-local bundles into this one: the clauses through the
+  /// shard hand-off (tomo::hand_off_clauses), the other sinks through
+  /// their order-independent merges.  A fresh bundle that absorbs any
+  /// tiling of a day range holds exactly what one serial run over that
+  /// range would have left.
+  void absorb(std::span<const std::unique_ptr<PlatformSinks>> shards) {
+    std::vector<const tomo::ClauseBuilder*> builders;
+    builders.reserve(shards.size());
+    for (const auto& shard : shards) builders.push_back(&shard->clause_builder);
+    clause_builder.absorb(builders);
+    for (const auto& shard : shards) {
+      summary.merge(std::move(shard->summary));
+      churn_tracker.merge(std::move(shard->churn_tracker));
+      truth_tracker.merge(std::move(shard->truth_tracker));
+    }
   }
 };
 
 /// Runs days [day_begin, day_end) of the measurement platform through
-/// all sinks: the range is split into (vantage, day) shards with
-/// iclab::plan_shards, run on a thread pool, then merged and
-/// canonicalized back to the serial stream.  The returned sink contents
-/// are bit-identical for any shard count (the equivalence tests hold
-/// this to the letter).  num_shards == 0 selects one shard per hardware
-/// thread; workers are capped at the hardware and the shard count, and
-/// one shard runs inline on the calling thread.  This is the only code
-/// that drives the platform: the resident monitor (and so
-/// run_experiment) runs it one segment at a time.
+/// all sinks, one bundle per shard: the range is split into (vantage,
+/// day) shards with iclab::plan_shards and run on a thread pool, and
+/// the bundles come back unmerged, in plan order.  num_shards == 0
+/// selects one shard per hardware thread; workers are capped at the
+/// hardware and the shard count, and one shard runs inline on the
+/// calling thread.  This is the only code that drives the platform:
+/// the resident monitor (and so run_experiment) hands each segment's
+/// bundles straight to its persistent state, and run_platform absorbs
+/// them into one.
+std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenario,
+                                                                unsigned num_shards,
+                                                                util::Day day_begin,
+                                                                util::Day day_end);
+
+/// run_platform_shards absorbed into one bundle: its contents are
+/// bit-identical to a serial run's over the range, for any shard count
+/// (the equivalence tests hold this to the letter).
 std::unique_ptr<PlatformSinks> run_platform(Scenario& scenario, unsigned num_shards,
                                             util::Day day_begin, util::Day day_end);
 

@@ -9,9 +9,9 @@ void TruthTracker::on_measurement(const iclab::Measurement& m) {
   for (const censor::Anomaly a : censor::kAllAnomalies) {
     const auto ai = static_cast<std::size_t>(a);
     if (!m.truth_censored[ai] || !m.detected[ai]) continue;
-    const auto& url = platform_.urls()[static_cast<std::size_t>(m.url_id)];
+    const auto& url = platform_->urls()[static_cast<std::size_t>(m.url_id)];
     const topo::AsId censor =
-        registry_.first_censor_on_path(m.truth_path, url.category, a, m.day);
+        registry_->first_censor_on_path(m.truth_path, url.category, a, m.day);
     if (censor != topo::kInvalidAs) observable_.insert(censor);
   }
 }

@@ -25,7 +25,7 @@ class TruthTracker : public iclab::MeasurementSink {
  public:
   /// The registry and platform must outlive the tracker.
   TruthTracker(const censor::CensorRegistry& registry, const iclab::Platform& platform)
-      : registry_(registry), platform_(platform) {}
+      : registry_(&registry), platform_(&platform) {}
 
   void on_measurement(const iclab::Measurement& m) override;
 
@@ -45,8 +45,9 @@ class TruthTracker : public iclab::MeasurementSink {
   void load(util::ByteReader& r);
 
  private:
-  const censor::CensorRegistry& registry_;
-  const iclab::Platform& platform_;
+  // Pointers, so trackers are assignable.
+  const censor::CensorRegistry* registry_;
+  const iclab::Platform* platform_;
   std::set<topo::AsId> observable_;
 };
 

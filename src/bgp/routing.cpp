@@ -82,9 +82,10 @@ std::int32_t RouteTable::advertised(std::size_t x) const {
   return prov_dist_[x];
 }
 
-std::vector<AsId> RouteTable::class_next_hops(AsId x, RouteKind cls, const topo::AsGraph& graph,
-                                              const std::vector<bool>& link_up) const {
-  std::vector<AsId> out;
+void RouteTable::class_next_hops_into(AsId x, RouteKind cls, const topo::AsGraph& graph,
+                                      const std::vector<bool>& link_up,
+                                      std::vector<AsId>& out) const {
+  out.clear();
   const auto xs = static_cast<std::size_t>(x);
   for (const auto& nb : graph.neighbors(x)) {
     if (!link_up[static_cast<std::size_t>(nb.link)]) continue;
@@ -114,31 +115,41 @@ std::vector<AsId> RouteTable::class_next_hops(AsId x, RouteKind cls, const topo:
         break;
       case RouteKind::kOrigin:
       case RouteKind::kNone:
-        return out;
+        return;
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::vector<AsId> RouteTable::ecmp_next_hops(AsId src, const topo::AsGraph& graph,
                                              const std::vector<bool>& link_up) const {
-  if (src < 0 || src >= static_cast<AsId>(kind_.size())) return {};
-  return class_next_hops(src, kind_[static_cast<std::size_t>(src)], graph, link_up);
+  std::vector<AsId> out;
+  if (src < 0 || src >= static_cast<AsId>(kind_.size())) return out;
+  class_next_hops_into(src, kind_[static_cast<std::size_t>(src)], graph, link_up, out);
+  return out;
 }
 
 std::vector<AsId> RouteTable::ecmp_path(AsId src, std::uint64_t flow_hash,
                                         const topo::AsGraph& graph,
                                         const std::vector<bool>& link_up) const {
   std::vector<AsId> out;
-  if (!reachable(src)) return out;
+  std::vector<AsId> hops;
+  ecmp_path_into(src, flow_hash, graph, link_up, out, hops);
+  return out;
+}
+
+void RouteTable::ecmp_path_into(AsId src, std::uint64_t flow_hash, const topo::AsGraph& graph,
+                                const std::vector<bool>& link_up, std::vector<AsId>& out,
+                                std::vector<AsId>& hops) const {
+  out.clear();
+  if (!reachable(src)) return;
   AsId x = src;
   RouteKind cls = kind_[static_cast<std::size_t>(src)];
   const auto limit = kind_.size() + 2;
   while (out.size() <= limit) {
     out.push_back(x);
-    if (x == dest_) return out;
-    const std::vector<AsId> hops = class_next_hops(x, cls, graph, link_up);
+    if (x == dest_) return;
+    class_next_hops_into(x, cls, graph, link_up, hops);
     if (hops.empty()) {
       throw std::logic_error("RouteTable::ecmp_path: inconsistent route state");
     }

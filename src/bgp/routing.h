@@ -82,6 +82,13 @@ class RouteTable {
                                     const topo::AsGraph& graph,
                                     const std::vector<bool>& link_up) const;
 
+  /// ecmp_path written into `out`, replacing its contents; `hops` is
+  /// scratch for each hop's equal-cost alternates.  Both keep their
+  /// capacity, so reused buffers allocate nothing once grown.
+  void ecmp_path_into(topo::AsId src, std::uint64_t flow_hash, const topo::AsGraph& graph,
+                      const std::vector<bool>& link_up, std::vector<topo::AsId>& out,
+                      std::vector<topo::AsId>& hops) const;
+
  private:
   friend class RouteComputer;
 
@@ -91,10 +98,11 @@ class RouteTable {
   void reset(topo::AsId dest, std::int32_t num_ases);
   /// Length of the route `x` exports to customers (its selected route).
   std::int32_t advertised(std::size_t x) const;
-  /// Equal-cost next hops out of `x` when forwarding in class `cls`.
-  std::vector<topo::AsId> class_next_hops(topo::AsId x, RouteKind cls,
-                                          const topo::AsGraph& graph,
-                                          const std::vector<bool>& link_up) const;
+  /// Equal-cost next hops out of `x` when forwarding in class `cls`,
+  /// written into `out` (replacing its contents), ascending.
+  void class_next_hops_into(topo::AsId x, RouteKind cls, const topo::AsGraph& graph,
+                            const std::vector<bool>& link_up,
+                            std::vector<topo::AsId>& out) const;
 
   topo::AsId dest_;
   std::vector<RouteKind> kind_;

@@ -297,16 +297,17 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
   // (different PoP, different first hop) when the AS is multihomed.
   // With a flow hash (multipath regime) the path beyond the exit
   // load-balances across equal-cost alternates keyed on that hash;
-  // without one it follows the best route.  `providers` and `rest` are
-  // the shard's scratch.
+  // without one it follows the best route.  `providers`, `rest` and
+  // `ecmp_hops` are the shard's scratch.
   std::vector<AsId> providers;
   std::vector<AsId> rest;
+  std::vector<AsId> ecmp_hops;
   auto node_path_into = [&](const bgp::RouteTable& table, AsId vp, std::size_t node,
                             const std::vector<bool>& link_up,
                             std::optional<std::uint64_t> flow_hash, std::vector<AsId>& out) {
     const auto follow = [&](AsId from, std::vector<AsId>& dst) {
       if (flow_hash) {
-        dst = table.ecmp_path(from, *flow_hash, graph_, link_up);
+        table.ecmp_path_into(from, *flow_hash, graph_, link_up, dst, ecmp_hops);
       } else {
         table.path_into(from, dst);
       }
@@ -556,7 +557,7 @@ std::int64_t DatasetSummary::distinct_urls() const {
 std::int64_t DatasetSummary::distinct_countries() const {
   std::set<topo::CountryId> s;
   for (const std::int32_t vp : flagged_ids(seen_vantages_)) {
-    s.insert(graph_.as_info(vp).country);
+    s.insert(graph_->as_info(vp).country);
   }
   return static_cast<std::int64_t>(s.size());
 }
@@ -574,7 +575,7 @@ void DatasetSummary::load(util::ByteReader& r, std::int32_t num_urls) {
   const std::int64_t unreachable = r.i64();
   std::array<std::int64_t, kNumAnomalies> anomaly_counts{};
   for (std::int64_t& c : anomaly_counts) c = r.i64();
-  std::vector<std::uint8_t> vantages = load_flags(r, graph_.num_ases(), "vantage");
+  std::vector<std::uint8_t> vantages = load_flags(r, graph_->num_ases(), "vantage");
   std::vector<std::uint8_t> urls = load_flags(r, num_urls, "URL");
   measurements_ = measurements;
   unreachable_ = unreachable;

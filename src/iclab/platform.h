@@ -56,7 +56,7 @@ struct Measurement {
   /// (day, epoch, destination, vantage, node, URL)).  Depends only on
   /// the schedule, never on which shard executed the measurement, so
   /// shard-local sink contents can be merged back into exact serial
-  /// stream order (see ClauseBuilder::canonicalize).
+  /// stream order (see tomo::hand_off_clauses).
   std::int64_t seq = 0;
   /// Detector verdict per anomaly type (index = Anomaly enum value).
   std::array<bool, censor::kNumAnomalies> detected{};
@@ -256,7 +256,7 @@ class Platform {
 class DatasetSummary : public MeasurementSink {
  public:
   explicit DatasetSummary(const topo::AsGraph& graph)
-      : graph_(graph), seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0) {}
+      : graph_(&graph), seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0) {}
 
   void on_measurement(const Measurement& m) override;
 
@@ -287,7 +287,7 @@ class DatasetSummary : public MeasurementSink {
   void load(util::ByteReader& r, std::int32_t num_urls);
 
  private:
-  const topo::AsGraph& graph_;
+  const topo::AsGraph* graph_;  // a pointer, so summaries are assignable
   std::int64_t measurements_ = 0;
   std::int64_t unreachable_ = 0;
   std::array<std::int64_t, censor::kNumAnomalies> anomaly_counts_{};

@@ -1,7 +1,9 @@
 #include "tomo/clause.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -79,45 +81,83 @@ void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
   }
 }
 
-void ClauseBuilder::merge(ClauseBuilder&& other) {
-  stats_ += other.stats_;
-  PathRemap remap(other.pool_, pool_);
-  for (PathClause clause : other.clauses_) {
-    clause.path_id = remap(clause.path_id);
-    clauses_.push_back(clause);
-  }
-  seqs_.insert(seqs_.end(), other.seqs_.begin(), other.seqs_.end());
-}
-
-void ClauseBuilder::reserve(std::size_t clauses) {
-  clauses_.reserve(clauses);
-  seqs_.reserve(clauses);
-}
-
-void ClauseBuilder::canonicalize() {
-  // Day-split shards merged in plan order (and any serial stream) are
-  // already in schedule order: only vantage-split grids need the sort.
-  if (!std::is_sorted(seqs_.begin(), seqs_.end())) {
-    std::vector<std::size_t> order(clauses_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    // Stable: a measurement's clauses share a seq and keep anomaly order.
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) { return seqs_[a] < seqs_[b]; });
-    std::vector<PathClause> clauses;
-    std::vector<std::int64_t> seqs;
-    clauses.reserve(clauses_.size());
-    seqs.reserve(seqs_.size());
-    for (const std::size_t i : order) {
-      clauses.push_back(clauses_[i]);
-      seqs.push_back(seqs_[i]);
-    }
+void ClauseBuilder::absorb(std::span<const ClauseBuilder* const> shards) {
+  std::vector<PathClause> clauses = hand_off_clauses(shards, pool_, &seqs_);
+  if (clauses_.empty()) {
     clauses_ = std::move(clauses);
-    seqs_ = std::move(seqs);
+  } else {
+    clauses_.insert(clauses_.end(), clauses.begin(), clauses.end());
   }
-  PathPool pool;
-  PathRemap remap(pool_, pool);
-  for (PathClause& clause : clauses_) clause.path_id = remap(clause.path_id);
-  pool_ = std::move(pool);
+  for (const ClauseBuilder* shard : shards) stats_ += shard->stats_;
+}
+
+std::vector<PathClause> hand_off_clauses(std::span<const ClauseBuilder* const> shards,
+                                         PathPool& pool, std::vector<std::int64_t>* seqs) {
+  std::size_t total = 0;
+  for (const ClauseBuilder* shard : shards) {
+    const std::vector<std::int64_t>& s = shard->seqs();
+    if (!std::is_sorted(s.begin(), s.end())) {
+      throw std::invalid_argument("hand_off_clauses: a shard's stream is out of schedule order");
+    }
+    total += s.size();
+  }
+  std::vector<PathRemap> remaps;
+  remaps.reserve(shards.size());
+  for (const ClauseBuilder* shard : shards) remaps.emplace_back(shard->pool(), pool);
+
+  std::vector<PathClause> out;
+  out.reserve(total);
+  if (seqs != nullptr) seqs->reserve(seqs->size() + total);
+  // Translating in output order interns each path at its first use.
+  const auto take = [&](std::size_t s, std::size_t begin, std::size_t end) {
+    const ClauseBuilder& shard = *shards[s];
+    for (std::size_t i = begin; i < end; ++i) {
+      PathClause clause = shard.clauses()[i];
+      clause.path_id = remaps[s](clause.path_id);
+      out.push_back(clause);
+    }
+    if (seqs != nullptr) {
+      seqs->insert(seqs->end(), shard.seqs().begin() + static_cast<std::ptrdiff_t>(begin),
+                   shard.seqs().begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  };
+
+  // k-way merge: repeatedly take the run of the shard whose head is
+  // least in (seq, shard) order, up to the next-least head.  Shards in
+  // schedule order (day-split plans) make one run each, a plain
+  // concatenation; vantage-split shards make whole (epoch, destination)
+  // blocks.  k stays small, so a linear scan of the heads is enough.
+  std::vector<std::size_t> head(shards.size(), 0);
+  const auto head_seq = [&](std::size_t s) {
+    return head[s] < shards[s]->seqs().size() ? shards[s]->seqs()[head[s]]
+                                              : std::numeric_limits<std::int64_t>::max();
+  };
+  while (out.size() < total) {
+    std::size_t best = shards.size();
+    std::size_t next = shards.size();
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      if (head[s] == shards[s]->seqs().size()) continue;
+      if (best == shards.size() || head_seq(s) < head_seq(best)) {
+        next = best;
+        best = s;
+      } else if (next == shards.size() || head_seq(s) < head_seq(next)) {
+        next = s;
+      }
+    }
+    const std::vector<std::int64_t>& s = shards[best]->seqs();
+    std::size_t end = head[best];
+    if (next == shards.size()) {
+      end = s.size();
+    } else {
+      // Up to and including `next`'s head seq: on a tie, `best` is the
+      // earlier shard, and equal seqs go to the earlier shard first.
+      const std::int64_t bound = head_seq(next);
+      while (end < s.size() && s[end] <= bound) ++end;
+    }
+    take(best, head[best], end);
+    head[best] = end;
+  }
+  return out;
 }
 
 }  // namespace ct::tomo

@@ -10,16 +10,16 @@
 //
 // Paths are interned in a PathPool: a year-long run emits millions of
 // clauses over a few thousand distinct AS paths, so clauses store a
-// 4-byte path id instead of a vector.  Moving clauses between pools (a
-// shard merge, canonical renumbering, the monitor's segment drain) goes
-// through a PathRemap, which interns each distinct source path once and
-// then translates ids by table lookup, linear in clauses.
+// 4-byte path id instead of a vector.  Moving clauses between pools
+// (the shard hand-off into a merged builder or the monitor's persistent
+// pool) goes through a PathRemap, which interns each distinct source
+// path once and then translates ids by table lookup, linear in clauses.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "censor/policy.h"
@@ -134,37 +134,15 @@ class ClauseBuilder : public iclab::MeasurementSink {
 
   void on_measurement(const iclab::Measurement& m) override;
 
-  /// Folds a shard-local builder into this one: clauses are appended
-  /// with their path ids translated into this builder's pool (one
-  /// intern per distinct path the appended clauses use, in first-use
-  /// order), stats are summed.
-  /// Associative, with a fresh builder as identity — but the clause
-  /// *order* after merging reflects merge order, so callers must
-  /// canonicalize() before reading clauses()/pool() when more than one
-  /// builder was merged.
-  void merge(ClauseBuilder&& other);
-
-  /// Capacity for `clauses` clauses: merge_shard_sinks sizes
-  /// the merged stream once before folding the shards in.
-  void reserve(std::size_t clauses);
-
-  /// Restores the canonical serial stream: clauses are sorted by their
-  /// measurement's schedule position (Measurement::seq) and path ids are
-  /// renumbered in first-use order of the sorted stream.  Idempotent,
-  /// and a no-op on a builder fed by a serial Platform::run — after
-  /// canonicalize(), pool() and clauses() are bit-identical regardless
-  /// of how the stream was sharded or in which order shards merged.
-  /// When seqs() is already non-decreasing — always so for day-split
-  /// shards merged in plan order — the clauses are renumbered in place,
-  /// linear in clauses with one intern per distinct path; otherwise
-  /// (vantage-split grids) a stable sort by seq comes first.
-  void canonicalize();
+  /// Appends the hand-off of `shards` (hand_off_clauses) to this
+  /// builder's stream, interning into its own pool, and sums their
+  /// stats.  A fresh builder that absorbs any tiling of the schedule
+  /// then holds exactly what a serial Platform::run would have left:
+  /// pool(), clauses(), seqs() and stats() bit-identical.
+  void absorb(std::span<const ClauseBuilder* const> shards);
 
   const PathPool& pool() const { return pool_; }
   const std::vector<PathClause>& clauses() const { return clauses_; }
-  /// Moves the clause stream out, leaving clauses() empty (the pool,
-  /// seqs and stats stay), for a caller that consumes it in place.
-  std::vector<PathClause> take_clauses() { return std::exchange(clauses_, {}); }
   /// Schedule position of each clause (parallel to clauses(); the
   /// kNumAnomalies clauses of one measurement share a value).
   const std::vector<std::int64_t>& seqs() const { return seqs_; }
@@ -179,5 +157,24 @@ class ClauseBuilder : public iclab::MeasurementSink {
   std::vector<std::int64_t> seqs_;
   ClauseBuildStats stats_;
 };
+
+/// The shard hand-off: the union of shard-local clause streams in
+/// canonical serial order, with path ids translated into `pool` (each
+/// distinct path interned once, in first-use order of that stream).
+/// The result, and what it adds to `pool`, equal what one serial
+/// ClauseBuilder interning into `pool` would have produced.  When the
+/// shards, in the given order, are already in schedule order — every
+/// day-split plan in plan order — their streams are concatenated;
+/// otherwise (vantage-split grids, or any other order) they are k-way
+/// merged by seqs().  Clauses of equal seq keep their order, earlier
+/// shards first.  When `seqs` is given, the result's seqs are appended
+/// to it.  Each shard's own stream must be in schedule order, as
+/// Platform::run_shard emits it; throws std::invalid_argument
+/// otherwise, interning nothing.  Both the sharded platform driver and
+/// the resident monitor's segments move their clauses through this one
+/// function.
+std::vector<PathClause> hand_off_clauses(std::span<const ClauseBuilder* const> shards,
+                                         PathPool& pool,
+                                         std::vector<std::int64_t>* seqs = nullptr);
 
 }  // namespace ct::tomo

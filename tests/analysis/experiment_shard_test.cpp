@@ -1,8 +1,8 @@
 // Serial-vs-sharded equivalence suite.
 //
 // The sharding determinism contract (README "Sharded execution") says a
-// platform run split into any disjoint (vantage, day) tiling, merged and
-// canonicalized, is *bit-identical* to the serial run — same clause
+// platform run split into any disjoint (vantage, day) tiling and handed
+// off into one bundle is *bit-identical* to the serial run — same clause
 // stream, same path-pool numbering, same DIMACS bytes, same figures.
 // These tests hold the implementation to that contract at both the sink
 // level (raw clause/churn streams) and the experiment level (every
@@ -52,8 +52,9 @@ std::vector<std::string> dimacs_of(const tomo::ClauseBuilder& builder) {
   return out;
 }
 
-/// Runs every shard of `ranges` into its own sink bundle, merges in the
-/// given order, canonicalizes, and compares everything against `serial`.
+/// Runs every shard of `ranges` into its own sink bundle, hands them off
+/// in the given order into one bundle, and compares everything against
+/// `serial`.
 void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& serial,
                                    const std::vector<iclab::ShardRange>& ranges,
                                    const std::vector<std::size_t>& merge_order) {
@@ -63,9 +64,10 @@ void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& seri
     scenario.platform().run_shard(shards.back()->fanout, ranges[i]);
   }
 
+  std::vector<std::unique_ptr<PlatformSinks>> ordered;
+  for (const std::size_t i : merge_order) ordered.push_back(std::move(shards[i]));
   PlatformSinks merged(scenario);
-  for (const std::size_t i : merge_order) merged.merge(std::move(*shards[i]));
-  merged.clause_builder.canonicalize();
+  merged.absorb(ordered);
 
   // Clause stream: bit-identical, including path-pool numbering.
   EXPECT_EQ(merged.clause_builder.clauses(), serial.clause_builder.clauses());
@@ -234,17 +236,20 @@ TEST(ShardEquivalence, RunPlatformDayRangeMatchesSerialSlice) {
   EXPECT_THROW(run_platform(scenario, 2, 0, 22), std::invalid_argument);
 }
 
-TEST(ShardEquivalence, CanonicalizeIsIdempotentAndSerialNoOp) {
+TEST(ShardEquivalence, HandOffIsIdempotentAndSerialNoOp) {
   Scenario scenario(shard_scenario(20170623));
   PlatformSinks serial(scenario);
   scenario.platform().run(serial.fanout);
 
-  tomo::ClauseBuilder copy = serial.clause_builder;
-  copy.canonicalize();
-  EXPECT_EQ(copy.clauses(), serial.clause_builder.clauses());
-  expect_pools_equal(copy.pool(), serial.clause_builder.pool());
-  copy.canonicalize();
-  EXPECT_EQ(copy.clauses(), serial.clause_builder.clauses());
+  tomo::ClauseBuilder once(scenario.ip2as());
+  once.absorb(std::vector<const tomo::ClauseBuilder*>{&serial.clause_builder});
+  EXPECT_EQ(once.clauses(), serial.clause_builder.clauses());
+  EXPECT_EQ(once.seqs(), serial.clause_builder.seqs());
+  expect_pools_equal(once.pool(), serial.clause_builder.pool());
+  tomo::ClauseBuilder twice(scenario.ip2as());
+  twice.absorb(std::vector<const tomo::ClauseBuilder*>{&once});
+  EXPECT_EQ(twice.clauses(), serial.clause_builder.clauses());
+  expect_pools_equal(twice.pool(), serial.clause_builder.pool());
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "../support/fuzz_seed.h"
+#include "../tomo/clause_merge_reference.h"
 #include "analysis/checkpoint.h"
 #include "analysis/experiment.h"
 #include "analysis/live_report.h"
@@ -137,6 +138,35 @@ TEST(MonitorEquivalence, RunExperimentMatchesReference) {
   EXPECT_EQ(got.engine_stats.solve_calls, expected.engine_stats.solve_calls);
   EXPECT_EQ(got.engine_stats.fresh_clauses, expected.engine_stats.fresh_clauses);
   EXPECT_EQ(got.engine_stats.backends, expected.engine_stats.backends);
+}
+
+TEST(MonitorEquivalence, OneRunUntilCallMatchesPerSegmentCalls) {
+  // One run_until(num_days) call overlaps every segment's platform run
+  // with the previous segment's drain; run_until one segment at a time
+  // prefetches nothing.  Both must land on the same state and on the
+  // reference's report — including 1-day segments on 4 shards, whose
+  // plan splits the vantage dimension (the hand-off's k-way merge).
+  const ScenarioConfig config = shard_scenario(14);
+  const std::string expected = batch_report(config);
+  for (const unsigned shards : {1u, 4u}) {
+    for (const util::Day segment_days : {1, 5, 28}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " segment_days=" + std::to_string(segment_days));
+      MonitorOptions options = monitor_options(shards);
+      options.segment_days = segment_days;
+      Scenario scenario(config);
+      MonitorEngine overlapped(scenario, options);
+      overlapped.run_until(overlapped.num_days());
+      MonitorEngine stepped(scenario, options);
+      while (stepped.watermark() < stepped.num_days()) {
+        stepped.run_until(stepped.watermark() + segment_days);
+      }
+      EXPECT_EQ(overlapped.stats().segments_ingested, stepped.stats().segments_ingested);
+      EXPECT_EQ(overlapped.checkpoint(), stepped.checkpoint());
+      EXPECT_EQ(serialize_report(overlapped.finalize()), expected);
+      EXPECT_EQ(serialize_report(stepped.finalize()), expected);
+    }
+  }
 }
 
 TEST(MonitorCrashResume, FuzzKillAtRandomWatermarksAcrossModes) {
@@ -392,10 +422,93 @@ TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
 
   MonitorEngine resumed(scenario, monitor_options(1));
   EXPECT_THROW(resumed.restore(crafted), CheckpointError);
+  // The refusal comes after the pool and the main grouper parsed; none
+  // of it may stick.  The refused monitor runs cold to a fresh one's
+  // report.
+  EXPECT_EQ(resumed.watermark(), 0);
+  MonitorEngine fresh(scenario, monitor_options(1));
+  EXPECT_EQ(serialize_report(resumed.finalize()), serialize_report(fresh.finalize()));
   // The untouched payload, resealed the same way, restores.
   MonitorEngine control(scenario, monitor_options(1));
   control.restore(seal_checkpoint(source.fingerprint(), opened.watermark, opened.payload));
   EXPECT_EQ(control.watermark(), 6);
+}
+
+TEST(MonitorCheckpoint, CadenceCheckpointsInsideOneCallMatchPerSegmentEngine) {
+  // Cadence checkpoints written inside one overlapped run_until call —
+  // while the next segment's platform runs — carry the same bytes as
+  // checkpoint() on an engine stepped one segment at a time.  Each
+  // target leaves the file at its last cadence write.
+  const ScenarioConfig config = shard_scenario(47);
+  const std::string path = ::testing::TempDir() + "ct_monitor_cadence_test.bin";
+  struct Case {
+    util::Day segment_days;
+    util::Day every;
+    util::Day target;
+    util::Day last_write;
+  };
+  for (const Case c : {Case{5, 5, 12, 10}, Case{5, 5, 21, 20}, Case{1, 3, 8, 6}}) {
+    SCOPED_TRACE("segment_days=" + std::to_string(c.segment_days) +
+                 " target=" + std::to_string(c.target));
+    MonitorOptions options = monitor_options(4);
+    options.segment_days = c.segment_days;
+    Scenario scenario(config);
+    MonitorEngine overlapped(scenario, [&] {
+      MonitorOptions cadence = options;
+      cadence.checkpoint_every = c.every;
+      cadence.checkpoint_path = path;
+      return cadence;
+    }());
+    overlapped.run_until(c.target);
+    const std::string written = read_checkpoint_file(path);
+    EXPECT_EQ(open_checkpoint(written, overlapped.fingerprint()).watermark, c.last_write);
+
+    MonitorEngine stepped(scenario, options);
+    while (stepped.watermark() < c.last_write) {
+      stepped.run_until(stepped.watermark() + c.segment_days);
+    }
+    EXPECT_EQ(written, stepped.checkpoint());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
+  // 1-day segments on 4 shards split every segment's vantage dimension.
+  // The persistent pool the monitor checkpoints must be the one the old
+  // path built: each segment's shards merged and canonicalized (the
+  // reference in clause_merge_reference.h), then remapped into the
+  // global pool in stream order.
+  const ScenarioConfig config = shard_scenario(48);
+  Scenario scenario(config);
+  const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
+  ASSERT_EQ(iclab::plan_shards(1, num_vp, 4).size(), 4u);
+
+  MonitorOptions options = monitor_options(4);
+  options.segment_days = 1;
+  MonitorEngine monitor(scenario, options);
+  const util::Day days = 6;
+  monitor.run_until(days);
+  const OpenedCheckpoint opened = open_checkpoint(monitor.checkpoint(), monitor.fingerprint());
+  util::ByteReader r(opened.payload);
+  tomo::PathPool got;
+  got.load(r);
+
+  tomo::PathPool expected;
+  for (util::Day d = 0; d < days; ++d) {
+    const std::vector<std::unique_ptr<PlatformSinks>> shards =
+        run_platform_shards(scenario, 4, d, d + 1);
+    std::vector<const tomo::ClauseBuilder*> builders;
+    for (const auto& shard : shards) builders.push_back(&shard->clause_builder);
+    const tomo::test::CanonicalStream canonical = tomo::test::merge_and_canonicalize(builders);
+    tomo::PathRemap remap(canonical.pool, expected);
+    for (const tomo::PathClause& clause : canonical.clauses) remap(clause.path_id);
+  }
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.get(static_cast<tomo::PathPool::PathId>(i)),
+              expected.get(static_cast<tomo::PathPool::PathId>(i)));
+  }
 }
 
 TEST(MonitorCheckpoint, FileRoundtripAndMissingFile) {

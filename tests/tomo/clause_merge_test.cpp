@@ -1,14 +1,17 @@
-// ClauseBuilder::merge / canonicalize algebra: merging shard-local
-// builders must be associative and identity-respecting, and after
-// canonicalize() the result must not depend on merge order at all —
-// same clauses, same path-pool numbering, same stats.
+// Shard hand-off algebra (tomo::hand_off_clauses, ClauseBuilder::absorb):
+// absorbing shard-local builders must be associative and
+// identity-respecting, must not depend on the order the shards are
+// given in at all — same clauses, same path-pool numbering, same stats —
+// and must equal the merge-then-canonicalize reference it replaced.
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/scenario.h"
+#include "clause_merge_reference.h"
 #include "tomo/clause.h"
 
 namespace ct::tomo {
@@ -43,15 +46,27 @@ class ClauseMergeTest : public ::testing::Test {
     scenario_ = nullptr;
   }
 
+  static ClauseBuilder fresh() { return ClauseBuilder(scenario_->ip2as()); }
+
+  /// A fresh builder that absorbed `shards`.
+  static ClauseBuilder absorbed(const std::vector<const ClauseBuilder*>& shards) {
+    ClauseBuilder out = fresh();
+    out.absorb(shards);
+    return out;
+  }
+
+  static void expect_pools_equal(const PathPool& a, const PathPool& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.get(static_cast<PathPool::PathId>(i)), b.get(static_cast<PathPool::PathId>(i)));
+    }
+  }
+
   static void expect_equal(const ClauseBuilder& a, const ClauseBuilder& b) {
     EXPECT_EQ(a.clauses(), b.clauses());
     EXPECT_EQ(a.seqs(), b.seqs());
     EXPECT_EQ(a.stats(), b.stats());
-    ASSERT_EQ(a.pool().size(), b.pool().size());
-    for (std::size_t i = 0; i < a.pool().size(); ++i) {
-      EXPECT_EQ(a.pool().get(static_cast<PathPool::PathId>(i)),
-                b.pool().get(static_cast<PathPool::PathId>(i)));
-    }
+    expect_pools_equal(a.pool(), b.pool());
   }
 
   static analysis::Scenario* scenario_;
@@ -64,30 +79,21 @@ ClauseBuilder* ClauseMergeTest::serial_ = nullptr;
 std::vector<std::unique_ptr<ClauseBuilder>> ClauseMergeTest::shards_;
 
 TEST_F(ClauseMergeTest, IdentityRespecting) {
-  // fresh ∪ A == A ∪ fresh == A (after canonicalize).
-  ClauseBuilder left(scenario_->ip2as());
-  left.merge(ClauseBuilder(*shards_[0]));
-  left.canonicalize();
-
-  ClauseBuilder right = *shards_[0];
-  right.merge(ClauseBuilder(scenario_->ip2as()));
-  right.canonicalize();
-
-  ClauseBuilder plain = *shards_[0];
-  plain.canonicalize();
-
-  expect_equal(left, plain);
-  expect_equal(right, plain);
+  // fresh ∪ A == A ∪ fresh == A: one shard's stream is already canonical.
+  const ClauseBuilder empty = fresh();
+  const ClauseBuilder& a = *shards_[0];
+  expect_equal(absorbed({&empty, &a}), a);
+  expect_equal(absorbed({&a, &empty}), a);
+  expect_equal(absorbed({&a}), a);
 }
 
 TEST_F(ClauseMergeTest, MergeOrderPermutationsAgree) {
   std::vector<std::size_t> order{0, 1, 2};
   std::vector<ClauseBuilder> results;
   do {
-    ClauseBuilder merged(scenario_->ip2as());
-    for (const std::size_t i : order) merged.merge(ClauseBuilder(*shards_[i]));
-    merged.canonicalize();
-    results.push_back(std::move(merged));
+    std::vector<const ClauseBuilder*> shards;
+    for (const std::size_t i : order) shards.push_back(shards_[i].get());
+    results.push_back(absorbed(shards));
   } while (std::next_permutation(order.begin(), order.end()));
   for (std::size_t i = 1; i < results.size(); ++i) {
     expect_equal(results[0], results[i]);
@@ -96,26 +102,15 @@ TEST_F(ClauseMergeTest, MergeOrderPermutationsAgree) {
 
 TEST_F(ClauseMergeTest, Associative) {
   // (A ∪ B) ∪ C == A ∪ (B ∪ C).
-  ClauseBuilder ab = *shards_[0];
-  ab.merge(ClauseBuilder(*shards_[1]));
-  ClauseBuilder ab_c = std::move(ab);
-  ab_c.merge(ClauseBuilder(*shards_[2]));
-  ab_c.canonicalize();
-
-  ClauseBuilder bc = *shards_[1];
-  bc.merge(ClauseBuilder(*shards_[2]));
-  ClauseBuilder a_bc = *shards_[0];
-  a_bc.merge(std::move(bc));
-  a_bc.canonicalize();
-
+  const ClauseBuilder ab = absorbed({shards_[0].get(), shards_[1].get()});
+  const ClauseBuilder ab_c = absorbed({&ab, shards_[2].get()});
+  const ClauseBuilder bc = absorbed({shards_[1].get(), shards_[2].get()});
+  const ClauseBuilder a_bc = absorbed({shards_[0].get(), &bc});
   expect_equal(ab_c, a_bc);
 }
 
 TEST_F(ClauseMergeTest, MergedShardsReproduceSerialStream) {
-  ClauseBuilder merged(scenario_->ip2as());
-  for (const auto& shard : shards_) merged.merge(ClauseBuilder(*shard));
-  merged.canonicalize();
-  expect_equal(merged, *serial_);
+  expect_equal(absorbed({shards_[0].get(), shards_[1].get(), shards_[2].get()}), *serial_);
 
   // Sanity: the shards were a genuine split, not empty husks.
   std::int64_t shard_clauses = 0;
@@ -131,6 +126,60 @@ TEST_F(ClauseMergeTest, StatsSum) {
   for (const auto& shard : shards_) sum += shard->stats();
   EXPECT_EQ(sum, serial_->stats());
   EXPECT_EQ(sum.usable_measurements + sum.dropped_total(), sum.measurements);
+}
+
+TEST_F(ClauseMergeTest, HandOffMatchesMergeAndCanonicalizeReference) {
+  // On the vantage-split grid (the k-way merge) in plan and reversed
+  // order, and on day-split shards (the concatenation): the same
+  // clauses, seqs and pool as the reference, both into a fresh pool and
+  // into a pool that already holds paths — the monitor's persistent
+  // pool, which the reference reached by remapping its canonical pool.
+  const auto num_vp = static_cast<std::int32_t>(scenario_->platform().vantages().size());
+  std::vector<std::unique_ptr<ClauseBuilder>> day_shards;
+  for (const auto& range : iclab::plan_shard_grid(util::kDaysPerWeek, num_vp, 3, 1)) {
+    day_shards.push_back(std::make_unique<ClauseBuilder>(scenario_->ip2as()));
+    scenario_->platform().run_shard(*day_shards.back(), range);
+  }
+  const std::vector<std::vector<const ClauseBuilder*>> layouts{
+      {shards_[0].get(), shards_[1].get(), shards_[2].get()},
+      {shards_[2].get(), shards_[1].get(), shards_[0].get()},
+      {day_shards[0].get(), day_shards[1].get(), day_shards[2].get()}};
+  for (std::size_t l = 0; l < layouts.size(); ++l) {
+    SCOPED_TRACE("layout " + std::to_string(l));
+    const test::CanonicalStream reference = test::merge_and_canonicalize(layouts[l]);
+
+    PathPool pool;
+    std::vector<std::int64_t> seqs;
+    EXPECT_EQ(hand_off_clauses(layouts[l], pool, &seqs), reference.clauses);
+    EXPECT_EQ(seqs, reference.seqs);
+    expect_pools_equal(pool, reference.pool);
+
+    // Seed a pool with a reversed slice of the shards' paths.
+    PathPool seeded;
+    for (std::size_t i = reference.pool.size(); i-- > reference.pool.size() / 2;) {
+      seeded.intern(reference.pool.get(static_cast<PathPool::PathId>(i)));
+    }
+    PathPool expected_pool = seeded;
+    PathRemap remap(reference.pool, expected_pool);
+    std::vector<PathClause> expected = reference.clauses;
+    for (PathClause& clause : expected) clause.path_id = remap(clause.path_id);
+    EXPECT_EQ(hand_off_clauses(layouts[l], seeded), expected);
+    expect_pools_equal(seeded, expected_pool);
+  }
+}
+
+TEST_F(ClauseMergeTest, ShardOutOfScheduleOrderIsRefused) {
+  // A builder fed a later day range before an earlier one is not a
+  // shard: its stream is out of schedule order.
+  ClauseBuilder scrambled = fresh();
+  const auto num_vp = static_cast<std::int32_t>(scenario_->platform().vantages().size());
+  const auto ranges = iclab::plan_shard_grid(util::kDaysPerWeek, num_vp, 2, 1);
+  scenario_->platform().run_shard(scrambled, ranges[1]);
+  scenario_->platform().run_shard(scrambled, ranges[0]);
+  PathPool pool;
+  EXPECT_THROW(hand_off_clauses(std::vector<const ClauseBuilder*>{&scrambled}, pool),
+               std::invalid_argument);
+  EXPECT_EQ(pool.size(), 0u) << "a refused hand-off interns nothing";
 }
 
 }  // namespace
