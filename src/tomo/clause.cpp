@@ -149,10 +149,11 @@ std::vector<PathClause> hand_off_clauses(std::span<const ClauseBuilder* const> s
     if (next == shards.size()) {
       end = s.size();
     } else {
-      // Up to and including `next`'s head seq: on a tie, `best` is the
-      // earlier shard, and equal seqs go to the earlier shard first.
+      // Up to `next`'s head seq, and through it only when `best` is the
+      // earlier shard: equal seqs go to the earlier shard first.
       const std::int64_t bound = head_seq(next);
-      while (end < s.size() && s[end] <= bound) ++end;
+      const bool take_ties = best < next;
+      while (end < s.size() && (s[end] < bound || (take_ties && s[end] == bound))) ++end;
     }
     take(best, head[best], end);
     head[best] = end;

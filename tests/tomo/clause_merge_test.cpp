@@ -4,6 +4,7 @@
 // given in at all — same clauses, same path-pool numbering, same stats —
 // and must equal the merge-then-canonicalize reference it replaced.
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -52,6 +53,39 @@ class ClauseMergeTest : public ::testing::Test {
   static ClauseBuilder absorbed(const std::vector<const ClauseBuilder*>& shards) {
     ClauseBuilder out = fresh();
     out.absorb(shards);
+    return out;
+  }
+
+  /// Hand-built shards: shard i is fed usable measurements of the
+  /// scenario's first day, re-stamped with seqs[i].  Lets a test give
+  /// several shards the same seq, which no platform plan produces.
+  static std::vector<std::unique_ptr<ClauseBuilder>> stamped_shards(
+      const std::vector<std::vector<std::int64_t>>& seqs) {
+    struct Usable : iclab::MeasurementSink {
+      explicit Usable(const net::Ip2AsDb& db) : probe(db) {}
+      void on_measurement(const iclab::Measurement& m) override {
+        const std::size_t before = probe.clauses().size();
+        probe.on_measurement(m);
+        if (probe.clauses().size() > before) records.push_back(m);
+      }
+      ClauseBuilder probe;
+      std::vector<iclab::Measurement> records;
+    };
+    Usable usable(scenario_->ip2as());
+    const auto num_vp = static_cast<std::int32_t>(scenario_->platform().vantages().size());
+    scenario_->platform().run_shard(usable, iclab::plan_shard_grid(1, num_vp, 1, 1).front());
+
+    std::vector<std::unique_ptr<ClauseBuilder>> out;
+    std::size_t next = 0;
+    for (const auto& shard_seqs : seqs) {
+      out.push_back(std::make_unique<ClauseBuilder>(scenario_->ip2as()));
+      for (const std::int64_t seq : shard_seqs) {
+        // A stride through the day, so the shards carry different paths.
+        iclab::Measurement m = usable.records.at((next++ * 37) % usable.records.size());
+        m.seq = seq;
+        out.back()->on_measurement(m);
+      }
+    }
     return out;
   }
 
@@ -130,7 +164,8 @@ TEST_F(ClauseMergeTest, StatsSum) {
 
 TEST_F(ClauseMergeTest, HandOffMatchesMergeAndCanonicalizeReference) {
   // On the vantage-split grid (the k-way merge) in plan and reversed
-  // order, and on day-split shards (the concatenation): the same
+  // order, on day-split shards (the concatenation), and on hand-built
+  // shards sharing seqs (the merge's tie rule): the same
   // clauses, seqs and pool as the reference, both into a fresh pool and
   // into a pool that already holds paths — the monitor's persistent
   // pool, which the reference reached by remapping its canonical pool.
@@ -140,10 +175,15 @@ TEST_F(ClauseMergeTest, HandOffMatchesMergeAndCanonicalizeReference) {
     day_shards.push_back(std::make_unique<ClauseBuilder>(scenario_->ip2as()));
     scenario_->platform().run_shard(*day_shards.back(), range);
   }
+  // Equal seqs across shards, with a later shard holding the least
+  // head: ties must still go to the earlier shard first.
+  const auto tied = stamped_shards({{7}, {7, 9}, {5, 7, 7, 8}});
   const std::vector<std::vector<const ClauseBuilder*>> layouts{
       {shards_[0].get(), shards_[1].get(), shards_[2].get()},
       {shards_[2].get(), shards_[1].get(), shards_[0].get()},
-      {day_shards[0].get(), day_shards[1].get(), day_shards[2].get()}};
+      {day_shards[0].get(), day_shards[1].get(), day_shards[2].get()},
+      {tied[0].get(), tied[1].get(), tied[2].get()},
+      {tied[2].get(), tied[0].get(), tied[1].get()}};
   for (std::size_t l = 0; l < layouts.size(); ++l) {
     SCOPED_TRACE("layout " + std::to_string(l));
     const test::CanonicalStream reference = test::merge_and_canonicalize(layouts[l]);
