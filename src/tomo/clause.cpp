@@ -11,14 +11,52 @@
 
 namespace ct::tomo {
 
+namespace {
+
+std::uint64_t path_hash(const std::vector<topo::AsId>& path) {
+  std::uint64_t h = path.size();
+  for (const topo::AsId as : path) {
+    h = (h ^ static_cast<std::uint32_t>(as)) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
+}  // namespace
+
+std::size_t PathPool::find_slot(const std::vector<topo::AsId>& path, std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const PathId id = slots_[i];
+    if (id == kEmpty) return i;
+    const auto at = static_cast<std::size_t>(id);
+    if (hashes_[at] == hash && paths_[at] == path) return i;
+  }
+}
+
+void PathPool::grow() {
+  slots_.assign(std::max<std::size_t>(16, slots_.size() * 2), kEmpty);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = 0; id < paths_.size(); ++id) {
+    std::size_t i = hashes_[id] & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = static_cast<PathId>(id);
+  }
+}
+
 PathPool::PathId PathPool::intern(const std::vector<topo::AsId>& path) {
-  // Look up before inserting: emplace would build (and free) a node and
-  // a copy of the path even when the path is already interned.
-  const auto it = index_.lower_bound(path);
-  if (it != index_.end() && it->first == path) return it->second;
+  const std::uint64_t hash = path_hash(path);
+  if (slots_.empty()) grow();
+  std::size_t slot = find_slot(path, hash);
+  if (slots_[slot] != kEmpty) return slots_[slot];
   const auto id = static_cast<PathId>(paths_.size());
-  index_.emplace_hint(it, path, id);
   paths_.push_back(path);
+  hashes_.push_back(hash);
+  if (2 * paths_.size() > slots_.size()) {
+    grow();
+  } else {
+    slots_[slot] = id;
+  }
   return id;
 }
 
@@ -29,22 +67,26 @@ void PathPool::save(util::ByteWriter& w) const {
 }
 
 void PathPool::load(util::ByteReader& r) {
-  std::vector<std::vector<topo::AsId>> paths;
-  util::load_vec(r, paths, [](util::ByteReader& r) {
+  PathPool loaded;
+  util::load_vec(r, loaded.paths_, [](util::ByteReader& r) {
     std::vector<topo::AsId> path;
     util::load_vec(r, path, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
     return path;
   });
-  std::map<std::vector<topo::AsId>, PathId> index;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!index.emplace(paths[i], static_cast<PathId>(i)).second) {
+  for (const std::vector<topo::AsId>& path : loaded.paths_) loaded.hashes_.push_back(path_hash(path));
+  std::size_t size = 16;
+  while (size < 2 * loaded.paths_.size()) size *= 2;
+  loaded.slots_.assign(size, kEmpty);
+  for (std::size_t i = 0; i < loaded.paths_.size(); ++i) {
+    const std::size_t slot = loaded.find_slot(loaded.paths_[i], loaded.hashes_[i]);
+    if (loaded.slots_[slot] != kEmpty) {
       // intern() would answer the first id for both: ids would not survive.
       throw util::SerdeError("PathPool::load: path " + std::to_string(i) +
                              " duplicates an earlier path");
     }
+    loaded.slots_[slot] = static_cast<PathId>(i);
   }
-  index_ = std::move(index);
-  paths_ = std::move(paths);
+  *this = std::move(loaded);
 }
 
 void ClauseBuilder::on_measurement(const iclab::Measurement& m) {

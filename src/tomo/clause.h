@@ -17,8 +17,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -55,8 +55,18 @@ class PathPool {
   void load(util::ByteReader& r);
 
  private:
-  std::map<std::vector<topo::AsId>, PathId> index_;
+  /// The slot of `path` in slots_: its id's slot, or the empty slot
+  /// where it would go.  slots_ must not be empty.
+  std::size_t find_slot(const std::vector<topo::AsId>& path, std::uint64_t hash) const;
+  /// Doubles slots_ (from 16) and re-inserts every id by its hash.
+  void grow();
+
   std::vector<std::vector<topo::AsId>> paths_;
+  std::vector<std::uint64_t> hashes_;  // parallel to paths_
+  /// Dedup index: open addressing with linear probing over path ids,
+  /// kEmpty where free, at most half full.  It stores no path copies.
+  std::vector<PathId> slots_;
+  static constexpr PathId kEmpty = -1;
 };
 
 /// Lazy id translation from one pool into another: a source path is

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/serde.h"
 
@@ -25,6 +26,40 @@ TEST(PathPool, EmptyPathInternable) {
   PathPool pool;
   const auto id = pool.intern({});
   EXPECT_TRUE(pool.get(id).empty());
+}
+
+TEST(PathPool, IdsSurviveIndexGrowthCopyAndReload) {
+  // Enough paths to grow the index many times; prefixes of one another
+  // and permutations, so a lookup that matched on hash alone would show.
+  std::vector<std::vector<topo::AsId>> paths;
+  for (topo::AsId a = 0; a < 40; ++a) {
+    for (topo::AsId b = 0; b < 40; ++b) {
+      paths.push_back({a, b});
+      paths.push_back({b, a, b});
+    }
+    paths.push_back({a});
+  }
+  PathPool pool;
+  std::vector<PathPool::PathId> ids;
+  for (const auto& path : paths) ids.push_back(pool.intern(path));
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(pool.get(ids[i]), paths[i]);
+    EXPECT_EQ(pool.intern(paths[i]), ids[i]);
+  }
+  EXPECT_EQ(pool.get(static_cast<PathPool::PathId>(pool.size() - 1)), paths.back());
+
+  const PathPool copy = pool;
+  util::ByteWriter w;
+  copy.save(w);
+  PathPool loaded;
+  util::ByteReader r(w.bytes());
+  loaded.load(r);
+  r.expect_end();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(loaded.intern(paths[i]), ids[i]);
+  }
+  EXPECT_EQ(loaded.size(), pool.size());
+  EXPECT_EQ(loaded.intern({99, 98}), static_cast<PathPool::PathId>(pool.size()));
 }
 
 /// A PathPool checkpoint payload in save()'s layout: the path count,
