@@ -221,10 +221,10 @@ void ExperimentFolds::save(util::ByteWriter& w) const {
   fig4.save(w);
 }
 
-void ExperimentFolds::load(util::ByteReader& r) {
+void ExperimentFolds::load(util::ByteReader& r, std::int32_t num_ases) {
   verdicts.load(r);
   support.load(r);
-  leakage.load(r);
+  leakage.load(r, num_ases);
   fig4.load(r);
 }
 

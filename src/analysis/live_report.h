@@ -138,9 +138,10 @@ struct ExperimentFolds {
     leakage.add(cnf, verdict);
   }
 
-  /// Checkpoint support (analysis/checkpoint.h): all four folds.
+  /// Checkpoint support (analysis/checkpoint.h): all four folds, AS ids
+  /// bounded by `num_ases`.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 };
 
 /// Derives the full ExperimentResult (tables, figures, censor lists,

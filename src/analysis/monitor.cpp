@@ -290,13 +290,16 @@ void MonitorEngine::restore(const std::string& bytes) {
   std::int64_t segments = 0;
   try {
     util::ByteReader r(opened.payload);
-    pool.load(r);
+    const std::int32_t num_ases = scenario_->graph().num_ases();
+    pool.load(r, num_ases);
+    // The groupers' copies borrow the member pool, not `pool`: bound
+    // their path ids by the loaded pool's size.
     const std::int32_t num_urls = scenario_->platform().config().num_urls;
-    grouper.load(r, num_urls);
-    strip.load(r);
-    ablation_grouper.load(r, num_urls);
+    grouper.load(r, num_urls, num_ases, pool.size());
+    strip.load(r, pool.size());
+    ablation_grouper.load(r, num_urls, num_ases, pool.size());
     churn_fold.load(r);
-    folds.load(r);
+    folds.load(r, num_ases);
     summary.load(r, num_urls);
     truth.load(r);
     clause_stats = load_clause_stats(r);

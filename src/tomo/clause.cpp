@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace ct::tomo {
@@ -20,6 +21,12 @@ std::uint64_t path_hash(const std::vector<topo::AsId>& path) {
     h ^= h >> 29;
   }
   return h;
+}
+
+std::uint64_t day_key_hash(topo::AsId vantage, std::int32_t url_id, PathPool::PathId path_id) {
+  const std::uint64_t a = (std::uint64_t{static_cast<std::uint32_t>(vantage)} << 32) |
+                          static_cast<std::uint32_t>(url_id);
+  return util::mix64(a, static_cast<std::uint32_t>(path_id));
 }
 
 }  // namespace
@@ -66,11 +73,18 @@ void PathPool::save(util::ByteWriter& w) const {
   });
 }
 
-void PathPool::load(util::ByteReader& r) {
+void PathPool::load(util::ByteReader& r, std::int32_t num_ases) {
   PathPool loaded;
-  util::load_vec(r, loaded.paths_, [](util::ByteReader& r) {
+  util::load_vec(r, loaded.paths_, [num_ases](util::ByteReader& r) {
     std::vector<topo::AsId> path;
-    util::load_vec(r, path, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
+    util::load_vec(r, path, [num_ases](util::ByteReader& r) {
+      const topo::AsId as = r.i32();
+      if (as < 0 || as >= num_ases) {
+        throw util::SerdeError("PathPool::load: AS id " + std::to_string(as) + " outside the " +
+                               std::to_string(num_ases) + " ASes");
+      }
+      return as;
+    });
     return path;
   });
   for (const std::vector<topo::AsId>& path : loaded.paths_) loaded.hashes_.push_back(path_hash(path));
@@ -109,17 +123,64 @@ void ClauseBuilder::on_measurement(const iclab::Measurement& m) {
   }
   ++stats_.usable_measurements;
   const PathPool::PathId path_id = pool_.intern(infer_scratch_[0]);
+  if (m.day != day_) {
+    day_ = m.day;
+    day_keys_.next_day();
+  }
+  DayKeys::Seen& seen = day_keys_.find_or_insert(m.vantage, m.url_id, path_id);
   for (const censor::Anomaly a : censor::kAllAnomalies) {
+    ++stats_.clauses;
+    const bool observed = m.detected[static_cast<std::size_t>(a)];
+    const auto bit = static_cast<DayKeys::Seen>(1u << (2 * static_cast<unsigned>(a) + observed));
+    if ((seen & bit) != 0) continue;  // a same-day repeat
+    seen |= bit;
     PathClause clause;
     clause.path_id = path_id;
     clause.url_id = m.url_id;
     clause.vantage = m.vantage;
     clause.day = m.day;
     clause.anomaly = a;
-    clause.observed = m.detected[static_cast<std::size_t>(a)];
+    clause.observed = observed;
     clauses_.push_back(clause);
     seqs_.push_back(m.seq);
-    ++stats_.clauses;
+  }
+}
+
+void ClauseBuilder::DayKeys::next_day() {
+  size_ = 0;
+  if (++generation_ == 0) {  // wrapped: no stale slot may look live
+    slots_.assign(slots_.size(), Slot{});
+    generation_ = 1;
+  }
+}
+
+ClauseBuilder::DayKeys::Seen& ClauseBuilder::DayKeys::find_or_insert(topo::AsId vantage,
+                                                                     std::int32_t url_id,
+                                                                     PathPool::PathId path_id) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = day_key_hash(vantage, url_id, path_id) & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.generation != generation_) {
+      slot = Slot{generation_, vantage, url_id, path_id, 0};
+      ++size_;
+      return slot.seen;
+    }
+    if (slot.vantage == vantage && slot.url_id == url_id && slot.path_id == path_id) {
+      return slot.seen;
+    }
+  }
+}
+
+void ClauseBuilder::DayKeys::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(64, slots_.size() * 2));
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.generation != generation_) continue;
+    std::size_t i = day_key_hash(slot.vantage, slot.url_id, slot.path_id) & mask;
+    while (slots_[i].generation == generation_) i = (i + 1) & mask;
+    slots_[i] = slot;
   }
 }
 

@@ -50,9 +50,11 @@ class PathPool {
   /// interned paths in id order; load() replaces the pool wholesale and
   /// rebuilds the dedup index, so ids survive a save/load round trip.
   /// load() throws util::SerdeError, leaving the pool untouched, when a
-  /// path appears twice (intern() could not give back both ids).
+  /// path appears twice (intern() could not give back both ids) or holds
+  /// an AS id outside [0, num_ases) (CNF emission sizes per-AS scratch
+  /// by the largest id).
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 
  private:
   /// The slot of `path` in slots_: its id's slot, or the empty slot
@@ -137,6 +139,25 @@ struct ClauseBuildStats {
 };
 
 /// Measurement sink: converts measurements to clauses as they arrive.
+///
+/// The stream holds each same-day clause once.  A scheduled session
+/// measures every URL from every node in every epoch of its day, so
+/// most derived clauses repeat an earlier one of the same day exactly
+/// (same vantage, URL, path, anomaly and observed flag; on the default
+/// year 61% of them).  A repeat changes nothing downstream: every
+/// grouping window is a union of whole days, so its (path, observed)
+/// pair already sits in each window it would be filed into; the churn
+/// strip's first path per (vantage, URL) is set by the original; and
+/// the original already fixed its path's first use in the pool.  So
+/// on_measurement appends a clause only on its key's first sight that
+/// day, and clauses()/seqs() hold those first occurrences.
+/// stats().clauses still counts every derived clause, kNumAnomalies per
+/// usable measurement (the report's "clauses emitted").
+///
+/// The dedupe is tiling-invariant: its key holds the day and the
+/// vantage, and every shard of iclab::plan_shard_grid is a day range
+/// times a vantage range, so all repeats of a key meet in one shard
+/// and any tiling keeps exactly the clauses a serial run keeps.
 class ClauseBuilder : public iclab::MeasurementSink {
  public:
   /// The database must outlive the builder.
@@ -154,11 +175,42 @@ class ClauseBuilder : public iclab::MeasurementSink {
   const PathPool& pool() const { return pool_; }
   const std::vector<PathClause>& clauses() const { return clauses_; }
   /// Schedule position of each clause (parallel to clauses(); the
-  /// kNumAnomalies clauses of one measurement share a value).
+  /// clauses one measurement kept share a value).
   const std::vector<std::int64_t>& seqs() const { return seqs_; }
   const ClauseBuildStats& stats() const { return stats_; }
 
  private:
+  /// The (vantage, URL, path id) keys met on the current day, each with
+  /// one seen-bit per (anomaly, observed) pair: open addressing with
+  /// linear probing over the full key, at most half full.  A slot
+  /// stamped with an older generation is free, so a new day costs one
+  /// increment, not a clear.
+  class DayKeys {
+   public:
+    using Seen = std::uint16_t;
+    static_assert(2 * censor::kNumAnomalies <= 8 * sizeof(Seen));
+
+    /// Forgets every key.
+    void next_day();
+    /// The seen-bits of the key, all clear on its first sight this day.
+    Seen& find_or_insert(topo::AsId vantage, std::int32_t url_id, PathPool::PathId path_id);
+
+   private:
+    struct Slot {
+      std::uint32_t generation = 0;  // never a live generation
+      topo::AsId vantage = 0;
+      std::int32_t url_id = 0;
+      PathPool::PathId path_id = 0;
+      Seen seen = 0;
+    };
+    /// Doubles slots_ (from 64), keeping the current day's keys.
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;  // keys of the current generation
+    std::uint32_t generation_ = 1;
+  };
+
   const net::Ip2AsDb& db_;
   /// net::infer_as_path_into's buffers, reused by every measurement.
   std::array<std::vector<topo::AsId>, 3> infer_scratch_;
@@ -166,6 +218,9 @@ class ClauseBuilder : public iclab::MeasurementSink {
   std::vector<PathClause> clauses_;
   std::vector<std::int64_t> seqs_;
   ClauseBuildStats stats_;
+  /// The day day_keys_ describes (it starts empty, so any value works).
+  util::Day day_ = 0;
+  DayKeys day_keys_;
 };
 
 /// The shard hand-off: the union of shard-local clause streams in

@@ -391,8 +391,10 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
   w.i64(emitted_);
 }
 
-void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls) {
-  pool_.load(r);
+void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls,
+                               std::int32_t num_ases, std::size_t num_paths) {
+  pool_.load(r, num_ases);
+  const std::size_t path_bound = borrowed_pool_ != nullptr ? num_paths : pool_.size();
   chains_.clear();
   const std::size_t n = r.size();
   std::vector<PathPool::PathId> positive_set;
@@ -414,10 +416,13 @@ void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls) {
     util::load_vec(r, group.positive_ids, load_path_id);
     util::load_vec(r, positive_set, load_path_id);  // implied by positive_ids
     util::load_vec(r, group.negative_ids, load_path_id);
-    const auto negative = [](PathPool::PathId id) { return id < 0; };
-    if (std::any_of(group.positive_ids.begin(), group.positive_ids.end(), negative) ||
-        std::any_of(group.negative_ids.begin(), group.negative_ids.end(), negative)) {
-      throw util::SerdeError("StreamingCnfBuilder::load: negative path id");
+    const auto outside = [path_bound](PathPool::PathId id) {
+      return id < 0 || static_cast<std::size_t>(id) >= path_bound;
+    };
+    if (std::any_of(group.positive_ids.begin(), group.positive_ids.end(), outside) ||
+        std::any_of(group.negative_ids.begin(), group.negative_ids.end(), outside)) {
+      throw util::SerdeError("StreamingCnfBuilder::load: path id outside the pool's " +
+                             std::to_string(path_bound) + " paths");
     }
     Chain& chain = chain_at(key.url_id, key.anomaly);
     chain.groups[static_cast<std::size_t>(key.granularity)].push_back(std::move(group));
@@ -514,7 +519,7 @@ void ChurnStripFilter::save(util::ByteWriter& w) const {
   }
 }
 
-void ChurnStripFilter::load(util::ByteReader& r) {
+void ChurnStripFilter::load(util::ByteReader& r, std::size_t num_paths) {
   std::vector<PathPool::PathId> loaded(first_path_.size(), kUnseen);
   const std::size_t n = r.size();
   std::size_t next_slot = 0;  // the lowest slot the next key may take
@@ -532,7 +537,10 @@ void ChurnStripFilter::load(util::ByteReader& r) {
     if (at < next_slot) {
       throw util::SerdeError("ChurnStripFilter::load: repeated or unordered key");
     }
-    if (id < 0) throw util::SerdeError("ChurnStripFilter::load: negative path id");
+    if (id < 0 || static_cast<std::size_t>(id) >= num_paths) {
+      throw util::SerdeError("ChurnStripFilter::load: path id " + std::to_string(id) +
+                             " outside the pool's " + std::to_string(num_paths) + " paths");
+    }
     loaded[at] = id;
     next_slot = at + 1;
   }

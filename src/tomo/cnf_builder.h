@@ -182,9 +182,14 @@ class StreamingCnfBuilder {
   /// save/load that pool alongside.  load() throws util::SerdeError for
   /// a window whose url_id is not below `num_urls` (the chain table is
   /// sized by the largest url_id, so an unbounded id would allocate in
-  /// proportion to it).
+  /// proportion to it), for a private-pool AS id outside
+  /// [0, num_ases), and for a path id outside the pool it resolves in:
+  /// below `num_paths` in borrowed-pool mode (the size of the pool the
+  /// caller loaded alongside, which the builder need not borrow yet),
+  /// below the loaded private pool's size in owned-pool mode.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r, std::int32_t num_urls);
+  void load(util::ByteReader& r, std::int32_t num_urls, std::int32_t num_ases,
+            std::size_t num_paths);
 
  private:
   static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
@@ -332,10 +337,11 @@ class ChurnStripFilter {
   /// resolve in the caller's pool — save/load that pool alongside) as a
   /// count and then (vantage, URL, path id) entries in (vantage, URL)
   /// order.  load() throws util::SerdeError, leaving the filter as it
-  /// was, for a vantage or URL outside the table, a negative path id,
-  /// or a key that repeats or is out of order.
+  /// was, for a vantage or URL outside the table, a path id outside
+  /// [0, num_paths) (the size of the pool loaded alongside), or a key
+  /// that repeats or is out of order.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::size_t num_paths);
 
  private:
   static constexpr PathPool::PathId kUnseen = -1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/serde.h"
@@ -37,14 +38,29 @@ void LeakageFold::save(util::ByteWriter& w) const {
   });
 }
 
-void LeakageFold::load(util::ByteReader& r) {
-  paths_.load(r);
-  util::load_vec(r, evidence_, [](util::ByteReader& r) {
+void LeakageFold::load(util::ByteReader& r, std::int32_t num_ases) {
+  PathPool paths;
+  paths.load(r, num_ases);
+  std::vector<Evidence> evidence;
+  const auto bounded = [](util::ByteReader& r, std::int64_t bound, const char* what) {
+    const std::int32_t id = r.i32();
+    if (id < 0 || id >= bound) {
+      throw util::SerdeError(std::string("LeakageFold::load: ") + what + " " +
+                             std::to_string(id) + " outside [0, " + std::to_string(bound) + ")");
+    }
+    return id;
+  };
+  util::load_vec(r, evidence, [&](util::ByteReader& r) {
     Evidence e;
-    util::load_vec(r, e.censors, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
-    util::load_vec(r, e.paths, [](util::ByteReader& r) { return PathPool::PathId{r.i32()}; });
+    util::load_vec(r, e.censors,
+                   [&](util::ByteReader& r) { return bounded(r, num_ases, "AS id"); });
+    util::load_vec(r, e.paths, [&](util::ByteReader& r) {
+      return bounded(r, static_cast<std::int64_t>(paths.size()), "path id");
+    });
     return e;
   });
+  paths_ = std::move(paths);
+  evidence_ = std::move(evidence);
 }
 
 LeakageReport LeakageFold::finalize(const topo::AsGraph& graph,

@@ -66,9 +66,11 @@ class LeakageFold {
   std::size_t evidence_count() const { return evidence_.size(); }
 
   /// Checkpoint support (analysis/checkpoint.h): persists the private
-  /// path pool and the evidence list.
+  /// path pool and the evidence list.  load() throws util::SerdeError
+  /// for an AS id outside [0, num_ases) or an evidence path id outside
+  /// the loaded pool.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 
  private:
   struct Evidence {

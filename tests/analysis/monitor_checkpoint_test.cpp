@@ -392,6 +392,26 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   EXPECT_THROW(resumed.restore(v3), CheckpointError);
 }
 
+/// `source`'s checkpoint with the 4 payload bytes at `at` replaced by
+/// `value` and resealed, so only the payload's own bounds checks can
+/// refuse it.  Expects restore() to refuse it with a CheckpointError and
+/// the refused monitor to run cold to a fresh monitor's report.
+void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
+                               std::size_t at, std::int32_t value) {
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+  std::string payload = opened.payload;
+  util::ByteWriter id;
+  id.i32(value);
+  payload.replace(at, 4, id.bytes());
+  const std::string crafted = seal_checkpoint(source.fingerprint(), opened.watermark, payload);
+
+  MonitorEngine resumed(scenario, monitor_options(1));
+  EXPECT_THROW(resumed.restore(crafted), CheckpointError);
+  EXPECT_EQ(resumed.watermark(), 0);
+  MonitorEngine fresh(scenario, monitor_options(1));
+  EXPECT_EQ(serialize_report(resumed.finalize()), serialize_report(fresh.finalize()));
+}
+
 TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
   const ScenarioConfig config = shard_scenario(46);
   Scenario scenario(config);
@@ -403,35 +423,69 @@ TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
   // the filter's entries, (vantage, URL, path id) in key order.
   util::ByteReader r(opened.payload);
   tomo::PathPool pool;
-  pool.load(r);
-  tomo::StreamingCnfBuilder grouper;
-  grouper.load(r, scenario.platform().config().num_urls);
+  pool.load(r, scenario.graph().num_ases());
+  tomo::StreamingCnfBuilder grouper(tomo::CnfBuildOptions{}, &pool);
+  grouper.load(r, scenario.platform().config().num_urls, scenario.graph().num_ases(),
+               pool.size());
   const std::size_t strip_at = opened.payload.size() - r.remaining();
   const std::size_t entries = r.size();
   ASSERT_GT(entries, 0u);
 
   // The last entry's vantage becomes the graph's AS count: still in key
-  // order, one past the table.  Resealing gives a valid checksum, so
-  // only the filter's own bounds check can refuse it.
-  std::string payload = opened.payload;
+  // order, one past the table.  The refusal comes after the pool and the
+  // main grouper parsed; none of it may stick.
   const std::size_t last_vantage = strip_at + 8 + (entries - 1) * 12;
-  util::ByteWriter vantage;
-  vantage.i32(scenario.graph().num_ases());
-  payload.replace(last_vantage, 4, vantage.bytes());
-  const std::string crafted = seal_checkpoint(source.fingerprint(), opened.watermark, payload);
-
-  MonitorEngine resumed(scenario, monitor_options(1));
-  EXPECT_THROW(resumed.restore(crafted), CheckpointError);
-  // The refusal comes after the pool and the main grouper parsed; none
-  // of it may stick.  The refused monitor runs cold to a fresh one's
-  // report.
-  EXPECT_EQ(resumed.watermark(), 0);
-  MonitorEngine fresh(scenario, monitor_options(1));
-  EXPECT_EQ(serialize_report(resumed.finalize()), serialize_report(fresh.finalize()));
+  expect_crafted_id_refused(scenario, source, last_vantage, scenario.graph().num_ases());
   // The untouched payload, resealed the same way, restores.
   MonitorEngine control(scenario, monitor_options(1));
   control.restore(seal_checkpoint(source.fingerprint(), opened.watermark, opened.payload));
   EXPECT_EQ(control.watermark(), 6);
+}
+
+TEST(MonitorCheckpoint, PoolAsIdOutsideTheGraphIsRefused) {
+  // Unchecked, AS -1 made finalize() throw an uncaught logic_error, and
+  // a large id sized emission's dense per-AS scratch to it.
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(6);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+
+  // Payload layout: pool (path count, then each path as its length and
+  // AS ids) | ...  The first path's first AS id sits at byte 16.
+  util::ByteReader r(opened.payload);
+  ASSERT_GT(r.size(), 0u);  // paths
+  ASSERT_GT(r.size(), 0u);  // the first path's length
+  for (const topo::AsId as : {-1, scenario.graph().num_ases()}) {
+    SCOPED_TRACE("as=" + std::to_string(as));
+    expect_crafted_id_refused(scenario, source, 16, as);
+  }
+}
+
+TEST(MonitorCheckpoint, GroupPathIdPastThePoolIsRefused) {
+  // Unchecked, an open group's path id at the pool's size threw
+  // out_of_range from PathPool::get at emission.
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(6);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+
+  // Payload layout: pool | main grouper: its private pool (empty: it
+  // borrows), the open-window count, then each window's key (URL,
+  // anomaly, granularity, window) and positive path ids | ...
+  util::ByteReader r(opened.payload);
+  tomo::PathPool pool;
+  pool.load(r, scenario.graph().num_ases());
+  ASSERT_EQ(r.size(), 0u);  // the grouper's private pool
+  ASSERT_GT(r.size(), 0u);  // open windows
+  r.i32();
+  r.u8();
+  r.u8();
+  r.i32();
+  ASSERT_GT(r.size(), 0u);  // the first window's positives
+  const std::size_t first_id = opened.payload.size() - r.remaining();
+  expect_crafted_id_refused(scenario, source, first_id, static_cast<std::int32_t>(pool.size()));
 }
 
 TEST(MonitorCheckpoint, CadenceCheckpointsInsideOneCallMatchPerSegmentEngine) {
@@ -491,7 +545,7 @@ TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
   const OpenedCheckpoint opened = open_checkpoint(monitor.checkpoint(), monitor.fingerprint());
   util::ByteReader r(opened.payload);
   tomo::PathPool got;
-  got.load(r);
+  got.load(r, scenario.graph().num_ases());
 
   tomo::PathPool expected;
   for (util::Day d = 0; d < days; ++d) {

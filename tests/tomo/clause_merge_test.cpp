@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -64,9 +65,11 @@ class ClauseMergeTest : public ::testing::Test {
     struct Usable : iclab::MeasurementSink {
       explicit Usable(const net::Ip2AsDb& db) : probe(db) {}
       void on_measurement(const iclab::Measurement& m) override {
-        const std::size_t before = probe.clauses().size();
+        // A usable measurement may add no clause (a same-day repeat),
+        // so usability is read off the stats, not the stream.
+        const std::int64_t before = probe.stats().usable_measurements;
         probe.on_measurement(m);
-        if (probe.clauses().size() > before) records.push_back(m);
+        if (probe.stats().usable_measurements > before) records.push_back(m);
       }
       ClauseBuilder probe;
       std::vector<iclab::Measurement> records;
@@ -177,7 +180,13 @@ TEST_F(ClauseMergeTest, HandOffMatchesMergeAndCanonicalizeReference) {
   }
   // Equal seqs across shards, with a later shard holding the least
   // head: ties must still go to the earlier shard first.
-  const auto tied = stamped_shards({{7}, {7, 9}, {5, 7, 7, 8}});
+  const std::vector<std::vector<std::int64_t>> stamps{{7}, {7, 9}, {5, 7, 7, 8}};
+  const auto tied = stamped_shards(stamps);
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    // Every stamp kept clauses: no tie was dropped as a same-day repeat.
+    const std::set<std::int64_t> kept(tied[i]->seqs().begin(), tied[i]->seqs().end());
+    EXPECT_EQ(kept, std::set<std::int64_t>(stamps[i].begin(), stamps[i].end()));
+  }
   const std::vector<std::vector<const ClauseBuilder*>> layouts{
       {shards_[0].get(), shards_[1].get(), shards_[2].get()},
       {shards_[2].get(), shards_[1].get(), shards_[0].get()},

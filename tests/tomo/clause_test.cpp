@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ TEST(PathPool, IdsSurviveIndexGrowthCopyAndReload) {
   copy.save(w);
   PathPool loaded;
   util::ByteReader r(w.bytes());
-  loaded.load(r);
+  loaded.load(r, /*num_ases=*/100);
   r.expect_end();
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_EQ(loaded.intern(paths[i]), ids[i]);
@@ -78,7 +79,7 @@ TEST(PathPoolLoad, AcceptsWellFormedPayload) {
   const std::string bytes = pool_payload({{1, 2, 3}, {1, 2, 4}, {}});
   PathPool pool;
   util::ByteReader r(bytes);
-  pool.load(r);
+  pool.load(r, /*num_ases=*/5);
   r.expect_end();
   EXPECT_EQ(pool.size(), 3u);
   EXPECT_EQ(pool.intern({1, 2, 4}), 1);
@@ -94,10 +95,30 @@ TEST(PathPoolLoad, RejectsDuplicatePath) {
   // Path 2 repeats path 0: intern({1, 2, 3}) could not answer both ids.
   const std::string bytes = pool_payload({{1, 2, 3}, {1, 2, 4}, {1, 2, 3}});
   util::ByteReader r(bytes);
-  EXPECT_THROW(pool.load(r), util::SerdeError);
+  EXPECT_THROW(pool.load(r, /*num_ases=*/10), util::SerdeError);
   // A refused payload leaves the pool as it was.
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.intern({7, 8}), 0);
+}
+
+TEST(PathPoolLoad, RejectsAsIdOutsideTheGraph) {
+  // AS ids must lie in [0, num_ases): CNF emission sizes per-AS scratch
+  // by the largest id it meets.
+  for (const topo::AsId as : {-1, 5, std::numeric_limits<topo::AsId>::max()}) {
+    SCOPED_TRACE("as=" + std::to_string(as));
+    PathPool pool;
+    pool.intern({7, 8});
+    const std::string bytes = pool_payload({{1, 2}, {3, as}});
+    util::ByteReader r(bytes);
+    EXPECT_THROW(pool.load(r, /*num_ases=*/5), util::SerdeError);
+    EXPECT_EQ(pool.size(), 1u);
+  }
+  const std::string bytes = pool_payload({{0, 4}});
+  PathPool pool;
+  util::ByteReader r(bytes);
+  pool.load(r, /*num_ases=*/5);
+  r.expect_end();
+  EXPECT_EQ(pool.intern({0, 4}), 0);
 }
 
 /// Builds a measurement whose traceroutes hit the given mini address
@@ -159,7 +180,11 @@ TEST(ClauseBuilder, SharedPathsInterned) {
   builder.on_measurement(w.measurement({1, 2, 3}, true));
   builder.on_measurement(w.measurement({1, 4, 5}, false));
   EXPECT_EQ(builder.pool().size(), 2u);
-  EXPECT_EQ(builder.clauses().size(), 3 * censor::kNumAnomalies);
+  // All three share a day, vantage and URL: the second repeats the
+  // first's path, so of its clauses only the new DNS-observed one is
+  // kept.  stats() still counts every derived clause.
+  EXPECT_EQ(builder.clauses().size(), 2 * censor::kNumAnomalies + 1);
+  EXPECT_EQ(builder.stats().clauses, static_cast<std::int64_t>(3 * censor::kNumAnomalies));
 }
 
 TEST(ClauseBuilder, DropsTracerouteErrors) {

@@ -20,6 +20,10 @@
 namespace ct::tomo {
 namespace {
 
+/// The AS count checkpoint loads in this file are bounded by: above
+/// every AS id the hand-built paths use.
+constexpr std::int32_t kAses = 16;
+
 PathClause make_clause(PathPool& pool, std::vector<topo::AsId> path, bool observed,
                        std::int32_t url = 0, util::Day day = 0,
                        censor::Anomaly anomaly = censor::Anomaly::kDns,
@@ -393,7 +397,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
           builder->save(w);
           builder = std::make_unique<StreamingCnfBuilder>(options, &pool, threads.get());
           util::ByteReader r(w.bytes());
-          builder->load(r, num_urls);
+          builder->load(r, num_urls, kAses, pool.size());
           r.expect_end();
         }
         if (i < clauses.size() && rng.bernoulli(0.5)) {
@@ -491,7 +495,7 @@ TEST(CnfBuilder, CheckpointBytesAreStable) {
   // load() + save() reproduces the bytes.
   StreamingCnfBuilder restored;
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/2);
+  restored.load(r, /*num_urls=*/2, kAses, /*num_paths=*/0);
   r.expect_end();
   util::ByteWriter again;
   restored.save(again);
@@ -511,7 +515,7 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
 
   StreamingCnfBuilder restored(CnfBuildOptions{}, &pool);
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/1);
+  restored.load(r, /*num_urls=*/1, kAses, pool.size());
   // Both pairs already sit in every open window: nothing is filed, so
   // the state (negatives included, which no CNF field would show) is
   // byte-for-byte what was saved.
@@ -535,11 +539,13 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
 }
 
 /// A hand-built owned-pool payload holding one open day window of
-/// `url_id` with one positive path — as a crafted checkpoint would.
-std::string one_window_payload(std::int32_t url_id) {
+/// `url_id` whose one positive path id is `path_id`, over a private pool
+/// holding the one path {1, 2} — as a crafted checkpoint would.
+std::string one_window_payload(std::int32_t url_id, PathPool::PathId path_id = 0) {
   const auto save_id = [](util::ByteWriter& w, PathPool::PathId id) { w.i32(id); };
   PathPool pool;
-  const std::vector<PathPool::PathId> ids{pool.intern({1, 2})};
+  pool.intern({1, 2});
+  const std::vector<PathPool::PathId> ids{path_id};
   util::ByteWriter w;
   pool.save(w);
   w.size(1);  // open windows
@@ -563,7 +569,7 @@ TEST(CnfBuilder, LoadRefusesUrlIdAtOrPastTheBound) {
     const std::string payload = one_window_payload(url_id);
     StreamingCnfBuilder builder;
     util::ByteReader r(payload);
-    EXPECT_THROW(builder.load(r, kUrls), util::SerdeError);
+    EXPECT_THROW(builder.load(r, kUrls, kAses, 0), util::SerdeError);
   }
 }
 
@@ -572,12 +578,43 @@ TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
   const std::string payload = one_window_payload(kUrls - 1);
   StreamingCnfBuilder builder;
   util::ByteReader r(payload);
-  builder.load(r, kUrls);
+  builder.load(r, kUrls, kAses, 0);
   r.expect_end();
   EXPECT_EQ(builder.open_windows(), 1u);
   util::ByteWriter again;
   builder.save(again);
   EXPECT_EQ(again.bytes(), payload);
+}
+
+TEST(CnfBuilder, LoadRefusesIdsOutsideTheirPool) {
+  // An owned-pool group's path id is bounded by the private pool it
+  // loaded, and that pool's AS ids by num_ases (emission sizes per-AS
+  // scratch by the largest).
+  const std::string past_pool = one_window_payload(0, /*path_id=*/1);
+  StreamingCnfBuilder owned;
+  util::ByteReader r(past_pool);
+  EXPECT_THROW(owned.load(r, 1, kAses, 0), util::SerdeError);
+  const std::string payload = one_window_payload(0);
+  util::ByteReader r2(payload);
+  EXPECT_THROW(owned.load(r2, 1, /*num_ases=*/2, 0), util::SerdeError);  // AS 2 of {1, 2}
+  EXPECT_EQ(owned.open_windows(), 0u);
+
+  // A borrowing builder saves an empty private pool; its ids are
+  // bounded by the size the caller passes, the pool it loaded alongside.
+  PathPool pool;
+  const PathClause clause = make_clause(pool, {1, 2, 3}, true, 0, /*day=*/3);
+  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool);
+  builder.add(pool, clause);
+  util::ByteWriter w;
+  builder.save(w);
+  StreamingCnfBuilder refused(CnfBuildOptions{}, &pool);
+  util::ByteReader r3(w.bytes());
+  EXPECT_THROW(refused.load(r3, 1, kAses, /*num_paths=*/0), util::SerdeError);
+  StreamingCnfBuilder accepted(CnfBuildOptions{}, &pool);
+  util::ByteReader r4(w.bytes());
+  accepted.load(r4, 1, kAses, pool.size());
+  r4.expect_end();
+  EXPECT_EQ(accepted.open_windows(), builder.open_windows());
 }
 
 TEST(StripPathChurn, KeepsOnlyFirstPathPerVantageUrl) {
@@ -686,7 +723,7 @@ TEST(StripPathChurn, MatchesMapReferenceOnRandomStreams) {
         ASSERT_EQ(w.bytes(), prefix.save());
         filter = std::make_unique<ChurnStripFilter>(table_vantages, num_urls);
         util::ByteReader r(w.bytes());
-        filter->load(r);
+        filter->load(r, pool.size());
         r.expect_end();
       }
     }
@@ -712,12 +749,14 @@ std::string strip_payload(const std::vector<std::array<std::int32_t, 3>>& entrie
 }
 
 TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
+  constexpr std::int32_t kPaths = 9;  // the corners below use ids 5 to 8
   const std::vector<std::vector<std::array<std::int32_t, 3>>> refused{
       {{4, 0, 1}},             // vantage at the bound
       {{-1, 0, 1}},            // negative vantage
       {{0, 3, 1}},             // url at the bound
       {{0, -1, 1}},            // negative url
       {{0, 0, -1}},            // negative path id
+      {{0, 0, kPaths}},        // path id at the pool's size
       {{1, 2, 1}, {1, 2, 2}},  // repeated key
       {{1, 2, 1}, {1, 1, 2}},  // out of order within a vantage
       {{2, 0, 1}, {1, 2, 2}},  // out of order across vantages
@@ -728,7 +767,7 @@ TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
     ChurnStripFilter filter(4, 3);
     const std::string payload = strip_payload(entries);
     util::ByteReader r(payload);
-    EXPECT_THROW(filter.load(r), util::SerdeError);
+    EXPECT_THROW(filter.load(r, kPaths), util::SerdeError);
     // The refused load left the filter empty.
     util::ByteWriter w;
     filter.save(w);
@@ -739,7 +778,7 @@ TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
   const std::string corners = strip_payload({{0, 0, 5}, {0, 2, 6}, {3, 0, 7}, {3, 2, 8}});
   ChurnStripFilter filter(4, 3);
   util::ByteReader r(corners);
-  filter.load(r);
+  filter.load(r, kPaths);
   r.expect_end();
   util::ByteWriter w;
   filter.save(w);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "tomo/cnf_builder.h"
+#include "util/serde.h"
 
 namespace ct::tomo {
 namespace {
@@ -149,6 +154,44 @@ TEST(Leakage, SizeMismatchThrows) {
   std::vector<TomoCnf> cnfs(1);
   std::vector<CnfVerdict> verdicts;
   EXPECT_THROW(analyze_leakage(g, cnfs, verdicts), std::invalid_argument);
+}
+
+/// A LeakageFold checkpoint: a pool of the given paths, then one
+/// evidence record naming `censor` over the path ids `paths`.
+std::string fold_payload(const std::vector<std::vector<topo::AsId>>& pool_paths,
+                         topo::AsId censor, const std::vector<PathPool::PathId>& paths) {
+  PathPool pool;
+  for (const auto& path : pool_paths) pool.intern(path);
+  util::ByteWriter w;
+  pool.save(w);
+  w.size(1);
+  w.size(1);
+  w.i32(censor);
+  w.size(paths.size());
+  for (const PathPool::PathId id : paths) w.i32(id);
+  return w.take();
+}
+
+TEST(Leakage, FoldLoadRefusesIdsOutsideTheGraphOrPool) {
+  const topo::AsGraph g = leak_graph();
+  const auto num_ases = static_cast<std::int32_t>(g.num_ases());
+  for (const std::string& payload : {fold_payload({{0, 1, 9}}, 2, {0}),   // AS past the graph
+                                     fold_payload({{0, 1, 2}}, -1, {0}),  // negative censor
+                                     fold_payload({{0, 1, 2}}, 2, {1})}) {  // path past the pool
+    LeakageFold fold;
+    util::ByteReader r(payload);
+    EXPECT_THROW(fold.load(r, num_ases), util::SerdeError);
+    EXPECT_EQ(fold.evidence_count(), 0u);
+  }
+  const std::string payload = fold_payload({{0, 1, 2, 3}}, 2, {0});
+  LeakageFold fold;
+  util::ByteReader r(payload);
+  fold.load(r, num_ases);
+  r.expect_end();
+  EXPECT_EQ(fold.evidence_count(), 1u);
+  const LeakageReport report = fold.finalize(g, {2});
+  ASSERT_TRUE(report.by_censor.count(2));
+  EXPECT_EQ(report.by_censor.at(2).victim_ases, (std::set<topo::AsId>{0, 1}));
 }
 
 }  // namespace
