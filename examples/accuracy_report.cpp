@@ -5,32 +5,35 @@
 // ground truth for each.  This is the "does tomography still localize
 // when the assumption breaks?" table archived in EXPERIMENTS.md.
 //
-//   $ [CT_SAT_BACKEND=...] [CT_PLATFORM_SHARDS=N] \
-//       ./accuracy_report [--small] [seed]
+//   $ ./accuracy_report [--small] [seed]
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/report.h"
 #include "censor/regime.h"
-#include "sat/backend.h"
+#include "cli.h"
 
 int main(int argc, char** argv) {
-  ct::analysis::ScenarioConfig base = ct::analysis::default_scenario();
+  const ct::examples::Usage usage{argv[0], "[--small] [seed]"};
+  bool small = false;
+  std::optional<std::uint64_t> seed;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small") {
-      base = ct::analysis::small_scenario();
+      small = true;
+    } else if (arg.starts_with("-") || seed.has_value()) {
+      usage.fail("unexpected argument " + arg);
     } else {
-      base.seed = std::strtoull(argv[i], nullptr, 10);
+      seed = ct::examples::parse_seed(usage, argv[i]);
     }
   }
-
-  ct::analysis::ExperimentOptions options;
-  options.analysis.backend = ct::sat::BackendSelector::from_env();
+  ct::analysis::ScenarioConfig base =
+      small ? ct::analysis::small_scenario() : ct::analysis::default_scenario();
+  if (seed.has_value()) base.seed = *seed;
 
   std::cout << "churntomo accuracy report: seed " << base.seed << ", "
             << base.topology.num_ases << " ASes, " << base.platform.num_days
@@ -41,8 +44,7 @@ int main(int argc, char** argv) {
     ct::analysis::ScenarioConfig config = base;
     config.regime.regime = regime;
     ct::analysis::Scenario scenario(config);
-    const ct::analysis::ExperimentResult result =
-        ct::analysis::run_experiment(scenario, options);
+    const ct::analysis::ExperimentResult result = ct::analysis::run_experiment(scenario);
     rows.push_back(ct::analysis::make_accuracy_row(result, scenario));
     std::cout << ct::censor::to_string(regime) << ": done (" << result.total_cnfs
               << " CNFs)\n";

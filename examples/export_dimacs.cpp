@@ -11,16 +11,23 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "analysis/scenario.h"
+#include "cli.h"
 #include "sat/dimacs.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
 
 int main(int argc, char** argv) {
+  const ct::examples::Usage usage{argv[0], "[output-dir] [max-files]"};
+  if (argc > 3) usage.fail("unexpected argument " + std::string(argv[3]));
   const std::filesystem::path out_dir = argc > 1 ? argv[1] : "dimacs_out";
-  const std::size_t max_files = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50;
+  const std::size_t max_files =
+      argc > 2 ? ct::examples::parse_flag<std::size_t>(usage, "max-files", argv[2], 0,
+                                                        std::numeric_limits<std::size_t>::max())
+               : 50;
 
   ct::analysis::ScenarioConfig config = ct::analysis::small_scenario();
   ct::analysis::Scenario scenario(config);

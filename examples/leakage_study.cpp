@@ -6,13 +6,16 @@
 // leaking censor end to end: its policies (ground truth), the CNF
 // evidence that identified it, and the victim ASes/countries that
 // inherited its filtering.
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "analysis/experiment.h"
 #include "analysis/report.h"
+#include "cli.h"
 
 int main(int argc, char** argv) {
+  const ct::examples::Usage usage{argv[0], "[seed]"};
+  if (argc > 2) usage.fail("unexpected argument " + std::string(argv[2]));
   // A mid-size world: big enough for transit censors with upstream
   // victims, small enough to run in a few seconds.
   ct::analysis::ScenarioConfig config = ct::analysis::small_scenario();
@@ -24,7 +27,7 @@ int main(int argc, char** argv) {
   config.platform.num_urls = 45;
   config.platform.num_dest_ases = 25;
   config.platform.num_days = 16 * ct::util::kDaysPerWeek;
-  if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
+  if (argc > 1) config.seed = ct::examples::parse_seed(usage, argv[1]);
 
   ct::analysis::Scenario scenario(config);
   const auto result = ct::analysis::run_experiment(scenario);

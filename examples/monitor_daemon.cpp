@@ -8,6 +8,9 @@
 //
 //   $ ./monitor_daemon [flags]
 //     --small                small scenario (default: paper-scale year)
+//     --regime NAME          scenario regime: baseline (default), routing,
+//                            multipath, adaptive or pathdiv; part of the
+//                            checkpoint fingerprint
 //     --seed S               scenario seed
 //     --days N | --years N   override the scenario's run length
 //     --shards N             platform shards per segment (default 0 = hardware)
@@ -30,13 +33,11 @@
 // job compares a straight run against a killed-and-resumed run.
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +46,7 @@
 #include "analysis/monitor.h"
 #include "analysis/report.h"
 #include "censor/regime.h"
-#include "sat/backend.h"
+#include "cli.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -59,40 +60,25 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " [--small] [--seed S] [--days N | --years N]\n"
-            << "  [--shards N] [--threads N] [--segment-days N]\n"
-            << "  [--checkpoint FILE] [--checkpoint-every N] [--resume] [--kill-at DAY]\n"
-            << "  [--readers N] [--pace-ms MS] [--assert-flat-memory]\n";
-  return 2;
-}
-
-/// Parses `text` whole as a base-10 integer in [lo, hi].  Junk, trailing
-/// characters, overflow and out-of-range values are usage errors (exit
-/// 2) that name `flag`.
-template <typename Int>
-Int parse_flag(const char* argv0, const std::string& flag, const char* text, Int lo, Int hi) {
-  Int value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
-    std::cerr << flag << " needs an integer in [" << lo << ", " << hi << "], got \"" << text
-              << "\"\n";
-    std::exit(usage(argv0));
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using ct::analysis::MonitorEngine;
   using ct::analysis::MonitorOptions;
   using ct::analysis::MonitorStats;
+  using ct::examples::parse_flag;
 
-  ct::analysis::ScenarioConfig config = ct::analysis::default_scenario();
+  const ct::examples::Usage usage{
+      argv[0],
+      "[--small] [--regime NAME] [--seed S] [--days N | --years N]\n"
+      "  [--shards N] [--threads N] [--segment-days N]\n"
+      "  [--checkpoint FILE] [--checkpoint-every N] [--resume] [--kill-at DAY]\n"
+      "  [--readers N] [--pace-ms MS] [--assert-flat-memory]"};
+  bool small = false;
+  ct::censor::ScenarioRegime regime = ct::censor::ScenarioRegime::kBaseline;
+  std::optional<std::uint64_t> seed;
+  std::optional<ct::util::Day> days;
   MonitorOptions options;
-  options.experiment.analysis.backend = ct::sat::BackendSelector::from_env();
   options.checkpoint_every = 28;
 
   bool resume = false;
@@ -106,31 +92,26 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
-    };
+    const auto next = [&] { return ct::examples::flag_value(usage, argc, argv, i); };
     // Non-negative flag values: every count, day and duration below.
-    const auto count = [&] { return parse_flag<std::int32_t>(argv[0], arg, next(), 0, kMaxInt); };
+    const auto count = [&] { return parse_flag<std::int32_t>(usage, arg, next(), 0, kMaxInt); };
     if (arg == "--small") {
-      config = ct::analysis::small_scenario();
+      small = true;
+    } else if (arg == "--regime") {
+      regime = ct::examples::parse_regime_flag(usage, next());
     } else if (arg == "--seed") {
-      config.seed = parse_flag<std::uint64_t>(argv[0], arg, next(), 0, kMaxSeed);
+      seed = parse_flag<std::uint64_t>(usage, arg, next(), 0, kMaxSeed);
     } else if (arg == "--days") {
-      config.platform.num_days = parse_flag<std::int32_t>(argv[0], arg, next(), 1, kMaxInt);
+      days = parse_flag<std::int32_t>(usage, arg, next(), 1, kMaxInt);
     } else if (arg == "--years") {
-      config.platform.num_days =
-          ct::util::kDaysPerYear * parse_flag<std::int32_t>(argv[0], arg, next(), 1,
-                                                            kMaxInt / ct::util::kDaysPerYear);
+      days = ct::util::kDaysPerYear *
+             parse_flag<std::int32_t>(usage, arg, next(), 1, kMaxInt / ct::util::kDaysPerYear);
     } else if (arg == "--shards") {
       options.experiment.num_platform_shards = static_cast<unsigned>(count());
     } else if (arg == "--threads") {
       options.experiment.num_threads = static_cast<unsigned>(count());
     } else if (arg == "--segment-days") {
-      options.segment_days = parse_flag<std::int32_t>(argv[0], arg, next(), 1, kMaxInt);
+      options.segment_days = parse_flag<std::int32_t>(usage, arg, next(), 1, kMaxInt);
     } else if (arg == "--checkpoint") {
       options.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
@@ -140,21 +121,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--kill-at") {
       kill_at = count();
     } else if (arg == "--readers") {
-      readers = parse_flag<std::int32_t>(argv[0], arg, next(), 0, max_readers);
+      readers = parse_flag<std::int32_t>(usage, arg, next(), 0, max_readers);
     } else if (arg == "--pace-ms") {
       pace_ms = count();
     } else if (arg == "--assert-flat-memory") {
       assert_flat = true;
     } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return usage(argv[0]);
+      usage.fail("unknown flag " + arg);
     }
   }
-
-  // Scenario regime from CT_SCENARIO (README "Scenarios"): part of the
-  // checkpoint fingerprint, so a checkpoint only resumes under the same
-  // regime.
-  config.regime = ct::censor::RegimeConfig::from_env(config.regime);
+  // --small picks the base scenario; the other scenario flags override
+  // it in any order.
+  ct::analysis::ScenarioConfig config =
+      small ? ct::analysis::small_scenario() : ct::analysis::default_scenario();
+  config.regime.regime = regime;
+  if (seed.has_value()) config.seed = *seed;
+  if (days.has_value()) config.platform.num_days = *days;
 
   ct::analysis::Scenario scenario(config);
   MonitorEngine monitor(scenario, options);

@@ -9,14 +9,17 @@
 // then localizes the blocking ASes — demonstrating that the method
 // carries over from web censorship to circumvention-infrastructure
 // blocking exactly as the paper projects.
-#include <cstdlib>
 #include <iostream>
 #include <set>
+#include <string>
 
 #include "analysis/experiment.h"
 #include "analysis/report.h"
+#include "cli.h"
 
 int main(int argc, char** argv) {
+  const ct::examples::Usage usage{argv[0], "[seed]"};
+  if (argc > 2) usage.fail("unexpected argument " + std::string(argv[2]));
   ct::analysis::ScenarioConfig config = ct::analysis::small_scenario();
   config.topology.num_ases = 260;
   config.topology.num_transit = 50;
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
   config.platform.num_urls = 40;
   config.platform.num_dest_ases = 20;
   config.platform.num_days = 12 * ct::util::kDaysPerWeek;
-  if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
+  if (argc > 1) config.seed = ct::examples::parse_seed(usage, argv[1]);
 
   // Every censor blocks circumvention infrastructure via connection
   // resets / sequence tampering — the signatures bridge blocking shows.

@@ -22,8 +22,7 @@ struct ScenarioConfig {
   net::AddressPlanConfig addressing;
   censor::CensorConfig censors;
   /// Scenario regime (README "Scenarios"): which of the paper's
-  /// assumptions this run stresses.  Selected per-run via CT_SCENARIO
-  /// (censor::RegimeConfig::from_env); part of the checkpoint config
+  /// assumptions this run stresses.  Part of the checkpoint config
   /// fingerprint.
   censor::RegimeConfig regime;
   iclab::PlatformConfig platform;

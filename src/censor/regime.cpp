@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace ct::censor {
@@ -29,16 +28,6 @@ std::optional<ScenarioRegime> parse_regime(std::string_view value) {
 std::vector<ScenarioRegime> all_regimes() {
   return {ScenarioRegime::kBaseline, ScenarioRegime::kRoutingInduced, ScenarioRegime::kMultipath,
           ScenarioRegime::kAdaptive, ScenarioRegime::kPathDiversity};
-}
-
-ScenarioRegime regime_from_env(ScenarioRegime fallback) {
-  return util::env_parse<ScenarioRegime>(kScenarioEnvVar, fallback, parse_regime,
-                                         "baseline, routing, multipath, adaptive, pathdiv");
-}
-
-RegimeConfig RegimeConfig::from_env(RegimeConfig base) {
-  base.regime = regime_from_env(base.regime);
-  return base;
 }
 
 namespace {

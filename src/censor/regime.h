@@ -20,8 +20,7 @@
 //
 // This header is graph-only (censor layer cannot link bgp); the
 // route-aware adaptive generator lives in analysis/regime.h.  The
-// regime is selected per-run via ScenarioConfig::regime or the
-// CT_SCENARIO env knob.
+// regime is selected per-run via ScenarioConfig::regime.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +46,14 @@ enum class ScenarioRegime : std::uint8_t {
 
 inline constexpr std::size_t kNumRegimes = 5;
 
-/// CT_SCENARIO value / golden-file suffix: baseline, routing,
-/// multipath, adaptive, pathdiv.
+/// Regime name (the examples' --regime value and the golden-file
+/// suffix): baseline, routing, multipath, adaptive, pathdiv.
 std::string to_string(ScenarioRegime regime);
 std::optional<ScenarioRegime> parse_regime(std::string_view value);
 
 /// All regimes in enum order (baseline first) — iteration order for the
 /// accuracy report and the equivalence suites.
 std::vector<ScenarioRegime> all_regimes();
-
-/// The env knob.  Unset -> `fallback`; a typo'd value throws
-/// util::EnvParseError listing the accepted names.
-inline constexpr const char* kScenarioEnvVar = "CT_SCENARIO";
-ScenarioRegime regime_from_env(ScenarioRegime fallback = ScenarioRegime::kBaseline);
 
 /// Regime selection plus the knobs its generators read.  Part of
 /// ScenarioConfig, so it is covered by the checkpoint config
@@ -76,11 +70,6 @@ struct RegimeConfig {
   /// kAdaptive: days between placement re-optimizations (the strategic
   /// censor's policy-change cadence).
   util::Day adaptive_period_days = 91;
-
-  /// `base` with the regime replaced by the CT_SCENARIO value (knobs
-  /// keep their configured values).
-  static RegimeConfig from_env(RegimeConfig base);
-  static RegimeConfig from_env() { return from_env(RegimeConfig{}); }
 };
 
 /// kRoutingInduced generator: attaches ingress predicates to every

@@ -6,7 +6,6 @@
 
 #include "sat/ipasir_shim.h"
 #include "sat/portfolio.h"
-#include "util/env.h"
 
 namespace ct::sat {
 
@@ -275,27 +274,6 @@ const char* BackendSelector::to_string(Mode mode) {
       return "portfolio";
   }
   return "?";
-}
-
-BackendSelector BackendSelector::from_env() {
-  BackendSelector selector;
-  // Fail fast on an unrecognized value: a misspelled backend name used
-  // to silently run auto selection.
-  selector.mode = util::env_parse<Mode>("CT_SAT_BACKEND", selector.mode, parse,
-                                        "auto, cdcl, count, unitprop, ipasir, portfolio");
-  const bool racing = util::env_parse_bool("CT_SAT_PORTFOLIO", false);
-  const unsigned width = util::env_parse<unsigned>(
-      "CT_SAT_PORTFOLIO_WIDTH", kDefaultPortfolioWidth,
-      [](std::string_view value) -> std::optional<unsigned> {
-        if (value.size() != 1 || value[0] < '2' ||
-            value[0] > static_cast<char>('0' + kMaxPortfolioWidth)) {
-          return std::nullopt;
-        }
-        return static_cast<unsigned>(value[0] - '0');
-      },
-      "2..4");
-  if (racing) selector.portfolio_width = width;
-  return selector;
 }
 
 }  // namespace ct::sat

@@ -222,8 +222,8 @@ struct BackendPlan {
 
 /// Per-CNF backend selection policy.  Mode kAuto picks by formula
 /// shape and workload; the forced modes pin every CNF to one backend
-/// (verdicts are byte-identical either way — forcing is for tests,
-/// benchmarks, and CT_SAT_BACKEND).
+/// (verdicts are byte-identical either way — forcing is for tests and
+/// benchmarks).
 struct BackendSelector {
   enum class Mode : std::uint8_t { kAuto = 0, kCdcl, kCount, kUnitProp, kIpasir, kPortfolio };
 
@@ -272,14 +272,6 @@ struct BackendSelector {
 
   static std::optional<Mode> parse(std::string_view name);
   static const char* to_string(Mode mode);
-  /// Selector with `mode` forced by the CT_SAT_BACKEND environment
-  /// variable ({auto, cdcl, count, unitprop, ipasir, portfolio}) when
-  /// set, and portfolio racing by CT_SAT_PORTFOLIO (0/1) with an
-  /// optional CT_SAT_PORTFOLIO_WIDTH (2..kMaxPortfolioWidth); defaults
-  /// (auto, racing off) otherwise.  Any other value throws
-  /// util::EnvParseError — a typo must not silently run the wrong
-  /// configuration.
-  static BackendSelector from_env();
 };
 
 /// Per-backend session counters (indexed by BackendKind).

@@ -12,9 +12,9 @@
 //
 //   * The default implementation wraps the in-tree CdclBackend, so the
 //     whole pipeline can run through the flat-C boundary
-//     (CT_SAT_BACKEND=ipasir) and prove the seam loses nothing — the
-//     equivalence suites hold ipasir-routed verdicts byte-identical to
-//     direct CDCL.
+//     (BackendSelector::Mode::kIpasir) and prove the seam loses nothing
+//     — the equivalence suites hold ipasir-routed verdicts
+//     byte-identical to direct CDCL.
 //   * Building with -DCT_WITH_IPASIR_EXT instead forwards every
 //     ct_sat_* call to the external `ipasir_*` symbols, turning any
 //     linked IPASIR solver into a drop-in backend with zero further

@@ -17,8 +17,8 @@
 // is a model; kUnsat is kUnsat; enumeration counts are counts of the
 // same model set whatever order models are discovered in.  So racing
 // changes *when* the answer arrives, never *what* it is — the
-// equivalence suites cross CT_SAT_PORTFOLIO=0/1 (and fuzz forced
-// winners via injected delays) to hold it to that.
+// equivalence suites cross racing off/on (and fuzz forced winners via
+// injected delays) to hold it to that.
 //
 // State mirroring: every mutation (load, new_var, add_clause,
 // retract_activation) is broadcast to all members, so each holds the

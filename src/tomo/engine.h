@@ -56,10 +56,10 @@ struct AnalysisOptions {
   unsigned num_threads = 1;
   /// Per-CNF SAT backend selection (README "Solver backends"): auto
   /// picks CDCL / exact-count / unit-prop by formula shape and the
-  /// count_cap/resolve_counts workload; forced modes pin one backend
-  /// (CT_SAT_BACKEND via sat::BackendSelector::from_env).  Verdicts are
-  /// byte-identical for every mode — the backend equivalence suite
-  /// enforces it.
+  /// count_cap/resolve_counts workload; forced modes pin one backend.
+  /// Verdicts are byte-identical for every mode — the backend
+  /// equivalence suite and GoldenRegression's forced-backend instances
+  /// enforce it.
   sat::BackendSelector backend;
 };
 

@@ -20,7 +20,7 @@
 #include "expect_churn.h"
 #include "sat/backend.h"
 #include "sat/portfolio.h"
-#include "shard_env.h"
+#include "shard_scenario.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
 
@@ -174,7 +174,7 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsAndShards) {
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
-  baseline_options.num_platform_shards = test::shards_from_env();
+  baseline_options.num_platform_shards = 1;
   const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
   for (const Mode mode : kAllModes) {
@@ -190,8 +190,8 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsAndShards) {
   }
 }
 
-// Portfolio racing on/off, crossed with forced winners: CT_SAT_PORTFOLIO
-// arms racing in auto mode, forced kPortfolio races every CNF, and
+// Portfolio racing on/off, crossed with forced winners: a portfolio
+// width arms racing in auto mode, forced kPortfolio races every CNF, and
 // injected per-member delays force specific members to win — the final
 // report must be byte-identical in every case (the determinism argument
 // in sat/portfolio.h, held at the experiment level).
@@ -203,7 +203,7 @@ TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
   Scenario baseline_scenario(shard_scenario(20170623));
   ExperimentOptions baseline_options;
   baseline_options.analysis.backend.mode = Mode::kCdcl;
-  baseline_options.num_platform_shards = test::shards_from_env();
+  baseline_options.num_platform_shards = 1;
   const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
 
   using std::chrono::milliseconds;
@@ -227,7 +227,7 @@ TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
     ExperimentOptions options;
     options.analysis.backend.mode = c.mode;
     options.analysis.backend.portfolio_width = c.width;
-    options.num_platform_shards = test::shards_from_env();
+    options.num_platform_shards = 1;
     const ExperimentResult got = run_experiment(scenario, options);
     expect_results_equal(got, baseline);
     if (c.mode == Mode::kPortfolio) {

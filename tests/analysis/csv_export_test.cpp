@@ -11,7 +11,7 @@
 #include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "reference_experiment.h"
-#include "shard_env.h"
+#include "shard_scenario.h"
 
 namespace ct::analysis {
 namespace {
@@ -112,7 +112,7 @@ TEST(CsvExport, WriteAllCreatesFiles) {
 TEST(CsvExport, MonitorRunCsvIsByteIdenticalToBatchRun) {
   Scenario batch_scenario(test::shard_scenario(20170623));
   ExperimentOptions batch_options;
-  batch_options.num_platform_shards = test::shards_from_env();
+  batch_options.num_platform_shards = 1;
   const ExperimentResult batch = test::reference_experiment(batch_scenario, batch_options);
 
   Scenario monitor_scenario(test::shard_scenario(20170623));

@@ -24,7 +24,7 @@
 #include "analysis/scenario.h"
 #include "expect_churn.h"
 #include "sat/dimacs.h"
-#include "shard_env.h"
+#include "shard_scenario.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
 

@@ -42,7 +42,7 @@
 #include "expect_churn.h"
 #include "reference_experiment.h"
 #include "sat/backend.h"
-#include "shard_env.h"
+#include "shard_scenario.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
 #include "util/serde.h"
@@ -69,12 +69,33 @@ MonitorOptions forced_cdcl_options(unsigned shards) {
   return options;
 }
 
+/// The (regime, shard count) modes the MonitorCheckpoint tests run
+/// under: the baseline world and the routing regime, each on a serial
+/// and a sharded platform.  Tests that pin their shard count walk
+/// kCheckpointRegimes only.
+struct CheckpointMode {
+  censor::ScenarioRegime regime;
+  unsigned shards;
+};
+constexpr censor::ScenarioRegime kCheckpointRegimes[] = {
+    censor::ScenarioRegime::kBaseline, censor::ScenarioRegime::kRoutingInduced};
+constexpr CheckpointMode kCheckpointModes[] = {
+    {censor::ScenarioRegime::kBaseline, 1},
+    {censor::ScenarioRegime::kBaseline, 4},
+    {censor::ScenarioRegime::kRoutingInduced, 1},
+    {censor::ScenarioRegime::kRoutingInduced, 4},
+};
+
+std::string mode_name(const CheckpointMode& mode) {
+  return censor::to_string(mode.regime) + " shards=" + std::to_string(mode.shards);
+}
+
 /// The phase-separated reference's canonical report bytes for `config`
 /// — what every monitor run must reproduce.
 std::string batch_report(const ScenarioConfig& config) {
   Scenario scenario(config);
   ExperimentOptions options;  // default execution mode: the contract
-  options.num_platform_shards = test::shards_from_env();
+  options.num_platform_shards = 1;
   return serialize_report(test::reference_experiment(scenario, options));
 }
 
@@ -127,7 +148,7 @@ TEST(MonitorEquivalence, RunExperimentMatchesReference) {
   // main-pass engine counters match the reference's.
   const ScenarioConfig config = shard_scenario(13);
   ExperimentOptions options;
-  options.num_platform_shards = test::shards_from_env();
+  options.num_platform_shards = 1;
   Scenario reference_scenario(config);
   const ExperimentResult expected = test::reference_experiment(reference_scenario, options);
 
@@ -213,8 +234,7 @@ TEST(MonitorCrashResume, EveryRegimeSurvivesKillResume) {
   // batch pipeline's report byte for byte.
   for (const censor::ScenarioRegime regime : censor::all_regimes()) {
     SCOPED_TRACE(censor::to_string(regime));
-    ScenarioConfig config = shard_scenario(61);
-    config.regime.regime = regime;
+    const ScenarioConfig config = shard_scenario(61, regime);
     const std::string expected = batch_report(config);
     EXPECT_EQ(crashy_report(config, monitor_options(1), {6, 13}, {forced_cdcl_options(3)}),
               expected);
@@ -224,15 +244,13 @@ TEST(MonitorCrashResume, EveryRegimeSurvivesKillResume) {
 TEST(MonitorCheckpoint, RefusesResumeUnderDifferentRegime) {
   // The regime (and its knobs) are part of the config fingerprint:
   // execution modes may change across a resume, the *world* may not.
-  // Both worlds pin their regime, so CT_SCENARIO cannot make them equal.
-  ScenarioConfig routing = test::pinned_shard_scenario(62);
-  routing.regime.regime = censor::ScenarioRegime::kRoutingInduced;
+  ScenarioConfig routing = shard_scenario(62, censor::ScenarioRegime::kRoutingInduced);
   Scenario routing_scenario(routing);
   MonitorEngine source(routing_scenario, monitor_options(1));
   source.run_until(6);
   const std::string bytes = source.checkpoint();
 
-  ScenarioConfig baseline = test::pinned_shard_scenario(62);
+  ScenarioConfig baseline = shard_scenario(62);
   Scenario baseline_scenario(baseline);
   MonitorEngine other_regime(baseline_scenario, monitor_options(1));
   EXPECT_THROW(other_regime.restore(bytes), CheckpointError);
@@ -252,8 +270,7 @@ TEST(MonitorStatsTest, ChurnCountersReplayDeterministicallyAcrossResume) {
   for (const censor::ScenarioRegime regime :
        {censor::ScenarioRegime::kBaseline, censor::ScenarioRegime::kMultipath}) {
     SCOPED_TRACE(censor::to_string(regime));
-    ScenarioConfig config = shard_scenario(63);
-    config.regime.regime = regime;
+    const ScenarioConfig config = shard_scenario(63, regime);
     Scenario scenario(config);
 
     MonitorEngine straight(scenario, monitor_options(1));
@@ -280,116 +297,125 @@ TEST(MonitorCheckpoint, RestoreIsDeterministic) {
   // Two fresh monitors restoring the same bytes are in identical
   // persistent state: their own checkpoints match byte for byte, and so
   // do their final reports.
-  const ScenarioConfig config = shard_scenario(41);
-  Scenario scenario(config);
-  auto first = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
-  first->run_until(8);
-  const std::string bytes = first->checkpoint();
-  first.reset();
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(41, mode.regime);
+    Scenario scenario(config);
+    auto first = std::make_unique<MonitorEngine>(scenario, monitor_options(mode.shards));
+    first->run_until(8);
+    const std::string bytes = first->checkpoint();
+    first.reset();
 
-  MonitorEngine a(scenario, monitor_options(1));
-  MonitorEngine b(scenario, monitor_options(1));
-  a.restore(bytes);
-  b.restore(bytes);
-  EXPECT_EQ(a.checkpoint(), b.checkpoint());
-  EXPECT_EQ(serialize_report(a.finalize()), serialize_report(b.finalize()));
+    MonitorEngine a(scenario, monitor_options(mode.shards));
+    MonitorEngine b(scenario, monitor_options(mode.shards));
+    a.restore(bytes);
+    b.restore(bytes);
+    EXPECT_EQ(a.checkpoint(), b.checkpoint());
+    EXPECT_EQ(serialize_report(a.finalize()), serialize_report(b.finalize()));
+  }
 }
 
 TEST(MonitorCheckpoint, RestorePublishesSnapshotAndRefusesUsedMonitor) {
-  const ScenarioConfig config = shard_scenario(42);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
-  const std::string bytes = source.checkpoint();
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(42, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
+    const std::string bytes = source.checkpoint();
 
-  MonitorEngine resumed(scenario, monitor_options(1));
-  EXPECT_EQ(resumed.reports().snapshot(), nullptr) << "no snapshot before first ingest";
-  resumed.restore(bytes);
-  const auto snapshot = resumed.reports().snapshot();
-  ASSERT_NE(snapshot, nullptr) << "restore must seed readers with a snapshot";
-  EXPECT_EQ(snapshot->watermark, 6);
-  EXPECT_EQ(resumed.reports().published(), 1u);
+    MonitorEngine resumed(scenario, monitor_options(mode.shards));
+    EXPECT_EQ(resumed.reports().snapshot(), nullptr) << "no snapshot before first ingest";
+    resumed.restore(bytes);
+    const auto snapshot = resumed.reports().snapshot();
+    ASSERT_NE(snapshot, nullptr) << "restore must seed readers with a snapshot";
+    EXPECT_EQ(snapshot->watermark, 6);
+    EXPECT_EQ(resumed.reports().published(), 1u);
 
-  // A monitor that already ingested data must refuse to restore — the
-  // result would silently double-count everything before the watermark.
-  EXPECT_THROW(source.restore(bytes), std::logic_error);
-  EXPECT_THROW(resumed.restore(bytes), std::logic_error);
+    // A monitor that already ingested data must refuse to restore — the
+    // result would silently double-count everything before the watermark.
+    EXPECT_THROW(source.restore(bytes), std::logic_error);
+    EXPECT_THROW(resumed.restore(bytes), std::logic_error);
+  }
 }
 
 TEST(MonitorCheckpoint, EnvelopeRefusals) {
-  const ScenarioConfig config = shard_scenario(43);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
-  const std::string bytes = source.checkpoint();
-  const std::uint64_t fingerprint = source.fingerprint();
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(43, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
+    const std::string bytes = source.checkpoint();
+    const std::uint64_t fingerprint = source.fingerprint();
 
-  // The happy path holds before we start breaking things.
-  EXPECT_EQ(open_checkpoint(bytes, fingerprint).watermark, 6);
+    // The happy path holds before we start breaking things.
+    EXPECT_EQ(open_checkpoint(bytes, fingerprint).watermark, 6);
 
-  // Envelope layout: magic u32 | version u32 | fingerprint u64 |
-  // watermark i32 | payload checksum u64 | payload length u64 | payload.
-  std::string bad_magic = bytes;
-  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
-  EXPECT_THROW(open_checkpoint(bad_magic, fingerprint), CheckpointError);
+    // Envelope layout: magic u32 | version u32 | fingerprint u64 |
+    // watermark i32 | payload checksum u64 | payload length u64 | payload.
+    std::string bad_magic = bytes;
+    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
+    EXPECT_THROW(open_checkpoint(bad_magic, fingerprint), CheckpointError);
 
-  // A checkpoint from a future format version must be refused cleanly,
-  // not misparsed — forward compatibility is an explicit error.
-  std::string future_version = bytes;
-  future_version[4] = static_cast<char>(future_version[4] + 1);
-  EXPECT_THROW(open_checkpoint(future_version, fingerprint), CheckpointError);
+    // A checkpoint from a future format version must be refused cleanly,
+    // not misparsed — forward compatibility is an explicit error.
+    std::string future_version = bytes;
+    future_version[4] = static_cast<char>(future_version[4] + 1);
+    EXPECT_THROW(open_checkpoint(future_version, fingerprint), CheckpointError);
 
-  // Fingerprint mismatch: a different scenario config may not resume
-  // this checkpoint (restore() checks against its own fingerprint).
-  EXPECT_THROW(open_checkpoint(bytes, fingerprint + 1), CheckpointError);
-  ScenarioConfig other_config = shard_scenario(44);
-  Scenario other_scenario(other_config);
-  MonitorEngine other(other_scenario, monitor_options(1));
-  EXPECT_THROW(other.restore(bytes), CheckpointError);
+    // Fingerprint mismatch: a different scenario config may not resume
+    // this checkpoint (restore() checks against its own fingerprint).
+    EXPECT_THROW(open_checkpoint(bytes, fingerprint + 1), CheckpointError);
+    ScenarioConfig other_config = shard_scenario(44, mode.regime);
+    Scenario other_scenario(other_config);
+    MonitorEngine other(other_scenario, monitor_options(mode.shards));
+    EXPECT_THROW(other.restore(bytes), CheckpointError);
 
-  // Truncation anywhere — inside the header or inside the payload —
-  // and trailing garbage are both refused.
-  EXPECT_THROW(open_checkpoint(bytes.substr(0, 6), fingerprint), CheckpointError);
-  EXPECT_THROW(open_checkpoint(bytes.substr(0, bytes.size() - 3), fingerprint),
-               CheckpointError);
-  EXPECT_THROW(open_checkpoint(bytes + "x", fingerprint), CheckpointError);
-  EXPECT_THROW(open_checkpoint(std::string(), fingerprint), CheckpointError);
+    // Truncation anywhere — inside the header or inside the payload —
+    // and trailing garbage are both refused.
+    EXPECT_THROW(open_checkpoint(bytes.substr(0, 6), fingerprint), CheckpointError);
+    EXPECT_THROW(open_checkpoint(bytes.substr(0, bytes.size() - 3), fingerprint),
+                 CheckpointError);
+    EXPECT_THROW(open_checkpoint(bytes + "x", fingerprint), CheckpointError);
+    EXPECT_THROW(open_checkpoint(std::string(), fingerprint), CheckpointError);
 
-  // One flipped bit anywhere in the payload, or in the checksum field,
-  // fails the checksum, so no loader ever sees the corrupt bytes (a
-  // huge url_id, a bogus length).
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4 + 8 + 8;
-  ASSERT_GT(bytes.size(), kHeaderBytes + 2);
-  for (const std::size_t at :
-       {std::size_t{20}, kHeaderBytes, (kHeaderBytes + bytes.size()) / 2, bytes.size() - 1}) {
-    SCOPED_TRACE("flipped byte " + std::to_string(at));
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
-    EXPECT_THROW(open_checkpoint(corrupt, fingerprint), CheckpointError);
-    MonitorEngine resumed(scenario, monitor_options(1));
-    EXPECT_THROW(resumed.restore(corrupt), CheckpointError);
+    // One flipped bit anywhere in the payload, or in the checksum field,
+    // fails the checksum, so no loader ever sees the corrupt bytes (a
+    // huge url_id, a bogus length).
+    constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4 + 8 + 8;
+    ASSERT_GT(bytes.size(), kHeaderBytes + 2);
+    for (const std::size_t at :
+         {std::size_t{20}, kHeaderBytes, (kHeaderBytes + bytes.size()) / 2, bytes.size() - 1}) {
+      SCOPED_TRACE("flipped byte " + std::to_string(at));
+      std::string corrupt = bytes;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
+      EXPECT_THROW(open_checkpoint(corrupt, fingerprint), CheckpointError);
+      MonitorEngine resumed(scenario, monitor_options(mode.shards));
+      EXPECT_THROW(resumed.restore(corrupt), CheckpointError);
+    }
+
+    // A version-2 envelope (no checksum, delta-load counters in the
+    // engine stats) is refused by its version field.
+    util::ByteWriter v2;
+    v2.u32(kCheckpointMagic);
+    v2.u32(2);
+    v2.u64(fingerprint);
+    v2.i32(6);
+    v2.str(open_checkpoint(bytes, fingerprint).payload);
+    EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
+
+    // A version-3 envelope (one combined EngineStats record) is refused by
+    // its version field too, even with a valid checksum.
+    ASSERT_EQ(kCheckpointVersion, 4u);
+    std::string v3 = bytes;
+    util::ByteWriter version;
+    version.u32(3);
+    v3.replace(4, 4, version.bytes());
+    EXPECT_THROW(open_checkpoint(v3, fingerprint), CheckpointError);
+    MonitorEngine resumed(scenario, monitor_options(mode.shards));
+    EXPECT_THROW(resumed.restore(v3), CheckpointError);
   }
-
-  // A version-2 envelope (no checksum, delta-load counters in the
-  // engine stats) is refused by its version field.
-  util::ByteWriter v2;
-  v2.u32(kCheckpointMagic);
-  v2.u32(2);
-  v2.u64(fingerprint);
-  v2.i32(6);
-  v2.str(open_checkpoint(bytes, fingerprint).payload);
-  EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
-
-  // A version-3 envelope (one combined EngineStats record) is refused by
-  // its version field too, even with a valid checksum.
-  ASSERT_EQ(kCheckpointVersion, 4u);
-  std::string v3 = bytes;
-  util::ByteWriter version;
-  version.u32(3);
-  v3.replace(4, 4, version.bytes());
-  EXPECT_THROW(open_checkpoint(v3, fingerprint), CheckpointError);
-  MonitorEngine resumed(scenario, monitor_options(1));
-  EXPECT_THROW(resumed.restore(v3), CheckpointError);
 }
 
 /// `source`'s checkpoint with the 4 payload bytes at `at` replaced by
@@ -413,79 +439,88 @@ void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
 }
 
 TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
-  const ScenarioConfig config = shard_scenario(46);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
-  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(46, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
+    const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-  // Payload layout: pool | main grouper | strip filter | ...  Skip to
-  // the filter's entries, (vantage, URL, path id) in key order.
-  util::ByteReader r(opened.payload);
-  tomo::PathPool pool;
-  pool.load(r, scenario.graph().num_ases());
-  tomo::StreamingCnfBuilder grouper(tomo::CnfBuildOptions{}, &pool);
-  grouper.load(r, scenario.platform().config().num_urls, scenario.graph().num_ases(),
-               pool.size());
-  const std::size_t strip_at = opened.payload.size() - r.remaining();
-  const std::size_t entries = r.size();
-  ASSERT_GT(entries, 0u);
+    // Payload layout: pool | main grouper | strip filter | ...  Skip to
+    // the filter's entries, (vantage, URL, path id) in key order.
+    util::ByteReader r(opened.payload);
+    tomo::PathPool pool;
+    pool.load(r, scenario.graph().num_ases());
+    tomo::StreamingCnfBuilder grouper(tomo::CnfBuildOptions{}, &pool);
+    grouper.load(r, scenario.platform().config().num_urls, scenario.graph().num_ases(),
+                 pool.size());
+    const std::size_t strip_at = opened.payload.size() - r.remaining();
+    const std::size_t entries = r.size();
+    ASSERT_GT(entries, 0u);
 
-  // The last entry's vantage becomes the graph's AS count: still in key
-  // order, one past the table.  The refusal comes after the pool and the
-  // main grouper parsed; none of it may stick.
-  const std::size_t last_vantage = strip_at + 8 + (entries - 1) * 12;
-  expect_crafted_id_refused(scenario, source, last_vantage, scenario.graph().num_ases());
-  // The untouched payload, resealed the same way, restores.
-  MonitorEngine control(scenario, monitor_options(1));
-  control.restore(seal_checkpoint(source.fingerprint(), opened.watermark, opened.payload));
-  EXPECT_EQ(control.watermark(), 6);
+    // The last entry's vantage becomes the graph's AS count: still in key
+    // order, one past the table.  The refusal comes after the pool and the
+    // main grouper parsed; none of it may stick.
+    const std::size_t last_vantage = strip_at + 8 + (entries - 1) * 12;
+    expect_crafted_id_refused(scenario, source, last_vantage, scenario.graph().num_ases());
+    // The untouched payload, resealed the same way, restores.
+    MonitorEngine control(scenario, monitor_options(mode.shards));
+    control.restore(seal_checkpoint(source.fingerprint(), opened.watermark, opened.payload));
+    EXPECT_EQ(control.watermark(), 6);
+  }
 }
 
 TEST(MonitorCheckpoint, PoolAsIdOutsideTheGraphIsRefused) {
   // Unchecked, AS -1 made finalize() throw an uncaught logic_error, and
   // a large id sized emission's dense per-AS scratch to it.
-  const ScenarioConfig config = shard_scenario(46);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
-  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(46, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
+    const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-  // Payload layout: pool (path count, then each path as its length and
-  // AS ids) | ...  The first path's first AS id sits at byte 16.
-  util::ByteReader r(opened.payload);
-  ASSERT_GT(r.size(), 0u);  // paths
-  ASSERT_GT(r.size(), 0u);  // the first path's length
-  for (const topo::AsId as : {-1, scenario.graph().num_ases()}) {
-    SCOPED_TRACE("as=" + std::to_string(as));
-    expect_crafted_id_refused(scenario, source, 16, as);
+    // Payload layout: pool (path count, then each path as its length and
+    // AS ids) | ...  The first path's first AS id sits at byte 16.
+    util::ByteReader r(opened.payload);
+    ASSERT_GT(r.size(), 0u);  // paths
+    ASSERT_GT(r.size(), 0u);  // the first path's length
+    for (const topo::AsId as : {-1, scenario.graph().num_ases()}) {
+      SCOPED_TRACE("as=" + std::to_string(as));
+      expect_crafted_id_refused(scenario, source, 16, as);
+    }
   }
 }
 
 TEST(MonitorCheckpoint, GroupPathIdPastThePoolIsRefused) {
   // Unchecked, an open group's path id at the pool's size threw
   // out_of_range from PathPool::get at emission.
-  const ScenarioConfig config = shard_scenario(46);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
-  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(46, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
+    const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-  // Payload layout: pool | main grouper: its private pool (empty: it
-  // borrows), the open-window count, then each window's key (URL,
-  // anomaly, granularity, window) and positive path ids | ...
-  util::ByteReader r(opened.payload);
-  tomo::PathPool pool;
-  pool.load(r, scenario.graph().num_ases());
-  ASSERT_EQ(r.size(), 0u);  // the grouper's private pool
-  ASSERT_GT(r.size(), 0u);  // open windows
-  r.i32();
-  r.u8();
-  r.u8();
-  r.i32();
-  ASSERT_GT(r.size(), 0u);  // the first window's positives
-  const std::size_t first_id = opened.payload.size() - r.remaining();
-  expect_crafted_id_refused(scenario, source, first_id, static_cast<std::int32_t>(pool.size()));
+    // Payload layout: pool | main grouper: its private pool (empty: it
+    // borrows), the open-window count, then each window's key (URL,
+    // anomaly, granularity, window) and positive path ids | ...
+    util::ByteReader r(opened.payload);
+    tomo::PathPool pool;
+    pool.load(r, scenario.graph().num_ases());
+    ASSERT_EQ(r.size(), 0u);  // the grouper's private pool
+    ASSERT_GT(r.size(), 0u);  // open windows
+    r.i32();
+    r.u8();
+    r.u8();
+    r.i32();
+    ASSERT_GT(r.size(), 0u);  // the first window's positives
+    const std::size_t first_id = opened.payload.size() - r.remaining();
+    expect_crafted_id_refused(scenario, source, first_id, static_cast<std::int32_t>(pool.size()));
+  }
 }
 
 TEST(MonitorCheckpoint, CadenceCheckpointsInsideOneCallMatchPerSegmentEngine) {
@@ -493,37 +528,40 @@ TEST(MonitorCheckpoint, CadenceCheckpointsInsideOneCallMatchPerSegmentEngine) {
   // while the next segment's platform runs — carry the same bytes as
   // checkpoint() on an engine stepped one segment at a time.  Each
   // target leaves the file at its last cadence write.
-  const ScenarioConfig config = shard_scenario(47);
-  const std::string path = ::testing::TempDir() + "ct_monitor_cadence_test.bin";
-  struct Case {
-    util::Day segment_days;
-    util::Day every;
-    util::Day target;
-    util::Day last_write;
-  };
-  for (const Case c : {Case{5, 5, 12, 10}, Case{5, 5, 21, 20}, Case{1, 3, 8, 6}}) {
-    SCOPED_TRACE("segment_days=" + std::to_string(c.segment_days) +
-                 " target=" + std::to_string(c.target));
-    MonitorOptions options = monitor_options(4);
-    options.segment_days = c.segment_days;
-    Scenario scenario(config);
-    MonitorEngine overlapped(scenario, [&] {
-      MonitorOptions cadence = options;
-      cadence.checkpoint_every = c.every;
-      cadence.checkpoint_path = path;
-      return cadence;
-    }());
-    overlapped.run_until(c.target);
-    const std::string written = read_checkpoint_file(path);
-    EXPECT_EQ(open_checkpoint(written, overlapped.fingerprint()).watermark, c.last_write);
+  for (const censor::ScenarioRegime regime : kCheckpointRegimes) {
+    SCOPED_TRACE(censor::to_string(regime));
+    const ScenarioConfig config = shard_scenario(47, regime);
+    const std::string path = ::testing::TempDir() + "ct_monitor_cadence_test.bin";
+    struct Case {
+      util::Day segment_days;
+      util::Day every;
+      util::Day target;
+      util::Day last_write;
+    };
+    for (const Case c : {Case{5, 5, 12, 10}, Case{5, 5, 21, 20}, Case{1, 3, 8, 6}}) {
+      SCOPED_TRACE("segment_days=" + std::to_string(c.segment_days) +
+                   " target=" + std::to_string(c.target));
+      MonitorOptions options = monitor_options(4);
+      options.segment_days = c.segment_days;
+      Scenario scenario(config);
+      MonitorEngine overlapped(scenario, [&] {
+        MonitorOptions cadence = options;
+        cadence.checkpoint_every = c.every;
+        cadence.checkpoint_path = path;
+        return cadence;
+      }());
+      overlapped.run_until(c.target);
+      const std::string written = read_checkpoint_file(path);
+      EXPECT_EQ(open_checkpoint(written, overlapped.fingerprint()).watermark, c.last_write);
 
-    MonitorEngine stepped(scenario, options);
-    while (stepped.watermark() < c.last_write) {
-      stepped.run_until(stepped.watermark() + c.segment_days);
+      MonitorEngine stepped(scenario, options);
+      while (stepped.watermark() < c.last_write) {
+        stepped.run_until(stepped.watermark() + c.segment_days);
+      }
+      EXPECT_EQ(written, stepped.checkpoint());
     }
-    EXPECT_EQ(written, stepped.checkpoint());
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
@@ -532,56 +570,62 @@ TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
   // path built: each segment's shards merged and canonicalized (the
   // reference in clause_merge_reference.h), then remapped into the
   // global pool in stream order.
-  const ScenarioConfig config = shard_scenario(48);
-  Scenario scenario(config);
-  const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
-  ASSERT_EQ(iclab::plan_shards(1, num_vp, 4).size(), 4u);
+  for (const censor::ScenarioRegime regime : kCheckpointRegimes) {
+    SCOPED_TRACE(censor::to_string(regime));
+    const ScenarioConfig config = shard_scenario(48, regime);
+    Scenario scenario(config);
+    const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
+    ASSERT_EQ(iclab::plan_shards(1, num_vp, 4).size(), 4u);
 
-  MonitorOptions options = monitor_options(4);
-  options.segment_days = 1;
-  MonitorEngine monitor(scenario, options);
-  const util::Day days = 6;
-  monitor.run_until(days);
-  const OpenedCheckpoint opened = open_checkpoint(monitor.checkpoint(), monitor.fingerprint());
-  util::ByteReader r(opened.payload);
-  tomo::PathPool got;
-  got.load(r, scenario.graph().num_ases());
+    MonitorOptions options = monitor_options(4);
+    options.segment_days = 1;
+    MonitorEngine monitor(scenario, options);
+    const util::Day days = 6;
+    monitor.run_until(days);
+    const OpenedCheckpoint opened = open_checkpoint(monitor.checkpoint(), monitor.fingerprint());
+    util::ByteReader r(opened.payload);
+    tomo::PathPool got;
+    got.load(r, scenario.graph().num_ases());
 
-  tomo::PathPool expected;
-  for (util::Day d = 0; d < days; ++d) {
-    const std::vector<std::unique_ptr<PlatformSinks>> shards =
-        run_platform_shards(scenario, 4, d, d + 1);
-    std::vector<const tomo::ClauseBuilder*> builders;
-    for (const auto& shard : shards) builders.push_back(&shard->clause_builder);
-    const tomo::test::CanonicalStream canonical = tomo::test::merge_and_canonicalize(builders);
-    tomo::PathRemap remap(canonical.pool, expected);
-    for (const tomo::PathClause& clause : canonical.clauses) remap(clause.path_id);
-  }
-  ASSERT_GT(expected.size(), 0u);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got.get(static_cast<tomo::PathPool::PathId>(i)),
-              expected.get(static_cast<tomo::PathPool::PathId>(i)));
+    tomo::PathPool expected;
+    for (util::Day d = 0; d < days; ++d) {
+      const std::vector<std::unique_ptr<PlatformSinks>> shards =
+          run_platform_shards(scenario, 4, d, d + 1);
+      std::vector<const tomo::ClauseBuilder*> builders;
+      for (const auto& shard : shards) builders.push_back(&shard->clause_builder);
+      const tomo::test::CanonicalStream canonical = tomo::test::merge_and_canonicalize(builders);
+      tomo::PathRemap remap(canonical.pool, expected);
+      for (const tomo::PathClause& clause : canonical.clauses) remap(clause.path_id);
+    }
+    ASSERT_GT(expected.size(), 0u);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.get(static_cast<tomo::PathPool::PathId>(i)),
+                expected.get(static_cast<tomo::PathPool::PathId>(i)));
+    }
   }
 }
 
 TEST(MonitorCheckpoint, FileRoundtripAndMissingFile) {
-  const ScenarioConfig config = shard_scenario(45);
-  Scenario scenario(config);
-  MonitorEngine source(scenario, monitor_options(1));
-  source.run_until(6);
+  for (const CheckpointMode mode : kCheckpointModes) {
+    SCOPED_TRACE(mode_name(mode));
+    const ScenarioConfig config = shard_scenario(45, mode.regime);
+    Scenario scenario(config);
+    MonitorEngine source(scenario, monitor_options(mode.shards));
+    source.run_until(6);
 
-  const std::string path = ::testing::TempDir() + "ct_monitor_checkpoint_test.bin";
-  source.checkpoint_to(path);
-  EXPECT_EQ(source.stats().checkpoints_written, 1);
+    const std::string path = ::testing::TempDir() + "ct_monitor_checkpoint_test.bin";
+    source.checkpoint_to(path);
+    EXPECT_EQ(source.stats().checkpoints_written, 1);
 
-  MonitorEngine resumed(scenario, monitor_options(1));
-  resumed.restore_from(path);
-  EXPECT_EQ(resumed.watermark(), 6);
-  std::remove(path.c_str());
+    MonitorEngine resumed(scenario, monitor_options(mode.shards));
+    resumed.restore_from(path);
+    EXPECT_EQ(resumed.watermark(), 6);
+    std::remove(path.c_str());
 
-  MonitorEngine cold(scenario, monitor_options(1));
-  EXPECT_THROW(cold.restore_from(path), CheckpointError) << "missing file is a clean error";
+    MonitorEngine cold(scenario, monitor_options(mode.shards));
+    EXPECT_THROW(cold.restore_from(path), CheckpointError) << "missing file is a clean error";
+  }
 }
 
 TEST(MonitorMemory, SegmentsDrainToZeroAndGaugeNeverUnderflows) {

@@ -21,7 +21,7 @@
 #include "censor/regime.h"
 #include "reference_experiment.h"
 #include "sat/backend.h"
-#include "shard_env.h"
+#include "shard_scenario.h"
 
 namespace ct::analysis {
 namespace {
@@ -29,9 +29,7 @@ namespace {
 using censor::ScenarioRegime;
 
 ScenarioConfig regime_scenario(ScenarioRegime regime) {
-  ScenarioConfig cfg = test::shard_scenario(20170623);
-  cfg.regime.regime = regime;
-  return cfg;
+  return test::shard_scenario(20170623, regime);
 }
 
 std::string report_bytes(const ScenarioConfig& config, const ExperimentOptions& options) {
@@ -76,7 +74,7 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
 
 TEST(ScenarioRegime, StressRegimesActuallyChangeTheWorld) {
   ExperimentOptions options;
-  options.num_platform_shards = test::shards_from_env();
+  options.num_platform_shards = 1;
   std::map<ScenarioRegime, std::string> reports;
   for (const ScenarioRegime regime : censor::all_regimes()) {
     reports[regime] = report_bytes(regime_scenario(regime), options);
@@ -91,13 +89,14 @@ TEST(ScenarioRegime, StressRegimesActuallyChangeTheWorld) {
 
 TEST(ScenarioRegime, BaselineMatchesRegimeFreeConfig) {
   // The regime layer is strictly additive: a kBaseline RegimeConfig must
-  // reproduce the pre-regime pipeline byte for byte.  Both sides ignore
-  // CT_SCENARIO, so the comparison holds under every CI regime leg.
+  // reproduce the pre-regime pipeline byte for byte.
   ExperimentOptions options;
-  options.num_platform_shards = test::shards_from_env();
-  ScenarioConfig with_field = test::pinned_shard_scenario(20170623);
+  options.num_platform_shards = 1;
+  ScenarioConfig with_field = test::shard_scenario(20170623);
   with_field.regime = censor::RegimeConfig{};
-  const ScenarioConfig untouched = test::pinned_shard_scenario(20170623);
+  ScenarioConfig untouched = small_scenario();  // regime field never written
+  untouched.platform.num_days = with_field.platform.num_days;
+  untouched.seed = with_field.seed;
   EXPECT_EQ(report_bytes(with_field, options), report_bytes(untouched, options));
 }
 

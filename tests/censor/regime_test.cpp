@@ -1,28 +1,21 @@
-// Scenario regimes (censor/regime.h): the CT_SCENARIO knob and the
-// graph-only regime generators.  The knob is strict (a typo'd value
-// throws instead of silently testing the wrong regime); the generators
-// are deterministic functions of (seed, policy order) so every
-// execution strategy builds the same registry.
+// Scenario regimes (censor/regime.h): the regime names and the
+// graph-only regime generators.  Name parsing is strict (a typo'd
+// --regime is refused instead of silently running the wrong regime);
+// the generators are deterministic functions of (seed, policy order) so
+// every execution strategy builds the same registry.
 #include "censor/regime.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "topo/generator.h"
-#include "util/env.h"
 
 namespace ct::censor {
 namespace {
 
-class RegimeEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv(kScenarioEnvVar); }
-};
-
-TEST_F(RegimeEnvTest, ParseRegimeRoundTrips) {
+TEST(RegimeName, ParseRegimeRoundTrips) {
   const auto regimes = all_regimes();
   EXPECT_EQ(regimes.size(), kNumRegimes);
   for (const ScenarioRegime regime : regimes) {
@@ -33,35 +26,6 @@ TEST_F(RegimeEnvTest, ParseRegimeRoundTrips) {
   EXPECT_FALSE(parse_regime("").has_value());
   EXPECT_FALSE(parse_regime("Baseline").has_value());
   EXPECT_FALSE(parse_regime("ecmp").has_value());
-}
-
-TEST_F(RegimeEnvTest, UnsetEnvYieldsFallback) {
-  unsetenv(kScenarioEnvVar);
-  EXPECT_EQ(regime_from_env(), ScenarioRegime::kBaseline);
-  EXPECT_EQ(regime_from_env(ScenarioRegime::kAdaptive), ScenarioRegime::kAdaptive);
-}
-
-TEST_F(RegimeEnvTest, SetEnvOverridesFallback) {
-  ASSERT_EQ(setenv(kScenarioEnvVar, "multipath", 1), 0);
-  EXPECT_EQ(regime_from_env(), ScenarioRegime::kMultipath);
-  RegimeConfig base;
-  base.ingress_fraction = 0.25;
-  const RegimeConfig cfg = RegimeConfig::from_env(base);
-  EXPECT_EQ(cfg.regime, ScenarioRegime::kMultipath);
-  EXPECT_EQ(cfg.ingress_fraction, 0.25);  // knobs keep configured values
-}
-
-TEST_F(RegimeEnvTest, TypoThrowsListingAcceptedValues) {
-  ASSERT_EQ(setenv(kScenarioEnvVar, "multi-path", 1), 0);
-  try {
-    regime_from_env();
-    FAIL() << "expected EnvParseError";
-  } catch (const util::EnvParseError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("CT_SCENARIO"), std::string::npos);
-    EXPECT_NE(message.find("multi-path"), std::string::npos);
-    EXPECT_NE(message.find("pathdiv"), std::string::npos);
-  }
 }
 
 topo::AsGraph test_graph() {

@@ -5,10 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "sat/session.h"
-#include "util/env.h"
 
 namespace ct::sat {
 namespace {
@@ -175,7 +172,7 @@ TEST(BackendSelector, ShapeOfCountsUnits) {
   EXPECT_DOUBLE_EQ(shape.density(), 1.0);
 }
 
-TEST(BackendSelector, ParseAndEnv) {
+TEST(BackendSelector, Parse) {
   EXPECT_EQ(BackendSelector::parse("auto"), BackendSelector::Mode::kAuto);
   EXPECT_EQ(BackendSelector::parse("cdcl"), BackendSelector::Mode::kCdcl);
   EXPECT_EQ(BackendSelector::parse("count"), BackendSelector::Mode::kCount);
@@ -183,64 +180,30 @@ TEST(BackendSelector, ParseAndEnv) {
   EXPECT_EQ(BackendSelector::parse("ipasir"), BackendSelector::Mode::kIpasir);
   EXPECT_EQ(BackendSelector::parse("portfolio"), BackendSelector::Mode::kPortfolio);
   EXPECT_FALSE(BackendSelector::parse("minisat").has_value());
-
-  ASSERT_EQ(setenv("CT_SAT_BACKEND", "count", 1), 0);
-  EXPECT_EQ(BackendSelector::from_env().mode, BackendSelector::Mode::kCount);
-  // A typo'd value must fail fast, not silently fall back to auto (the
-  // run would test the wrong configuration while passing).
-  ASSERT_EQ(setenv("CT_SAT_BACKEND", "bogus", 1), 0);
-  EXPECT_THROW(BackendSelector::from_env(), ct::util::EnvParseError);
-  ASSERT_EQ(setenv("CT_SAT_BACKEND", "", 1), 0);
-  EXPECT_THROW(BackendSelector::from_env(), ct::util::EnvParseError);
-  unsetenv("CT_SAT_BACKEND");
-  EXPECT_EQ(BackendSelector::from_env().mode, BackendSelector::Mode::kAuto);
+  EXPECT_FALSE(BackendSelector::parse("").has_value());
 }
 
-TEST(BackendSelector, PortfolioEnvKnobs) {
-  unsetenv("CT_SAT_BACKEND");
-  unsetenv("CT_SAT_PORTFOLIO");
-  unsetenv("CT_SAT_PORTFOLIO_WIDTH");
-
+TEST(BackendSelector, PortfolioRacingWidth) {
   // Default: racing off, width 1 (no thread-budget division).
-  EXPECT_EQ(BackendSelector::from_env().portfolio_width, 0u);
-  EXPECT_EQ(BackendSelector::from_env().racing_width(), 1u);
+  BackendSelector selector;
+  EXPECT_EQ(selector.portfolio_width, 0u);
+  EXPECT_EQ(selector.racing_width(), 1u);
 
-  // CT_SAT_PORTFOLIO=1 arms auto-mode racing at the default width.
-  ASSERT_EQ(setenv("CT_SAT_PORTFOLIO", "1", 1), 0);
-  EXPECT_EQ(BackendSelector::from_env().portfolio_width, kDefaultPortfolioWidth);
-  EXPECT_EQ(BackendSelector::from_env().racing_width(), kDefaultPortfolioWidth);
+  // A width of 2 or more arms auto-mode racing, clamped to the slots.
+  selector.portfolio_width = kDefaultPortfolioWidth;
+  EXPECT_EQ(selector.racing_width(), kDefaultPortfolioWidth);
+  selector.portfolio_width = 3;
+  EXPECT_EQ(selector.racing_width(), 3u);
+  selector.portfolio_width = kMaxPortfolioWidth + 1;
+  EXPECT_EQ(selector.racing_width(), kMaxPortfolioWidth);
 
-  ASSERT_EQ(setenv("CT_SAT_PORTFOLIO_WIDTH", "3", 1), 0);
-  EXPECT_EQ(BackendSelector::from_env().portfolio_width, 3u);
-
-  // The width knob alone changes nothing while racing is off.
-  ASSERT_EQ(setenv("CT_SAT_PORTFOLIO", "0", 1), 0);
-  EXPECT_EQ(BackendSelector::from_env().portfolio_width, 0u);
-
-  // Bad values fail fast, with the accepted values in the message.
-  ASSERT_EQ(setenv("CT_SAT_PORTFOLIO", "yes", 1), 0);
-  EXPECT_THROW(BackendSelector::from_env(), ct::util::EnvParseError);
-  ASSERT_EQ(setenv("CT_SAT_PORTFOLIO", "1", 1), 0);
-  for (const char* bad : {"1", "5", "22", "two", ""}) {
-    ASSERT_EQ(setenv("CT_SAT_PORTFOLIO_WIDTH", bad, 1), 0);
-    try {
-      BackendSelector::from_env();
-      FAIL() << "width \"" << bad << "\" should be rejected";
-    } catch (const ct::util::EnvParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("2..4"), std::string::npos) << e.what();
-    }
-  }
-
-  // Forced portfolio mode parses from the same CT_SAT_BACKEND knob.
-  unsetenv("CT_SAT_PORTFOLIO");
-  unsetenv("CT_SAT_PORTFOLIO_WIDTH");
-  ASSERT_EQ(setenv("CT_SAT_BACKEND", "portfolio", 1), 0);
-  const BackendSelector forced = BackendSelector::from_env();
-  EXPECT_EQ(forced.mode, BackendSelector::Mode::kPortfolio);
-  EXPECT_GE(forced.racing_width(), 2u) << "forced mode always races";
-  ASSERT_EQ(setenv("CT_SAT_BACKEND", "ipasir", 1), 0);
-  EXPECT_EQ(BackendSelector::from_env().mode, BackendSelector::Mode::kIpasir);
-  unsetenv("CT_SAT_BACKEND");
+  // A width never makes a forced non-portfolio mode race...
+  selector.mode = BackendSelector::Mode::kCdcl;
+  EXPECT_EQ(selector.racing_width(), 1u);
+  // ...and forced portfolio mode always races.
+  selector.mode = BackendSelector::Mode::kPortfolio;
+  selector.portfolio_width = 0;
+  EXPECT_EQ(selector.racing_width(), kDefaultPortfolioWidth) << "forced mode always races";
 }
 
 TEST(SolverSession, CountsBackendSelectionAndEscalation) {
