@@ -8,26 +8,31 @@
 //   ./table1_dataset            # full simulated year (default)
 //   ./table1_dataset 84         # 84 simulated days (12 weeks)
 //
-// and an optional second argument to change the scenario seed.
+// and an optional second argument to change the scenario seed.  Both
+// are parsed strictly (examples/cli.h): junk, an out-of-range value or a
+// third argument prints a usage line and exits 2.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "../examples/cli.h"
 #include "analysis/experiment.h"
 #include "analysis/report.h"
 
 namespace ct::bench {
 
 inline analysis::ScenarioConfig scenario_from_args(int argc, char** argv) {
+  const examples::Usage usage{argv[0], "[days] [seed]"};
+  if (argc > 3) usage.fail(std::string("unexpected argument ") + argv[3]);
   analysis::ScenarioConfig config = analysis::default_scenario();
   if (argc > 1) {
-    const long days = std::strtol(argv[1], nullptr, 10);
-    if (days > 0) config.platform.num_days = static_cast<util::Day>(days);
+    config.platform.num_days = examples::parse_flag<util::Day>(
+        usage, "days", argv[1], 1, std::numeric_limits<util::Day>::max());
   }
-  if (argc > 2) config.seed = std::strtoull(argv[2], nullptr, 10);
+  if (argc > 2) config.seed = examples::parse_seed(usage, argv[2]);
   return config;
 }
 

@@ -18,18 +18,8 @@ void save_split(util::ByteWriter& w, const SolutionSplit& split) {
   for (const std::int64_t c : split.count) w.i64(c);
 }
 
-SolutionSplit load_split(util::ByteReader& r) {
-  SolutionSplit split;
-  for (std::int64_t& c : split.count) c = r.i64();
-  return split;
-}
-
 void save_gran(util::ByteWriter& w, util::Granularity g) {
   w.u8(static_cast<std::uint8_t>(g));
-}
-
-util::Granularity load_gran(util::ByteReader& r) {
-  return static_cast<util::Granularity>(r.u8());
 }
 
 void save_score(util::ByteWriter& w, const tomo::CensorScore& score) {
@@ -58,6 +48,19 @@ void save_leakage(util::ByteWriter& w, const tomo::LeakageReport& leakage) {
         w.i32(key.second);
       },
       [](util::ByteWriter& w, std::int64_t n) { w.i64(n); });
+}
+
+void save_churn_stats(util::ByteWriter& w, const ChurnStats& stats) {
+  util::save_map(w, stats.distinct_paths, save_gran,
+                 [](util::ByteWriter& w, const util::BucketedCounts& counts) {
+                   counts.save(w);
+                 });
+  util::save_map(w, stats.changed_fraction, save_gran,
+                 [](util::ByteWriter& w, double f) { w.f64(f); });
+  util::save_map(
+      w, stats.changed_by_dest_class,
+      [](util::ByteWriter& w, topo::AsClass cls) { w.u8(static_cast<std::uint8_t>(cls)); },
+      [](util::ByteWriter& w, double f) { w.f64(f); });
 }
 
 /// 64-bit FNV-1a over the payload bytes.  Every step is a bijection of
@@ -195,69 +198,6 @@ tomo::ClauseBuildStats load_clause_stats(util::ByteReader& r) {
   stats.usable_measurements = r.i64();
   stats.clauses = r.i64();
   return stats;
-}
-
-void save_churn_stats(util::ByteWriter& w, const ChurnStats& stats) {
-  util::save_map(w, stats.distinct_paths, save_gran,
-                 [](util::ByteWriter& w, const util::BucketedCounts& counts) {
-                   counts.save(w);
-                 });
-  util::save_map(w, stats.changed_fraction, save_gran,
-                 [](util::ByteWriter& w, double f) { w.f64(f); });
-  util::save_map(
-      w, stats.changed_by_dest_class,
-      [](util::ByteWriter& w, topo::AsClass cls) { w.u8(static_cast<std::uint8_t>(cls)); },
-      [](util::ByteWriter& w, double f) { w.f64(f); });
-}
-
-ChurnStats load_churn_stats(util::ByteReader& r) {
-  ChurnStats stats;
-  util::load_map(r, stats.distinct_paths, load_gran, [](util::ByteReader& r) {
-    util::BucketedCounts counts(4);
-    counts.load(r);
-    return counts;
-  });
-  util::load_map(r, stats.changed_fraction, load_gran,
-                 [](util::ByteReader& r) { return r.f64(); });
-  util::load_map(
-      r, stats.changed_by_dest_class,
-      [](util::ByteReader& r) { return static_cast<topo::AsClass>(r.u8()); },
-      [](util::ByteReader& r) { return r.f64(); });
-  return stats;
-}
-
-void save_live_report(util::ByteWriter& w, const LiveReport& report) {
-  w.i32(report.watermark);
-  w.i64(report.cnfs_analyzed);
-  save_split(w, report.overall);
-  util::save_map(
-      w, report.by_url, [](util::ByteWriter& w, std::int32_t url) { w.i32(url); },
-      save_split);
-  util::save_map(
-      w, report.exact_censor_cnfs, [](util::ByteWriter& w, topo::AsId as) { w.i32(as); },
-      [](util::ByteWriter& w, std::int64_t n) { w.i64(n); });
-  util::save_map(
-      w, report.potential_censor_cnfs, [](util::ByteWriter& w, topo::AsId as) { w.i32(as); },
-      [](util::ByteWriter& w, std::int64_t n) { w.i64(n); });
-  save_churn_stats(w, report.churn);
-}
-
-LiveReport load_live_report(util::ByteReader& r) {
-  LiveReport report;
-  report.watermark = r.i32();
-  report.cnfs_analyzed = r.i64();
-  report.overall = load_split(r);
-  util::load_map(
-      r, report.by_url, [](util::ByteReader& r) { return r.i32(); }, load_split);
-  util::load_map(
-      r, report.exact_censor_cnfs, [](util::ByteReader& r) { return topo::AsId{r.i32()}; },
-      [](util::ByteReader& r) { return r.i64(); });
-  util::load_map(
-      r, report.potential_censor_cnfs,
-      [](util::ByteReader& r) { return topo::AsId{r.i32()}; },
-      [](util::ByteReader& r) { return r.i64(); });
-  report.churn = load_churn_stats(r);
-  return report;
 }
 
 void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats) {

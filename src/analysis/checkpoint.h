@@ -38,7 +38,6 @@
 #include <string>
 
 #include "analysis/experiment.h"
-#include "analysis/live_report.h"
 #include "util/serde.h"
 
 namespace ct::analysis {
@@ -58,7 +57,12 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // v4: the payload holds the main pass's, the Figure-4 pass's and the
 // snapshot server's counters as three EngineStats records instead of
 // one combined record; v3 checkpoints are refused by the same rule.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// v5: each CNF grouper stores only what it restores — its open window
+// groups (key, positive ids, sorted negative ids) and its watermark,
+// no longer an empty private path pool, a sorted copy of each group's
+// positive ids, or its emitted-CNF count; v4 checkpoints are refused by
+// the same rule.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).
@@ -92,12 +96,6 @@ std::string read_checkpoint_file(const std::string& path);
 
 void save_clause_stats(util::ByteWriter& w, const tomo::ClauseBuildStats& stats);
 tomo::ClauseBuildStats load_clause_stats(util::ByteReader& r);
-
-void save_churn_stats(util::ByteWriter& w, const ChurnStats& stats);
-ChurnStats load_churn_stats(util::ByteReader& r);
-
-void save_live_report(util::ByteWriter& w, const LiveReport& report);
-LiveReport load_live_report(util::ByteReader& r);
 
 /// SAT engine counters — the monitor checkpoints one cumulative record
 /// per analysis pass (and one for its snapshot server) so counters keep

@@ -44,14 +44,6 @@ void LiveCounts::add(const tomo::CnfVerdict& v) {
   }
 }
 
-void LiveCounts::fill(LiveReport& report) const {
-  report.cnfs_analyzed = cnfs;
-  report.overall = overall;
-  report.by_url = by_url;
-  report.exact_censor_cnfs = exact_censor_cnfs;
-  report.potential_censor_cnfs = potential_censor_cnfs;
-}
-
 void LiveCounts::save(util::ByteWriter& w) const {
   w.i64(cnfs);
   save_split(w, overall);

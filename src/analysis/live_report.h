@@ -25,6 +25,29 @@
 
 namespace ct::analysis {
 
+/// The LiveReport verdict counts as an incremental fold — the one
+/// implementation behind both the any-time snapshots (the pipeline's
+/// release path) and VerdictFold's figure products, so the two can
+/// never drift.  Fixed-size up to the URL/AS key spaces; retains no
+/// per-CNF state.
+struct LiveCounts {
+  /// CNFs analyzed so far (all granularities).
+  std::int64_t cnfs = 0;
+  /// Verdict counts so far: overall and per URL.
+  SolutionSplit overall;
+  std::map<std::int32_t, SolutionSplit> by_url;
+  /// Per-AS verdict counts so far: CNFs exactly naming the AS a censor
+  /// (class 1) / listing it as a potential censor (class 2).
+  std::map<topo::AsId, std::int64_t> exact_censor_cnfs;
+  std::map<topo::AsId, std::int64_t> potential_censor_cnfs;
+
+  void add(const tomo::CnfVerdict& verdict);
+
+  /// Checkpoint support (analysis/checkpoint.h).
+  void save(util::ByteWriter& w) const;
+  void load(util::ByteReader& r);
+};
+
 /// Any-time snapshot of a monitor run, valid at a watermark: the
 /// verdict counts cover exactly the CNFs of windows sealed by the
 /// watermark (in emitted-CNF order), and the churn stats cover exactly
@@ -33,38 +56,9 @@ namespace ct::analysis {
 struct LiveReport {
   /// Every window ending at or before this day is included.
   util::Day watermark = 0;
-  /// CNFs analyzed so far (all granularities).
-  std::int64_t cnfs_analyzed = 0;
-  /// Verdict counts so far: overall and per URL.
-  SolutionSplit overall;
-  std::map<std::int32_t, SolutionSplit> by_url;
-  /// Per-AS verdict counts so far: CNFs exactly naming the AS a censor
-  /// (class 1) / listing it as a potential censor (class 2).
-  std::map<topo::AsId, std::int64_t> exact_censor_cnfs;
-  std::map<topo::AsId, std::int64_t> potential_censor_cnfs;
+  LiveCounts counts;
   /// Figure-3 churn stats over the sealed days.
   ChurnStats churn;
-};
-
-/// The LiveReport verdict counts as an incremental fold — the one
-/// implementation behind both the any-time snapshots (the pipeline's
-/// release path) and VerdictFold's figure products, so the two can
-/// never drift.  Fixed-size up to the URL/AS key spaces; retains no
-/// per-CNF state.
-struct LiveCounts {
-  std::int64_t cnfs = 0;
-  SolutionSplit overall;
-  std::map<std::int32_t, SolutionSplit> by_url;
-  std::map<topo::AsId, std::int64_t> exact_censor_cnfs;
-  std::map<topo::AsId, std::int64_t> potential_censor_cnfs;
-
-  void add(const tomo::CnfVerdict& verdict);
-  /// Copies the counts into `report` (watermark/churn are the caller's).
-  void fill(LiveReport& report) const;
-
-  /// Checkpoint support (analysis/checkpoint.h).
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
 };
 
 /// Incremental fold of the main pass's verdicts into the Figure-1/2
@@ -81,7 +75,7 @@ class VerdictFold {
   Fig2Data fig2() const;
 
   /// The LiveCounts accumulated so far — the monitor's snapshot server
-  /// fills LiveReports from here without a second fold.
+  /// copies them into its LiveReports without a second fold.
   const LiveCounts& counts() const { return counts_; }
 
   /// Checkpoint support (analysis/checkpoint.h): persists every

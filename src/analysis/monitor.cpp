@@ -80,9 +80,9 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
       fingerprint_(config_fingerprint(scenario, options_.experiment)),
       // The groupers only store the lane pool's address here; it is
       // constructed before their first use.
-      grouper_(tomo::CnfBuildOptions{}, &pool_, &analysis_pool_),
+      grouper_(pool_, {}, &analysis_pool_),
       strip_(scenario.graph().num_ases(), scenario.platform().config().num_urls),
-      ablation_grouper_(ablation_build_options(options_.experiment), &pool_, &analysis_pool_),
+      ablation_grouper_(pool_, ablation_build_options(options_.experiment), &analysis_pool_),
       churn_fold_(scenario.graph(), scenario.platform().vantages(),
                   scenario.platform().dest_ases(), scenario.platform().config().num_days,
                   scenario.platform().config().epochs_per_day),
@@ -166,13 +166,13 @@ void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
   // grouper.  The raw clauses live only until then — the retained
   // gauge proves it.
   const auto retained = static_cast<std::int64_t>(clauses.size());
-  grouper_.add(pool_, clauses);
+  grouper_.add(clauses);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < clauses.size(); ++i) {
     if (strip_.keep(pool_, clauses[i])) clauses[kept++] = clauses[i];
   }
   clauses.resize(kept);
-  ablation_grouper_.add(pool_, clauses);
+  ablation_grouper_.add(clauses);
   clauses = {};
   retained_.sub(retained);
 
@@ -213,7 +213,7 @@ void MonitorEngine::analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs
 void MonitorEngine::publish_report() {
   auto report = std::make_shared<LiveReport>();
   report->watermark = watermark_;
-  folds_.verdicts.counts().fill(*report);
+  report->counts = folds_.verdicts.counts();
   report->churn = churn_fold_.snapshot();
   server_.publish(std::move(report));
 }
@@ -295,9 +295,9 @@ void MonitorEngine::restore(const std::string& bytes) {
     // The groupers' copies borrow the member pool, not `pool`: bound
     // their path ids by the loaded pool's size.
     const std::int32_t num_urls = scenario_->platform().config().num_urls;
-    grouper.load(r, num_urls, num_ases, pool.size());
+    grouper.load(r, num_urls, pool.size());
     strip.load(r, pool.size());
-    ablation_grouper.load(r, num_urls, num_ases, pool.size());
+    ablation_grouper.load(r, num_urls, pool.size());
     churn_fold.load(r);
     folds.load(r, num_ases);
     summary.load(r, num_urls);

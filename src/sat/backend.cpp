@@ -27,6 +27,35 @@ const char* to_string(BackendKind kind) {
 
 namespace {
 
+// Auto selection's shape thresholds.
+//
+// Unit propagation is tried first when at least this fraction of
+// clauses are units (tomography CNFs are dominated by negative units,
+// which is what makes propagation decisive)...
+constexpr double kUnitPropMinUnitFraction = 0.5;
+// ...or when the formula is this small (a failed presolve on a tiny CNF
+// costs next to nothing).
+constexpr std::int32_t kUnitPropMaxVars = 16;
+// The counting backend pays only when the requested count bound exceeds
+// this (or is 0 = unbounded): one exact DPLL count always pays the full
+// model count, while incremental enumeration stops at the cap — so
+// shallow caps (Figure 4's 6) enumerate and deep/unbounded counts go to
+// the counter...
+constexpr std::uint64_t kCountMinCap = 16;
+// ...and only below this clause density — DPLL counting explodes on
+// dense formulas where enumeration-to-cap stays cheap.
+constexpr double kCountMaxDensity = 2.0;
+// The portfolio hardness gate: CNFs the CDCL route would get anyway,
+// big enough and in the clause/var density band where search time
+// explodes (random 3-SAT threshold ~4.3), and not unit-dominated
+// (unit-rich tomography windows are decided nearly instantly).  A
+// conflict-budget probe inside PortfolioBackend catches the easy
+// survivors of this shape test before any race starts.
+constexpr std::int32_t kPortfolioMinVars = 40;
+constexpr double kPortfolioMinDensity = 3.0;
+constexpr double kPortfolioMaxDensity = 5.5;
+constexpr double kPortfolioMaxUnitFraction = 0.25;
+
 [[noreturn]] void no_search(const char* op) {
   throw std::logic_error(std::string("SolverBackend: ") + op +
                          " called on a backend without search support");
@@ -225,12 +254,12 @@ BackendPlan BackendSelector::plan(const FormulaShape& shape,
   // first whenever the shape suggests it decides the formula.
   const bool deep_count =
       workload.resolve_counts &&
-      (workload.count_cap == 0 || workload.count_cap > count_min_cap);
-  p.fallback = deep_count && shape.density() <= count_max_density
+      (workload.count_cap == 0 || workload.count_cap > kCountMinCap);
+  p.fallback = deep_count && shape.density() <= kCountMaxDensity
                    ? BackendKind::kCount
                    : BackendKind::kCdcl;
-  const bool unit_rich = shape.unit_fraction() >= unitprop_min_unit_fraction;
-  const bool tiny = shape.num_vars <= unitprop_max_vars;
+  const bool unit_rich = shape.unit_fraction() >= kUnitPropMinUnitFraction;
+  const bool tiny = shape.num_vars <= kUnitPropMaxVars;
   p.primary = (unit_rich || tiny) ? BackendKind::kUnitProp : p.fallback;
   // Portfolio hardness gate: only CNFs the plain CDCL route would get
   // anyway, of racing-worthy size, in the density band where CDCL time
@@ -238,10 +267,10 @@ BackendPlan BackendSelector::plan(const FormulaShape& shape,
   // test are caught by the conflict-budget probe inside the portfolio
   // itself — so a misjudged gate costs one cheap probe, never a race.
   if (p.primary == BackendKind::kCdcl && racing_width() >= 2 &&
-      shape.num_vars >= portfolio_min_vars &&
-      shape.density() >= portfolio_min_density &&
-      shape.density() <= portfolio_max_density &&
-      shape.unit_fraction() <= portfolio_max_unit_fraction) {
+      shape.num_vars >= kPortfolioMinVars &&
+      shape.density() >= kPortfolioMinDensity &&
+      shape.density() <= kPortfolioMaxDensity &&
+      shape.unit_fraction() <= kPortfolioMaxUnitFraction) {
     p.primary = BackendKind::kPortfolio;
     p.portfolio_width = racing_width();
   }

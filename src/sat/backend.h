@@ -221,46 +221,19 @@ struct BackendPlan {
 };
 
 /// Per-CNF backend selection policy.  Mode kAuto picks by formula
-/// shape and workload; the forced modes pin every CNF to one backend
-/// (verdicts are byte-identical either way — forcing is for tests and
-/// benchmarks).
+/// shape and workload (thresholds in backend.cpp); the forced modes pin
+/// every CNF to one backend (verdicts are byte-identical either way —
+/// forcing is for tests and benchmarks).
 struct BackendSelector {
   enum class Mode : std::uint8_t { kAuto = 0, kCdcl, kCount, kUnitProp, kIpasir, kPortfolio };
 
   Mode mode = Mode::kAuto;
-  /// Auto tries the unit-prop fast path when at least this fraction of
-  /// clauses are units (tomography CNFs are dominated by negative
-  /// units, which is what makes propagation decisive)...
-  double unitprop_min_unit_fraction = 0.5;
-  /// ...or when the formula is this small (a failed presolve on a tiny
-  /// CNF costs next to nothing).
-  std::int32_t unitprop_max_vars = 16;
-  /// Auto prefers the counting backend only when the requested count
-  /// bound exceeds this (or is 0 = unbounded): one exact DPLL count
-  /// always pays the full model count, while incremental enumeration
-  /// stops at the cap — so shallow caps (Figure 4's 6) enumerate and
-  /// deep/unbounded counts go to the counter.
-  std::uint64_t count_min_cap = 16;
-  /// ...and only below this clause density — DPLL counting explodes on
-  /// dense formulas where enumeration-to-cap stays cheap.
-  double count_max_density = 2.0;
-
   /// Portfolio racing (README "Portfolio racing").  0/1 disables the
   /// gate; >= 2 lets auto mode route *hard* CDCL-bound CNFs to the
   /// portfolio, and forced kPortfolio mode race every CNF.  Verdicts
   /// are byte-identical either way — racing only changes which
   /// diversified search finds the (semantically unique) answer first.
   unsigned portfolio_width = 0;
-  /// The hardness gate: CNFs the CDCL route would get anyway, big
-  /// enough and in the clause/var density band where search time
-  /// explodes (random 3-SAT threshold ~4.3), and not unit-dominated
-  /// (unit-rich tomography windows are decided nearly instantly).  A
-  /// conflict-budget probe inside PortfolioBackend catches the easy
-  /// survivors of this shape test before any race starts.
-  std::int32_t portfolio_min_vars = 40;
-  double portfolio_min_density = 3.0;
-  double portfolio_max_density = 5.5;
-  double portfolio_max_unit_fraction = 0.25;
 
   /// Members a race would run: >= 2 when racing can engage (auto mode
   /// with portfolio_width set, or forced kPortfolio mode), else 1.

@@ -2,41 +2,6 @@
 
 #include <vector>
 
-#ifdef CT_WITH_IPASIR_EXT
-
-// --- external IPASIR solver --------------------------------------------
-// Forward the whole ct_sat_* surface to the ipasir_* symbols of
-// whatever IPASIR solver the build links — the adapter below runs
-// unchanged against it.
-
-extern "C" {
-const char* ipasir_signature(void);
-void* ipasir_init(void);
-void ipasir_release(void* solver);
-void ipasir_add(void* solver, int lit_or_zero);
-void ipasir_assume(void* solver, int lit);
-int ipasir_solve(void* solver);
-int ipasir_val(void* solver, int lit);
-}
-
-extern "C" {
-
-const char* ct_sat_signature(void) { return ipasir_signature(); }
-void* ct_sat_init(void) { return ipasir_init(); }
-void ct_sat_release(void* solver) {
-  if (solver != nullptr) ipasir_release(solver);
-}
-void ct_sat_add(void* solver, int lit_or_zero) { ipasir_add(solver, lit_or_zero); }
-void ct_sat_assume(void* solver, int lit) { ipasir_assume(solver, lit); }
-int ct_sat_solve(void* solver) { return ipasir_solve(solver); }
-int ct_sat_val(void* solver, int lit) { return ipasir_val(solver, lit); }
-
-}  // extern "C"
-
-#else  // !CT_WITH_IPASIR_EXT
-
-// --- in-tree implementation over CdclBackend ---------------------------
-
 namespace {
 
 using ct::sat::CdclBackend;
@@ -124,8 +89,6 @@ int ct_sat_val(void* solver, int lit) {
 }
 
 }  // extern "C"
-
-#endif  // CT_WITH_IPASIR_EXT
 
 namespace ct::sat {
 

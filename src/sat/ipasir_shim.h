@@ -8,23 +8,17 @@
 // literal streams / assume / solve returning 10-SAT 20-UNSAT 0-unknown
 // / val / release) — the C ABI every IPASIR-compatible solver exports.
 //
-// Two things live behind it:
-//
-//   * The default implementation wraps the in-tree CdclBackend, so the
-//     whole pipeline can run through the flat-C boundary
-//     (BackendSelector::Mode::kIpasir) and prove the seam loses nothing
-//     — the equivalence suites hold ipasir-routed verdicts
-//     byte-identical to direct CDCL.
-//   * Building with -DCT_WITH_IPASIR_EXT instead forwards every
-//     ct_sat_* call to the external `ipasir_*` symbols, turning any
-//     linked IPASIR solver into a drop-in backend with zero further
-//     code changes.
+// The implementation behind it wraps the in-tree CdclBackend, so the
+// whole pipeline can run through the flat-C boundary
+// (BackendSelector::Mode::kIpasir) and prove the seam loses nothing —
+// the equivalence suites hold ipasir-routed verdicts byte-identical to
+// direct CDCL.
 //
 // IpasirBackend is the SolverBackend adapter consuming *only* this C
-// surface — no reach-around into Solver internals, so it works
-// unchanged against an external solver.  Retraction is emulated the
-// IPASIR way (a permanent unit clause on the activation literal), and
-// every load() is a fresh ct_sat_init.
+// surface — no reach-around into Solver internals, so an external
+// solver exporting the same calls could serve it unchanged.
+// Retraction is emulated the IPASIR way (a permanent unit clause on the
+// activation literal), and every load() is a fresh ct_sat_init.
 #pragma once
 
 #include <cstdint>

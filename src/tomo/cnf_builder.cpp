@@ -84,11 +84,10 @@ void StreamingCnfBuilder::StampTable::grow() {
   }
 }
 
-StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool,
+StreamingCnfBuilder::StreamingCnfBuilder(const PathPool& pool, CnfBuildOptions options,
                                          util::ThreadPool* threads)
-    : require_positive_(options.require_positive),
-      granularities_(canonical_granularities(std::move(options.granularities))),
-      borrowed_pool_(pool),
+    : granularities_(canonical_granularities(std::move(options.granularities))),
+      pool_(&pool),
       threads_(threads) {}
 
 std::size_t StreamingCnfBuilder::open_groups(const Chain& chain) {
@@ -142,7 +141,7 @@ void StreamingCnfBuilder::for_each_range(std::size_t ranges, const RangeFn& fn) 
   }
 }
 
-void StreamingCnfBuilder::add(const PathPool& pool, std::span<const PathClause> clauses) {
+void StreamingCnfBuilder::add(std::span<const PathClause> clauses) {
   // Every check that does not depend on chain state runs before any
   // state is touched, so such a rejected batch leaves no trace.
   std::int32_t max_url = -1;
@@ -158,7 +157,7 @@ void StreamingCnfBuilder::add(const PathPool& pool, std::span<const PathClause> 
                              std::to_string(clause.url_id) + ", anomaly " + std::to_string(a) +
                              ")");
     }
-    if (clause.path_id < 0 || static_cast<std::size_t>(clause.path_id) >= pool.size()) {
+    if (clause.path_id < 0 || static_cast<std::size_t>(clause.path_id) >= pool_->size()) {
       throw std::logic_error("StreamingCnfBuilder::add: invalid path id " +
                              std::to_string(clause.path_id));
     }
@@ -169,13 +168,6 @@ void StreamingCnfBuilder::add(const PathPool& pool, std::span<const PathClause> 
   const std::size_t needed = chain_index(max_url, censor::Anomaly::kDns) + censor::kNumAnomalies;
   if (needed > chains_.size()) chains_.resize(needed);
 
-  // Owned pool: re-intern serially, then file the translated copy.
-  std::vector<PathClause> interned;
-  if (borrowed_pool_ == nullptr) {
-    interned.assign(clauses.begin(), clauses.end());
-    for (PathClause& clause : interned) clause.path_id = pool_.intern(pool.get(clause.path_id));
-    clauses = interned;
-  }
   // Each range's worker scans the whole batch and files the clauses of
   // its own chains, in batch order.  The stream is day-major, so the
   // day's windows are recomputed only when the day changes.
@@ -265,10 +257,10 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
   // ASes seen on any clean path (the negative units), then the rest of
   // the variable space: every AS observed in this CNF's clauses.
   for (const auto id : group.negative_ids) {
-    for (const topo::AsId as : pool().get(id)) scratch.touch(as).clean = true;
+    for (const topo::AsId as : pool_->get(id)) scratch.touch(as).clean = true;
   }
   for (const auto id : group.positive_ids) {
-    for (const topo::AsId as : pool().get(id)) scratch.touch(as);
+    for (const topo::AsId as : pool_->get(id)) scratch.touch(as);
   }
   std::sort(scratch.as_list.begin(), scratch.as_list.end());
   tc.vars = scratch.as_list;
@@ -291,7 +283,7 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
   // Positive disjunctions, one literal per distinct AS in path order
   // (paths are a handful of hops, so a linear duplicate scan is cheapest).
   for (const auto id : group.positive_ids) {
-    const auto& path = pool().get(id);
+    const auto& path = pool_->get(id);
     std::vector<sat::Lit> lits;
     for (const topo::AsId as : path) {
       const sat::Lit lit(slots[static_cast<std::size_t>(as)].var, /*negated=*/false);
@@ -319,7 +311,7 @@ void StreamingCnfBuilder::close_chain(std::size_t index, util::Day complete_befo
       const Group& group = groups[closed];
       // 64-bit: a window end may exceed the Day range.
       if ((group.window + std::int64_t{1}) * length > complete_before) break;
-      if (require_positive_ && group.positive_ids.empty()) continue;
+      if (group.positive_ids.empty()) continue;
       key.window = group.window;
       out.push_back(build_group(key, group, scratch));
     }
@@ -345,7 +337,6 @@ std::vector<TomoCnf> StreamingCnfBuilder::close_before(util::Day complete_before
   std::vector<TomoCnf> out;
   out.reserve(total);
   for (auto& part : by_range) std::move(part.begin(), part.end(), std::back_inserter(out));
-  emitted_ += static_cast<std::int64_t>(out.size());
   return out;
 }
 
@@ -361,19 +352,10 @@ std::vector<TomoCnf> StreamingCnfBuilder::flush() {
 }
 
 void StreamingCnfBuilder::save(util::ByteWriter& w) const {
-  // pool_ is only populated in owned-pool mode; in borrowed mode it is
-  // empty and this is one zero-length prefix.
-  pool_.save(w);
   // Open groups in CnfKey order, each as its positive ids in
-  // first-occurrence order followed by the sorted positive and
-  // negative id sets.
+  // first-occurrence order followed by the sorted negative id set.
   w.size(open_windows());
-  std::vector<PathPool::PathId> sorted;
-  const auto save_sorted = [&](const std::vector<PathPool::PathId>& ids) {
-    sorted = ids;
-    std::sort(sorted.begin(), sorted.end());
-    util::save_vec(w, sorted, save_path_id);
-  };
+  std::vector<PathPool::PathId> negatives;
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     CnfKey key = chain_key(c);
     for (std::size_t gi = 0; gi < kNumGranularities; ++gi) {
@@ -382,22 +364,19 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
         key.window = group.window;
         save_cnf_key(w, key);
         util::save_vec(w, group.positive_ids, save_path_id);
-        save_sorted(group.positive_ids);
-        save_sorted(group.negative_ids);
+        negatives = group.negative_ids;
+        std::sort(negatives.begin(), negatives.end());
+        util::save_vec(w, negatives, save_path_id);
       }
     }
   }
   w.i32(watermark_);
-  w.i64(emitted_);
 }
 
 void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls,
-                               std::int32_t num_ases, std::size_t num_paths) {
-  pool_.load(r, num_ases);
-  const std::size_t path_bound = borrowed_pool_ != nullptr ? num_paths : pool_.size();
+                               std::size_t num_paths) {
   chains_.clear();
   const std::size_t n = r.size();
-  std::vector<PathPool::PathId> positive_set;
   CnfKey previous;
   for (std::size_t i = 0; i < n; ++i) {
     const CnfKey key = load_cnf_key(r);
@@ -414,15 +393,14 @@ void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls,
     Group group;
     group.window = key.window;
     util::load_vec(r, group.positive_ids, load_path_id);
-    util::load_vec(r, positive_set, load_path_id);  // implied by positive_ids
     util::load_vec(r, group.negative_ids, load_path_id);
-    const auto outside = [path_bound](PathPool::PathId id) {
-      return id < 0 || static_cast<std::size_t>(id) >= path_bound;
+    const auto outside = [num_paths](PathPool::PathId id) {
+      return id < 0 || static_cast<std::size_t>(id) >= num_paths;
     };
     if (std::any_of(group.positive_ids.begin(), group.positive_ids.end(), outside) ||
         std::any_of(group.negative_ids.begin(), group.negative_ids.end(), outside)) {
       throw util::SerdeError("StreamingCnfBuilder::load: path id outside the pool's " +
-                             std::to_string(path_bound) + " paths");
+                             std::to_string(num_paths) + " paths");
     }
     Chain& chain = chain_at(key.url_id, key.anomaly);
     chain.groups[static_cast<std::size_t>(key.granularity)].push_back(std::move(group));
@@ -442,7 +420,6 @@ void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls,
     }
   }
   watermark_ = r.i32();
-  emitted_ = r.i64();
 }
 
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
@@ -451,8 +428,8 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
     util::ThreadPool local;
     return build_cnfs(pool, clauses, options, &local);
   }
-  StreamingCnfBuilder builder(options, &pool, threads);
-  builder.add(pool, clauses);
+  StreamingCnfBuilder builder(pool, options, threads);
+  builder.add(clauses);
   return builder.flush();
 }
 

@@ -7,9 +7,9 @@
 //     variables,
 //   * a negative clause contributes a negative unit clause for each AS
 //     on its path ("this AS was observed censorship-free").
-// Duplicate constraints are deduplicated.  By default, CNFs with no
-// positive clause are skipped: they are trivially uniquely satisfied by
-// the all-False assignment and identify no censors (see DESIGN.md §5).
+// Duplicate constraints are deduplicated.  CNFs with no positive clause
+// are skipped: they are trivially uniquely satisfied by the all-False
+// assignment and identify no censors (see DESIGN.md §5).
 //
 // Two construction modes share one grouping implementation:
 //   * build_cnfs() — the batch path: group a fully materialized clause
@@ -91,8 +91,6 @@ struct TomoCnf {
 };
 
 struct CnfBuildOptions {
-  /// Skip CNFs containing no positive clause.
-  bool require_positive = true;
   /// Granularities to build (all four by default).
   std::vector<util::Granularity> granularities{util::Granularity::kDay,
                                                util::Granularity::kWeek,
@@ -121,41 +119,34 @@ struct CnfBuildOptions {
 /// concatenation of all emitted batches is, as a set, exactly what
 /// build_cnfs() returns on the same stream — bit-identical CNFs, since
 /// both run this class.  None of it depends on the borrowed thread
-/// pool's size.  In its default mode the builder owns a private
-/// PathPool, so it can ingest clauses from any caller pool without
-/// coordinating path ids.
+/// pool's size.
 ///
 /// Memory: a chain's dedupe stamps are dropped as soon as it has no
 /// open group, so incremental state stays O(open windows).
 class StreamingCnfBuilder {
  public:
-  /// `pool` null selects owned-pool mode: every add() re-interns its
-  /// paths into a private pool, for callers whose source pool ids are
-  /// not canonical or not stable.  A non-null `pool` selects
-  /// borrowed-pool mode: every add() will come from `*pool`, whose ids
-  /// are already canonical (equal id <=> equal path), so clauses are
-  /// filed with no re-intern.  Every production caller borrows —
-  /// build_cnfs and the resident monitor (which interns each segment's
-  /// clauses into one persistent pool, then borrows it).  `threads`, if
-  /// given, runs filing and emission over chain ranges on its lanes;
-  /// null or one lane runs inline.  Both borrowed objects must outlive
-  /// the builder (appending to the pool is fine; renumbering is not),
-  /// and the builder must be the thread pool's only user while one of
-  /// its calls runs.
-  explicit StreamingCnfBuilder(CnfBuildOptions options = {}, const PathPool* pool = nullptr,
+  /// Every clause add() takes resolves its path id in `pool`, whose ids
+  /// are canonical (equal id <=> equal path), so clauses are filed by id
+  /// with no re-intern: build_cnfs borrows its caller's pool, and the
+  /// resident monitor interns each segment's clauses into one persistent
+  /// pool and borrows that.  `threads`, if given, runs filing and
+  /// emission over chain ranges on its lanes; null or one lane runs
+  /// inline.  Both borrowed objects must outlive the builder (appending
+  /// to the pool is fine; renumbering is not), and the builder must be
+  /// the thread pool's only user while one of its calls runs.
+  explicit StreamingCnfBuilder(const PathPool& pool, CnfBuildOptions options = {},
                                util::ThreadPool* threads = nullptr);
 
-  /// Files `clauses` (whose path ids resolve in `pool`), in span order
-  /// within each chain, into their open window groups.  Throws
-  /// std::logic_error before touching any state if a clause precedes
-  /// the watermark (its window has already been emitted) or carries an
-  /// invalid path id, URL or anomaly.  A clause that moves its chain
-  /// back to an earlier window (the ordering precondition) throws too;
-  /// it is not filed, but other clauses of the batch may have been, and
-  /// in owned-pool mode the batch's paths stay interned.
-  void add(const PathPool& pool, std::span<const PathClause> clauses);
+  /// Files `clauses`, in span order within each chain, into their open
+  /// window groups.  Throws std::logic_error before touching any state
+  /// if a clause precedes the watermark (its window has already been
+  /// emitted) or carries an invalid path id, URL or anomaly.  A clause
+  /// that moves its chain back to an earlier window (the ordering
+  /// precondition) throws too; it is not filed, but other clauses of the
+  /// batch may have been.
+  void add(std::span<const PathClause> clauses);
   /// One clause: a span of one, filed inline.
-  void add(const PathPool& pool, const PathClause& clause) { add(pool, {&clause, 1}); }
+  void add(const PathClause& clause) { add(std::span<const PathClause>(&clause, 1)); }
 
   /// Raises the watermark to `complete_before` (no-op if not an
   /// increase) and emits the now-complete CNFs, sorted by key.  A window
@@ -170,26 +161,22 @@ class StreamingCnfBuilder {
   /// Lowest day a new clause may still carry.
   util::Day watermark() const { return watermark_; }
   std::size_t open_windows() const;
-  std::int64_t emitted() const { return emitted_; }
 
   /// Checkpoint support (analysis/checkpoint.h): persists the open
-  /// window groups in chain order, the watermark, and the emitted count
-  /// — NOT the options or the borrowed pools, which are
+  /// window groups in key order, each as its key, its positive path ids
+  /// in first-occurrence order and its sorted negative path ids, then
+  /// the watermark — NOT the options or the borrowed pools, which are
   /// construction-time config the restoring caller must recreate (the
   /// checkpoint envelope's config fingerprint guards the options; the
-  /// thread count never changes the bytes).  In borrowed-pool mode the
-  /// group path ids resolve in the borrowed pool, so the caller must
-  /// save/load that pool alongside.  load() throws util::SerdeError for
-  /// a window whose url_id is not below `num_urls` (the chain table is
-  /// sized by the largest url_id, so an unbounded id would allocate in
-  /// proportion to it), for a private-pool AS id outside
-  /// [0, num_ases), and for a path id outside the pool it resolves in:
-  /// below `num_paths` in borrowed-pool mode (the size of the pool the
-  /// caller loaded alongside, which the builder need not borrow yet),
-  /// below the loaded private pool's size in owned-pool mode.
+  /// thread count never changes the bytes).  The path ids resolve in the
+  /// borrowed pool, so the caller must save/load that pool alongside.
+  /// load() throws util::SerdeError for a window whose url_id is not
+  /// below `num_urls` (the chain table is sized by the largest url_id,
+  /// so an unbounded id would allocate in proportion to it), and for a
+  /// path id outside [0, num_paths): the size of the pool the caller
+  /// loaded alongside, which the builder need not borrow yet.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r, std::int32_t num_urls, std::int32_t num_ases,
-            std::size_t num_paths);
+  void load(util::ByteReader& r, std::int32_t num_urls, std::size_t num_paths);
 
  private:
   static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
@@ -284,19 +271,16 @@ class StreamingCnfBuilder {
   void close_chain(std::size_t index, util::Day complete_before, EmitScratch& scratch,
                    std::vector<TomoCnf>& out);
   TomoCnf build_group(const CnfKey& key, const Group& group, EmitScratch& scratch) const;
-  const PathPool& pool() const { return borrowed_pool_ ? *borrowed_pool_ : pool_; }
 
-  bool require_positive_ = true;
   /// The configured granularities, sorted by enum value with duplicates
   /// removed (a duplicate granularity files into the same group).
   std::vector<util::Granularity> granularities_;
-  const PathPool* borrowed_pool_ = nullptr;
-  PathPool pool_;  // used only when not borrowing
+  /// Never null; a pointer so the builder stays copy-assignable.
+  const PathPool* pool_;
   util::ThreadPool* threads_ = nullptr;
   /// Indexed by chain_index(url_id, anomaly).
   std::vector<Chain> chains_;
   util::Day watermark_ = 0;
-  std::int64_t emitted_ = 0;
   /// Indexed by worker; grown to the lane count on first emission.
   std::vector<EmitScratch> scratch_;
 };

@@ -405,16 +405,21 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
     v2.str(open_checkpoint(bytes, fingerprint).payload);
     EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
 
-    // A version-3 envelope (one combined EngineStats record) is refused by
-    // its version field too, even with a valid checksum.
-    ASSERT_EQ(kCheckpointVersion, 4u);
-    std::string v3 = bytes;
-    util::ByteWriter version;
-    version.u32(3);
-    v3.replace(4, 4, version.bytes());
-    EXPECT_THROW(open_checkpoint(v3, fingerprint), CheckpointError);
-    MonitorEngine resumed(scenario, monitor_options(mode.shards));
-    EXPECT_THROW(resumed.restore(v3), CheckpointError);
+    // A version-3 envelope (one combined EngineStats record) and a
+    // version-4 one (groupers with a private pool, positive-id sets and
+    // an emitted count) are refused by their version field too, even
+    // with a valid checksum.
+    ASSERT_EQ(kCheckpointVersion, 5u);
+    for (const std::uint32_t old : {3u, 4u}) {
+      SCOPED_TRACE("version " + std::to_string(old));
+      std::string stale = bytes;
+      util::ByteWriter version;
+      version.u32(old);
+      stale.replace(4, 4, version.bytes());
+      EXPECT_THROW(open_checkpoint(stale, fingerprint), CheckpointError);
+      MonitorEngine resumed(scenario, monitor_options(mode.shards));
+      EXPECT_THROW(resumed.restore(stale), CheckpointError);
+    }
   }
 }
 
@@ -452,9 +457,8 @@ TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
     util::ByteReader r(opened.payload);
     tomo::PathPool pool;
     pool.load(r, scenario.graph().num_ases());
-    tomo::StreamingCnfBuilder grouper(tomo::CnfBuildOptions{}, &pool);
-    grouper.load(r, scenario.platform().config().num_urls, scenario.graph().num_ases(),
-                 pool.size());
+    tomo::StreamingCnfBuilder grouper(pool);
+    grouper.load(r, scenario.platform().config().num_urls, pool.size());
     const std::size_t strip_at = opened.payload.size() - r.remaining();
     const std::size_t entries = r.size();
     ASSERT_GT(entries, 0u);
@@ -505,13 +509,12 @@ TEST(MonitorCheckpoint, GroupPathIdPastThePoolIsRefused) {
     source.run_until(6);
     const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-    // Payload layout: pool | main grouper: its private pool (empty: it
-    // borrows), the open-window count, then each window's key (URL,
-    // anomaly, granularity, window) and positive path ids | ...
+    // Payload layout: pool | main grouper: the open-window count, then
+    // each window's key (URL, anomaly, granularity, window) and positive
+    // path ids | ...
     util::ByteReader r(opened.payload);
     tomo::PathPool pool;
     pool.load(r, scenario.graph().num_ases());
-    ASSERT_EQ(r.size(), 0u);  // the grouper's private pool
     ASSERT_GT(r.size(), 0u);  // open windows
     r.i32();
     r.u8();
@@ -728,25 +731,26 @@ LiveReport prefix_counts(const std::vector<tomo::TomoCnf>& cnfs,
   for (std::size_t i = 0; i < cnfs.size(); ++i) {
     if (window_end(cnfs[i].key) > watermark) continue;
     const tomo::CnfVerdict& v = verdicts[i];
-    ++expected.cnfs_analyzed;
+    LiveCounts& counts = expected.counts;
+    ++counts.cnfs;
     const auto cls = static_cast<std::size_t>(v.solution_class);
-    ++expected.overall.count[cls];
-    ++expected.by_url[v.key.url_id].count[cls];
+    ++counts.overall.count[cls];
+    ++counts.by_url[v.key.url_id].count[cls];
     if (v.solution_class == 1) {
-      for (const topo::AsId as : v.censors) ++expected.exact_censor_cnfs[as];
+      for (const topo::AsId as : v.censors) ++counts.exact_censor_cnfs[as];
     } else if (v.solution_class == 2) {
-      for (const topo::AsId as : v.potential_censors) ++expected.potential_censor_cnfs[as];
+      for (const topo::AsId as : v.potential_censors) ++counts.potential_censor_cnfs[as];
     }
   }
   return expected;
 }
 
 void expect_counts_equal(const LiveReport& actual, const LiveReport& expected) {
-  EXPECT_EQ(actual.cnfs_analyzed, expected.cnfs_analyzed);
-  EXPECT_EQ(actual.overall, expected.overall);
-  EXPECT_EQ(actual.by_url, expected.by_url);
-  EXPECT_EQ(actual.exact_censor_cnfs, expected.exact_censor_cnfs);
-  EXPECT_EQ(actual.potential_censor_cnfs, expected.potential_censor_cnfs);
+  EXPECT_EQ(actual.counts.cnfs, expected.counts.cnfs);
+  EXPECT_EQ(actual.counts.overall, expected.counts.overall);
+  EXPECT_EQ(actual.counts.by_url, expected.counts.by_url);
+  EXPECT_EQ(actual.counts.exact_censor_cnfs, expected.counts.exact_censor_cnfs);
+  EXPECT_EQ(actual.counts.potential_censor_cnfs, expected.counts.potential_censor_cnfs);
 }
 
 TEST(MonitorLive, EveryReportEqualsBatchOfSealedPrefix) {

@@ -20,10 +20,6 @@
 namespace ct::tomo {
 namespace {
 
-/// The AS count checkpoint loads in this file are bounded by: above
-/// every AS id the hand-built paths use.
-constexpr std::int32_t kAses = 16;
-
 PathClause make_clause(PathPool& pool, std::vector<topo::AsId> path, bool observed,
                        std::int32_t url = 0, util::Day day = 0,
                        censor::Anomaly anomaly = censor::Anomaly::kDns,
@@ -70,12 +66,6 @@ TEST(CnfBuilder, RequirePositiveSkipsAllCleanGroups) {
   PathPool pool;
   std::vector<PathClause> clauses{make_clause(pool, {1, 2}, false)};
   EXPECT_TRUE(build_cnfs(pool, clauses, day_only()).empty());
-  CnfBuildOptions keep = day_only();
-  keep.require_positive = false;
-  const auto cnfs = build_cnfs(pool, clauses, keep);
-  ASSERT_EQ(cnfs.size(), 1u);
-  EXPECT_EQ(cnfs[0].num_positive_clauses, 0);
-  EXPECT_EQ(cnfs[0].num_negative_units, 2);
 }
 
 TEST(CnfBuilder, SplitsByUrl) {
@@ -185,10 +175,10 @@ TEST(CnfBuilder, OutputSortedByKey) {
 
 TEST(CnfBuilder, ChainGoingBackInDayThrows) {
   PathPool pool;
-  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool);
-  builder.add(pool, make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/5));
+  StreamingCnfBuilder builder(pool);
+  builder.add(make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/5));
   // Same chain (URL 0, DNS), an earlier day: the precondition is broken.
-  EXPECT_THROW(builder.add(pool, make_clause(pool, {1, 3}, true, 0, /*day=*/4)),
+  EXPECT_THROW(builder.add(make_clause(pool, {1, 3}, true, 0, /*day=*/4)),
                std::logic_error);
   // The rejected clause left no trace: one day window, one path.
   EXPECT_EQ(builder.open_windows(), 4u);
@@ -205,9 +195,9 @@ TEST(CnfBuilder, ChainGoingBackWithinOneWindowIsAccepted) {
   PathPool pool;
   CnfBuildOptions weeks;
   weeks.granularities = {util::Granularity::kWeek};
-  StreamingCnfBuilder builder(weeks, &pool);
-  builder.add(pool, make_clause(pool, {1, 2}, true, 0, /*day=*/5));
-  builder.add(pool, make_clause(pool, {1, 3}, true, 0, /*day=*/4));
+  StreamingCnfBuilder builder(pool, weeks);
+  builder.add(make_clause(pool, {1, 2}, true, 0, /*day=*/5));
+  builder.add(make_clause(pool, {1, 3}, true, 0, /*day=*/4));
   const auto cnfs = builder.flush();
   ASSERT_EQ(cnfs.size(), 1u);
   EXPECT_EQ(cnfs[0].num_positive_clauses, 2);
@@ -217,11 +207,11 @@ TEST(CnfBuilder, OtherChainMayStartAtAnEarlierDay) {
   // The OutputSortedByKey shape: each chain is day-ordered, but a later
   // chain starts before the day an earlier one reached.
   PathPool pool;
-  StreamingCnfBuilder builder(day_only(), &pool);
-  builder.add(pool, make_clause(pool, {1}, true, /*url=*/2, /*day=*/5));
-  builder.add(pool, make_clause(pool, {1}, true, /*url=*/0, /*day=*/3));
-  builder.add(pool, make_clause(pool, {2}, true, /*url=*/2, /*day=*/1, censor::Anomaly::kRst));
-  builder.add(pool, make_clause(pool, {1}, true, /*url=*/0, /*day=*/4));
+  StreamingCnfBuilder builder(pool, day_only());
+  builder.add(make_clause(pool, {1}, true, /*url=*/2, /*day=*/5));
+  builder.add(make_clause(pool, {1}, true, /*url=*/0, /*day=*/3));
+  builder.add(make_clause(pool, {2}, true, /*url=*/2, /*day=*/1, censor::Anomaly::kRst));
+  builder.add(make_clause(pool, {1}, true, /*url=*/0, /*day=*/4));
   const auto cnfs = builder.flush();
   ASSERT_EQ(cnfs.size(), 4u);
   std::vector<CnfKey> keys;
@@ -258,7 +248,7 @@ std::vector<TomoCnf> reference_cnfs(const PathPool& pool, const std::vector<Path
   }
   std::vector<TomoCnf> out;
   for (const auto& [key, group] : groups) {
-    if (options.require_positive && group.positive_ids.empty()) continue;
+    if (group.positive_ids.empty()) continue;
     TomoCnf tc;
     tc.key = key;
     std::set<topo::AsId> negative;
@@ -361,7 +351,6 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
     PathPool pool;
     const std::vector<PathClause> clauses = random_stream(rng, pool);
     CnfBuildOptions options;
-    options.require_positive = rng.bernoulli(0.5);
     // Fixed out-of-enum-order subsets first, then random ones.
     if (trial == 0) options.granularities = {util::Granularity::kYear, util::Granularity::kDay};
     if (trial == 1) {
@@ -382,7 +371,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
       // with random watermark advances and save/load round trips into a
       // fresh builder mid-run: the rebuilt dedupe state must file
       // nothing twice.
-      auto builder = std::make_unique<StreamingCnfBuilder>(options, &pool, threads.get());
+      auto builder = std::make_unique<StreamingCnfBuilder>(pool, options, threads.get());
       std::vector<TomoCnf> streamed;
       const auto take = [&streamed](std::vector<TomoCnf> batch) {
         for (TomoCnf& tc : batch) streamed.push_back(std::move(tc));
@@ -390,14 +379,14 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
       std::size_t i = 0;
       while (i < clauses.size()) {
         const std::size_t n = std::min(clauses.size() - i, 1 + rng.index(40));
-        builder->add(pool, std::span(clauses).subspan(i, n));
+        builder->add(std::span(clauses).subspan(i, n));
         i += n;
         if (rng.bernoulli(0.2)) {
           util::ByteWriter w;
           builder->save(w);
-          builder = std::make_unique<StreamingCnfBuilder>(options, &pool, threads.get());
+          builder = std::make_unique<StreamingCnfBuilder>(pool, options, threads.get());
           util::ByteReader r(w.bytes());
-          builder->load(r, num_urls, kAses, pool.size());
+          builder->load(r, num_urls, pool.size());
           r.expect_end();
         }
         if (i < clauses.size() && rng.bernoulli(0.5)) {
@@ -416,8 +405,8 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
 TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
   PathPool pool;
   util::ThreadPool threads(3);
-  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool, &threads);
-  builder.add(pool, make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/9));
+  StreamingCnfBuilder builder(pool, {}, &threads);
+  builder.add(make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/9));
   builder.advance_watermark(7);  // closes day windows 0..6 (all empty)
   const std::size_t open = builder.open_windows();
   // Valid clauses of other chains first: the late one rejects the whole
@@ -427,7 +416,7 @@ TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
       make_clause(pool, {4}, false, /*url=*/2, /*day=*/9, censor::Anomaly::kRst),
       make_clause(pool, {5}, true, /*url=*/3, /*day=*/6),
   };
-  EXPECT_THROW(builder.add(pool, batch), std::logic_error);
+  EXPECT_THROW(builder.add(batch), std::logic_error);
   EXPECT_EQ(builder.open_windows(), open);
   const auto cnfs = builder.flush();
   ASSERT_EQ(cnfs.size(), 4u);  // url 0's day, week, month and year windows
@@ -437,25 +426,26 @@ TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
 // ---------------------------------------------------------------------
 // Checkpoint format.
 
-/// An owned-pool builder with open groups in two chains at all four
-/// granularities, duplicate positives and negatives, and closed day
-/// windows behind a watermark of 2.
-StreamingCnfBuilder checkpoint_fixture() {
-  PathPool src;
+/// A builder borrowing `pool`, with open groups in two chains at all
+/// four granularities, duplicate positives and negatives, a day window
+/// whose negatives arrive out of id order, and closed day windows behind
+/// a watermark of 2.
+StreamingCnfBuilder checkpoint_fixture(PathPool& pool) {
   std::vector<PathClause> clauses{
-      make_clause(src, {1, 2, 3}, true, 0, 0, censor::Anomaly::kDns),
-      make_clause(src, {1, 4}, false, 0, 0, censor::Anomaly::kDns),
-      make_clause(src, {1, 2, 3}, true, 0, 0, censor::Anomaly::kDns),
-      make_clause(src, {5, 1}, true, 1, 1, censor::Anomaly::kRst),
-      make_clause(src, {1, 4}, false, 0, 2, censor::Anomaly::kDns),
-      make_clause(src, {2, 6}, true, 0, 2, censor::Anomaly::kDns),
-      make_clause(src, {1, 2, 3}, true, 0, 2, censor::Anomaly::kDns),
-      make_clause(src, {7}, false, 1, 3, censor::Anomaly::kRst),
+      make_clause(pool, {1, 2, 3}, true, 0, 0, censor::Anomaly::kDns),
+      make_clause(pool, {1, 4}, false, 0, 0, censor::Anomaly::kDns),
+      make_clause(pool, {1, 2, 3}, true, 0, 0, censor::Anomaly::kDns),
+      make_clause(pool, {5, 1}, true, 1, 1, censor::Anomaly::kRst),
+      make_clause(pool, {8, 2}, false, 0, 2, censor::Anomaly::kDns),
+      make_clause(pool, {1, 4}, false, 0, 2, censor::Anomaly::kDns),
+      make_clause(pool, {2, 6}, true, 0, 2, censor::Anomaly::kDns),
+      make_clause(pool, {1, 2, 3}, true, 0, 2, censor::Anomaly::kDns),
+      make_clause(pool, {7}, false, 1, 3, censor::Anomaly::kRst),
   };
-  StreamingCnfBuilder builder;
+  StreamingCnfBuilder builder(pool);
   for (const PathClause& c : clauses) {
     if (c.day == 2 && builder.watermark() == 0) builder.advance_watermark(2);
-    builder.add(src, c);
+    builder.add(c);
   }
   return builder;
 }
@@ -471,31 +461,80 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
+std::string from_hex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+/// A checkpoint-format-v4 builder payload with the three fields v5
+/// dropped cut out: the private pool (empty when borrowing), each
+/// group's sorted positive-id set, and the trailing emitted-CNF count,
+/// `emitted`.  Every other byte is copied as it stands.
+std::string cut_v4_to_v5(const std::string& v4, std::int64_t emitted) {
+  util::ByteReader r(v4);
+  std::string v5;
+  const auto copy_since = [&](std::size_t begin) {
+    v5 += v4.substr(begin, v4.size() - r.remaining() - begin);
+  };
+  const auto at = [&] { return v4.size() - r.remaining(); };
+  const auto load_ids = [&] {
+    std::vector<PathPool::PathId> ids;
+    util::load_vec(r, ids, [](util::ByteReader& r) { return r.i32(); });
+    return ids;
+  };
+  EXPECT_EQ(r.size(), 0u);  // private pool: no paths
+  std::size_t begin = at();
+  const std::size_t windows = r.size();
+  for (std::size_t i = 0; i < windows; ++i) {
+    r.i32();  // key: url, anomaly, granularity, window
+    r.u8();
+    r.u8();
+    r.i32();
+    std::vector<PathPool::PathId> positives = load_ids();  // first-occurrence order
+    copy_since(begin);
+    std::sort(positives.begin(), positives.end());
+    EXPECT_EQ(load_ids(), positives);  // the positive set: cut
+    begin = at();
+    load_ids();  // negatives
+  }
+  r.i32();  // watermark
+  copy_since(begin);
+  EXPECT_EQ(r.i64(), emitted);  // cut
+  r.expect_end();
+  return v5;
+}
+
 TEST(CnfBuilder, CheckpointBytesAreStable) {
-  // Captured from the map/set builder this layout replaced: the format
-  // (and analysis::kCheckpointVersion) did not change with it.
-  const std::string expected =
-      "050000000000000003000000000000000100000002000000030000000200000000000000010000000400"
-      "000002000000000000000500000001000000020000000000000002000000060000000100000000000000"
-      "070000000800000000000000000000000000020000000200000000000000030000000000000002000000"
-      "000000000000000003000000010000000000000001000000000000000001000000000200000000000000"
-      "000000000300000002000000000000000000000003000000010000000000000001000000000000000002"
-      "000000000200000000000000000000000300000002000000000000000000000003000000010000000000"
-      "000001000000000000000003000000000200000000000000000000000300000002000000000000000000"
-      "000003000000010000000000000001000000010000000300030000000000000000000000000000000000"
-      "000001000000000000000400000001000000030100000000010000000000000002000000010000000000"
-      "000002000000010000000000000004000000010000000302000000000100000000000000020000000100"
-      "000000000000020000000100000000000000040000000100000003030000000001000000000000000200"
-      "0000010000000000000002000000010000000000000004000000020000000200000000000000";
-  const StreamingCnfBuilder builder = checkpoint_fixture();
+  // The fixture's bytes under checkpoint format v4, before the grouper
+  // dropped its private pool, positive-id sets and emitted count.
+  const std::string v4 =
+      "000000000000000008000000000000000000000000000200000002000000000000000400000000000000"
+      "020000000000000000000000040000000200000000000000010000000300000000000000000100000000"
+      "020000000000000000000000040000000200000000000000000000000400000002000000000000000100"
+      "000003000000000000000002000000000200000000000000000000000400000002000000000000000000"
+      "000004000000020000000000000001000000030000000000000000030000000002000000000000000000"
+      "000004000000020000000000000000000000040000000200000000000000010000000300000001000000"
+      "030003000000000000000000000000000000000000000100000000000000050000000100000003010000"
+      "000001000000000000000200000001000000000000000200000001000000000000000500000001000000"
+      "030200000000010000000000000002000000010000000000000002000000010000000000000005000000"
+      "010000000303000000000100000000000000020000000100000000000000020000000100000000000000"
+      "05000000020000000200000000000000";
+  // Watermark 2 closed url 0's day-0 window and url 1's day-1 window.
+  const std::string expected = cut_v4_to_v5(from_hex(v4), /*emitted=*/2);
+
+  PathPool pool;
+  const StreamingCnfBuilder builder = checkpoint_fixture(pool);
   util::ByteWriter w;
   builder.save(w);
-  EXPECT_EQ(to_hex(w.bytes()), expected);
+  EXPECT_EQ(to_hex(w.bytes()), to_hex(expected));
 
   // load() + save() reproduces the bytes.
-  StreamingCnfBuilder restored;
+  StreamingCnfBuilder restored(pool);
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/2, kAses, /*num_paths=*/0);
+  restored.load(r, /*num_urls=*/2, pool.size());
   r.expect_end();
   util::ByteWriter again;
   restored.save(again);
@@ -507,20 +546,20 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   PathPool pool;
   const PathClause positive = make_clause(pool, {1, 2, 3}, true, 0, /*day=*/3);
   const PathClause negative = make_clause(pool, {1, 4}, false, 0, /*day=*/3);
-  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool);
-  builder.add(pool, positive);
-  builder.add(pool, negative);
+  StreamingCnfBuilder builder(pool);
+  builder.add(positive);
+  builder.add(negative);
   util::ByteWriter w;
   builder.save(w);
 
-  StreamingCnfBuilder restored(CnfBuildOptions{}, &pool);
+  StreamingCnfBuilder restored(pool);
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/1, kAses, pool.size());
+  restored.load(r, /*num_urls=*/1, pool.size());
   // Both pairs already sit in every open window: nothing is filed, so
   // the state (negatives included, which no CNF field would show) is
   // byte-for-byte what was saved.
-  restored.add(pool, positive);
-  restored.add(pool, negative);
+  restored.add(positive);
+  restored.add(negative);
   util::ByteWriter again;
   restored.save(again);
   EXPECT_EQ(again.bytes(), w.bytes());
@@ -529,7 +568,7 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   // year windows do not take it twice.
   PathClause later = positive;
   later.day = 5;
-  restored.add(pool, later);
+  restored.add(later);
   const auto cnfs = restored.flush();
   ASSERT_EQ(cnfs.size(), 5u);  // days 3 and 5, week, month, year
   for (const auto& tc : cnfs) {
@@ -538,47 +577,50 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   }
 }
 
-/// A hand-built owned-pool payload holding one open day window of
-/// `url_id` whose one positive path id is `path_id`, over a private pool
-/// holding the one path {1, 2} — as a crafted checkpoint would.
+/// A hand-built payload holding one open day window of `url_id` whose
+/// one positive path id is `path_id` — as a crafted checkpoint would.
 std::string one_window_payload(std::int32_t url_id, PathPool::PathId path_id = 0) {
   const auto save_id = [](util::ByteWriter& w, PathPool::PathId id) { w.i32(id); };
-  PathPool pool;
-  pool.intern({1, 2});
-  const std::vector<PathPool::PathId> ids{path_id};
   util::ByteWriter w;
-  pool.save(w);
   w.size(1);  // open windows
   w.i32(url_id);
   w.u8(static_cast<std::uint8_t>(censor::Anomaly::kDns));
   w.u8(static_cast<std::uint8_t>(util::Granularity::kDay));
   w.i32(0);  // window
-  util::save_vec(w, ids, save_id);  // positives, first-occurrence order
-  util::save_vec(w, ids, save_id);  // positive set
+  util::save_vec(w, std::vector<PathPool::PathId>{path_id}, save_id);  // positives
   util::save_vec(w, std::vector<PathPool::PathId>{}, save_id);  // negatives
   w.i32(0);  // watermark
-  w.i64(0);  // emitted
   return w.take();
+}
+
+/// A pool holding the one path {1, 2}, which one_window_payload's
+/// default path id names.
+PathPool one_path_pool() {
+  PathPool pool;
+  pool.intern({1, 2});
+  return pool;
 }
 
 TEST(CnfBuilder, LoadRefusesUrlIdAtOrPastTheBound) {
   constexpr std::int32_t kUrls = 120;
+  const PathPool pool = one_path_pool();
   // Unchecked, 2^28 would size the chain table at 2^28 x 5 chains.
   for (const std::int32_t url_id : {kUrls, std::int32_t{1} << 28}) {
     SCOPED_TRACE("url_id=" + std::to_string(url_id));
     const std::string payload = one_window_payload(url_id);
-    StreamingCnfBuilder builder;
+    StreamingCnfBuilder builder(pool);
     util::ByteReader r(payload);
-    EXPECT_THROW(builder.load(r, kUrls, kAses, 0), util::SerdeError);
+    EXPECT_THROW(builder.load(r, kUrls, pool.size()), util::SerdeError);
   }
 }
 
 TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
   constexpr std::int32_t kUrls = 120;
+  const PathPool pool = one_path_pool();
   const std::string payload = one_window_payload(kUrls - 1);
-  StreamingCnfBuilder builder;
+  StreamingCnfBuilder builder(pool);
   util::ByteReader r(payload);
-  builder.load(r, kUrls, kAses, 0);
+  builder.load(r, kUrls, pool.size());
   r.expect_end();
   EXPECT_EQ(builder.open_windows(), 1u);
   util::ByteWriter again;
@@ -587,32 +629,32 @@ TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
 }
 
 TEST(CnfBuilder, LoadRefusesIdsOutsideTheirPool) {
-  // An owned-pool group's path id is bounded by the private pool it
-  // loaded, and that pool's AS ids by num_ases (emission sizes per-AS
-  // scratch by the largest).
-  const std::string past_pool = one_window_payload(0, /*path_id=*/1);
-  StreamingCnfBuilder owned;
-  util::ByteReader r(past_pool);
-  EXPECT_THROW(owned.load(r, 1, kAses, 0), util::SerdeError);
-  const std::string payload = one_window_payload(0);
-  util::ByteReader r2(payload);
-  EXPECT_THROW(owned.load(r2, 1, /*num_ases=*/2, 0), util::SerdeError);  // AS 2 of {1, 2}
-  EXPECT_EQ(owned.open_windows(), 0u);
+  // Path ids are bounded by the size the caller passes, the pool it
+  // loaded alongside.
+  const PathPool pool = one_path_pool();
+  for (const PathPool::PathId id : {-1, 1}) {
+    SCOPED_TRACE("path_id=" + std::to_string(id));
+    const std::string payload = one_window_payload(0, id);
+    StreamingCnfBuilder refused(pool);
+    util::ByteReader r(payload);
+    EXPECT_THROW(refused.load(r, 1, pool.size()), util::SerdeError);
+    EXPECT_EQ(refused.open_windows(), 0u);
+  }
 
-  // A borrowing builder saves an empty private pool; its ids are
-  // bounded by the size the caller passes, the pool it loaded alongside.
-  PathPool pool;
-  const PathClause clause = make_clause(pool, {1, 2, 3}, true, 0, /*day=*/3);
-  StreamingCnfBuilder builder(CnfBuildOptions{}, &pool);
-  builder.add(pool, clause);
+  // A saved builder's ids are refused against an empty pool and
+  // accepted against the pool they came from.
+  PathPool grown;
+  const PathClause clause = make_clause(grown, {1, 2, 3}, true, 0, /*day=*/3);
+  StreamingCnfBuilder builder(grown);
+  builder.add(clause);
   util::ByteWriter w;
   builder.save(w);
-  StreamingCnfBuilder refused(CnfBuildOptions{}, &pool);
+  StreamingCnfBuilder refused(grown);
   util::ByteReader r3(w.bytes());
-  EXPECT_THROW(refused.load(r3, 1, kAses, /*num_paths=*/0), util::SerdeError);
-  StreamingCnfBuilder accepted(CnfBuildOptions{}, &pool);
+  EXPECT_THROW(refused.load(r3, 1, /*num_paths=*/0), util::SerdeError);
+  StreamingCnfBuilder accepted(grown);
   util::ByteReader r4(w.bytes());
-  accepted.load(r4, 1, kAses, pool.size());
+  accepted.load(r4, 1, grown.size());
   r4.expect_end();
   EXPECT_EQ(accepted.open_windows(), builder.open_windows());
 }

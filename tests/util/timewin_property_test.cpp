@@ -121,15 +121,14 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
   std::vector<std::unique_ptr<util::ThreadPool>> lanes;
   for (const unsigned n : lane_counts) lanes.push_back(std::make_unique<util::ThreadPool>(n));
   for (int trial = 0; trial < 4 * 25; ++trial) {
-    // Each lane count in turn; the owned-pool builder files on them too.
+    // Each lane count in turn, for the builder and the batch build.
     util::ThreadPool& threads = *lanes[static_cast<std::size_t>(trial) % lanes.size()];
     SCOPED_TRACE("threads " + std::to_string(threads.size()));
     const Day num_days = static_cast<Day>(rng.uniform_int(3, 70));
     const SyntheticStream s = make_stream(rng, num_days);
-    CnfBuildOptions options;
-    options.require_positive = rng.bernoulli(0.7);
+    const CnfBuildOptions options;
 
-    StreamingCnfBuilder builder(options, nullptr, &threads);
+    StreamingCnfBuilder builder(s.pool, options, &threads);
     std::vector<TomoCnf> streamed;
     std::set<CnfKey> emitted_by_watermark;
     std::size_t i = 0;
@@ -140,7 +139,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
       // day, so windows still owed clauses never close early).
       const std::size_t run_end =
           std::min(s.clauses.size(), i + 1 + rng.index(10));
-      builder.add(s.pool, std::span(s.clauses).subspan(i, run_end - i));
+      builder.add(std::span(s.clauses).subspan(i, run_end - i));
       i = run_end;
       const Day next_day = i < s.clauses.size() ? s.clauses[i].day : num_days;
       if (rng.bernoulli(0.7)) {
@@ -174,9 +173,11 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
 
     // Every clause landed in exactly one window per granularity: the
     // emitted keys for granularity g are exactly the distinct
-    // (url, anomaly, window_of(day, g)) triples of the stream.
+    // (url, anomaly, window_of(day, g)) triples of the stream's positive
+    // clauses (a window with no positive clause emits no CNF).
     std::set<CnfKey> expected_keys;
     for (const PathClause& c : s.clauses) {
+      if (!c.observed) continue;
       for (const Granularity g : options.granularities) {
         CnfKey key;
         key.url_id = c.url_id;
@@ -186,30 +187,28 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
         expected_keys.insert(key);
       }
     }
-    if (!options.require_positive) {
-      std::set<CnfKey> streamed_keys;
-      for (const auto& [key, dimacs] : streamed_map) streamed_keys.insert(key);
-      EXPECT_EQ(streamed_keys, expected_keys);
-    }
+    std::set<CnfKey> streamed_keys;
+    for (const auto& [key, dimacs] : streamed_map) streamed_keys.insert(key);
+    EXPECT_EQ(streamed_keys, expected_keys);
   }
 }
 
 TEST(StreamingWindowProperty, LateClauseForEmittedWindowThrows) {
   util::Rng rng(42);
   const SyntheticStream s = make_stream(rng, 20);
-  StreamingCnfBuilder builder;
+  StreamingCnfBuilder builder(s.pool);
   for (const PathClause& c : s.clauses) {
-    if (c.day < 10) builder.add(s.pool, c);
+    if (c.day < 10) builder.add(c);
   }
   builder.advance_watermark(10);
   EXPECT_EQ(builder.watermark(), 10);
 
   PathClause late = s.clauses.front();
   late.day = 9;  // window already closed
-  EXPECT_THROW(builder.add(s.pool, late), std::logic_error);
+  EXPECT_THROW(builder.add(late), std::logic_error);
   // At the watermark itself is still legal.
   late.day = 10;
-  EXPECT_NO_THROW(builder.add(s.pool, late));
+  EXPECT_NO_THROW(builder.add(late));
   // Lowering the watermark is a no-op, never a reopen.
   EXPECT_TRUE(builder.advance_watermark(5).empty());
   EXPECT_EQ(builder.watermark(), 10);
@@ -221,12 +220,12 @@ TEST(StreamingWindowProperty, OpenWindowCountIsBounded) {
   // emitted ahead of the watermark.
   util::Rng rng(11);
   const SyntheticStream s = make_stream(rng, 56);
-  StreamingCnfBuilder builder;  // all four granularities
+  StreamingCnfBuilder builder(s.pool);  // all four granularities
   Day fed = 0;
   std::size_t i = 0;
   for (Day d = 0; d < 56; ++d) {
     for (; i < s.clauses.size() && s.clauses[i].day <= d; ++i) {
-      builder.add(s.pool, s.clauses[i]);
+      builder.add(s.clauses[i]);
     }
     builder.advance_watermark(d + 1);
     fed = d + 1;
