@@ -18,7 +18,9 @@
 //     --segment-days N       ingest segment length (default 28)
 //     --checkpoint FILE      checkpoint file (atomic tmp+rename writes)
 //     --checkpoint-every N   cadence in watermark days (default 28)
-//     --resume               restore FILE before ingesting (if present)
+//     --resume               restore FILE before ingesting (if present);
+//                            a FILE that cannot be restored exits 1 and
+//                            is left unchanged
 //     --kill-at DAY          simulate a crash: stop dead at watermark
 //                            DAY, exit 3 — no final checkpoint, no
 //                            report; resume from the last cadence write
@@ -35,10 +37,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -150,12 +154,24 @@ int main(int argc, char** argv) {
             << " every " << options.checkpoint_every << "d\n";
 
   if (resume && !options.checkpoint_path.empty()) {
-    try {
-      monitor.restore_from(options.checkpoint_path);
+    // Only a file known to be absent starts cold; one whose status
+    // cannot be read goes through restore_from and is refused there.
+    std::error_code status_error;
+    if (!std::filesystem::exists(options.checkpoint_path, status_error) && !status_error) {
+      std::cout << "no checkpoint at " << options.checkpoint_path << "; starting cold\n";
+    } else {
+      // A refused checkpoint (other format version, other fingerprint,
+      // corrupt) is the only copy of that state: starting cold would
+      // overwrite it at the first cadence write, so stop and leave it be.
+      try {
+        monitor.restore_from(options.checkpoint_path);
+      } catch (const ct::analysis::CheckpointError& e) {
+        std::cerr << "refusing to resume from " << options.checkpoint_path << ": " << e.what()
+                  << "\n(the file is left unchanged; move it aside to start cold)\n";
+        return 1;
+      }
       std::cout << "resumed from " << options.checkpoint_path << " at watermark "
                 << monitor.watermark() << "\n";
-    } catch (const ct::analysis::CheckpointError& e) {
-      std::cout << "no usable checkpoint (" << e.what() << "); starting cold\n";
     }
   }
 

@@ -67,7 +67,6 @@ SolveResult SolverBackend::solve(std::span<const Lit>) { no_search("solve"); }
 Var SolverBackend::new_var() { no_search("new_var"); }
 LBool SolverBackend::model_value(Var) const { no_search("model_value"); }
 bool SolverBackend::add_clause(std::span<const Lit>) { no_search("add_clause"); }
-bool SolverBackend::retract_activation(Var) { no_search("retract_activation"); }
 
 const SolverStats& SolverBackend::solver_stats() const {
   static const SolverStats kEmpty{};
@@ -93,8 +92,6 @@ Var CdclBackend::new_var() { return solver_->new_var(); }
 LBool CdclBackend::model_value(Var v) const { return solver_->model_value(v); }
 
 bool CdclBackend::add_clause(std::span<const Lit> lits) { return solver_->add_clause(lits); }
-
-bool CdclBackend::retract_activation(Var a) { return solver_->retract_activation(a); }
 
 const SolverStats& CdclBackend::solver_stats() const {
   static const SolverStats kUnloaded{};

@@ -10,7 +10,7 @@
 //   * CdclBackend — the in-tree incremental CDCL Solver, the default
 //     and the only backend implementing the full search contract
 //     (solve under assumptions, model access, guarded blocking
-//     clauses, retraction).
+//     clauses).
 //   * CountingBackend — CdclBackend plus an exact_count() fast path
 //     through ModelCounter, so capped counting and 0/1/2+
 //     classification never enumerate blocking clauses.
@@ -70,7 +70,7 @@ const char* to_string(BackendKind kind);
 /// When solution_class > 0, `values` assigns every CNF variable either
 /// a forced value or kUndef (free): the model set is exactly "forced
 /// values fixed, free variables arbitrary", so classification, counts
-/// (2^free_vars), enumeration, and potential-true splits all follow
+/// (2^free_vars), the unique model, and potential-true splits all follow
 /// without touching a solver.  When solution_class == 0 the CNF is
 /// UNSAT and `values` is empty.
 struct Presolve {
@@ -80,8 +80,8 @@ struct Presolve {
 };
 
 /// One loaded CNF behind one solving strategy.  The search contract
-/// (solve / model access / guarded clauses / retract / stats) mirrors
-/// what SolverSession needs from the CDCL solver; presolve() and
+/// (solve / model access / guarded clauses / stats) mirrors what
+/// SolverSession needs from the CDCL solver; presolve() and
 /// exact_count() are optional fast paths a backend may implement
 /// instead of (or in addition to) search.
 class SolverBackend {
@@ -112,7 +112,6 @@ class SolverBackend {
   virtual Var new_var();
   virtual LBool model_value(Var v) const;
   virtual bool add_clause(std::span<const Lit> lits);
-  virtual bool retract_activation(Var a);
   virtual const SolverStats& solver_stats() const;
 };
 
@@ -131,7 +130,6 @@ class CdclBackend : public SolverBackend {
   Var new_var() override;
   LBool model_value(Var v) const override;
   bool add_clause(std::span<const Lit> lits) override;
-  bool retract_activation(Var a) override;
   const SolverStats& solver_stats() const override;
 
   /// Cooperative cancellation (Solver::set_stop_flag), surviving

@@ -140,10 +140,4 @@ bool IpasirBackend::add_clause(std::span<const Lit> lits) {
   return true;
 }
 
-bool IpasirBackend::retract_activation(Var a) {
-  ct_sat_add(solver_, -(static_cast<int>(a) + 1));
-  ct_sat_add(solver_, 0);
-  return true;
-}
-
 }  // namespace ct::sat

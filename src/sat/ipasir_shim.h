@@ -16,9 +16,8 @@
 //
 // IpasirBackend is the SolverBackend adapter consuming *only* this C
 // surface — no reach-around into Solver internals, so an external
-// solver exporting the same calls could serve it unchanged.
-// Retraction is emulated the IPASIR way (a permanent unit clause on the
-// activation literal), and every load() is a fresh ct_sat_init.
+// solver exporting the same calls could serve it unchanged.  Every
+// load() is a fresh ct_sat_init.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +74,6 @@ class IpasirBackend final : public SolverBackend {
   Var new_var() override;
   LBool model_value(Var v) const override;
   bool add_clause(std::span<const Lit> lits) override;
-  /// IPASIR retraction: a permanent unit clause ~a disables every
-  /// clause guarded by activation literal `a`.
-  bool retract_activation(Var a) override;
 
  private:
   /// DIMACS literal (1-based, sign = polarity) for an internal Lit.

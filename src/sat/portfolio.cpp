@@ -144,12 +144,6 @@ bool PortfolioBackend::add_clause(std::span<const Lit> lits) {
   return ok;
 }
 
-bool PortfolioBackend::retract_activation(Var a) {
-  bool ok = true;
-  for (auto& member : members_) ok = member->retract_activation(a) && ok;
-  return ok;
-}
-
 const SolverStats& PortfolioBackend::solver_stats() const {
   stats_buf_ = SolverStats{};
   for (const auto& member : members_) {
@@ -160,7 +154,6 @@ const SolverStats& PortfolioBackend::solver_stats() const {
     stats_buf_.restarts += s.restarts;
     stats_buf_.learnt_clauses += s.learnt_clauses;
     stats_buf_.removed_clauses += s.removed_clauses;
-    stats_buf_.retracted_clauses += s.retracted_clauses;
   }
   return stats_buf_;
 }

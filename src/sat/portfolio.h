@@ -20,10 +20,10 @@
 // equivalence suites cross racing off/on (and fuzz forced winners via
 // injected delays) to hold it to that.
 //
-// State mirroring: every mutation (load, new_var, add_clause,
-// retract_activation) is broadcast to all members, so each holds the
-// identical logical formula and any member can serve any solve.  The
-// member that produced the last answer serves model_value().
+// State mirroring: every mutation (load, new_var, add_clause) is
+// broadcast to all members, so each holds the identical logical
+// formula and any member can serve any solve.  The member that
+// produced the last answer serves model_value().
 //
 // Hardness probe: before racing, member 0 solves under a small conflict
 // budget.  Most queries against a gated CNF are cheap (learnt clauses
@@ -132,7 +132,6 @@ class PortfolioBackend final : public SolverBackend {
   Var new_var() override;
   LBool model_value(Var v) const override;
   bool add_clause(std::span<const Lit> lits) override;
-  bool retract_activation(Var a) override;
   /// Summed over all members (total search work, winners and losers).
   const SolverStats& solver_stats() const override;
 

@@ -8,12 +8,6 @@ namespace ct::sat {
 
 namespace {
 
-std::vector<Var> all_vars(std::int32_t n) {
-  std::vector<Var> vars(static_cast<std::size_t>(n));
-  for (std::int32_t v = 0; v < n; ++v) vars[static_cast<std::size_t>(v)] = v;
-  return vars;
-}
-
 std::size_t idx(BackendKind kind) { return static_cast<std::size_t>(kind); }
 
 }  // namespace
@@ -22,12 +16,9 @@ void SolverSession::load(const Cnf& cnf) { load(cnf, BackendPlan{}); }
 
 void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
   cnf_vars_ = cnf.num_vars;
-  projection_.clear();
-  full_projection_ = true;
   activation_ = kUndefVar;
   models_.clear();
   exhausted_ = false;
-  base_sat_ = -1;
   ++stats_.cnf_loads;
   stats_.fresh_clauses += cnf.clauses.size();
   ++stats_.backends[idx(plan.primary)].selected;
@@ -50,7 +41,6 @@ void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
   } else {
     ++stats_.backends[idx(plan.primary)].served;
   }
-  if (presolve_) base_sat_ = presolve_->solution_class > 0 ? 1 : 0;
 }
 
 SolverBackend* SolverSession::fetch_backend(BackendKind kind) {
@@ -70,92 +60,16 @@ SolveResult SolverSession::solve(std::span<const Lit> assumptions) {
   return result;
 }
 
-bool SolverSession::satisfiable() {
-  if (base_sat_ < 0) {
-    if (!models_.empty()) {
-      base_sat_ = 1;
-    } else if (exhausted_) {
-      base_sat_ = 0;
-    } else {
-      base_sat_ = solve({}) == SolveResult::kSat ? 1 : 0;
-    }
+std::vector<Lit> SolverSession::read_model() const {
+  std::vector<Lit> model;
+  model.reserve(static_cast<std::size_t>(cnf_vars_));
+  for (Var v = 0; v < cnf_vars_; ++v) {
+    model.emplace_back(v, backend_->model_value(v) != LBool::kTrue);
   }
-  return base_sat_ == 1;
-}
-
-void SolverSession::set_projection(const std::vector<Var>& projection) {
-  const std::vector<Var> wanted =
-      projection.empty() ? all_vars(cnf_vars_) : projection;
-  // Cached models stay valid while their blocking clauses are active
-  // (activation_), the enumeration finished (exhausted_), or they came
-  // from a presolve outcome (which nothing can invalidate).
-  if (wanted == projection_ &&
-      (presolve_ || activation_ != kUndefVar || exhausted_ || models_.empty())) {
-    return;  // enumeration state already matches
-  }
-  retract_enumeration();
-  projection_ = wanted;
-  full_projection_ = projection.empty();
-}
-
-std::uint64_t SolverSession::presolve_projected_count() const {
-  const Presolve& p = *presolve_;
-  if (p.solution_class == 0) return 0;
-  std::uint64_t free_in_projection = 0;
-  for (const Var v : projection_) {
-    free_in_projection += p.values[static_cast<std::size_t>(v)] == LBool::kUndef ? 1 : 0;
-  }
-  return free_in_projection >= 62 ? kCountCap : (1ULL << free_in_projection);
-}
-
-void SolverSession::materialize_models(std::uint64_t want) {
-  const Presolve& p = *presolve_;
-  if (p.solution_class == 0) {
-    exhausted_ = true;
-    base_sat_ = 0;
-    return;
-  }
-  base_sat_ = 1;
-  // Free variables within the projection, in projection order; model i
-  // assigns them the bits of i (distinct by construction, so this is a
-  // complete deterministic enumeration with no solver involved).
-  std::vector<std::size_t> free_positions;
-  for (std::size_t i = 0; i < projection_.size(); ++i) {
-    if (p.values[static_cast<std::size_t>(projection_[i])] == LBool::kUndef) {
-      free_positions.push_back(i);
-    }
-  }
-  const std::uint64_t total =
-      free_positions.size() >= 62 ? kCountCap : (1ULL << free_positions.size());
-  while (models_.size() < want && models_.size() < total) {
-    const std::uint64_t index = models_.size();
-    std::vector<Lit> model;
-    model.reserve(projection_.size());
-    std::size_t next_free = 0;
-    for (const Var v : projection_) {
-      const LBool forced = p.values[static_cast<std::size_t>(v)];
-      bool value;
-      if (forced == LBool::kUndef) {
-        // index < total <= 2^62, so free positions beyond bit 61 are
-        // always 0 — and shifting by them would be UB.
-        value = next_free < 62 && ((index >> next_free) & 1ULL) != 0;
-        ++next_free;
-      } else {
-        value = forced == LBool::kTrue;
-      }
-      model.emplace_back(v, !value);
-    }
-    models_.push_back(std::move(model));
-    ++stats_.models_found;
-  }
-  if (models_.size() >= total) exhausted_ = true;
+  return model;
 }
 
 void SolverSession::ensure_models(std::uint64_t want) {
-  if (presolve_) {
-    materialize_models(want);
-    return;
-  }
   while (!exhausted_ && models_.size() < want) {
     if (activation_ == kUndefVar) activation_ = backend_->new_var();
     const Lit guard(activation_, /*negated=*/false);
@@ -164,102 +78,71 @@ void SolverSession::ensure_models(std::uint64_t want) {
       exhausted_ = true;
       break;
     }
-    base_sat_ = 1;
-    std::vector<Lit> model;
-    model.reserve(projection_.size());
+    std::vector<Lit> model = read_model();
     std::vector<Lit> block;
-    block.reserve(projection_.size() + 1);
+    block.reserve(model.size() + 1);
     block.push_back(~guard);
-    for (const Var v : projection_) {
-      const Lit l(v, backend_->model_value(v) != LBool::kTrue);
-      model.push_back(l);
-      block.push_back(~l);
-    }
+    for (const Lit l : model) block.push_back(~l);
     models_.push_back(std::move(model));
     ++stats_.models_found;
-    ++stats_.blocking_clauses;
     if (!backend_->add_clause(block)) {
       exhausted_ = true;  // blocking clause revealed level-0 UNSAT
       break;
     }
   }
-  if (exhausted_ && base_sat_ < 0) base_sat_ = models_.empty() ? 0 : 1;
 }
 
-EnumerateResult SolverSession::enumerate(const EnumerateOptions& options) {
-  set_projection(options.projection);
-  EnumerateResult result;
-  if (options.max_models == 0) {
-    ensure_models(std::numeric_limits<std::uint64_t>::max());
-    result.models = models_;
-    result.truncated = false;
-    return result;
-  }
-  // Probe one model past the cap so `truncated` is honest; the probe
-  // model stays cached for later, larger queries.
+std::uint64_t SolverSession::count_models_capped(std::uint64_t cap) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  ensure_models(options.max_models == kMax ? kMax : options.max_models + 1);
-  const std::size_t take =
-      std::min<std::size_t>(models_.size(), options.max_models);
-  result.models.assign(models_.begin(),
-                       models_.begin() + static_cast<std::ptrdiff_t>(take));
-  result.truncated = models_.size() > take;
-  return result;
-}
-
-std::uint64_t SolverSession::count_models_capped(std::uint64_t cap,
-                                                const std::vector<Var>& projection) {
-  set_projection(projection);
+  const std::uint64_t want = cap == 0 ? kMax : cap;  // 0 = no cap
   if (presolve_) {
-    const std::uint64_t total = presolve_projected_count();
-    return cap == 0 ? total : std::min<std::uint64_t>(total, cap);
+    const Presolve& p = *presolve_;
+    const std::uint64_t total = p.solution_class == 0 ? 0
+                                : p.free_vars >= 62   ? kCountCap
+                                                      : 1ULL << p.free_vars;
+    return std::min(total, want);
   }
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t want = cap == 0 ? kMax : cap;
-  if (full_projection_ && !exhausted_ && models_.size() < want) {
-    // A counting backend answers without enumerating (and without
-    // disturbing any blocking-clause state a prior enumerate() left).
+  if (!exhausted_ && models_.size() < want) {
+    // A counting backend answers without enumerating.
     if (const auto exact = backend_->exact_count()) {
-      base_sat_ = *exact > 0 ? 1 : 0;
-      return cap == 0 ? *exact : std::min<std::uint64_t>(*exact, cap);
+      if (*exact == 0) exhausted_ = true;
+      return std::min(*exact, want);
     }
   }
-  if (cap == 0) {  // 0 = no cap, as in EnumerateOptions::max_models
-    ensure_models(kMax);
-    return models_.size();
-  }
-  ensure_models(cap);
-  return std::min<std::uint64_t>(models_.size(), cap);
+  ensure_models(want);
+  return std::min<std::uint64_t>(models_.size(), want);
 }
 
-SolutionClassification SolverSession::classify(const std::vector<Var>& projection) {
-  set_projection(projection);
+SolutionClassification SolverSession::classify() {
   SolutionClassification out;
   if (presolve_) {
-    const std::uint64_t total = presolve_projected_count();
-    out.solution_class = static_cast<int>(std::min<std::uint64_t>(total, 2));
+    // A decided presolve has one model iff no variable is free: the
+    // forced values are that model.
+    out.solution_class = presolve_->solution_class;
     if (out.solution_class == 1) {
-      ensure_models(1);
+      if (models_.empty()) {
+        std::vector<Lit> model;
+        model.reserve(presolve_->values.size());
+        for (Var v = 0; v < cnf_vars_; ++v) {
+          model.emplace_back(v, presolve_->values[static_cast<std::size_t>(v)] != LBool::kTrue);
+        }
+        models_.push_back(std::move(model));
+        ++stats_.models_found;
+      }
       out.unique_model = models_.front();
     }
     return out;
   }
-  if (full_projection_ && models_.empty() && !exhausted_) {
+  if (models_.empty() && !exhausted_) {
     if (const auto exact = backend_->exact_count()) {
       out.solution_class = static_cast<int>(std::min<std::uint64_t>(*exact, 2));
-      base_sat_ = *exact > 0 ? 1 : 0;
       if (*exact == 0) {
         exhausted_ = true;
       } else if (*exact == 1) {
         // One solve extracts the unique model; the count proves there
         // is nothing to block, so the enumeration is already complete.
         if (solve({}) == SolveResult::kSat) {
-          std::vector<Lit> model;
-          model.reserve(projection_.size());
-          for (const Var v : projection_) {
-            model.emplace_back(v, backend_->model_value(v) != LBool::kTrue);
-          }
-          models_.push_back(std::move(model));
+          models_.push_back(read_model());
           ++stats_.models_found;
           exhausted_ = true;
           out.unique_model = models_.front();
@@ -274,19 +157,15 @@ SolutionClassification SolverSession::classify(const std::vector<Var>& projectio
   return out;
 }
 
-PotentialTrueResult SolverSession::potential_true_vars(const std::vector<Var>& vars) {
+PotentialTrueResult SolverSession::potential_true_vars() {
   PotentialTrueResult out;
-  const std::vector<Var> targets = vars.empty() ? all_vars(cnf_vars_) : vars;
 
   if (presolve_) {
     const Presolve& p = *presolve_;
-    if (p.solution_class == 0) {
-      base_sat_ = 0;
-      return out;
-    }
+    if (p.solution_class == 0) return out;
     out.satisfiable = true;
     // A variable is True in some model iff it is forced True or free.
-    for (const Var v : targets) {
+    for (Var v = 0; v < cnf_vars_; ++v) {
       if (p.values[static_cast<std::size_t>(v)] == LBool::kFalse) {
         out.always_false.push_back(v);
       } else {
@@ -296,24 +175,21 @@ PotentialTrueResult SolverSession::potential_true_vars(const std::vector<Var>& v
     return out;
   }
 
-  if (base_sat_ == 0 || (exhausted_ && models_.empty())) {
-    base_sat_ = 0;
-    return out;
-  }
+  if (exhausted_ && models_.empty()) return out;
 
   std::vector<std::uint8_t> known_true(static_cast<std::size_t>(cnf_vars_), 0);
   const auto harvest = [&] {
-    for (std::int32_t v = 0; v < cnf_vars_; ++v) {
+    for (Var v = 0; v < cnf_vars_; ++v) {
       if (backend_->model_value(v) == LBool::kTrue) {
         known_true[static_cast<std::size_t>(v)] = 1;
       }
     }
   };
 
-  if (full_projection_ && !models_.empty()) {
-    // Models cached by enumeration over the full variable set are
-    // genuine models of the CNF; seed from them and skip the base
-    // solve (the common path after classify() on class-2 CNFs).
+  if (!models_.empty()) {
+    // Cached models are genuine models of the CNF; seed from them and
+    // skip the base solve (the common path after classify() on
+    // class-2 CNFs).
     for (const auto& model : models_) {
       for (const Lit l : model) {
         if (!l.negated()) known_true[static_cast<std::size_t>(l.var())] = 1;
@@ -325,22 +201,21 @@ PotentialTrueResult SolverSession::potential_true_vars(const std::vector<Var>& v
     // of the original CNF (restricted to CNF variables) remains
     // reachable.
     if (solve({}) != SolveResult::kSat) {
-      base_sat_ = 0;
+      exhausted_ = true;
       return out;
     }
     harvest();
   }
-  base_sat_ = 1;
   out.satisfiable = true;
 
-  for (const Var v : targets) {
+  for (Var v = 0; v < cnf_vars_; ++v) {
     if (known_true[static_cast<std::size_t>(v)]) continue;
     const Lit assume(v, /*negated=*/false);
     const std::array<Lit, 1> assumption{assume};
     if (solve(assumption) == SolveResult::kSat) harvest();
   }
 
-  for (const Var v : targets) {
+  for (Var v = 0; v < cnf_vars_; ++v) {
     if (known_true[static_cast<std::size_t>(v)]) {
       out.potential_true.push_back(v);
     } else {
@@ -348,16 +223,6 @@ PotentialTrueResult SolverSession::potential_true_vars(const std::vector<Var>& v
     }
   }
   return out;
-}
-
-void SolverSession::retract_enumeration() {
-  if (activation_ != kUndefVar) {
-    backend_->retract_activation(activation_);
-    activation_ = kUndefVar;
-    ++stats_.retractions;
-  }
-  models_.clear();
-  exhausted_ = false;
 }
 
 }  // namespace ct::sat

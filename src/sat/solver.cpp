@@ -81,35 +81,6 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   return true;
 }
 
-bool Solver::retract_activation(Var a) {
-  if (!ok_) return false;
-  cancel_until(0);
-  const Lit off(a, /*negated=*/true);
-  if (value(off) == LBool::kFalse) return false;  // `a` was asserted; not an activation var
-  if (value(off) == LBool::kUndef) {
-    if (!add_clause({off})) return false;
-  }
-  // Every clause containing `off` is now satisfied at level 0 and can
-  // never propagate again; drop it from the database.
-  auto prune = [this, off](std::vector<ClauseRef>& refs) {
-    std::size_t kept = 0;
-    for (const ClauseRef cref : refs) {
-      const Clause& c = clauses_[static_cast<std::size_t>(cref)];
-      if (!c.deleted &&
-          std::find(c.lits.begin(), c.lits.end(), off) != c.lits.end()) {
-        remove_clause(cref);
-        ++stats_.retracted_clauses;
-      } else {
-        refs[kept++] = cref;
-      }
-    }
-    refs.resize(kept);
-  };
-  prune(problem_clauses_);
-  prune(learnt_clauses_);
-  return true;
-}
-
 Solver::ClauseRef Solver::alloc_clause(std::vector<Lit> lits, bool learnt) {
   Clause c;
   c.lits = std::move(lits);

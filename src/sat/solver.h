@@ -51,7 +51,6 @@ struct SolverStats {
   std::uint64_t restarts = 0;
   std::uint64_t learnt_clauses = 0;
   std::uint64_t removed_clauses = 0;
-  std::uint64_t retracted_clauses = 0;
 };
 
 class Solver {
@@ -96,17 +95,6 @@ class Solver {
   /// True once the clause database itself is unsatisfiable (no
   /// assumptions needed).
   bool is_inconsistent() const { return !ok_; }
-
-  /// Retires an activation variable: permanently asserts ~a at level 0
-  /// and physically removes every clause containing ~a (now satisfied
-  /// forever).  Used by SolverSession to retract guarded clause groups —
-  /// e.g. enumeration blocking clauses of the form (~a v ~model) — so
-  /// they stop consuming watch effort once the group is done.  Sound
-  /// because `a` must never occur positively in any clause: then every
-  /// clause derived (learnt) from a guarded clause also contains ~a and
-  /// is removed with the group.  Returns false if asserting ~a made the
-  /// database UNSAT (impossible for a true activation variable).
-  bool retract_activation(Var a);
 
   /// Optional conflict budget per solve() call; 0 disables the limit.
   void set_conflict_budget(std::uint64_t max_conflicts) { conflict_budget_ = max_conflicts; }

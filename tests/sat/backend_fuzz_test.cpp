@@ -1,13 +1,12 @@
 // Randomized cross-backend agreement (the multi-backend determinism
 // contract at the sat layer): on random small CNFs, the DPLL
-// ModelCounter, SolverSession enumeration on the CDCL backend, the
+// ModelCounter, SolverSession queries on the CDCL backend, the
 // counting backend's fast paths, and UnitPropBackend classifications
 // must all agree — with a brute-force truth table as the referee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "../support/fuzz_seed.h"
@@ -34,6 +33,7 @@ bool clause_satisfied(const std::vector<Lit>& clause, std::uint32_t assignment) 
 struct Oracle {
   std::uint64_t count = 0;
   std::uint32_t ever_true = 0;  // bitmask of vars true in some model
+  std::uint32_t last_model = 0;  // the model, when count == 1
 
   explicit Oracle(const Cnf& cnf) {
     for (std::uint32_t a = 0; a < (1u << cnf.num_vars); ++a) {
@@ -47,21 +47,19 @@ struct Oracle {
       if (sat) {
         ++count;
         ever_true |= a;
+        last_model = a;
       }
     }
   }
 };
 
-std::set<std::uint32_t> model_set(const std::vector<std::vector<Lit>>& models) {
-  std::set<std::uint32_t> out;
-  for (const auto& m : models) {
-    std::uint32_t bits = 0;
-    for (const Lit l : m) {
-      if (!l.negated()) bits |= 1u << l.var();
-    }
-    out.insert(bits);
+/// A model (one literal per variable) as a bitmask of its True vars.
+std::uint32_t model_bits(const std::vector<Lit>& model) {
+  std::uint32_t bits = 0;
+  for (const Lit l : model) {
+    if (!l.negated()) bits |= 1u << l.var();
   }
-  return out;
+  return bits;
 }
 
 /// Tomography-shaped random CNF (positive disjunctions + negative
@@ -114,17 +112,26 @@ TEST(BackendFuzz, CounterSessionAndUnitPropAgreeOnRandomCnfs) {
 
     // Referee 2: CDCL-backed session enumeration.
     SolverSession cdcl(cnf, BackendPlan{BackendKind::kCdcl, BackendKind::kCdcl});
-    EXPECT_EQ(cdcl.count_models_capped(0), oracle.count);
-    EXPECT_EQ(cdcl.classify().solution_class,
+    const SolutionClassification cdcl_class = cdcl.classify();
+    EXPECT_EQ(cdcl_class.solution_class,
               static_cast<int>(std::min<std::uint64_t>(oracle.count, 2)));
+    if (oracle.count == 1) {
+      ASSERT_TRUE(cdcl_class.unique_model.has_value());
+      EXPECT_EQ(model_bits(*cdcl_class.unique_model), oracle.last_model);
+    }
+    EXPECT_EQ(cdcl.count_models_capped(0), oracle.count);
     const PotentialTrueResult cdcl_split = cdcl.potential_true_vars();
+    EXPECT_EQ(cdcl_split.satisfiable, oracle.count > 0);
 
     // Counting backend: classification and counts without enumeration.
     SolverSession count(cnf, BackendPlan{BackendKind::kCount, BackendKind::kCount});
-    EXPECT_EQ(count.classify().solution_class, cdcl.classify().solution_class);
+    const SolutionClassification count_class = count.classify();
+    EXPECT_EQ(count_class.solution_class, cdcl_class.solution_class);
+    EXPECT_EQ(count_class.unique_model, cdcl_class.unique_model);
     EXPECT_EQ(count.count_models_capped(0), oracle.count);
     EXPECT_EQ(count.count_models_capped(3), std::min<std::uint64_t>(oracle.count, 3));
     const PotentialTrueResult count_split = count.potential_true_vars();
+    EXPECT_EQ(count_split.satisfiable, cdcl_split.satisfiable);
     EXPECT_EQ(count_split.potential_true, cdcl_split.potential_true);
     EXPECT_EQ(count_split.always_false, cdcl_split.always_false);
 
@@ -133,20 +140,15 @@ TEST(BackendFuzz, CounterSessionAndUnitPropAgreeOnRandomCnfs) {
     // must match the oracle exactly.
     SolverSession unitprop(cnf, BackendPlan{BackendKind::kUnitProp, BackendKind::kCdcl});
     (unitprop.presolved() ? presolve_decided : escalated) += 1;
-    EXPECT_EQ(unitprop.classify().solution_class, cdcl.classify().solution_class);
+    const SolutionClassification up_class = unitprop.classify();
+    EXPECT_EQ(up_class.solution_class, cdcl_class.solution_class);
+    EXPECT_EQ(up_class.unique_model, cdcl_class.unique_model);
+    EXPECT_EQ(unitprop.count_models_capped(3), std::min<std::uint64_t>(oracle.count, 3));
     EXPECT_EQ(unitprop.count_models_capped(0), oracle.count);
-    EXPECT_EQ(unitprop.satisfiable(), oracle.count > 0);
     const PotentialTrueResult up_split = unitprop.potential_true_vars();
+    EXPECT_EQ(up_split.satisfiable, cdcl_split.satisfiable);
     EXPECT_EQ(up_split.potential_true, cdcl_split.potential_true);
     EXPECT_EQ(up_split.always_false, cdcl_split.always_false);
-
-    // Full enumerations yield the same model *set* whichever engine
-    // produced them (discovery order is backend-specific).
-    const auto cap = static_cast<std::uint64_t>(1) << num_vars;
-    const auto cdcl_models = model_set(cdcl.enumerate({.max_models = cap}).models);
-    EXPECT_EQ(cdcl_models.size(), oracle.count);
-    EXPECT_EQ(model_set(unitprop.enumerate({.max_models = cap}).models), cdcl_models);
-    EXPECT_EQ(model_set(count.enumerate({.max_models = cap}).models), cdcl_models);
 
     // Standalone UnitPropBackend: a decided outcome is oracle-exact.
     UnitPropBackend backend;

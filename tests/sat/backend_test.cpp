@@ -241,10 +241,9 @@ TEST(SolverSession, DefaultLoadServesCdcl) {
 }
 
 TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
-  // ~x0 over 70 variables: presolve-decided with 69 free vars, count
-  // saturated at kCountCap.  Enumeration must stay defined (free
-  // positions past bit 61 of the model index are always 0) and yield
-  // distinct models.
+  // ~x0 over 70 variables: presolve-decided with 69 free vars.  The
+  // model count 2^69 must saturate at kCountCap (a shift past bit 61
+  // would be UB), and the class and split follow from the free set.
   Cnf cnf;
   cnf.num_vars = 70;
   cnf.add_clause({neg(0)});
@@ -252,16 +251,13 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
   ASSERT_TRUE(session.presolved());
   EXPECT_EQ(session.count_models_capped(5), 5u);
   EXPECT_EQ(session.count_models_capped(0), kCountCap) << "saturated exact count";
+  EXPECT_EQ(session.classify().solution_class, 2);
 
-  const EnumerateResult models = session.enumerate({.max_models = 4});
-  ASSERT_EQ(models.models.size(), 4u);
-  EXPECT_TRUE(models.truncated);
-  for (std::size_t i = 0; i < models.models.size(); ++i) {
-    for (std::size_t j = i + 1; j < models.models.size(); ++j) {
-      EXPECT_NE(models.models[i], models.models[j]) << "duplicate materialized model";
-    }
-    EXPECT_EQ(models.models[i][0], neg(0)) << "forced literal must hold in every model";
-  }
+  const PotentialTrueResult split = session.potential_true_vars();
+  ASSERT_TRUE(split.satisfiable);
+  EXPECT_EQ(split.always_false, (std::vector<Var>{0}));
+  EXPECT_EQ(split.potential_true.size(), 69u);
+  EXPECT_EQ(session.stats().solve_calls, 0u) << "a decided presolve never searches";
 }
 
 TEST(MakeBackend, ProducesEveryKind) {

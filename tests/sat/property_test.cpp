@@ -1,16 +1,17 @@
-// Property-based tests: the CDCL solver, the enumerator, and the exact
+// Property-based tests: the CDCL solver, the session's queries
+// (classification, capped count, potential-true split) and the exact
 // counter must all agree with a brute-force reference on random small
 // formulas.  Parameterized over (seed, num_vars, num_clauses, clause_len)
 // sweeps.
 #include <gtest/gtest.h>
 
-#include <bitset>
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "sat/counter.h"
-#include "sat/enumerate.h"
+#include "sat/session.h"
 #include "sat/solver.h"
 #include "util/rng.h"
 
@@ -121,17 +122,22 @@ TEST_P(SatAgreement, CounterAgreesWithBruteForce) {
 }
 
 TEST_P(SatAgreement, EnumerationAgreesWithBruteForce) {
+  // Blocking-clause enumeration on the CDCL session: the class, a
+  // capped count and the exhaustive count.
   const Cnf cnf = random_cnf(GetParam());
   const std::uint64_t expected = brute_force_count(cnf);
-  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16});
-  EXPECT_EQ(r.models.size(), expected);
-  EXPECT_FALSE(r.truncated);
+  SolverSession session(cnf);
+  EXPECT_EQ(session.classify().solution_class,
+            static_cast<int>(std::min<std::uint64_t>(expected, 2)));
+  EXPECT_EQ(session.count_models_capped(6), std::min<std::uint64_t>(expected, 6));
+  EXPECT_EQ(session.count_models_capped(0), expected);
 }
 
 TEST_P(SatAgreement, PotentialTrueAgreesWithBruteForce) {
   const Cnf cnf = random_cnf(GetParam());
   const auto expected = brute_force_potential_true(cnf);
-  const auto r = potential_true_vars(cnf);
+  SolverSession session(cnf);
+  const PotentialTrueResult r = session.potential_true_vars();
   if (brute_force_count(cnf) == 0) {
     EXPECT_FALSE(r.satisfiable);
     return;
@@ -195,8 +201,8 @@ TEST_P(TomoShapedCnf, AllEnginesAgree) {
   const std::uint64_t expected = brute_force_count(cnf);
   ModelCounter mc;
   EXPECT_EQ(mc.count(cnf).count, expected);
-  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16});
-  EXPECT_EQ(r.models.size(), expected);
+  SolverSession session(cnf);
+  EXPECT_EQ(session.count_models_capped(0), expected);
   Solver solver;
   const bool ok = solver.add_cnf(cnf);
   EXPECT_EQ(ok && solver.solve() == SolveResult::kSat, expected > 0);

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "util/rng.h"
@@ -60,19 +59,13 @@ struct Oracle {
   }
 };
 
-/// Converts a projected model (full projection, var order) to a bitmask.
+/// Converts a model (one literal per variable) to a bitmask.
 std::uint32_t model_bits(const std::vector<Lit>& model) {
   std::uint32_t bits = 0;
   for (const Lit l : model) {
     if (!l.negated()) bits |= 1u << l.var();
   }
   return bits;
-}
-
-std::set<std::uint32_t> model_set(const std::vector<std::vector<Lit>>& models) {
-  std::set<std::uint32_t> out;
-  for (const auto& m : models) out.insert(model_bits(m));
-  return out;
 }
 
 /// Random tomography-shaped CNF: positive disjunctions of "censor"
@@ -107,8 +100,7 @@ Cnf random_cnf(util::Rng& rng, std::int32_t num_vars) {
   return cnf;
 }
 
-void expect_session_matches_oracle(SolverSession& session, const Oracle& oracle,
-                                   const Cnf& cnf) {
+void expect_session_matches_oracle(SolverSession& session, const Oracle& oracle) {
   const auto count = static_cast<std::uint64_t>(oracle.models.size());
 
   const SolutionClassification cls = session.classify();
@@ -118,15 +110,9 @@ void expect_session_matches_oracle(SolverSession& session, const Oracle& oracle,
     EXPECT_EQ(model_bits(*cls.unique_model), oracle.models.front());
   }
 
-  EXPECT_EQ(session.satisfiable(), count > 0);
+  // Counting extends the classification's enumeration in place.
   EXPECT_EQ(session.count_models_capped(3), std::min<std::uint64_t>(count, 3));
   EXPECT_EQ(session.count_models_capped(0), count);  // 0 = no cap
-
-  // Full enumeration extends the classify/count enumeration in place.
-  const EnumerateResult all = session.enumerate({.max_models = 1u << cnf.num_vars});
-  EXPECT_FALSE(all.truncated);
-  EXPECT_EQ(model_set(all.models),
-            std::set<std::uint32_t>(oracle.models.begin(), oracle.models.end()));
 
   const PotentialTrueResult split = session.potential_true_vars();
   EXPECT_EQ(split.satisfiable, count > 0);
@@ -142,16 +128,16 @@ TEST(SolverSession, MatchesBruteForceOnRandomCnfs) {
     const Oracle oracle(cnf);
 
     SolverSession session(cnf);
-    expect_session_matches_oracle(session, oracle, cnf);
+    expect_session_matches_oracle(session, oracle);
     EXPECT_EQ(session.stats().cnf_loads, 1u)
         << "all queries must share the single CNF load";
   }
 }
 
 TEST(SolverSession, QueriesInAnyOrderAgree) {
-  // potential_true before, between, and after enumeration: the
-  // activation guard must keep blocking clauses out of assumption
-  // solves.
+  // potential_true before, between, and after enumeration (classify,
+  // then a full count): the activation guard must keep blocking
+  // clauses out of assumption solves.
   util::Rng rng(42);
   for (int round = 0; round < 50; ++round) {
     const auto num_vars = static_cast<std::int32_t>(rng.uniform_int(3, 8));
@@ -163,7 +149,7 @@ TEST(SolverSession, QueriesInAnyOrderAgree) {
     const PotentialTrueResult before = session.potential_true_vars();
     session.classify();
     const PotentialTrueResult between = session.potential_true_vars();
-    session.enumerate({.max_models = 1u << num_vars});
+    EXPECT_EQ(session.count_models_capped(0), oracle.models.size());
     const PotentialTrueResult after = session.potential_true_vars();
 
     EXPECT_EQ(before.potential_true, oracle.potential_true);
@@ -171,26 +157,6 @@ TEST(SolverSession, QueriesInAnyOrderAgree) {
     EXPECT_EQ(after.potential_true, oracle.potential_true);
     EXPECT_EQ(after.always_false, oracle.always_false);
     EXPECT_EQ(session.stats().cnf_loads, 1u);
-  }
-}
-
-TEST(SolverSession, RetractionRestartsEnumeration) {
-  util::Rng rng(7);
-  for (int round = 0; round < 50; ++round) {
-    const auto num_vars = static_cast<std::int32_t>(rng.uniform_int(3, 8));
-    const Cnf cnf = random_cnf(rng, num_vars);
-    SolverSession session(cnf);
-
-    const auto first = model_set(session.enumerate({.max_models = 1u << num_vars}).models);
-    session.retract_enumeration();
-    const auto second = model_set(session.enumerate({.max_models = 1u << num_vars}).models);
-    EXPECT_EQ(first, second);
-    EXPECT_GE(session.stats().retractions, 1u);
-    // Each model beyond the first leaves at least one stored guarded
-    // blocking clause (the final one may simplify to a bare ~a unit).
-    if (first.size() >= 2) {
-      EXPECT_GE(session.solver_stats().retracted_clauses, first.size() - 1);
-    }
   }
 }
 
@@ -224,99 +190,9 @@ TEST(SolverSession, ArenaReloadMatchesFreshSession) {
     const Oracle oracle(cnf);
 
     arena.load(cnf);
-    expect_session_matches_oracle(arena, oracle, cnf);
+    expect_session_matches_oracle(arena, oracle);
   }
   EXPECT_EQ(arena.stats().cnf_loads, 50u);
-}
-
-TEST(SolverSession, ProjectionChangeRestartsEnumeration) {
-  // (x0 v x1 v x2): 7 full models, 2 models projected onto {x0}.
-  Cnf cnf;
-  cnf.num_vars = 3;
-  cnf.add_clause({pos(0), pos(1), pos(2)});
-  SolverSession session(cnf);
-
-  EXPECT_EQ(session.count_models_capped(100), 7u);
-  EXPECT_EQ(session.count_models_capped(100, {0}), 2u);
-  EXPECT_EQ(session.count_models_capped(100), 7u);
-}
-
-TEST(SolverSession, TruncationFlagHonest) {
-  Cnf cnf;
-  cnf.num_vars = 3;
-  cnf.add_clause({pos(0), pos(1), pos(2)});
-  SolverSession session(cnf);
-  EXPECT_TRUE(session.enumerate({.max_models = 3}).truncated);
-  EXPECT_FALSE(session.enumerate({.max_models = 7}).truncated);
-  EXPECT_FALSE(session.enumerate({.max_models = 100}).truncated);
-}
-
-TEST(SolverSession, ProjectionChangeMidEnumerationThenCount) {
-  // (x0 v x1 v x2): 7 full models, 2 projected onto {x0}.  Changing the
-  // projection in the middle of a truncated enumeration must retract
-  // the active blocking clauses, and the counts on either side of the
-  // change must stay exact.
-  Cnf cnf;
-  cnf.num_vars = 3;
-  cnf.add_clause({pos(0), pos(1), pos(2)});
-  SolverSession session(cnf);
-
-  const EnumerateResult partial = session.enumerate({.max_models = 3});
-  EXPECT_EQ(partial.models.size(), 3u);
-  EXPECT_TRUE(partial.truncated);
-  const std::uint64_t retractions_before = session.stats().retractions;
-  const std::uint64_t models_before = session.stats().models_found;
-
-  // Projection change mid-enumeration: one retraction, fresh projected
-  // enumeration, exact count.
-  EXPECT_EQ(session.count_models_capped(100, {0}), 2u);
-  EXPECT_EQ(session.stats().retractions, retractions_before + 1);
-
-  // Back to the full projection: another retraction, and the count is
-  // re-derived from scratch without the stale truncated state.
-  EXPECT_EQ(session.count_models_capped(0), 7u);
-  EXPECT_EQ(session.stats().retractions, retractions_before + 2);
-  EXPECT_EQ(session.count_models_capped(2), 2u) << "shrunken caps stay exact";
-
-  // SessionStats invariants: one load served everything, every found
-  // model carried a blocking clause, and the projected + re-derived
-  // models were all counted.
-  EXPECT_EQ(session.stats().cnf_loads, 1u);
-  EXPECT_EQ(session.stats().blocking_clauses, session.stats().models_found);
-  EXPECT_EQ(session.stats().models_found, models_before + 2u + 7u);
-}
-
-TEST(SolverSession, RetractEnumerationAfterUnsat) {
-  // x0 & ~x0: classification creates the activation guard, finds
-  // UNSAT, and a retraction afterwards must leave the session able to
-  // re-derive the same answer on a fresh enumeration.
-  Cnf cnf;
-  cnf.num_vars = 2;
-  cnf.add_clause({pos(0)});
-  cnf.add_clause({neg(0)});
-  SolverSession session(cnf);
-
-  EXPECT_EQ(session.classify().solution_class, 0);
-  EXPECT_EQ(session.stats().models_found, 0u);
-
-  session.retract_enumeration();
-  EXPECT_EQ(session.stats().retractions, 1u);
-
-  const std::uint64_t solves_before = session.stats().solve_calls;
-  EXPECT_EQ(session.count_models_capped(5), 0u);
-  EXPECT_GT(session.stats().solve_calls, solves_before)
-      << "the retracted enumeration must restart, not reuse stale state";
-  EXPECT_EQ(session.classify().solution_class, 0);
-  EXPECT_FALSE(session.satisfiable());
-  EXPECT_FALSE(session.potential_true_vars().satisfiable);
-
-  // Invariants: single load, nothing ever counted as a model, and a
-  // second retraction of the re-created guard still accounts.
-  session.retract_enumeration();
-  EXPECT_EQ(session.stats().retractions, 2u);
-  EXPECT_EQ(session.stats().cnf_loads, 1u);
-  EXPECT_EQ(session.stats().models_found, 0u);
-  EXPECT_EQ(session.stats().blocking_clauses, 0u);
 }
 
 TEST(SolverSession, UnsatCnf) {
@@ -325,10 +201,106 @@ TEST(SolverSession, UnsatCnf) {
   cnf.add_clause({pos(0)});
   cnf.add_clause({neg(0)});
   SolverSession session(cnf);
-  EXPECT_FALSE(session.satisfiable());
   EXPECT_EQ(session.classify().solution_class, 0);
   EXPECT_EQ(session.count_models_capped(10), 0u);
   EXPECT_FALSE(session.potential_true_vars().satisfiable);
+  // Asking again stays UNSAT, on the one load, with no model counted.
+  EXPECT_EQ(session.classify().solution_class, 0);
+  EXPECT_EQ(session.count_models_capped(0), 0u);
+  EXPECT_EQ(session.stats().cnf_loads, 1u);
+  EXPECT_EQ(session.stats().models_found, 0u);
+}
+
+// Hand-built CNFs with known answers, one session query each.
+
+Cnf disjunction3() {
+  // (x0 v x1 v x2): 7 models over 3 vars.
+  Cnf cnf;
+  cnf.num_vars = 3;
+  cnf.add_clause({pos(0), pos(1), pos(2)});
+  return cnf;
+}
+
+Cnf contradiction() {
+  Cnf cnf;
+  cnf.num_vars = 1;
+  cnf.add_clause({pos(0)});
+  cnf.add_clause({neg(0)});
+  return cnf;
+}
+
+TEST(CountCapped, MatchesEnumeration) {
+  SolverSession session(disjunction3());
+  EXPECT_EQ(session.count_models_capped(100), 7u);
+  SolverSession capped(disjunction3());
+  EXPECT_EQ(capped.count_models_capped(4), 4u);
+}
+
+TEST(Classify, ZeroSolutions) {
+  SolverSession session(contradiction());
+  const SolutionClassification c = session.classify();
+  EXPECT_EQ(c.solution_class, 0);
+  EXPECT_FALSE(c.unique_model.has_value());
+}
+
+TEST(Classify, UniqueSolution) {
+  // Paper scenario: (X v Y v Z) & ~X & ~Y  ==> unique model Z.
+  Cnf cnf = disjunction3();
+  cnf.add_clause({neg(0)});
+  cnf.add_clause({neg(1)});
+  SolverSession session(cnf);
+  const SolutionClassification c = session.classify();
+  ASSERT_EQ(c.solution_class, 1);
+  ASSERT_TRUE(c.unique_model.has_value());
+  EXPECT_EQ(*c.unique_model, (std::vector<Lit>{neg(0), neg(1), pos(2)}));
+}
+
+TEST(Classify, MultipleSolutions) {
+  SolverSession session(disjunction3());
+  EXPECT_EQ(session.classify().solution_class, 2);
+}
+
+TEST(PotentialTrue, SplitsCensorsFromNonCensors) {
+  // (x0 v x1 v x2) & ~x0: x0 can never be true; x1, x2 can.
+  Cnf cnf = disjunction3();
+  cnf.add_clause({neg(0)});
+  SolverSession session(cnf);
+  const PotentialTrueResult r = session.potential_true_vars();
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_EQ(r.always_false, (std::vector<Var>{0}));
+  EXPECT_EQ(r.potential_true, (std::vector<Var>{1, 2}));
+}
+
+TEST(PotentialTrue, UnsatGivesNothing) {
+  SolverSession session(contradiction());
+  const PotentialTrueResult r = session.potential_true_vars();
+  EXPECT_FALSE(r.satisfiable);
+  EXPECT_TRUE(r.potential_true.empty());
+  EXPECT_TRUE(r.always_false.empty());
+}
+
+TEST(PotentialTrue, SplitCoversEveryVariable) {
+  // (x0 v x1) & ~x2, x3 unconstrained: the split names every CNF
+  // variable, the one a unit forces False and the free one included.
+  Cnf cnf;
+  cnf.num_vars = 4;
+  cnf.add_clause({pos(0), pos(1)});
+  cnf.add_clause({neg(2)});
+  SolverSession session(cnf);
+  const PotentialTrueResult r = session.potential_true_vars();
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_EQ(r.always_false, (std::vector<Var>{2}));
+  EXPECT_EQ(r.potential_true, (std::vector<Var>{0, 1, 3}));
+}
+
+TEST(PotentialTrue, AllFreeVarsPotentiallyTrue) {
+  Cnf cnf;
+  cnf.num_vars = 3;  // no clauses at all
+  SolverSession session(cnf);
+  const PotentialTrueResult r = session.potential_true_vars();
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_EQ(r.potential_true.size(), 3u);
+  EXPECT_TRUE(r.always_false.empty());
 }
 
 }  // namespace
