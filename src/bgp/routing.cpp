@@ -1,6 +1,7 @@
 #include "bgp/routing.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -193,6 +194,11 @@ RouteComputer::RouteComputer(const topo::AsGraph& graph) : graph_(graph) {
     }
     for (Csr* csr : {&providers_, &customers_, &peers_}) {
       csr->offsets[x + 1] = static_cast<std::int32_t>(csr->edges.size());
+      // The kernel's ascending sweeps pick the lowest-id next hop.
+      std::sort(csr->edges.begin() + csr->offsets[x], csr->edges.end(),
+                [](const Edge& a, const Edge& b) {
+                  return a.as != b.as ? a.as < b.as : a.link < b.link;
+                });
     }
   }
 }
@@ -214,115 +220,131 @@ RouteTable RouteComputer::compute(topo::AsId dest, const std::vector<bool>& link
   return RouteTableSet(*this, {dest}, link_up).at(0);
 }
 
-void RouteComputer::compute_into(topo::AsId dest, const std::uint8_t* up, Scratch& scratch,
-                                 RouteTable& table) const {
-  if (dest < 0 || dest >= graph_.num_ases()) {
-    throw std::invalid_argument("RouteComputer::compute: unknown destination");
+void RouteComputer::compute_block(const AsId* dests, std::size_t count, const std::uint8_t* up,
+                                  Lanes& lanes, RouteTable* tables) const {
+  for (std::size_t j = 0; j < count; ++j) {
+    if (dests[j] < 0 || dests[j] >= graph_.num_ases()) {
+      throw std::invalid_argument("RouteComputer::compute: unknown destination");
+    }
   }
   const auto n = static_cast<std::size_t>(graph_.num_ases());
-  const auto d = static_cast<std::size_t>(dest);
-  table.reset(dest, graph_.num_ases());
   constexpr std::int32_t kInf = RouteTable::kInf;
+  std::vector<std::uint64_t>& levels = lanes.levels;
+  std::vector<std::uint64_t>& buckets = lanes.buckets;
+  std::vector<std::uint64_t>& cust = lanes.cust;
+  std::vector<std::uint64_t>& peer = lanes.peer;
+  std::vector<std::uint64_t>& prov = lanes.prov;
+  // Calls write(table) for the table of every lane set in `bits`.
+  const auto each_lane = [tables](std::uint64_t bits, const auto& write) {
+    for (; bits != 0; bits &= bits - 1) write(tables[std::countr_zero(bits)]);
+  };
 
-  // --- Phase 1: customer routes, FIFO BFS up provider edges from dest. ---
-  // An AS is enqueued when first reached, so at its final distance; a
-  // later same-level arrival only lowers the next hop.
-  std::vector<AsId>& queue = scratch.queue;
-  queue.clear();
-  queue.push_back(dest);
-  table.cust_dist_[d] = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const AsId x = queue[head];
-    const auto row = static_cast<std::size_t>(x);
-    const std::int32_t cand = table.cust_dist_[row] + 1;
-    for (std::int32_t e = providers_.offsets[row]; e < providers_.offsets[row + 1]; ++e) {
-      const Edge& edge = providers_.edges[static_cast<std::size_t>(e)];
-      if (up[edge.link] == 0) continue;
-      const auto p = static_cast<std::size_t>(edge.as);
-      if (table.cust_dist_[p] > cand) {
-        table.cust_dist_[p] = cand;
-        table.cust_next_[p] = x;
-        queue.push_back(edge.as);
-      } else if (table.cust_dist_[p] == cand && x < table.cust_next_[p]) {
-        table.cust_next_[p] = x;
-      }
-    }
+  levels.assign(n, 0);
+  for (std::size_t j = 0; j < count; ++j) {
+    const auto d = static_cast<std::size_t>(dests[j]);
+    tables[j].reset(dests[j], graph_.num_ases());
+    tables[j].cust_dist_[d] = 0;
+    levels[d] |= std::uint64_t{1} << j;
   }
+  cust = levels;
 
-  // --- Phase 2: peer routes (one peer hop onto a customer route). ---
-  for (std::size_t x = 0; x < n; ++x) {
-    if (x == d) continue;
-    for (std::int32_t e = peers_.offsets[x]; e < peers_.offsets[x + 1]; ++e) {
-      const Edge& edge = peers_.edges[static_cast<std::size_t>(e)];
-      if (up[edge.link] == 0) continue;
-      const std::int32_t via = table.cust_dist_[static_cast<std::size_t>(edge.as)];
-      if (via >= kInf) continue;
-      const std::int32_t cand = via + 1;
-      if (cand < table.peer_dist_[x] ||
-          (cand == table.peer_dist_[x] && edge.as < table.peer_next_[x])) {
-        table.peer_dist_[x] = cand;
-        table.peer_next_[x] = edge.as;
-      }
-    }
-  }
-
-  // --- Phase 3: provider routes, bucket queue down customer edges. ---
-  // buckets[l] holds the ASes whose selected route (the one they export
-  // to customers) has length l.  ASes with a customer or peer route are
-  // seeded at that length and never move.  An AS without one enters
-  // when its provider route is first set, i.e. while its providers'
-  // bucket l is swept, so at its final length l + 1; later offers of
-  // l + 1 only lower the next hop.  Each AS is thus swept exactly once.
-  // Lengths stay below n: along any selected route they drop by one per
-  // hop down to dest, so its ASes are distinct.
-  std::vector<std::vector<AsId>>& buckets = scratch.buckets;
-  if (buckets.size() < n) buckets.resize(n);
-  std::size_t top = 0;  // one past the highest non-empty bucket
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::int32_t adv = table.advertised(x);
-    if (adv >= kInf) continue;
-    const auto l = static_cast<std::size_t>(adv);
-    buckets[l].push_back(static_cast<AsId>(x));
-    top = std::max(top, l + 1);
-  }
-  for (std::size_t l = 0; l < top; ++l) {
+  // --- Phase 1: customer routes, BFS up provider edges, level by level. ---
+  std::size_t depth = 1;  // number of non-empty levels
+  for (std::size_t l = 0; l < depth; ++l) {
+    levels.resize((l + 2) * n, 0);
     const auto cand = static_cast<std::int32_t>(l + 1);
-    for (std::size_t i = 0; i < buckets[l].size(); ++i) {
-      const AsId x = buckets[l][i];
-      const auto row = static_cast<std::size_t>(x);
-      for (std::int32_t e = customers_.offsets[row]; e < customers_.offsets[row + 1]; ++e) {
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint64_t front = levels[l * n + x];
+      if (front == 0) continue;
+      for (std::int32_t e = providers_.offsets[x]; e < providers_.offsets[x + 1]; ++e) {
+        const Edge& edge = providers_.edges[static_cast<std::size_t>(e)];
+        if (up[edge.link] == 0) continue;
+        const auto p = static_cast<std::size_t>(edge.as);
+        const std::uint64_t fresh = front & ~cust[p];
+        if (fresh == 0) continue;
+        cust[p] |= fresh;
+        levels[(l + 1) * n + p] |= fresh;
+        depth = l + 2;
+        each_lane(fresh, [&](RouteTable& t) {
+          t.cust_dist_[p] = cand;
+          t.cust_next_[p] = static_cast<AsId>(x);
+        });
+      }
+    }
+  }
+
+  // --- Phase 2: peer routes, one peer hop onto a customer route. ---
+  // buckets starts as the customer levels; a peer route enters it at its
+  // length in the lanes where it is x's advertised route.
+  buckets.assign(levels.begin(), levels.begin() + static_cast<std::ptrdiff_t>(depth * n));
+  buckets.resize((depth + 1) * n, 0);
+  peer.assign(n, 0);
+  for (std::size_t x = 0; x < n; ++x) {
+    const std::uint64_t open = ~levels[x];  // every lane but x's own destination
+    for (std::size_t l = 0; l < depth; ++l) {
+      const auto cand = static_cast<std::int32_t>(l + 1);
+      for (std::int32_t e = peers_.offsets[x]; e < peers_.offsets[x + 1]; ++e) {
+        const Edge& edge = peers_.edges[static_cast<std::size_t>(e)];
+        if (up[edge.link] == 0) continue;
+        const std::uint64_t fresh =
+            levels[l * n + static_cast<std::size_t>(edge.as)] & open & ~peer[x];
+        if (fresh == 0) continue;
+        peer[x] |= fresh;
+        buckets[(l + 1) * n + x] |= fresh & ~cust[x];
+        each_lane(fresh, [&](RouteTable& t) {
+          t.peer_dist_[x] = cand;
+          t.peer_next_[x] = edge.as;
+        });
+      }
+    }
+  }
+
+  // --- Phase 3: provider routes, advertised-length buckets down customer edges. ---
+  // A lane enters bucket l + 1 of c when c has no customer or peer route
+  // there and a provider in bucket l first offers one, i.e. at its final
+  // length.  Lengths stay below n: along any selected route they drop by
+  // one per hop down to the destination, so its ASes are distinct.
+  prov.assign(n, 0);
+  for (std::size_t l = 0; l * n < buckets.size(); ++l) {
+    const auto cand = static_cast<std::int32_t>(l + 1);
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint64_t bucket = buckets[l * n + x];
+      if (bucket == 0) continue;
+      for (std::int32_t e = customers_.offsets[x]; e < customers_.offsets[x + 1]; ++e) {
         const Edge& edge = customers_.edges[static_cast<std::size_t>(e)];
         if (up[edge.link] == 0) continue;
         const auto c = static_cast<std::size_t>(edge.as);
-        if (c == d) continue;
-        if (cand < table.prov_dist_[c]) {
-          const bool enters = table.advertised(c) >= kInf;
-          table.prov_dist_[c] = cand;
-          table.prov_next_[c] = x;
-          if (enters) {
-            buckets[l + 1].push_back(edge.as);
-            top = std::max(top, l + 2);
-          }
-        } else if (cand == table.prov_dist_[c] && x < table.prov_next_[c]) {
-          table.prov_next_[c] = x;
+        const std::uint64_t fresh = bucket & ~levels[c] & ~prov[c];
+        if (fresh == 0) continue;
+        prov[c] |= fresh;
+        if (const std::uint64_t enters = fresh & ~(cust[c] | peer[c]); enters != 0) {
+          buckets.resize(std::max(buckets.size(), (l + 2) * n), 0);
+          buckets[(l + 1) * n + c] |= enters;
         }
+        each_lane(fresh, [&](RouteTable& t) {
+          t.prov_dist_[c] = cand;
+          t.prov_next_[c] = static_cast<AsId>(x);
+        });
       }
     }
-    buckets[l].clear();
   }
 
   // --- Final selection. ---
-  for (std::size_t x = 0; x < n; ++x) {
-    if (x == d) {
-      table.kind_[x] = RouteKind::kOrigin;
-    } else if (table.cust_dist_[x] < kInf) {
-      table.kind_[x] = RouteKind::kCustomer;
-    } else if (table.peer_dist_[x] < kInf) {
-      table.kind_[x] = RouteKind::kPeer;
-    } else if (table.prov_dist_[x] < kInf) {
-      table.kind_[x] = RouteKind::kProvider;
-    } else {
-      table.kind_[x] = RouteKind::kNone;
+  for (std::size_t j = 0; j < count; ++j) {
+    RouteTable& t = tables[j];
+    const auto d = static_cast<std::size_t>(dests[j]);
+    for (std::size_t x = 0; x < n; ++x) {
+      if (x == d) {
+        t.kind_[x] = RouteKind::kOrigin;
+      } else if (t.cust_dist_[x] < kInf) {
+        t.kind_[x] = RouteKind::kCustomer;
+      } else if (t.peer_dist_[x] < kInf) {
+        t.kind_[x] = RouteKind::kPeer;
+      } else if (t.prov_dist_[x] < kInf) {
+        t.kind_[x] = RouteKind::kProvider;
+      } else {
+        t.kind_[x] = RouteKind::kNone;
+      }
     }
   }
 }
@@ -330,11 +352,13 @@ void RouteComputer::compute_into(topo::AsId dest, const std::uint8_t* up, Scratc
 void RouteTableSet::recompute(const RouteComputer& computer,
                               const std::vector<topo::AsId>& dests,
                               const std::vector<bool>& link_up) {
-  // One link-state conversion and one scratch for the whole epoch.
+  // One link-state conversion and one lane scratch for the whole epoch.
   computer.link_mask(link_up, up_);
   tables_.resize(dests.size(), RouteTable(0, 0));
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    computer.compute_into(dests[i], up_.data(), scratch_, tables_[i]);
+  constexpr std::size_t kLanes = RouteComputer::kLanes;
+  for (std::size_t begin = 0; begin < dests.size(); begin += kLanes) {
+    computer.compute_block(dests.data() + begin, std::min(kLanes, dests.size() - begin),
+                           up_.data(), lanes_, tables_.data() + begin);
   }
 }
 

@@ -9,20 +9,33 @@
 // provider-learned routes are exported only to customers.  All resulting
 // paths are valley-free and loop-free.
 //
-// Computation is per-destination over the subset of links that are
-// currently up (the churn engine owns link state, read here as a dense
-// byte mask), in three phases over per-relationship CSR adjacency built
-// once per RouteComputer:
-//   1. customer routes: one FIFO BFS from d up provider edges;
-//   2. peer routes: one peer hop onto a customer route, per AS;
-//   3. provider routes: a bucket queue indexed by advertised length
-//      sweeps down customer edges (unit weights, so buckets replace a
-//      heap, and every AS enters exactly one bucket).
-// Every phase takes the lowest next hop among equal-length candidates
-// explicitly, so the visit order within a BFS level or bucket never
-// changes a table.
+// Computation runs over the subset of links that are currently up (the
+// churn engine owns link state, read here as a dense byte mask), on
+// per-relationship CSR adjacency built once per RouteComputer with every
+// row sorted by neighbor id.  One pass routes a block of up to 64
+// destinations: destination j of the block is bit lane j of a 64-bit
+// word per AS, so each word says for which destinations an AS is in a
+// given state.  Three phases:
+//   1. customer routes: a level-synchronous BFS from every destination
+//      at once up provider edges; level l's words are the lanes whose
+//      customer route has length l;
+//   2. peer routes: one peer hop onto a customer route, walking the
+//      customer levels in ascending order;
+//   3. provider routes: advertised-length buckets (a customer or peer
+//      route seeds its AS at that length) swept in ascending order down
+//      customer edges; a lane whose AS has no customer or peer route
+//      enters bucket l + 1 when a provider in bucket l first offers it
+//      one.
+// Each (AS, destination) entry is written only by the first writer that
+// finds its lane unset: a later offer in the same level or bucket is
+// never shorter.  Every phase sweeps its levels or buckets in ascending
+// order, the ASes within one in ascending id order, and (phase 2) each
+// peer row in ascending id order, so the first writer is also the
+// lowest-id next hop among the equal-length candidates: the tie-break
+// falls out of the order, with no compare.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -126,12 +139,19 @@ class RouteComputer {
  private:
   friend class RouteTableSet;
 
-  /// Working memory of one compute() caller: the phase-1 FIFO and the
-  /// phase-3 length buckets.  Reused across the destinations of one
-  /// RouteTableSet; never shared between threads.
-  struct Scratch {
-    std::vector<topo::AsId> queue;
-    std::vector<std::vector<topo::AsId>> buckets;
+  /// Destinations routed per kernel pass: one bit lane of a word each.
+  static constexpr std::size_t kLanes = 64;
+
+  /// Lane words of one RouteTableSet, reused across its blocks and
+  /// epochs; never shared between threads.  Per AS x, bit j of a word is
+  /// destination j of the block.  `levels` and `buckets` hold one n-word
+  /// row per length: row l of `levels` is the lanes whose customer route
+  /// has length l (row 0: x is the destination), row l of `buckets` the
+  /// lanes whose advertised route has length l.
+  struct Lanes {
+    std::vector<std::uint64_t> levels, buckets;
+    // Lanes in which x has a customer / peer / provider route.
+    std::vector<std::uint64_t> cust, peer, prov;
   };
 
   /// One neighbor edge of a CSR row.
@@ -140,7 +160,7 @@ class RouteComputer {
     topo::LinkId link = 0;
   };
 
-  /// Neighbors of one relationship, in AsGraph::neighbors order:
+  /// Neighbors of one relationship, ascending by neighbor id:
   /// row x is edges[offsets[x], offsets[x + 1]).
   struct Csr {
     std::vector<std::int32_t> offsets;
@@ -151,10 +171,11 @@ class RouteComputer {
   /// against the graph.
   void link_mask(const std::vector<bool>& link_up, std::vector<std::uint8_t>& mask) const;
 
-  /// The kernel behind both public overloads: routes toward `dest` into
-  /// `table`'s storage; `up` is link_mask()'s data.
-  void compute_into(topo::AsId dest, const std::uint8_t* up, Scratch& scratch,
-                    RouteTable& table) const;
+  /// The kernel behind both public overloads: routes toward the
+  /// `count` (at most kLanes) destinations at `dests` into tables[0, count),
+  /// one lane each; `up` is link_mask()'s data.
+  void compute_block(const topo::AsId* dests, std::size_t count, const std::uint8_t* up,
+                     Lanes& lanes, RouteTable* tables) const;
 
   const topo::AsGraph& graph_;
   Csr providers_, customers_, peers_;
@@ -173,8 +194,10 @@ class RouteTableSet {
   }
 
   /// Replaces the view with the tables toward `dests` under `link_up`,
-  /// computed into the previous view's storage: bit-identical to a
-  /// freshly constructed set, and allocation-free once sized.
+  /// computed into the previous view's storage, one kernel pass per 64
+  /// destinations: bit-identical to a freshly constructed set, and
+  /// allocation-free once sized.  `dests` may be in any order and may
+  /// repeat a destination.
   void recompute(const RouteComputer& computer, const std::vector<topo::AsId>& dests,
                  const std::vector<bool>& link_up);
 
@@ -187,7 +210,7 @@ class RouteTableSet {
  private:
   std::vector<RouteTable> tables_;
   std::vector<std::uint8_t> up_;
-  RouteComputer::Scratch scratch_;
+  RouteComputer::Lanes lanes_;
 };
 
 }  // namespace ct::bgp

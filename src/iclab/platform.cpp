@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -43,6 +44,25 @@ Platform::Platform(const topo::AsGraph& graph, const censor::CensorRegistry& reg
   }
   if (vantages_.empty() || dest_ases_.empty() || urls_.empty()) {
     throw std::invalid_argument("Platform: empty endpoints");
+  }
+  // Shards look destinations up by binary search and URLs by id.
+  const auto sorted_distinct_ases = [&graph](const std::vector<AsId>& ases) {
+    return std::adjacent_find(ases.begin(), ases.end(), std::greater_equal<>()) == ases.end() &&
+           ases.front() >= 0 && ases.back() < graph.num_ases();
+  };
+  if (!sorted_distinct_ases(vantages_)) {
+    throw std::invalid_argument("Platform: vantages must be sorted, distinct AS ids");
+  }
+  if (!sorted_distinct_ases(dest_ases_)) {
+    throw std::invalid_argument("Platform: dest_ases must be sorted, distinct AS ids");
+  }
+  for (std::size_t i = 0; i < urls_.size(); ++i) {
+    if (urls_[i].id != static_cast<std::int32_t>(i)) {
+      throw std::invalid_argument("Platform: URL ids must equal their index");
+    }
+    if (!std::binary_search(dest_ases_.begin(), dest_ases_.end(), urls_[i].dest_as)) {
+      throw std::invalid_argument("Platform: URL dest_as is not a destination AS");
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Route-kernel oracle: the flat RouteComputer kernel against the
+// Route-kernel oracle: the word-parallel RouteComputer kernel against the
 // original three-phase implementation (routing_reference.h), on random
 // generated topologies under random link failures and on the first
 // epochs of the default scenario's churn trajectory.  Every public
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -82,8 +83,8 @@ TEST(RouteKernelOracle, MatchesReferenceOnRandomTopologies) {
       for (const double down : down_fractions) {
         std::vector<bool> up(static_cast<std::size_t>(graph.num_links()));
         for (std::size_t link = 0; link < up.size(); ++link) up[link] = !rng.bernoulli(down);
-        // Every destination through one RouteTableSet: the kernel's
-        // scratch is reused from one destination to the next.
+        // Every destination through one RouteTableSet: the kernel's lane
+        // scratch is reused from one 64-destination block to the next.
         const RouteTableSet tables(computer, dests, up);
         const std::vector<std::uint64_t> flows{rng(), rng(), rng()};
         for (const AsId dest : dests) {
@@ -100,6 +101,56 @@ TEST(RouteKernelOracle, MatchesReferenceOnRandomTopologies) {
                                  reference::compute(graph, dest, up), graph, up, flows),
                   "")
             << "compute(" << dest << ") alone, topology seed " << topo_seed;
+      }
+    }
+  }
+}
+
+TEST(RouteKernelOracle, BlockBoundariesAndRepeatedDestinations) {
+  // The kernel routes 64 destinations per pass, one bit lane each:
+  // lists that end just short of, on, and just past a block boundary,
+  // span three blocks, are unsorted, and repeat a destination inside
+  // one block and across blocks must give every entry its own table.
+  topo::TopologyConfig cfg;
+  cfg.num_ases = 200;
+  cfg.num_tier1 = 5;
+  cfg.num_transit = 40;
+  cfg.num_countries = 20;
+  cfg.transit_peer_degree = 4.0;
+  cfg.multihome_prob = 0.9;
+  cfg.transit_extra_provider_prob = 0.8;
+  const std::uint64_t seed = test::fuzz_seed(20170623);
+  SCOPED_TRACE(test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  const std::uint64_t topo_seed = rng();
+  const AsGraph graph = topo::generate_topology(cfg, topo_seed);
+  const RouteComputer computer(graph);
+
+  for (const double down : {0.0, 0.15}) {
+    std::vector<bool> up(static_cast<std::size_t>(graph.num_links()));
+    for (std::size_t link = 0; link < up.size(); ++link) up[link] = !rng.bernoulli(down);
+    RouteTableSet tables;
+    tables.recompute(computer, {}, up);
+    EXPECT_EQ(tables.size(), 0u);
+
+    for (const std::size_t count : {1, 63, 64, 65, 129}) {
+      // Distinct destinations in shuffled order...
+      std::vector<AsId> dests(static_cast<std::size_t>(graph.num_ases()));
+      for (AsId as = 0; as < graph.num_ases(); ++as) dests[static_cast<std::size_t>(as)] = as;
+      rng.shuffle(dests);
+      dests.resize(count);
+      // ...then dests[0] again in its own block and in the next one.
+      if (count > 1) dests[std::min<std::size_t>(count - 1, 40)] = dests[0];
+      if (count > 64) dests[64] = dests[0];
+      tables.recompute(computer, dests, up);
+      ASSERT_EQ(tables.size(), count);
+      const std::vector<std::uint64_t> flows{rng()};
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(first_mismatch(tables.at(i), reference::compute(graph, dests[i], up), graph,
+                                 up, flows),
+                  "")
+            << count << " destinations, entry " << i << " (dest " << dests[i]
+            << "), topology seed " << topo_seed << ", down " << down;
       }
     }
   }

@@ -265,11 +265,17 @@ TEST(RouteTableSet, RecomputeInPlaceMatchesFreshSet) {
   cfg.num_countries = 10;
   const topo::AsGraph graph = topo::generate_topology(cfg, 9);
   const RouteComputer computer(graph);
+  // 129 destinations (three 64-lane blocks, some repeated) shrink to
+  // five and grow back: the lane scratch and tables of a wider view must
+  // not leak into a narrower one, nor the other way round.
+  std::vector<topo::AsId> wide(129);
+  for (std::size_t i = 0; i < wide.size(); ++i) wide[i] = static_cast<topo::AsId>(i * 7 % 120);
   const std::vector<std::vector<topo::AsId>> dest_lists{
-      {3, 17, 42, 99}, {8, 17, 64, 101}, {5}, {0, 11, 23, 57, 88, 119}};
+      {3, 17, 42, 99}, {8, 17, 64, 101}, {5}, {0, 11, 23, 57, 88, 119}, wide, {1, 2, 3, 4, 5},
+      wide};
 
   RouteTableSet reused;
-  for (std::size_t step = 0; step < 8; ++step) {
+  for (std::size_t step = 0; step < 2 * dest_lists.size(); ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     std::vector<bool> up(static_cast<std::size_t>(graph.num_links()), true);
     for (std::size_t i = step % 5; i < up.size(); i += 5 + step) up[i] = false;

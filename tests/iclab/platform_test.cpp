@@ -123,6 +123,45 @@ TEST(Platform, ValidatesConfig) {
   EXPECT_THROW(Platform(w.graph, w.registry, w.plan, bad, 1), std::invalid_argument);
 }
 
+TEST(Platform, RejectsInconsistentEndpoints) {
+  TestWorld w;
+  const Endpoints good = choose_endpoints(w.graph, w.config, 9);
+  const auto build = [&w](Endpoints endpoints) {
+    Platform(w.graph, w.registry, w.plan, w.config, 9, std::move(endpoints));
+  };
+  EXPECT_NO_THROW(build(good));
+  // Re-labelled URLs (as the Tor-bridge study makes) keep their ids and hosts.
+  Endpoints relabelled = good;
+  for (auto& url : relabelled.urls) {
+    url.category = censor::UrlCategory::kCircumvention;
+    url.name = "bridge-" + std::to_string(url.id);
+  }
+  EXPECT_NO_THROW(build(relabelled));
+
+  const auto rejects = [&](const std::string& what, const auto& mutate) {
+    Endpoints bad = good;
+    mutate(bad);
+    EXPECT_THROW(build(std::move(bad)), std::invalid_argument) << what;
+  };
+  const topo::AsId num_ases = w.graph.num_ases();
+  rejects("URL id off its index", [](Endpoints& e) { e.urls[1].id = 5; });
+  rejects("URL hosted outside dest_ases",
+          [](Endpoints& e) { e.urls[0].dest_as = e.vantages[0]; });
+  rejects("URL hosted past the last AS", [num_ases](Endpoints& e) {
+    e.urls[0].dest_as = num_ases;
+  });
+  for (const bool dests : {true, false}) {
+    const std::string list = dests ? "dest_ases " : "vantages ";
+    const auto of = [dests](Endpoints& e) -> std::vector<topo::AsId>& {
+      return dests ? e.dest_ases : e.vantages;
+    };
+    rejects(list + "unsorted", [&](Endpoints& e) { std::swap(of(e)[0], of(e)[1]); });
+    rejects(list + "repeated", [&](Endpoints& e) { of(e).push_back(of(e).back()); });
+    rejects(list + "negative", [&](Endpoints& e) { of(e).insert(of(e).begin(), -1); });
+    rejects(list + "past the last AS", [&](Endpoints& e) { of(e).push_back(num_ases); });
+  }
+}
+
 TEST(Platform, RunIsDeterministic) {
   TestWorld w;
   Platform p1(w.graph, w.registry, w.plan, w.config, 9);
