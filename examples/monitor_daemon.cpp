@@ -13,7 +13,8 @@
 //                            checkpoint fingerprint
 //     --seed S               scenario seed
 //     --days N | --years N   override the scenario's run length
-//     --shards N             platform shards per segment (default 0 = hardware)
+//     --shards N             platform workers per segment (default 0 = one per
+//                            hardware thread; capped at the hardware)
 //     --threads N            SAT worker lanes (0 = hardware)
 //     --segment-days N       ingest segment length (default 28)
 //     --checkpoint FILE      checkpoint file (atomic tmp+rename writes)

@@ -147,14 +147,16 @@ struct ExperimentOptions {
   /// the backend's racing width, as analyze_cnfs does.  Results are
   /// identical for every value.
   unsigned num_threads = 0;
-  /// Shards for each segment's platform run + clause building.  The
-  /// segment is partitioned into (vantage, day) ranges executed
-  /// concurrently on a thread pool, each streaming into shard-local
-  /// sinks that the monitor folds and hands off into its persistent
-  /// state in schedule order.  The next segment's platform run
-  /// overlaps this segment's drain, so up to this many platform
-  /// workers run beside the `num_threads` lanes.  0 (the default) =
-  /// hardware concurrency, 1 = serial platform run.
+  /// Platform workers for each segment's platform run + clause
+  /// building, capped at the hardware.  A segment with at least as many
+  /// days as workers runs as one task per day, which the workers claim
+  /// in ascending order, each streaming into its own sink bundle; a
+  /// shorter one is split into (vantage, day) ranges, one bundle each.
+  /// The monitor folds the bundles and hands them off into its
+  /// persistent state in schedule order.  The next segment's platform
+  /// run overlaps this segment's drain, so up to this many platform
+  /// workers run beside the `num_threads` lanes.  0 (the
+  /// default) = hardware concurrency, 1 = serial platform run.
   /// Per-cell RNG streams keyed on schedule coordinates make the result
   /// bit-identical for every value (see README "Sharded execution").
   unsigned num_platform_shards = 0;

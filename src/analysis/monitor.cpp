@@ -89,8 +89,6 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
       folds_(options_.experiment),
       summary_(scenario.graph()),
       truth_(scenario.registry(), scenario.platform()),
-      churn_probe_(scenario.graph(), scenario.platform().config().churn,
-                   scenario.config().seed),
       analysis_pool_(analysis_lanes(options_.experiment)),
       main_arenas_(analysis_pool_.size()),
       ablation_arenas_(analysis_pool_.size()) {
@@ -119,7 +117,7 @@ void MonitorEngine::run_until(util::Day target) {
     std::vector<tomo::PathClause> clauses = hand_off(std::move(bundles));
     // The next segment's platform run starts only now, once this
     // segment's bundles are freed, and runs beside this segment's
-    // drain.  It touches no monitor state (each shard owns its sinks),
+    // drain.  It touches no monitor state (each worker owns its sinks),
     // and the state still changes in segment order.  The future joins
     // on every exit path, exceptions included.
     std::future<std::vector<std::unique_ptr<PlatformSinks>>> next;
@@ -138,7 +136,16 @@ void MonitorEngine::run_until(util::Day target) {
 
 std::vector<tomo::PathClause> MonitorEngine::hand_off(
     std::vector<std::unique_ptr<PlatformSinks>> bundles) {
-  // Translate every shard's clauses straight into the persistent pool,
+  // The churn folds absorb on their own thread while the clauses
+  // translate: the two read different sinks of each bundle and write
+  // different monitor state.  The future joins on every exit path.
+  std::future<void> churn = std::async(std::launch::async, [this, &bundles] {
+    for (const auto& bundle : bundles) {
+      churn_fold_.absorb_unsealed(bundle->churn_tracker.take_fold());
+    }
+  });
+
+  // Translate every bundle's clauses straight into the persistent pool,
   // in canonical serial order (each distinct segment path interned
   // once, in global first-use order == the serial run's, so the CNFs
   // are bit-identical to build_cnfs over the whole stream).
@@ -147,14 +154,14 @@ std::vector<tomo::PathClause> MonitorEngine::hand_off(
   for (const auto& bundle : bundles) builders.push_back(&bundle->clause_builder);
   std::vector<tomo::PathClause> clauses = tomo::hand_off_clauses(builders, pool_);
   retained_.add(static_cast<std::int64_t>(clauses.size()));
+  churn.get();
 
-  // Fold each bundle's run-wide sink products into the persistent
+  // Fold each bundle's other run-wide sink products into the persistent
   // state (every fold is order-independent), freeing it as it goes.
   for (std::unique_ptr<PlatformSinks>& bundle : bundles) {
     summary_.merge(std::move(bundle->summary));
     truth_.merge(std::move(bundle->truth_tracker));
     clause_stats_ += bundle->clause_builder.stats();
-    churn_fold_.absorb_unsealed(bundle->churn_tracker.take_fold());
     bundle.reset();
   }
   return clauses;
@@ -363,16 +370,16 @@ MonitorStats MonitorEngine::stats() const {
   stats.retained_clauses_now = retained_.current();
   stats.retained_clauses_peak = retained_.peak();
   stats.gauge_underflows = retained_.underflows();
-  // Replay the churn replica to the last ingested epoch (watermark only
-  // grows, so the forward-only engine never needs to rewind).
+  // The churn counters at the last ingested epoch.
   if (watermark_ > 0) {
-    const std::int64_t epd = scenario_->platform().config().epochs_per_day;
-    const std::int64_t last_epoch = static_cast<std::int64_t>(watermark_) * epd - 1;
-    if (last_epoch > churn_probe_.epoch()) churn_probe_.advance_to(last_epoch);
+    const iclab::Platform& platform = scenario_->platform();
+    const bgp::ChurnTrajectory& churn = platform.churn_trajectory();
+    const std::int64_t last_epoch =
+        static_cast<std::int64_t>(watermark_) * platform.config().epochs_per_day - 1;
+    stats.churn_failures = churn.total_failures(last_epoch);
+    stats.churn_repairs = churn.total_repairs(last_epoch);
+    stats.churn_links_down = churn.links_down(last_epoch);
   }
-  stats.churn_failures = churn_probe_.total_failures();
-  stats.churn_repairs = churn_probe_.total_repairs();
-  stats.churn_links_down = churn_probe_.links_down();
   stats.engine = engine_now();
   return stats;
 }

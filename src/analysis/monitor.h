@@ -9,10 +9,11 @@
 // fresh load per CNF) — and every data product accumulates in
 // ExperimentFolds (checkpoint.h's serialize_report() is the oracle).
 //
-// Segment pipeline: a segment's shard bundles are handed off as they
-// are — each bundle's summary, truth tracker, stats and churn fold
-// folded directly, the shards' clauses translated straight into the
-// persistent pool (tomo::hand_off_clauses) — and freed.  Within one
+// Segment pipeline: a segment's platform bundles are handed off as
+// they are — each bundle's summary, truth tracker, stats and churn fold
+// folded directly (the churn folds on a second thread), the bundles'
+// clauses translated straight into the persistent pool
+// (tomo::hand_off_clauses) — and freed.  Within one
 // run_until() call, the next segment's platform run starts on its own
 // thread right then, and runs beside this segment's grouping, strip,
 // watermark advance, SAT passes, folds, CNF release, publish and
@@ -132,9 +133,9 @@ struct MonitorOptions {
   /// watermark advance, one SAT batch per analysis pass) and one
   /// published LiveReport.  Inside one run_until() call the next
   /// segment's replay overlaps this segment's drain, starting once this
-  /// segment's shard bundles are handed off.  Peak memory scales with
-  /// this — one segment's clauses plus the next segment's platform
-  /// sinks — not with the run length.
+  /// segment's bundles are handed off.  Peak memory scales with this —
+  /// one segment's clauses plus the next segment's platform sinks —
+  /// not with the run length.
   util::Day segment_days = 28;
   /// Automatic checkpoint cadence in watermark days (0 = only explicit
   /// checkpoint() calls).  Checkpoints are written at segment
@@ -161,12 +162,11 @@ struct MonitorStats {
   std::int64_t retained_clauses_now = 0;
   std::int64_t retained_clauses_peak = 0;
   std::int64_t gauge_underflows = 0;
-  /// Churn-process counters at the watermark, replayed deterministically
-  /// from the seed (the platform shards own the real engines; the
-  /// trajectory is a pure function of the seed, so the replica matches
-  /// them exactly).  failures - repairs == links_down always; failures
-  /// ~ repairs with few links down means a flapping population, a
-  /// growing gap means links are dying.
+  /// Churn-process counters at the last epoch below the watermark, read
+  /// from the platform's churn trajectory (a pure function of the seed,
+  /// so a resumed monitor reads the same).  failures - repairs ==
+  /// links_down always; failures ~ repairs with few links down means a
+  /// flapping population, a growing gap means links are dying.
   std::int64_t churn_failures = 0;
   std::int64_t churn_repairs = 0;
   std::int32_t churn_links_down = 0;
@@ -264,11 +264,7 @@ class MonitorEngine {
   tomo::EngineStats ablation_base_;
   tomo::EngineStats server_base_;
 
-  // Execution state (never checkpointed).  The churn replica is lazily
-  // replayed to the watermark inside stats() — it reconstructs the same
-  // trajectory as the shards' engines (pure function of the seed), so
-  // it needs no persistence either.
-  mutable bgp::ChurnEngine churn_probe_;
+  // Execution state (never checkpointed).
   util::ThreadPool analysis_pool_;
   std::vector<tomo::CnfAnalyzer> main_arenas_;
   std::vector<tomo::CnfAnalyzer> ablation_arenas_;

@@ -16,28 +16,41 @@ std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenar
   if (day_begin < 0 || day_begin >= day_end || day_end > platform.config().num_days) {
     throw std::invalid_argument("run_platform_shards: day range outside the schedule");
   }
-  const unsigned shards =
-      num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards;
-
-  // Plan the range's rectangle as a schedule of its own, then shift the
-  // day ranges to its offset.
-  std::vector<iclab::ShardRange> ranges =
-      iclab::plan_shards(day_end - day_begin,
-                         static_cast<std::int32_t>(platform.vantages().size()),
-                         static_cast<std::int32_t>(shards));
-  for (iclab::ShardRange& range : ranges) {
-    range.day_begin += day_begin;
-    range.day_end += day_begin;
-  }
+  const unsigned workers =
+      std::min(num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards,
+               util::ThreadPool::hardware_threads());
+  const util::Day days = day_end - day_begin;
+  const auto num_vantages = static_cast<std::int32_t>(platform.vantages().size());
   std::vector<std::unique_ptr<PlatformSinks>> sinks;
   std::vector<iclab::MeasurementSink*> targets;
-  sinks.reserve(ranges.size());
-  targets.reserve(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    sinks.push_back(std::make_unique<PlatformSinks>(scenario));
-    targets.push_back(&sinks.back()->fanout);
+  const auto add_sinks = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      sinks.push_back(std::make_unique<PlatformSinks>(scenario));
+      targets.push_back(&sinks.back()->fanout);
+    }
+  };
+
+  if (workers == 1) {
+    // One worker runs the range as one task.
+    add_sinks(1);
+    platform.run_shard(*targets[0], iclab::ShardRange{day_begin, day_end, 0, num_vantages});
+  } else if (days >= static_cast<util::Day>(workers)) {
+    // Whole-day tasks, claimed in ascending order, one bundle per worker.
+    add_sinks(workers);
+    platform.run_days(day_begin, day_end, targets);
+  } else {
+    // Fewer days than workers: plan the range's rectangle as a schedule
+    // of its own, which splits the vantage dimension, shift the day
+    // ranges to its offset, and run one bundle per task.
+    std::vector<iclab::ShardRange> ranges =
+        iclab::plan_shards(days, num_vantages, static_cast<std::int32_t>(workers));
+    for (iclab::ShardRange& range : ranges) {
+      range.day_begin += day_begin;
+      range.day_end += day_begin;
+    }
+    add_sinks(ranges.size());
+    platform.run_shards(ranges, targets, workers);
   }
-  platform.run_shards(ranges, targets, std::min(shards, util::ThreadPool::hardware_threads()));
   return sinks;
 }
 

@@ -61,12 +61,18 @@ struct PlatformSinks {
 };
 
 /// Runs days [day_begin, day_end) of the measurement platform through
-/// all sinks, one bundle per shard: the range is split into (vantage,
-/// day) shards with iclab::plan_shards and run on a thread pool, and
-/// the bundles come back unmerged, in plan order.  num_shards == 0
-/// selects one shard per hardware thread; workers are capped at the
-/// hardware and the shard count, and one shard runs inline on the
-/// calling thread.  This is the only code that drives the platform:
+/// all sinks on num_shards workers (0 = one per hardware thread; capped
+/// at the hardware), returning the bundles unmerged:
+///  * one worker: one task over the range, run inline, one bundle;
+///  * at least as many days as workers: one task per day, claimed in
+///    ascending order (iclab::Platform::run_days), one bundle per
+///    worker — each bundle's stream ascends, but which days it holds
+///    depends on timing;
+///  * fewer days than workers: (vantage, day) shards planned with
+///    iclab::plan_shards and run on a thread pool, one bundle per
+///    shard, in plan order.
+/// Absorbing or handing off the bundles gives the serial run's
+/// contents in every case.  This is the only code that drives the platform:
 /// the resident monitor (and so run_experiment) hands each segment's
 /// bundles straight to its persistent state, and run_platform absorbs
 /// them into one.

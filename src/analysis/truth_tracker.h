@@ -27,6 +27,8 @@ class TruthTracker : public iclab::MeasurementSink {
   TruthTracker(const censor::CensorRegistry& registry, const iclab::Platform& platform)
       : registry_(&registry), platform_(&platform) {}
 
+  /// Throws std::out_of_range, changing nothing, for a URL id outside
+  /// the platform's URLs.
   void on_measurement(const iclab::Measurement& m) override;
 
   /// Folds a shard-local tracker into this one (set union).

@@ -12,9 +12,15 @@
 // The process advances in *epochs* (sub-day steps); the measurement
 // platform runs several epochs per day so that intraday path changes —
 // which the paper observes for ~25% of pairs — exist in the simulation.
+//
+// The trajectory is a pure function of the seed, so ChurnTrajectory
+// records it once — the links each epoch flips, plus the running
+// counts — and any epoch's state is then a replay of recorded flips
+// rather than of the process's random draws.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topo/as_graph.h"
@@ -46,10 +52,11 @@ class ChurnEngine {
   /// Replays the process forward until epoch() == target_epoch.  The
   /// link-state trajectory is a deterministic function of the seed, so a
   /// freshly constructed engine advanced to epoch e is bit-identical to
-  /// one that arrived there one advance() at a time — this is how a
-  /// platform shard starting mid-year reconstructs the churn state of
-  /// its first epoch.  Throws std::invalid_argument when target_epoch is
-  /// behind the current epoch (the process cannot rewind).
+  /// one that arrived there one advance() at a time — this is how the
+  /// adaptive regime (analysis/regime.cpp) reads the link state at its
+  /// re-optimization points.  Throws std::invalid_argument when
+  /// target_epoch is behind the current epoch (the process cannot
+  /// rewind).
   void advance_to(std::int64_t target_epoch);
 
   std::int64_t epoch() const { return epoch_; }
@@ -74,6 +81,52 @@ class ChurnEngine {
   std::int32_t links_down_ = 0;
   std::int64_t total_failures_ = 0;
   std::int64_t total_repairs_ = 0;
+};
+
+/// Epochs [0, num_epochs) of ChurnEngine(graph, config, seed), recorded
+/// once.  Its state at epoch e — link states and counts — equals that
+/// engine's after e advance() calls.  Immutable once built, so any
+/// number of threads may read it.
+class ChurnTrajectory {
+ public:
+  /// Throws std::invalid_argument when num_epochs < 1.
+  ChurnTrajectory(const topo::AsGraph& graph, const ChurnConfig& config, std::uint64_t seed,
+                  std::int64_t num_epochs);
+
+  std::int64_t num_epochs() const { return static_cast<std::int64_t>(failures_.size()); }
+
+  /// Links whose state flips entering `epoch` (none at epoch 0).
+  std::span<const topo::LinkId> flips(std::int64_t epoch) const;
+
+  /// Writes the link state at `epoch` into `up`: the nearest stored
+  /// state at or before it, then at most kStateStride - 1 epochs of
+  /// flips.
+  void link_state_at(std::int64_t epoch, std::vector<bool>& up) const;
+
+  /// Moves `up` from the link state at epoch - 1 to the state at
+  /// `epoch` by applying that epoch's flips.
+  void step(std::int64_t epoch, std::vector<bool>& up) const;
+
+  /// The engine's counters at `epoch`.
+  std::int64_t total_failures(std::int64_t epoch) const;
+  std::int64_t total_repairs(std::int64_t epoch) const;
+  std::int32_t links_down(std::int64_t epoch) const;
+
+  /// Epochs between stored link states.
+  static constexpr std::int64_t kStateStride = 64;
+
+ private:
+  /// Throws std::out_of_range for an epoch outside [0, num_epochs).
+  std::size_t index(std::int64_t epoch) const;
+
+  /// Epoch e's flips are flips_[offsets_[e], offsets_[e + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<topo::LinkId> flips_;
+  /// Cumulative counters at each epoch.
+  std::vector<std::int64_t> failures_;
+  std::vector<std::int64_t> repairs_;
+  /// The link state at every kStateStride-th epoch.
+  std::vector<std::vector<bool>> states_;
 };
 
 }  // namespace ct::bgp

@@ -1,11 +1,14 @@
 #include "iclab/platform.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "util/serde.h"
@@ -63,6 +66,11 @@ Platform::Platform(const topo::AsGraph& graph, const censor::CensorRegistry& reg
     if (!std::binary_search(dest_ases_.begin(), dest_ases_.end(), urls_[i].dest_as)) {
       throw std::invalid_argument("Platform: URL dest_as is not a destination AS");
     }
+  }
+  urls_by_dest_.resize(dest_ases_.size());
+  for (const Url& url : urls_) {
+    const auto it = std::lower_bound(dest_ases_.begin(), dest_ases_.end(), url.dest_as);
+    urls_by_dest_[static_cast<std::size_t>(it - dest_ases_.begin())].push_back(url.id);
   }
 }
 
@@ -225,7 +233,40 @@ void Platform::run(MeasurementSink& sink) const {
   run_shard(sink, all);
 }
 
+/// What one worker reuses from shard to shard: the engines, the link
+/// state and routing view, the flutter history and the emission
+/// buffers.  Every buffer keeps its capacity, so a worker's later shards
+/// allocate next to nothing.
+struct Platform::ShardScratch {
+  explicit ShardScratch(const Platform& platform)
+      : computer(platform.graph_), tracer(platform.plan_, platform.config_.traceroute) {}
+
+  const bgp::RouteComputer computer;
+  const net::TracerouteEngine tracer;
+  std::vector<bool> link_up;
+  /// The routing view, recomputed in place every epoch: one table per
+  /// destination, shared by every vantage.
+  bgp::RouteTableSet tables;
+  /// Previous-epoch path per (shard-local vantage node, destination),
+  /// for route flutter.
+  std::vector<std::vector<std::vector<AsId>>> prev_paths;
+  /// The day's session schedule per (shard-local vantage, URL).
+  std::vector<std::uint8_t> scheduled;
+  /// node_path_into's scratch.
+  std::vector<AsId> providers, rest, ecmp_hops;
+  /// Emission buffers.  The sink sees `m` only for the duration of
+  /// on_measurement (MeasurementSink).
+  std::vector<AsId> default_path, path, ecmp_path;
+  Measurement m;
+};
+
 void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
+  ShardScratch scratch(*this);
+  run_range(sink, range, scratch);
+}
+
+void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
+                         ShardScratch& scratch) const {
   if (range.day_begin < 0 || range.day_begin >= range.day_end ||
       range.day_end > config_.num_days || range.vantage_begin < 0 ||
       range.vantage_begin >= range.vantage_end ||
@@ -233,28 +274,24 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
     throw std::invalid_argument("Platform::run_shard: range outside the schedule");
   }
 
-  bgp::ChurnEngine churn(graph_, config_.churn, seed_);
-  const bgp::RouteComputer computer(graph_);
-  const net::TracerouteEngine tracer(plan_, config_.traceroute);
+  const bgp::ChurnTrajectory& churn = churn_trajectory();
+  std::vector<bool>& link_up = scratch.link_up;
+  const bgp::RouteComputer& computer = scratch.computer;
+  const net::TracerouteEngine& tracer = scratch.tracer;
   const std::int64_t epochs_per_day = config_.epochs_per_day;
-
-  // URLs grouped by destination AS so each epoch computes one route
-  // table per destination.
-  std::vector<std::vector<std::int32_t>> urls_by_dest(dest_ases_.size());
-  for (const auto& url : urls_) {
-    const auto it = std::lower_bound(dest_ases_.begin(), dest_ases_.end(), url.dest_as);
-    urls_by_dest[static_cast<std::size_t>(it - dest_ases_.begin())].push_back(url.id);
-  }
 
   const auto nodes = static_cast<std::size_t>(config_.vp_nodes_per_as);
   const auto vantage_begin = static_cast<std::size_t>(range.vantage_begin);
   const auto vantage_end = static_cast<std::size_t>(range.vantage_end);
 
-  // Previous-epoch paths per (shard-local vantage node, dest), for route
-  // flutter.
-  std::vector<std::vector<std::vector<AsId>>> prev_paths(
-      (vantage_end - vantage_begin) * nodes,
-      std::vector<std::vector<AsId>>(dest_ases_.size()));
+  // A shard starting at day 0 has no flutter history; a later one's is
+  // primed below.
+  std::vector<std::vector<std::vector<AsId>>>& prev_paths = scratch.prev_paths;
+  prev_paths.resize((vantage_end - vantage_begin) * nodes);
+  for (std::vector<std::vector<AsId>>& node_paths : prev_paths) {
+    node_paths.resize(dest_ases_.size());
+    for (std::vector<AsId>& prev : node_paths) prev.clear();
+  }
 
   // Deterministic session schedule: is (vantage AS, url) tested on
   // `day`?  A scheduled session runs from *every* node of the AS in
@@ -263,7 +300,8 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
   // day for the shard's vantages x every URL, then read by every
   // (epoch, destination, node) cell of that day.
   const std::size_t num_urls = urls_.size();
-  std::vector<std::uint8_t> scheduled((vantage_end - vantage_begin) * num_urls);
+  std::vector<std::uint8_t>& scheduled = scratch.scheduled;
+  scheduled.resize((vantage_end - vantage_begin) * num_urls);
   auto schedule_day = [&](util::Day day) {
     for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
       for (std::size_t u = 0; u < num_urls; ++u) {
@@ -317,11 +355,10 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
   // (different PoP, different first hop) when the AS is multihomed.
   // With a flow hash (multipath regime) the path beyond the exit
   // load-balances across equal-cost alternates keyed on that hash;
-  // without one it follows the best route.  `providers`, `rest` and
-  // `ecmp_hops` are the shard's scratch.
-  std::vector<AsId> providers;
-  std::vector<AsId> rest;
-  std::vector<AsId> ecmp_hops;
+  // without one it follows the best route.
+  std::vector<AsId>& providers = scratch.providers;
+  std::vector<AsId>& rest = scratch.rest;
+  std::vector<AsId>& ecmp_hops = scratch.ecmp_hops;
   auto node_path_into = [&](const bgp::RouteTable& table, AsId vp, std::size_t node,
                             const std::vector<bool>& link_up,
                             std::optional<std::uint64_t> flow_hash, std::vector<AsId>& out) {
@@ -351,34 +388,31 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
     out.insert(out.end(), rest.begin(), rest.end());
   };
 
-  // The shard's routing view, recomputed in place every epoch: one
-  // table per destination, shared by every vantage.
-  bgp::RouteTableSet tables;
+  bgp::RouteTableSet& tables = scratch.tables;
 
-  // A shard starting mid-year reconstructs its starting state: the churn
-  // process is replayed to the epoch before the shard's first, and that
-  // epoch's routing view primes the flutter history exactly as the
-  // serial run would have left it.
-  if (range.day_begin > 0) {
-    churn.advance_to(static_cast<std::int64_t>(range.day_begin) * epochs_per_day - 1);
-    tables.recompute(computer, dest_ases_, churn.link_up());
+  // A shard starting mid-year reconstructs its starting state: the link
+  // state of the epoch before the shard's first comes from the churn
+  // trajectory, and that epoch's routing view primes the flutter
+  // history exactly as the serial run would have left it.  The epoch
+  // loop then steps the link state one epoch's flips at a time.
+  const std::int64_t first_epoch = static_cast<std::int64_t>(range.day_begin) * epochs_per_day;
+  churn.link_state_at(std::max<std::int64_t>(first_epoch - 1, 0), link_up);
+  if (first_epoch > 0) {
+    tables.recompute(computer, dest_ases_, link_up);
     for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
       for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
         for (std::size_t node = 0; node < nodes; ++node) {
-          node_path_into(tables.at(di), vantages_[vi], node, churn.link_up(), std::nullopt,
+          node_path_into(tables.at(di), vantages_[vi], node, link_up, std::nullopt,
                          prev_paths[(vi - vantage_begin) * nodes + node][di]);
         }
       }
     }
   }
 
-  // Emission buffers, reused by every cell of the shard: each keeps its
-  // capacity, so steady-state emission allocates nothing.  The sink sees
-  // `m` only for the duration of on_measurement (MeasurementSink).
-  std::vector<AsId> default_path;
-  std::vector<AsId> path;
-  std::vector<AsId> ecmp_path;
-  Measurement m;
+  std::vector<AsId>& default_path = scratch.default_path;
+  std::vector<AsId>& path = scratch.path;
+  std::vector<AsId>& ecmp_path = scratch.ecmp_path;
+  Measurement& m = scratch.m;
 
   for (util::Day day = range.day_begin; day < range.day_end; ++day) {
     sink.on_day_start(day);
@@ -386,11 +420,12 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
     for (std::int32_t epoch = 0; epoch < config_.epochs_per_day; ++epoch) {
       const std::int64_t global_epoch = static_cast<std::int64_t>(day) * epochs_per_day +
                                         static_cast<std::int64_t>(epoch);
-      if (global_epoch > 0) churn.advance();
-      tables.recompute(computer, dest_ases_, churn.link_up());
+      if (global_epoch > 0) churn.step(global_epoch, link_up);
+      tables.recompute(computer, dest_ases_, link_up);
 
       for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
         const AsId dest = dest_ases_[di];
+        const std::vector<std::int32_t>& dest_urls = urls_by_dest_[di];
         const bgp::RouteTable& table = tables.at(di);
 
         for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
@@ -404,11 +439,11 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
             const std::size_t node_index = vi * nodes + node;
             const std::size_t local_node_index = (vi - vantage_begin) * nodes + node;
             util::Rng rng = cell_rng(global_epoch, di, vi, node);
-            node_path_into(table, vp, node, churn.link_up(), std::nullopt, path);
+            node_path_into(table, vp, node, link_up, std::nullopt, path);
             std::vector<AsId>& prev = prev_paths[local_node_index][di];
 
-            for (std::size_t ui = 0; ui < urls_by_dest[di].size(); ++ui) {
-              const std::int32_t url_id = urls_by_dest[di][ui];
+            for (std::size_t ui = 0; ui < dest_urls.size(); ++ui) {
+              const std::int32_t url_id = dest_urls[ui];
               if (vantage_scheduled[static_cast<std::size_t>(url_id)] == 0) continue;
               const Url& url = urls_[static_cast<std::size_t>(url_id)];
 
@@ -438,7 +473,7 @@ void Platform::run_shard(MeasurementSink& sink, const ShardRange& range) const {
                     util::mix64(seed_ ^ 0xEC3Fu, (static_cast<std::uint64_t>(vi) << 20) ^
                                                      static_cast<std::uint64_t>(node)),
                     static_cast<std::uint64_t>(static_cast<std::uint32_t>(url_id)));
-                node_path_into(table, vp, node, churn.link_up(), flow_hash, ecmp_path);
+                node_path_into(table, vp, node, link_up, flow_hash, ecmp_path);
                 mpath = &ecmp_path;
               }
               m.truth_path.assign(mpath->begin(), mpath->end());
@@ -491,7 +526,54 @@ void Platform::run_shards(const std::vector<ShardRange>& ranges,
   });
 }
 
+void Platform::run_days(util::Day day_begin, util::Day day_end,
+                        const std::vector<MeasurementSink*>& sinks) const {
+  if (day_begin < 0 || day_begin >= day_end || day_end > config_.num_days) {
+    throw std::invalid_argument("Platform::run_days: day range outside the schedule");
+  }
+  if (sinks.empty()) throw std::invalid_argument("Platform::run_days: no workers");
+  std::atomic<util::Day> next_day{day_begin};
+  std::vector<std::exception_ptr> errors(sinks.size());
+  const auto work = [&](std::size_t w) {
+    try {
+      ShardScratch scratch(*this);
+      // fetch_add hands each worker its days in ascending order.
+      for (util::Day day = next_day.fetch_add(1); day < day_end; day = next_day.fetch_add(1)) {
+        run_range(*sinks[w],
+                  ShardRange{day, day + 1, 0, static_cast<std::int32_t>(vantages_.size())},
+                  scratch);
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+      next_day.store(day_end);  // the other workers stop at their next claim
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(sinks.size() - 1);
+    for (std::size_t w = 1; w < sinks.size(); ++w) helpers.emplace_back(work, w);
+    work(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+const bgp::ChurnTrajectory& Platform::churn_trajectory() const {
+  std::call_once(trajectory_once_, [this] {
+    trajectory_ = std::make_unique<const bgp::ChurnTrajectory>(
+        graph_, config_.churn, seed_,
+        static_cast<std::int64_t>(config_.num_days) * config_.epochs_per_day);
+  });
+  return *trajectory_;
+}
+
 void DatasetSummary::on_measurement(const Measurement& m) {
+  // Validate first: a rejected measurement changes nothing.
+  if (m.url_id < 0) throw std::out_of_range("DatasetSummary: negative URL id");
+  if (m.vantage < 0 || static_cast<std::size_t>(m.vantage) >= seen_vantages_.size()) {
+    throw std::out_of_range("DatasetSummary: vantage outside the graph");
+  }
   ++measurements_;
   if (m.unreachable) ++unreachable_;
   for (const Anomaly a : kAllAnomalies) {
@@ -499,8 +581,7 @@ void DatasetSummary::on_measurement(const Measurement& m) {
       ++anomaly_counts_[static_cast<std::size_t>(a)];
     }
   }
-  if (m.url_id < 0) throw std::out_of_range("DatasetSummary: negative URL id");
-  seen_vantages_.at(static_cast<std::size_t>(m.vantage)) = 1;
+  seen_vantages_[static_cast<std::size_t>(m.vantage)] = 1;
   const auto url = static_cast<std::size_t>(m.url_id);
   if (url >= seen_urls_.size()) seen_urls_.resize(url + 1, 0);
   seen_urls_[url] = 1;

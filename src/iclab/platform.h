@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -213,10 +215,11 @@ class Platform {
   /// Runs one shard of the schedule, streaming into `sink`.  Every
   /// random draw is made from a stream keyed on the measurement's
   /// schedule coordinates (never on execution order), and a shard
-  /// starting mid-year deterministically replays the churn process and
-  /// the previous epoch's routing view to reconstruct its starting
-  /// state — so the union of the streams emitted by any disjoint tiling
-  /// of shards is bit-identical to the serial run's stream.
+  /// starting mid-year reads its link state from the churn trajectory
+  /// and rebuilds the previous epoch's routing view to reconstruct its
+  /// starting state — so the union of the streams emitted by any
+  /// disjoint tiling of shards is bit-identical to the serial run's
+  /// stream.
   /// on_day_start fires once per shard per covered day (shards that
   /// split the vantage dimension share days).  The shard emits through
   /// one reused Measurement whose hop lists, truth path and path
@@ -235,12 +238,33 @@ class Platform {
                   const std::vector<MeasurementSink*>& sinks,
                   unsigned num_threads = 0) const;
 
+  /// Runs days [day_begin, day_end), every vantage, as one task per day
+  /// on sinks.size() workers; worker w streams each day it runs into
+  /// *sinks[w], and worker 0 is the calling thread.  Workers claim days
+  /// in ascending order from one shared counter, so every sink sees
+  /// its days ascending and its stream is in schedule order (as
+  /// tomo::hand_off_clauses requires).  Which sink runs which day
+  /// depends on timing; the union of the streams does not.  Sinks must
+  /// be distinct.  Rethrows the first exception a task threw, after
+  /// every worker stopped.
+  void run_days(util::Day day_begin, util::Day day_end,
+                const std::vector<MeasurementSink*>& sinks) const;
+
+  /// The churn process over the whole schedule (num_days x
+  /// epochs_per_day epochs), recorded on first use: once per platform,
+  /// thread-safe, and never at construction, which stays cheap.
+  const bgp::ChurnTrajectory& churn_trajectory() const;
+
   const std::vector<topo::AsId>& vantages() const { return vantages_; }
   const std::vector<Url>& urls() const { return urls_; }
   const std::vector<topo::AsId>& dest_ases() const { return dest_ases_; }
   const PlatformConfig& config() const { return config_; }
 
  private:
+  struct ShardScratch;
+  /// run_shard on a worker's reused scratch.
+  void run_range(MeasurementSink& sink, const ShardRange& range, ShardScratch& scratch) const;
+
   const topo::AsGraph& graph_;
   const censor::CensorRegistry& registry_;
   const net::AddressPlan& plan_;
@@ -250,6 +274,13 @@ class Platform {
   std::vector<topo::AsId> vantages_;
   std::vector<topo::AsId> dest_ases_;
   std::vector<Url> urls_;
+
+  /// URL ids by destination index, so each epoch computes one route
+  /// table per destination.
+  std::vector<std::vector<std::int32_t>> urls_by_dest_;
+
+  mutable std::once_flag trajectory_once_;
+  mutable std::unique_ptr<const bgp::ChurnTrajectory> trajectory_;
 };
 
 /// Table-1 accumulator: dataset characteristics.
@@ -258,6 +289,8 @@ class DatasetSummary : public MeasurementSink {
   explicit DatasetSummary(const topo::AsGraph& graph)
       : graph_(&graph), seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0) {}
 
+  /// Throws std::out_of_range, changing nothing, for a negative URL id
+  /// or a vantage outside the graph.
   void on_measurement(const Measurement& m) override;
 
   /// Folds a shard-local summary into this one.  Associative and

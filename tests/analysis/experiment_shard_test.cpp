@@ -27,6 +27,7 @@
 #include "shard_scenario.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
+#include "util/thread_pool.h"
 
 namespace ct::analysis {
 namespace {
@@ -52,31 +53,13 @@ std::vector<std::string> dimacs_of(const tomo::ClauseBuilder& builder) {
   return out;
 }
 
-/// Runs every shard of `ranges` into its own sink bundle, hands them off
-/// in the given order into one bundle, and compares everything against
-/// `serial`.
-void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& serial,
-                                   const std::vector<iclab::ShardRange>& ranges,
-                                   const std::vector<std::size_t>& merge_order) {
-  std::vector<std::unique_ptr<PlatformSinks>> shards;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    shards.push_back(std::make_unique<PlatformSinks>(scenario));
-    scenario.platform().run_shard(shards.back()->fanout, ranges[i]);
-  }
-
-  std::vector<std::unique_ptr<PlatformSinks>> ordered;
-  for (const std::size_t i : merge_order) ordered.push_back(std::move(shards[i]));
-  PlatformSinks merged(scenario);
-  merged.absorb(ordered);
-
+/// Compares every sink of a merged bundle against the serial run's.
+void expect_bundle_matches_serial(const PlatformSinks& merged, const PlatformSinks& serial) {
   // Clause stream: bit-identical, including path-pool numbering.
   EXPECT_EQ(merged.clause_builder.clauses(), serial.clause_builder.clauses());
   EXPECT_EQ(merged.clause_builder.seqs(), serial.clause_builder.seqs());
   EXPECT_EQ(merged.clause_builder.stats(), serial.clause_builder.stats());
   expect_pools_equal(merged.clause_builder.pool(), serial.clause_builder.pool());
-
-  // CNFs: byte-identical DIMACS.
-  EXPECT_EQ(dimacs_of(merged.clause_builder), dimacs_of(serial.clause_builder));
 
   // Dataset summary and ground-truth observability.
   EXPECT_EQ(merged.summary.measurements(), serial.summary.measurements());
@@ -91,6 +74,26 @@ void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& seri
 
   // Path churn (Figure 3).
   expect_churn_equal(merged.churn_tracker.compute(), serial.churn_tracker.compute());
+}
+
+/// Runs every shard of `ranges` into its own sink bundle, hands them off
+/// in the given order into one bundle, and compares everything against
+/// `serial`, DIMACS bytes included.
+void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& serial,
+                                   const std::vector<iclab::ShardRange>& ranges,
+                                   const std::vector<std::size_t>& merge_order) {
+  std::vector<std::unique_ptr<PlatformSinks>> shards;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    shards.push_back(std::make_unique<PlatformSinks>(scenario));
+    scenario.platform().run_shard(shards.back()->fanout, ranges[i]);
+  }
+
+  std::vector<std::unique_ptr<PlatformSinks>> ordered;
+  for (const std::size_t i : merge_order) ordered.push_back(std::move(shards[i]));
+  PlatformSinks merged(scenario);
+  merged.absorb(ordered);
+  expect_bundle_matches_serial(merged, serial);
+  EXPECT_EQ(dimacs_of(merged.clause_builder), dimacs_of(serial.clause_builder));
 }
 
 TEST(PlanShards, TilesTheScheduleExactly) {
@@ -234,6 +237,46 @@ TEST(ShardEquivalence, RunPlatformDayRangeMatchesSerialSlice) {
   }
   EXPECT_THROW(run_platform(scenario, 2, 5, 5), std::invalid_argument);
   EXPECT_THROW(run_platform(scenario, 2, 0, 22), std::invalid_argument);
+}
+
+TEST(WorkerBundles, MatchSerialRunForEveryDayRangeAndWorkerCount) {
+  // run_platform_shards with whole-day tasks: which worker runs which
+  // day depends on timing, so every (range, workers) pair runs five
+  // times.  Each run must hand off into exactly the serial run's
+  // contents, in min(workers, days) bundles whose streams ascend.
+  ScenarioConfig config = shard_scenario(20170623);
+  config.platform.num_days = 5 * util::kDaysPerWeek;
+  Scenario scenario(config);
+  const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
+  const util::Day day_begin = 3;  // mid-schedule: every task primes
+  for (const util::Day days : {1, 3, 4, 5, 28}) {
+    const util::Day day_end = day_begin + days;
+    PlatformSinks serial(scenario);
+    scenario.platform().run_shard(serial.fanout,
+                                  iclab::ShardRange{day_begin, day_end, 0, num_vp});
+    for (const unsigned requested : {1u, 2u, 3u, 4u}) {
+      const auto workers = static_cast<util::Day>(
+          std::min(requested, util::ThreadPool::hardware_threads()));
+      const std::size_t expected_bundles =
+          workers == 1 || days >= workers
+              ? static_cast<std::size_t>(std::min(workers, days))
+              : iclab::plan_shards(days, num_vp, workers).size();
+      for (int repeat = 0; repeat < 5; ++repeat) {
+        SCOPED_TRACE("days=" + std::to_string(days) + " workers=" + std::to_string(requested) +
+                     " repeat=" + std::to_string(repeat));
+        std::vector<std::unique_ptr<PlatformSinks>> bundles =
+            run_platform_shards(scenario, requested, day_begin, day_end);
+        ASSERT_EQ(bundles.size(), expected_bundles);
+        for (const auto& bundle : bundles) {
+          const std::vector<std::int64_t>& seqs = bundle->clause_builder.seqs();
+          EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end()));
+        }
+        PlatformSinks merged(scenario);
+        merged.absorb(bundles);
+        expect_bundle_matches_serial(merged, serial);
+      }
+    }
+  }
 }
 
 TEST(ShardEquivalence, HandOffIsIdempotentAndSerialNoOp) {

@@ -38,6 +38,7 @@
 #include "analysis/live_report.h"
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
+#include "bgp/churn.h"
 #include "censor/regime.h"
 #include "expect_churn.h"
 #include "reference_experiment.h"
@@ -263,10 +264,11 @@ TEST(MonitorCheckpoint, RefusesResumeUnderDifferentRegime) {
 }
 
 TEST(MonitorStatsTest, ChurnCountersReplayDeterministicallyAcrossResume) {
-  // The banner's churn gauges come from a probe engine replayed to the
-  // watermark (ChurnEngine::advance_to) — a pure function of the seed,
-  // so a resumed monitor must report the same failure/repair totals as a
-  // straight run, under every regime, and the gauges must balance.
+  // The banner's churn gauges are read from the platform's churn
+  // trajectory at the watermark (Platform::churn_trajectory) — a pure
+  // function of the seed, so a resumed monitor must report the same
+  // failure/repair totals as a straight run, under every regime, and
+  // the gauges must balance.
   for (const censor::ScenarioRegime regime :
        {censor::ScenarioRegime::kBaseline, censor::ScenarioRegime::kMultipath}) {
     SCOPED_TRACE(censor::to_string(regime));
@@ -279,6 +281,15 @@ TEST(MonitorStatsTest, ChurnCountersReplayDeterministicallyAcrossResume) {
     EXPECT_GT(expected.churn_failures, 0);
     EXPECT_EQ(expected.churn_failures - expected.churn_repairs,
               static_cast<std::int64_t>(expected.churn_links_down));
+    // The counters are the churn engine's at the last ingested epoch.
+    bgp::ChurnEngine oracle(scenario.graph(), scenario.platform().config().churn,
+                            scenario.config().seed);
+    const std::int64_t last_epoch =
+        12 * static_cast<std::int64_t>(scenario.platform().config().epochs_per_day) - 1;
+    oracle.advance_to(last_epoch);
+    EXPECT_EQ(expected.churn_failures, oracle.total_failures());
+    EXPECT_EQ(expected.churn_repairs, oracle.total_repairs());
+    EXPECT_EQ(expected.churn_links_down, oracle.links_down());
 
     auto crashy = std::make_unique<MonitorEngine>(scenario, monitor_options(1));
     crashy->run_until(7);

@@ -14,6 +14,7 @@
 #include "analysis/truth_tracker.h"
 #include "expect_churn.h"
 #include "iclab/platform.h"
+#include "util/serde.h"
 
 namespace ct::analysis {
 namespace {
@@ -144,6 +145,49 @@ TEST_F(SinkMergeTest, TruthTrackerIdentity) {
   TruthTracker merged(scenario_->registry(), scenario_->platform());
   merged.merge(TruthTracker(shards_[1]->truth_tracker));
   EXPECT_EQ(merged.observable(), shards_[1]->truth_tracker.observable());
+}
+
+TEST_F(SinkMergeTest, RejectedMeasurementLeavesSinksUnchanged) {
+  // A record each sink refuses throws before it changes anything: the
+  // summary's and the tracker's bytes are those of before the call.
+  iclab::DatasetSummary summary(serial_->summary);
+  TruthTracker truth(serial_->truth_tracker);
+  const auto bytes = [](const auto& sink) {
+    util::ByteWriter w;
+    sink.save(w);
+    return w.take();
+  };
+  const std::string summary_before = bytes(summary);
+  const std::string truth_before = bytes(truth);
+
+  // A record both sinks would count: reachable, every anomaly detected
+  // on a censored path.
+  iclab::Measurement valid;
+  valid.vantage = scenario_->platform().vantages().front();
+  valid.url_id = 0;
+  valid.truth_path = {valid.vantage, scenario_->platform().dest_ases().front()};
+  valid.detected.fill(true);
+  valid.truth_censored.fill(true);
+
+  iclab::Measurement negative_url = valid;
+  negative_url.url_id = -1;
+  EXPECT_THROW(summary.on_measurement(negative_url), std::out_of_range);
+  EXPECT_THROW(truth.on_measurement(negative_url), std::out_of_range);
+
+  iclab::Measurement url_past_platform = valid;
+  url_past_platform.url_id = scenario_->platform().config().num_urls;
+  EXPECT_THROW(truth.on_measurement(url_past_platform), std::out_of_range);
+
+  for (const topo::AsId vantage : {topo::AsId{-1}, scenario_->graph().num_ases()}) {
+    iclab::Measurement bad_vantage = valid;
+    bad_vantage.vantage = vantage;
+    EXPECT_THROW(summary.on_measurement(bad_vantage), std::out_of_range);
+  }
+
+  EXPECT_EQ(bytes(summary), summary_before);
+  EXPECT_EQ(bytes(truth), truth_before);
+  summary.on_measurement(valid);  // the same record, valid, does count
+  EXPECT_NE(bytes(summary), summary_before);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "bgp/churn.h"
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "topo/generator.h"
@@ -171,6 +175,77 @@ TEST(Churn, AdvanceToReplaysExactly) {
   replayed.advance_to(37);  // no-op at the target epoch
   EXPECT_EQ(replayed.epoch(), 37);
   EXPECT_THROW(replayed.advance_to(10), std::invalid_argument);
+}
+
+// The recorded trajectory against its oracle, the engine stepped one
+// advance() at a time: link state (both stepped through the flips and
+// rebuilt from the stored states), the flips themselves and every
+// counter, at every epoch of a multi-year schedule.
+TEST(ChurnTrajectory, MatchesSteppedEngineAtEveryEpoch) {
+  ChurnConfig heavy;
+  heavy.volatile_fail_prob = 0.6;
+  heavy.stable_fail_prob = 0.05;
+  heavy.repair_prob = 0.3;
+  struct Case {
+    const char* name;
+    double volatile_fraction;
+    ChurnConfig config;
+  };
+  // Three years of three epochs a day: many stored-state strides.
+  const std::int64_t epochs = 3 * 364 * 3;
+  for (const Case& c : {Case{"default", 0.5, ChurnConfig{}}, Case{"heavy", 0.8, heavy}}) {
+    SCOPED_TRACE(c.name);
+    const auto g = test_graph(c.volatile_fraction);
+    const ChurnTrajectory trajectory(g, c.config, 23, epochs);
+    ASSERT_EQ(trajectory.num_epochs(), epochs);
+    ChurnEngine oracle(g, c.config, 23);
+    std::vector<bool> stepped;
+    trajectory.link_state_at(0, stepped);
+    std::vector<bool> rebuilt;
+    std::int64_t flips = 0;
+    for (std::int64_t e = 0; e < epochs; ++e) {
+      std::vector<bool> before = oracle.link_up();
+      if (e > 0) {
+        oracle.advance();
+        trajectory.step(e, stepped);
+      }
+      std::vector<topo::LinkId> expected_flips;
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        if (before[i] != oracle.link_up()[i]) {
+          expected_flips.push_back(static_cast<topo::LinkId>(i));
+        }
+      }
+      const auto got_flips = trajectory.flips(e);
+      ASSERT_EQ(std::vector<topo::LinkId>(got_flips.begin(), got_flips.end()), expected_flips)
+          << "epoch " << e;
+      flips += static_cast<std::int64_t>(got_flips.size());
+      ASSERT_EQ(stepped, oracle.link_up()) << "epoch " << e;
+      trajectory.link_state_at(e, rebuilt);
+      ASSERT_EQ(rebuilt, oracle.link_up()) << "epoch " << e;
+      ASSERT_EQ(trajectory.total_failures(e), oracle.total_failures()) << "epoch " << e;
+      ASSERT_EQ(trajectory.total_repairs(e), oracle.total_repairs()) << "epoch " << e;
+      ASSERT_EQ(trajectory.links_down(e), oracle.links_down()) << "epoch " << e;
+    }
+    // Every flip is a failure or a repair.
+    EXPECT_EQ(flips, oracle.total_failures() + oracle.total_repairs());
+    EXPECT_GT(oracle.total_repairs(), 0);
+  }
+}
+
+TEST(ChurnTrajectory, RejectsEpochsOutsideTheRecording) {
+  const auto g = test_graph();
+  EXPECT_THROW(ChurnTrajectory(g, ChurnConfig{}, 1, 0), std::invalid_argument);
+  const ChurnTrajectory one(g, ChurnConfig{}, 1, 1);
+  EXPECT_TRUE(one.flips(0).empty());
+  EXPECT_EQ(one.links_down(0), 0);
+  const ChurnTrajectory trajectory(g, ChurnConfig{}, 1, 10);
+  std::vector<bool> up;
+  EXPECT_THROW(trajectory.flips(-1), std::out_of_range);
+  EXPECT_THROW(trajectory.flips(10), std::out_of_range);
+  EXPECT_THROW(trajectory.link_state_at(10, up), std::out_of_range);
+  EXPECT_THROW(trajectory.total_failures(-1), std::out_of_range);
+  EXPECT_THROW(trajectory.total_repairs(10), std::out_of_range);
+  EXPECT_THROW(trajectory.links_down(10), std::out_of_range);
 }
 
 }  // namespace

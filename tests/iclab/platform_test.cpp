@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -424,6 +426,80 @@ TEST(Platform, CensorsStayActivePastYearBoundary) {
   EXPECT_GT(censored_past_year, 0)
       << "no censorship observed after day " << util::kDaysPerYear
       << " — censors went dark at the year boundary";
+}
+
+TEST(Platform, RunDaysMatchesSerialRun) {
+  // Whole-day tasks on three workers: every sink's stream ascends, and
+  // their union is the serial run's stream over those days.
+  TestWorld w;
+  w.config.num_days = 9;
+  const Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  CollectingSink serial;
+  platform.run(serial);
+  std::vector<std::int64_t> expected;
+  for (const Measurement& m : serial.measurements) {
+    if (m.day >= 2 && m.day < 8) expected.push_back(m.seq);
+  }
+  ASSERT_FALSE(expected.empty());
+
+  std::vector<CollectingSink> workers(3);
+  platform.run_days(2, 8, {&workers[0], &workers[1], &workers[2]});
+  std::vector<std::int64_t> got;
+  std::vector<util::Day> days;
+  for (const CollectingSink& sink : workers) {
+    EXPECT_TRUE(std::is_sorted(sink.days.begin(), sink.days.end()));
+    std::vector<std::int64_t> seqs;
+    for (const Measurement& m : sink.measurements) seqs.push_back(m.seq);
+    EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end()));
+    got.insert(got.end(), seqs.begin(), seqs.end());
+    days.insert(days.end(), sink.days.begin(), sink.days.end());
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+  std::sort(days.begin(), days.end());
+  EXPECT_EQ(days, (std::vector<util::Day>{2, 3, 4, 5, 6, 7}));
+
+  EXPECT_THROW(platform.run_days(2, 8, {}), std::invalid_argument);
+  EXPECT_THROW(platform.run_days(3, 3, {&workers[0]}), std::invalid_argument);
+  EXPECT_THROW(platform.run_days(0, 10, {&workers[0]}), std::invalid_argument);
+}
+
+TEST(ChurnTrajectory, ConcurrentFirstUseRecordsOnce) {
+  // Four threads ask a fresh platform for its trajectory at once: one
+  // recording, which all of them see, equal to a standalone recording
+  // of the whole multi-year schedule.
+  TestWorld w;
+  w.config.num_days = 3 * util::kDaysPerYear;
+  const Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  constexpr int kThreads = 4;
+  std::vector<const bgp::ChurnTrajectory*> seen(kThreads, nullptr);
+  {
+    std::latch start(kThreads);
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[static_cast<std::size_t>(t)] = &platform.churn_trajectory();
+      });
+    }
+  }
+  for (const bgp::ChurnTrajectory* trajectory : seen) EXPECT_EQ(trajectory, seen[0]);
+
+  const std::int64_t epochs =
+      static_cast<std::int64_t>(w.config.num_days) * w.config.epochs_per_day;
+  const bgp::ChurnTrajectory expected(w.graph, w.config.churn, 9, epochs);
+  const bgp::ChurnTrajectory& got = *seen[0];
+  ASSERT_EQ(got.num_epochs(), epochs);
+  std::vector<bool> got_up;
+  std::vector<bool> expected_up;
+  for (std::int64_t e = 0; e < epochs; ++e) {
+    ASSERT_TRUE(std::ranges::equal(got.flips(e), expected.flips(e))) << "epoch " << e;
+    ASSERT_EQ(got.total_failures(e), expected.total_failures(e)) << "epoch " << e;
+    ASSERT_EQ(got.total_repairs(e), expected.total_repairs(e)) << "epoch " << e;
+  }
+  got.link_state_at(epochs - 1, got_up);
+  expected.link_state_at(epochs - 1, expected_up);
+  EXPECT_EQ(got_up, expected_up);
 }
 
 TEST(DatasetSummary, CountsDistincts) {
