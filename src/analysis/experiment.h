@@ -151,7 +151,7 @@ struct ExperimentOptions {
   /// building, capped at the hardware.  A segment with at least as many
   /// days as workers runs as one task per day, which the workers claim
   /// in ascending order, each streaming into its own sink bundle; a
-  /// shorter one is split into (vantage, day) ranges, one bundle each.
+  /// shorter one gives each worker one vantage chunk of the segment.
   /// The monitor folds the bundles and hands them off into its
   /// persistent state in schedule order.  The next segment's platform
   /// run overlaps this segment's drain, so up to this many platform

@@ -87,7 +87,7 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
                   scenario.platform().dest_ases(), scenario.platform().config().num_days,
                   scenario.platform().config().epochs_per_day),
       folds_(options_.experiment),
-      summary_(scenario.graph()),
+      summary_(scenario.graph(), static_cast<std::int32_t>(scenario.platform().urls().size())),
       truth_(scenario.registry(), scenario.platform()),
       analysis_pool_(analysis_lanes(options_.experiment)),
       main_arenas_(analysis_pool_.size()),
@@ -307,7 +307,7 @@ void MonitorEngine::restore(const std::string& bytes) {
     ablation_grouper.load(r, num_urls, pool.size());
     churn_fold.load(r);
     folds.load(r, num_ases);
-    summary.load(r, num_urls);
+    summary.load(r);
     truth.load(r);
     clause_stats = load_clause_stats(r);
     main_base = load_engine_stats(r);

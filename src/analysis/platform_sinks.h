@@ -29,7 +29,8 @@ struct PlatformSinks {
   iclab::SinkFanout fanout;
 
   explicit PlatformSinks(Scenario& scenario)
-      : summary(scenario.graph()),
+      : summary(scenario.graph(),
+                static_cast<std::int32_t>(scenario.platform().urls().size())),
         clause_builder(scenario.ip2as()),
         churn_tracker(scenario.graph(), scenario.platform().vantages(),
                       scenario.platform().dest_ases(),
@@ -62,18 +63,15 @@ struct PlatformSinks {
 
 /// Runs days [day_begin, day_end) of the measurement platform through
 /// all sinks on num_shards workers (0 = one per hardware thread; capped
-/// at the hardware), returning the bundles unmerged:
-///  * one worker: one task over the range, run inline, one bundle;
-///  * at least as many days as workers: one task per day, claimed in
-///    ascending order (iclab::Platform::run_days), one bundle per
-///    worker — each bundle's stream ascends, but which days it holds
-///    depends on timing;
-///  * fewer days than workers: (vantage, day) shards planned with
-///    iclab::plan_shards and run on a thread pool, one bundle per
-///    shard, in plan order.
-/// Absorbing or handing off the bundles gives the serial run's
-/// contents in every case.  This is the only code that drives the platform:
-/// the resident monitor (and so run_experiment) hands each segment's
+/// at the hardware), one bundle per worker (iclab::Platform::run_days),
+/// returned unmerged.  With at least as many days as workers, workers
+/// claim whole days in ascending order, so which days a bundle holds
+/// depends on timing; a shorter range gives each of min(workers,
+/// vantages) workers one vantage chunk of the whole range, and one
+/// worker is one serial run of it.  Every bundle's stream ascends, and
+/// absorbing or handing off the bundles gives the serial run's
+/// contents.  This is the only code that drives the platform: the
+/// resident monitor (and so run_experiment) hands each segment's
 /// bundles straight to its persistent state, and run_platform absorbs
 /// them into one.
 std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenario,

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "util/serde.h"
-#include "util/thread_pool.h"
 
 namespace ct::iclab {
 
@@ -212,16 +211,6 @@ std::vector<ShardRange> plan_shard_grid(util::Day num_days, std::int32_t num_van
     }
   }
   return out;
-}
-
-std::vector<ShardRange> plan_shards(util::Day num_days, std::int32_t num_vantages,
-                                    std::int32_t num_shards) {
-  if (num_shards < 1) throw std::invalid_argument("plan_shards: num_shards < 1");
-  const std::int32_t day_chunks = std::min(num_shards, num_days);
-  // ceil(num_shards / day_chunks), in a form that cannot overflow.
-  const std::int32_t vantage_chunks =
-      num_shards <= day_chunks ? 1 : (num_shards - 1) / day_chunks + 1;
-  return plan_shard_grid(num_days, num_vantages, day_chunks, vantage_chunks);
 }
 
 void Platform::run(MeasurementSink& sink) const {
@@ -510,37 +499,39 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
   }
 }
 
-void Platform::run_shards(const std::vector<ShardRange>& ranges,
-                          const std::vector<MeasurementSink*>& sinks,
-                          unsigned num_threads) const {
-  if (ranges.size() != sinks.size()) {
-    throw std::invalid_argument("Platform::run_shards: ranges/sinks size mismatch");
-  }
-  if (ranges.empty()) return;
-  const unsigned workers = std::min<unsigned>(
-      num_threads == 0 ? util::ThreadPool::hardware_threads() : num_threads,
-      static_cast<unsigned>(ranges.size()));
-  util::ThreadPool pool(workers);
-  pool.for_each_index(ranges.size(), [&](unsigned /*worker*/, std::size_t i) {
-    run_shard(*sinks[i], ranges[i]);
-  });
-}
-
 void Platform::run_days(util::Day day_begin, util::Day day_end,
                         const std::vector<MeasurementSink*>& sinks) const {
   if (day_begin < 0 || day_begin >= day_end || day_end > config_.num_days) {
     throw std::invalid_argument("Platform::run_days: day range outside the schedule");
   }
   if (sinks.empty()) throw std::invalid_argument("Platform::run_days: no workers");
+  const std::size_t workers = sinks.size();
+  const std::size_t num_vantages = vantages_.size();
+  // One sink runs the range as one shard, priming once.
+  const bool claim_days = workers > 1 && static_cast<std::size_t>(day_end - day_begin) >= workers;
+  if (!claim_days && workers > num_vantages) {
+    throw std::invalid_argument("Platform::run_days: more sinks than vantages to split");
+  }
+  const auto chunk_edge = [&](std::size_t w) {
+    return static_cast<std::int32_t>(num_vantages * w / workers);
+  };
   std::atomic<util::Day> next_day{day_begin};
-  std::vector<std::exception_ptr> errors(sinks.size());
+  std::vector<std::exception_ptr> errors(workers);
   const auto work = [&](std::size_t w) {
     try {
       ShardScratch scratch(*this);
-      // fetch_add hands each worker its days in ascending order.
-      for (util::Day day = next_day.fetch_add(1); day < day_end; day = next_day.fetch_add(1)) {
-        run_range(*sinks[w],
-                  ShardRange{day, day + 1, 0, static_cast<std::int32_t>(vantages_.size())},
+      if (claim_days) {
+        // fetch_add hands each worker its days in ascending order.
+        for (util::Day day = next_day.fetch_add(1); day < day_end;
+             day = next_day.fetch_add(1)) {
+          run_range(*sinks[w],
+                    ShardRange{day, day + 1, 0, static_cast<std::int32_t>(num_vantages)},
+                    scratch);
+        }
+      } else {
+        // Seq is epoch-major, then destination, then vantage, so one
+        // vantage chunk walked over the whole range ascends.
+        run_range(*sinks[w], ShardRange{day_begin, day_end, chunk_edge(w), chunk_edge(w + 1)},
                   scratch);
       }
     } catch (...) {
@@ -550,8 +541,8 @@ void Platform::run_days(util::Day day_begin, util::Day day_end,
   };
   {
     std::vector<std::jthread> helpers;
-    helpers.reserve(sinks.size() - 1);
-    for (std::size_t w = 1; w < sinks.size(); ++w) helpers.emplace_back(work, w);
+    helpers.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work, w);
     work(0);
   }
   for (const std::exception_ptr& error : errors) {
@@ -570,7 +561,9 @@ const bgp::ChurnTrajectory& Platform::churn_trajectory() const {
 
 void DatasetSummary::on_measurement(const Measurement& m) {
   // Validate first: a rejected measurement changes nothing.
-  if (m.url_id < 0) throw std::out_of_range("DatasetSummary: negative URL id");
+  if (m.url_id < 0 || static_cast<std::size_t>(m.url_id) >= seen_urls_.size()) {
+    throw std::out_of_range("DatasetSummary: URL id outside the URL list");
+  }
   if (m.vantage < 0 || static_cast<std::size_t>(m.vantage) >= seen_vantages_.size()) {
     throw std::out_of_range("DatasetSummary: vantage outside the graph");
   }
@@ -582,9 +575,7 @@ void DatasetSummary::on_measurement(const Measurement& m) {
     }
   }
   seen_vantages_[static_cast<std::size_t>(m.vantage)] = 1;
-  const auto url = static_cast<std::size_t>(m.url_id);
-  if (url >= seen_urls_.size()) seen_urls_.resize(url + 1, 0);
-  seen_urls_[url] = 1;
+  seen_urls_[static_cast<std::size_t>(m.url_id)] = 1;
 }
 
 namespace {
@@ -671,13 +662,14 @@ void DatasetSummary::save(util::ByteWriter& w) const {
   save_flags(w, seen_urls_);
 }
 
-void DatasetSummary::load(util::ByteReader& r, std::int32_t num_urls) {
+void DatasetSummary::load(util::ByteReader& r) {
   const std::int64_t measurements = r.i64();
   const std::int64_t unreachable = r.i64();
   std::array<std::int64_t, kNumAnomalies> anomaly_counts{};
   for (std::int64_t& c : anomaly_counts) c = r.i64();
   std::vector<std::uint8_t> vantages = load_flags(r, graph_->num_ases(), "vantage");
-  std::vector<std::uint8_t> urls = load_flags(r, num_urls, "URL");
+  std::vector<std::uint8_t> urls =
+      load_flags(r, static_cast<std::int32_t>(seen_urls_.size()), "URL");
   measurements_ = measurements;
   unreachable_ = unreachable;
   anomaly_counts_ = anomaly_counts;

@@ -188,14 +188,6 @@ std::vector<ShardRange> plan_shard_grid(util::Day num_days, std::int32_t num_van
                                         std::int32_t day_chunks,
                                         std::int32_t vantage_chunks);
 
-/// Plans ~num_shards shards.  Days are split first (day sharding is the
-/// cheap direction: each route table is computed by exactly one shard);
-/// the vantage dimension is split only when num_shards exceeds the day
-/// count.  The returned partition may hold slightly more shards than
-/// requested when both dimensions split (grid rounding).
-std::vector<ShardRange> plan_shards(util::Day num_days, std::int32_t num_vantages,
-                                    std::int32_t num_shards);
-
 class Platform {
  public:
   /// The graph, registry, and plan must outlive the platform.  Selects
@@ -220,33 +212,27 @@ class Platform {
   /// starting state — so the union of the streams emitted by any
   /// disjoint tiling of shards is bit-identical to the serial run's
   /// stream.
-  /// on_day_start fires once per shard per covered day (shards that
-  /// split the vantage dimension share days).  The shard emits through
-  /// one reused Measurement whose hop lists, truth path and path
-  /// buffers keep their capacity from record to record, so steady-state
-  /// emission allocates nothing.  The shard builds its own
+  /// on_day_start fires once per shard per covered day.  The shard
+  /// emits through one reused Measurement whose hop lists, truth path
+  /// and path buffers keep their capacity from record to record, so
+  /// steady-state emission allocates nothing.  The shard builds its own
   /// routing view of every epoch it covers (plus the priming view), so
-  /// concurrent shards share no mutable state; shards that split the
-  /// vantage dimension each compute the same views.
+  /// concurrent shards share no mutable state.
   void run_shard(MeasurementSink& sink, const ShardRange& range) const;
 
-  /// Runs `ranges` concurrently on an internal thread pool
-  /// (num_threads == 0 selects hardware concurrency), streaming shard i
-  /// into *sinks[i].  Sinks must be distinct objects; each is driven
-  /// from exactly one task, so sinks need no locking of their own.
-  void run_shards(const std::vector<ShardRange>& ranges,
-                  const std::vector<MeasurementSink*>& sinks,
-                  unsigned num_threads = 0) const;
-
-  /// Runs days [day_begin, day_end), every vantage, as one task per day
-  /// on sinks.size() workers; worker w streams each day it runs into
-  /// *sinks[w], and worker 0 is the calling thread.  Workers claim days
-  /// in ascending order from one shared counter, so every sink sees
-  /// its days ascending and its stream is in schedule order (as
-  /// tomo::hand_off_clauses requires).  Which sink runs which day
-  /// depends on timing; the union of the streams does not.  Sinks must
-  /// be distinct.  Rethrows the first exception a task threw, after
-  /// every worker stopped.
+  /// Runs days [day_begin, day_end) on sinks.size() workers; worker w
+  /// streams everything it runs into *sinks[w], and worker 0 is the
+  /// calling thread.  With more than one sink and at least as many days
+  /// as sinks, the work is one task per day (every vantage), and
+  /// workers claim days in ascending order from one shared counter:
+  /// which sink runs which day depends on timing.  Otherwise worker w
+  /// runs vantage chunk w of sinks.size() near-even chunks over the
+  /// whole range as one shard, so one sink is one serial run of the
+  /// range.  Either way every sink's stream ascends in schedule order
+  /// (as tomo::hand_off_clauses requires) and the union of the streams
+  /// is the serial run's.  Sinks must be distinct; splitting vantages
+  /// needs no more sinks than vantages.  Rethrows the first exception a
+  /// task threw, after every worker stopped.
   void run_days(util::Day day_begin, util::Day day_end,
                 const std::vector<MeasurementSink*>& sinks) const;
 
@@ -286,11 +272,14 @@ class Platform {
 /// Table-1 accumulator: dataset characteristics.
 class DatasetSummary : public MeasurementSink {
  public:
-  explicit DatasetSummary(const topo::AsGraph& graph)
-      : graph_(&graph), seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0) {}
+  /// URL ids are bounded by `num_urls` (the platform's URL list).
+  DatasetSummary(const topo::AsGraph& graph, std::int32_t num_urls)
+      : graph_(&graph),
+        seen_vantages_(static_cast<std::size_t>(graph.num_ases()), 0),
+        seen_urls_(static_cast<std::size_t>(num_urls), 0) {}
 
-  /// Throws std::out_of_range, changing nothing, for a negative URL id
-  /// or a vantage outside the graph.
+  /// Throws std::out_of_range, changing nothing, for a URL id outside
+  /// [0, num_urls) or a vantage outside the graph.
   void on_measurement(const Measurement& m) override;
 
   /// Folds a shard-local summary into this one.  Associative and
@@ -314,10 +303,10 @@ class DatasetSummary : public MeasurementSink {
   /// but the graph reference.  Each distinct set is written as its count,
   /// then its ids in ascending order.  load() throws util::SerdeError,
   /// leaving the summary untouched, for a negative id, a vantage id past
-  /// the graph, a URL id not below `num_urls`, or an id that repeats or
-  /// is out of order.
+  /// the graph, a URL id not below the constructor's `num_urls`, or an
+  /// id that repeats or is out of order.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r, std::int32_t num_urls);
+  void load(util::ByteReader& r);
 
  private:
   const topo::AsGraph* graph_;  // a pointer, so summaries are assignable
@@ -327,8 +316,8 @@ class DatasetSummary : public MeasurementSink {
   // Distinct sets as dense seen-flags, not per-measurement logs: the
   // resident monitor holds one summary for a multi-year stream, so
   // per-measurement state here would break its O(open windows) memory
-  // contract.  Vantage flags cover the graph; URL flags grow with the
-  // largest id seen.
+  // contract.  Vantage flags cover the graph; URL flags cover the URL
+  // list.
   std::vector<std::uint8_t> seen_vantages_;
   std::vector<std::uint8_t> seen_urls_;
 };

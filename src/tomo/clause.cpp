@@ -227,8 +227,8 @@ std::vector<PathClause> hand_off_clauses(std::span<const ClauseBuilder* const> s
 
   // k-way merge: repeatedly take the run of the shard whose head is
   // least in (seq, shard) order, up to the next-least head.  Shards in
-  // schedule order (day-split plans) make one run each, a plain
-  // concatenation; vantage-split shards make whole (epoch, destination)
+  // schedule order (day ranges in day order) make one run each, a plain
+  // concatenation; vantage chunks make whole (epoch, destination)
   // blocks.  k stays small, so a linear scan of the heads is enough.
   std::vector<std::size_t> head(shards.size(), 0);
   const auto head_seq = [&](std::size_t s) {

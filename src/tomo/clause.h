@@ -228,10 +228,10 @@ class ClauseBuilder : public iclab::MeasurementSink {
 /// distinct path interned once, in first-use order of that stream).
 /// The result, and what it adds to `pool`, equal what one serial
 /// ClauseBuilder interning into `pool` would have produced.  When the
-/// shards, in the given order, are already in schedule order — every
-/// day-split plan in plan order — their streams are concatenated;
-/// otherwise (vantage-split grids, or any other order) they are k-way
-/// merged by seqs().  Clauses of equal seq keep their order, earlier
+/// shards, in the given order, are already in schedule order — day
+/// ranges in day order — their streams are concatenated; otherwise
+/// (interleaved day claims, vantage chunks, or any other order) they
+/// are k-way merged by seqs().  Clauses of equal seq keep their order, earlier
 /// shards first.  When `seqs` is given, the result's seqs are appended
 /// to it.  Each shard's own stream must be in schedule order, as
 /// Platform::run_shard emits it; throws std::invalid_argument

@@ -96,37 +96,14 @@ void expect_sharded_matches_serial(Scenario& scenario, const PlatformSinks& seri
   EXPECT_EQ(dimacs_of(merged.clause_builder), dimacs_of(serial.clause_builder));
 }
 
-TEST(PlanShards, TilesTheScheduleExactly) {
-  for (const std::int32_t shards : {1, 2, 4, 7, 100}) {
-    const auto ranges = iclab::plan_shards(21, 15, shards);
-    std::int64_t cells = 0;
-    for (const auto& r : ranges) {
-      EXPECT_LT(r.day_begin, r.day_end);
-      EXPECT_LT(r.vantage_begin, r.vantage_end);
-      cells += static_cast<std::int64_t>(r.day_end - r.day_begin) *
-               (r.vantage_end - r.vantage_begin);
-      for (const auto& o : ranges) {
-        if (&o == &r) continue;
-        const bool day_overlap = r.day_begin < o.day_end && o.day_begin < r.day_end;
-        const bool vp_overlap =
-            r.vantage_begin < o.vantage_end && o.vantage_begin < r.vantage_end;
-        EXPECT_FALSE(day_overlap && vp_overlap) << "overlapping shards";
-      }
-    }
-    EXPECT_EQ(cells, 21 * 15);
-    EXPECT_GE(static_cast<std::int32_t>(ranges.size()), std::min(shards, 21));
-  }
-  // More shards than days: the vantage dimension must split.
-  const auto ranges = iclab::plan_shards(2, 8, 6);
-  EXPECT_GT(ranges.size(), 2u);
-}
-
 TEST(PlanShards, GridClampsToDimensions) {
   const auto ranges = iclab::plan_shard_grid(3, 2, 10, 10);
   EXPECT_EQ(ranges.size(), 6u);  // 3 day chunks x 2 vantage chunks
-  // The largest shard count clamps the same way instead of overflowing.
-  EXPECT_EQ(iclab::plan_shards(3, 2, std::numeric_limits<std::int32_t>::max()).size(), 6u);
-  EXPECT_THROW(iclab::plan_shards(21, 15, 0), std::invalid_argument);
+  // The largest chunk counts clamp the same way instead of overflowing.
+  const std::int32_t most = std::numeric_limits<std::int32_t>::max();
+  EXPECT_EQ(iclab::plan_shard_grid(3, 2, most, most).size(), 6u);
+  EXPECT_EQ(iclab::plan_shard_grid(3, 2, 0, 0).size(), 1u);  // at least one chunk
+  EXPECT_THROW(iclab::plan_shard_grid(0, 2, 1, 1), std::invalid_argument);
 }
 
 TEST(ShardEquivalence, SinkStreamsAcrossShardCountsAndSeeds) {
@@ -137,9 +114,9 @@ TEST(ShardEquivalence, SinkStreamsAcrossShardCountsAndSeeds) {
 
     for (const std::int32_t shards : {2, 4, 7}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " shards=" + std::to_string(shards));
-      const auto ranges = iclab::plan_shards(
+      const auto ranges = iclab::plan_shard_grid(
           scenario.platform().config().num_days,
-          static_cast<std::int32_t>(scenario.platform().vantages().size()), shards);
+          static_cast<std::int32_t>(scenario.platform().vantages().size()), shards, 1);
       std::vector<std::size_t> order(ranges.size());
       std::iota(order.begin(), order.end(), std::size_t{0});
       expect_sharded_matches_serial(scenario, serial, ranges, order);
@@ -154,9 +131,8 @@ TEST(ShardEquivalence, VantageDimensionAndMergeOrder) {
   const auto num_days = scenario.platform().config().num_days;
   const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
 
-  // Grids that split the vantage dimension (plan_shards defaults to
-  // day-major, so exercise the other axis explicitly) — with merge
-  // orders other than plan order.
+  // Grids that split the vantage dimension — with merge orders other
+  // than plan order.
   const std::vector<std::pair<std::int32_t, std::int32_t>> grids{
       {1, 2}, {2, 2}, {1, 7}, {3, 4}};
   for (const auto& [day_chunks, vp_chunks] : grids) {
@@ -240,10 +216,11 @@ TEST(ShardEquivalence, RunPlatformDayRangeMatchesSerialSlice) {
 }
 
 TEST(WorkerBundles, MatchSerialRunForEveryDayRangeAndWorkerCount) {
-  // run_platform_shards with whole-day tasks: which worker runs which
+  // run_platform_shards with whole-day tasks, or with vantage chunks
+  // when the range has fewer days than workers: which worker runs which
   // day depends on timing, so every (range, workers) pair runs five
   // times.  Each run must hand off into exactly the serial run's
-  // contents, in min(workers, days) bundles whose streams ascend.
+  // contents, in one bundle per worker, each of whose streams ascends.
   ScenarioConfig config = shard_scenario(20170623);
   config.platform.num_days = 5 * util::kDaysPerWeek;
   Scenario scenario(config);
@@ -257,10 +234,8 @@ TEST(WorkerBundles, MatchSerialRunForEveryDayRangeAndWorkerCount) {
     for (const unsigned requested : {1u, 2u, 3u, 4u}) {
       const auto workers = static_cast<util::Day>(
           std::min(requested, util::ThreadPool::hardware_threads()));
-      const std::size_t expected_bundles =
-          workers == 1 || days >= workers
-              ? static_cast<std::size_t>(std::min(workers, days))
-              : iclab::plan_shards(days, num_vp, workers).size();
+      const auto expected_bundles =
+          static_cast<std::size_t>(days >= workers ? workers : std::min(workers, num_vp));
       for (int repeat = 0; repeat < 5; ++repeat) {
         SCOPED_TRACE("days=" + std::to_string(days) + " workers=" + std::to_string(requested) +
                      " repeat=" + std::to_string(repeat));

@@ -579,17 +579,18 @@ TEST(MonitorCheckpoint, CadenceCheckpointsInsideOneCallMatchPerSegmentEngine) {
 }
 
 TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
-  // 1-day segments on 4 shards split every segment's vantage dimension.
-  // The persistent pool the monitor checkpoints must be the one the old
-  // path built: each segment's shards merged and canonicalized (the
-  // reference in clause_merge_reference.h), then remapped into the
-  // global pool in stream order.
+  // 1-day segments on 4 shards split every segment's vantage dimension
+  // (as far as the hardware allows 4 workers).  The persistent pool the
+  // monitor checkpoints must be the one the old path built: each
+  // segment's shards merged and canonicalized (the reference in
+  // clause_merge_reference.h), then remapped into the global pool in
+  // stream order.
   for (const censor::ScenarioRegime regime : kCheckpointRegimes) {
     SCOPED_TRACE(censor::to_string(regime));
     const ScenarioConfig config = shard_scenario(48, regime);
     Scenario scenario(config);
-    const auto num_vp = static_cast<std::int32_t>(scenario.platform().vantages().size());
-    ASSERT_EQ(iclab::plan_shards(1, num_vp, 4).size(), 4u);
+    const std::size_t expected_bundles = std::min<std::size_t>(
+        {4, util::ThreadPool::hardware_threads(), scenario.platform().vantages().size()});
 
     MonitorOptions options = monitor_options(4);
     options.segment_days = 1;
@@ -605,6 +606,7 @@ TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
     for (util::Day d = 0; d < days; ++d) {
       const std::vector<std::unique_ptr<PlatformSinks>> shards =
           run_platform_shards(scenario, 4, d, d + 1);
+      ASSERT_EQ(shards.size(), expected_bundles);
       std::vector<const tomo::ClauseBuilder*> builders;
       for (const auto& shard : shards) builders.push_back(&shard->clause_builder);
       const tomo::test::CanonicalStream canonical = tomo::test::merge_and_canonicalize(builders);

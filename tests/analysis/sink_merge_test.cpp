@@ -46,6 +46,10 @@ class SinkMergeTest : public ::testing::Test {
     scenario_ = nullptr;
   }
 
+  static std::int32_t num_urls() {
+    return static_cast<std::int32_t>(scenario_->platform().urls().size());
+  }
+
   static void expect_summary_equal(const iclab::DatasetSummary& a,
                                    const iclab::DatasetSummary& b) {
     EXPECT_EQ(a.measurements(), b.measurements());
@@ -79,7 +83,7 @@ std::vector<std::unique_ptr<PlatformSinks>> SinkMergeTest::shards_;
 TEST_F(SinkMergeTest, DatasetSummaryPermutationsReproduceSerial) {
   std::vector<std::size_t> order{0, 1, 2, 3};
   do {
-    iclab::DatasetSummary merged(scenario_->graph());
+    iclab::DatasetSummary merged(scenario_->graph(), num_urls());
     for (const std::size_t i : order) {
       merged.merge(iclab::DatasetSummary(shards_[i]->summary));
     }
@@ -88,7 +92,7 @@ TEST_F(SinkMergeTest, DatasetSummaryPermutationsReproduceSerial) {
 }
 
 TEST_F(SinkMergeTest, DatasetSummaryIdentity) {
-  iclab::DatasetSummary merged(scenario_->graph());  // identity element
+  iclab::DatasetSummary merged(scenario_->graph(), num_urls());  // identity element
   merged.merge(iclab::DatasetSummary(shards_[0]->summary));
   expect_summary_equal(merged, shards_[0]->summary);
 }
@@ -176,6 +180,7 @@ TEST_F(SinkMergeTest, RejectedMeasurementLeavesSinksUnchanged) {
 
   iclab::Measurement url_past_platform = valid;
   url_past_platform.url_id = scenario_->platform().config().num_urls;
+  EXPECT_THROW(summary.on_measurement(url_past_platform), std::out_of_range);
   EXPECT_THROW(truth.on_measurement(url_past_platform), std::out_of_range);
 
   for (const topo::AsId vantage : {topo::AsId{-1}, scenario_->graph().num_ases()}) {

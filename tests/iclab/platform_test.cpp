@@ -464,6 +464,80 @@ TEST(Platform, RunDaysMatchesSerialRun) {
   EXPECT_THROW(platform.run_days(0, 10, {&workers[0]}), std::invalid_argument);
 }
 
+TEST(Platform, RunDaysSplitsVantagesOnShortRanges) {
+  // Fewer days than sinks: sink w runs vantage chunk w of the whole
+  // range, whatever the host's core count.  Each sink's stream ascends
+  // and holds exactly the serial run's records of its chunk, and the
+  // union is the serial run's stream over the range.
+  TestWorld w;
+  w.config.num_days = 9;
+  const Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  const std::vector<topo::AsId>& vantages = platform.vantages();
+  const std::size_t num_vp = vantages.size();
+  CollectingSink serial;
+  platform.run(serial);
+  const auto vantage_index = [&](topo::AsId as) {
+    return static_cast<std::size_t>(std::find(vantages.begin(), vantages.end(), as) -
+                                    vantages.begin());
+  };
+
+  constexpr std::size_t kSinks = 4;
+  ASSERT_GE(num_vp, kSinks);
+  for (const util::Day days : {1, 2, 3}) {
+    const util::Day day_begin = 4;  // mid-schedule: every chunk primes
+    const util::Day day_end = day_begin + days;
+    SCOPED_TRACE("days=" + std::to_string(days));
+    std::vector<CollectingSink> sinks(kSinks);
+    platform.run_days(day_begin, day_end, {&sinks[0], &sinks[1], &sinks[2], &sinks[3]});
+
+    std::vector<util::Day> range_days;
+    for (util::Day d = day_begin; d < day_end; ++d) range_days.push_back(d);
+    std::vector<std::int64_t> all;
+    for (std::size_t s = 0; s < kSinks; ++s) {
+      const std::size_t chunk_begin = num_vp * s / kSinks;
+      const std::size_t chunk_end = num_vp * (s + 1) / kSinks;
+      std::vector<std::int64_t> expected;
+      for (const Measurement& m : serial.measurements) {
+        const std::size_t vi = vantage_index(m.vantage);
+        if (m.day >= day_begin && m.day < day_end && vi >= chunk_begin && vi < chunk_end) {
+          expected.push_back(m.seq);
+        }
+      }
+      std::vector<std::int64_t> seqs;
+      for (const Measurement& m : sinks[s].measurements) seqs.push_back(m.seq);
+      EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end())) << "sink " << s;
+      EXPECT_EQ(seqs, expected) << "sink " << s;
+      EXPECT_EQ(sinks[s].days, range_days) << "sink " << s;
+      all.insert(all.end(), seqs.begin(), seqs.end());
+    }
+    std::vector<std::int64_t> expected_all;
+    for (const Measurement& m : serial.measurements) {
+      if (m.day >= day_begin && m.day < day_end) expected_all.push_back(m.seq);
+    }
+    ASSERT_FALSE(expected_all.empty());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(all, expected_all);
+  }
+
+  // More sinks than vantages: a short range has no chunk for every
+  // sink, while a range with a day per sink still claims days.
+  std::vector<CollectingSink> many(num_vp + 1);
+  std::vector<MeasurementSink*> targets;
+  for (CollectingSink& sink : many) targets.push_back(&sink);
+  EXPECT_THROW(platform.run_days(4, 6, targets), std::invalid_argument);
+  for (const CollectingSink& sink : many) EXPECT_TRUE(sink.measurements.empty());
+  ASSERT_LE(many.size(), static_cast<std::size_t>(w.config.num_days));
+  platform.run_days(0, w.config.num_days, targets);
+  std::vector<std::int64_t> got;
+  for (const CollectingSink& sink : many) {
+    for (const Measurement& m : sink.measurements) got.push_back(m.seq);
+  }
+  std::sort(got.begin(), got.end());
+  std::vector<std::int64_t> expected;
+  for (const Measurement& m : serial.measurements) expected.push_back(m.seq);
+  EXPECT_EQ(got, expected);
+}
+
 TEST(ChurnTrajectory, ConcurrentFirstUseRecordsOnce) {
   // Four threads ask a fresh platform for its trajectory at once: one
   // recording, which all of them see, equal to a standalone recording
@@ -505,7 +579,7 @@ TEST(ChurnTrajectory, ConcurrentFirstUseRecordsOnce) {
 TEST(DatasetSummary, CountsDistincts) {
   TestWorld w;
   Platform platform(w.graph, w.registry, w.plan, w.config, 9);
-  DatasetSummary summary(w.graph);
+  DatasetSummary summary(w.graph, w.config.num_urls);
   platform.run(summary);
   EXPECT_GT(summary.measurements(), 0);
   EXPECT_LE(summary.distinct_vantages(), 8);
@@ -556,9 +630,9 @@ TEST(DatasetSummary, SaveBytesMatchSetReference) {
   platform.run(sink);
   ASSERT_GT(sink.measurements.size(), 0u);
 
-  DatasetSummary serial(w.graph);
-  DatasetSummary first(w.graph);
-  DatasetSummary second(w.graph);
+  DatasetSummary serial(w.graph, w.config.num_urls);
+  DatasetSummary first(w.graph, w.config.num_urls);
+  DatasetSummary second(w.graph, w.config.num_urls);
   const std::size_t half = sink.measurements.size() / 2;
   for (std::size_t i = 0; i < sink.measurements.size(); ++i) {
     serial.on_measurement(sink.measurements[i]);
@@ -568,7 +642,7 @@ TEST(DatasetSummary, SaveBytesMatchSetReference) {
   EXPECT_EQ(summary_bytes(serial), expected);
 
   // The flags OR under merge, in either order.
-  DatasetSummary merged(w.graph);
+  DatasetSummary merged(w.graph, w.config.num_urls);
   merged.merge(DatasetSummary(second));
   merged.merge(DatasetSummary(first));
   EXPECT_EQ(summary_bytes(merged), expected);
@@ -577,9 +651,9 @@ TEST(DatasetSummary, SaveBytesMatchSetReference) {
   EXPECT_EQ(merged.distinct_countries(), serial.distinct_countries());
 
   // A round trip keeps the bytes and the distinct counts.
-  DatasetSummary loaded(w.graph);
+  DatasetSummary loaded(w.graph, w.config.num_urls);
   util::ByteReader r(expected);
-  loaded.load(r, w.config.num_urls);
+  loaded.load(r);
   r.expect_end();
   EXPECT_EQ(summary_bytes(loaded), expected);
   EXPECT_EQ(loaded.distinct_vantages(), serial.distinct_vantages());
@@ -589,7 +663,7 @@ TEST(DatasetSummary, SaveBytesMatchSetReference) {
 TEST(DatasetSummary, LoadRefusesBadIds) {
   TestWorld w;
   Platform platform(w.graph, w.registry, w.plan, w.config, 9);
-  DatasetSummary summary(w.graph);
+  DatasetSummary summary(w.graph, w.config.num_urls);
   platform.run(summary);
   const std::string before = summary_bytes(summary);
 
@@ -621,16 +695,43 @@ TEST(DatasetSummary, LoadRefusesBadIds) {
   for (const auto& [vantages, urls] : bad) {
     const std::string bytes = payload(vantages, urls);
     util::ByteReader r(bytes);
-    EXPECT_THROW(summary.load(r, num_urls), util::SerdeError);
+    EXPECT_THROW(summary.load(r), util::SerdeError);
     EXPECT_EQ(summary_bytes(summary), before) << "a refused load changed the summary";
   }
   // The same layout with valid ids loads.
   const std::string good = payload({3, num_ases - 1}, {0, num_urls - 1});
   util::ByteReader r(good);
-  summary.load(r, num_urls);
+  summary.load(r);
   EXPECT_EQ(summary_bytes(summary), good);
   EXPECT_EQ(summary.distinct_vantages(), 2);
   EXPECT_EQ(summary.distinct_urls(), 2);
+}
+
+TEST(DatasetSummary, RefusesUrlIdsPastTheList) {
+  // The URL list bounds the ids: a measurement past it throws and
+  // changes nothing, and a save/load/save round trip keeps the bytes.
+  TestWorld w;
+  Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  CollectingSink sink;
+  platform.run(sink);
+  ASSERT_FALSE(sink.measurements.empty());
+  DatasetSummary summary(w.graph, w.config.num_urls);
+  for (const Measurement& m : sink.measurements) summary.on_measurement(m);
+  const std::string before = summary_bytes(summary);
+
+  for (const std::int32_t url_id : {-1, w.config.num_urls}) {
+    Measurement bad = sink.measurements.front();
+    bad.url_id = url_id;
+    EXPECT_THROW(summary.on_measurement(bad), std::out_of_range) << url_id;
+    EXPECT_EQ(summary_bytes(summary), before) << "a refused measurement changed the summary";
+  }
+
+  DatasetSummary loaded(w.graph, w.config.num_urls);
+  util::ByteReader r(before);
+  loaded.load(r);
+  r.expect_end();
+  EXPECT_EQ(summary_bytes(loaded), before);
+  EXPECT_EQ(loaded.distinct_urls(), summary.distinct_urls());
 }
 
 TEST(SinkFanout, ForwardsToAll) {
