@@ -148,10 +148,11 @@ struct ExperimentOptions {
   /// identical for every value.
   unsigned num_threads = 0;
   /// Platform workers for each segment's platform run + clause
-  /// building, capped at the hardware.  A segment with at least as many
-  /// days as workers runs as one task per day, which the workers claim
-  /// in ascending order, each streaming into its own sink bundle; a
-  /// shorter one gives each worker one vantage chunk of the segment.
+  /// building, capped at the hardware.  A segment of at least 4 days
+  /// (or of a day per worker) runs as one task per day, which the
+  /// workers claim in ascending order, each streaming into its own sink
+  /// bundle; a shorter one gives each worker one vantage chunk of the
+  /// segment (iclab::Platform::num_run_days_sinks).
   /// The monitor folds the bundles and hands them off into its
   /// persistent state in schedule order.  The next segment's platform
   /// run overlaps this segment's drain, so up to this many platform

@@ -19,11 +19,7 @@ std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenar
   const unsigned workers =
       std::min(num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards,
                util::ThreadPool::hardware_threads());
-  // Whole-day claims need at least as many days as workers; shorter
-  // ranges split the vantages, one chunk per worker.
-  const auto days = static_cast<unsigned>(day_end - day_begin);
-  const std::size_t bundles =
-      days >= workers ? workers : std::min<std::size_t>(workers, platform.vantages().size());
+  const std::size_t bundles = platform.num_run_days_sinks(day_end - day_begin, workers);
   std::vector<std::unique_ptr<PlatformSinks>> sinks;
   std::vector<iclab::MeasurementSink*> targets;
   for (std::size_t i = 0; i < bundles; ++i) {

@@ -63,17 +63,17 @@ struct PlatformSinks {
 
 /// Runs days [day_begin, day_end) of the measurement platform through
 /// all sinks on num_shards workers (0 = one per hardware thread; capped
-/// at the hardware), one bundle per worker (iclab::Platform::run_days),
-/// returned unmerged.  With at least as many days as workers, workers
-/// claim whole days in ascending order, so which days a bundle holds
-/// depends on timing; a shorter range gives each of min(workers,
-/// vantages) workers one vantage chunk of the whole range, and one
-/// worker is one serial run of it.  Every bundle's stream ascends, and
-/// absorbing or handing off the bundles gives the serial run's
-/// contents.  This is the only code that drives the platform: the
-/// resident monitor (and so run_experiment) hands each segment's
-/// bundles straight to its persistent state, and run_platform absorbs
-/// them into one.
+/// at the hardware) in one iclab::Platform::run_days call, one bundle
+/// per sink, returned unmerged.  Platform::num_run_days_sinks sets the
+/// bundle count for the range and the workers, and with it whether
+/// run_days has the bundles claim whole days in ascending order (so
+/// which days a bundle holds depends on timing) or gives each bundle
+/// one vantage chunk of the whole range (one bundle is one serial run
+/// of it).  Every bundle's stream ascends, and absorbing or handing off
+/// the bundles gives the serial run's contents.  This is the only code
+/// that drives the platform: the resident monitor (and so
+/// run_experiment) hands each segment's bundles straight to its
+/// persistent state, and run_platform absorbs them into one.
 std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenario,
                                                                 unsigned num_shards,
                                                                 util::Day day_begin,

@@ -550,6 +550,15 @@ void Platform::run_days(util::Day day_begin, util::Day day_end,
   }
 }
 
+std::size_t Platform::num_run_days_sinks(util::Day num_days, std::size_t workers) const {
+  if (num_days <= 0 || workers == 0) {
+    throw std::invalid_argument("Platform::num_run_days_sinks: no days or no workers");
+  }
+  const auto days = static_cast<std::size_t>(num_days);
+  if (days >= std::min<std::size_t>(workers, 4)) return std::min(workers, days);
+  return std::min(workers, vantages_.size());
+}
+
 const bgp::ChurnTrajectory& Platform::churn_trajectory() const {
   std::call_once(trajectory_once_, [this] {
     trajectory_ = std::make_unique<const bgp::ChurnTrajectory>(

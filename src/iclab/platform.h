@@ -232,9 +232,22 @@ class Platform {
   /// (as tomo::hand_off_clauses requires) and the union of the streams
   /// is the serial run's.  Sinks must be distinct; splitting vantages
   /// needs no more sinks than vantages.  Rethrows the first exception a
-  /// task threw, after every worker stopped.
+  /// task threw, after every worker stopped.  num_run_days_sinks picks
+  /// the sink count, and so the way, for a given number of threads.
   void run_days(util::Day day_begin, util::Day day_end,
                 const std::vector<MeasurementSink*>& sinks) const;
+
+  /// How many sinks run_days should get for a range of `num_days` days
+  /// on `workers` threads.  A range of at least min(workers, 4) days
+  /// gets min(workers, num_days) sinks and so runs as day claims: every
+  /// day's routing views are computed once, and threads past the
+  /// range's days stay idle.  A shorter range gets min(workers,
+  /// vantages) sinks and so runs as vantage chunks, each of which
+  /// computes every epoch's routing views again (about 0.4 ms per extra
+  /// chunk against about 5 ms of platform work per epoch), so chunks
+  /// are kept to ranges too short to keep the threads busy with days.
+  /// Throws std::invalid_argument for no days or no workers.
+  std::size_t num_run_days_sinks(util::Day num_days, std::size_t workers) const;
 
   /// The churn process over the whole schedule (num_days x
   /// epochs_per_day epochs), recorded on first use: once per platform,

@@ -232,10 +232,8 @@ TEST(WorkerBundles, MatchSerialRunForEveryDayRangeAndWorkerCount) {
     scenario.platform().run_shard(serial.fanout,
                                   iclab::ShardRange{day_begin, day_end, 0, num_vp});
     for (const unsigned requested : {1u, 2u, 3u, 4u}) {
-      const auto workers = static_cast<util::Day>(
-          std::min(requested, util::ThreadPool::hardware_threads()));
-      const auto expected_bundles =
-          static_cast<std::size_t>(days >= workers ? workers : std::min(workers, num_vp));
+      const std::size_t expected_bundles = scenario.platform().num_run_days_sinks(
+          days, std::min(requested, util::ThreadPool::hardware_threads()));
       for (int repeat = 0; repeat < 5; ++repeat) {
         SCOPED_TRACE("days=" + std::to_string(days) + " workers=" + std::to_string(requested) +
                      " repeat=" + std::to_string(repeat));

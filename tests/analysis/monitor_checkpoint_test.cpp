@@ -589,8 +589,8 @@ TEST(MonitorCheckpoint, VantageSplitHandOffPoolMatchesMergeAndCanonicalize) {
     SCOPED_TRACE(censor::to_string(regime));
     const ScenarioConfig config = shard_scenario(48, regime);
     Scenario scenario(config);
-    const std::size_t expected_bundles = std::min<std::size_t>(
-        {4, util::ThreadPool::hardware_threads(), scenario.platform().vantages().size()});
+    const std::size_t expected_bundles = scenario.platform().num_run_days_sinks(
+        1, std::min(4U, util::ThreadPool::hardware_threads()));
 
     MonitorOptions options = monitor_options(4);
     options.segment_days = 1;

@@ -538,6 +538,26 @@ TEST(Platform, RunDaysSplitsVantagesOnShortRanges) {
   EXPECT_EQ(got, expected);
 }
 
+TEST(Platform, RunDaysSinkCountPicksClaimsOrChunks) {
+  // Day claims from min(workers, 4) days on, on at most a worker per
+  // day; vantage chunks, at most one per vantage, below that.
+  TestWorld w;
+  w.config.num_days = 9;
+  const Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+  const std::size_t num_vp = platform.vantages().size();
+  ASSERT_GE(num_vp, 4U);
+  EXPECT_EQ(platform.num_run_days_sinks(28, 4), 4U);
+  EXPECT_EQ(platform.num_run_days_sinks(28, 32), 28U);
+  EXPECT_EQ(platform.num_run_days_sinks(4, 32), 4U);
+  EXPECT_EQ(platform.num_run_days_sinks(3, 2), 2U);
+  EXPECT_EQ(platform.num_run_days_sinks(1, 1), 1U);
+  EXPECT_EQ(platform.num_run_days_sinks(3, 4), 4U);
+  EXPECT_EQ(platform.num_run_days_sinks(1, 4), 4U);
+  EXPECT_EQ(platform.num_run_days_sinks(3, 1000), num_vp);
+  EXPECT_THROW(platform.num_run_days_sinks(0, 4), std::invalid_argument);
+  EXPECT_THROW(platform.num_run_days_sinks(3, 0), std::invalid_argument);
+}
+
 TEST(ChurnTrajectory, ConcurrentFirstUseRecordsOnce) {
   // Four threads ask a fresh platform for its trajectory at once: one
   // recording, which all of them see, equal to a standalone recording
