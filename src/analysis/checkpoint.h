@@ -15,9 +15,9 @@
 // overlong buffer, and any payload whose checksum does not match.  The
 // checksum is verified before a single payload byte is parsed, so a
 // corrupt length or id inside the payload never reaches a loader.  The
-// checksum is not a MAC: loaders still bound every id they index by
-// (StreamingCnfBuilder::load refuses a url_id outside the fingerprinted
-// URL count rather than allocate in proportion to it).
+// checksum is not a MAC: loaders still bound every id they index by,
+// as their part's mutators do (StreamingCnfBuilder::load, like add(),
+// refuses a url_id outside the chain table its constructor sized).
 //
 // The fingerprint hashes exactly the configuration that determines
 // results: the scenario (seed + geometry) and the analysis options

@@ -149,18 +149,6 @@ void ChurnFold::union_with(const ChurnFold& other) {
   }
 }
 
-void ChurnFold::merge(ChurnFold&& other) {
-  if (!same_geometry(other)) {
-    throw std::invalid_argument("ChurnFold::merge: geometry mismatch");
-  }
-  if (retired_before_ != 0 || other.retired_before_ != 0) {
-    throw std::logic_error(
-        "ChurnFold::merge: sealed folds cannot merge (a window sealed on one "
-        "side may still be open on the other)");
-  }
-  union_with(other);
-}
-
 void ChurnFold::absorb_unsealed(ChurnFold&& other) {
   if (!same_geometry(other)) {
     throw std::invalid_argument("ChurnFold::absorb_unsealed: geometry mismatch");
@@ -435,10 +423,7 @@ void PathChurnTracker::on_path(util::Day day, std::int32_t epoch, topo::AsId van
 }
 
 void PathChurnTracker::merge(PathChurnTracker&& other) {
-  if (!fold_.same_geometry(other.fold_)) {
-    throw std::invalid_argument("PathChurnTracker::merge: geometry mismatch");
-  }
-  fold_.merge(std::move(other.fold_));
+  fold_.absorb_unsealed(std::move(other.fold_));
 }
 
 std::int64_t PathChurnTracker::distinct_paths_of_pair(topo::AsId vantage,

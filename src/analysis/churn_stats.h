@@ -86,26 +86,21 @@ class ChurnFold {
   /// Seals every window ending at or before `complete_before` into the
   /// fixed-size accumulators and frees its cells.  Only a fold that
   /// sees the *whole* observation stream (the resident monitor's global
-  /// fold) may seal mid-run: sealed
-  /// folds cannot merge (a shard-local fold must stay unsealed so
-  /// merge() can union windows that straddle shard boundaries).
+  /// fold) may seal mid-run: a sealed fold cannot be absorbed (a
+  /// shard-local fold must stay unsealed so absorb_unsealed() can union
+  /// windows that straddle shard boundaries).
   void retire_before(util::Day complete_before);
   util::Day retired_before() const { return retired_before_; }
 
-  /// Folds `other` into this fold: each pair's signatures are remapped
-  /// into this fold's local ids once, then the cells are ORed.
-  /// Associative and commutative; throws std::invalid_argument on
-  /// geometry mismatch and std::logic_error if either side has sealed
-  /// windows.
-  void merge(ChurnFold&& other);
-
-  /// Folds a still-unsealed fold into this possibly *sealed* fold —
-  /// the resident monitor's segment absorption: a merged ingest
-  /// segment's observations all land on days at or after this fold's
-  /// seal point, so every window they touch is still open here and
-  /// the same remap-and-OR as merge() is sound.  Throws
-  /// std::invalid_argument on geometry mismatch, std::logic_error if
-  /// `other` has sealed windows or carries an observation in a window
+  /// Folds a still-unsealed fold into this possibly sealed fold: each
+  /// pair's signatures are remapped into this fold's local ids once,
+  /// then the cells are ORed.  Between unsealed folds (the shard merge)
+  /// it is associative and commutative.  Into a sealed fold (the
+  /// resident monitor's segment absorption) it is sound because an
+  /// ingest segment's observations all land on days at or after this
+  /// fold's seal point, so every window they touch is still open here.
+  /// Throws std::invalid_argument on geometry mismatch, std::logic_error
+  /// if `other` has sealed windows or carries an observation in a window
   /// this fold already sealed (checked before anything is folded).
   void absorb_unsealed(ChurnFold&& other);
 
@@ -178,8 +173,8 @@ class ChurnFold {
              std::int64_t& samples, std::int64_t& changed) const;
   /// Observed cells over a granularity's open windows.
   std::size_t observed_cells(const GranState& gran) const;
-  /// merge()/absorb_unsealed() after their checks: remaps `other`'s
-  /// local ids into ours, pair by pair, then ORs every open cell in.
+  /// absorb_unsealed() after its checks: remaps `other`'s local ids
+  /// into ours, pair by pair, then ORs every open cell in.
   void union_with(const ChurnFold& other);
 
   const topo::AsGraph* graph_;

@@ -24,6 +24,19 @@ void save_as_counts(util::ByteWriter& w, const std::map<topo::AsId, std::int64_t
       [](util::ByteWriter& w, std::int64_t n) { w.i64(n); });
 }
 
+util::Granularity load_granularity(util::ByteReader& r) {
+  return util::load_enum<util::Granularity>(r, util::kAllGranularities.size());
+}
+
+/// A map's keys, in key order.
+template <typename K, typename V>
+std::vector<K> keys_of(const std::map<K, V>& m) {
+  std::vector<K> keys;
+  keys.reserve(m.size());
+  for (const auto& [k, v] : m) keys.push_back(k);
+  return keys;
+}
+
 void load_as_counts(util::ByteReader& r, std::map<topo::AsId, std::int64_t>& m) {
   util::load_map(
       r, m, [](util::ByteReader& r) { return topo::AsId{r.i32()}; },
@@ -120,36 +133,31 @@ void VerdictFold::save(util::ByteWriter& w) const {
       save_split);
   util::save_vec(w, fig2_samples_,
                  [](util::ByteWriter& w, const std::pair<tomo::CnfKey, double>& s) {
-                   w.i32(s.first.url_id);
-                   w.u8(static_cast<std::uint8_t>(s.first.anomaly));
-                   w.u8(static_cast<std::uint8_t>(s.first.granularity));
-                   w.i32(s.first.window);
+                   tomo::save_cnf_key(w, s.first);
                    w.f64(s.second);
                  });
   w.i64(fig2_no_elimination_);
 }
 
 void VerdictFold::load(util::ByteReader& r) {
-  std::vector<util::Granularity> expected_grans;
-  for (const auto& [g, split] : fig1_.by_granularity) expected_grans.push_back(g);
+  const std::vector<util::Granularity> expected_grans = keys_of(fig1_.by_granularity);
+  const std::vector<censor::Anomaly> expected_anomalies = keys_of(fig1_.by_anomaly);
   counts_.load(r);
-  util::load_map(
-      r, fig1_.by_granularity,
-      [](util::ByteReader& r) { return static_cast<util::Granularity>(r.u8()); }, load_split);
+  util::load_map(r, fig1_.by_granularity, load_granularity, load_split);
   util::load_map(
       r, fig1_.by_anomaly,
-      [](util::ByteReader& r) { return static_cast<censor::Anomaly>(r.u8()); }, load_split);
-  std::vector<util::Granularity> loaded_grans;
-  for (const auto& [g, split] : fig1_.by_granularity) loaded_grans.push_back(g);
-  if (loaded_grans != expected_grans) {
+      [](util::ByteReader& r) {
+        return util::load_enum<censor::Anomaly>(r, censor::kNumAnomalies);
+      },
+      load_split);
+  if (keys_of(fig1_.by_granularity) != expected_grans) {
     throw util::SerdeError("VerdictFold::load: fig1 granularity set mismatch");
   }
+  if (keys_of(fig1_.by_anomaly) != expected_anomalies) {
+    throw util::SerdeError("VerdictFold::load: fig1 anomaly set mismatch");
+  }
   util::load_vec(r, fig2_samples_, [](util::ByteReader& r) {
-    tomo::CnfKey key;
-    key.url_id = r.i32();
-    key.anomaly = static_cast<censor::Anomaly>(r.u8());
-    key.granularity = static_cast<util::Granularity>(r.u8());
-    key.window = r.i32();
+    const tomo::CnfKey key = tomo::load_cnf_key(r);
     const double pct = r.f64();
     return std::make_pair(key, pct);
   });
@@ -180,19 +188,13 @@ void Fig4Fold::save(util::ByteWriter& w) const {
 }
 
 void Fig4Fold::load(util::ByteReader& r) {
-  std::vector<util::Granularity> expected_grans;
-  for (const auto& [g, counts] : fig4_.solution_counts) expected_grans.push_back(g);
-  util::load_map(
-      r, fig4_.solution_counts,
-      [](util::ByteReader& r) { return static_cast<util::Granularity>(r.u8()); },
-      [](util::ByteReader& r) {
-        util::BucketedCounts counts(4);
-        counts.load(r);
-        return counts;
-      });
-  std::vector<util::Granularity> loaded_grans;
-  for (const auto& [g, counts] : fig4_.solution_counts) loaded_grans.push_back(g);
-  if (loaded_grans != expected_grans) {
+  const std::vector<util::Granularity> expected_grans = keys_of(fig4_.solution_counts);
+  util::load_map(r, fig4_.solution_counts, load_granularity, [](util::ByteReader& r) {
+    util::BucketedCounts counts(4);
+    counts.load(r);
+    return counts;
+  });
+  if (keys_of(fig4_.solution_counts) != expected_grans) {
     throw util::SerdeError("Fig4Fold::load: granularity set mismatch");
   }
   five_plus_ = r.i64();

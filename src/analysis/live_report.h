@@ -80,7 +80,8 @@ class VerdictFold {
 
   /// Checkpoint support (analysis/checkpoint.h): persists every
   /// accumulator; load() requires a fold constructed with the same
-  /// fig1 granularity set (the envelope fingerprint guards this).
+  /// fig1 granularity set (the envelope fingerprint guards this) and
+  /// refuses an anomaly or granularity byte no add() could have stored.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

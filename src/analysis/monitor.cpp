@@ -74,30 +74,99 @@ tomo::EngineStats pass_stats(const tomo::EngineStats& base,
 
 }  // namespace
 
+struct MonitorEngine::Counters {
+  tomo::EngineStats main;
+  tomo::EngineStats ablation;
+  tomo::EngineStats server;
+};
+
+struct MonitorEngine::State {
+  State(const Scenario& scenario, const ExperimentOptions& options, util::ThreadPool& lanes)
+      : num_ases(scenario.graph().num_ases()),
+        num_urls(static_cast<std::int32_t>(scenario.platform().urls().size())),
+        grouper(pool, num_urls, {}, &lanes),
+        strip(pool, num_ases, num_urls),
+        ablation_grouper(pool, num_urls, ablation_build_options(options), &lanes),
+        churn_fold(scenario.graph(), scenario.platform().vantages(),
+                   scenario.platform().dest_ases(), scenario.platform().config().num_days,
+                   scenario.platform().config().epochs_per_day),
+        folds(options),
+        summary(scenario.graph(), num_urls),
+        truth(scenario.registry(), scenario.platform()) {}
+  // The groupers and the strip hold the address of `pool`.
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
+
+  /// The checkpoint payload; `now` (the bases plus what ran since) is
+  /// written where load() reads the bases.
+  void save(util::ByteWriter& w, const Counters& now) const {
+    pool.save(w);
+    grouper.save(w);
+    strip.save(w);
+    ablation_grouper.save(w);
+    churn_fold.save(w);
+    folds.save(w);
+    summary.save(w);
+    truth.save(w);
+    save_clause_stats(w, clause_stats);
+    save_engine_stats(w, now.main);
+    save_engine_stats(w, now.ablation);
+    save_engine_stats(w, now.server);
+    w.i64(segments);
+  }
+
+  /// Loads a payload into this fresh state; the pool first, which
+  /// bounds the path ids of the groupers and the strip.
+  void load(util::ByteReader& r) {
+    pool.load(r, num_ases);
+    grouper.load(r);
+    strip.load(r);
+    ablation_grouper.load(r);
+    churn_fold.load(r);
+    folds.load(r, num_ases);
+    summary.load(r);
+    truth.load(r);
+    clause_stats = load_clause_stats(r);
+    base.main = load_engine_stats(r);
+    base.ablation = load_engine_stats(r);
+    base.server = load_engine_stats(r);
+    segments = r.i64();
+    r.expect_end();
+  }
+
+  const std::int32_t num_ases;
+  const std::int32_t num_urls;  // the platform's URL list
+  tomo::PathPool pool;  // global canonical path ids
+  tomo::StreamingCnfBuilder grouper;
+  tomo::ChurnStripFilter strip;
+  tomo::StreamingCnfBuilder ablation_grouper;
+  ChurnFold churn_fold;
+  ExperimentFolds folds;
+  iclab::DatasetSummary summary;
+  TruthTracker truth;
+  tomo::ClauseBuildStats clause_stats;
+  /// Counters restored from the checkpoint (the live arenas and server
+  /// restart from zero on resume and accumulate on top of these).
+  Counters base;
+  std::int64_t segments = 0;
+};
+
 MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
     : scenario_(&scenario),
       options_(std::move(options)),
       fingerprint_(config_fingerprint(scenario, options_.experiment)),
-      // The groupers only store the lane pool's address here; it is
-      // constructed before their first use.
-      grouper_(pool_, {}, &analysis_pool_),
-      strip_(scenario.graph().num_ases(), scenario.platform().config().num_urls),
-      ablation_grouper_(pool_, ablation_build_options(options_.experiment), &analysis_pool_),
-      churn_fold_(scenario.graph(), scenario.platform().vantages(),
-                  scenario.platform().dest_ases(), scenario.platform().config().num_days,
-                  scenario.platform().config().epochs_per_day),
-      folds_(options_.experiment),
-      summary_(scenario.graph(), static_cast<std::int32_t>(scenario.platform().urls().size())),
-      truth_(scenario.registry(), scenario.platform()),
       analysis_pool_(analysis_lanes(options_.experiment)),
       main_arenas_(analysis_pool_.size()),
-      ablation_arenas_(analysis_pool_.size()) {
+      ablation_arenas_(analysis_pool_.size()),
+      state_(std::make_unique<State>(scenario, options_.experiment, analysis_pool_)) {
   if (options_.segment_days < 1) options_.segment_days = 1;
   main_analysis_ = options_.experiment.analysis;
   main_analysis_.resolve_counts = false;  // nothing downstream reads counts past the class
   ablation_analysis_ = options_.experiment.analysis;
   ablation_analysis_.resolve_counts = true;  // Figure 4 plots the histogram
 }
+
+MonitorEngine::~MonitorEngine() = default;
 
 util::Day MonitorEngine::num_days() const {
   return scenario_->platform().config().num_days;
@@ -127,7 +196,7 @@ void MonitorEngine::run_until(util::Day target) {
       });
     }
     drain(std::move(clauses), d1);
-    ++segments_;
+    ++state_->segments;
     maybe_checkpoint();
     if (!next.valid()) return;
     bundles = next.get();
@@ -139,9 +208,10 @@ std::vector<tomo::PathClause> MonitorEngine::hand_off(
   // The churn folds absorb on their own thread while the clauses
   // translate: the two read different sinks of each bundle and write
   // different monitor state.  The future joins on every exit path.
-  std::future<void> churn = std::async(std::launch::async, [this, &bundles] {
+  State& state = *state_;
+  std::future<void> churn = std::async(std::launch::async, [&state, &bundles] {
     for (const auto& bundle : bundles) {
-      churn_fold_.absorb_unsealed(bundle->churn_tracker.take_fold());
+      state.churn_fold.absorb_unsealed(bundle->churn_tracker.take_fold());
     }
   });
 
@@ -152,16 +222,16 @@ std::vector<tomo::PathClause> MonitorEngine::hand_off(
   std::vector<const tomo::ClauseBuilder*> builders;
   builders.reserve(bundles.size());
   for (const auto& bundle : bundles) builders.push_back(&bundle->clause_builder);
-  std::vector<tomo::PathClause> clauses = tomo::hand_off_clauses(builders, pool_);
+  std::vector<tomo::PathClause> clauses = tomo::hand_off_clauses(builders, state.pool);
   retained_.add(static_cast<std::int64_t>(clauses.size()));
   churn.get();
 
   // Fold each bundle's other run-wide sink products into the persistent
   // state (every fold is order-independent), freeing it as it goes.
   for (std::unique_ptr<PlatformSinks>& bundle : bundles) {
-    summary_.merge(std::move(bundle->summary));
-    truth_.merge(std::move(bundle->truth_tracker));
-    clause_stats_ += bundle->clause_builder.stats();
+    state.summary.merge(std::move(bundle->summary));
+    state.truth.merge(std::move(bundle->truth_tracker));
+    state.clause_stats += bundle->clause_builder.stats();
     bundle.reset();
   }
   return clauses;
@@ -172,22 +242,24 @@ void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
   // to the strip's survivors, in stream order, for the ablation
   // grouper.  The raw clauses live only until then — the retained
   // gauge proves it.
+  State& state = *state_;
   const auto retained = static_cast<std::int64_t>(clauses.size());
-  grouper_.add(clauses);
+  state.grouper.add(clauses);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < clauses.size(); ++i) {
-    if (strip_.keep(pool_, clauses[i])) clauses[kept++] = clauses[i];
+    if (state.strip.keep(clauses[i])) clauses[kept++] = clauses[i];
   }
   clauses.resize(kept);
-  ablation_grouper_.add(clauses);
+  state.ablation_grouper.add(clauses);
   clauses = {};
   retained_.sub(retained);
 
   watermark_ = d1;
-  analyze_and_fold(grouper_.advance_watermark(d1), ablation_grouper_.advance_watermark(d1));
+  analyze_and_fold(state.grouper.advance_watermark(d1),
+                   state.ablation_grouper.advance_watermark(d1));
   // Seal the churn windows the segment completed; open entries stay
   // O(pairs x windows straddling the boundary).
-  churn_fold_.retire_before(d1);
+  state.churn_fold.retire_before(d1);
   // Publish only now: the counts and the churn both cover exactly the
   // days below the watermark.
   publish_report();
@@ -209,54 +281,36 @@ void MonitorEngine::analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs
   };
   const std::vector<tomo::CnfVerdict> main_verdicts =
       analyze(main_arenas_, main_cnfs, main_analysis_);
-  for (std::size_t k = 0; k < main_cnfs.size(); ++k) {
-    folds_.add_main(main_cnfs[k], main_verdicts[k]);
-  }
+  ExperimentFolds& folds = state_->folds;
+  for (std::size_t k = 0; k < main_cnfs.size(); ++k) folds.add_main(main_cnfs[k], main_verdicts[k]);
   for (const tomo::CnfVerdict& v : analyze(ablation_arenas_, ablation_cnfs, ablation_analysis_)) {
-    folds_.fig4.add(v);
+    folds.fig4.add(v);
   }
 }
 
 void MonitorEngine::publish_report() {
   auto report = std::make_shared<LiveReport>();
   report->watermark = watermark_;
-  report->counts = folds_.verdicts.counts();
-  report->churn = churn_fold_.snapshot();
+  report->counts = state_->folds.verdicts.counts();
+  report->churn = state_->churn_fold.snapshot();
   server_.publish(std::move(report));
 }
 
-tomo::EngineStats MonitorEngine::server_stats() const {
-  tomo::EngineStats stats = server_base_;
-  stats.snapshots_published += server_.published();
-  stats.snapshot_reads += server_.reads();
-  stats.snapshot_stale_reads += server_.stale_reads();
-  stats.snapshot_peak_readers =
-      std::max(stats.snapshot_peak_readers, server_.peak_readers());
-  return stats;
-}
-
-tomo::EngineStats MonitorEngine::engine_now() const {
-  tomo::EngineStats stats = pass_stats(main_base_, main_arenas_);
-  stats += pass_stats(ablation_base_, ablation_arenas_);
-  stats += server_stats();
-  return stats;
+MonitorEngine::Counters MonitorEngine::counters_now() const {
+  const Counters& base = state_->base;
+  Counters now{pass_stats(base.main, main_arenas_), pass_stats(base.ablation, ablation_arenas_),
+               base.server};
+  now.server.snapshots_published += server_.published();
+  now.server.snapshot_reads += server_.reads();
+  now.server.snapshot_stale_reads += server_.stale_reads();
+  now.server.snapshot_peak_readers =
+      std::max(now.server.snapshot_peak_readers, server_.peak_readers());
+  return now;
 }
 
 std::string MonitorEngine::checkpoint() const {
   util::ByteWriter w;
-  pool_.save(w);
-  grouper_.save(w);
-  strip_.save(w);
-  ablation_grouper_.save(w);
-  churn_fold_.save(w);
-  folds_.save(w);
-  summary_.save(w);
-  truth_.save(w);
-  save_clause_stats(w, clause_stats_);
-  save_engine_stats(w, pass_stats(main_base_, main_arenas_));
-  save_engine_stats(w, pass_stats(ablation_base_, ablation_arenas_));
-  save_engine_stats(w, server_stats());
-  w.i64(segments_);
+  state_->save(w, counters_now());
   return seal_checkpoint(fingerprint_, watermark_, w.take());
 }
 
@@ -273,64 +327,21 @@ void MonitorEngine::maybe_checkpoint() {
 }
 
 void MonitorEngine::restore(const std::string& bytes) {
-  if (watermark_ != 0 || segments_ != 0) {
+  if (watermark_ != 0 || state_->segments != 0) {
     throw std::logic_error(
         "MonitorEngine::restore: only a freshly constructed monitor may restore");
   }
   const OpenedCheckpoint opened = open_checkpoint(bytes, fingerprint_);
-  // All or nothing: every component loads into a copy of its fresh
-  // member, and the members change only once the whole payload parsed,
-  // so a refused checkpoint leaves this monitor as constructed (it may
-  // still run cold).  The groupers' copies borrow the members' pools.
-  tomo::PathPool pool = pool_;
-  tomo::StreamingCnfBuilder grouper = grouper_;
-  tomo::ChurnStripFilter strip = strip_;
-  tomo::StreamingCnfBuilder ablation_grouper = ablation_grouper_;
-  ChurnFold churn_fold = churn_fold_;
-  ExperimentFolds folds = folds_;
-  iclab::DatasetSummary summary = summary_;
-  TruthTracker truth = truth_;
-  tomo::ClauseBuildStats clause_stats;
-  tomo::EngineStats main_base;
-  tomo::EngineStats ablation_base;
-  tomo::EngineStats server_base;
-  std::int64_t segments = 0;
+  // All or nothing: the payload loads into a fresh state, which replaces
+  // this monitor's only once the whole payload parsed.
+  auto state = std::make_unique<State>(*scenario_, options_.experiment, analysis_pool_);
   try {
     util::ByteReader r(opened.payload);
-    const std::int32_t num_ases = scenario_->graph().num_ases();
-    pool.load(r, num_ases);
-    // The groupers' copies borrow the member pool, not `pool`: bound
-    // their path ids by the loaded pool's size.
-    const std::int32_t num_urls = scenario_->platform().config().num_urls;
-    grouper.load(r, num_urls, pool.size());
-    strip.load(r, pool.size());
-    ablation_grouper.load(r, num_urls, pool.size());
-    churn_fold.load(r);
-    folds.load(r, num_ases);
-    summary.load(r);
-    truth.load(r);
-    clause_stats = load_clause_stats(r);
-    main_base = load_engine_stats(r);
-    ablation_base = load_engine_stats(r);
-    server_base = load_engine_stats(r);
-    segments = r.i64();
-    r.expect_end();
+    state->load(r);
   } catch (const util::SerdeError& e) {
     throw CheckpointError(std::string("checkpoint payload: ") + e.what());
   }
-  pool_ = std::move(pool);
-  grouper_ = std::move(grouper);
-  strip_ = std::move(strip);
-  ablation_grouper_ = std::move(ablation_grouper);
-  churn_fold_ = std::move(churn_fold);
-  folds_ = std::move(folds);
-  summary_ = std::move(summary);
-  truth_ = std::move(truth);
-  clause_stats_ = clause_stats;
-  main_base_ = main_base;
-  ablation_base_ = ablation_base;
-  server_base_ = server_base;
-  segments_ = segments;
+  state_.swap(state);
   watermark_ = opened.watermark;
   last_checkpoint_ = opened.watermark;
   // Resumed readers get a valid snapshot immediately, before the next
@@ -348,25 +359,26 @@ ExperimentResult MonitorEngine::finalize() {
   // Flush the trailing partial windows — exactly the complement of what
   // advance_watermark() emitted, so the emitted union equals the
   // build_cnfs() output over the whole stream.
-  analyze_and_fold(grouper_.flush(), ablation_grouper_.flush());
-  churn_fold_.retire_before(num_days());
+  State& state = *state_;
+  analyze_and_fold(state.grouper.flush(), state.ablation_grouper.flush());
+  state.churn_fold.retire_before(num_days());
   publish_report();
 
   ExperimentResult result =
-      finalize_experiment_result(*scenario_, options_.experiment, folds_, summary_,
-                                 clause_stats_, truth_, churn_fold_.snapshot());
-  result.engine_stats = pass_stats(main_base_, main_arenas_);
+      finalize_experiment_result(*scenario_, options_.experiment, state.folds, state.summary,
+                                 state.clause_stats, state.truth, state.churn_fold.snapshot());
+  result.engine_stats = pass_stats(state.base.main, main_arenas_);
   return result;
 }
 
 MonitorStats MonitorEngine::stats() const {
   MonitorStats stats;
   stats.watermark = watermark_;
-  stats.segments_ingested = segments_;
+  stats.segments_ingested = state_->segments;
   stats.checkpoints_written = checkpoints_written_;
-  stats.open_main_windows = static_cast<std::int64_t>(grouper_.open_windows());
-  stats.open_ablation_windows = static_cast<std::int64_t>(ablation_grouper_.open_windows());
-  stats.churn_open_entries = static_cast<std::int64_t>(churn_fold_.open_window_entries());
+  stats.open_main_windows = static_cast<std::int64_t>(state_->grouper.open_windows());
+  stats.open_ablation_windows = static_cast<std::int64_t>(state_->ablation_grouper.open_windows());
+  stats.churn_open_entries = static_cast<std::int64_t>(state_->churn_fold.open_window_entries());
   stats.retained_clauses_now = retained_.current();
   stats.retained_clauses_peak = retained_.peak();
   stats.gauge_underflows = retained_.underflows();
@@ -380,7 +392,10 @@ MonitorStats MonitorEngine::stats() const {
     stats.churn_repairs = churn.total_repairs(last_epoch);
     stats.churn_links_down = churn.links_down(last_epoch);
   }
-  stats.engine = engine_now();
+  const Counters now = counters_now();
+  stats.engine = now.main;
+  stats.engine += now.ablation;
+  stats.engine += now.server;
   return stats;
 }
 

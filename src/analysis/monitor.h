@@ -22,14 +22,16 @@
 // are byte-identical to one-segment-at-a-time calls, which prefetch
 // nothing.
 //
-// Crash safety: checkpoint() serializes the monitor's complete
-// persistent state — the interned path pool, the open window groups of
-// both CNF builders, the ablation filter, the sealed churn fold, all
-// four experiment folds, the dataset summary, the truth tracker, the
-// clause-build stats, and the cumulative SAT counters — into a
-// versioned, fingerprinted envelope (analysis/checkpoint.h).  A process
-// killed at any point can restore() the last checkpoint into a freshly
-// constructed monitor and run to the *identical* final report: the
+// Crash safety: the monitor's persistent state — the interned path
+// pool, the open window groups of both CNF builders, the ablation
+// filter, the sealed churn fold, all four experiment folds, the dataset
+// summary, the truth tracker, the clause-build stats, and the
+// cumulative SAT counters — is one heap-held object built with its
+// geometry, whose groupers and filter borrow its own pool.
+// checkpoint() saves it into a versioned, fingerprinted envelope
+// (analysis/checkpoint.h).  A process killed at any point can restore()
+// the last checkpoint into a freshly constructed monitor and run to the
+// *identical* final report: the
 // platform replay is deterministic from any day boundary (schedule-keyed
 // RNG), every fold is order-independent, and solver learnt state is
 // never carried between CNFs at all, so a resumed monitor analyzes
@@ -181,6 +183,7 @@ struct MonitorStats {
 class MonitorEngine {
  public:
   MonitorEngine(Scenario& scenario, MonitorOptions options);
+  ~MonitorEngine();
 
   util::Day watermark() const { return watermark_; }
   util::Day num_days() const;
@@ -206,8 +209,10 @@ class MonitorEngine {
   /// (same scenario + experiment config — the envelope fingerprint
   /// enforces it; execution knobs may differ).  Throws CheckpointError
   /// on any mismatch or corruption, std::logic_error if this monitor
-  /// already ingested data.  All or nothing: a refused checkpoint
-  /// leaves the monitor as constructed, free to run cold.
+  /// already ingested data.  All or nothing: the payload loads into a
+  /// fresh state that replaces the monitor's only once it parsed whole,
+  /// so a refused checkpoint leaves the monitor as constructed, free to
+  /// run cold.
   void restore(const std::string& bytes);
   void restore_from(const std::string& path);
 
@@ -224,8 +229,8 @@ class MonitorEngine {
   MonitorStats stats() const;
 
  private:
-  /// The shard hand-off: translates the segment's clauses into pool_
-  /// (returned in canonical serial order, counted as retained) and
+  /// The shard hand-off: translates the segment's clauses into the
+  /// state's pool (returned in canonical serial order, counted as retained) and
   /// folds every bundle's other sinks into the persistent state,
   /// freeing the bundles.
   std::vector<tomo::PathClause> hand_off(std::vector<std::unique_ptr<PlatformSinks>> bundles);
@@ -238,8 +243,14 @@ class MonitorEngine {
                         const std::vector<tomo::TomoCnf>& ablation_cnfs);
   void publish_report();
   void maybe_checkpoint();
-  tomo::EngineStats server_stats() const;
-  tomo::EngineStats engine_now() const;
+
+  /// Everything a checkpoint's payload carries (defined in monitor.cpp).
+  struct State;
+  /// The SAT counters a checkpoint carries: one record per analysis
+  /// pass and one for the snapshot server.
+  struct Counters;
+  /// The state's checkpointed counters plus the live arenas and server.
+  Counters counters_now() const;
 
   Scenario* scenario_;
   MonitorOptions options_;
@@ -247,34 +258,19 @@ class MonitorEngine {
   tomo::AnalysisOptions main_analysis_;
   tomo::AnalysisOptions ablation_analysis_;
 
-  // Persistent pipeline state (everything here is checkpointed).
-  tomo::PathPool pool_;  // global canonical path ids; both groupers borrow it
-  // Both groupers also borrow analysis_pool_'s lanes.
-  tomo::StreamingCnfBuilder grouper_;
-  tomo::ChurnStripFilter strip_;
-  tomo::StreamingCnfBuilder ablation_grouper_;
-  ChurnFold churn_fold_;
-  ExperimentFolds folds_;
-  iclab::DatasetSummary summary_;
-  TruthTracker truth_;
-  tomo::ClauseBuildStats clause_stats_;
-  /// Counters restored from the checkpoint (the live arenas and server
-  /// restart from zero on resume and accumulate on top of these).
-  tomo::EngineStats main_base_;
-  tomo::EngineStats ablation_base_;
-  tomo::EngineStats server_base_;
-
   // Execution state (never checkpointed).
-  util::ThreadPool analysis_pool_;
+  util::ThreadPool analysis_pool_;  // the SAT lanes; the groupers borrow them too
   std::vector<tomo::CnfAnalyzer> main_arenas_;
   std::vector<tomo::CnfAnalyzer> ablation_arenas_;
   LiveReportServer server_;
   util::HwmGauge retained_;
 
-  util::Day watermark_ = 0;
+  util::Day watermark_ = 0;  // the checkpoint envelope carries it
   util::Day last_checkpoint_ = 0;
-  std::int64_t segments_ = 0;
   std::int64_t checkpoints_written_ = 0;
+
+  /// The persistent pipeline state: never null, replaced only whole.
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace ct::analysis

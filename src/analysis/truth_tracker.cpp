@@ -1,6 +1,7 @@
 #include "analysis/truth_tracker.h"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/serde.h"
@@ -32,7 +33,13 @@ void TruthTracker::save(util::ByteWriter& w) const {
 }
 
 void TruthTracker::load(util::ByteReader& r) {
-  util::load_set(r, observable_, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
+  util::load_set(r, observable_, [this](util::ByteReader& r) {
+    const topo::AsId as = r.i32();
+    if (!registry_->is_censor(as)) {
+      throw util::SerdeError("TruthTracker::load: AS " + std::to_string(as) + " is no censor");
+    }
+    return as;
+  });
 }
 
 }  // namespace ct::analysis

@@ -42,7 +42,8 @@ class TruthTracker : public iclab::MeasurementSink {
 
   /// Checkpoint support (analysis/checkpoint.h): persists the
   /// observable set; the registry/platform references are
-  /// reconstruction-time wiring.
+  /// reconstruction-time wiring.  load() throws util::SerdeError for an
+  /// AS that is not a censor of the registry.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

@@ -599,7 +599,6 @@ std::vector<std::int32_t> flagged_ids(const std::vector<std::uint8_t>& flags) {
 }
 
 void or_flags(std::vector<std::uint8_t>& into, const std::vector<std::uint8_t>& from) {
-  if (into.size() < from.size()) into.resize(from.size(), 0);
   for (std::size_t i = 0; i < from.size(); ++i) into[i] |= from[i];
 }
 
@@ -632,6 +631,10 @@ std::vector<std::uint8_t> load_flags(util::ByteReader& r, std::int32_t bound,
 }  // namespace
 
 void DatasetSummary::merge(DatasetSummary&& other) {
+  if (other.seen_vantages_.size() != seen_vantages_.size() ||
+      other.seen_urls_.size() != seen_urls_.size()) {
+    throw std::invalid_argument("DatasetSummary::merge: other graph size or URL count");
+  }
   measurements_ += other.measurements_;
   unreachable_ += other.unreachable_;
   for (std::size_t i = 0; i < anomaly_counts_.size(); ++i) {

@@ -298,7 +298,8 @@ class DatasetSummary : public MeasurementSink {
   /// Folds a shard-local summary into this one.  Associative and
   /// commutative, with a fresh summary as identity: every statistic the
   /// class exposes is a sum or a distinct-count, so merge order never
-  /// shows in the outputs.
+  /// shows in the outputs.  Throws std::invalid_argument, changing
+  /// nothing, for a summary of another graph size or URL count.
   void merge(DatasetSummary&& other);
 
   std::int64_t measurements() const { return measurements_; }

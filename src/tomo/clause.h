@@ -155,9 +155,9 @@ struct ClauseBuildStats {
 /// usable measurement (the report's "clauses emitted").
 ///
 /// The dedupe is tiling-invariant: its key holds the day and the
-/// vantage, and every shard of iclab::plan_shard_grid is a day range
-/// times a vantage range, so all repeats of a key meet in one shard
-/// and any tiling keeps exactly the clauses a serial run keeps.
+/// vantage, and iclab::Platform::run_days streams each task, a day range
+/// times a vantage range, whole into one sink, so all repeats of a key
+/// meet in one builder and any split keeps what a serial run keeps.
 class ClauseBuilder : public iclab::MeasurementSink {
  public:
   /// The database must outlive the builder.

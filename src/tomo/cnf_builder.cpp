@@ -12,8 +12,6 @@
 
 namespace ct::tomo {
 
-namespace {
-
 void save_cnf_key(util::ByteWriter& w, const CnfKey& key) {
   w.i32(key.url_id);
   w.u8(static_cast<std::uint8_t>(key.anomaly));
@@ -24,11 +22,13 @@ void save_cnf_key(util::ByteWriter& w, const CnfKey& key) {
 CnfKey load_cnf_key(util::ByteReader& r) {
   CnfKey key;
   key.url_id = r.i32();
-  key.anomaly = static_cast<censor::Anomaly>(r.u8());
-  key.granularity = static_cast<util::Granularity>(r.u8());
+  key.anomaly = util::load_enum<censor::Anomaly>(r, censor::kNumAnomalies);
+  key.granularity = util::load_enum<util::Granularity>(r, util::kAllGranularities.size());
   key.window = r.i32();
   return key;
 }
+
+namespace {
 
 void save_path_id(util::ByteWriter& w, PathPool::PathId id) { w.i32(id); }
 PathPool::PathId load_path_id(util::ByteReader& r) { return r.i32(); }
@@ -84,11 +84,12 @@ void StreamingCnfBuilder::StampTable::grow() {
   }
 }
 
-StreamingCnfBuilder::StreamingCnfBuilder(const PathPool& pool, CnfBuildOptions options,
-                                         util::ThreadPool* threads)
+StreamingCnfBuilder::StreamingCnfBuilder(const PathPool& pool, std::int32_t num_urls,
+                                         CnfBuildOptions options, util::ThreadPool* threads)
     : granularities_(canonical_granularities(std::move(options.granularities))),
       pool_(&pool),
-      threads_(threads) {}
+      threads_(threads),
+      chains_(static_cast<std::size_t>(std::max(num_urls, 0)) * censor::kNumAnomalies) {}
 
 std::size_t StreamingCnfBuilder::open_groups(const Chain& chain) {
   std::size_t n = 0;
@@ -102,6 +103,15 @@ std::size_t StreamingCnfBuilder::open_windows() const {
   return n;
 }
 
+bool StreamingCnfBuilder::has_chain(std::int32_t url_id, censor::Anomaly anomaly) const {
+  return url_id >= 0 && static_cast<std::size_t>(anomaly) < censor::kNumAnomalies &&
+         chain_index(url_id, anomaly) < chains_.size();
+}
+
+bool StreamingCnfBuilder::has_path(PathPool::PathId id) const {
+  return id >= 0 && static_cast<std::size_t>(id) < pool_->size();
+}
+
 std::size_t StreamingCnfBuilder::chain_index(std::int32_t url_id, censor::Anomaly anomaly) {
   return static_cast<std::size_t>(url_id) * censor::kNumAnomalies +
          static_cast<std::size_t>(anomaly);
@@ -112,13 +122,6 @@ CnfKey StreamingCnfBuilder::chain_key(std::size_t index) {
   key.url_id = static_cast<std::int32_t>(index / censor::kNumAnomalies);
   key.anomaly = static_cast<censor::Anomaly>(index % censor::kNumAnomalies);
   return key;
-}
-
-StreamingCnfBuilder::Chain& StreamingCnfBuilder::chain_at(std::int32_t url_id,
-                                                          censor::Anomaly anomaly) {
-  const std::size_t index = chain_index(url_id, anomaly);
-  if (index >= chains_.size()) chains_.resize(index + 1);
-  return chains_[index];
 }
 
 std::size_t StreamingCnfBuilder::lanes() const {
@@ -144,29 +147,22 @@ void StreamingCnfBuilder::for_each_range(std::size_t ranges, const RangeFn& fn) 
 void StreamingCnfBuilder::add(std::span<const PathClause> clauses) {
   // Every check that does not depend on chain state runs before any
   // state is touched, so such a rejected batch leaves no trace.
-  std::int32_t max_url = -1;
   for (const PathClause& clause : clauses) {
     if (clause.day < watermark_) {
       throw std::logic_error("StreamingCnfBuilder::add: clause for day " +
                              std::to_string(clause.day) + " arrived after watermark " +
                              std::to_string(watermark_) + " (window already emitted)");
     }
-    const auto a = static_cast<std::size_t>(clause.anomaly);
-    if (clause.url_id < 0 || a >= censor::kNumAnomalies) {
-      throw std::logic_error("StreamingCnfBuilder: invalid chain (url " +
-                             std::to_string(clause.url_id) + ", anomaly " + std::to_string(a) +
-                             ")");
+    if (!has_chain(clause.url_id, clause.anomaly)) {
+      throw std::logic_error("StreamingCnfBuilder::add: url " + std::to_string(clause.url_id) +
+                             " or its anomaly outside the chain table");
     }
-    if (clause.path_id < 0 || static_cast<std::size_t>(clause.path_id) >= pool_->size()) {
+    if (!has_path(clause.path_id)) {
       throw std::logic_error("StreamingCnfBuilder::add: invalid path id " +
                              std::to_string(clause.path_id));
     }
-    max_url = std::max(max_url, clause.url_id);
   }
   if (clauses.empty()) return;
-  // Through the last chain of max_url.
-  const std::size_t needed = chain_index(max_url, censor::Anomaly::kDns) + censor::kNumAnomalies;
-  if (needed > chains_.size()) chains_.resize(needed);
 
   // Each range's worker scans the whole batch and files the clauses of
   // its own chains, in batch order.  The stream is day-major, so the
@@ -373,36 +369,29 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
   w.i32(watermark_);
 }
 
-void StreamingCnfBuilder::load(util::ByteReader& r, std::int32_t num_urls,
-                               std::size_t num_paths) {
-  chains_.clear();
+void StreamingCnfBuilder::load(util::ByteReader& r) {
+  chains_ = std::vector<Chain>(chains_.size());
   const std::size_t n = r.size();
   CnfKey previous;
   for (std::size_t i = 0; i < n; ++i) {
     const CnfKey key = load_cnf_key(r);
-    if (static_cast<std::size_t>(key.anomaly) >= censor::kNumAnomalies ||
-        static_cast<std::size_t>(key.granularity) >= kNumGranularities || key.url_id < 0 ||
-        (i > 0 && !(previous < key))) {
-      throw util::SerdeError("StreamingCnfBuilder::load: invalid or unordered window key");
-    }
-    if (key.url_id >= num_urls) {
-      throw util::SerdeError("StreamingCnfBuilder::load: url_id " + std::to_string(key.url_id) +
-                             " outside the run's " + std::to_string(num_urls) + " URLs");
+    if (!has_chain(key.url_id, key.anomaly) || (i > 0 && !(previous < key))) {
+      throw util::SerdeError("StreamingCnfBuilder::load: window key (url " +
+                             std::to_string(key.url_id) +
+                             ") outside the chain table or out of order");
     }
     previous = key;
     Group group;
     group.window = key.window;
     util::load_vec(r, group.positive_ids, load_path_id);
     util::load_vec(r, group.negative_ids, load_path_id);
-    const auto outside = [num_paths](PathPool::PathId id) {
-      return id < 0 || static_cast<std::size_t>(id) >= num_paths;
-    };
+    const auto outside = [this](PathPool::PathId id) { return !has_path(id); };
     if (std::any_of(group.positive_ids.begin(), group.positive_ids.end(), outside) ||
         std::any_of(group.negative_ids.begin(), group.negative_ids.end(), outside)) {
       throw util::SerdeError("StreamingCnfBuilder::load: path id outside the pool's " +
-                             std::to_string(num_paths) + " paths");
+                             std::to_string(pool_->size()) + " paths");
     }
-    Chain& chain = chain_at(key.url_id, key.anomaly);
+    Chain& chain = chains_[chain_index(key.url_id, key.anomaly)];
     chain.groups[static_cast<std::size_t>(key.granularity)].push_back(std::move(group));
   }
   // Rebuild the dedupe stamps: replaying each chain's groups in window
@@ -428,57 +417,43 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
     util::ThreadPool local;
     return build_cnfs(pool, clauses, options, &local);
   }
-  StreamingCnfBuilder builder(pool, options, threads);
+  std::int32_t max_url = -1;
+  for (const PathClause& clause : clauses) max_url = std::max(max_url, clause.url_id);
+  StreamingCnfBuilder builder(pool, max_url + 1, options, threads);
   builder.add(clauses);
   return builder.flush();
 }
 
-ChurnStripFilter::ChurnStripFilter(std::int32_t num_vantages, std::int32_t num_urls)
-    : num_vantages_(static_cast<std::size_t>(std::max(num_vantages, 0))),
+ChurnStripFilter::ChurnStripFilter(const PathPool& pool, std::int32_t num_vantages,
+                                   std::int32_t num_urls)
+    : pool_(&pool),
+      num_vantages_(static_cast<std::size_t>(std::max(num_vantages, 0))),
       num_urls_(static_cast<std::size_t>(std::max(num_urls, 0))),
       first_path_(num_vantages_ * num_urls_, kUnseen) {}
 
-bool ChurnStripFilter::in_table(std::int64_t vantage, std::int64_t url_id) const {
+bool ChurnStripFilter::accepts(std::int64_t vantage, std::int64_t url_id,
+                               PathPool::PathId id) const {
   return vantage >= 0 && url_id >= 0 && static_cast<std::size_t>(vantage) < num_vantages_ &&
-         static_cast<std::size_t>(url_id) < num_urls_;
+         static_cast<std::size_t>(url_id) < num_urls_ && id >= 0 &&
+         static_cast<std::size_t>(id) < pool_->size();
 }
 
 std::size_t ChurnStripFilter::slot(topo::AsId vantage, std::int32_t url_id) const {
   return static_cast<std::size_t>(vantage) * num_urls_ + static_cast<std::size_t>(url_id);
 }
 
-void ChurnStripFilter::widen(topo::AsId vantage, std::int32_t url_id) {
-  // Geometric growth, so a stream whose ids climb one by one re-lays
-  // the table out O(log ids) times.
-  const auto grow = [](std::size_t size, std::int32_t id) {
-    const auto need = static_cast<std::size_t>(id) + 1;
-    return need <= size ? size : std::max(need, 2 * size);
-  };
-  const std::size_t num_vantages = grow(num_vantages_, vantage);
-  const std::size_t num_urls = grow(num_urls_, url_id);
-  std::vector<PathPool::PathId> wider(num_vantages * num_urls, kUnseen);
-  for (std::size_t v = 0; v < num_vantages_; ++v) {
-    std::copy_n(first_path_.begin() + static_cast<std::ptrdiff_t>(v * num_urls_), num_urls_,
-                wider.begin() + static_cast<std::ptrdiff_t>(v * num_urls));
+bool ChurnStripFilter::keep(const PathClause& clause) {
+  if (!accepts(clause.vantage, clause.url_id, clause.path_id)) {
+    throw std::out_of_range("ChurnStripFilter::keep: vantage " + std::to_string(clause.vantage) +
+                            ", url " + std::to_string(clause.url_id) + " or path " +
+                            std::to_string(clause.path_id) + " outside the table or pool");
   }
-  first_path_ = std::move(wider);
-  num_vantages_ = num_vantages;
-  num_urls_ = num_urls;
-}
-
-bool ChurnStripFilter::keep(const PathPool& pool, const PathClause& clause) {
-  if (clause.vantage < 0 || clause.url_id < 0) {
-    throw std::out_of_range("ChurnStripFilter::keep: negative vantage " +
-                            std::to_string(clause.vantage) + " or url " +
-                            std::to_string(clause.url_id));
-  }
-  if (!in_table(clause.vantage, clause.url_id)) widen(clause.vantage, clause.url_id);
   // First path observed per (vantage, URL); clause order is the
   // platform's emission order, i.e. chronological within a URL.  A
   // recorded first path is never empty, so an equal id is a kept clause.
   PathPool::PathId& first = first_path_[slot(clause.vantage, clause.url_id)];
   if (first != kUnseen) return first == clause.path_id;
-  if (pool.get(clause.path_id).empty()) return false;
+  if (pool_->get(clause.path_id).empty()) return false;
   first = clause.path_id;
   return true;
 }
@@ -496,7 +471,7 @@ void ChurnStripFilter::save(util::ByteWriter& w) const {
   }
 }
 
-void ChurnStripFilter::load(util::ByteReader& r, std::size_t num_paths) {
+void ChurnStripFilter::load(util::ByteReader& r) {
   std::vector<PathPool::PathId> loaded(first_path_.size(), kUnseen);
   const std::size_t n = r.size();
   std::size_t next_slot = 0;  // the lowest slot the next key may take
@@ -504,19 +479,14 @@ void ChurnStripFilter::load(util::ByteReader& r, std::size_t num_paths) {
     const topo::AsId vantage = r.i32();
     const std::int32_t url_id = r.i32();
     const PathPool::PathId id = load_path_id(r);
-    if (!in_table(vantage, url_id)) {
-      throw util::SerdeError("ChurnStripFilter::load: (vantage " + std::to_string(vantage) +
-                             ", url " + std::to_string(url_id) + ") outside the " +
-                             std::to_string(num_vantages_) + " x " +
-                             std::to_string(num_urls_) + " table");
+    if (!accepts(vantage, url_id, id)) {
+      throw util::SerdeError("ChurnStripFilter::load: vantage " + std::to_string(vantage) +
+                             ", url " + std::to_string(url_id) + " or path " +
+                             std::to_string(id) + " outside the table or pool");
     }
     const std::size_t at = slot(vantage, url_id);
     if (at < next_slot) {
       throw util::SerdeError("ChurnStripFilter::load: repeated or unordered key");
-    }
-    if (id < 0 || static_cast<std::size_t>(id) >= num_paths) {
-      throw util::SerdeError("ChurnStripFilter::load: path id " + std::to_string(id) +
-                             " outside the pool's " + std::to_string(num_paths) + " paths");
     }
     loaded[at] = id;
     next_slot = at + 1;
@@ -526,11 +496,17 @@ void ChurnStripFilter::load(util::ByteReader& r, std::size_t num_paths) {
 
 std::vector<PathClause> strip_path_churn(const PathPool& pool,
                                          const std::vector<PathClause>& clauses) {
-  ChurnStripFilter filter(0, 0);  // widens to the ids it meets
+  topo::AsId max_vantage = -1;
+  std::int32_t max_url = -1;
+  for (const PathClause& clause : clauses) {
+    max_vantage = std::max(max_vantage, clause.vantage);
+    max_url = std::max(max_url, clause.url_id);
+  }
+  ChurnStripFilter filter(pool, max_vantage + 1, max_url + 1);
   std::vector<std::uint8_t> kept(clauses.size());
   std::size_t num_kept = 0;
   for (std::size_t i = 0; i < clauses.size(); ++i) {
-    kept[i] = filter.keep(pool, clauses[i]) ? 1 : 0;
+    kept[i] = filter.keep(clauses[i]) ? 1 : 0;
     num_kept += kept[i];
   }
   std::vector<PathClause> out;

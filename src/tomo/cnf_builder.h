@@ -74,6 +74,12 @@ struct CnfKey {
   auto operator<=>(const CnfKey&) const = default;
 };
 
+/// Checkpoint bytes of a key: URL, anomaly, granularity, window.
+/// load_cnf_key() throws util::SerdeError for an anomaly or granularity
+/// byte outside its enum.
+void save_cnf_key(util::ByteWriter& w, const CnfKey& key);
+CnfKey load_cnf_key(util::ByteReader& r);
+
 /// A fully formed tomography SAT instance.
 struct TomoCnf {
   CnfKey key;
@@ -129,19 +135,20 @@ class StreamingCnfBuilder {
   /// are canonical (equal id <=> equal path), so clauses are filed by id
   /// with no re-intern: build_cnfs borrows its caller's pool, and the
   /// resident monitor interns each segment's clauses into one persistent
-  /// pool and borrows that.  `threads`, if given, runs filing and
-  /// emission over chain ranges on its lanes; null or one lane runs
-  /// inline.  Both borrowed objects must outlive the builder (appending
-  /// to the pool is fine; renumbering is not), and the builder must be
-  /// the thread pool's only user while one of its calls runs.
-  explicit StreamingCnfBuilder(const PathPool& pool, CnfBuildOptions options = {},
-                               util::ThreadPool* threads = nullptr);
+  /// pool and borrows that.  The chain table holds URL ids in
+  /// [0, num_urls).  `threads`, if given, runs filing and emission over
+  /// chain ranges on its lanes; null or one lane runs inline.  Both
+  /// borrowed objects must outlive the builder (appending to the pool is
+  /// fine; renumbering is not), and the builder must be the thread
+  /// pool's only user while one of its calls runs.
+  StreamingCnfBuilder(const PathPool& pool, std::int32_t num_urls, CnfBuildOptions options = {},
+                      util::ThreadPool* threads = nullptr);
 
   /// Files `clauses`, in span order within each chain, into their open
   /// window groups.  Throws std::logic_error before touching any state
   /// if a clause precedes the watermark (its window has already been
-  /// emitted) or carries an invalid path id, URL or anomaly.  A clause
-  /// that moves its chain back to an earlier window (the ordering
+  /// emitted), or names no chain of the table or no path of the pool.  A
+  /// clause that moves its chain back to an earlier window (the ordering
   /// precondition) throws too; it is not filed, but other clauses of the
   /// batch may have been.
   void add(std::span<const PathClause> clauses);
@@ -165,18 +172,15 @@ class StreamingCnfBuilder {
   /// Checkpoint support (analysis/checkpoint.h): persists the open
   /// window groups in key order, each as its key, its positive path ids
   /// in first-occurrence order and its sorted negative path ids, then
-  /// the watermark — NOT the options or the borrowed pools, which are
-  /// construction-time config the restoring caller must recreate (the
-  /// checkpoint envelope's config fingerprint guards the options; the
-  /// thread count never changes the bytes).  The path ids resolve in the
-  /// borrowed pool, so the caller must save/load that pool alongside.
-  /// load() throws util::SerdeError for a window whose url_id is not
-  /// below `num_urls` (the chain table is sized by the largest url_id,
-  /// so an unbounded id would allocate in proportion to it), and for a
-  /// path id outside [0, num_paths): the size of the pool the caller
-  /// loaded alongside, which the builder need not borrow yet.
+  /// the watermark — NOT the options, the table size or the borrowed
+  /// pools, which are construction-time config the restoring caller must
+  /// recreate (the config fingerprint guards the options and URL count;
+  /// the thread count never changes the bytes).  The path ids resolve in
+  /// the borrowed pool, so load that pool first.  load() replaces every
+  /// open group and throws util::SerdeError for what add() refuses (no
+  /// such chain or path), a bad granularity or an unordered key.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r, std::int32_t num_urls, std::size_t num_paths);
+  void load(util::ByteReader& r);
 
  private:
   static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
@@ -246,11 +250,12 @@ class StreamingCnfBuilder {
   using RangeFn = std::function<void(unsigned, std::size_t, std::size_t, std::size_t)>;
 
   static std::size_t open_groups(const Chain& chain);
+  /// The validity rules add() and load() share.
+  bool has_chain(std::int32_t url_id, censor::Anomaly anomaly) const;
+  bool has_path(PathPool::PathId id) const;
   static std::size_t chain_index(std::int32_t url_id, censor::Anomaly anomaly);
   /// Inverse of the chain index: a key with url_id and anomaly set.
   static CnfKey chain_key(std::size_t index);
-  /// The chain of (url_id, anomaly), growing the table to hold it.
-  Chain& chain_at(std::int32_t url_id, censor::Anomaly anomaly);
   /// Splits the chain table into `ranges` contiguous ranges and runs fn
   /// on each, on the borrowed lanes when there are two or more.
   void for_each_range(std::size_t ranges, const RangeFn& fn);
@@ -278,7 +283,7 @@ class StreamingCnfBuilder {
   /// Never null; a pointer so the builder stays copy-assignable.
   const PathPool* pool_;
   util::ThreadPool* threads_ = nullptr;
-  /// Indexed by chain_index(url_id, anomaly).
+  /// Indexed by chain_index(url_id, anomaly); sized at construction.
   std::vector<Chain> chains_;
   util::Day watermark_ = 0;
   /// Indexed by worker; grown to the lane count on first emission.
@@ -287,9 +292,9 @@ class StreamingCnfBuilder {
 
 /// Groups clauses into per-(URL, anomaly, window) CNFs.  Output is
 /// sorted by key, deterministic, and independent of the thread count.
-/// Implemented as a StreamingCnfBuilder fed with the whole stream as one
-/// batch and flushed once, on `threads` — or, if null, on a local pool of
-/// one lane per hardware thread.
+/// Implemented as a StreamingCnfBuilder sized by the largest URL id, fed
+/// the whole stream as one batch and flushed once, on `threads` — or,
+/// if null, on a local pool of one lane per hardware thread.
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
                                 const CnfBuildOptions& options = {},
                                 util::ThreadPool* threads = nullptr);
@@ -297,9 +302,9 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
 /// Incremental form of Figure 4's churn ablation: keeps, per
 /// (vantage, URL), only the clauses whose path equals the first path
 /// observed for that pair — i.e., erases the effect of path churn.
-/// Clauses must arrive in canonical stream order and resolve in one
-/// interned pool (equal id <=> equal path; ids may only be appended, so
-/// the recorded first-path ids stay valid).  Both the batch
+/// Clauses must arrive in canonical stream order and resolve in the
+/// borrowed interned pool (equal id <=> equal path; ids may only be
+/// appended, so the recorded first-path ids stay valid).  Both the batch
 /// strip_path_churn() and the resident monitor's Figure-4 pass run on
 /// this filter.
 ///
@@ -310,32 +315,30 @@ class ChurnStripFilter {
  public:
   /// A table for vantage ids in [0, num_vantages) (AS ids: the graph's
   /// num_ases() covers every vantage) and URL ids in [0, num_urls).
-  ChurnStripFilter(std::int32_t num_vantages, std::int32_t num_urls);
+  ChurnStripFilter(const PathPool& pool, std::int32_t num_vantages, std::int32_t num_urls);
 
   /// True iff `clause` survives the ablation.  Empty paths never do
-  /// (and never become a pair's first path).  A vantage or URL past the
-  /// table widens it; a negative one throws std::out_of_range.
-  bool keep(const PathPool& pool, const PathClause& clause);
+  /// (and never become a pair's first path).  Throws std::out_of_range,
+  /// changing nothing, for a vantage or URL outside the table or a path
+  /// id outside the pool.
+  bool keep(const PathClause& clause);
 
   /// Checkpoint support: persists the recorded first-path ids (which
-  /// resolve in the caller's pool — save/load that pool alongside) as a
-  /// count and then (vantage, URL, path id) entries in (vantage, URL)
-  /// order.  load() throws util::SerdeError, leaving the filter as it
-  /// was, for a vantage or URL outside the table, a path id outside
-  /// [0, num_paths) (the size of the pool loaded alongside), or a key
-  /// that repeats or is out of order.
+  /// resolve in the borrowed pool — load that pool first) as a count and
+  /// then (vantage, URL, path id) entries in (vantage, URL) order.
+  /// load() throws util::SerdeError, leaving the filter as it was, for
+  /// an entry keep() would refuse or a repeated or unordered key.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r, std::size_t num_paths);
+  void load(util::ByteReader& r);
 
  private:
   static constexpr PathPool::PathId kUnseen = -1;
 
-  bool in_table(std::int64_t vantage, std::int64_t url_id) const;
+  /// The one validity rule keep() and load() share.
+  bool accepts(std::int64_t vantage, std::int64_t url_id, PathPool::PathId id) const;
   std::size_t slot(topo::AsId vantage, std::int32_t url_id) const;
-  /// Grows the table to hold the non-negative (vantage, url_id),
-  /// keeping every entry.
-  void widen(topo::AsId vantage, std::int32_t url_id);
 
+  const PathPool* pool_;
   std::size_t num_vantages_;
   std::size_t num_urls_;
   /// Indexed by vantage * num_urls_ + url_id.
@@ -344,10 +347,9 @@ class ChurnStripFilter {
 
 /// Figure 4's ablation filter: keeps, per (vantage, URL), only the
 /// clauses whose path equals the first path observed for that pair —
-/// i.e., erases the effect of path churn.  Two serial passes: the first
-/// runs a ChurnStripFilter over the stream and counts the survivors, the
-/// second copies them, in stream order, into an output of exactly that
-/// size.
+/// i.e., erases the effect of path churn.  Serial passes: one sizes a
+/// ChurnStripFilter by the largest ids, one runs it and counts the
+/// survivors, one copies them, in stream order, into an exact output.
 std::vector<PathClause> strip_path_churn(const PathPool& pool,
                                          const std::vector<PathClause>& clauses);
 

@@ -189,7 +189,7 @@ void CensorSupport::load(util::ByteReader& r) {
         std::set<std::pair<std::int32_t, censor::Anomaly>> ev;
         util::load_set(r, ev, [](util::ByteReader& r) {
           const std::int32_t url = r.i32();
-          const auto anomaly = static_cast<censor::Anomaly>(r.u8());
+          const auto anomaly = util::load_enum<censor::Anomaly>(r, censor::kNumAnomalies);
           return std::make_pair(url, anomaly);
         });
         return ev;

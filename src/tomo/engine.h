@@ -165,7 +165,8 @@ class CensorSupport {
   std::map<topo::AsId, std::set<censor::Anomaly>> anomalies(
       const std::set<topo::AsId>& within) const;
 
-  /// Checkpoint support (analysis/checkpoint.h).
+  /// Checkpoint support (analysis/checkpoint.h).  load() throws
+  /// util::SerdeError for an anomaly byte outside censor::Anomaly.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

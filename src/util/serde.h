@@ -128,6 +128,14 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// A one-byte enum of `count` enumerators; a byte past them is refused.
+template <typename E>
+E load_enum(ByteReader& r, std::size_t count) {
+  const std::uint8_t v = r.u8();
+  if (v >= count) throw SerdeError("ByteReader: enum byte " + std::to_string(v) + " out of range");
+  return static_cast<E>(v);
+}
+
 // --- container helpers ----------------------------------------------
 // Free functions so element writers compose: save_vec(w, v, fn).
 

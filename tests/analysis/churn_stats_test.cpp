@@ -256,18 +256,14 @@ TEST(ChurnFoldOracle, MatchesMapSetReferenceOnRandomStreams) {
           observe(fold, rng.uniform_int(0, 40));
           break;
         case 1: {
-          // A shard split: two unsealed folds merged, then merged or
-          // absorbed into the main fold.
+          // A shard split: two unsealed folds merged, then absorbed
+          // into the main fold.
           ChurnFold left(graph, vantages, dests, num_days, 3);
           ChurnFold right(graph, vantages, dests, num_days, 3);
           observe(left, rng.uniform_int(0, 20));
           observe(right, rng.uniform_int(0, 20));
-          left.merge(std::move(right));
-          if (fold.retired_before() == 0 && rng.bernoulli(0.5)) {
-            fold.merge(std::move(left));
-          } else {
-            fold.absorb_unsealed(std::move(left));
-          }
+          left.absorb_unsealed(std::move(right));
+          fold.absorb_unsealed(std::move(left));
           break;
         }
         case 2: {
@@ -406,14 +402,15 @@ TEST(ChurnFoldFuzz, ShardedMergeMatchesSerialFoldOnRandomStreams) {
       }
     }
     ChurnFold merged(left);
-    merged.merge(std::move(right));
+    merged.absorb_unsealed(std::move(right));
     expect_churn_equal(merged.snapshot(), serial.snapshot());
 
-    // Sealed folds refuse to merge: the same window may be open on the
-    // other side.
+    // A sealed fold refuses an observation in a window it already
+    // sealed: day split - 1's day window closed at retire_before(split).
     left.retire_before(split);
     ChurnFold other(graph, vantages, dests, kDays, 3);
-    EXPECT_THROW(left.merge(std::move(other)), std::logic_error);
+    other.observe(0, split - 1, 1);
+    EXPECT_THROW(left.absorb_unsealed(std::move(other)), std::logic_error);
   }
 }
 

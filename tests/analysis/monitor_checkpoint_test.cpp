@@ -434,17 +434,15 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
   }
 }
 
-/// `source`'s checkpoint with the 4 payload bytes at `at` replaced by
-/// `value` and resealed, so only the payload's own bounds checks can
+/// `source`'s checkpoint with the payload bytes at `at` overwritten by
+/// `bytes` and resealed, so only the payload's own bounds checks can
 /// refuse it.  Expects restore() to refuse it with a CheckpointError and
 /// the refused monitor to run cold to a fresh monitor's report.
-void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
-                               std::size_t at, std::int32_t value) {
+void expect_crafted_bytes_refused(Scenario& scenario, const MonitorEngine& source,
+                                  std::size_t at, const std::string& bytes) {
   const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
   std::string payload = opened.payload;
-  util::ByteWriter id;
-  id.i32(value);
-  payload.replace(at, 4, id.bytes());
+  payload.replace(at, bytes.size(), bytes);
   const std::string crafted = seal_checkpoint(source.fingerprint(), opened.watermark, payload);
 
   MonitorEngine resumed(scenario, monitor_options(1));
@@ -452,6 +450,83 @@ void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
   EXPECT_EQ(resumed.watermark(), 0);
   MonitorEngine fresh(scenario, monitor_options(1));
   EXPECT_EQ(serialize_report(resumed.finalize()), serialize_report(fresh.finalize()));
+}
+
+/// expect_crafted_bytes_refused with the 4-byte id `value` at `at`.
+void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
+                               std::size_t at, std::int32_t value) {
+  util::ByteWriter id;
+  id.i32(value);
+  expect_crafted_bytes_refused(scenario, source, at, id.bytes());
+}
+
+/// A reader over `payload` positioned at the experiment folds: past the
+/// pool, both groupers, the strip filter and the churn fold, each loaded
+/// as the monitor loads it.
+util::ByteReader reader_at_folds(const Scenario& scenario, const std::string& payload) {
+  util::ByteReader r(payload);
+  const iclab::Platform& platform = scenario.platform();
+  const std::int32_t num_urls = platform.config().num_urls;
+  tomo::PathPool pool;
+  pool.load(r, scenario.graph().num_ases());
+  tomo::StreamingCnfBuilder grouper(pool, num_urls);
+  grouper.load(r);
+  tomo::ChurnStripFilter strip(pool, scenario.graph().num_ases(), num_urls);
+  strip.load(r);
+  grouper.load(r);  // the ablation grouper: the same layout
+  ChurnFold churn(scenario.graph(), platform.vantages(), platform.dest_ases(),
+                  platform.config().num_days, platform.config().epochs_per_day);
+  churn.load(r);
+  return r;
+}
+
+/// An anomaly byte no verdict carries (the enum ends at 4).
+constexpr char kBadAnomaly = static_cast<char>(200);
+
+TEST(MonitorCheckpoint, VerdictAnomalyByteOutsideTheEnumIsRefused) {
+  // Unchecked, anomaly byte 200 loaded as a Figure-1 row and rendered
+  // as "?" in the report.
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(6);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+
+  // Payload layout: ... | main verdict fold: the live counts, the
+  // Figure-1 rows by granularity (key byte, split), then by anomaly.
+  util::ByteReader r = reader_at_folds(scenario, opened.payload);
+  LiveCounts counts;
+  counts.load(r);
+  const std::size_t granularities = r.size();
+  for (std::size_t i = 0; i < granularities; ++i) {
+    r.u8();
+    for (std::size_t c = 0; c < SolutionSplit{}.count.size(); ++c) r.i64();
+  }
+  ASSERT_EQ(r.size(), censor::kNumAnomalies);  // rows by anomaly
+  const std::size_t first_anomaly = opened.payload.size() - r.remaining();
+  expect_crafted_bytes_refused(scenario, source, first_anomaly, std::string(1, kBadAnomaly));
+}
+
+TEST(MonitorCheckpoint, SupportAnomalyByteOutsideTheEnumIsRefused) {
+  // Unchecked, anomaly byte 200 loaded as a censor's evidence and
+  // rendered as "?" in Table 2.
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(14);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+
+  // Payload layout: ... | verdict fold | censor support: the AS count,
+  // then each AS and its (URL, anomaly) evidence set | ...
+  util::ByteReader r = reader_at_folds(scenario, opened.payload);
+  ExperimentFolds folds(monitor_options(1).experiment);
+  folds.verdicts.load(r);
+  ASSERT_GT(r.size(), 0u);  // supported ASes
+  r.i32();
+  ASSERT_GT(r.size(), 0u);  // the first AS's evidence
+  r.i32();                  // its URL
+  const std::size_t first_anomaly = opened.payload.size() - r.remaining();
+  expect_crafted_bytes_refused(scenario, source, first_anomaly, std::string(1, kBadAnomaly));
 }
 
 TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
@@ -468,8 +543,8 @@ TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
     util::ByteReader r(opened.payload);
     tomo::PathPool pool;
     pool.load(r, scenario.graph().num_ases());
-    tomo::StreamingCnfBuilder grouper(pool);
-    grouper.load(r, scenario.platform().config().num_urls, pool.size());
+    tomo::StreamingCnfBuilder grouper(pool, scenario.platform().config().num_urls);
+    grouper.load(r);
     const std::size_t strip_at = opened.payload.size() - r.remaining();
     const std::size_t entries = r.size();
     ASSERT_GT(entries, 0u);

@@ -175,7 +175,7 @@ TEST(CnfBuilder, OutputSortedByKey) {
 
 TEST(CnfBuilder, ChainGoingBackInDayThrows) {
   PathPool pool;
-  StreamingCnfBuilder builder(pool);
+  StreamingCnfBuilder builder(pool, /*num_urls=*/1);
   builder.add(make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/5));
   // Same chain (URL 0, DNS), an earlier day: the precondition is broken.
   EXPECT_THROW(builder.add(make_clause(pool, {1, 3}, true, 0, /*day=*/4)),
@@ -195,7 +195,7 @@ TEST(CnfBuilder, ChainGoingBackWithinOneWindowIsAccepted) {
   PathPool pool;
   CnfBuildOptions weeks;
   weeks.granularities = {util::Granularity::kWeek};
-  StreamingCnfBuilder builder(pool, weeks);
+  StreamingCnfBuilder builder(pool, /*num_urls=*/1, weeks);
   builder.add(make_clause(pool, {1, 2}, true, 0, /*day=*/5));
   builder.add(make_clause(pool, {1, 3}, true, 0, /*day=*/4));
   const auto cnfs = builder.flush();
@@ -207,7 +207,7 @@ TEST(CnfBuilder, OtherChainMayStartAtAnEarlierDay) {
   // The OutputSortedByKey shape: each chain is day-ordered, but a later
   // chain starts before the day an earlier one reached.
   PathPool pool;
-  StreamingCnfBuilder builder(pool, day_only());
+  StreamingCnfBuilder builder(pool, /*num_urls=*/3, day_only());
   builder.add(make_clause(pool, {1}, true, /*url=*/2, /*day=*/5));
   builder.add(make_clause(pool, {1}, true, /*url=*/0, /*day=*/3));
   builder.add(make_clause(pool, {2}, true, /*url=*/2, /*day=*/1, censor::Anomaly::kRst));
@@ -361,7 +361,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
     const std::vector<TomoCnf> want = reference_cnfs(pool, clauses, options);
     expect_cnfs_equal(build_cnfs(pool, clauses, options), want);
 
-    std::int32_t num_urls = 0;  // the tightest bound load() must accept
+    std::int32_t num_urls = 0;  // the tightest table the stream fits
     for (const PathClause& c : clauses) num_urls = std::max(num_urls, c.url_id + 1);
     for (const auto& threads : lanes) {
       SCOPED_TRACE("threads " + std::to_string(threads->size()));
@@ -371,7 +371,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
       // with random watermark advances and save/load round trips into a
       // fresh builder mid-run: the rebuilt dedupe state must file
       // nothing twice.
-      auto builder = std::make_unique<StreamingCnfBuilder>(pool, options, threads.get());
+      auto builder = std::make_unique<StreamingCnfBuilder>(pool, num_urls, options, threads.get());
       std::vector<TomoCnf> streamed;
       const auto take = [&streamed](std::vector<TomoCnf> batch) {
         for (TomoCnf& tc : batch) streamed.push_back(std::move(tc));
@@ -384,9 +384,9 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
         if (rng.bernoulli(0.2)) {
           util::ByteWriter w;
           builder->save(w);
-          builder = std::make_unique<StreamingCnfBuilder>(pool, options, threads.get());
+          builder = std::make_unique<StreamingCnfBuilder>(pool, num_urls, options, threads.get());
           util::ByteReader r(w.bytes());
-          builder->load(r, num_urls, pool.size());
+          builder->load(r);
           r.expect_end();
         }
         if (i < clauses.size() && rng.bernoulli(0.5)) {
@@ -405,7 +405,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
 TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
   PathPool pool;
   util::ThreadPool threads(3);
-  StreamingCnfBuilder builder(pool, {}, &threads);
+  StreamingCnfBuilder builder(pool, /*num_urls=*/4, {}, &threads);
   builder.add(make_clause(pool, {1, 2}, true, /*url=*/0, /*day=*/9));
   builder.advance_watermark(7);  // closes day windows 0..6 (all empty)
   const std::size_t open = builder.open_windows();
@@ -442,7 +442,7 @@ StreamingCnfBuilder checkpoint_fixture(PathPool& pool) {
       make_clause(pool, {1, 2, 3}, true, 0, 2, censor::Anomaly::kDns),
       make_clause(pool, {7}, false, 1, 3, censor::Anomaly::kRst),
   };
-  StreamingCnfBuilder builder(pool);
+  StreamingCnfBuilder builder(pool, /*num_urls=*/2);
   for (const PathClause& c : clauses) {
     if (c.day == 2 && builder.watermark() == 0) builder.advance_watermark(2);
     builder.add(c);
@@ -532,9 +532,9 @@ TEST(CnfBuilder, CheckpointBytesAreStable) {
   EXPECT_EQ(to_hex(w.bytes()), to_hex(expected));
 
   // load() + save() reproduces the bytes.
-  StreamingCnfBuilder restored(pool);
+  StreamingCnfBuilder restored(pool, /*num_urls=*/2);
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/2, pool.size());
+  restored.load(r);
   r.expect_end();
   util::ByteWriter again;
   restored.save(again);
@@ -546,15 +546,15 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   PathPool pool;
   const PathClause positive = make_clause(pool, {1, 2, 3}, true, 0, /*day=*/3);
   const PathClause negative = make_clause(pool, {1, 4}, false, 0, /*day=*/3);
-  StreamingCnfBuilder builder(pool);
+  StreamingCnfBuilder builder(pool, /*num_urls=*/1);
   builder.add(positive);
   builder.add(negative);
   util::ByteWriter w;
   builder.save(w);
 
-  StreamingCnfBuilder restored(pool);
+  StreamingCnfBuilder restored(pool, /*num_urls=*/1);
   util::ByteReader r(w.bytes());
-  restored.load(r, /*num_urls=*/1, pool.size());
+  restored.load(r);
   // Both pairs already sit in every open window: nothing is filed, so
   // the state (negatives included, which no CNF field would show) is
   // byte-for-byte what was saved.
@@ -605,12 +605,17 @@ TEST(CnfBuilder, LoadRefusesUrlIdAtOrPastTheBound) {
   constexpr std::int32_t kUrls = 120;
   const PathPool pool = one_path_pool();
   // Unchecked, 2^28 would size the chain table at 2^28 x 5 chains.
-  for (const std::int32_t url_id : {kUrls, std::int32_t{1} << 28}) {
+  for (const std::int32_t url_id : {kUrls, std::int32_t{1} << 28, -1}) {
     SCOPED_TRACE("url_id=" + std::to_string(url_id));
     const std::string payload = one_window_payload(url_id);
-    StreamingCnfBuilder builder(pool);
+    StreamingCnfBuilder builder(pool, kUrls);
     util::ByteReader r(payload);
-    EXPECT_THROW(builder.load(r, kUrls, pool.size()), util::SerdeError);
+    EXPECT_THROW(builder.load(r), util::SerdeError);
+    // add() refuses the same id: no builder can save what load refuses.
+    PathClause clause;
+    clause.url_id = url_id;
+    EXPECT_THROW(builder.add(clause), std::logic_error);
+    EXPECT_EQ(builder.open_windows(), 0u);
   }
 }
 
@@ -618,9 +623,9 @@ TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
   constexpr std::int32_t kUrls = 120;
   const PathPool pool = one_path_pool();
   const std::string payload = one_window_payload(kUrls - 1);
-  StreamingCnfBuilder builder(pool);
+  StreamingCnfBuilder builder(pool, kUrls);
   util::ByteReader r(payload);
-  builder.load(r, kUrls, pool.size());
+  builder.load(r);
   r.expect_end();
   EXPECT_EQ(builder.open_windows(), 1u);
   util::ByteWriter again;
@@ -629,32 +634,32 @@ TEST(CnfBuilder, LoadAcceptsUrlIdJustBelowTheBound) {
 }
 
 TEST(CnfBuilder, LoadRefusesIdsOutsideTheirPool) {
-  // Path ids are bounded by the size the caller passes, the pool it
-  // loaded alongside.
+  // Path ids are bounded by the borrowed pool, as add() bounds them.
   const PathPool pool = one_path_pool();
   for (const PathPool::PathId id : {-1, 1}) {
     SCOPED_TRACE("path_id=" + std::to_string(id));
     const std::string payload = one_window_payload(0, id);
-    StreamingCnfBuilder refused(pool);
+    StreamingCnfBuilder refused(pool, 1);
     util::ByteReader r(payload);
-    EXPECT_THROW(refused.load(r, 1, pool.size()), util::SerdeError);
+    EXPECT_THROW(refused.load(r), util::SerdeError);
     EXPECT_EQ(refused.open_windows(), 0u);
   }
 
-  // A saved builder's ids are refused against an empty pool and
-  // accepted against the pool they came from.
+  // A saved builder's ids are refused by a builder borrowing an empty
+  // pool and accepted by one borrowing the pool they came from.
   PathPool grown;
   const PathClause clause = make_clause(grown, {1, 2, 3}, true, 0, /*day=*/3);
-  StreamingCnfBuilder builder(grown);
+  StreamingCnfBuilder builder(grown, 1);
   builder.add(clause);
   util::ByteWriter w;
   builder.save(w);
-  StreamingCnfBuilder refused(grown);
+  const PathPool empty;
+  StreamingCnfBuilder refused(empty, 1);
   util::ByteReader r3(w.bytes());
-  EXPECT_THROW(refused.load(r3, 1, /*num_paths=*/0), util::SerdeError);
-  StreamingCnfBuilder accepted(grown);
+  EXPECT_THROW(refused.load(r3), util::SerdeError);
+  StreamingCnfBuilder accepted(grown, 1);
   util::ByteReader r4(w.bytes());
-  accepted.load(r4, 1, grown.size());
+  accepted.load(r4);
   r4.expect_end();
   EXPECT_EQ(accepted.open_windows(), builder.open_windows());
 }
@@ -753,19 +758,19 @@ TEST(StripPathChurn, MatchesMapReferenceOnRandomStreams) {
     // save/load round trip into a fresh filter mid-stream: same
     // survivors, and the map's checkpoint bytes.
     const std::int32_t table_vantages = 100;
-    auto filter = std::make_unique<ChurnStripFilter>(table_vantages, num_urls);
+    auto filter = std::make_unique<ChurnStripFilter>(pool, table_vantages, num_urls);
     MapStripReference prefix;
     std::vector<PathClause> got;
     for (std::size_t i = 0; i < clauses.size(); ++i) {
-      if (filter->keep(pool, clauses[i])) got.push_back(clauses[i]);
+      if (filter->keep(clauses[i])) got.push_back(clauses[i]);
       prefix.keep(pool, clauses[i]);
       if (rng.bernoulli(0.05)) {
         util::ByteWriter w;
         filter->save(w);
         ASSERT_EQ(w.bytes(), prefix.save());
-        filter = std::make_unique<ChurnStripFilter>(table_vantages, num_urls);
+        filter = std::make_unique<ChurnStripFilter>(pool, table_vantages, num_urls);
         util::ByteReader r(w.bytes());
-        filter->load(r, pool.size());
+        filter->load(r);
         r.expect_end();
       }
     }
@@ -790,8 +795,16 @@ std::string strip_payload(const std::vector<std::array<std::int32_t, 3>>& entrie
   return w.take();
 }
 
+/// A pool of `n` one-AS paths.
+PathPool pool_of(std::int32_t n) {
+  PathPool pool;
+  for (topo::AsId as = 0; as < n; ++as) pool.intern({as});
+  return pool;
+}
+
 TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
   constexpr std::int32_t kPaths = 9;  // the corners below use ids 5 to 8
+  const PathPool pool = pool_of(kPaths);
   const std::vector<std::vector<std::array<std::int32_t, 3>>> refused{
       {{4, 0, 1}},             // vantage at the bound
       {{-1, 0, 1}},            // negative vantage
@@ -806,10 +819,10 @@ TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
   for (const auto& entries : refused) {
     SCOPED_TRACE("first entry " + std::to_string(entries.front()[0]) + "," +
                  std::to_string(entries.front()[1]) + " of " + std::to_string(entries.size()));
-    ChurnStripFilter filter(4, 3);
+    ChurnStripFilter filter(pool, 4, 3);
     const std::string payload = strip_payload(entries);
     util::ByteReader r(payload);
-    EXPECT_THROW(filter.load(r, kPaths), util::SerdeError);
+    EXPECT_THROW(filter.load(r), util::SerdeError);
     // The refused load left the filter empty.
     util::ByteWriter w;
     filter.save(w);
@@ -818,9 +831,9 @@ TEST(StripPathChurn, LoadRefusesKeysOutsideTheTableOrOutOfOrder) {
 
   // The corners of the table load and save back byte for byte.
   const std::string corners = strip_payload({{0, 0, 5}, {0, 2, 6}, {3, 0, 7}, {3, 2, 8}});
-  ChurnStripFilter filter(4, 3);
+  ChurnStripFilter filter(pool, 4, 3);
   util::ByteReader r(corners);
-  filter.load(r, kPaths);
+  filter.load(r);
   r.expect_end();
   util::ByteWriter w;
   filter.save(w);

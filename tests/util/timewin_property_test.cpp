@@ -76,6 +76,9 @@ namespace {
 using util::Day;
 using util::Granularity;
 
+/// URL ids of a synthetic stream are in [0, kStreamUrls).
+constexpr std::int32_t kStreamUrls = 4;
+
 /// A synthetic clause stream over a tiny path universe, sorted by day
 /// (the canonical stream order a serial platform run produces).
 struct SyntheticStream {
@@ -94,7 +97,7 @@ SyntheticStream make_stream(util::Rng& rng, Day num_days) {
   for (int i = 0; i < n; ++i) {
     PathClause c;
     c.path_id = paths[rng.index(paths.size())];
-    c.url_id = static_cast<std::int32_t>(rng.uniform_int(0, 3));
+    c.url_id = static_cast<std::int32_t>(rng.uniform_int(0, kStreamUrls - 1));
     c.vantage = 99;
     c.day = static_cast<Day>(rng.uniform_int(0, num_days - 1));
     c.anomaly = static_cast<censor::Anomaly>(rng.uniform_int(0, censor::kNumAnomalies - 1));
@@ -128,7 +131,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
     const SyntheticStream s = make_stream(rng, num_days);
     const CnfBuildOptions options;
 
-    StreamingCnfBuilder builder(s.pool, options, &threads);
+    StreamingCnfBuilder builder(s.pool, kStreamUrls, options, &threads);
     std::vector<TomoCnf> streamed;
     std::set<CnfKey> emitted_by_watermark;
     std::size_t i = 0;
@@ -196,7 +199,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
 TEST(StreamingWindowProperty, LateClauseForEmittedWindowThrows) {
   util::Rng rng(42);
   const SyntheticStream s = make_stream(rng, 20);
-  StreamingCnfBuilder builder(s.pool);
+  StreamingCnfBuilder builder(s.pool, kStreamUrls);
   for (const PathClause& c : s.clauses) {
     if (c.day < 10) builder.add(c);
   }
@@ -220,7 +223,7 @@ TEST(StreamingWindowProperty, OpenWindowCountIsBounded) {
   // emitted ahead of the watermark.
   util::Rng rng(11);
   const SyntheticStream s = make_stream(rng, 56);
-  StreamingCnfBuilder builder(s.pool);  // all four granularities
+  StreamingCnfBuilder builder(s.pool, kStreamUrls);  // all four granularities
   Day fed = 0;
   std::size_t i = 0;
   for (Day d = 0; d < 56; ++d) {
