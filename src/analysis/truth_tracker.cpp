@@ -1,5 +1,6 @@
 #include "analysis/truth_tracker.h"
 
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,13 +15,18 @@ void TruthTracker::on_measurement(const iclab::Measurement& m) {
     throw std::out_of_range("TruthTracker: URL id outside the platform's URLs");
   }
   if (m.unreachable) return;
+  bool any_detected_censored = false;
+  for (std::size_t ai = 0; ai < censor::kNumAnomalies; ++ai) {
+    any_detected_censored |= m.truth_censored[ai] && m.detected[ai];
+  }
+  if (!any_detected_censored) return;
   const iclab::Url& url = urls[static_cast<std::size_t>(m.url_id)];
-  for (const censor::Anomaly a : censor::kAllAnomalies) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (!m.truth_censored[ai] || !m.detected[ai]) continue;
-    const topo::AsId censor =
-        registry_->first_censor_on_path(m.truth_path, url.category, a, m.day);
-    if (censor != topo::kInvalidAs) observable_.insert(censor);
+  const std::array<topo::AsId, censor::kNumAnomalies> censors =
+      registry_->first_censors_on_path(m.truth_path, url.category, m.day);
+  for (std::size_t ai = 0; ai < censor::kNumAnomalies; ++ai) {
+    if (m.truth_censored[ai] && m.detected[ai] && censors[ai] != topo::kInvalidAs) {
+      observable_.insert(censors[ai]);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "censor/policy.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace ct::censor {
@@ -101,49 +102,80 @@ bool CensorRegistry::path_censored(std::span<const topo::AsId> path, UrlCategory
   return first_censor_on_path(path, category, anomaly, day) != topo::kInvalidAs;
 }
 
+namespace {
+
+// Does `p` fire for `category` on `day` at position `i` of `path`, its
+// anomaly aside?  `fp` caches the path's fingerprint: it is computed only
+// when some policy carries a path_fraction predicate (the common case
+// has none).
+bool fires_at(const CensorPolicy& p, UrlCategory category, util::Day day,
+              std::span<const topo::AsId> path, std::size_t i,
+              std::optional<std::uint64_t>& fp) {
+  if (day < p.active_from || day >= p.active_to) return false;
+  if (std::find(p.categories.begin(), p.categories.end(), category) == p.categories.end()) {
+    return false;
+  }
+  // Routing-induced predicate: the traffic must enter the censor via
+  // one of the filtered ingress neighbors.  A path that *originates* at
+  // the censor has no ingress link, so ingress policies skip it.
+  const topo::AsId ingress = i > 0 ? path[i - 1] : topo::kInvalidAs;
+  if (!p.ingress_ases.empty() &&
+      (ingress == topo::kInvalidAs ||
+       !std::binary_search(p.ingress_ases.begin(), p.ingress_ases.end(), ingress))) {
+    return false;
+  }
+  // Path-diversity predicate: fires on the `path_fraction` slice of
+  // path-hash space.  Deterministic per (policy, exact path).
+  if (p.path_fraction < 1.0) {
+    if (!fp) fp = path_fingerprint(path);
+    const double u = static_cast<double>(util::mix64(p.path_salt, *fp) >> 11) * 0x1.0p-53;
+    if (u >= p.path_fraction) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 topo::AsId CensorRegistry::first_censor_on_path(std::span<const topo::AsId> path,
                                                 UrlCategory category, Anomaly anomaly,
                                                 util::Day day) const {
-  // Path-hash only computed when some matching policy actually carries a
-  // path_fraction predicate (the common case has none).
-  std::uint64_t fp = 0;
-  bool fp_ready = false;
+  std::optional<std::uint64_t> fp;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const topo::AsId as = path[i];
     if (as < 0 || as >= static_cast<topo::AsId>(policy_index_.size())) continue;
-    const topo::AsId ingress = i > 0 ? path[i - 1] : topo::kInvalidAs;
     for (const auto idx : policy_index_[static_cast<std::size_t>(as)]) {
       const auto& p = policies_[static_cast<std::size_t>(idx)];
-      if (day < p.active_from || day >= p.active_to) continue;
       if (std::find(p.anomalies.begin(), p.anomalies.end(), anomaly) == p.anomalies.end()) {
         continue;
       }
-      if (std::find(p.categories.begin(), p.categories.end(), category) == p.categories.end()) {
-        continue;
-      }
-      // Routing-induced predicate: the traffic must enter the censor via
-      // one of the filtered ingress neighbors.  A path that *originates*
-      // at the censor has no ingress link, so ingress policies skip it.
-      if (!p.ingress_ases.empty() &&
-          (ingress == topo::kInvalidAs ||
-           !std::binary_search(p.ingress_ases.begin(), p.ingress_ases.end(), ingress))) {
-        continue;
-      }
-      // Path-diversity predicate: fires on the `path_fraction` slice of
-      // path-hash space.  Deterministic per (policy, exact path).
-      if (p.path_fraction < 1.0) {
-        if (!fp_ready) {
-          fp = path_fingerprint(path);
-          fp_ready = true;
-        }
-        const double u =
-            static_cast<double>(util::mix64(p.path_salt, fp) >> 11) * 0x1.0p-53;
-        if (u >= p.path_fraction) continue;
-      }
-      return as;
+      if (fires_at(p, category, day, path, i, fp)) return as;
     }
   }
   return topo::kInvalidAs;
+}
+
+std::array<topo::AsId, kNumAnomalies> CensorRegistry::first_censors_on_path(
+    std::span<const topo::AsId> path, UrlCategory category, util::Day day) const {
+  std::array<topo::AsId, kNumAnomalies> first;
+  first.fill(topo::kInvalidAs);
+  std::size_t found = 0;
+  std::optional<std::uint64_t> fp;
+  for (std::size_t i = 0; i < path.size() && found < kNumAnomalies; ++i) {
+    const topo::AsId as = path[i];
+    if (as < 0 || as >= static_cast<topo::AsId>(policy_index_.size())) continue;
+    for (const auto idx : policy_index_[static_cast<std::size_t>(as)]) {
+      const auto& p = policies_[static_cast<std::size_t>(idx)];
+      if (!fires_at(p, category, day, path, i, fp)) continue;
+      for (const Anomaly a : p.anomalies) {
+        topo::AsId& censor = first[static_cast<std::size_t>(a)];
+        if (censor == topo::kInvalidAs) {
+          censor = as;
+          ++found;
+        }
+      }
+    }
+  }
+  return first;
 }
 
 std::vector<topo::AsId> CensorRegistry::censor_ases() const {

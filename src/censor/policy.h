@@ -116,6 +116,11 @@ class CensorRegistry {
   topo::AsId first_censor_on_path(std::span<const topo::AsId> path, UrlCategory category,
                                   Anomaly anomaly, util::Day day) const;
 
+  /// first_censor_on_path for every anomaly (index = Anomaly value), in
+  /// one walk of the path.
+  std::array<topo::AsId, kNumAnomalies> first_censors_on_path(
+      std::span<const topo::AsId> path, UrlCategory category, util::Day day) const;
+
   const std::vector<CensorPolicy>& policies() const { return policies_; }
 
   /// Distinct ASes with at least one policy, ascending.

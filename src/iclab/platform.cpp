@@ -20,6 +20,20 @@ using censor::kAllAnomalies;
 using censor::kNumAnomalies;
 using topo::AsId;
 
+namespace {
+
+// session_noise packs a URL id, and the ECMP flow hash a node index,
+// into a 20-bit field: past kMaxCellKeyIds ids two cells would share one
+// noise or flow stream.
+void check_cell_key_fields(std::int64_t nodes_per_as, std::int64_t num_urls) {
+  if (nodes_per_as > kMaxCellKeyIds || num_urls > kMaxCellKeyIds) {
+    throw std::invalid_argument(
+        "PlatformConfig: more than 2^20 URLs or nodes per AS would alias cell streams");
+  }
+}
+
+}  // namespace
+
 Platform::Platform(const topo::AsGraph& graph, const censor::CensorRegistry& registry,
                    const net::AddressPlan& plan, const PlatformConfig& config,
                    std::uint64_t seed)
@@ -47,6 +61,7 @@ Platform::Platform(const topo::AsGraph& graph, const censor::CensorRegistry& reg
   if (vantages_.empty() || dest_ases_.empty() || urls_.empty()) {
     throw std::invalid_argument("Platform: empty endpoints");
   }
+  check_cell_key_fields(config.vp_nodes_per_as, static_cast<std::int64_t>(urls_.size()));
   // Shards look destinations up by binary search and URLs by id.
   const auto sorted_distinct_ases = [&graph](const std::vector<AsId>& ases) {
     return std::adjacent_find(ases.begin(), ases.end(), std::greater_equal<>()) == ases.end() &&
@@ -78,6 +93,7 @@ Endpoints choose_endpoints(const topo::AsGraph& graph, const PlatformConfig& con
   if (config.num_vantages < 1 || config.num_urls < 1 || config.num_dest_ases < 1) {
     throw std::invalid_argument("PlatformConfig: counts must be positive");
   }
+  check_cell_key_fields(config.vp_nodes_per_as, config.num_urls);
   util::Rng rng(util::mix64(seed, 0x1C1AB));
   Endpoints out;
   // Vantage points live in stub ASes (ICLab's VPN-provider vantage
@@ -223,9 +239,9 @@ void Platform::run(MeasurementSink& sink) const {
 }
 
 /// What one worker reuses from shard to shard: the engines, the link
-/// state and routing view, the flutter history and the emission
-/// buffers.  Every buffer keeps its capacity, so a worker's later shards
-/// allocate next to nothing.
+/// state and routing view, the flutter history, the session schedules
+/// and the emission buffers.  Every buffer keeps its capacity, so a
+/// worker's later shards allocate next to nothing.
 struct Platform::ShardScratch {
   explicit ShardScratch(const Platform& platform)
       : computer(platform.graph_), tracer(platform.plan_, platform.config_.traceroute) {}
@@ -237,10 +253,14 @@ struct Platform::ShardScratch {
   /// destination, shared by every vantage.
   bgp::RouteTableSet tables;
   /// Previous-epoch path per (shard-local vantage node, destination),
-  /// for route flutter.
+  /// for route flutter.  Kept current only for the cells that read it:
+  /// those with a session that day.
   std::vector<std::vector<std::vector<AsId>>> prev_paths;
-  /// The day's session schedule per (shard-local vantage, URL).
-  std::vector<std::uint8_t> scheduled;
+  /// The session schedule of the day and of the next day per
+  /// (shard-local vantage, URL), and from it per (shard-local vantage,
+  /// destination): does any of the destination's URLs have a session?
+  std::vector<std::uint8_t> scheduled, next_scheduled;
+  std::vector<std::uint8_t> has_session, next_has_session;
   /// node_path_into's scratch.
   std::vector<AsId> providers, rest, ecmp_hops;
   /// Emission buffers.  The sink sees `m` only for the duration of
@@ -287,19 +307,25 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
   // every epoch of the day (ICLab batches its URL list per vantage), so
   // the draw depends on the AS, not the node or epoch.  Filled once per
   // day for the shard's vantages x every URL, then read by every
-  // (epoch, destination, node) cell of that day.
+  // (epoch, destination, node) cell of that day; `has_session` marks the
+  // (vantage, destination) cells with at least one scheduled URL.
   const std::size_t num_urls = urls_.size();
-  std::vector<std::uint8_t>& scheduled = scratch.scheduled;
-  scheduled.resize((vantage_end - vantage_begin) * num_urls);
-  auto schedule_day = [&](util::Day day) {
+  const std::size_t num_dests = dest_ases_.size();
+  auto schedule_day = [&](util::Day day, std::vector<std::uint8_t>& scheduled,
+                          std::vector<std::uint8_t>& has_session) {
+    scheduled.resize((vantage_end - vantage_begin) * num_urls);
+    has_session.assign((vantage_end - vantage_begin) * num_dests, 0);
     for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
-      for (std::size_t u = 0; u < num_urls; ++u) {
-        const std::uint64_t key =
-            util::mix64(util::mix64(seed_ ^ 0x5E55u, static_cast<std::uint64_t>(day)),
-                        (static_cast<std::uint64_t>(vi) << 32) | static_cast<std::uint32_t>(u));
-        util::Rng rng(key);
-        scheduled[(vi - vantage_begin) * num_urls + u] =
-            rng.bernoulli(config_.test_prob) ? 1 : 0;
+      for (std::size_t di = 0; di < num_dests; ++di) {
+        for (const std::int32_t u : urls_by_dest_[di]) {
+          const std::uint64_t key = util::mix64(
+              util::mix64(seed_ ^ 0x5E55u, static_cast<std::uint64_t>(day)),
+              (static_cast<std::uint64_t>(vi) << 32) | static_cast<std::uint32_t>(u));
+          util::Rng rng(key);
+          const std::uint8_t session = rng.bernoulli(config_.test_prob) ? 1 : 0;
+          scheduled[(vi - vantage_begin) * num_urls + static_cast<std::size_t>(u)] = session;
+          has_session[(vi - vantage_begin) * num_dests + di] |= session;
+        }
       }
     }
   };
@@ -325,9 +351,9 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
   // detector false positives) is drawn from a stream keyed on the cell
   // coordinates (epoch, destination, vantage node) rather than from one
   // sequential per-epoch stream, so the draws a measurement sees do not
-  // depend on which other cells the executing shard simulates.  This is
-  // the determinism contract that makes sharded runs bit-identical to
-  // the serial run.
+  // depend on which other cells the executing shard simulates, nor on
+  // which cells it skips.  This is the determinism contract that makes
+  // sharded runs bit-identical to the serial run.
   auto cell_rng = [this](std::int64_t global_epoch, std::size_t di, std::size_t vi,
                          std::size_t node) {
     // Chained mixes, not bit-packing: no coordinate bound can alias two
@@ -379,17 +405,31 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
 
   bgp::RouteTableSet& tables = scratch.tables;
 
+  // A cell computes its node paths, and so its flutter history, only
+  // when its (vantage, destination) has a session that day, or in the
+  // day's last epoch when it has one the next day: that epoch is the
+  // history the next day's first epoch reads.  A node path is a pure
+  // function of the link state, so the skipped cells change nothing a
+  // measurement sees.
+  std::vector<std::uint8_t>& scheduled = scratch.scheduled;
+  std::vector<std::uint8_t>& next_scheduled = scratch.next_scheduled;
+  std::vector<std::uint8_t>& has_session = scratch.has_session;
+  std::vector<std::uint8_t>& next_has_session = scratch.next_has_session;
+  schedule_day(range.day_begin, scheduled, has_session);
+
   // A shard starting mid-year reconstructs its starting state: the link
   // state of the epoch before the shard's first comes from the churn
   // trajectory, and that epoch's routing view primes the flutter
-  // history exactly as the serial run would have left it.  The epoch
-  // loop then steps the link state one epoch's flips at a time.
+  // history of the first day's session cells exactly as the serial run
+  // would have left it.  The epoch loop then steps the link state one
+  // epoch's flips at a time.
   const std::int64_t first_epoch = static_cast<std::int64_t>(range.day_begin) * epochs_per_day;
   churn.link_state_at(std::max<std::int64_t>(first_epoch - 1, 0), link_up);
   if (first_epoch > 0) {
     tables.recompute(computer, dest_ases_, link_up);
-    for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
+    for (std::size_t di = 0; di < num_dests; ++di) {
       for (std::size_t vi = vantage_begin; vi < vantage_end; ++vi) {
+        if (has_session[(vi - vantage_begin) * num_dests + di] == 0) continue;
         for (std::size_t node = 0; node < nodes; ++node) {
           node_path_into(tables.at(di), vantages_[vi], node, link_up, std::nullopt,
                          prev_paths[(vi - vantage_begin) * nodes + node][di]);
@@ -405,14 +445,17 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
 
   for (util::Day day = range.day_begin; day < range.day_end; ++day) {
     sink.on_day_start(day);
-    schedule_day(day);
+    const bool has_next_day = day + 1 < range.day_end;
+    if (has_next_day) schedule_day(day + 1, next_scheduled, next_has_session);
     for (std::int32_t epoch = 0; epoch < config_.epochs_per_day; ++epoch) {
       const std::int64_t global_epoch = static_cast<std::int64_t>(day) * epochs_per_day +
                                         static_cast<std::int64_t>(epoch);
       if (global_epoch > 0) churn.step(global_epoch, link_up);
       tables.recompute(computer, dest_ases_, link_up);
+      // The day's last epoch is the history of the next day's sessions.
+      const bool feeds_next_day = has_next_day && epoch + 1 == config_.epochs_per_day;
 
-      for (std::size_t di = 0; di < dest_ases_.size(); ++di) {
+      for (std::size_t di = 0; di < num_dests; ++di) {
         const AsId dest = dest_ases_[di];
         const std::vector<std::int32_t>& dest_urls = urls_by_dest_[di];
         const bgp::RouteTable& table = tables.at(di);
@@ -422,14 +465,22 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
           // AS-level churn tracking uses the AS's default best path.
           table.path_into(vp, default_path);
           sink.on_path(day, epoch, vp, dest, default_path);
+          const std::size_t cell = (vi - vantage_begin) * num_dests + di;
+          const bool session = has_session[cell] != 0;
+          if (!session && !(feeds_next_day && next_has_session[cell] != 0)) continue;
           const std::uint8_t* vantage_scheduled = &scheduled[(vi - vantage_begin) * num_urls];
 
           for (std::size_t node = 0; node < nodes; ++node) {
             const std::size_t node_index = vi * nodes + node;
             const std::size_t local_node_index = (vi - vantage_begin) * nodes + node;
+            std::vector<AsId>& prev = prev_paths[local_node_index][di];
+            if (!session) {
+              // History only, for the next day's first epoch.
+              node_path_into(table, vp, node, link_up, std::nullopt, prev);
+              continue;
+            }
             util::Rng rng = cell_rng(global_epoch, di, vi, node);
             node_path_into(table, vp, node, link_up, std::nullopt, path);
-            std::vector<AsId>& prev = prev_paths[local_node_index][di];
 
             for (std::size_t ui = 0; ui < dest_urls.size(); ++ui) {
               const std::int32_t url_id = dest_urls[ui];
@@ -476,10 +527,11 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
               } else {
                 tracer.trace_triple_into(*mpath, prev, config_.flutter_prob, rng,
                                          m.traceroutes);
+                const std::array<AsId, kNumAnomalies> censors =
+                    registry_.first_censors_on_path(*mpath, url.category, day);
                 for (const Anomaly a : kAllAnomalies) {
                   const auto ai = static_cast<std::size_t>(a);
-                  const bool censored =
-                      registry_.path_censored(*mpath, url.category, a, day);
+                  const bool censored = censors[ai] != topo::kInvalidAs;
                   m.truth_censored[ai] = censored;
                   m.detected[ai] =
                       censored
@@ -496,6 +548,8 @@ void Platform::run_range(MeasurementSink& sink, const ShardRange& range,
         }
       }
     }
+    scheduled.swap(next_scheduled);
+    has_session.swap(next_has_session);
   }
 }
 

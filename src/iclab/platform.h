@@ -110,6 +110,13 @@ class SinkFanout : public MeasurementSink {
   std::vector<MeasurementSink*> sinks_;
 };
 
+/// URLs per platform and measurement nodes per vantage AS are capped
+/// here: the detector-noise and ECMP flow streams pack a URL id and a
+/// node index into 20-bit fields of their keys, so more ids would alias
+/// two cells onto one stream.  choose_endpoints and Platform throw
+/// std::invalid_argument past it.
+inline constexpr std::int64_t kMaxCellKeyIds = std::int64_t{1} << 20;
+
 struct PlatformConfig {
   /// Number of vantage *ASes*; each hosts `vp_nodes_per_as` measurement
   /// nodes.  Nodes in a multihomed AS exit through different providers
@@ -208,16 +215,19 @@ class Platform {
   /// random draw is made from a stream keyed on the measurement's
   /// schedule coordinates (never on execution order), and a shard
   /// starting mid-year reads its link state from the churn trajectory
-  /// and rebuilds the previous epoch's routing view to reconstruct its
-  /// starting state — so the union of the streams emitted by any
-  /// disjoint tiling of shards is bit-identical to the serial run's
-  /// stream.
-  /// on_day_start fires once per shard per covered day.  The shard
-  /// emits through one reused Measurement whose hop lists, truth path
-  /// and path buffers keep their capacity from record to record, so
-  /// steady-state emission allocates nothing.  The shard builds its own
-  /// routing view of every epoch it covers (plus the priming view), so
-  /// concurrent shards share no mutable state.
+  /// and rebuilds the previous epoch's routing view to prime the
+  /// flutter history of its first day's sessions — so the union of the
+  /// streams emitted by any disjoint tiling of shards is bit-identical
+  /// to the serial run's stream.
+  /// on_day_start fires once per shard per covered day, and on_path
+  /// once per (epoch, destination, vantage).  Node paths are computed
+  /// only for the (vantage, destination) cells with a session that day,
+  /// and in a day's last epoch for those with one the next day.  The
+  /// shard emits through one reused Measurement whose hop lists, truth
+  /// path and path buffers keep their capacity from record to record,
+  /// so steady-state emission allocates nothing.  The shard builds its
+  /// own routing view of every epoch it covers (plus the priming view),
+  /// so concurrent shards share no mutable state.
   void run_shard(MeasurementSink& sink, const ShardRange& range) const;
 
   /// Runs days [day_begin, day_end) on sinks.size() workers; worker w

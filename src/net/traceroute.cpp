@@ -11,6 +11,12 @@ TracerouteEngine::TracerouteEngine(const AddressPlan& plan, const TracerouteConf
   if (config.min_hops_per_as < 1 || config.max_hops_per_as < config.min_hops_per_as) {
     throw std::invalid_argument("TracerouteConfig: bad hops_per_as range");
   }
+  prefix_begin_.reserve(plan.prefixes.size() + 1);
+  prefix_begin_.push_back(0);
+  for (const std::vector<Prefix>& owned : plan.prefixes) {
+    prefixes_.insert(prefixes_.end(), owned.begin(), owned.end());
+    prefix_begin_.push_back(prefixes_.size());
+  }
 }
 
 Ip4 TracerouteEngine::random_address_in(const Prefix& prefix, util::Rng& rng) const {
@@ -22,11 +28,14 @@ Ip4 TracerouteEngine::random_address_in(const Prefix& prefix, util::Rng& rng) co
 }
 
 Ip4 TracerouteEngine::random_address_of_as(topo::AsId as, util::Rng& rng) const {
-  const auto& prefixes = plan_.prefixes.at(static_cast<std::size_t>(as));
-  if (prefixes.empty()) {
-    throw std::logic_error("TracerouteEngine: AS has no prefixes");
+  const auto index = static_cast<std::size_t>(as);  // a negative id wraps past the plan
+  if (index >= prefix_begin_.size() - 1) {
+    throw std::out_of_range("TracerouteEngine: AS outside the address plan");
   }
-  return random_address_in(prefixes[rng.index(prefixes.size())], rng);
+  const std::size_t begin = prefix_begin_[index];
+  const std::size_t count = prefix_begin_[index + 1] - begin;
+  if (count == 0) throw std::logic_error("TracerouteEngine: AS has no prefixes");
+  return random_address_in(prefixes_[begin + rng.index(count)], rng);
 }
 
 void TracerouteEngine::trace_into(const std::vector<topo::AsId>& as_path, util::Rng& rng,

@@ -60,6 +60,9 @@ struct TracerouteConfig {
 
 class TracerouteEngine {
  public:
+  /// Flattens the plan's per-AS prefix lists into one table.  Rendering
+  /// a path throws std::out_of_range for an AS outside the plan and
+  /// std::logic_error for an AS that owns no prefix.
   TracerouteEngine(const AddressPlan& plan, const TracerouteConfig& config);
 
   /// Renders one traceroute along the AS-level path (vantage first)
@@ -103,6 +106,10 @@ class TracerouteEngine {
 
   const AddressPlan& plan_;
   TracerouteConfig config_;
+  /// Every AS's prefixes, flattened in AS order: AS `as` owns
+  /// prefixes_[prefix_begin_[as], prefix_begin_[as + 1]).
+  std::vector<Prefix> prefixes_;
+  std::vector<std::size_t> prefix_begin_;
 };
 
 /// Why a measurement's paths were discarded during clause formulation.

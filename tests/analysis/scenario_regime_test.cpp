@@ -11,6 +11,7 @@
 // baseline byte for byte is dead wiring, not a scenario.
 #include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "analysis/monitor.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
+#include "../support/fuzz_seed.h"
 #include "reference_experiment.h"
 #include "sat/backend.h"
 #include "shard_scenario.h"
@@ -120,6 +122,72 @@ TEST(ScenarioRegime, AdaptivePlacementsRespectThePeriodKnob) {
     if (p.active_to == censor::kPolicyNoExpiry) any_open = true;
   }
   EXPECT_TRUE(any_open);
+}
+
+TEST(CensorRegistry, FirstCensorsMatchPerAnomalyQueries) {
+  // The one-walk query against the per-anomaly walk on the registries of
+  // every regime: ingress predicates (routing), path dither (pathdiv)
+  // and policy switches (adaptive re-placements, mid-year changes) all
+  // occur.  Paths mix censors, their filtered ingresses, other ASes and
+  // ids outside [0, num_ases).
+  const std::uint64_t seed = ct::test::fuzz_seed(20171019);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  std::int64_t ingress_policies = 0, dithered_policies = 0, switching_policies = 0;
+  for (const ScenarioRegime regime : censor::all_regimes()) {
+    SCOPED_TRACE(censor::to_string(regime));
+    ScenarioConfig config = small_scenario();
+    config.censors.num_censors = 16;
+    config.regime.regime = regime;
+    const Scenario scenario(config);
+    const censor::CensorRegistry& registry = scenario.registry();
+    const topo::AsId num_ases = scenario.graph().num_ases();
+    const std::vector<topo::AsId> censors = registry.censor_ases();
+    std::vector<topo::AsId> ingresses;
+    for (const censor::CensorPolicy& p : registry.policies()) {
+      ingresses.insert(ingresses.end(), p.ingress_ases.begin(), p.ingress_ases.end());
+      ingress_policies += p.ingress_ases.empty() ? 0 : 1;
+      dithered_policies += p.path_fraction < 1.0 ? 1 : 0;
+      switching_policies += p.active_from > 0 || p.active_to != censor::kPolicyNoExpiry;
+    }
+    ASSERT_FALSE(censors.empty());
+
+    std::int64_t censored = 0;
+    std::vector<topo::AsId> path;
+    for (int trial = 0; trial < 4000; ++trial) {
+      path.clear();
+      const auto length = rng.uniform_int(0, 8);
+      for (std::int64_t i = 0; i < length; ++i) {
+        const double u = rng.uniform();
+        if (u < 0.35) {
+          path.push_back(rng.pick(censors));
+        } else if (u < 0.6 && !ingresses.empty()) {
+          path.push_back(rng.pick(ingresses));
+        } else if (u < 0.9) {
+          path.push_back(static_cast<topo::AsId>(rng.uniform_int(0, num_ases - 1)));
+        } else {
+          path.push_back(static_cast<topo::AsId>(
+              rng.bernoulli(0.5) ? rng.uniform_int(-3, -1)
+                                 : rng.uniform_int(num_ases, num_ases + 3)));
+        }
+      }
+      const auto category =
+          static_cast<censor::UrlCategory>(rng.index(censor::kNumCategories));
+      const auto day = static_cast<util::Day>(rng.uniform_int(0, 2 * util::kDaysPerYear));
+      const std::array<topo::AsId, censor::kNumAnomalies> first =
+          registry.first_censors_on_path(path, category, day);
+      for (const censor::Anomaly a : censor::kAllAnomalies) {
+        const topo::AsId expected = registry.first_censor_on_path(path, category, a, day);
+        ASSERT_EQ(first[static_cast<std::size_t>(a)], expected)
+            << "trial " << trial << ", anomaly " << censor::to_string(a);
+        censored += expected != topo::kInvalidAs ? 1 : 0;
+      }
+    }
+    EXPECT_GT(censored, 100);
+  }
+  EXPECT_GT(ingress_policies, 0);
+  EXPECT_GT(dithered_policies, 0);
+  EXPECT_GT(switching_policies, 0);
 }
 
 }  // namespace

@@ -164,6 +164,29 @@ TEST(Platform, RejectsInconsistentEndpoints) {
   }
 }
 
+TEST(Platform, RefusesCellKeysThatCouldAlias) {
+  // The detector-noise stream packs a URL id, and the ECMP flow hash a
+  // node index, into 20 bits; one id more would put two cells on one
+  // stream.  The refusal comes from the configuration alone, before any
+  // URL is built.
+  TestWorld w;
+  const auto too_many = static_cast<std::int32_t>(kMaxCellKeyIds + 1);
+  for (const bool urls : {true, false}) {
+    PlatformConfig bad = w.config;
+    (urls ? bad.num_urls : bad.vp_nodes_per_as) = too_many;
+    const std::string what = urls ? "URLs" : "nodes per AS";
+    EXPECT_THROW(choose_endpoints(w.graph, bad, 9), std::invalid_argument) << what;
+    EXPECT_THROW(Platform(w.graph, w.registry, w.plan, bad, 9), std::invalid_argument) << what;
+  }
+  PlatformConfig bad = w.config;
+  bad.vp_nodes_per_as = too_many;
+  EXPECT_THROW(Platform(w.graph, w.registry, w.plan, bad, 9, choose_endpoints(w.graph, w.config, 9)),
+               std::invalid_argument);
+  PlatformConfig widest = w.config;
+  widest.vp_nodes_per_as = static_cast<std::int32_t>(kMaxCellKeyIds);
+  EXPECT_NO_THROW(Platform(w.graph, w.registry, w.plan, widest, 9));
+}
+
 TEST(Platform, RunIsDeterministic) {
   TestWorld w;
   Platform p1(w.graph, w.registry, w.plan, w.config, 9);
@@ -278,6 +301,57 @@ TEST(Platform, StreamDigestIsPinned) {
       EXPECT_GT(serial.unreachable, 0) << label;
       EXPECT_GT(serial.reachable, serial.unreachable) << label;
     }
+  }
+}
+
+TEST(Platform, FlutterHistoryDigestIsPinned) {
+  // With flutter_prob 1.0 every triple whose node path changed since the
+  // previous epoch renders one traceroute along that previous path, so
+  // the digests pin the flutter history every measurement reads: carried
+  // within a day, across days and primed by a range starting mid-run.
+  // A sparse schedule leaves most (vantage, destination) cells without a
+  // session on a given day, so a history those cells fail to keep, or
+  // keep stale, shows.  Three layouts: the serial run, one run_shard per
+  // day (each day primed; it emits the serial stream in serial order),
+  // and a 2 x 3 day x vantage grid fed through run_shard in plan order.
+  struct Expected {
+    bool heavy_churn;
+    std::uint64_t serial;
+    std::uint64_t grid;
+  };
+  // Recorded by running this case on the kernel that computed and primed
+  // every cell's node path, before cells without a session were skipped;
+  // never edit these to make a change pass.
+  const Expected cases[] = {
+      {false, 0x9f7ca059629d8639ULL, 0x757571d7f3fee9ddULL},
+      {true, 0x10b9620331d9f8a1ULL, 0x3fb9082d2938d8c1ULL},
+  };
+  for (const Expected& expected : cases) {
+    TestWorld w;
+    w.config.flutter_prob = 1.0;
+    w.config.test_prob = 0.2;
+    w.config.epochs_per_day = 3;
+    if (expected.heavy_churn) {
+      w.config.churn.stable_fail_prob = 0.1;
+      w.config.churn.repair_prob = 0.5;
+    }
+    Platform platform(w.graph, w.registry, w.plan, w.config, 9);
+    DigestSink serial;
+    platform.run(serial);
+    DigestSink daily;
+    for (util::Day day = 0; day < w.config.num_days; ++day) {
+      platform.run_shard(daily, ShardRange{day, day + 1, 0, w.config.num_vantages});
+    }
+    DigestSink grid;
+    for (const ShardRange& range : plan_shard_grid(w.config.num_days, w.config.num_vantages,
+                                                   2, 3)) {
+      platform.run_shard(grid, range);
+    }
+    const std::string label =
+        std::string("churn ") + (expected.heavy_churn ? "heavy" : "default");
+    EXPECT_EQ(serial.digest, expected.serial) << label;
+    EXPECT_EQ(daily.digest, expected.serial) << label;
+    EXPECT_EQ(grid.digest, expected.grid) << label;
   }
 }
 

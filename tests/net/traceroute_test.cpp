@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "topo/generator.h"
 
@@ -54,6 +55,28 @@ TEST(TracerouteEngine, EmptyPathErrors) {
   TracerouteEngine engine(net.plan, noiseless());
   util::Rng rng(1);
   EXPECT_TRUE(engine.trace({}, rng).error);
+}
+
+TEST(TracerouteEngine, RejectsAsOutsideThePlan) {
+  // Every hop of a non-vantage AS, and the destination's final hop, is
+  // drawn from that AS's prefixes: an AS id past either end of the plan
+  // is out of range, and an AS that owns no prefix is a logic error.
+  MiniNet net;
+  net.plan.prefixes.emplace_back();  // AS 4 owns nothing
+  const TracerouteEngine engine(net.plan, noiseless());
+  for (const topo::AsId as : {-1, -7, 5, 1000}) {
+    util::Rng rng(3);
+    EXPECT_THROW(engine.trace({0, as}, rng), std::out_of_range) << "AS " << as;
+  }
+  util::Rng rng(3);
+  try {
+    engine.trace({0, 4}, rng);
+    ADD_FAILURE() << "an AS without prefixes rendered a hop";
+  } catch (const std::out_of_range&) {
+    ADD_FAILURE() << "an AS inside the plan was refused as out of range";
+  } catch (const std::logic_error&) {
+  }
+  EXPECT_FALSE(engine.trace({0, 3}, rng).error);
 }
 
 TEST(TracerouteEngine, NoiselessTraceInfersTailPath) {
