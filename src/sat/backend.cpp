@@ -76,36 +76,33 @@ const SolverStats& SolverBackend::solver_stats() const {
 // --- CdclBackend -----------------------------------------------------
 
 void CdclBackend::load(const Cnf& cnf) {
-  solver_ = std::make_unique<Solver>(config_);
-  solver_->set_stop_flag(stop_);
-  solver_->set_conflict_budget(conflict_budget_);
-  solver_->add_cnf(cnf);  // a false return leaves the solver inconsistent,
-                          // which every query handles via kUnsat
+  solver_.reset(config_);
+  solver_.set_stop_flag(stop_);
+  solver_.set_conflict_budget(conflict_budget_);
+  solver_.add_cnf(cnf);  // a false return leaves the solver inconsistent,
+                         // which every query handles via kUnsat
 }
 
 SolveResult CdclBackend::solve(std::span<const Lit> assumptions) {
-  return solver_->solve(assumptions);
+  return solver_.solve(assumptions);
 }
 
-Var CdclBackend::new_var() { return solver_->new_var(); }
+Var CdclBackend::new_var() { return solver_.new_var(); }
 
-LBool CdclBackend::model_value(Var v) const { return solver_->model_value(v); }
+LBool CdclBackend::model_value(Var v) const { return solver_.model_value(v); }
 
-bool CdclBackend::add_clause(std::span<const Lit> lits) { return solver_->add_clause(lits); }
+bool CdclBackend::add_clause(std::span<const Lit> lits) { return solver_.add_clause(lits); }
 
-const SolverStats& CdclBackend::solver_stats() const {
-  static const SolverStats kUnloaded{};
-  return solver_ ? solver_->stats() : kUnloaded;
-}
+const SolverStats& CdclBackend::solver_stats() const { return solver_.stats(); }
 
 void CdclBackend::set_stop_flag(const std::atomic<bool>* stop) {
   stop_ = stop;
-  if (solver_) solver_->set_stop_flag(stop);
+  solver_.set_stop_flag(stop);
 }
 
 void CdclBackend::set_conflict_budget(std::uint64_t max_conflicts) {
   conflict_budget_ = max_conflicts;
-  if (solver_) solver_->set_conflict_budget(max_conflicts);
+  solver_.set_conflict_budget(max_conflicts);
 }
 
 // --- CountingBackend -------------------------------------------------
@@ -124,10 +121,10 @@ std::optional<std::uint64_t> CountingBackend::exact_count() {
 // --- UnitPropBackend -------------------------------------------------
 
 void UnitPropBackend::load(const Cnf& cnf) {
-  outcome_.reset();
-
-  std::vector<LBool> values(static_cast<std::size_t>(cnf.num_vars), LBool::kUndef);
-  std::vector<std::uint8_t> satisfied(cnf.clauses.size(), 0);
+  decided_ = false;
+  std::vector<LBool>& values = outcome_.values;
+  values.assign(static_cast<std::size_t>(cnf.num_vars), LBool::kUndef);
+  satisfied_.assign(cnf.clauses.size(), 0);
   std::size_t open = cnf.clauses.size();
   bool conflict = false;
 
@@ -139,7 +136,7 @@ void UnitPropBackend::load(const Cnf& cnf) {
   while (changed && !conflict) {
     changed = false;
     for (std::size_t i = 0; i < cnf.clauses.size() && !conflict; ++i) {
-      if (satisfied[i]) continue;
+      if (satisfied_[i]) continue;
       std::int32_t undef = 0;
       Lit last = kUndefLit;
       bool sat = false;
@@ -154,7 +151,7 @@ void UnitPropBackend::load(const Cnf& cnf) {
         }
       }
       if (sat) {
-        satisfied[i] = 1;
+        satisfied_[i] = 1;
         --open;
         changed = true;
       } else if (undef == 0) {
@@ -162,7 +159,7 @@ void UnitPropBackend::load(const Cnf& cnf) {
       } else if (undef == 1) {
         values[static_cast<std::size_t>(last.var())] =
             last.negated() ? LBool::kFalse : LBool::kTrue;
-        satisfied[i] = 1;  // satisfied by the forced assignment
+        satisfied_[i] = 1;  // satisfied by the forced assignment
         --open;
         changed = true;
       }
@@ -170,17 +167,19 @@ void UnitPropBackend::load(const Cnf& cnf) {
   }
 
   if (conflict) {
-    outcome_ = Presolve{};  // class 0, no values
+    outcome_.solution_class = 0;  // class 0, no values
+    outcome_.values.clear();
+    outcome_.free_vars = 0;
+    decided_ = true;
     return;
   }
   if (open == 0) {
-    Presolve p;
-    for (const LBool v : values) p.free_vars += v == LBool::kUndef ? 1 : 0;
-    p.solution_class = p.free_vars > 0 ? 2 : 1;
-    p.values = std::move(values);
-    outcome_ = std::move(p);
+    outcome_.free_vars = 0;
+    for (const LBool v : values) outcome_.free_vars += v == LBool::kUndef ? 1 : 0;
+    outcome_.solution_class = outcome_.free_vars > 0 ? 2 : 1;
+    decided_ = true;
   }
-  // else: undecided — presolve() returns nullopt and the session
+  // else: undecided — presolve() returns nullptr and the session
   // escalates.
 }
 

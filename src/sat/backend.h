@@ -98,9 +98,11 @@ class SolverBackend {
   /// presolve() cannot decide the CNF instead of calling search ops.
   virtual bool supports_search() const { return true; }
 
-  /// Attempts to decide the loaded CNF without search; nullopt means
+  /// Attempts to decide the loaded CNF without search; nullptr means
   /// the backend needs search (or, if !supports_search(), escalation).
-  virtual std::optional<Presolve> presolve() { return std::nullopt; }
+  /// The outcome is owned by the backend and valid until its next
+  /// load().
+  virtual const Presolve* presolve() const { return nullptr; }
 
   /// Exact model count over all CNF variables (saturated at
   /// kCountCap), when the backend can produce one without enumerating
@@ -120,9 +122,9 @@ class SolverBackend {
 class CdclBackend : public SolverBackend {
  public:
   CdclBackend() = default;
-  /// Diversified instance: every Solver this backend builds uses
-  /// `config` (restart/polarity/decay seeds — the portfolio members).
-  explicit CdclBackend(const SolverConfig& config) : config_(config) {}
+  /// Diversified instance: every load() resets the solver to `config`
+  /// (restart/polarity/decay seeds — the portfolio members).
+  explicit CdclBackend(const SolverConfig& config) : config_(config), solver_(config) {}
 
   BackendKind kind() const override { return BackendKind::kCdcl; }
   void load(const Cnf& cnf) override;
@@ -145,7 +147,10 @@ class CdclBackend : public SolverBackend {
   SolverConfig config_;
   const std::atomic<bool>* stop_ = nullptr;
   std::uint64_t conflict_budget_ = 0;
-  std::unique_ptr<Solver> solver_;  // rebuilt per load; Solver is not movable
+  // One solver for every load: load() resets it in place (logically
+  // fresh, every buffer's capacity kept) and re-applies stop_ and
+  // conflict_budget_.
+  Solver solver_;
 };
 
 /// CDCL for model queries + ModelCounter for exact counts: capped
@@ -167,7 +172,7 @@ class CountingBackend final : public CdclBackend {
 /// Presolve-only unit-propagation fast path.  load() propagates units
 /// to fixpoint; if that conflicts (UNSAT) or satisfies every clause
 /// (model set = forced values x free variables), presolve() returns
-/// the decided outcome, else nullopt — the session escalates to the
+/// the decided outcome, else nullptr — the session escalates to the
 /// plan's fallback backend.  Search ops are never called (the base
 /// class throws).
 class UnitPropBackend final : public SolverBackend {
@@ -175,10 +180,14 @@ class UnitPropBackend final : public SolverBackend {
   BackendKind kind() const override { return BackendKind::kUnitProp; }
   bool supports_search() const override { return false; }
   void load(const Cnf& cnf) override;
-  std::optional<Presolve> presolve() override { return outcome_; }
+  const Presolve* presolve() const override { return decided_ ? &outcome_ : nullptr; }
 
  private:
-  std::optional<Presolve> outcome_;
+  // Reused across loads: outcome_.values doubles as the propagation's
+  // assignment, so a load allocates nothing once the buffers have grown.
+  Presolve outcome_;
+  bool decided_ = false;
+  std::vector<std::uint8_t> satisfied_;
 };
 
 std::unique_ptr<SolverBackend> make_backend(BackendKind kind);

@@ -26,11 +26,18 @@ Cnf read_dimacs(std::istream& in) {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == 'c') continue;
     if (line[0] == 'p') {
+      // One problem line only: a second one could shrink num_vars below
+      // literals already parsed.
+      if (have_header) throw std::runtime_error("read_dimacs: second problem line: " + line);
       std::istringstream hs(line);
       std::string p, fmt;
       hs >> p >> fmt >> cnf.num_vars >> declared_clauses;
       if (!hs || fmt != "cnf" || cnf.num_vars < 0 || declared_clauses < 0) {
         throw std::runtime_error("read_dimacs: malformed problem line: " + line);
+      }
+      if (cnf.num_vars > kMaxVars) {
+        throw std::runtime_error("read_dimacs: more variables than a literal can encode: " +
+                                 line);
       }
       have_header = true;
       continue;

@@ -16,7 +16,8 @@ void write_dimacs(std::ostream& out, const Cnf& cnf,
                   const std::vector<std::string>& comments = {});
 
 /// Parses a DIMACS CNF.  Throws std::runtime_error on malformed input
-/// (missing problem line, literal out of range, unterminated clause).
+/// (missing or repeated problem line, more than kMaxVars variables,
+/// literal out of range, unterminated clause).
 Cnf read_dimacs(std::istream& in);
 
 /// Convenience round-trip helpers on strings.

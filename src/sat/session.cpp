@@ -10,6 +10,19 @@ namespace {
 
 std::size_t idx(BackendKind kind) { return static_cast<std::size_t>(kind); }
 
+/// Splits variables [0, num_vars) into out.potential_true (where
+/// `is_true`) and out.always_false, allocating each list once.
+template <class IsTrue>
+void split_vars(std::int32_t num_vars, IsTrue is_true, PotentialTrueResult& out) {
+  std::size_t trues = 0;
+  for (Var v = 0; v < num_vars; ++v) trues += is_true(v) ? 1 : 0;
+  out.potential_true.reserve(trues);
+  out.always_false.reserve(static_cast<std::size_t>(num_vars) - trues);
+  for (Var v = 0; v < num_vars; ++v) {
+    (is_true(v) ? out.potential_true : out.always_false).push_back(v);
+  }
+}
+
 }  // namespace
 
 void SolverSession::load(const Cnf& cnf) { load(cnf, BackendPlan{}); }
@@ -17,7 +30,8 @@ void SolverSession::load(const Cnf& cnf) { load(cnf, BackendPlan{}); }
 void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
   cnf_vars_ = cnf.num_vars;
   activation_ = kUndefVar;
-  models_.clear();
+  model_lits_.clear();
+  num_models_ = 0;
   exhausted_ = false;
   ++stats_.cnf_loads;
   stats_.fresh_clauses += cnf.clauses.size();
@@ -60,17 +74,16 @@ SolveResult SolverSession::solve(std::span<const Lit> assumptions) {
   return result;
 }
 
-std::vector<Lit> SolverSession::read_model() const {
-  std::vector<Lit> model;
-  model.reserve(static_cast<std::size_t>(cnf_vars_));
+void SolverSession::read_model() {
   for (Var v = 0; v < cnf_vars_; ++v) {
-    model.emplace_back(v, backend_->model_value(v) != LBool::kTrue);
+    model_lits_.emplace_back(v, backend_->model_value(v) != LBool::kTrue);
   }
-  return model;
+  ++num_models_;
+  ++stats_.models_found;
 }
 
 void SolverSession::ensure_models(std::uint64_t want) {
-  while (!exhausted_ && models_.size() < want) {
+  while (!exhausted_ && num_models_ < want) {
     if (activation_ == kUndefVar) activation_ = backend_->new_var();
     const Lit guard(activation_, /*negated=*/false);
     const std::array<Lit, 1> guard_assumption{guard};
@@ -78,14 +91,11 @@ void SolverSession::ensure_models(std::uint64_t want) {
       exhausted_ = true;
       break;
     }
-    std::vector<Lit> model = read_model();
-    std::vector<Lit> block;
-    block.reserve(model.size() + 1);
-    block.push_back(~guard);
-    for (const Lit l : model) block.push_back(~l);
-    models_.push_back(std::move(model));
-    ++stats_.models_found;
-    if (!backend_->add_clause(block)) {
+    read_model();
+    block_.clear();
+    block_.push_back(~guard);
+    for (const Lit l : model(num_models_ - 1)) block_.push_back(~l);
+    if (!backend_->add_clause(block_)) {
       exhausted_ = true;  // blocking clause revealed level-0 UNSAT
       break;
     }
@@ -102,7 +112,7 @@ std::uint64_t SolverSession::count_models_capped(std::uint64_t cap) {
                                                       : 1ULL << p.free_vars;
     return std::min(total, want);
   }
-  if (!exhausted_ && models_.size() < want) {
+  if (!exhausted_ && num_models_ < want) {
     // A counting backend answers without enumerating.
     if (const auto exact = backend_->exact_count()) {
       if (*exact == 0) exhausted_ = true;
@@ -110,7 +120,7 @@ std::uint64_t SolverSession::count_models_capped(std::uint64_t cap) {
     }
   }
   ensure_models(want);
-  return std::min<std::uint64_t>(models_.size(), want);
+  return std::min<std::uint64_t>(num_models_, want);
 }
 
 SolutionClassification SolverSession::classify() {
@@ -120,20 +130,19 @@ SolutionClassification SolverSession::classify() {
     // forced values are that model.
     out.solution_class = presolve_->solution_class;
     if (out.solution_class == 1) {
-      if (models_.empty()) {
-        std::vector<Lit> model;
-        model.reserve(presolve_->values.size());
+      if (num_models_ == 0) {
         for (Var v = 0; v < cnf_vars_; ++v) {
-          model.emplace_back(v, presolve_->values[static_cast<std::size_t>(v)] != LBool::kTrue);
+          model_lits_.emplace_back(
+              v, presolve_->values[static_cast<std::size_t>(v)] != LBool::kTrue);
         }
-        models_.push_back(std::move(model));
+        ++num_models_;
         ++stats_.models_found;
       }
-      out.unique_model = models_.front();
+      out.unique_model.emplace(model(0).begin(), model(0).end());
     }
     return out;
   }
-  if (models_.empty() && !exhausted_) {
+  if (num_models_ == 0 && !exhausted_) {
     if (const auto exact = backend_->exact_count()) {
       out.solution_class = static_cast<int>(std::min<std::uint64_t>(*exact, 2));
       if (*exact == 0) {
@@ -142,18 +151,17 @@ SolutionClassification SolverSession::classify() {
         // One solve extracts the unique model; the count proves there
         // is nothing to block, so the enumeration is already complete.
         if (solve({}) == SolveResult::kSat) {
-          models_.push_back(read_model());
-          ++stats_.models_found;
+          read_model();
           exhausted_ = true;
-          out.unique_model = models_.front();
+          out.unique_model.emplace(model(0).begin(), model(0).end());
         }
       }
       return out;
     }
   }
   ensure_models(2);
-  out.solution_class = static_cast<int>(std::min<std::size_t>(models_.size(), 2));
-  if (out.solution_class == 1) out.unique_model = models_.front();
+  out.solution_class = static_cast<int>(std::min<std::size_t>(num_models_, 2));
+  if (out.solution_class == 1) out.unique_model.emplace(model(0).begin(), model(0).end());
   return out;
 }
 
@@ -165,19 +173,16 @@ PotentialTrueResult SolverSession::potential_true_vars() {
     if (p.solution_class == 0) return out;
     out.satisfiable = true;
     // A variable is True in some model iff it is forced True or free.
-    for (Var v = 0; v < cnf_vars_; ++v) {
-      if (p.values[static_cast<std::size_t>(v)] == LBool::kFalse) {
-        out.always_false.push_back(v);
-      } else {
-        out.potential_true.push_back(v);
-      }
-    }
+    split_vars(
+        cnf_vars_,
+        [&](Var v) { return p.values[static_cast<std::size_t>(v)] != LBool::kFalse; }, out);
     return out;
   }
 
-  if (exhausted_ && models_.empty()) return out;
+  if (exhausted_ && num_models_ == 0) return out;
 
-  std::vector<std::uint8_t> known_true(static_cast<std::size_t>(cnf_vars_), 0);
+  std::vector<std::uint8_t>& known_true = known_true_;
+  known_true.assign(static_cast<std::size_t>(cnf_vars_), 0);
   const auto harvest = [&] {
     for (Var v = 0; v < cnf_vars_; ++v) {
       if (backend_->model_value(v) == LBool::kTrue) {
@@ -186,14 +191,12 @@ PotentialTrueResult SolverSession::potential_true_vars() {
     }
   };
 
-  if (!models_.empty()) {
+  if (num_models_ != 0) {
     // Cached models are genuine models of the CNF; seed from them and
     // skip the base solve (the common path after classify() on
     // class-2 CNFs).
-    for (const auto& model : models_) {
-      for (const Lit l : model) {
-        if (!l.negated()) known_true[static_cast<std::size_t>(l.var())] = 1;
-      }
+    for (const Lit l : model_lits_) {
+      if (!l.negated()) known_true[static_cast<std::size_t>(l.var())] = 1;
     }
   } else {
     // The base solve doubles as the seed model.  Blocking clauses do
@@ -215,13 +218,8 @@ PotentialTrueResult SolverSession::potential_true_vars() {
     if (solve(assumption) == SolveResult::kSat) harvest();
   }
 
-  for (Var v = 0; v < cnf_vars_; ++v) {
-    if (known_true[static_cast<std::size_t>(v)]) {
-      out.potential_true.push_back(v);
-    } else {
-      out.always_false.push_back(v);
-    }
-  }
+  split_vars(
+      cnf_vars_, [&](Var v) { return known_true[static_cast<std::size_t>(v)] != 0; }, out);
   return out;
 }
 

@@ -34,11 +34,16 @@
 // query returns exactly what the CDCL path would have — the
 // cross-backend suites enforce it.
 //
-// Every CNF gets exactly one fresh load(): no solver state carries over
-// from one CNF to the next, matching the paper's per-(URL, anomaly,
-// window) solve.  A session is single-threaded; for batch parallelism,
-// give each worker its own session and reuse it across CNFs via load()
-// (the "session arena" pattern in tomo::analyze_cnfs).
+// Every CNF gets exactly one load(), and a loaded backend is logically
+// fresh: no solver state (clauses, activities, phases, stats) carries
+// over from one CNF to the next, matching the paper's per-(URL,
+// anomaly, window) solve.  What does carry over is capacity: each
+// backend resets its one solver in place, and the session keeps its
+// model, blocking-clause and harvest buffers, so a worker that reuses
+// its session across CNFs via load() (the "session arena" pattern in
+// tomo::analyze_cnfs) stops allocating once it has seen its largest
+// CNF.  A session is single-threaded; for batch parallelism, give each
+// worker its own session.
 // stats().cnf_loads counts load() calls across the arena's lifetime,
 // which is how tests assert the one-load-per-verdict property.
 #pragma once
@@ -47,6 +52,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sat/backend.h"
@@ -112,7 +118,7 @@ class SolverSession {
   /// fallback, after an escalation).
   BackendKind active_backend() const { return backend_->kind(); }
   /// True when a presolve decided the CNF and no search will run.
-  bool presolved() const { return presolve_.has_value(); }
+  bool presolved() const { return presolve_ != nullptr; }
 
   /// Cheap 0 / 1 / 2+ classification (at most two models enumerated).
   SolutionClassification classify();
@@ -138,18 +144,30 @@ class SolverSession {
   /// Grows the model cache to >= want models or exhaustion (search
   /// backends only).
   void ensure_models(std::uint64_t want);
-  /// The backend's current model over every CNF variable.
-  std::vector<Lit> read_model() const;
+  /// Appends the backend's current model over every CNF variable to
+  /// the model cache.
+  void read_model();
+  /// Model `i` of the cache, one literal per CNF variable.
+  std::span<const Lit> model(std::size_t i) const {
+    const auto width = static_cast<std::size_t>(cnf_vars_);
+    return std::span<const Lit>(model_lits_).subspan(i * width, width);
+  }
 
   // One lazily created instance per backend kind, reused across load()
-  // calls (each backend's load() rebuilds its own solver state).
+  // calls (each backend's load() resets its own solver state).
   std::array<std::unique_ptr<SolverBackend>, kNumBackendKinds> backends_;
   SolverBackend* backend_ = nullptr;     // active backend, points into backends_
-  std::optional<Presolve> presolve_;     // engaged: queries bypass search
+  const Presolve* presolve_ = nullptr;   // owned by backend_; set: queries bypass search
   std::int32_t cnf_vars_ = 0;
   Var activation_ = kUndefVar;           // guard for the blocking clauses
-  std::vector<std::vector<Lit>> models_;  // discovery order, every CNF variable
-  bool exhausted_ = false;                // no models beyond models_
+  // The model cache, in discovery order: model i is
+  // model_lits_[i * cnf_vars_, (i + 1) * cnf_vars_).
+  std::vector<Lit> model_lits_;
+  std::size_t num_models_ = 0;
+  bool exhausted_ = false;                // no models beyond the cache
+  // Per-load scratch, kept across loads for its capacity.
+  std::vector<Lit> block_;                // ensure_models' blocking clause
+  std::vector<std::uint8_t> known_true_;  // potential_true_vars' harvest
   SessionStats stats_;
 };
 

@@ -3,23 +3,38 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace ct::sat {
 
-Solver::Solver() = default;
-
-Solver::Solver(const SolverConfig& config) : config_(config) {}
+void Solver::reset(const SolverConfig& config) {
+  // reset() clears exactly the buffers all() names: a vector added to
+  // Buffers but not to all() would survive a reset, and fails here.
+  static_assert(sizeof(Buffers) ==
+                std::tuple_size_v<decltype(std::declval<Buffers&>().all())> *
+                    sizeof(std::vector<char>));
+  st_ = State{};
+  st_.config = config;
+  std::apply([](auto&... buffer) { (buffer.clear(), ...); }, buf_.all());
+}
 
 Var Solver::new_var() {
-  const Var v = static_cast<Var>(assigns_.size());
-  assigns_.push_back(LBool::kUndef);
-  var_info_.push_back(VarInfo{});
-  polarity_.push_back(config_.init_polarity ? 1 : 0);
-  activity_.push_back(0.0);
-  heap_pos_.push_back(-1);
-  seen_.push_back(0);
-  watches_.emplace_back();  // positive literal
-  watches_.emplace_back();  // negative literal
+  const Var v = static_cast<Var>(buf_.assigns.size());
+  buf_.assigns.push_back(LBool::kUndef);
+  buf_.var_info.push_back(VarInfo{});
+  buf_.polarity.push_back(st_.config.init_polarity ? 1 : 0);
+  buf_.activity.push_back(0.0);
+  buf_.heap_pos.push_back(-1);
+  buf_.seen.push_back(0);
+  const auto code = static_cast<std::size_t>(Lit(v, false).code());
+  if (watches_.size() > code) {
+    // Slots an earlier CNF left behind (see reset()): reuse them.
+    watches_[code].clear();
+    watches_[code + 1].clear();
+  } else {
+    watches_.emplace_back();  // positive literal
+    watches_.emplace_back();  // negative literal
+  }
   heap_insert(v);
   return v;
 }
@@ -33,19 +48,20 @@ bool Solver::add_cnf(const Cnf& cnf) {
   for (const auto& clause : cnf.clauses) {
     if (!add_clause(clause)) return false;
   }
-  return ok_;
+  return st_.ok;
 }
 
 bool Solver::add_clause(std::span<const Lit> lits) {
-  if (!ok_) return false;
+  if (!st_.ok) return false;
   cancel_until(0);
 
-  std::vector<Lit> cl(lits.begin(), lits.end());
+  auto& cl = buf_.add_scratch;
+  cl.assign(lits.begin(), lits.end());
   std::sort(cl.begin(), cl.end());
   // Dedupe; detect tautology; drop level-0 false literals; detect
-  // level-0 satisfied clauses.
-  std::vector<Lit> out;
-  out.reserve(cl.size());
+  // level-0 satisfied clauses.  Kept literals are compacted to the
+  // front of `cl` (the write index never passes the read index).
+  std::size_t kept = 0;
   Lit prev = kUndefLit;
   for (const Lit l : cl) {
     assert(l.var() >= 0 && l.var() < num_vars());
@@ -56,50 +72,53 @@ bool Solver::add_clause(std::span<const Lit> lits) {
       prev = l;
       continue;  // falsified at level 0: drop literal
     }
-    out.push_back(l);
+    cl[kept++] = l;
     prev = l;
   }
 
-  if (out.empty()) {
-    ok_ = false;
+  if (kept == 0) {
+    st_.ok = false;
     return false;
   }
-  if (out.size() == 1) {
-    if (!enqueue(out[0], kNoReason)) {
-      ok_ = false;
+  if (kept == 1) {
+    if (!enqueue(cl[0], kNoReason)) {
+      st_.ok = false;
       return false;
     }
     if (propagate() != kNoReason) {
-      ok_ = false;
+      st_.ok = false;
       return false;
     }
     return true;
   }
-  const ClauseRef cref = alloc_clause(std::move(out), /*learnt=*/false);
-  problem_clauses_.push_back(cref);
+  const ClauseRef cref = alloc_clause(std::span<const Lit>(cl.data(), kept), /*learnt=*/false);
+  buf_.problem_clauses.push_back(cref);
   attach_clause(cref);
   return true;
 }
 
-Solver::ClauseRef Solver::alloc_clause(std::vector<Lit> lits, bool learnt) {
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt) {
   Clause c;
-  c.lits = std::move(lits);
+  c.begin = static_cast<std::uint32_t>(buf_.lits.size());
+  c.size = static_cast<std::uint32_t>(lits.size());
   c.learnt = learnt;
-  clauses_.push_back(std::move(c));
-  return static_cast<ClauseRef>(clauses_.size()) - 1;
+  buf_.lits.insert(buf_.lits.end(), lits.begin(), lits.end());
+  buf_.clauses.push_back(c);
+  return static_cast<ClauseRef>(buf_.clauses.size()) - 1;
 }
 
 void Solver::attach_clause(ClauseRef cref) {
-  const auto& c = clauses_[static_cast<std::size_t>(cref)];
-  assert(c.lits.size() >= 2);
-  watches_[static_cast<std::size_t>(c.lits[0].code())].push_back({cref, c.lits[1]});
-  watches_[static_cast<std::size_t>(c.lits[1].code())].push_back({cref, c.lits[0]});
+  const auto& c = buf_.clauses[static_cast<std::size_t>(cref)];
+  assert(c.size >= 2);
+  const Lit* lits = lits_of(c);
+  watches_[static_cast<std::size_t>(lits[0].code())].push_back({cref, lits[1]});
+  watches_[static_cast<std::size_t>(lits[1].code())].push_back({cref, lits[0]});
 }
 
 void Solver::detach_clause(ClauseRef cref) {
-  const auto& c = clauses_[static_cast<std::size_t>(cref)];
+  const Lit* lits = lits_of(buf_.clauses[static_cast<std::size_t>(cref)]);
   for (int i = 0; i < 2; ++i) {
-    auto& ws = watches_[static_cast<std::size_t>(c.lits[static_cast<std::size_t>(i)].code())];
+    auto& ws = watches_[static_cast<std::size_t>(lits[i].code())];
     for (std::size_t j = 0; j < ws.size(); ++j) {
       if (ws[j].cref == cref) {
         ws[j] = ws.back();
@@ -112,25 +131,25 @@ void Solver::detach_clause(ClauseRef cref) {
 
 void Solver::remove_clause(ClauseRef cref) {
   detach_clause(cref);
-  clauses_[static_cast<std::size_t>(cref)].deleted = true;
-  ++stats_.removed_clauses;
+  buf_.clauses[static_cast<std::size_t>(cref)].deleted = true;
+  ++st_.stats.removed_clauses;
 }
 
 bool Solver::enqueue(Lit l, ClauseRef reason) {
   const auto v = static_cast<std::size_t>(l.var());
-  if (assigns_[v] != LBool::kUndef) return value(l) == LBool::kTrue;
-  assigns_[v] = lbool_from(!l.negated());
-  var_info_[v] = VarInfo{reason, decision_level()};
-  polarity_[v] = l.negated() ? 0 : 1;
-  trail_.push_back(l);
+  if (buf_.assigns[v] != LBool::kUndef) return value(l) == LBool::kTrue;
+  buf_.assigns[v] = lbool_from(!l.negated());
+  buf_.var_info[v] = VarInfo{reason, decision_level()};
+  buf_.polarity[v] = l.negated() ? 0 : 1;
+  buf_.trail.push_back(l);
   return true;
 }
 
 Solver::ClauseRef Solver::propagate() {
   ClauseRef confl = kNoReason;
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];  // p became true; check clauses watching ~p
-    ++stats_.propagations;
+  while (st_.qhead < buf_.trail.size()) {
+    const Lit p = buf_.trail[st_.qhead++];  // p became true; check clauses watching ~p
+    ++st_.stats.propagations;
     auto& ws = watches_[static_cast<std::size_t>((~p).code())];
     std::size_t i = 0, j = 0;
     const Lit false_lit = ~p;
@@ -140,8 +159,8 @@ Solver::ClauseRef Solver::propagate() {
         ws[j++] = ws[i++];
         continue;
       }
-      auto& c = clauses_[static_cast<std::size_t>(w.cref)];
-      auto& lits = c.lits;
+      const Clause& c = buf_.clauses[static_cast<std::size_t>(w.cref)];
+      Lit* lits = lits_of(c);
       // Put the false literal at position 1.
       if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
       assert(lits[1] == false_lit);
@@ -154,7 +173,7 @@ Solver::ClauseRef Solver::propagate() {
       }
       // Look for a new literal to watch.
       bool found = false;
-      for (std::size_t k = 2; k < lits.size(); ++k) {
+      for (std::uint32_t k = 2; k < c.size; ++k) {
         if (value(lits[k]) != LBool::kFalse) {
           std::swap(lits[1], lits[k]);
           watches_[static_cast<std::size_t>(lits[1].code())].push_back({w.cref, first});
@@ -168,7 +187,7 @@ Solver::ClauseRef Solver::propagate() {
       ws[j++] = Watcher{w.cref, first};
       if (value(first) == LBool::kFalse) {
         confl = w.cref;
-        qhead_ = trail_.size();
+        st_.qhead = buf_.trail.size();
         while (i < ws.size()) ws[j++] = ws[i++];
         break;
       }
@@ -183,10 +202,10 @@ Solver::ClauseRef Solver::propagate() {
 std::int32_t Solver::compute_lbd(const std::vector<Lit>& lits) {
   // Count distinct decision levels.  Levels are small; a sorted scratch
   // vector is adequate at our clause sizes.
-  std::vector<std::int32_t> levels;
-  levels.reserve(lits.size());
+  auto& levels = buf_.levels;
+  levels.clear();
   for (const Lit l : lits) {
-    levels.push_back(var_info_[static_cast<std::size_t>(l.var())].level);
+    levels.push_back(buf_.var_info[static_cast<std::size_t>(l.var())].level);
   }
   std::sort(levels.begin(), levels.end());
   levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
@@ -199,23 +218,24 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
   Lit p = kUndefLit;
   out_learnt.clear();
   out_learnt.push_back(kUndefLit);  // placeholder for the asserting literal
-  std::size_t index = trail_.size();
+  std::size_t index = buf_.trail.size();
 
-  to_clear_.clear();
+  buf_.to_clear.clear();
   ClauseRef confl = conflict;
   do {
     assert(confl != kNoReason);
-    Clause& c = clauses_[static_cast<std::size_t>(confl)];
+    Clause& c = buf_.clauses[static_cast<std::size_t>(confl)];
     if (c.learnt) clause_bump_activity(c);
 
-    for (std::size_t k = p.is_undef() ? 0 : 1; k < c.lits.size(); ++k) {
-      const Lit q = c.lits[k];
+    const Lit* lits = lits_of(c);
+    for (std::uint32_t k = p.is_undef() ? 0 : 1; k < c.size; ++k) {
+      const Lit q = lits[k];
       const auto qv = static_cast<std::size_t>(q.var());
-      if (seen_[qv] || var_info_[qv].level == 0) continue;
+      if (buf_.seen[qv] || buf_.var_info[qv].level == 0) continue;
       var_bump_activity(q.var());
-      seen_[qv] = 1;
-      to_clear_.push_back(q);
-      if (var_info_[qv].level >= decision_level()) {
+      buf_.seen[qv] = 1;
+      buf_.to_clear.push_back(q);
+      if (buf_.var_info[qv].level >= decision_level()) {
         ++path_count;
       } else {
         out_learnt.push_back(q);
@@ -223,11 +243,11 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
     }
 
     // Select next literal to look at.
-    while (!seen_[static_cast<std::size_t>(trail_[index - 1].var())]) --index;
+    while (!buf_.seen[static_cast<std::size_t>(buf_.trail[index - 1].var())]) --index;
     --index;
-    p = trail_[index];
-    confl = var_info_[static_cast<std::size_t>(p.var())].reason;
-    seen_[static_cast<std::size_t>(p.var())] = 0;
+    p = buf_.trail[index];
+    confl = buf_.var_info[static_cast<std::size_t>(p.var())].reason;
+    buf_.seen[static_cast<std::size_t>(p.var())] = 0;
     --path_count;
   } while (path_count > 0);
   out_learnt[0] = ~p;
@@ -235,13 +255,13 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
   // Conflict-clause minimization (recursive, MiniSat ccmin mode 2).
   std::uint32_t abstract_levels = 0;
   for (std::size_t k = 1; k < out_learnt.size(); ++k) {
-    const auto lv = var_info_[static_cast<std::size_t>(out_learnt[k].var())].level;
+    const auto lv = buf_.var_info[static_cast<std::size_t>(out_learnt[k].var())].level;
     abstract_levels |= 1u << (static_cast<std::uint32_t>(lv) & 31u);
   }
   std::size_t kept = 1;
   for (std::size_t k = 1; k < out_learnt.size(); ++k) {
     const auto v = static_cast<std::size_t>(out_learnt[k].var());
-    if (var_info_[v].reason == kNoReason || !lit_redundant(out_learnt[k], abstract_levels)) {
+    if (buf_.var_info[v].reason == kNoReason || !lit_redundant(out_learnt[k], abstract_levels)) {
       out_learnt[kept++] = out_learnt[k];
     }
   }
@@ -253,45 +273,46 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
   } else {
     std::size_t max_i = 1;
     for (std::size_t k = 2; k < out_learnt.size(); ++k) {
-      if (var_info_[static_cast<std::size_t>(out_learnt[k].var())].level >
-          var_info_[static_cast<std::size_t>(out_learnt[max_i].var())].level) {
+      if (buf_.var_info[static_cast<std::size_t>(out_learnt[k].var())].level >
+          buf_.var_info[static_cast<std::size_t>(out_learnt[max_i].var())].level) {
         max_i = k;
       }
     }
     std::swap(out_learnt[1], out_learnt[max_i]);
-    out_btlevel = var_info_[static_cast<std::size_t>(out_learnt[1].var())].level;
+    out_btlevel = buf_.var_info[static_cast<std::size_t>(out_learnt[1].var())].level;
   }
   out_lbd = compute_lbd(out_learnt);
 
-  for (const Lit l : to_clear_) seen_[static_cast<std::size_t>(l.var())] = 0;
-  to_clear_.clear();
+  for (const Lit l : buf_.to_clear) buf_.seen[static_cast<std::size_t>(l.var())] = 0;
+  buf_.to_clear.clear();
 }
 
 bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(l);
-  const std::size_t top = to_clear_.size();
-  while (!analyze_stack_.empty()) {
-    const Lit cur = analyze_stack_.back();
-    analyze_stack_.pop_back();
+  buf_.analyze_stack.clear();
+  buf_.analyze_stack.push_back(l);
+  const std::size_t top = buf_.to_clear.size();
+  while (!buf_.analyze_stack.empty()) {
+    const Lit cur = buf_.analyze_stack.back();
+    buf_.analyze_stack.pop_back();
     const auto v = static_cast<std::size_t>(cur.var());
-    assert(var_info_[v].reason != kNoReason);
-    const Clause& c = clauses_[static_cast<std::size_t>(var_info_[v].reason)];
-    for (std::size_t k = 1; k < c.lits.size(); ++k) {
-      const Lit q = c.lits[k];
+    assert(buf_.var_info[v].reason != kNoReason);
+    const Clause& c = buf_.clauses[static_cast<std::size_t>(buf_.var_info[v].reason)];
+    const Lit* lits = lits_of(c);
+    for (std::uint32_t k = 1; k < c.size; ++k) {
+      const Lit q = lits[k];
       const auto qv = static_cast<std::size_t>(q.var());
-      if (seen_[qv] || var_info_[qv].level == 0) continue;
+      if (buf_.seen[qv] || buf_.var_info[qv].level == 0) continue;
       const std::uint32_t abs_lv =
-          1u << (static_cast<std::uint32_t>(var_info_[qv].level) & 31u);
-      if (var_info_[qv].reason != kNoReason && (abs_lv & abstract_levels) != 0) {
-        seen_[qv] = 1;
-        analyze_stack_.push_back(q);
-        to_clear_.push_back(q);
+          1u << (static_cast<std::uint32_t>(buf_.var_info[qv].level) & 31u);
+      if (buf_.var_info[qv].reason != kNoReason && (abs_lv & abstract_levels) != 0) {
+        buf_.seen[qv] = 1;
+        buf_.analyze_stack.push_back(q);
+        buf_.to_clear.push_back(q);
       } else {
-        for (std::size_t j = top; j < to_clear_.size(); ++j) {
-          seen_[static_cast<std::size_t>(to_clear_[j].var())] = 0;
+        for (std::size_t j = top; j < buf_.to_clear.size(); ++j) {
+          buf_.seen[static_cast<std::size_t>(buf_.to_clear[j].var())] = 0;
         }
-        to_clear_.resize(top);
+        buf_.to_clear.resize(top);
         return false;
       }
     }
@@ -304,43 +325,44 @@ void Solver::analyze_final(Lit p, std::vector<Lit>& out_conflict) {
   out_conflict.push_back(p);
   if (decision_level() == 0) return;
 
-  seen_[static_cast<std::size_t>(p.var())] = 1;
-  for (std::size_t i = trail_.size(); i-- > static_cast<std::size_t>(trail_lim_[0]);) {
-    const auto v = static_cast<std::size_t>(trail_[i].var());
-    if (!seen_[v]) continue;
-    if (var_info_[v].reason == kNoReason) {
-      assert(var_info_[v].level > 0);
-      out_conflict.push_back(~trail_[i]);
+  buf_.seen[static_cast<std::size_t>(p.var())] = 1;
+  for (std::size_t i = buf_.trail.size(); i-- > static_cast<std::size_t>(buf_.trail_lim[0]);) {
+    const auto v = static_cast<std::size_t>(buf_.trail[i].var());
+    if (!buf_.seen[v]) continue;
+    if (buf_.var_info[v].reason == kNoReason) {
+      assert(buf_.var_info[v].level > 0);
+      out_conflict.push_back(~buf_.trail[i]);
     } else {
-      const Clause& c = clauses_[static_cast<std::size_t>(var_info_[v].reason)];
-      for (std::size_t k = 1; k < c.lits.size(); ++k) {
-        if (var_info_[static_cast<std::size_t>(c.lits[k].var())].level > 0) {
-          seen_[static_cast<std::size_t>(c.lits[k].var())] = 1;
+      const Clause& c = buf_.clauses[static_cast<std::size_t>(buf_.var_info[v].reason)];
+      const Lit* lits = lits_of(c);
+      for (std::uint32_t k = 1; k < c.size; ++k) {
+        if (buf_.var_info[static_cast<std::size_t>(lits[k].var())].level > 0) {
+          buf_.seen[static_cast<std::size_t>(lits[k].var())] = 1;
         }
       }
     }
-    seen_[v] = 0;
+    buf_.seen[v] = 0;
   }
-  seen_[static_cast<std::size_t>(p.var())] = 0;
+  buf_.seen[static_cast<std::size_t>(p.var())] = 0;
 }
 
 void Solver::cancel_until(std::int32_t level) {
   if (decision_level() <= level) return;
-  for (std::size_t c = trail_.size(); c-- > static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(level)]);) {
-    const Var v = trail_[c].var();
-    assigns_[static_cast<std::size_t>(v)] = LBool::kUndef;
-    if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
+  for (std::size_t c = buf_.trail.size(); c-- > static_cast<std::size_t>(buf_.trail_lim[static_cast<std::size_t>(level)]);) {
+    const Var v = buf_.trail[c].var();
+    buf_.assigns[static_cast<std::size_t>(v)] = LBool::kUndef;
+    if (buf_.heap_pos[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
-  qhead_ = static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(level)]);
-  trail_.resize(qhead_);
-  trail_lim_.resize(static_cast<std::size_t>(level));
+  st_.qhead = static_cast<std::size_t>(buf_.trail_lim[static_cast<std::size_t>(level)]);
+  buf_.trail.resize(st_.qhead);
+  buf_.trail_lim.resize(static_cast<std::size_t>(level));
 }
 
 Lit Solver::pick_branch_lit() {
   while (!heap_empty()) {
     const Var v = heap_pop();
-    if (assigns_[static_cast<std::size_t>(v)] == LBool::kUndef) {
-      return Lit(v, polarity_[static_cast<std::size_t>(v)] == 0);
+    if (buf_.assigns[static_cast<std::size_t>(v)] == LBool::kUndef) {
+      return Lit(v, buf_.polarity[static_cast<std::size_t>(v)] == 0);
     }
   }
   return kUndefLit;
@@ -348,7 +370,7 @@ Lit Solver::pick_branch_lit() {
 
 SolveResult Solver::search(std::int64_t conflicts_allowed) {
   std::int64_t conflict_count = 0;
-  std::vector<Lit> learnt;
+  auto& learnt = buf_.learnt;
 
   for (;;) {
     // Cooperative cancellation poll: one relaxed load per
@@ -361,10 +383,10 @@ SolveResult Solver::search(std::int64_t conflicts_allowed) {
     }
     const ClauseRef confl = propagate();
     if (confl != kNoReason) {
-      ++stats_.conflicts;
+      ++st_.stats.conflicts;
       ++conflict_count;
       if (decision_level() == 0) {
-        ok_ = false;
+        st_.ok = false;
         return SolveResult::kUnsat;
       }
       std::int32_t btlevel = 0;
@@ -375,11 +397,11 @@ SolveResult Solver::search(std::int64_t conflicts_allowed) {
         enqueue(learnt[0], kNoReason);
       } else {
         const ClauseRef cref = alloc_clause(learnt, /*learnt=*/true);
-        clauses_[static_cast<std::size_t>(cref)].lbd = lbd;
-        learnt_clauses_.push_back(cref);
-        ++stats_.learnt_clauses;
+        buf_.clauses[static_cast<std::size_t>(cref)].lbd = lbd;
+        buf_.learnt_clauses.push_back(cref);
+        ++st_.stats.learnt_clauses;
         attach_clause(cref);
-        clause_bump_activity(clauses_[static_cast<std::size_t>(cref)]);
+        clause_bump_activity(buf_.clauses[static_cast<std::size_t>(cref)]);
         enqueue(learnt[0], cref);
       }
       var_decay_activity();
@@ -389,23 +411,23 @@ SolveResult Solver::search(std::int64_t conflicts_allowed) {
 
     // No conflict.
     if (conflicts_allowed >= 0 && conflict_count >= conflicts_allowed) {
-      ++stats_.restarts;
+      ++st_.stats.restarts;
       cancel_until(0);
       return SolveResult::kUnknown;
     }
-    if (static_cast<double>(learnt_clauses_.size()) -
-            static_cast<double>(trail_.size()) >=
-        max_learnts_) {
+    if (static_cast<double>(buf_.learnt_clauses.size()) -
+            static_cast<double>(buf_.trail.size()) >=
+        st_.max_learnts) {
       reduce_db();
     }
 
     Lit next = kUndefLit;
-    while (decision_level() < static_cast<std::int32_t>(assumptions_.size())) {
-      const Lit p = assumptions_[static_cast<std::size_t>(decision_level())];
+    while (decision_level() < static_cast<std::int32_t>(buf_.assumptions.size())) {
+      const Lit p = buf_.assumptions[static_cast<std::size_t>(decision_level())];
       if (value(p) == LBool::kTrue) {
-        trail_lim_.push_back(static_cast<std::int32_t>(trail_.size()));
+        buf_.trail_lim.push_back(static_cast<std::int32_t>(buf_.trail.size()));
       } else if (value(p) == LBool::kFalse) {
-        analyze_final(~p, conflict_);
+        analyze_final(~p, buf_.conflict);
         return SolveResult::kUnsat;
       } else {
         next = p;
@@ -414,148 +436,148 @@ SolveResult Solver::search(std::int64_t conflicts_allowed) {
     }
 
     if (next.is_undef()) {
-      ++stats_.decisions;
+      ++st_.stats.decisions;
       next = pick_branch_lit();
       if (next.is_undef()) return SolveResult::kSat;  // all variables assigned
     }
-    trail_lim_.push_back(static_cast<std::int32_t>(trail_.size()));
+    buf_.trail_lim.push_back(static_cast<std::int32_t>(buf_.trail.size()));
     enqueue(next, kNoReason);
   }
 }
 
 SolveResult Solver::solve(std::span<const Lit> assumptions) {
-  model_.clear();
-  conflict_.clear();
-  if (!ok_) return SolveResult::kUnsat;
+  buf_.model.clear();
+  buf_.conflict.clear();
+  if (!st_.ok) return SolveResult::kUnsat;
 
-  assumptions_.assign(assumptions.begin(), assumptions.end());
-  max_learnts_ = std::max(static_cast<double>(problem_clauses_.size()) * 0.3, 2000.0);
+  buf_.assumptions.assign(assumptions.begin(), assumptions.end());
+  st_.max_learnts = std::max(static_cast<double>(buf_.problem_clauses.size()) * 0.3, 2000.0);
 
-  const std::uint64_t start_conflicts = stats_.conflicts;
+  const std::uint64_t start_conflicts = st_.stats.conflicts;
   SolveResult status = SolveResult::kUnknown;
   for (std::uint64_t curr_restarts = 0; status == SolveResult::kUnknown; ++curr_restarts) {
     if (stop_requested()) break;
-    if (conflict_budget_ != 0 &&
-        stats_.conflicts - start_conflicts >= conflict_budget_) {
+    if (st_.conflict_budget != 0 &&
+        st_.stats.conflicts - start_conflicts >= st_.conflict_budget) {
       break;
     }
-    const double rest_base = luby(config_.restart_base, curr_restarts);
-    status = search(static_cast<std::int64_t>(rest_base * config_.restart_scale));
+    const double rest_base = luby(st_.config.restart_base, curr_restarts);
+    status = search(static_cast<std::int64_t>(rest_base * st_.config.restart_scale));
   }
 
   if (status == SolveResult::kSat) {
-    model_.assign(assigns_.begin(), assigns_.end());
+    buf_.model.assign(buf_.assigns.begin(), buf_.assigns.end());
   }
   cancel_until(0);
-  assumptions_.clear();
+  buf_.assumptions.clear();
   return status;
 }
 
 void Solver::reduce_db() {
   // Order learnt clauses worst-first: high LBD, then low activity.
-  std::sort(learnt_clauses_.begin(), learnt_clauses_.end(),
+  std::sort(buf_.learnt_clauses.begin(), buf_.learnt_clauses.end(),
             [this](ClauseRef a, ClauseRef b) {
-              const auto& ca = clauses_[static_cast<std::size_t>(a)];
-              const auto& cb = clauses_[static_cast<std::size_t>(b)];
+              const auto& ca = buf_.clauses[static_cast<std::size_t>(a)];
+              const auto& cb = buf_.clauses[static_cast<std::size_t>(b)];
               if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
               return ca.activity < cb.activity;
             });
   auto locked = [this](ClauseRef cref) {
-    const auto& c = clauses_[static_cast<std::size_t>(cref)];
-    const Lit first = c.lits[0];
+    const auto& c = buf_.clauses[static_cast<std::size_t>(cref)];
+    const Lit first = lits_of(c)[0];
     return value(first) == LBool::kTrue &&
-           var_info_[static_cast<std::size_t>(first.var())].reason == cref;
+           buf_.var_info[static_cast<std::size_t>(first.var())].reason == cref;
   };
-  const std::size_t target = learnt_clauses_.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(learnt_clauses_.size() - target);
+  auto& learnts = buf_.learnt_clauses;
+  const std::size_t target = learnts.size() / 2;
   std::size_t removed = 0;
-  for (std::size_t i = 0; i < learnt_clauses_.size(); ++i) {
-    const ClauseRef cref = learnt_clauses_[i];
-    const auto& c = clauses_[static_cast<std::size_t>(cref)];
-    if (removed < target && c.lits.size() > 2 && c.lbd > 2 && !locked(cref)) {
+  std::size_t kept = 0;  // survivors compact to the front, in order
+  for (std::size_t i = 0; i < learnts.size(); ++i) {
+    const ClauseRef cref = learnts[i];
+    const auto& c = buf_.clauses[static_cast<std::size_t>(cref)];
+    if (removed < target && c.size > 2 && c.lbd > 2 && !locked(cref)) {
       remove_clause(cref);
       ++removed;
     } else {
-      kept.push_back(cref);
+      learnts[kept++] = cref;
     }
   }
-  learnt_clauses_ = std::move(kept);
-  max_learnts_ *= learnt_growth_;
+  learnts.resize(kept);
+  st_.max_learnts *= kLearntGrowth;
 }
 
 void Solver::var_bump_activity(Var v) {
-  auto& act = activity_[static_cast<std::size_t>(v)];
-  act += var_inc_;
+  auto& act = buf_.activity[static_cast<std::size_t>(v)];
+  act += st_.var_inc;
   if (act > 1e100) {
-    for (auto& a : activity_) a *= 1e-100;
-    var_inc_ *= 1e-100;
+    for (auto& a : buf_.activity) a *= 1e-100;
+    st_.var_inc *= 1e-100;
   }
-  if (heap_pos_[static_cast<std::size_t>(v)] >= 0) heap_update(v);
+  if (buf_.heap_pos[static_cast<std::size_t>(v)] >= 0) heap_update(v);
 }
 
-void Solver::var_decay_activity() { var_inc_ /= config_.var_decay; }
+void Solver::var_decay_activity() { st_.var_inc /= st_.config.var_decay; }
 
 void Solver::clause_bump_activity(Clause& c) {
-  c.activity += clause_inc_;
+  c.activity += st_.clause_inc;
   if (c.activity > 1e20) {
-    for (auto& cl : clauses_) cl.activity *= 1e-20;
-    clause_inc_ *= 1e-20;
+    for (auto& cl : buf_.clauses) cl.activity *= 1e-20;
+    st_.clause_inc *= 1e-20;
   }
 }
 
-void Solver::clause_decay_activity() { clause_inc_ /= config_.clause_decay; }
+void Solver::clause_decay_activity() { st_.clause_inc /= st_.config.clause_decay; }
 
 void Solver::heap_insert(Var v) {
-  heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(heap_.size());
-  heap_.push_back(v);
-  heap_sift_up(heap_.size() - 1);
+  buf_.heap_pos[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(buf_.heap.size());
+  buf_.heap.push_back(v);
+  heap_sift_up(buf_.heap.size() - 1);
 }
 
 void Solver::heap_update(Var v) {
-  const auto pos = static_cast<std::size_t>(heap_pos_[static_cast<std::size_t>(v)]);
+  const auto pos = static_cast<std::size_t>(buf_.heap_pos[static_cast<std::size_t>(v)]);
   heap_sift_up(pos);
-  heap_sift_down(static_cast<std::size_t>(heap_pos_[static_cast<std::size_t>(v)]));
+  heap_sift_down(static_cast<std::size_t>(buf_.heap_pos[static_cast<std::size_t>(v)]));
 }
 
 Var Solver::heap_pop() {
-  const Var top = heap_[0];
-  heap_pos_[static_cast<std::size_t>(top)] = -1;
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_pos_[static_cast<std::size_t>(heap_[0])] = 0;
+  const Var top = buf_.heap[0];
+  buf_.heap_pos[static_cast<std::size_t>(top)] = -1;
+  buf_.heap[0] = buf_.heap.back();
+  buf_.heap.pop_back();
+  if (!buf_.heap.empty()) {
+    buf_.heap_pos[static_cast<std::size_t>(buf_.heap[0])] = 0;
     heap_sift_down(0);
   }
   return top;
 }
 
 void Solver::heap_sift_up(std::size_t i) {
-  const Var v = heap_[i];
+  const Var v = buf_.heap[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!heap_less(v, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<std::int32_t>(i);
+    if (!heap_less(v, buf_.heap[parent])) break;
+    buf_.heap[i] = buf_.heap[parent];
+    buf_.heap_pos[static_cast<std::size_t>(buf_.heap[i])] = static_cast<std::int32_t>(i);
     i = parent;
   }
-  heap_[i] = v;
-  heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
+  buf_.heap[i] = v;
+  buf_.heap_pos[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
 }
 
 void Solver::heap_sift_down(std::size_t i) {
-  const Var v = heap_[i];
+  const Var v = buf_.heap[i];
   for (;;) {
     std::size_t child = 2 * i + 1;
-    if (child >= heap_.size()) break;
-    if (child + 1 < heap_.size() && heap_less(heap_[child + 1], heap_[child])) ++child;
-    if (!heap_less(heap_[child], v)) break;
-    heap_[i] = heap_[child];
-    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<std::int32_t>(i);
+    if (child >= buf_.heap.size()) break;
+    if (child + 1 < buf_.heap.size() && heap_less(buf_.heap[child + 1], buf_.heap[child])) ++child;
+    if (!heap_less(buf_.heap[child], v)) break;
+    buf_.heap[i] = buf_.heap[child];
+    buf_.heap_pos[static_cast<std::size_t>(buf_.heap[i])] = static_cast<std::int32_t>(i);
     i = child;
   }
-  heap_[i] = v;
-  heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
+  buf_.heap[i] = v;
+  buf_.heap_pos[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
 }
 
 double Solver::luby(double y, std::uint64_t i) {

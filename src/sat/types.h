@@ -13,6 +13,9 @@ namespace ct::sat {
 
 using Var = std::int32_t;
 inline constexpr Var kUndefVar = -1;
+/// Most variables a Lit can encode: the code 2*v + 1 of variable
+/// kMaxVars - 1 is the largest int32.
+inline constexpr std::int32_t kMaxVars = std::int32_t{1} << 30;
 
 /// A literal: variable + polarity, encoded as 2*var + (negated ? 1 : 0).
 class Lit {

@@ -73,6 +73,25 @@ TEST(Dimacs, ErrorMalformedProblemLine) {
   EXPECT_THROW(from_dimacs_string("p cnf -2 1\n1 0\n"), std::runtime_error);
 }
 
+TEST(Dimacs, ErrorSecondProblemLine) {
+  // The second header would shrink num_vars below the parsed literal 40,
+  // which the solver would then index out of range.
+  EXPECT_THROW(from_dimacs_string("p cnf 40 1\n40 0\np cnf 1 1\n"), std::runtime_error);
+  EXPECT_THROW(from_dimacs_string("p cnf 2 1\np cnf 2 1\n1 0\n"), std::runtime_error);
+}
+
+TEST(Dimacs, ErrorVarCountBeyondLitRange) {
+  // Variable 1500000000 would overflow Lit's 2 * v encoding.
+  EXPECT_THROW(from_dimacs_string("p cnf 2000000000 1\n1500000000 0\n"), std::runtime_error);
+  EXPECT_THROW(from_dimacs_string("p cnf 1073741825 0\n"), std::runtime_error);
+  // kMaxVars itself is fine: its last variable has the largest code.
+  const Cnf edge = from_dimacs_string("p cnf 1073741824 1\n-1073741824 0\n");
+  EXPECT_EQ(edge.num_vars, kMaxVars);
+  ASSERT_EQ(edge.clauses.size(), 1u);
+  EXPECT_EQ(edge.clauses[0][0].var(), kMaxVars - 1);
+  EXPECT_EQ(edge.clauses[0][0].to_dimacs(), -1073741824);
+}
+
 TEST(Dimacs, LitDimacsConversionRoundTrip) {
   for (std::int32_t d : {1, -1, 5, -5, 100, -100}) {
     EXPECT_EQ(Lit::from_dimacs(d).to_dimacs(), d);
