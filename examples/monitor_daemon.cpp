@@ -214,12 +214,7 @@ int main(int argc, char** argv) {
               << stats.open_ablation_windows << "  churn-open " << stats.churn_open_entries
               << "  churn fail/rep/down " << stats.churn_failures << "/" << stats.churn_repairs
               << "/" << stats.churn_links_down << "  retained-peak "
-              << stats.retained_clauses_peak << "  reads " << stats.engine.snapshot_reads;
-    if (stats.engine.portfolio.races > 0) {
-      std::cout << "  races " << stats.engine.portfolio.races << " (wasted "
-                << static_cast<int>(100.0 * stats.engine.portfolio.wasted_ratio()) << "%)";
-    }
-    std::cout << "\n";
+              << stats.retained_clauses_peak << "  reads " << stats.engine.snapshot_reads << "\n";
     if (pace_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
   }
 

@@ -215,14 +215,6 @@ void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats) {
     w.u64(b.served);
     w.u64(b.escalated);
   }
-  w.u64(stats.portfolio.races);
-  w.u64(stats.portfolio.probe_decided);
-  for (const std::uint64_t won : stats.portfolio.won) w.u64(won);
-  w.u64(stats.portfolio.winner_conflicts);
-  w.u64(stats.portfolio.wasted_conflicts);
-  w.u64(stats.portfolio.cancels);
-  w.u64(stats.portfolio.cancel_ns_total);
-  w.u64(stats.portfolio.cancel_ns_max);
 }
 
 tomo::EngineStats load_engine_stats(util::ByteReader& r) {
@@ -241,14 +233,6 @@ tomo::EngineStats load_engine_stats(util::ByteReader& r) {
     b.served = r.u64();
     b.escalated = r.u64();
   }
-  stats.portfolio.races = r.u64();
-  stats.portfolio.probe_decided = r.u64();
-  for (std::uint64_t& won : stats.portfolio.won) won = r.u64();
-  stats.portfolio.winner_conflicts = r.u64();
-  stats.portfolio.wasted_conflicts = r.u64();
-  stats.portfolio.cancels = r.u64();
-  stats.portfolio.cancel_ns_total = r.u64();
-  stats.portfolio.cancel_ns_max = r.u64();
   return stats;
 }
 

@@ -49,8 +49,8 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
-// v2: EngineStats grew the ipasir/portfolio backend counters and the
-// portfolio racing block — the byte layout changed, so v1 checkpoints
+// v2: EngineStats grew two more backend counter slots and the racing
+// counters — the byte layout changed, so v1 checkpoints
 // are refused instead of misread.
 // v3: EngineStats lost the delta-load counters, and the envelope gained
 // the payload checksum; v2 checkpoints are refused by the same rule.
@@ -62,7 +62,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // no longer an empty private path pool, a sorted copy of each group's
 // positive ids, or its emitted-CNF count; v4 checkpoints are refused by
 // the same rule.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: EngineStats lost the racing counters; v5 checkpoints are refused
+// by the same rule.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).

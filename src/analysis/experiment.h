@@ -143,9 +143,9 @@ struct ExperimentOptions {
   /// reads them (Figure 4's histogram), lazily elsewhere.
   tomo::AnalysisOptions analysis;
   /// Worker lanes for CNF grouping and the SAT analysis batches.
-  /// 0 = hardware concurrency; capped at the hardware and divided by
-  /// the backend's racing width, as analyze_cnfs does.  Results are
-  /// identical for every value.
+  /// 0 = hardware concurrency; capped at the hardware, as analyze_cnfs
+  /// does (util::ThreadPool::workers_for).  Results are identical for
+  /// every value.
   unsigned num_threads = 0;
   /// Platform workers for each segment's platform run + clause
   /// building, capped at the hardware.  A segment of at least 4 days

@@ -37,9 +37,13 @@ std::vector<K> keys_of(const std::map<K, V>& m) {
   return keys;
 }
 
-void load_as_counts(util::ByteReader& r, std::map<topo::AsId, std::int64_t>& m) {
+void load_as_counts(util::ByteReader& r, std::map<topo::AsId, std::int64_t>& m,
+                    std::int32_t num_ases) {
   util::load_map(
-      r, m, [](util::ByteReader& r) { return topo::AsId{r.i32()}; },
+      r, m,
+      [num_ases](util::ByteReader& r) {
+        return util::load_id(r, num_ases, "LiveCounts::load: AS id");
+      },
       [](util::ByteReader& r) { return r.i64(); });
 }
 
@@ -66,13 +70,13 @@ void LiveCounts::save(util::ByteWriter& w) const {
   save_as_counts(w, potential_censor_cnfs);
 }
 
-void LiveCounts::load(util::ByteReader& r) {
+void LiveCounts::load(util::ByteReader& r, std::int32_t num_ases) {
   cnfs = r.i64();
   overall = load_split(r);
   util::load_map(
       r, by_url, [](util::ByteReader& r) { return r.i32(); }, load_split);
-  load_as_counts(r, exact_censor_cnfs);
-  load_as_counts(r, potential_censor_cnfs);
+  load_as_counts(r, exact_censor_cnfs, num_ases);
+  load_as_counts(r, potential_censor_cnfs, num_ases);
 }
 
 VerdictFold::VerdictFold(std::vector<util::Granularity> fig1_granularities) {
@@ -139,10 +143,10 @@ void VerdictFold::save(util::ByteWriter& w) const {
   w.i64(fig2_no_elimination_);
 }
 
-void VerdictFold::load(util::ByteReader& r) {
+void VerdictFold::load(util::ByteReader& r, std::int32_t num_ases) {
   const std::vector<util::Granularity> expected_grans = keys_of(fig1_.by_granularity);
   const std::vector<censor::Anomaly> expected_anomalies = keys_of(fig1_.by_anomaly);
-  counts_.load(r);
+  counts_.load(r, num_ases);
   util::load_map(r, fig1_.by_granularity, load_granularity, load_split);
   util::load_map(
       r, fig1_.by_anomaly,
@@ -216,8 +220,8 @@ void ExperimentFolds::save(util::ByteWriter& w) const {
 }
 
 void ExperimentFolds::load(util::ByteReader& r, std::int32_t num_ases) {
-  verdicts.load(r);
-  support.load(r);
+  verdicts.load(r, num_ases);
+  support.load(r, num_ases);
   leakage.load(r, num_ases);
   fig4.load(r);
 }

@@ -43,9 +43,10 @@ struct LiveCounts {
 
   void add(const tomo::CnfVerdict& verdict);
 
-  /// Checkpoint support (analysis/checkpoint.h).
+  /// Checkpoint support (analysis/checkpoint.h).  load() throws
+  /// util::SerdeError for an AS id outside [0, num_ases).
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 };
 
 /// Any-time snapshot of a monitor run, valid at a watermark: the
@@ -81,9 +82,10 @@ class VerdictFold {
   /// Checkpoint support (analysis/checkpoint.h): persists every
   /// accumulator; load() requires a fold constructed with the same
   /// fig1 granularity set (the envelope fingerprint guards this) and
-  /// refuses an anomaly or granularity byte no add() could have stored.
+  /// refuses an anomaly or granularity byte no add() could have stored,
+  /// or an AS id outside [0, num_ases).
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 
  private:
   LiveCounts counts_;

@@ -53,16 +53,6 @@ tomo::CnfBuildOptions ablation_build_options(const ExperimentOptions& options) {
   return build;
 }
 
-/// SAT worker lanes, under analyze_cnfs's thread budget: the requested
-/// count (0 = one per hardware thread) capped at the hardware, divided
-/// by the racing width so lanes x racers stay within the cores.
-/// Verdicts do not depend on the lane count.
-unsigned analysis_lanes(const ExperimentOptions& options) {
-  const unsigned hw = util::ThreadPool::hardware_threads();
-  const unsigned lanes = options.num_threads == 0 ? hw : std::min(options.num_threads, hw);
-  return std::max(1u, lanes / options.analysis.backend.racing_width());
-}
-
 /// One analysis pass's cumulative counters: its checkpointed base plus
 /// its live arenas.
 tomo::EngineStats pass_stats(const tomo::EngineStats& base,
@@ -155,7 +145,7 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
     : scenario_(&scenario),
       options_(std::move(options)),
       fingerprint_(config_fingerprint(scenario, options_.experiment)),
-      analysis_pool_(analysis_lanes(options_.experiment)),
+      analysis_pool_(util::ThreadPool::workers_for(options_.experiment.num_threads)),
       main_arenas_(analysis_pool_.size()),
       ablation_arenas_(analysis_pool_.size()),
       state_(std::make_unique<State>(scenario, options_.experiment, analysis_pool_)) {

@@ -1,7 +1,7 @@
 #include "analysis/platform_sinks.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -16,9 +16,7 @@ std::vector<std::unique_ptr<PlatformSinks>> run_platform_shards(Scenario& scenar
   if (day_begin < 0 || day_begin >= day_end || day_end > platform.config().num_days) {
     throw std::invalid_argument("run_platform_shards: day range outside the schedule");
   }
-  const unsigned workers =
-      std::min(num_shards == 0 ? util::ThreadPool::hardware_threads() : num_shards,
-               util::ThreadPool::hardware_threads());
+  const unsigned workers = util::ThreadPool::workers_for(num_shards);
   const std::size_t bundles = platform.num_run_days_sinks(day_end - day_begin, workers);
   std::vector<std::unique_ptr<PlatformSinks>> sinks;
   std::vector<iclab::MeasurementSink*> targets;

@@ -276,9 +276,9 @@ std::string render_regime_accuracy(const std::vector<RegimeAccuracyRow>& rows) {
 std::string render_backends(const ExperimentResult& result) {
   const auto& stats = result.engine_stats;
   util::TextTable table({"Backend", "Selected", "Served", "Escalated"});
-  for (std::size_t k = 0; k < sat::kNumBackendKinds; ++k) {
-    const sat::BackendCounters& c = stats.backends[k];
-    table.add_row({sat::to_string(static_cast<sat::BackendKind>(k)),
+  for (const sat::BackendKind kind : {sat::BackendKind::kCdcl, sat::BackendKind::kUnitProp}) {
+    const sat::BackendCounters& c = stats.backends[static_cast<std::size_t>(kind)];
+    table.add_row({sat::to_string(kind),
                    fmt_count(static_cast<std::int64_t>(c.selected)),
                    fmt_count(static_cast<std::int64_t>(c.served)),
                    fmt_count(static_cast<std::int64_t>(c.escalated))});
@@ -290,17 +290,6 @@ std::string render_backends(const ExperimentResult& result) {
       << "   solver calls: " << fmt_count(static_cast<std::int64_t>(stats.solve_calls))
       << "   models found: " << fmt_count(static_cast<std::int64_t>(stats.models_found))
       << "   arenas: " << stats.arenas << "\n";
-  // Portfolio racing (README "Portfolio racing"): races run on hard
-  // CNFs, wins per diversified member, and the cost of losing searches.
-  const sat::PortfolioStats& p = stats.portfolio;
-  out << "  races: " << fmt_count(static_cast<std::int64_t>(p.races)) << " (probe decided "
-      << fmt_count(static_cast<std::int64_t>(p.probe_decided)) << ")   won by member:";
-  for (std::size_t m = 0; m < p.won.size(); ++m) {
-    out << (m == 0 ? " " : "/") << p.won[m];
-  }
-  out << "   wasted conflicts: " << fmt_count(static_cast<std::int64_t>(p.wasted_conflicts))
-      << " (" << fmt(100.0 * p.wasted_ratio(), 1) << "% of race work)   max cancel latency: "
-      << fmt(static_cast<double>(p.cancel_ns_max) / 1e6, 2) << " ms\n";
   return out.str();
 }
 

@@ -1,11 +1,7 @@
 #include "sat/backend.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
-
-#include "sat/ipasir_shim.h"
-#include "sat/portfolio.h"
 
 namespace ct::sat {
 
@@ -13,14 +9,8 @@ const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kCdcl:
       return "cdcl";
-    case BackendKind::kCount:
-      return "count";
     case BackendKind::kUnitProp:
       return "unitprop";
-    case BackendKind::kIpasir:
-      return "ipasir";
-    case BackendKind::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -36,25 +26,6 @@ constexpr double kUnitPropMinUnitFraction = 0.5;
 // ...or when the formula is this small (a failed presolve on a tiny CNF
 // costs next to nothing).
 constexpr std::int32_t kUnitPropMaxVars = 16;
-// The counting backend pays only when the requested count bound exceeds
-// this (or is 0 = unbounded): one exact DPLL count always pays the full
-// model count, while incremental enumeration stops at the cap — so
-// shallow caps (Figure 4's 6) enumerate and deep/unbounded counts go to
-// the counter...
-constexpr std::uint64_t kCountMinCap = 16;
-// ...and only below this clause density — DPLL counting explodes on
-// dense formulas where enumeration-to-cap stays cheap.
-constexpr double kCountMaxDensity = 2.0;
-// The portfolio hardness gate: CNFs the CDCL route would get anyway,
-// big enough and in the clause/var density band where search time
-// explodes (random 3-SAT threshold ~4.3), and not unit-dominated
-// (unit-rich tomography windows are decided nearly instantly).  A
-// conflict-budget probe inside PortfolioBackend catches the easy
-// survivors of this shape test before any race starts.
-constexpr std::int32_t kPortfolioMinVars = 40;
-constexpr double kPortfolioMinDensity = 3.0;
-constexpr double kPortfolioMaxDensity = 5.5;
-constexpr double kPortfolioMaxUnitFraction = 0.25;
 
 [[noreturn]] void no_search(const char* op) {
   throw std::logic_error(std::string("SolverBackend: ") + op +
@@ -76,9 +47,7 @@ const SolverStats& SolverBackend::solver_stats() const {
 // --- CdclBackend -----------------------------------------------------
 
 void CdclBackend::load(const Cnf& cnf) {
-  solver_.reset(config_);
-  solver_.set_stop_flag(stop_);
-  solver_.set_conflict_budget(conflict_budget_);
+  solver_.reset();
   solver_.add_cnf(cnf);  // a false return leaves the solver inconsistent,
                          // which every query handles via kUnsat
 }
@@ -94,29 +63,6 @@ LBool CdclBackend::model_value(Var v) const { return solver_.model_value(v); }
 bool CdclBackend::add_clause(std::span<const Lit> lits) { return solver_.add_clause(lits); }
 
 const SolverStats& CdclBackend::solver_stats() const { return solver_.stats(); }
-
-void CdclBackend::set_stop_flag(const std::atomic<bool>* stop) {
-  stop_ = stop;
-  solver_.set_stop_flag(stop);
-}
-
-void CdclBackend::set_conflict_budget(std::uint64_t max_conflicts) {
-  conflict_budget_ = max_conflicts;
-  solver_.set_conflict_budget(max_conflicts);
-}
-
-// --- CountingBackend -------------------------------------------------
-
-void CountingBackend::load(const Cnf& cnf) {
-  CdclBackend::load(cnf);
-  cnf_ = cnf;
-  count_.reset();
-}
-
-std::optional<std::uint64_t> CountingBackend::exact_count() {
-  if (!count_) count_ = counter_.count(cnf_).count;
-  return count_;
-}
 
 // --- UnitPropBackend -------------------------------------------------
 
@@ -187,14 +133,8 @@ std::unique_ptr<SolverBackend> make_backend(BackendKind kind) {
   switch (kind) {
     case BackendKind::kCdcl:
       return std::make_unique<CdclBackend>();
-    case BackendKind::kCount:
-      return std::make_unique<CountingBackend>();
     case BackendKind::kUnitProp:
       return std::make_unique<UnitPropBackend>();
-    case BackendKind::kIpasir:
-      return std::make_unique<IpasirBackend>();
-    case BackendKind::kPortfolio:
-      return std::make_unique<PortfolioBackend>();
   }
   throw std::invalid_argument("make_backend: unknown BackendKind");
 }
@@ -211,75 +151,26 @@ FormulaShape shape_of(const Cnf& cnf) {
   return shape;
 }
 
-unsigned BackendSelector::racing_width() const {
-  if (mode == Mode::kPortfolio) {
-    return std::max(kDefaultPortfolioWidth,
-                    std::min(portfolio_width, kMaxPortfolioWidth));
-  }
-  if (mode == Mode::kAuto && portfolio_width >= 2) {
-    return std::min(portfolio_width, kMaxPortfolioWidth);
-  }
-  return 1;
-}
-
-BackendPlan BackendSelector::plan(const FormulaShape& shape,
-                                  const BackendWorkload& workload) const {
-  BackendPlan p;
+BackendKind BackendSelector::pick(const FormulaShape& shape) const {
   switch (mode) {
     case Mode::kCdcl:
-      return p;  // {cdcl, cdcl}
-    case Mode::kCount:
-      p.primary = p.fallback = BackendKind::kCount;
-      return p;
+      return BackendKind::kCdcl;
     case Mode::kUnitProp:
-      p.primary = BackendKind::kUnitProp;  // fallback stays cdcl
-      return p;
-    case Mode::kIpasir:
-      p.primary = p.fallback = BackendKind::kIpasir;
-      return p;
-    case Mode::kPortfolio:
-      p.primary = BackendKind::kPortfolio;  // fallback stays cdcl
-      p.portfolio_width = racing_width();
-      return p;
+      return BackendKind::kUnitProp;
     case Mode::kAuto:
       break;
   }
-  // Auto: counting pays only when the requested count is deep or
-  // unbounded (a shallow cap is cheaper to enumerate incrementally)
-  // and DPLL decomposition stays tractable; unit propagation is tried
-  // first whenever the shape suggests it decides the formula.
-  const bool deep_count =
-      workload.resolve_counts &&
-      (workload.count_cap == 0 || workload.count_cap > kCountMinCap);
-  p.fallback = deep_count && shape.density() <= kCountMaxDensity
-                   ? BackendKind::kCount
-                   : BackendKind::kCdcl;
+  // Auto: unit propagation is tried first whenever the shape suggests
+  // it decides the formula.
   const bool unit_rich = shape.unit_fraction() >= kUnitPropMinUnitFraction;
   const bool tiny = shape.num_vars <= kUnitPropMaxVars;
-  p.primary = (unit_rich || tiny) ? BackendKind::kUnitProp : p.fallback;
-  // Portfolio hardness gate: only CNFs the plain CDCL route would get
-  // anyway, of racing-worthy size, in the density band where CDCL time
-  // explodes, and not unit-dominated.  Easy survivors of this shape
-  // test are caught by the conflict-budget probe inside the portfolio
-  // itself — so a misjudged gate costs one cheap probe, never a race.
-  if (p.primary == BackendKind::kCdcl && racing_width() >= 2 &&
-      shape.num_vars >= kPortfolioMinVars &&
-      shape.density() >= kPortfolioMinDensity &&
-      shape.density() <= kPortfolioMaxDensity &&
-      shape.unit_fraction() <= kPortfolioMaxUnitFraction) {
-    p.primary = BackendKind::kPortfolio;
-    p.portfolio_width = racing_width();
-  }
-  return p;
+  return (unit_rich || tiny) ? BackendKind::kUnitProp : BackendKind::kCdcl;
 }
 
 std::optional<BackendSelector::Mode> BackendSelector::parse(std::string_view name) {
   if (name == "auto") return Mode::kAuto;
   if (name == "cdcl") return Mode::kCdcl;
-  if (name == "count") return Mode::kCount;
   if (name == "unitprop") return Mode::kUnitProp;
-  if (name == "ipasir") return Mode::kIpasir;
-  if (name == "portfolio") return Mode::kPortfolio;
   return std::nullopt;
 }
 
@@ -289,14 +180,8 @@ const char* BackendSelector::to_string(Mode mode) {
       return "auto";
     case Mode::kCdcl:
       return "cdcl";
-    case Mode::kCount:
-      return "count";
     case Mode::kUnitProp:
       return "unitprop";
-    case Mode::kIpasir:
-      return "ipasir";
-    case Mode::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }

@@ -25,9 +25,7 @@ void split_vars(std::int32_t num_vars, IsTrue is_true, PotentialTrueResult& out)
 
 }  // namespace
 
-void SolverSession::load(const Cnf& cnf) { load(cnf, BackendPlan{}); }
-
-void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
+void SolverSession::load(const Cnf& cnf, BackendKind primary) {
   cnf_vars_ = cnf.num_vars;
   activation_ = kUndefVar;
   model_lits_.clear();
@@ -35,25 +33,19 @@ void SolverSession::load(const Cnf& cnf, const BackendPlan& plan) {
   exhausted_ = false;
   ++stats_.cnf_loads;
   stats_.fresh_clauses += cnf.clauses.size();
-  ++stats_.backends[idx(plan.primary)].selected;
-  backend_ = fetch_backend(plan.primary);
-  if (plan.primary == BackendKind::kPortfolio) {
-    // Width before load: changing it rebuilds the member set.
-    static_cast<PortfolioBackend*>(backend_)->set_width(plan.portfolio_width);
-  }
+  ++stats_.backends[idx(primary)].selected;
+  backend_ = fetch_backend(primary);
   backend_->load(cnf);
   presolve_ = backend_->presolve();
   if (!presolve_ && !backend_->supports_search()) {
     // The primary could not decide the CNF and cannot search: escalate
-    // to the plan's fallback (guarded against presolve-only fallbacks).
-    ++stats_.backends[idx(plan.primary)].escalated;
-    BackendKind fallback = plan.fallback;
-    if (!fetch_backend(fallback)->supports_search()) fallback = BackendKind::kCdcl;
-    backend_ = fetch_backend(fallback);
+    // to CDCL.
+    ++stats_.backends[idx(primary)].escalated;
+    backend_ = fetch_backend(BackendKind::kCdcl);
     backend_->load(cnf);
-    ++stats_.backends[idx(fallback)].served;
+    ++stats_.backends[idx(BackendKind::kCdcl)].served;
   } else {
-    ++stats_.backends[idx(plan.primary)].served;
+    ++stats_.backends[idx(primary)].served;
   }
 }
 
@@ -65,13 +57,7 @@ SolverBackend* SolverSession::fetch_backend(BackendKind kind) {
 
 SolveResult SolverSession::solve(std::span<const Lit> assumptions) {
   ++stats_.solve_calls;
-  const SolveResult result = backend_->solve(assumptions);
-  if (backend_->kind() == BackendKind::kPortfolio) {
-    // The backend's counters are cumulative across this session's
-    // loads, so a snapshot (not a sum) keeps stats_ exact.
-    stats_.portfolio = static_cast<PortfolioBackend*>(backend_)->portfolio_stats();
-  }
-  return result;
+  return backend_->solve(assumptions);
 }
 
 void SolverSession::read_model() {
@@ -112,13 +98,6 @@ std::uint64_t SolverSession::count_models_capped(std::uint64_t cap) {
                                                       : 1ULL << p.free_vars;
     return std::min(total, want);
   }
-  if (!exhausted_ && num_models_ < want) {
-    // A counting backend answers without enumerating.
-    if (const auto exact = backend_->exact_count()) {
-      if (*exact == 0) exhausted_ = true;
-      return std::min(*exact, want);
-    }
-  }
   ensure_models(want);
   return std::min<std::uint64_t>(num_models_, want);
 }
@@ -141,23 +120,6 @@ SolutionClassification SolverSession::classify() {
       out.unique_model.emplace(model(0).begin(), model(0).end());
     }
     return out;
-  }
-  if (num_models_ == 0 && !exhausted_) {
-    if (const auto exact = backend_->exact_count()) {
-      out.solution_class = static_cast<int>(std::min<std::uint64_t>(*exact, 2));
-      if (*exact == 0) {
-        exhausted_ = true;
-      } else if (*exact == 1) {
-        // One solve extracts the unique model; the count proves there
-        // is nothing to block, so the enumeration is already complete.
-        if (solve({}) == SolveResult::kSat) {
-          read_model();
-          exhausted_ = true;
-          out.unique_model.emplace(model(0).begin(), model(0).end());
-        }
-      }
-      return out;
-    }
   }
   ensure_models(2);
   out.solution_class = static_cast<int>(std::min<std::size_t>(num_models_, 2));

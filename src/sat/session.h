@@ -25,14 +25,12 @@
 //     enumeration-poisoned one.
 //
 // Backends (sat/backend.h): load(cnf) pins the session to the default
-// CdclBackend.  load(cnf, plan) lets a BackendSelector route the CNF
+// CdclBackend.  load(cnf, primary) lets a BackendSelector route the CNF
 // instead: a decided unit-prop presolve serves every query straight
-// from the propagation outcome (2^free_vars models, no search), an
-// exact_count() backend answers classification and capped counts
-// without blocking clauses, and a presolve that cannot decide the CNF
-// escalates to the plan's fallback backend.  Whatever the route, every
-// query returns exactly what the CDCL path would have — the
-// cross-backend suites enforce it.
+// from the propagation outcome (2^free_vars models, no search), and a
+// presolve that cannot decide the CNF escalates to CDCL.  Whatever the
+// route, every query returns exactly what the CDCL path would have —
+// the cross-backend suites enforce it.
 //
 // Every CNF gets exactly one load(), and a loaded backend is logically
 // fresh: no solver state (clauses, activities, phases, stats) carries
@@ -56,7 +54,6 @@
 #include <vector>
 
 #include "sat/backend.h"
-#include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "sat/types.h"
 
@@ -91,31 +88,25 @@ struct SessionStats {
   std::uint64_t fresh_clauses = 0;
   /// Per-backend selection/serving counters, indexed by BackendKind.
   std::array<BackendCounters, kNumBackendKinds> backends{};
-  /// Racing counters (README "Portfolio racing"), mirrored from the
-  /// session's PortfolioBackend after every solve it serves; all zero
-  /// when racing never engaged.
-  PortfolioStats portfolio;
 };
 
 class SolverSession {
  public:
   SolverSession() = default;
-  explicit SolverSession(const Cnf& cnf) { load(cnf); }
-  SolverSession(const Cnf& cnf, const BackendPlan& plan) { load(cnf, plan); }
+  explicit SolverSession(const Cnf& cnf, BackendKind primary = BackendKind::kCdcl) {
+    load(cnf, primary);
+  }
 
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
 
-  /// (Re)loads a CNF on the default CDCL backend, dropping all state of
-  /// the previous one.  Counts one cnf_load; other counters keep
-  /// accumulating.
-  void load(const Cnf& cnf);
-  /// As above, but routes the CNF per `plan`: the primary backend's
-  /// presolve may decide it outright, or escalate to the fallback.
-  void load(const Cnf& cnf, const BackendPlan& plan);
+  /// (Re)loads a CNF on the `primary` backend, dropping all state of the
+  /// previous one: its presolve may decide the CNF outright, or escalate
+  /// to CDCL.  Counts one cnf_load; other counters keep accumulating.
+  void load(const Cnf& cnf, BackendKind primary = BackendKind::kCdcl);
 
-  /// The backend actually answering queries for the loaded CNF (the
-  /// fallback, after an escalation).
+  /// The backend actually answering queries for the loaded CNF (CDCL,
+  /// after an escalation).
   BackendKind active_backend() const { return backend_->kind(); }
   /// True when a presolve decided the CNF and no search will run.
   bool presolved() const { return presolve_ != nullptr; }
@@ -126,8 +117,7 @@ class SolverSession {
   /// Exact model count up to `cap`; returns cap if there are at least
   /// `cap` models.  cap = 0 means no cap (exact total count — beware
   /// exponential blowup).  Extends classify()'s enumeration, unless the
-  /// backend's presolve or exact-count fast path answers without
-  /// enumerating.
+  /// backend's presolve answers without enumerating.
   std::uint64_t count_models_capped(std::uint64_t cap);
 
   /// For each CNF variable, whether any model assigns it True.

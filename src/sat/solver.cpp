@@ -7,14 +7,13 @@
 
 namespace ct::sat {
 
-void Solver::reset(const SolverConfig& config) {
+void Solver::reset() {
   // reset() clears exactly the buffers all() names: a vector added to
   // Buffers but not to all() would survive a reset, and fails here.
   static_assert(sizeof(Buffers) ==
                 std::tuple_size_v<decltype(std::declval<Buffers&>().all())> *
                     sizeof(std::vector<char>));
   st_ = State{};
-  st_.config = config;
   std::apply([](auto&... buffer) { (buffer.clear(), ...); }, buf_.all());
 }
 
@@ -22,7 +21,7 @@ Var Solver::new_var() {
   const Var v = static_cast<Var>(buf_.assigns.size());
   buf_.assigns.push_back(LBool::kUndef);
   buf_.var_info.push_back(VarInfo{});
-  buf_.polarity.push_back(st_.config.init_polarity ? 1 : 0);
+  buf_.polarity.push_back(0);
   buf_.activity.push_back(0.0);
   buf_.heap_pos.push_back(-1);
   buf_.seen.push_back(0);
@@ -368,19 +367,11 @@ Lit Solver::pick_branch_lit() {
   return kUndefLit;
 }
 
-SolveResult Solver::search(std::int64_t conflicts_allowed) {
+std::optional<SolveResult> Solver::search(std::int64_t conflicts_allowed) {
   std::int64_t conflict_count = 0;
   auto& learnt = buf_.learnt;
 
   for (;;) {
-    // Cooperative cancellation poll: one relaxed load per
-    // propagate-or-decide iteration, so a raised flag is honored well
-    // within one restart period.  Backtracking to level 0 leaves the
-    // solver exactly as consistent as a restart would.
-    if (stop_requested()) {
-      cancel_until(0);
-      return SolveResult::kUnknown;
-    }
     const ClauseRef confl = propagate();
     if (confl != kNoReason) {
       ++st_.stats.conflicts;
@@ -413,7 +404,7 @@ SolveResult Solver::search(std::int64_t conflicts_allowed) {
     if (conflicts_allowed >= 0 && conflict_count >= conflicts_allowed) {
       ++st_.stats.restarts;
       cancel_until(0);
-      return SolveResult::kUnknown;
+      return std::nullopt;
     }
     if (static_cast<double>(buf_.learnt_clauses.size()) -
             static_cast<double>(buf_.trail.size()) >=
@@ -453,24 +444,18 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   buf_.assumptions.assign(assumptions.begin(), assumptions.end());
   st_.max_learnts = std::max(static_cast<double>(buf_.problem_clauses.size()) * 0.3, 2000.0);
 
-  const std::uint64_t start_conflicts = st_.stats.conflicts;
-  SolveResult status = SolveResult::kUnknown;
-  for (std::uint64_t curr_restarts = 0; status == SolveResult::kUnknown; ++curr_restarts) {
-    if (stop_requested()) break;
-    if (st_.conflict_budget != 0 &&
-        st_.stats.conflicts - start_conflicts >= st_.conflict_budget) {
-      break;
-    }
-    const double rest_base = luby(st_.config.restart_base, curr_restarts);
-    status = search(static_cast<std::int64_t>(rest_base * st_.config.restart_scale));
+  std::optional<SolveResult> status;
+  for (std::uint64_t curr_restarts = 0; !status; ++curr_restarts) {
+    const double rest_base = luby(kRestartBase, curr_restarts);
+    status = search(static_cast<std::int64_t>(rest_base * kRestartScale));
   }
 
-  if (status == SolveResult::kSat) {
+  if (*status == SolveResult::kSat) {
     buf_.model.assign(buf_.assigns.begin(), buf_.assigns.end());
   }
   cancel_until(0);
   buf_.assumptions.clear();
-  return status;
+  return *status;
 }
 
 void Solver::reduce_db() {
@@ -516,7 +501,7 @@ void Solver::var_bump_activity(Var v) {
   if (buf_.heap_pos[static_cast<std::size_t>(v)] >= 0) heap_update(v);
 }
 
-void Solver::var_decay_activity() { st_.var_inc /= st_.config.var_decay; }
+void Solver::var_decay_activity() { st_.var_inc /= kVarDecay; }
 
 void Solver::clause_bump_activity(Clause& c) {
   c.activity += st_.clause_inc;
@@ -526,7 +511,7 @@ void Solver::clause_bump_activity(Clause& c) {
   }
 }
 
-void Solver::clause_decay_activity() { st_.clause_inc /= st_.config.clause_decay; }
+void Solver::clause_decay_activity() { st_.clause_inc /= kClauseDecay; }
 
 void Solver::heap_insert(Var v) {
   buf_.heap_pos[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(buf_.heap.size());

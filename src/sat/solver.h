@@ -12,7 +12,6 @@
 // scratch so the repository is self-contained.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -24,25 +23,8 @@
 
 namespace ct::sat {
 
-/// Result of a solve() call.
-enum class SolveResult : std::uint8_t { kSat, kUnsat, kUnknown };
-
-/// Search-strategy knobs.  Every configuration is semantically exact —
-/// it changes the path the search takes, never the answer — which is
-/// what makes portfolio racing sound: diversified configs disagree
-/// wildly on *time-to-answer* for hard formulas while agreeing on the
-/// answer itself.
-struct SolverConfig {
-  /// Luby restart sequence base (restart i allows luby(base, i) * scale
-  /// conflicts).
-  double restart_base = 2.0;
-  double restart_scale = 100.0;
-  /// Initial saved phase for fresh variables (phase saving overwrites
-  /// it as soon as a variable is assigned).
-  bool init_polarity = false;
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-};
+/// Result of a solve() call: every solve runs to an answer.
+enum class SolveResult : std::uint8_t { kSat, kUnsat };
 
 /// Solver statistics, cumulative across solve() calls.
 struct SolverStats {
@@ -57,17 +39,15 @@ struct SolverStats {
 class Solver {
  public:
   Solver() = default;
-  explicit Solver(const SolverConfig& config) { st_.config = config; }
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
   /// Returns the solver to the exact logical state of a newly built
-  /// `Solver(config)`: no variables, no clauses, zero stats, no conflict
-  /// budget and no stop flag.  Every buffer keeps its capacity, so a
-  /// lane that reloads one solver per CNF stops allocating once it has
-  /// seen its largest CNF.
-  void reset(const SolverConfig& config = {});
+  /// Solver: no variables, no clauses, zero stats.  Every buffer keeps
+  /// its capacity, so a lane that reloads one solver per CNF stops
+  /// allocating once it has seen its largest CNF.
+  void reset();
 
   /// Creates a fresh variable and returns it.
   Var new_var();
@@ -84,8 +64,7 @@ class Solver {
   /// Convenience: adds every clause of a CNF (creating variables).
   bool add_cnf(const Cnf& cnf);
 
-  /// Solves under the given assumptions.  kUnknown only if a conflict
-  /// budget was set and exhausted.
+  /// Solves under the given assumptions.
   SolveResult solve(std::span<const Lit> assumptions = {});
   SolveResult solve(std::initializer_list<Lit> assumptions) {
     return solve(std::span<const Lit>(assumptions.begin(), assumptions.size()));
@@ -104,20 +83,6 @@ class Solver {
   /// assumptions needed).
   bool is_inconsistent() const { return !st_.ok; }
 
-  /// Optional conflict budget per solve() call; 0 disables the limit.
-  void set_conflict_budget(std::uint64_t max_conflicts) { st_.conflict_budget = max_conflicts; }
-
-  /// Cooperative cancellation: while `stop` is non-null and reads true,
-  /// solve() abandons the search at the next poll point (once per
-  /// search-loop iteration and once per restart) and returns kUnknown.
-  /// Cancellation backtracks to level 0 and keeps every learnt clause —
-  /// the solver state stays exactly as consistent as after a
-  /// conflict-budget timeout, so the same solver can be re-solved (with
-  /// the flag lowered) and still return the correct answer.  nullptr
-  /// detaches the flag.  The flag is only ever *read* by the solver;
-  /// raising it from another thread is the point.
-  void set_stop_flag(const std::atomic<bool>* stop) { st_.stop = stop; }
-
   const SolverStats& stats() const { return st_.stats; }
 
   /// Value of v in the current (partial) assignment; exposed for tests.
@@ -131,6 +96,13 @@ class Solver {
   using ClauseRef = std::int32_t;
   static constexpr ClauseRef kNoReason = -1;
   static constexpr double kLearntGrowth = 1.1;
+  // Search strategy: Luby restarts (restart i allows luby(kRestartBase,
+  // i) * kRestartScale conflicts), VSIDS and clause-activity decay.
+  // Fresh variables start with the saved phase False.
+  static constexpr double kRestartBase = 2.0;
+  static constexpr double kRestartScale = 100.0;
+  static constexpr double kVarDecay = 0.95;
+  static constexpr double kClauseDecay = 0.999;
 
   /// A clause's literals are Buffers::lits[begin, begin + size).
   struct Clause {
@@ -160,9 +132,6 @@ class Solver {
     double clause_inc = 1.0;
     bool ok = true;
     double max_learnts = 0.0;  // learnt DB size that triggers reduce_db
-    std::uint64_t conflict_budget = 0;
-    const std::atomic<bool>* stop = nullptr;  // cooperative cancellation
-    SolverConfig config;
     SolverStats stats;
   };
 
@@ -218,7 +187,9 @@ class Solver {
   bool lit_redundant(Lit l, std::uint32_t abstract_levels);
   void cancel_until(std::int32_t level);
   Lit pick_branch_lit();
-  SolveResult search(std::int64_t conflicts_allowed);
+  /// Searches until an answer or `conflicts_allowed` conflicts; nullopt
+  /// asks solve() for a restart.
+  std::optional<SolveResult> search(std::int64_t conflicts_allowed);
 
   // --- clause management ---
   ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt);
@@ -247,10 +218,6 @@ class Solver {
 
   std::int32_t decision_level() const {
     return static_cast<std::int32_t>(buf_.trail_lim.size());
-  }
-
-  bool stop_requested() const {
-    return st_.stop != nullptr && st_.stop->load(std::memory_order_relaxed);
   }
 
   static double luby(double y, std::uint64_t i);

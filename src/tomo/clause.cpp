@@ -78,12 +78,7 @@ void PathPool::load(util::ByteReader& r, std::int32_t num_ases) {
   util::load_vec(r, loaded.paths_, [num_ases](util::ByteReader& r) {
     std::vector<topo::AsId> path;
     util::load_vec(r, path, [num_ases](util::ByteReader& r) {
-      const topo::AsId as = r.i32();
-      if (as < 0 || as >= num_ases) {
-        throw util::SerdeError("PathPool::load: AS id " + std::to_string(as) + " outside the " +
-                               std::to_string(num_ases) + " ASes");
-      }
-      return as;
+      return util::load_id(r, num_ases, "PathPool::load: AS id");
     });
     return path;
   });

@@ -16,14 +16,8 @@ CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& option
   verdict.num_vars = tc.vars.size();
 
   // The one load this verdict is allowed; the selector routes the CNF
-  // to a backend by its shape and the query workload ahead.  Counts are
-  // only ever read when count_cap > 2 (below, and count_cap = 0 keeps
-  // the historical "always 0" result) — the workload must say so, or
-  // the selector would pick a counting backend for a count nobody asks
-  // for (count_cap = 0 means *unbounded* at the session/selector level).
-  const sat::BackendWorkload workload{options.count_cap,
-                                      options.resolve_counts && options.count_cap > 2};
-  session_.load(tc.cnf, options.backend.plan(sat::shape_of(tc.cnf), workload));
+  // to a backend by its shape.
+  session_.load(tc.cnf, options.backend.pick(sat::shape_of(tc.cnf)));
 
   // Class first: at most two models enumerated.  Counts beyond 2 are
   // resolved lazily — class-0/1 CNFs already have their exact count, and
@@ -40,19 +34,22 @@ CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& option
         static_cast<std::uint64_t>(verdict.solution_class), options.count_cap);
   }
 
+  // Each AS list is sized once: its length is known before it is filled.
+  const auto as_of = [&tc](sat::Var v) { return tc.vars[static_cast<std::size_t>(v)]; };
   if (verdict.solution_class == 1) {
-    for (const sat::Lit l : *cls.unique_model) {
-      if (!l.negated()) verdict.censors.push_back(tc.vars[static_cast<std::size_t>(l.var())]);
+    const std::vector<sat::Lit>& model = *cls.unique_model;
+    verdict.censors.reserve(static_cast<std::size_t>(
+        std::count_if(model.begin(), model.end(), [](sat::Lit l) { return !l.negated(); })));
+    for (const sat::Lit l : model) {
+      if (!l.negated()) verdict.censors.push_back(as_of(l.var()));
     }
     std::sort(verdict.censors.begin(), verdict.censors.end());
   } else if (verdict.solution_class == 2) {
     const sat::PotentialTrueResult split = session_.potential_true_vars();
-    for (const sat::Var v : split.potential_true) {
-      verdict.potential_censors.push_back(tc.vars[static_cast<std::size_t>(v)]);
-    }
-    for (const sat::Var v : split.always_false) {
-      verdict.definite_noncensors.push_back(tc.vars[static_cast<std::size_t>(v)]);
-    }
+    verdict.potential_censors.reserve(split.potential_true.size());
+    for (const sat::Var v : split.potential_true) verdict.potential_censors.push_back(as_of(v));
+    verdict.definite_noncensors.reserve(split.always_false.size());
+    for (const sat::Var v : split.always_false) verdict.definite_noncensors.push_back(as_of(v));
     std::sort(verdict.potential_censors.begin(), verdict.potential_censors.end());
     std::sort(verdict.definite_noncensors.begin(), verdict.definite_noncensors.end());
     verdict.reduction_fraction =
@@ -79,7 +76,6 @@ void EngineStats::add_arena(const sat::SessionStats& s) {
     backends[k].served += s.backends[k].served;
     backends[k].escalated += s.backends[k].escalated;
   }
-  portfolio += s.portfolio;
   ++arenas;
 }
 
@@ -99,7 +95,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
     backends[k].served += other.backends[k].served;
     backends[k].escalated += other.backends[k].escalated;
   }
-  portfolio += other.portfolio;
   return *this;
 }
 
@@ -118,16 +113,9 @@ std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
   if (stats != nullptr) *stats = EngineStats{};
   std::vector<CnfVerdict> out(cnfs.size());
 
-  // Never more workers than cores: a larger request would oversubscribe.
-  const unsigned hardware = util::ThreadPool::hardware_threads();
-  unsigned threads =
-      options.num_threads == 0 ? hardware : std::min(options.num_threads, hardware);
-  // Thread-budget rule (README "Portfolio racing"): every racing solve
-  // runs `width` members concurrently, so divide the worker count by
-  // the racing width to keep workers x width within the same budget.
-  threads = std::max(1u, threads / options.backend.racing_width());
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(cnfs.size(), 1)));
+  const auto threads = static_cast<unsigned>(
+      std::min<std::size_t>(util::ThreadPool::workers_for(options.num_threads),
+                            std::max<std::size_t>(cnfs.size(), 1)));
 
   if (threads <= 1) {
     CnfAnalyzer arena;
@@ -182,9 +170,12 @@ void CensorSupport::save(util::ByteWriter& w) const {
       });
 }
 
-void CensorSupport::load(util::ByteReader& r) {
+void CensorSupport::load(util::ByteReader& r, std::int32_t num_ases) {
   util::load_map(
-      r, support_, [](util::ByteReader& r) { return topo::AsId{r.i32()}; },
+      r, support_,
+      [num_ases](util::ByteReader& r) {
+        return util::load_id(r, num_ases, "CensorSupport::load: AS id");
+      },
       [](util::ByteReader& r) {
         std::set<std::pair<std::int32_t, censor::Anomaly>> ev;
         util::load_set(r, ev, [](util::ByteReader& r) {

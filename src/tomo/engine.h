@@ -13,10 +13,10 @@
 // computed on a sat::SolverSession that loads the CNF exactly once and
 // serves classification, lazy capped counting, and backbone probes from
 // the same solver backend — chosen per CNF by AnalysisOptions::backend
-// (CDCL, exact-count, or the unit-prop presolve fast path; see
-// sat/backend.h).  Backend choice never changes a verdict, only how it
-// is computed.  Each CNF is solved on its own, as in the paper: no
-// solver state carries over from one window to the next.  A CnfAnalyzer
+// (CDCL or the unit-prop presolve fast path; see sat/backend.h).
+// Backend choice never changes a verdict, only how it is computed.
+// Each CNF is solved on its own, as in the paper: no solver state
+// carries over from one window to the next.  A CnfAnalyzer
 // is the per-worker "session arena": it owns one session and reuses it
 // across CNFs via load(), so its cumulative SessionStats expose the
 // one-load-per-verdict invariant.  analyze_cnfs schedules a batch by
@@ -52,11 +52,12 @@ struct AnalysisOptions {
   bool resolve_counts = true;
   /// Worker threads for analyze_cnfs: 1 = serial on the calling thread
   /// (exact old behavior), 0 = hardware concurrency; a larger request is
-  /// capped at the hardware.  Verdicts are independent of this value.
+  /// capped at the hardware (util::ThreadPool::workers_for).  Verdicts
+  /// are independent of this value.
   unsigned num_threads = 1;
   /// Per-CNF SAT backend selection (README "Solver backends"): auto
-  /// picks CDCL / exact-count / unit-prop by formula shape and the
-  /// count_cap/resolve_counts workload; forced modes pin one backend.
+  /// picks CDCL or unit-prop by formula shape; forced modes pin one
+  /// backend.
   /// Verdicts are byte-identical for every mode — the backend
   /// equivalence suite and GoldenRegression's forced-backend instances
   /// enforce it.
@@ -89,9 +90,8 @@ struct EngineStats {
   std::uint64_t cnf_loads = 0;
   std::uint64_t solve_calls = 0;
   std::uint64_t models_found = 0;
-  /// Always 0: every CNF is one fresh load.  Kept only because the
-  /// benchmark's sat.delta_loads metric reads it; a benchmark change
-  /// drops both.
+  /// Always 0: every CNF is one fresh load.  Kept only because perfbench
+  /// reads it (sat.delta_loads); a `[benchmark]` PR drops both.
   std::uint64_t delta_loads = 0;
   /// Problem clauses loaded: the sum of |cnf.clauses| over the analyzed
   /// batch, for every execution mode.
@@ -109,10 +109,11 @@ struct EngineStats {
   /// sat::BackendKind; sum of `selected` (and of `served`) equals
   /// cnf_loads.
   std::array<sat::BackendCounters, sat::kNumBackendKinds> backends{};
-  /// Portfolio racing counters (README "Portfolio racing"), summed over
-  /// all arenas: races run/won per member, probe decisions, winner vs.
-  /// wasted conflicts, and loser cancellation latency.
-  sat::PortfolioStats portfolio;
+  /// Always 0: no backend races.  Kept only because perfbench reads it
+  /// (sat.portfolio_races); a `[benchmark]` PR drops both.
+  struct {
+    std::uint64_t races = 0;
+  } portfolio;
 
   /// Sums one arena's cumulative SessionStats into these counters and
   /// bumps `arenas` — the one aggregation path shared by analyze_cnfs
@@ -166,9 +167,10 @@ class CensorSupport {
       const std::set<topo::AsId>& within) const;
 
   /// Checkpoint support (analysis/checkpoint.h).  load() throws
-  /// util::SerdeError for an anomaly byte outside censor::Anomaly.
+  /// util::SerdeError for an AS id outside [0, num_ases) or an anomaly
+  /// byte outside censor::Anomaly.
   void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void load(util::ByteReader& r, std::int32_t num_ases);
 
  private:
   /// Support = distinct (URL, anomaly) pairs with a unique-solution CNF

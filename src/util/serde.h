@@ -136,6 +136,16 @@ E load_enum(ByteReader& r, std::size_t count) {
   return static_cast<E>(v);
 }
 
+/// An i32 id in [0, bound); an id outside is refused, naming `what`.
+inline std::int32_t load_id(ByteReader& r, std::int64_t bound, const char* what) {
+  const std::int32_t id = r.i32();
+  if (id < 0 || id >= bound) {
+    throw SerdeError(std::string(what) + " " + std::to_string(id) + " outside [0, " +
+                     std::to_string(bound) + ")");
+  }
+  return id;
+}
+
 // --- container helpers ----------------------------------------------
 // Free functions so element writers compose: save_vec(w, v, fn).
 

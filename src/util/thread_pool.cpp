@@ -8,6 +8,11 @@ unsigned ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+unsigned ThreadPool::workers_for(unsigned requested) {
+  const unsigned hardware = hardware_threads();
+  return requested == 0 ? hardware : std::min(requested, hardware);
+}
+
 ThreadPool::ThreadPool(unsigned num_threads) {
   num_workers_ = num_threads == 0 ? hardware_threads() : num_threads;
   if (num_workers_ == 1) return;  // serial mode: no threads, no queues

@@ -47,6 +47,10 @@ class ThreadPool {
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static unsigned hardware_threads();
+  /// The worker count for a requested one: 0 = hardware_threads(), and
+  /// a larger request is capped at hardware_threads(), since more
+  /// workers than cores would only oversubscribe them.
+  static unsigned workers_for(unsigned requested);
 
   /// Runs fn(worker, index) for every index in [0, count); blocks until
   /// all tasks completed.  Not reentrant: at most one for_each_index may

@@ -4,10 +4,9 @@
 // on the CNF and the analysis options — never on which SolverBackend
 // computed it.  These tests hold the pipeline to that contract at the
 // verdict level (every field of every verdict, byte-identical across
-// auto / cdcl / count / unitprop, three seeds, lazy and eager counting)
+// auto / cdcl / unitprop, three seeds, lazy and eager counting)
 // and at the experiment level (every table/figure data product, across
 // backends x shard counts).
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "analysis/scenario.h"
 #include "expect_churn.h"
 #include "sat/backend.h"
-#include "sat/portfolio.h"
 #include "shard_scenario.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
@@ -32,8 +30,7 @@ using Mode = sat::BackendSelector::Mode;
 using test::expect_churn_equal;
 using test::shard_scenario;
 
-constexpr Mode kAllModes[] = {Mode::kAuto,     Mode::kCdcl,   Mode::kCount,
-                              Mode::kUnitProp, Mode::kIpasir, Mode::kPortfolio};
+constexpr Mode kAllModes[] = {Mode::kAuto, Mode::kCdcl, Mode::kUnitProp};
 
 std::uint64_t sum_selected(const tomo::EngineStats& stats) {
   std::uint64_t total = 0;
@@ -103,29 +100,14 @@ TEST(BackendEquivalence, VerdictsByteIdenticalAcrossBackends) {
           EXPECT_EQ(stats.backends[static_cast<std::size_t>(BackendKind::kCdcl)].served,
                     loads);
         }
-        if (mode == Mode::kIpasir) {
-          EXPECT_EQ(stats.backends[static_cast<std::size_t>(BackendKind::kIpasir)].served,
-                    loads)
-              << "forced ipasir must route every CNF through the flat-C seam";
-        }
-        if (mode == Mode::kPortfolio) {
-          EXPECT_EQ(
-              stats.backends[static_cast<std::size_t>(BackendKind::kPortfolio)].served,
-              loads);
-          // Every solve either probed out or raced; the counters prove
-          // the portfolio actually engaged rather than quietly serving
-          // plain CDCL.
-          EXPECT_GT(stats.portfolio.races + stats.portfolio.probe_decided, 0u);
-        }
       }
     }
   }
 }
 
-TEST(BackendEquivalence, CountCapZeroNeverSelectsCountingBackend) {
+TEST(BackendEquivalence, CountCapZeroKeepsEveryCappedCountAtZero) {
   // count_cap = 0 keeps the engine's historical "capped_count stays 0"
-  // behavior — no count is ever read, so auto must not route CNFs to
-  // the counting backend for it (at the session level cap 0 means
+  // behavior: no count is ever read (at the session level cap 0 means
   // *unbounded*, which is the opposite workload).
   Scenario scenario(shard_scenario(20170623));
   const auto sinks = run_platform(scenario, 1);
@@ -137,7 +119,7 @@ TEST(BackendEquivalence, CountCapZeroNeverSelectsCountingBackend) {
   options.count_cap = 0;
   tomo::EngineStats stats;
   const std::vector<tomo::CnfVerdict> verdicts = tomo::analyze_cnfs(cnfs, options, &stats);
-  EXPECT_EQ(stats.backends[static_cast<std::size_t>(BackendKind::kCount)].selected, 0u);
+  ASSERT_FALSE(verdicts.empty());
   for (const auto& v : verdicts) EXPECT_EQ(v.capped_count, 0u);
 }
 
@@ -186,53 +168,6 @@ TEST(BackendEquivalence, RunExperimentAcrossBackendsAndShards) {
       options.analysis.backend.mode = mode;
       options.num_platform_shards = shards;
       expect_results_equal(run_experiment(scenario, options), baseline);
-    }
-  }
-}
-
-// Portfolio racing on/off, crossed with forced winners: a portfolio
-// width arms racing in auto mode, forced kPortfolio races every CNF, and
-// injected per-member delays force specific members to win — the final
-// report must be byte-identical in every case (the determinism argument
-// in sat/portfolio.h, held at the experiment level).
-TEST(BackendEquivalence, PortfolioRacingOnOffByteIdentical) {
-  struct DelayGuard {
-    ~DelayGuard() { sat::set_portfolio_test_delays({}); }
-  } guard;
-
-  Scenario baseline_scenario(shard_scenario(20170623));
-  ExperimentOptions baseline_options;
-  baseline_options.analysis.backend.mode = Mode::kCdcl;
-  baseline_options.num_platform_shards = 1;
-  const ExperimentResult baseline = run_experiment(baseline_scenario, baseline_options);
-
-  using std::chrono::milliseconds;
-  struct Case {
-    const char* name;
-    Mode mode;
-    unsigned width;
-    std::vector<std::chrono::nanoseconds> delays;
-  };
-  const std::vector<Case> cases = {
-      {"auto+racing", Mode::kAuto, 2, {}},
-      {"forced portfolio", Mode::kPortfolio, 2, {}},
-      {"forced portfolio, member 1 wins", Mode::kPortfolio, 2, {milliseconds(2), {}}},
-      {"forced portfolio, member 0 wins", Mode::kPortfolio, 2, {{}, milliseconds(2)}},
-      {"forced portfolio width 3", Mode::kPortfolio, 3, {}},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    sat::set_portfolio_test_delays(c.delays);
-    Scenario scenario(shard_scenario(20170623));
-    ExperimentOptions options;
-    options.analysis.backend.mode = c.mode;
-    options.analysis.backend.portfolio_width = c.width;
-    options.num_platform_shards = 1;
-    const ExperimentResult got = run_experiment(scenario, options);
-    expect_results_equal(got, baseline);
-    if (c.mode == Mode::kPortfolio) {
-      EXPECT_GT(got.engine_stats.portfolio.races + got.engine_stats.portfolio.probe_decided,
-                0u);
     }
   }
 }

@@ -4,8 +4,7 @@
 // silently drift the paper's results.
 //
 // The suite is the execution matrix: every regime on a serial and a
-// sharded platform, plus each forced SAT backend and portfolio racing
-// width on the baseline world.  Each instance checks its regime's
+// sharded platform, plus each forced SAT backend on the baseline world.  Each instance checks its regime's
 // golden file, through the batch run and through the resident monitor,
 // and checks that the run's serialize_report is byte-equal to the
 // phase-separated reference's serial auto run of the same regime — so
@@ -42,17 +41,13 @@ struct GoldenMode {
   ScenarioRegime regime;
   unsigned shards;
   Backend backend = Backend::kAuto;
-  unsigned portfolio_width = 0;
 
   /// The serial auto run: the one that writes the golden file.
-  bool is_reference() const {
-    return shards == 1 && backend == Backend::kAuto && portfolio_width == 0;
-  }
+  bool is_reference() const { return shards == 1 && backend == Backend::kAuto; }
 };
 
-/// Every regime at shards {1, 4}, then each forced backend and racing
-/// width on the baseline world: cdcl at both shard counts, the others
-/// at one, serial or sharded.
+/// Every regime at shards {1, 4}, then each forced backend on the
+/// baseline world: cdcl at both shard counts, unitprop sharded.
 std::vector<GoldenMode> golden_modes() {
   std::vector<GoldenMode> modes;
   for (const ScenarioRegime regime : censor::all_regimes()) {
@@ -61,21 +56,14 @@ std::vector<GoldenMode> golden_modes() {
   const ScenarioRegime base = ScenarioRegime::kBaseline;
   modes.push_back({base, 1, Backend::kCdcl});
   modes.push_back({base, 4, Backend::kCdcl});
-  modes.push_back({base, 4, Backend::kCount});
   modes.push_back({base, 4, Backend::kUnitProp});
-  modes.push_back({base, 1, Backend::kIpasir});
-  modes.push_back({base, 4, Backend::kPortfolio});
-  modes.push_back({base, 1, Backend::kAuto, sat::kDefaultPortfolioWidth});
-  modes.push_back({base, 4, Backend::kAuto, 3});
   return modes;
 }
 
-/// The instance name, e.g. routing_shards4_auto or baseline_shards1_auto_racing2.
+/// The instance name, e.g. routing_shards4_auto or baseline_shards1_cdcl.
 std::string mode_name(const GoldenMode& mode) {
-  std::string name = censor::to_string(mode.regime) + "_shards" + std::to_string(mode.shards) +
-                     "_" + sat::BackendSelector::to_string(mode.backend);
-  if (mode.portfolio_width > 0) name += "_racing" + std::to_string(mode.portfolio_width);
-  return name;
+  return censor::to_string(mode.regime) + "_shards" + std::to_string(mode.shards) + "_" +
+         sat::BackendSelector::to_string(mode.backend);
 }
 
 void PrintTo(const GoldenMode& mode, std::ostream* os) { *os << mode_name(mode); }
@@ -100,7 +88,6 @@ ExperimentOptions golden_options(const GoldenMode& mode) {
   ExperimentOptions options;
   options.num_platform_shards = mode.shards;
   options.analysis.backend.mode = mode.backend;
-  options.analysis.backend.portfolio_width = mode.portfolio_width;
   return options;
 }
 

@@ -416,12 +416,13 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
     v2.str(open_checkpoint(bytes, fingerprint).payload);
     EXPECT_THROW(open_checkpoint(v2.take(), fingerprint), CheckpointError);
 
-    // A version-3 envelope (one combined EngineStats record) and a
+    // A version-3 envelope (one combined EngineStats record), a
     // version-4 one (groupers with a private pool, positive-id sets and
-    // an emitted count) are refused by their version field too, even
-    // with a valid checksum.
-    ASSERT_EQ(kCheckpointVersion, 5u);
-    for (const std::uint32_t old : {3u, 4u}) {
+    // an emitted count) and a version-5 one (racing counters in the
+    // engine stats) are refused by their version field too, even with a
+    // valid checksum.
+    ASSERT_EQ(kCheckpointVersion, 6u);
+    for (const std::uint32_t old : {3u, 4u, 5u}) {
       SCOPED_TRACE("version " + std::to_string(old));
       std::string stale = bytes;
       util::ByteWriter version;
@@ -496,7 +497,7 @@ TEST(MonitorCheckpoint, VerdictAnomalyByteOutsideTheEnumIsRefused) {
   // Figure-1 rows by granularity (key byte, split), then by anomaly.
   util::ByteReader r = reader_at_folds(scenario, opened.payload);
   LiveCounts counts;
-  counts.load(r);
+  counts.load(r, scenario.graph().num_ases());
   const std::size_t granularities = r.size();
   for (std::size_t i = 0; i < granularities; ++i) {
     r.u8();
@@ -520,13 +521,54 @@ TEST(MonitorCheckpoint, SupportAnomalyByteOutsideTheEnumIsRefused) {
   // then each AS and its (URL, anomaly) evidence set | ...
   util::ByteReader r = reader_at_folds(scenario, opened.payload);
   ExperimentFolds folds(monitor_options(1).experiment);
-  folds.verdicts.load(r);
+  folds.verdicts.load(r, scenario.graph().num_ases());
   ASSERT_GT(r.size(), 0u);  // supported ASes
   r.i32();
   ASSERT_GT(r.size(), 0u);  // the first AS's evidence
   r.i32();                  // its URL
   const std::size_t first_anomaly = opened.payload.size() - r.remaining();
   expect_crafted_bytes_refused(scenario, source, first_anomaly, std::string(1, kBadAnomaly));
+}
+
+TEST(MonitorCheckpoint, FoldAsIdsPastTheGraphAreRefused) {
+  // Unchecked, an AS id of num_ases in the censor support or the live
+  // counts restored, and finalize() threw out_of_range from
+  // AsGraph::as_info while building Table 2.
+  const ScenarioConfig config = shard_scenario(46);
+  Scenario scenario(config);
+  MonitorEngine source(scenario, monitor_options(1));
+  source.run_until(14);
+  const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
+  const std::int32_t num_ases = scenario.graph().num_ases();
+
+  // Payload layout: ... | main verdict fold: the live counts (CNF count,
+  // overall split, the per-URL splits, then the exact-censor counts by
+  // AS) | ...
+  util::ByteReader r = reader_at_folds(scenario, opened.payload);
+  r.i64();
+  for (std::size_t c = 0; c < SolutionSplit{}.count.size(); ++c) r.i64();
+  for (std::size_t urls = r.size(); urls > 0; --urls) {
+    r.i32();
+    for (std::size_t c = 0; c < SolutionSplit{}.count.size(); ++c) r.i64();
+  }
+  ASSERT_GT(r.size(), 0u);  // ASes named an exact censor
+  const std::size_t first_counted_as = opened.payload.size() - r.remaining();
+  for (const topo::AsId as : {-1, num_ases}) {
+    SCOPED_TRACE("live counts, as=" + std::to_string(as));
+    expect_crafted_id_refused(scenario, source, first_counted_as, as);
+  }
+
+  // ... | verdict fold | censor support: the AS count, then each AS and
+  // its evidence | ...
+  r = reader_at_folds(scenario, opened.payload);
+  ExperimentFolds folds(monitor_options(1).experiment);
+  folds.verdicts.load(r, num_ases);
+  ASSERT_GT(r.size(), 0u);  // supported ASes
+  const std::size_t first_supported_as = opened.payload.size() - r.remaining();
+  for (const topo::AsId as : {-1, num_ases}) {
+    SCOPED_TRACE("censor support, as=" + std::to_string(as));
+    expect_crafted_id_refused(scenario, source, first_supported_as, as);
+  }
 }
 
 TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
@@ -742,18 +784,6 @@ TEST(MonitorStatsTest, SatLanesCappedAtHardwareThreads) {
   options.experiment.num_threads = hw + 2;
   const MonitorEngine monitor(scenario, options);
   EXPECT_EQ(monitor.stats().engine.arenas, 2 * hw);
-
-  // Racing solves run `width` members each, so the lanes are divided by
-  // the racing width, as analyze_cnfs divides its workers, and never
-  // drop below one.
-  for (const unsigned width : {2u, 3u, 4u}) {
-    SCOPED_TRACE("racing width " + std::to_string(width));
-    MonitorOptions racing = options;
-    racing.experiment.analysis.backend.portfolio_width = width;
-    ASSERT_EQ(racing.experiment.analysis.backend.racing_width(), width);
-    const MonitorEngine raced(scenario, racing);
-    EXPECT_EQ(raced.stats().engine.arenas, 2 * std::max(1u, hw / width));
-  }
 }
 
 // --- any-time snapshots -------------------------------------------------

@@ -11,6 +11,11 @@
 // refuses would write a checkpoint it cannot restore; this suite is
 // where that shows.
 //
+// The verdict folds (CensorSupport, LiveCounts, LeakageFold) are built
+// without the AS graph, so their add() takes any AS id and their
+// loaders take the graph's AS count instead: a fold fed ids inside the
+// graph round-trips, and bytes naming an AS outside it are refused.
+//
 // Replay a failure with CT_FUZZ_SEED=<n> ctest -R PersistedState.
 #include <gtest/gtest.h>
 
@@ -24,11 +29,14 @@
 
 #include "../support/fuzz_seed.h"
 #include "analysis/churn_stats.h"
+#include "analysis/live_report.h"
 #include "analysis/scenario.h"
 #include "analysis/truth_tracker.h"
 #include "iclab/platform.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
+#include "tomo/engine.h"
+#include "tomo/leakage.h"
 #include "topo/generator.h"
 #include "util/rng.h"
 #include "util/serde.h"
@@ -58,12 +66,13 @@ void expect_input(const T& part, bool refused, Fn&& input) {
   EXPECT_EQ(bytes_of(part), before);
 }
 
-/// save, load into `fresh`, save again: the same bytes.
-template <typename T>
-void expect_round_trip(const T& part, T& fresh) {
+/// save, load into `fresh` (with the loader's `bound`, if it takes one),
+/// save again: the same bytes.
+template <typename T, typename... Bound>
+void expect_round_trip(const T& part, T& fresh, Bound... bound) {
   const std::string saved = bytes_of(part);
   util::ByteReader r(saved);
-  ASSERT_NO_THROW(fresh.load(r));
+  ASSERT_NO_THROW(fresh.load(r, bound...));
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(bytes_of(fresh), saved);
 }
@@ -331,6 +340,77 @@ TEST(PersistedState, TruthTrackerLoadRefusesNonCensors) {
     util::ByteReader r(w.bytes());
     EXPECT_THROW(truth.load(r), util::SerdeError);
   }
+}
+
+/// A verdict of class 0, 1 or 2; a class-1 verdict names one to three
+/// exact censors drawn by `as`, a class-2 one as many potential censors.
+template <typename Draw>
+tomo::CnfVerdict random_verdict(util::Rng& rng, Draw&& as) {
+  tomo::CnfVerdict v;
+  v.key.url_id = id_below(rng, 4);
+  v.key.anomaly = static_cast<censor::Anomaly>(rng.index(censor::kNumAnomalies));
+  v.solution_class = static_cast<int>(rng.uniform_int(0, 2));
+  std::vector<topo::AsId>& named = v.solution_class == 1 ? v.censors : v.potential_censors;
+  if (v.solution_class > 0) {
+    for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) named.push_back(as());
+  }
+  return v;
+}
+
+/// Drives a verdict fold through `add(part, verdict)`.  Verdicts naming
+/// ASes of a graph of random size round-trip under load(r, num_ases);
+/// one more verdict naming an AS outside it (-1 or num_ases), which
+/// add() takes, gives bytes load(r, num_ases) refuses.
+template <typename T, typename Add>
+void expect_fold_bounds_as_ids(std::uint64_t seed, Add&& add) {
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto num_ases = static_cast<std::int32_t>(rng.uniform_int(1, 8));
+    const auto inside = [&] { return id_below(rng, num_ases); };
+    T part;
+    for (int step = 0; step < 30; ++step) add(part, random_verdict(rng, inside));
+    T fresh;
+    expect_round_trip(part, fresh, num_ases);
+
+    const topo::AsId outside = rng.bernoulli(0.5) ? -1 : num_ases;
+    tomo::CnfVerdict named_outside = random_verdict(rng, inside);
+    named_outside.solution_class = 1;
+    named_outside.potential_censors.clear();
+    named_outside.censors.push_back(outside);
+    add(part, named_outside);
+    const std::string saved = bytes_of(part);
+    util::ByteReader r(saved);
+    T refused;
+    EXPECT_THROW(refused.load(r, num_ases), util::SerdeError) << "AS " << outside;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(PersistedState, CensorSupport) {
+  expect_fold_bounds_as_ids<tomo::CensorSupport>(
+      ct::test::fuzz_seed(20171020),
+      [](tomo::CensorSupport& support, const tomo::CnfVerdict& v) { support.add(v); });
+}
+
+TEST(PersistedState, LiveCounts) {
+  expect_fold_bounds_as_ids<LiveCounts>(
+      ct::test::fuzz_seed(20171021),
+      [](LiveCounts& counts, const tomo::CnfVerdict& v) { counts.add(v); });
+}
+
+TEST(PersistedState, LeakageFold) {
+  // Each verdict's CNF has one positive path through its censors, so
+  // the fold's path pool holds the same AS ids.
+  expect_fold_bounds_as_ids<tomo::LeakageFold>(
+      ct::test::fuzz_seed(20171022),
+      [](tomo::LeakageFold& fold, const tomo::CnfVerdict& v) {
+        tomo::TomoCnf cnf;
+        cnf.key = v.key;
+        cnf.positive_paths = {v.censors};
+        fold.add(cnf, v);
+      });
 }
 
 }  // namespace

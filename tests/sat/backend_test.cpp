@@ -1,6 +1,6 @@
 // SolverBackend contract tests: the unit-prop presolve fast path, the
-// counting backend's exact-count shortcut, the selection policy, and
-// the session's per-backend accounting (selected / served / escalated).
+// selection policy, and the session's per-backend accounting (selected /
+// served / escalated).
 #include "sat/backend.h"
 
 #include <gtest/gtest.h>
@@ -83,42 +83,14 @@ TEST(UnitPropBackend, SearchOpsThrow) {
   EXPECT_THROW(backend.add_clause({}), std::logic_error);
 }
 
-TEST(CountingBackend, ExactCountAndSearchAgree) {
-  // (x0 v x1 v x2): 7 models.
-  Cnf cnf;
-  cnf.num_vars = 3;
-  cnf.add_clause({pos(0), pos(1), pos(2)});
-
-  CountingBackend backend;
-  backend.load(cnf);
-  ASSERT_TRUE(backend.exact_count().has_value());
-  EXPECT_EQ(*backend.exact_count(), 7u);
-  // The CDCL half still answers search queries on the same load.
-  EXPECT_EQ(backend.solve({}), SolveResult::kSat);
-
-  backend.load(propagation_conflict());
-  EXPECT_EQ(*backend.exact_count(), 0u);
-
-  // CdclBackend has no counting path.
-  CdclBackend cdcl;
-  cdcl.load(cnf);
-  EXPECT_FALSE(cdcl.exact_count().has_value());
-  EXPECT_EQ(cdcl.presolve(), nullptr);
-}
-
 TEST(BackendSelector, ForcedModesPinTheBackend) {
   const FormulaShape shape = shape_of(propagation_decided_free());
-  const BackendWorkload workload{6, true};
 
   BackendSelector selector;
   selector.mode = BackendSelector::Mode::kCdcl;
-  EXPECT_EQ(selector.plan(shape, workload).primary, BackendKind::kCdcl);
-  selector.mode = BackendSelector::Mode::kCount;
-  EXPECT_EQ(selector.plan(shape, workload).primary, BackendKind::kCount);
-  EXPECT_EQ(selector.plan(shape, workload).fallback, BackendKind::kCount);
+  EXPECT_EQ(selector.pick(shape), BackendKind::kCdcl);
   selector.mode = BackendSelector::Mode::kUnitProp;
-  EXPECT_EQ(selector.plan(shape, workload).primary, BackendKind::kUnitProp);
-  EXPECT_EQ(selector.plan(shape, workload).fallback, BackendKind::kCdcl);
+  EXPECT_EQ(selector.pick(shape), BackendKind::kUnitProp);
 }
 
 TEST(BackendSelector, AutoPicksByShapeAndWorkload) {
@@ -129,39 +101,26 @@ TEST(BackendSelector, AutoPicksByShapeAndWorkload) {
   unit_rich.num_vars = 100;
   unit_rich.num_clauses = 40;
   unit_rich.num_units = 30;
-  EXPECT_EQ(selector.plan(unit_rich, {2, false}).primary, BackendKind::kUnitProp);
+  EXPECT_EQ(selector.pick(unit_rich), BackendKind::kUnitProp);
 
-  // Large, few units, classification-only: plain CDCL.
+  // Large and few units: plain CDCL, sparse or dense.
   FormulaShape wide;
   wide.num_vars = 100;
   wide.num_clauses = 40;
   wide.num_units = 2;
-  EXPECT_EQ(selector.plan(wide, {2, false}).primary, BackendKind::kCdcl);
-  EXPECT_EQ(selector.plan(wide, {6, false}).primary, BackendKind::kCdcl);
-
-  // Deep or unbounded counts on a sparse formula: counting backend
-  // (also as the escalation target of unit-rich formulas).  A shallow
-  // cap (Figure 4's 6) stays on enumeration — cheaper than one full
-  // exact count.
-  EXPECT_EQ(selector.plan(wide, {0, true}).primary, BackendKind::kCount);
-  EXPECT_EQ(selector.plan(wide, {64, true}).primary, BackendKind::kCount);
-  EXPECT_EQ(selector.plan(wide, {6, true}).primary, BackendKind::kCdcl);
-  EXPECT_EQ(selector.plan(unit_rich, {0, true}).fallback, BackendKind::kCount);
-  EXPECT_EQ(selector.plan(unit_rich, {6, true}).fallback, BackendKind::kCdcl);
-
-  // ...but not on dense formulas, where DPLL counting explodes.
+  EXPECT_EQ(selector.pick(wide), BackendKind::kCdcl);
   FormulaShape dense;
   dense.num_vars = 40;
   dense.num_clauses = 200;
   dense.num_units = 2;
-  EXPECT_EQ(selector.plan(dense, {0, true}).primary, BackendKind::kCdcl);
+  EXPECT_EQ(selector.pick(dense), BackendKind::kCdcl);
 
   // Tiny formulas always get the (nearly free) presolve attempt.
   FormulaShape tiny;
   tiny.num_vars = 8;
   tiny.num_clauses = 12;
   tiny.num_units = 1;
-  EXPECT_EQ(selector.plan(tiny, {2, false}).primary, BackendKind::kUnitProp);
+  EXPECT_EQ(selector.pick(tiny), BackendKind::kUnitProp);
 }
 
 TEST(BackendSelector, ShapeOfCountsUnits) {
@@ -169,46 +128,28 @@ TEST(BackendSelector, ShapeOfCountsUnits) {
   EXPECT_EQ(shape.num_vars, 3);
   EXPECT_EQ(shape.num_clauses, 3);
   EXPECT_EQ(shape.num_units, 2);
-  EXPECT_DOUBLE_EQ(shape.density(), 1.0);
+  EXPECT_DOUBLE_EQ(shape.unit_fraction(), 2.0 / 3.0);
 }
 
 TEST(BackendSelector, Parse) {
   EXPECT_EQ(BackendSelector::parse("auto"), BackendSelector::Mode::kAuto);
   EXPECT_EQ(BackendSelector::parse("cdcl"), BackendSelector::Mode::kCdcl);
-  EXPECT_EQ(BackendSelector::parse("count"), BackendSelector::Mode::kCount);
   EXPECT_EQ(BackendSelector::parse("unitprop"), BackendSelector::Mode::kUnitProp);
-  EXPECT_EQ(BackendSelector::parse("ipasir"), BackendSelector::Mode::kIpasir);
-  EXPECT_EQ(BackendSelector::parse("portfolio"), BackendSelector::Mode::kPortfolio);
+  for (const auto mode : {BackendSelector::Mode::kAuto, BackendSelector::Mode::kCdcl,
+                          BackendSelector::Mode::kUnitProp}) {
+    EXPECT_EQ(BackendSelector::parse(BackendSelector::to_string(mode)), mode);
+  }
+  // Retired backends are no longer modes.
+  for (const char* retired : {"count", "ipasir", "portfolio"}) {
+    EXPECT_FALSE(BackendSelector::parse(retired).has_value()) << retired;
+  }
   EXPECT_FALSE(BackendSelector::parse("minisat").has_value());
   EXPECT_FALSE(BackendSelector::parse("").has_value());
 }
 
-TEST(BackendSelector, PortfolioRacingWidth) {
-  // Default: racing off, width 1 (no thread-budget division).
-  BackendSelector selector;
-  EXPECT_EQ(selector.portfolio_width, 0u);
-  EXPECT_EQ(selector.racing_width(), 1u);
-
-  // A width of 2 or more arms auto-mode racing, clamped to the slots.
-  selector.portfolio_width = kDefaultPortfolioWidth;
-  EXPECT_EQ(selector.racing_width(), kDefaultPortfolioWidth);
-  selector.portfolio_width = 3;
-  EXPECT_EQ(selector.racing_width(), 3u);
-  selector.portfolio_width = kMaxPortfolioWidth + 1;
-  EXPECT_EQ(selector.racing_width(), kMaxPortfolioWidth);
-
-  // A width never makes a forced non-portfolio mode race...
-  selector.mode = BackendSelector::Mode::kCdcl;
-  EXPECT_EQ(selector.racing_width(), 1u);
-  // ...and forced portfolio mode always races.
-  selector.mode = BackendSelector::Mode::kPortfolio;
-  selector.portfolio_width = 0;
-  EXPECT_EQ(selector.racing_width(), kDefaultPortfolioWidth) << "forced mode always races";
-}
-
 TEST(SolverSession, CountsBackendSelectionAndEscalation) {
   SolverSession session;
-  const BackendPlan unitprop{BackendKind::kUnitProp, BackendKind::kCdcl};
+  const BackendKind unitprop = BackendKind::kUnitProp;
 
   session.load(propagation_decided_free(), unitprop);
   EXPECT_TRUE(session.presolved());
@@ -247,7 +188,7 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
   Cnf cnf;
   cnf.num_vars = 70;
   cnf.add_clause({neg(0)});
-  SolverSession session(cnf, BackendPlan{BackendKind::kUnitProp, BackendKind::kCdcl});
+  SolverSession session(cnf, BackendKind::kUnitProp);
   ASSERT_TRUE(session.presolved());
   EXPECT_EQ(session.count_models_capped(5), 5u);
   EXPECT_EQ(session.count_models_capped(0), kCountCap) << "saturated exact count";
@@ -261,13 +202,16 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
 }
 
 TEST(MakeBackend, ProducesEveryKind) {
-  for (const BackendKind kind :
-       {BackendKind::kCdcl, BackendKind::kCount, BackendKind::kUnitProp}) {
+  for (const BackendKind kind : {BackendKind::kCdcl, BackendKind::kUnitProp}) {
     const auto backend = make_backend(kind);
     ASSERT_NE(backend, nullptr);
     EXPECT_EQ(backend->kind(), kind);
   }
   EXPECT_STREQ(to_string(BackendKind::kUnitProp), "unitprop");
+  // The counter slots of retired backends construct nothing.
+  for (const std::size_t retired : {1, 3, 4}) {
+    EXPECT_THROW(make_backend(static_cast<BackendKind>(retired)), std::invalid_argument);
+  }
 }
 
 }  // namespace

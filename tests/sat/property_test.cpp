@@ -1,8 +1,8 @@
 // Property-based tests: the CDCL solver, the session's queries
-// (classification, capped count, potential-true split) and the exact
-// counter must all agree with a brute-force reference on random small
-// formulas.  Parameterized over (seed, num_vars, num_clauses, clause_len)
-// sweeps.
+// (classification, capped count, potential-true split) and the
+// unit-propagation counter must all agree with a brute-force reference
+// on random small formulas.  Parameterized over (seed, num_vars,
+// num_clauses, clause_len) sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <tuple>
 #include <vector>
 
-#include "sat/counter.h"
+#include "sat/backend.h"
 #include "sat/session.h"
 #include "sat/solver.h"
 #include "util/rng.h"
@@ -116,9 +116,21 @@ TEST_P(SatAgreement, SolverAgreesWithBruteForce) {
 }
 
 TEST_P(SatAgreement, CounterAgreesWithBruteForce) {
+  // The unit-propagation counter: a decided presolve counts 2^free_vars
+  // models with no search, an undecided one escalates to CDCL.  Either
+  // way the session's counts must match the truth table.
   const Cnf cnf = random_cnf(GetParam());
-  ModelCounter mc;
-  EXPECT_EQ(mc.count(cnf).count, brute_force_count(cnf));
+  const std::uint64_t expected = brute_force_count(cnf);
+  UnitPropBackend backend;
+  backend.load(cnf);
+  if (const Presolve* outcome = backend.presolve()) {
+    EXPECT_EQ(outcome->solution_class == 0 ? std::uint64_t{0}
+                                           : std::uint64_t{1} << outcome->free_vars,
+              expected);
+  }
+  SolverSession session(cnf, BackendKind::kUnitProp);
+  EXPECT_EQ(session.count_models_capped(3), std::min<std::uint64_t>(expected, 3));
+  EXPECT_EQ(session.count_models_capped(0), expected);
 }
 
 TEST_P(SatAgreement, EnumerationAgreesWithBruteForce) {
@@ -199,8 +211,6 @@ TEST_P(TomoShapedCnf, AllEnginesAgree) {
   }
 
   const std::uint64_t expected = brute_force_count(cnf);
-  ModelCounter mc;
-  EXPECT_EQ(mc.count(cnf).count, expected);
   SolverSession session(cnf);
   EXPECT_EQ(session.count_models_capped(0), expected);
   Solver solver;

@@ -13,15 +13,12 @@
 // generator stops producing one of them.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <type_traits>
 #include <vector>
 
 #include "../support/fuzz_seed.h"
 #include "sat/backend.h"
-#include "sat/portfolio.h"
 #include "sat/session.h"
 #include "sat/solver.h"
 #include "util/rng.h"
@@ -38,7 +35,6 @@ struct Query {
 };
 
 struct Case {
-  SolverConfig config;
   Cnf cnf;
   std::vector<Query> queries;
 };
@@ -70,7 +66,6 @@ void add_3sat(util::Rng& rng, Cnf& cnf, std::int32_t num_clauses) {
 
 Case make_case(util::Rng& rng, Shape shape) {
   Case c;
-  c.config = PortfolioBackend::member_config(static_cast<unsigned>(rng.index(kMaxPortfolioWidth)));
   Cnf& cnf = c.cnf;
   switch (shape) {
     case Shape::kRandom: {
@@ -162,7 +157,6 @@ struct Coverage {
   int blocking_clauses = 0;
   int vars_up = 0;
   int vars_down = 0;
-  int unknown_solves = 0;  // cut by a conflict budget or a stop flag
 };
 
 void append_stats(std::vector<std::int64_t>& trace, const SolverStats& s) {
@@ -188,7 +182,6 @@ std::vector<std::int64_t> drive(Target& target, const Case& c, Coverage* coverag
   };
   const auto record_solve = [&](SolveResult r, std::int32_t num_vars) {
     trace.push_back(static_cast<std::int64_t>(r));
-    if (coverage != nullptr && r == SolveResult::kUnknown) ++coverage->unknown_solves;
     if (r == SolveResult::kSat) {
       for (Var v = 0; v < num_vars; ++v) {
         trace.push_back(static_cast<std::int64_t>(target.model_value(v)));
@@ -283,8 +276,8 @@ TEST(SolverReuse, ResetSolverMatchesAFreshSolver) {
   Solver reused;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
-    reused.reset(stream[i].config);
-    Solver fresh(stream[i].config);
+    reused.reset();
+    Solver fresh;
     const std::vector<std::int64_t> want = drive(fresh, stream[i], &coverage);
     EXPECT_EQ(drive(reused, stream[i], nullptr), want);
     coverage.reduce_db += fresh.stats().removed_clauses > 0 ? 1 : 0;
@@ -292,120 +285,26 @@ TEST(SolverReuse, ResetSolverMatchesAFreshSolver) {
   expect_covered(coverage);
 }
 
-TEST(SolverReuse, ResetKeepsNoBudgetOrStopFlag) {
-  // A newly built solver has neither; reset() must drop both.  The CNF
-  // needs more than one restart, so a kept budget of 1 would cut it.
-  Cnf cnf;
-  cnf.num_vars = 100;
-  util::Rng rng(7);
-  add_3sat(rng, cnf, 426);
-
-  std::atomic<bool> stop{true};
-  Solver reused;
-  reused.set_stop_flag(&stop);
-  reused.set_conflict_budget(1);
-  reused.add_cnf(cnf);
-  EXPECT_EQ(reused.solve(), SolveResult::kUnknown);
-
-  reused.reset();
-  Solver fresh;
-  reused.add_cnf(cnf);
-  fresh.add_cnf(cnf);
-  const SolveResult want = fresh.solve();
-  EXPECT_NE(want, SolveResult::kUnknown);
-  EXPECT_GT(fresh.stats().restarts, 0u);
-  EXPECT_EQ(reused.solve(), want);
-  std::vector<std::int64_t> got_stats, want_stats;
-  append_stats(got_stats, reused.stats());
-  append_stats(want_stats, fresh.stats());
-  EXPECT_EQ(got_stats, want_stats);
-}
-
-/// One CdclBackend reloaded across the stream against a fresh backend
-/// per CNF, both configured before their first load().
-void expect_cdcl_reload_matches_fresh(std::uint64_t budget, const std::atomic<bool>* stop,
-                                      std::uint64_t seed) {
+TEST(SolverReuse, CdclBackendReloadMatchesFreshBackends) {
+  // One CdclBackend reloaded across the stream against a fresh backend
+  // per CNF.
+  const std::uint64_t seed = ct::test::fuzz_seed(20261020);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
   const std::vector<Case> stream = make_stream(seed, 30, 1);
   CdclBackend reused;
-  reused.set_conflict_budget(budget);
-  reused.set_stop_flag(stop);
-  Coverage coverage;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
     CdclBackend fresh;
-    fresh.set_conflict_budget(budget);
-    fresh.set_stop_flag(stop);
-    fresh.load(stream[i].cnf);
-    reused.load(stream[i].cnf);
-    const std::vector<std::int64_t> want = drive(fresh, stream[i], &coverage);
-    EXPECT_EQ(drive(reused, stream[i], nullptr), want);
-  }
-  if (budget != 0 || (stop != nullptr && stop->load())) {
-    EXPECT_GT(coverage.unknown_solves, 0) << "the budget or stop flag never cut a search";
-  } else {
-    EXPECT_EQ(coverage.unknown_solves, 0);
-  }
-}
-
-TEST(SolverReuse, CdclBackendReloadKeepsBudgetAndStopFlag) {
-  const std::uint64_t seed = ct::test::fuzz_seed(20261020);
-  SCOPED_TRACE(ct::test::fuzz_trace(seed));
-  {
-    SCOPED_TRACE("conflict budget 20");
-    expect_cdcl_reload_matches_fresh(20, nullptr, seed);
-  }
-  std::atomic<bool> stop{true};
-  {
-    SCOPED_TRACE("stop flag raised");
-    expect_cdcl_reload_matches_fresh(0, &stop, seed + 1);
-  }
-  stop.store(false);
-  {
-    SCOPED_TRACE("stop flag lowered");
-    expect_cdcl_reload_matches_fresh(0, &stop, seed + 2);
-  }
-}
-
-TEST(SolverReuse, PortfolioMembersReloadLikeFreshMembers) {
-  const std::uint64_t seed = ct::test::fuzz_seed(20261021);
-  SCOPED_TRACE(ct::test::fuzz_trace(seed));
-  const std::vector<Case> stream = make_stream(seed, 20, 1);
-
-  // Each diversified member config on its own CdclBackend.
-  for (unsigned m = 0; m < kMaxPortfolioWidth; ++m) {
-    SCOPED_TRACE("member " + std::to_string(m));
-    CdclBackend reused(PortfolioBackend::member_config(m));
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
-      CdclBackend fresh(PortfolioBackend::member_config(m));
-      fresh.load(stream[i].cnf);
-      reused.load(stream[i].cnf);
-      const std::vector<std::int64_t> want = drive(fresh, stream[i], nullptr);
-      EXPECT_EQ(drive(reused, stream[i], nullptr), want);
-    }
-  }
-
-  // The portfolio itself, with a probe budget no query exhausts, so
-  // member 0 answers every solve and the trace is deterministic; every
-  // member still loads and takes every clause, and solver_stats() sums
-  // them all.
-  PortfolioBackend reused(kMaxPortfolioWidth);
-  reused.set_probe_budget(std::numeric_limits<std::uint64_t>::max());
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    SCOPED_TRACE("portfolio, CNF " + std::to_string(i) + " of the stream");
-    PortfolioBackend fresh(kMaxPortfolioWidth);
-    fresh.set_probe_budget(std::numeric_limits<std::uint64_t>::max());
     fresh.load(stream[i].cnf);
     reused.load(stream[i].cnf);
     const std::vector<std::int64_t> want = drive(fresh, stream[i], nullptr);
     EXPECT_EQ(drive(reused, stream[i], nullptr), want);
-    EXPECT_EQ(reused.portfolio_stats().races, 0u);
   }
 }
 
 TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
   // The session's own buffers (model cache, blocking clause, harvest)
-  // and the backends behind it, reused across loads under every plan
+  // and the backends behind it, reused across loads under every pick
   // the selector can produce for these shapes.
   const std::uint64_t seed = ct::test::fuzz_seed(20261022);
   SCOPED_TRACE(ct::test::fuzz_trace(seed));
@@ -417,11 +316,10 @@ TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
     stream.push_back(make_case(rng, shape));
   }
   const BackendSelector selectors[] = {
-      {BackendSelector::Mode::kAuto, 0},
-      {BackendSelector::Mode::kCdcl, 0},
-      {BackendSelector::Mode::kUnitProp, 0},
+      {BackendSelector::Mode::kAuto},
+      {BackendSelector::Mode::kCdcl},
+      {BackendSelector::Mode::kUnitProp},
   };
-  const BackendWorkload workload{6, true};
 
   SolverSession reused;
   int enumerated = 0;
@@ -429,11 +327,11 @@ TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
     const Cnf& cnf = stream[i].cnf;
-    const BackendPlan plan = selectors[i % std::size(selectors)].plan(shape_of(cnf), workload);
+    const BackendKind primary = selectors[i % std::size(selectors)].pick(shape_of(cnf));
     SolverSession fresh;
-    fresh.load(cnf, plan);
+    fresh.load(cnf, primary);
     const SessionStats before = reused.stats();
-    reused.load(cnf, plan);
+    reused.load(cnf, primary);
     EXPECT_EQ(reused.active_backend(), fresh.active_backend());
     EXPECT_EQ(reused.presolved(), fresh.presolved());
 

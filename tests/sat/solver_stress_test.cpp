@@ -3,10 +3,6 @@
 // incremental solving patterns, and clause-database reduction.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
 #include "sat/solver.h"
 #include "util/rng.h"
 
@@ -138,100 +134,6 @@ TEST(SolverStress, ClauseDatabaseReductionTriggers) {
   EXPECT_GT(solver.stats().learnt_clauses, 100u);
   EXPECT_GT(solver.stats().restarts, 0u);
 }
-
-// --- cooperative cancellation (Solver::set_stop_flag) ---------------
-// The portfolio racer's loser-teardown path: a raised stop flag must
-// abandon the search promptly, leave the solver exactly as consistent
-// as a budget timeout would, and — with the flag lowered — re-solve to
-// the correct answer on the same instance.
-
-TEST(SolverCancellation, FlagRaisedBeforeStartReturnsUnknownAndRecovers) {
-  const Cnf cnf = random_3sat(80, 344, 501);
-  Solver reference;
-  reference.add_cnf(cnf);
-  const SolveResult expected = reference.solve();
-
-  std::atomic<bool> stop{true};
-  Solver solver;
-  solver.add_cnf(cnf);
-  solver.set_stop_flag(&stop);
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
-  stop.store(false);
-  EXPECT_EQ(solver.solve(), expected);
-  if (expected == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
-}
-
-TEST(SolverCancellation, FlagRaisedAfterAnswerDoesNotDisturbTheModel) {
-  const Cnf cnf = random_3sat(150, 450, 502);  // underconstrained: SAT
-  std::atomic<bool> stop{false};
-  Solver solver;
-  solver.add_cnf(cnf);
-  solver.set_stop_flag(&stop);
-  ASSERT_EQ(solver.solve(), SolveResult::kSat);
-  stop.store(true);  // too late: the answer is already out
-  EXPECT_TRUE(model_satisfies(solver, cnf));
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown) << "but the next solve sees the flag";
-  stop.store(false);
-  EXPECT_EQ(solver.solve(), SolveResult::kSat);
-}
-
-TEST(SolverCancellation, DetachingTheFlagRestoresNormalSolving) {
-  const Cnf cnf = random_3sat(60, 250, 503);
-  Solver reference;
-  reference.add_cnf(cnf);
-  const SolveResult expected = reference.solve();
-
-  std::atomic<bool> stop{true};
-  Solver solver;
-  solver.add_cnf(cnf);
-  solver.set_stop_flag(&stop);
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
-  solver.set_stop_flag(nullptr);
-  EXPECT_EQ(solver.solve(), expected);
-}
-
-class CancellationFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CancellationFuzz, RandomMidSearchCancellationKeepsTheSolverConsistent) {
-  // A near-threshold instance big enough that the solve takes real work,
-  // cancelled from another thread after a random delay.  Whatever the
-  // interleaving hits — mid-propagate, mid-analyze, between restarts,
-  // before the search even starts, or after the answer is out — the
-  // result is either the reference answer or kUnknown, and a re-solve
-  // with the flag lowered always produces the reference answer.
-  const Cnf cnf = random_3sat(110, 470, GetParam() + 7000);
-  Solver reference;
-  reference.add_cnf(cnf);
-  const SolveResult expected = reference.solve();
-  ASSERT_NE(expected, SolveResult::kUnknown);
-
-  util::Rng rng(GetParam() + 8000);
-  Solver solver;
-  solver.add_cnf(cnf);
-  std::atomic<bool> stop{false};
-  solver.set_stop_flag(&stop);
-  for (int round = 0; round < 6; ++round) {
-    stop.store(false);
-    const auto delay = std::chrono::microseconds(rng.index(3000));
-    std::thread canceller([&stop, delay] {
-      std::this_thread::sleep_for(delay);
-      stop.store(true, std::memory_order_relaxed);
-    });
-    const SolveResult r = solver.solve();
-    canceller.join();
-    EXPECT_TRUE(r == expected || r == SolveResult::kUnknown)
-        << "round " << round << " returned " << static_cast<int>(r);
-    if (r == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
-
-    // Recovery: the same solver (learnt clauses from the aborted run
-    // and all) must still deliver the right answer.
-    stop.store(false);
-    ASSERT_EQ(solver.solve(), expected) << "round " << round;
-    if (expected == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CancellationFuzz, ::testing::Range<std::uint64_t>(1, 7));
 
 TEST(SolverStress, ManySmallSolvesReuseOneSolver) {
   // The tomography layer's pattern: tiny instances, many solves with

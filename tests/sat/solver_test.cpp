@@ -180,15 +180,6 @@ TEST(Solver, StatsAccumulate) {
   EXPECT_GT(s.stats().propagations, 0u);
 }
 
-TEST(Solver, ConflictBudgetReturnsUnknown) {
-  Solver s;
-  s.add_cnf(pigeonhole(9, 8));  // hard enough to exceed a tiny budget
-  s.set_conflict_budget(5);
-  EXPECT_EQ(s.solve(), SolveResult::kUnknown);
-  s.set_conflict_budget(0);
-  EXPECT_EQ(s.solve(), SolveResult::kUnsat);
-}
-
 TEST(Solver, ManyVariablesLargeChain) {
   // Long implication chain; checks trail/watch scaling.
   constexpr int kN = 2000;

@@ -157,8 +157,8 @@ TEST(EngineParallel, LazyCountsOnlyDifferInCappedCount) {
 TEST(EngineParallel, LazyCountsDoLessSolving) {
   const std::vector<TomoCnf> cnfs = random_batch(97, 30);
   // Pin the CDCL backend: the lazy-vs-eager effort comparison is only
-  // meaningful with the backend held constant (auto would route the
-  // eager pass to the counting backend, which enumerates nothing).
+  // meaningful when every CNF searches (auto would decide some by unit
+  // propagation, which enumerates nothing).
   AnalysisOptions eager;
   eager.resolve_counts = true;
   eager.backend.mode = sat::BackendSelector::Mode::kCdcl;

@@ -107,8 +107,7 @@ TEST(VerdictOracle, AnalyzeCnfMatchesBruteForceUnderEveryBackend) {
     for (const bool resolve_counts : {false, true}) {
       const CnfVerdict want = brute_force_verdict(tc, resolve_counts);
       class_seen[static_cast<std::size_t>(want.solution_class)] += 1;
-      for (const Mode mode : {Mode::kAuto, Mode::kCdcl, Mode::kCount, Mode::kUnitProp,
-                              Mode::kIpasir, Mode::kPortfolio}) {
+      for (const Mode mode : {Mode::kAuto, Mode::kCdcl, Mode::kUnitProp}) {
         SCOPED_TRACE(std::string("backend=") + sat::BackendSelector::to_string(mode) +
                      " resolve_counts=" + (resolve_counts ? "on" : "off"));
         AnalysisOptions options;

@@ -16,6 +16,14 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
+TEST(ThreadPool, WorkersForCapsRequestsAtTheHardware) {
+  const unsigned hw = ThreadPool::hardware_threads();
+  EXPECT_EQ(ThreadPool::workers_for(0), hw) << "0 = one worker per hardware thread";
+  EXPECT_EQ(ThreadPool::workers_for(1), 1u);
+  EXPECT_EQ(ThreadPool::workers_for(hw), hw);
+  EXPECT_EQ(ThreadPool::workers_for(hw + 3), hw);
+}
+
 TEST(ThreadPool, DefaultSizeMatchesHardware) {
   ThreadPool pool;
   EXPECT_EQ(pool.size(), ThreadPool::hardware_threads());
