@@ -1,6 +1,10 @@
 #include "analysis/checkpoint.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string_view>
 #include <utility>
 
@@ -154,8 +158,9 @@ void write_checkpoint_file(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) throw CheckpointError("checkpoint: cannot open " + tmp + " for writing");
   const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || written != bytes.size() || !flushed) {
+  // The bytes reach the disk before the rename can publish them.
+  const bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  if (std::fclose(f) != 0 || written != bytes.size() || !synced) {
     std::remove(tmp.c_str());
     throw CheckpointError("checkpoint: short write to " + tmp);
   }
@@ -163,6 +168,12 @@ void write_checkpoint_file(const std::string& path, const std::string& bytes) {
     std::remove(tmp.c_str());
     throw CheckpointError("checkpoint: cannot rename " + tmp + " over " + path);
   }
+  // The rename itself reaches the disk with the directory entry.
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool dir_synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!dir_synced) throw CheckpointError("checkpoint: cannot sync the directory of " + path);
 }
 
 std::string read_checkpoint_file(const std::string& path) {

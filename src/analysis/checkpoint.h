@@ -21,8 +21,8 @@
 //
 // The fingerprint hashes exactly the configuration that determines
 // results: the scenario (seed + geometry) and the analysis options
-// (min_support, fig1 granularities).  Execution knobs — shards,
-// threads, SAT backend — are deliberately excluded:
+// (min_support, fig1 granularities).  Execution knobs — shards and
+// threads — are deliberately excluded:
 // verdicts are pure functions of (CNF, options) across all of them, so
 // a checkpoint written under one execution mode may resume under
 // another and still reproduce the identical final report.
@@ -84,9 +84,11 @@ struct OpenedCheckpoint {
 /// a truncated/overlong buffer, or a payload checksum mismatch.
 OpenedCheckpoint open_checkpoint(const std::string& bytes, std::uint64_t expected_fingerprint);
 
-/// Crash-safe file write: writes to `path`.tmp, fsyncs, renames over
-/// `path` — a kill mid-checkpoint leaves the previous checkpoint
-/// intact, never a torn file.  Throws CheckpointError on IO failure.
+/// Crash-safe file write: writes to `path`.tmp, fsyncs it, renames it
+/// over `path` and fsyncs the directory — a kill mid-checkpoint leaves
+/// the previous checkpoint intact, never a torn file.  Throws
+/// CheckpointError on IO failure (a temp file that failed to sync is
+/// removed).
 void write_checkpoint_file(const std::string& path, const std::string& bytes);
 
 /// Reads a whole file; throws CheckpointError if unreadable.

@@ -131,7 +131,7 @@ struct ExperimentResult {
   std::int64_t total_cnfs = 0;
 
   /// SAT engine counters of the main analysis pass (loads, solves, and
-  /// per-backend selected/served/escalated counts; Figure 4's ablation
+  /// per-route selected/served/escalated counts; Figure 4's ablation
   /// pass is not included).
   tomo::EngineStats engine_stats;
 };

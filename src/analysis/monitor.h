@@ -36,8 +36,8 @@
 // RNG), every fold is order-independent, and solver learnt state is
 // never carried between CNFs at all, so a resumed monitor analyzes
 // every remaining CNF exactly as a straight run would (verdicts are
-// pure functions of (CNF, options); the backend equivalence suites hold
-// this).
+// pure functions of (CNF, options); the ClosedFormOracle suite holds
+// every verdict to the closed form).
 //
 // Memory: O(open windows + one segment), independent of run length.
 // Each segment's raw clauses live only between its hand-off and its
@@ -127,7 +127,7 @@ class LiveReportServer {
 
 struct MonitorOptions {
   /// Result-determining configuration (fingerprinted into checkpoints)
-  /// plus the execution knobs (threads, shards, backend — all
+  /// plus the execution knobs (threads, shards — both
   /// checkpoint-compatible across changes).
   ExperimentOptions experiment;
   /// Ingest segment length in days: each segment is one platform replay

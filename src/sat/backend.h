@@ -1,35 +1,27 @@
-// Pluggable SAT backends.
+// The two routes a CNF can take through sat::SolverSession, and the
+// counters that record them.
 //
-// sat::SolverSession is the single choke point for every tomography
-// query.  Most per-URL CNFs are tiny and decided by unit propagation
-// alone; the rest need search.  SolverBackend is the seam that lets the
-// session pick a solving strategy per CNF:
+// Most per-URL CNFs are tiny and decided by unit propagation alone; the
+// rest need search.  The session picks the route per CNF from its shape
+// (sat/session.cpp):
 //
-//   * CdclBackend — the in-tree incremental CDCL Solver, the default
-//     and the only backend implementing the full search contract
-//     (solve under assumptions, model access, guarded blocking
-//     clauses).
-//   * UnitPropBackend — a presolve-only fast path: if unit propagation
-//     alone decides the CNF (conflict, or every clause satisfied), the
-//     session serves every query from the propagation outcome with no
-//     search at all; otherwise presolve() reports "escalate" and the
-//     session falls back to CDCL.
+//   * unit propagation (BackendKind::kUnitProp) — UnitPropPresolver
+//     below: if propagation alone decides the CNF (conflict, or every
+//     clause satisfied), every query is answered from the propagation
+//     outcome with no search at all; otherwise the CNF escalates to
+//     CDCL.
+//   * CDCL (BackendKind::kCdcl) — the in-tree incremental Solver, with
+//     guarded blocking-clause enumeration and assumption probes.
 //
-// BackendSelector is the per-CNF policy: given the formula's shape
-// (vars, clauses, unit density) it picks the backend a CNF is loaded
-// on.  Both backends are *semantically exact*, so verdicts are
-// byte-identical whichever backend serves them; the forced-backend
-// equivalence suite holds the pipeline to that.
+// Both routes are exact, so verdicts do not depend on the route; the
+// ClosedFormOracle suite holds every verdict to the closed form of the
+// tomography CNFs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <span>
-#include <string_view>
 #include <vector>
 
-#include "sat/solver.h"
 #include "sat/types.h"
 
 namespace ct::sat {
@@ -37,11 +29,12 @@ namespace ct::sat {
 /// Saturation value for model counts (2^62).
 inline constexpr std::uint64_t kCountCap = 1ULL << 62;
 
+/// The route that served a CNF, as an index into the counter arrays.
 enum class BackendKind : std::uint8_t {
   kCdcl = 0,
   kUnitProp = 2,
 };
-/// Slots of the per-backend counter arrays.  Indices 1, 3 and 4 belonged
+/// Slots of the per-route counter arrays.  Indices 1, 3 and 4 belonged
 /// to retired backends and always read 0: kept only because perfbench
 /// reads five slots (sat.served.{count,ipasir,portfolio}); a
 /// `[benchmark]` PR drops both.
@@ -62,116 +55,26 @@ struct Presolve {
   std::int32_t free_vars = 0;
 };
 
-/// One loaded CNF behind one solving strategy.  The search contract
-/// (solve / model access / guarded clauses / stats) mirrors what
-/// SolverSession needs from the CDCL solver; presolve() is an optional
-/// fast path a backend may implement instead of search.
-class SolverBackend {
+/// Unit propagation to fixpoint.  presolve(cnf) returns the decided
+/// outcome when propagation conflicts (UNSAT) or satisfies every clause
+/// (model set = forced values x free variables), else nullptr: the CNF
+/// needs search.  The outcome is owned by the presolver and valid until
+/// the next presolve() call.
+class UnitPropPresolver {
  public:
-  virtual ~SolverBackend() = default;
-
-  virtual BackendKind kind() const = 0;
-  const char* name() const { return to_string(kind()); }
-
-  /// (Re)loads a CNF, dropping all state of the previous one.
-  virtual void load(const Cnf& cnf) = 0;
-
-  /// False for presolve-only backends: the session must escalate when
-  /// presolve() cannot decide the CNF instead of calling search ops.
-  virtual bool supports_search() const { return true; }
-
-  /// Attempts to decide the loaded CNF without search; nullptr means
-  /// the backend needs search (or, if !supports_search(), escalation).
-  /// The outcome is owned by the backend and valid until its next
-  /// load().
-  virtual const Presolve* presolve() const { return nullptr; }
-
-  // --- search contract; defaults throw std::logic_error -------------
-  virtual SolveResult solve(std::span<const Lit> assumptions);
-  virtual Var new_var();
-  virtual LBool model_value(Var v) const;
-  virtual bool add_clause(std::span<const Lit> lits);
-  virtual const SolverStats& solver_stats() const;
-};
-
-/// The incremental CDCL Solver behind the backend contract (the
-/// default; exactly the pre-backend SolverSession behavior).
-class CdclBackend final : public SolverBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kCdcl; }
-  void load(const Cnf& cnf) override;
-  SolveResult solve(std::span<const Lit> assumptions) override;
-  Var new_var() override;
-  LBool model_value(Var v) const override;
-  bool add_clause(std::span<const Lit> lits) override;
-  const SolverStats& solver_stats() const override;
+  const Presolve* presolve(const Cnf& cnf);
 
  private:
-  // One solver for every load: load() resets it in place (logically
-  // fresh, every buffer's capacity kept).
-  Solver solver_;
-};
-
-/// Presolve-only unit-propagation fast path.  load() propagates units
-/// to fixpoint; if that conflicts (UNSAT) or satisfies every clause
-/// (model set = forced values x free variables), presolve() returns
-/// the decided outcome, else nullptr — the session escalates to CDCL.  Search ops are never called (the base
-/// class throws).
-class UnitPropBackend final : public SolverBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kUnitProp; }
-  bool supports_search() const override { return false; }
-  void load(const Cnf& cnf) override;
-  const Presolve* presolve() const override { return decided_ ? &outcome_ : nullptr; }
-
- private:
-  // Reused across loads: outcome_.values doubles as the propagation's
-  // assignment, so a load allocates nothing once the buffers have grown.
+  // Reused across calls: outcome_.values doubles as the propagation's
+  // assignment, so a call allocates nothing once the buffers have grown.
   Presolve outcome_;
-  bool decided_ = false;
   std::vector<std::uint8_t> satisfied_;
 };
 
-/// A new backend of `kind`; throws std::invalid_argument for a slot no
-/// backend serves.
-std::unique_ptr<SolverBackend> make_backend(BackendKind kind);
-
-/// Size/shape features the selector keys on (one cheap pass).
-struct FormulaShape {
-  std::int32_t num_vars = 0;
-  std::int64_t num_clauses = 0;
-  std::int64_t num_units = 0;  // single-literal clauses
-
-  double unit_fraction() const {
-    return num_clauses == 0 ? 0.0
-                            : static_cast<double>(num_units) / static_cast<double>(num_clauses);
-  }
-};
-
-FormulaShape shape_of(const Cnf& cnf);
-
-/// Per-CNF backend selection policy.  Mode kAuto picks by formula
-/// shape (thresholds in backend.cpp); the forced modes pin every CNF to
-/// one backend (verdicts are byte-identical either way — forcing is for
-/// tests and benchmarks).
-struct BackendSelector {
-  enum class Mode : std::uint8_t { kAuto = 0, kCdcl, kUnitProp };
-
-  Mode mode = Mode::kAuto;
-
-  /// The backend a CNF of this shape is loaded on.  When its presolve
-  /// cannot decide the CNF (only UnitPropBackend's can fail), the
-  /// session escalates to CDCL.
-  BackendKind pick(const FormulaShape& shape) const;
-
-  static std::optional<Mode> parse(std::string_view name);
-  static const char* to_string(Mode mode);
-};
-
-/// Per-backend session counters (indexed by BackendKind).
+/// Per-route session counters (indexed by BackendKind).
 struct BackendCounters {
-  std::uint64_t selected = 0;   // chosen as the primary at load()
-  std::uint64_t served = 0;     // CNFs whose queries this backend answered
+  std::uint64_t selected = 0;   // the route picked at load()
+  std::uint64_t served = 0;     // CNFs whose queries this route answered
   std::uint64_t escalated = 0;  // presolve gave up; CDCL took over
 
   bool operator==(const BackendCounters&) const = default;

@@ -10,6 +10,19 @@ namespace {
 
 std::size_t idx(BackendKind kind) { return static_cast<std::size_t>(kind); }
 
+/// The route rule.  Unit propagation is tried first when at least half
+/// of the clauses are units (tomography CNFs are dominated by negative
+/// units, which is what makes propagation decisive), or when the CNF
+/// has at most 16 variables (a failed presolve on a tiny CNF costs next
+/// to nothing).  Every other CNF goes straight to CDCL.
+BackendKind route_of(const Cnf& cnf) {
+  std::size_t units = 0;
+  for (const auto& clause : cnf.clauses) units += clause.size() == 1 ? 1 : 0;
+  const bool unit_rich = !cnf.clauses.empty() && 2 * units >= cnf.clauses.size();
+  const bool tiny = cnf.num_vars <= 16;
+  return unit_rich || tiny ? BackendKind::kUnitProp : BackendKind::kCdcl;
+}
+
 /// Splits variables [0, num_vars) into out.potential_true (where
 /// `is_true`) and out.always_false, allocating each list once.
 template <class IsTrue>
@@ -25,7 +38,7 @@ void split_vars(std::int32_t num_vars, IsTrue is_true, PotentialTrueResult& out)
 
 }  // namespace
 
-void SolverSession::load(const Cnf& cnf, BackendKind primary) {
+void SolverSession::load(const Cnf& cnf) {
   cnf_vars_ = cnf.num_vars;
   activation_ = kUndefVar;
   model_lits_.clear();
@@ -33,36 +46,30 @@ void SolverSession::load(const Cnf& cnf, BackendKind primary) {
   exhausted_ = false;
   ++stats_.cnf_loads;
   stats_.fresh_clauses += cnf.clauses.size();
-  ++stats_.backends[idx(primary)].selected;
-  backend_ = fetch_backend(primary);
-  backend_->load(cnf);
-  presolve_ = backend_->presolve();
-  if (!presolve_ && !backend_->supports_search()) {
-    // The primary could not decide the CNF and cannot search: escalate
-    // to CDCL.
-    ++stats_.backends[idx(primary)].escalated;
-    backend_ = fetch_backend(BackendKind::kCdcl);
-    backend_->load(cnf);
-    ++stats_.backends[idx(BackendKind::kCdcl)].served;
-  } else {
-    ++stats_.backends[idx(primary)].served;
+  const BackendKind route = route_of(cnf);
+  ++stats_.backends[idx(route)].selected;
+  presolve_ = route == BackendKind::kUnitProp ? unitprop_.presolve(cnf) : nullptr;
+  if (presolve_ != nullptr) {
+    ++stats_.backends[idx(BackendKind::kUnitProp)].served;
+    return;
   }
-}
-
-SolverBackend* SolverSession::fetch_backend(BackendKind kind) {
-  auto& slot = backends_[idx(kind)];
-  if (!slot) slot = make_backend(kind);
-  return slot.get();
+  // Propagation could not decide the CNF (escalate), or it was routed
+  // straight to CDCL.
+  if (route == BackendKind::kUnitProp) ++stats_.backends[idx(route)].escalated;
+  solver_.reset();
+  solver_.add_cnf(cnf);  // a false return leaves the solver inconsistent,
+                         // which every query handles via kUnsat
+  ++stats_.backends[idx(BackendKind::kCdcl)].served;
 }
 
 SolveResult SolverSession::solve(std::span<const Lit> assumptions) {
   ++stats_.solve_calls;
-  return backend_->solve(assumptions);
+  return solver_.solve(assumptions);
 }
 
 void SolverSession::read_model() {
   for (Var v = 0; v < cnf_vars_; ++v) {
-    model_lits_.emplace_back(v, backend_->model_value(v) != LBool::kTrue);
+    model_lits_.emplace_back(v, solver_.model_value(v) != LBool::kTrue);
   }
   ++num_models_;
   ++stats_.models_found;
@@ -70,7 +77,7 @@ void SolverSession::read_model() {
 
 void SolverSession::ensure_models(std::uint64_t want) {
   while (!exhausted_ && num_models_ < want) {
-    if (activation_ == kUndefVar) activation_ = backend_->new_var();
+    if (activation_ == kUndefVar) activation_ = solver_.new_var();
     const Lit guard(activation_, /*negated=*/false);
     const std::array<Lit, 1> guard_assumption{guard};
     if (solve(guard_assumption) != SolveResult::kSat) {
@@ -81,7 +88,7 @@ void SolverSession::ensure_models(std::uint64_t want) {
     block_.clear();
     block_.push_back(~guard);
     for (const Lit l : model(num_models_ - 1)) block_.push_back(~l);
-    if (!backend_->add_clause(block_)) {
+    if (!solver_.add_clause(block_)) {
       exhausted_ = true;  // blocking clause revealed level-0 UNSAT
       break;
     }
@@ -147,7 +154,7 @@ PotentialTrueResult SolverSession::potential_true_vars() {
   known_true.assign(static_cast<std::size_t>(cnf_vars_), 0);
   const auto harvest = [&] {
     for (Var v = 0; v < cnf_vars_; ++v) {
-      if (backend_->model_value(v) == LBool::kTrue) {
+      if (solver_.model_value(v) == LBool::kTrue) {
         known_true[static_cast<std::size_t>(v)] = 1;
       }
     }

@@ -1,5 +1,5 @@
-// SolverSession: every tomography query against one CNF, on one
-// pluggable solver backend.
+// SolverSession: every tomography query against one CNF, through one
+// solver or a unit-propagation presolve.
 //
 // The tomography engine asks three questions about each CNF, always
 // over all of its variables: the 0/1/2+ classification (with the unique
@@ -8,7 +8,7 @@
 // fresh Solver per question throws away the CDCL solver's learnt
 // clauses, VSIDS activities, and saved phases exactly when they are
 // most useful.  A SolverSession loads the CNF once and serves all three
-// queries from the same backend:
+// queries from the same solver:
 //
 //   * classify() and count_models_capped() enumerate models with
 //     blocking clauses guarded by an activation literal `a` — each is
@@ -24,19 +24,19 @@
 //     is free to be False) see the original formula, not an
 //     enumeration-poisoned one.
 //
-// Backends (sat/backend.h): load(cnf) pins the session to the default
-// CdclBackend.  load(cnf, primary) lets a BackendSelector route the CNF
-// instead: a decided unit-prop presolve serves every query straight
-// from the propagation outcome (2^free_vars models, no search), and a
-// presolve that cannot decide the CNF escalates to CDCL.  Whatever the
-// route, every query returns exactly what the CDCL path would have —
-// the cross-backend suites enforce it.
+// Routes (sat/backend.h): load(cnf) picks one from the CNF's shape.  A
+// CNF whose clauses are at least half units, or that has at most 16
+// variables, goes to unit propagation first: a decided presolve serves
+// every query straight from the propagation outcome (2^free_vars
+// models, no search), and one that cannot decide the CNF escalates to
+// CDCL.  Every other CNF goes to CDCL directly.  Whatever the route,
+// every query returns exactly what the CDCL path would have.
 //
-// Every CNF gets exactly one load(), and a loaded backend is logically
+// Every CNF gets exactly one load(), and a loaded CNF is logically
 // fresh: no solver state (clauses, activities, phases, stats) carries
 // over from one CNF to the next, matching the paper's per-(URL,
-// anomaly, window) solve.  What does carry over is capacity: each
-// backend resets its one solver in place, and the session keeps its
+// anomaly, window) solve.  What does carry over is capacity: the
+// session resets its one solver in place and keeps its presolve,
 // model, blocking-clause and harvest buffers, so a worker that reuses
 // its session across CNFs via load() (the "session arena" pattern in
 // tomo::analyze_cnfs) stops allocating once it has seen its largest
@@ -48,7 +48,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -86,28 +85,24 @@ struct SessionStats {
   /// Problem clauses asserted by load(): the sum of |cnf.clauses| over
   /// the analyzed CNFs, for any batch, stream or worker count.
   std::uint64_t fresh_clauses = 0;
-  /// Per-backend selection/serving counters, indexed by BackendKind.
+  /// Per-route selection/serving counters, indexed by BackendKind.
   std::array<BackendCounters, kNumBackendKinds> backends{};
 };
 
 class SolverSession {
  public:
   SolverSession() = default;
-  explicit SolverSession(const Cnf& cnf, BackendKind primary = BackendKind::kCdcl) {
-    load(cnf, primary);
-  }
+  explicit SolverSession(const Cnf& cnf) { load(cnf); }
 
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
 
-  /// (Re)loads a CNF on the `primary` backend, dropping all state of the
-  /// previous one: its presolve may decide the CNF outright, or escalate
-  /// to CDCL.  Counts one cnf_load; other counters keep accumulating.
-  void load(const Cnf& cnf, BackendKind primary = BackendKind::kCdcl);
+  /// (Re)loads a CNF on the route its shape picks, dropping all state of
+  /// the previous one: a unit-prop presolve may decide the CNF outright,
+  /// or escalate to CDCL.  Counts one cnf_load; other counters keep
+  /// accumulating.
+  void load(const Cnf& cnf);
 
-  /// The backend actually answering queries for the loaded CNF (CDCL,
-  /// after an escalation).
-  BackendKind active_backend() const { return backend_->kind(); }
   /// True when a presolve decided the CNF and no search will run.
   bool presolved() const { return presolve_ != nullptr; }
 
@@ -116,8 +111,8 @@ class SolverSession {
 
   /// Exact model count up to `cap`; returns cap if there are at least
   /// `cap` models.  cap = 0 means no cap (exact total count — beware
-  /// exponential blowup).  Extends classify()'s enumeration, unless the
-  /// backend's presolve answers without enumerating.
+  /// exponential blowup).  Extends classify()'s enumeration, unless a
+  /// presolve answers without enumerating.
   std::uint64_t count_models_capped(std::uint64_t cap);
 
   /// For each CNF variable, whether any model assigns it True.
@@ -129,13 +124,11 @@ class SolverSession {
 
  private:
   SolveResult solve(std::span<const Lit> assumptions);
-  /// Returns the cached backend instance for `kind`, creating it once.
-  SolverBackend* fetch_backend(BackendKind kind);
-  /// Grows the model cache to >= want models or exhaustion (search
-  /// backends only).
+  /// Grows the model cache to >= want models or exhaustion (CDCL route
+  /// only).
   void ensure_models(std::uint64_t want);
-  /// Appends the backend's current model over every CNF variable to
-  /// the model cache.
+  /// Appends the solver's current model over every CNF variable to the
+  /// model cache.
   void read_model();
   /// Model `i` of the cache, one literal per CNF variable.
   std::span<const Lit> model(std::size_t i) const {
@@ -143,11 +136,11 @@ class SolverSession {
     return std::span<const Lit>(model_lits_).subspan(i * width, width);
   }
 
-  // One lazily created instance per backend kind, reused across load()
-  // calls (each backend's load() resets its own solver state).
-  std::array<std::unique_ptr<SolverBackend>, kNumBackendKinds> backends_;
-  SolverBackend* backend_ = nullptr;     // active backend, points into backends_
-  const Presolve* presolve_ = nullptr;   // owned by backend_; set: queries bypass search
+  // Both routes, reused across load() calls: load() resets the solver
+  // in place (logically fresh, every buffer's capacity kept).
+  Solver solver_;
+  UnitPropPresolver unitprop_;
+  const Presolve* presolve_ = nullptr;   // owned by unitprop_; set: queries bypass search
   std::int32_t cnf_vars_ = 0;
   Var activation_ = kUndefVar;           // guard for the blocking clauses
   // The model cache, in discovery order: model i is

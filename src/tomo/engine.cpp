@@ -15,9 +15,9 @@ CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& option
   verdict.key = tc.key;
   verdict.num_vars = tc.vars.size();
 
-  // The one load this verdict is allowed; the selector routes the CNF
-  // to a backend by its shape.
-  session_.load(tc.cnf, options.backend.pick(sat::shape_of(tc.cnf)));
+  // The one load this verdict is allowed; the session routes the CNF
+  // by its shape.
+  session_.load(tc.cnf);
 
   // Class first: at most two models enumerated.  Counts beyond 2 are
   // resolved lazily — class-0/1 CNFs already have their exact count, and

@@ -12,9 +12,9 @@
 // Architecture note (session + batching model): every verdict is
 // computed on a sat::SolverSession that loads the CNF exactly once and
 // serves classification, lazy capped counting, and backbone probes from
-// the same solver backend — chosen per CNF by AnalysisOptions::backend
-// (CDCL or the unit-prop presolve fast path; see sat/backend.h).
-// Backend choice never changes a verdict, only how it is computed.
+// the same route — the session picks CDCL or the unit-prop presolve
+// per CNF from its shape (sat/backend.h).  The route never changes a
+// verdict, only how it is computed.
 // Each CNF is solved on its own, as in the paper: no solver state
 // carries over from one window to the next.  A CnfAnalyzer
 // is the per-worker "session arena": it owns one session and reuses it
@@ -55,13 +55,6 @@ struct AnalysisOptions {
   /// capped at the hardware (util::ThreadPool::workers_for).  Verdicts
   /// are independent of this value.
   unsigned num_threads = 1;
-  /// Per-CNF SAT backend selection (README "Solver backends"): auto
-  /// picks CDCL or unit-prop by formula shape; forced modes pin one
-  /// backend.
-  /// Verdicts are byte-identical for every mode — the backend
-  /// equivalence suite and GoldenRegression's forced-backend instances
-  /// enforce it.
-  sat::BackendSelector backend;
 };
 
 struct CnfVerdict {
@@ -105,9 +98,9 @@ struct EngineStats {
   std::uint64_t snapshot_reads = 0;
   std::uint64_t snapshot_stale_reads = 0;
   std::uint64_t snapshot_peak_readers = 0;
-  /// Per-backend selected/served/escalated counts, indexed by
+  /// Per-route selected/served/escalated counts, indexed by
   /// sat::BackendKind; sum of `selected` (and of `served`) equals
-  /// cnf_loads.
+  /// cnf_loads, and unit-prop's selected = served + escalated.
   std::array<sat::BackendCounters, sat::kNumBackendKinds> backends{};
   /// Always 0: no backend races.  Kept only because perfbench reads it
   /// (sat.portfolio_races); a `[benchmark]` PR drops both.

@@ -4,11 +4,11 @@
 // silently drift the paper's results.
 //
 // The suite is the execution matrix: every regime on a serial and a
-// sharded platform, plus each forced SAT backend on the baseline world.  Each instance checks its regime's
-// golden file, through the batch run and through the resident monitor,
-// and checks that the run's serialize_report is byte-equal to the
-// phase-separated reference's serial auto run of the same regime — so
-// ExperimentTest's invariants, checked on that run, hold in every mode.
+// sharded platform.  Each instance checks its regime's golden file,
+// through the batch run and through the resident monitor, and checks
+// that the run's serialize_report is byte-equal to the phase-separated
+// reference's serial run of the same regime — so ExperimentTest's
+// invariants, checked on that run, hold in every mode.
 //
 // To regenerate all five files after an *intentional* behavior change:
 //   CT_UPDATE_GOLDEN=1 ./ct_analysis_tests --gtest_filter='*GoldenRegression*'
@@ -28,42 +28,35 @@
 #include "analysis/scenario.h"
 #include "censor/regime.h"
 #include "reference_experiment.h"
-#include "sat/backend.h"
 
 namespace ct::analysis {
 namespace {
 
 using censor::ScenarioRegime;
-using Backend = sat::BackendSelector::Mode;
 
 /// One execution mode: the world (regime) and how it is computed.
 struct GoldenMode {
   ScenarioRegime regime;
   unsigned shards;
-  Backend backend = Backend::kAuto;
 
-  /// The serial auto run: the one that writes the golden file.
-  bool is_reference() const { return shards == 1 && backend == Backend::kAuto; }
+  /// The serial run: the one that writes the golden file.
+  bool is_reference() const { return shards == 1; }
 };
 
-/// Every regime at shards {1, 4}, then each forced backend on the
-/// baseline world: cdcl at both shard counts, unitprop sharded.
+/// Every regime at shards {1, 4}.
 std::vector<GoldenMode> golden_modes() {
   std::vector<GoldenMode> modes;
   for (const ScenarioRegime regime : censor::all_regimes()) {
     for (const unsigned shards : {1u, 4u}) modes.push_back({regime, shards});
   }
-  const ScenarioRegime base = ScenarioRegime::kBaseline;
-  modes.push_back({base, 1, Backend::kCdcl});
-  modes.push_back({base, 4, Backend::kCdcl});
-  modes.push_back({base, 4, Backend::kUnitProp});
   return modes;
 }
 
-/// The instance name, e.g. routing_shards4_auto or baseline_shards1_cdcl.
+/// The instance name, e.g. routing_shards4_auto.  The `_auto` suffix
+/// is historic (it named the SAT route rule when others could be
+/// forced); it stays so existing `ctest -R` filters keep matching.
 std::string mode_name(const GoldenMode& mode) {
-  return censor::to_string(mode.regime) + "_shards" + std::to_string(mode.shards) + "_" +
-         sat::BackendSelector::to_string(mode.backend);
+  return censor::to_string(mode.regime) + "_shards" + std::to_string(mode.shards) + "_auto";
 }
 
 void PrintTo(const GoldenMode& mode, std::ostream* os) { *os << mode_name(mode); }
@@ -87,7 +80,6 @@ ScenarioConfig golden_scenario(ScenarioRegime regime) {
 ExperimentOptions golden_options(const GoldenMode& mode) {
   ExperimentOptions options;
   options.num_platform_shards = mode.shards;
-  options.analysis.backend.mode = mode.backend;
   return options;
 }
 
@@ -106,7 +98,7 @@ ExperimentResult run_mode(const GoldenMode& mode, bool through_monitor) {
   return monitor.finalize();
 }
 
-/// The phase-separated reference's serial auto report for `regime`.
+/// The phase-separated reference's serial report for `regime`.
 std::string reference_report(ScenarioRegime regime) {
   Scenario scenario(golden_scenario(regime));
   return serialize_report(
@@ -180,7 +172,7 @@ void expect_matches_golden_and_reference(const GoldenMode& mode, const Experimen
     EXPECT_EQ(it->second, value) << "headline number drifted: " << key;
   }
   EXPECT_EQ(serialize_report(result), reference_report(mode.regime))
-      << "report diverged from the serial auto reference";
+      << "report diverged from the serial reference";
 }
 
 class GoldenRegression : public ::testing::TestWithParam<GoldenMode> {};
@@ -188,7 +180,7 @@ class GoldenRegression : public ::testing::TestWithParam<GoldenMode> {};
 TEST_P(GoldenRegression, SmallScenarioHeadlineNumbers) {
   const GoldenMode& mode = GetParam();
   if (updating_golden()) {
-    if (!mode.is_reference()) GTEST_SKIP() << "golden files are regenerated by serial auto runs";
+    if (!mode.is_reference()) GTEST_SKIP() << "golden files are regenerated by serial runs";
     write_golden(mode.regime, headline_numbers(run_mode(mode, /*through_monitor=*/false)));
     GTEST_SKIP() << "golden file regenerated at " << golden_path(mode.regime);
   }

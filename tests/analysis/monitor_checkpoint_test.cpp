@@ -62,11 +62,11 @@ MonitorOptions monitor_options(unsigned shards) {
   return options;
 }
 
-/// monitor_options with every CNF pinned to the CDCL backend: a
-/// different execution mode that must reach the same report.
-MonitorOptions forced_cdcl_options(unsigned shards) {
+/// monitor_options with an explicit SAT lane count: a different
+/// execution mode that must reach the same report.
+MonitorOptions threaded_options(unsigned shards, unsigned threads) {
   MonitorOptions options = monitor_options(shards);
-  options.experiment.analysis.backend.mode = sat::BackendSelector::Mode::kCdcl;
+  options.experiment.num_threads = threads;
   return options;
 }
 
@@ -217,14 +217,14 @@ TEST(MonitorCrashResume, FuzzKillAtRandomWatermarksAcrossModes) {
 }
 
 TEST(MonitorCrashResume, ResumeUnderDifferentExecutionMode) {
-  // A checkpoint written under (serial, auto backend) resumes under
-  // (sharded, forced CDCL) and back — the fingerprint excludes execution
-  // knobs precisely because verdicts are pure functions of (CNF,
-  // options) across all of them.
+  // A checkpoint written under (serial, one SAT lane) resumes under
+  // (sharded, two lanes), (serial, three lanes) and back — the
+  // fingerprint excludes execution knobs precisely because verdicts are
+  // pure functions of (CNF, options) across all of them.
   const ScenarioConfig config = shard_scenario(31);
   const std::string expected = batch_report(config);
   EXPECT_EQ(crashy_report(config, monitor_options(1), {4, 9, 16},
-                          {forced_cdcl_options(3), forced_cdcl_options(1),
+                          {threaded_options(3, 2), threaded_options(1, 3),
                            monitor_options(3)}),
             expected);
 }
@@ -237,7 +237,7 @@ TEST(MonitorCrashResume, EveryRegimeSurvivesKillResume) {
     SCOPED_TRACE(censor::to_string(regime));
     const ScenarioConfig config = shard_scenario(61, regime);
     const std::string expected = batch_report(config);
-    EXPECT_EQ(crashy_report(config, monitor_options(1), {6, 13}, {forced_cdcl_options(3)}),
+    EXPECT_EQ(crashy_report(config, monitor_options(1), {6, 13}, {threaded_options(3, 2)}),
               expected);
   }
 }

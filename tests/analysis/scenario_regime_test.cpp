@@ -5,10 +5,10 @@
 // experiment measures, but none of them may change the execution
 // contract: within a regime, the canonical report (serialize_report, the
 // same oracle the monitor and checkpoint suites use) must be
-// byte-identical across platform shard counts, the resident monitor,
-// and forced SAT backends.  And every stress
-// regime must actually move the world: a regime whose report matches the
-// baseline byte for byte is dead wiring, not a scenario.
+// byte-identical across platform shard counts and the resident
+// monitor.  And every stress regime must actually move the world: a
+// regime whose report matches the baseline byte for byte is dead
+// wiring, not a scenario.
 #include <map>
 #include <string>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "censor/regime.h"
 #include "../support/fuzz_seed.h"
 #include "reference_experiment.h"
-#include "sat/backend.h"
 #include "shard_scenario.h"
 
 namespace ct::analysis {
@@ -65,11 +64,6 @@ TEST(ScenarioRegime, ByteIdenticalAcrossExecutionModes) {
       monitor.segment_days = util::kDaysPerWeek;
       EXPECT_EQ(serialize_report(MonitorEngine(scenario, monitor).finalize()), expected)
           << "monitor diverged";
-    }
-    {
-      ExperimentOptions forced;
-      forced.analysis.backend.mode = sat::BackendSelector::Mode::kCdcl;
-      EXPECT_EQ(report_bytes(config, forced), expected) << "forced-backend diverged";
     }
   }
 }

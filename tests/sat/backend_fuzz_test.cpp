@@ -1,7 +1,7 @@
-// Randomized cross-backend agreement (the multi-backend determinism
-// contract at the sat layer): on random small CNFs, SolverSession
-// queries on the CDCL backend and UnitPropBackend classifications must
-// agree — with a brute-force truth table as the referee.
+// Randomized agreement of both SAT routes with a brute-force truth
+// table: on random small CNFs, SolverSession's queries (decided by unit
+// propagation or escalated to CDCL enumeration) and the standalone
+// UnitPropPresolver's outcomes must match the referee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,41 +104,32 @@ TEST(BackendFuzz, CounterSessionAndUnitPropAgreeOnRandomCnfs) {
     const Cnf cnf = random_cnf(rng, num_vars);
     const Oracle oracle(cnf);
 
-    // CDCL-backed session enumeration against the oracle.
-    SolverSession cdcl(cnf, BackendKind::kCdcl);
-    const SolutionClassification cdcl_class = cdcl.classify();
-    EXPECT_EQ(cdcl_class.solution_class,
-              static_cast<int>(std::min<std::uint64_t>(oracle.count, 2)));
+    // The session on whichever route the CNF takes: a decided presolve,
+    // or CDCL enumeration after an escalation.
+    SolverSession session(cnf);
+    (session.presolved() ? presolve_decided : escalated) += 1;
+    const SolutionClassification cls = session.classify();
+    EXPECT_EQ(cls.solution_class, static_cast<int>(std::min<std::uint64_t>(oracle.count, 2)));
     if (oracle.count == 1) {
-      ASSERT_TRUE(cdcl_class.unique_model.has_value());
-      EXPECT_EQ(model_bits(*cdcl_class.unique_model), oracle.last_model);
+      ASSERT_TRUE(cls.unique_model.has_value());
+      EXPECT_EQ(model_bits(*cls.unique_model), oracle.last_model);
     }
-    EXPECT_EQ(cdcl.count_models_capped(0), oracle.count);
-    const PotentialTrueResult cdcl_split = cdcl.potential_true_vars();
-    EXPECT_EQ(cdcl_split.satisfiable, oracle.count > 0);
-    std::uint32_t cdcl_ever_true = 0;
-    for (const Var v : cdcl_split.potential_true) cdcl_ever_true |= 1u << v;
-    EXPECT_EQ(cdcl_ever_true, oracle.ever_true);
+    EXPECT_EQ(session.count_models_capped(3), std::min<std::uint64_t>(oracle.count, 3));
+    EXPECT_EQ(session.count_models_capped(0), oracle.count);
+    const PotentialTrueResult split = session.potential_true_vars();
+    EXPECT_EQ(split.satisfiable, oracle.count > 0);
+    std::uint32_t ever_true = 0;
+    for (const Var v : split.potential_true) ever_true |= 1u << v;
+    EXPECT_EQ(ever_true, oracle.ever_true);
+    EXPECT_EQ(split.potential_true.size() + split.always_false.size(),
+              split.satisfiable ? static_cast<std::size_t>(num_vars) : 0u);
 
-    // Unit-prop fast path (with CDCL escalation when undecided): every
-    // query must agree with the CDCL session, and a decided presolve
-    // must match the oracle exactly.
-    SolverSession unitprop(cnf, BackendKind::kUnitProp);
-    (unitprop.presolved() ? presolve_decided : escalated) += 1;
-    const SolutionClassification up_class = unitprop.classify();
-    EXPECT_EQ(up_class.solution_class, cdcl_class.solution_class);
-    EXPECT_EQ(up_class.unique_model, cdcl_class.unique_model);
-    EXPECT_EQ(unitprop.count_models_capped(3), std::min<std::uint64_t>(oracle.count, 3));
-    EXPECT_EQ(unitprop.count_models_capped(0), oracle.count);
-    const PotentialTrueResult up_split = unitprop.potential_true_vars();
-    EXPECT_EQ(up_split.satisfiable, cdcl_split.satisfiable);
-    EXPECT_EQ(up_split.potential_true, cdcl_split.potential_true);
-    EXPECT_EQ(up_split.always_false, cdcl_split.always_false);
-
-    // Standalone UnitPropBackend: a decided outcome is oracle-exact.
-    UnitPropBackend backend;
-    backend.load(cnf);
-    if (const auto outcome = backend.presolve()) {
+    // The presolver on its own: a decided outcome is oracle-exact, and
+    // it decides exactly the CNFs the session served without search.
+    UnitPropPresolver presolver;
+    const Presolve* outcome = presolver.presolve(cnf);
+    EXPECT_EQ(outcome != nullptr, session.presolved());
+    if (outcome != nullptr) {
       EXPECT_EQ(outcome->solution_class,
                 static_cast<int>(std::min<std::uint64_t>(oracle.count, 2)));
       if (outcome->solution_class > 0) {
@@ -153,7 +144,7 @@ TEST(BackendFuzz, CounterSessionAndUnitPropAgreeOnRandomCnfs) {
     }
   }
 
-  // The generator must exercise both paths, or the suite proves nothing.
+  // The generator must exercise both routes, or the suite proves nothing.
   EXPECT_GT(presolve_decided, 0) << "no CNF was decided by unit propagation";
   EXPECT_GT(escalated, 0) << "no CNF escalated to CDCL";
 }

@@ -1,6 +1,6 @@
-// SolverBackend contract tests: the unit-prop presolve fast path, the
-// selection policy, and the session's per-backend accounting (selected /
-// served / escalated).
+// The two SAT routes: the unit-prop presolver on its own, the session's
+// route rule, and its per-route accounting (selected / served /
+// escalated).
 #include "sat/backend.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,9 @@ namespace {
 
 Lit pos(Var v) { return Lit(v, false); }
 Lit neg(Var v) { return Lit(v, true); }
+
+constexpr auto kCdcl = static_cast<std::size_t>(BackendKind::kCdcl);
+constexpr auto kUnitProp = static_cast<std::size_t>(BackendKind::kUnitProp);
 
 // (x0 v x1), ~x1  — propagation forces x0, x2 stays free: class 2.
 Cnf propagation_decided_free() {
@@ -47,11 +50,23 @@ Cnf propagation_undecided() {
   return cnf;
 }
 
-TEST(UnitPropBackend, DecidesByPropagation) {
-  UnitPropBackend backend;
+/// A CNF of `num_vars` variables: `units` negative units on even
+/// variables, then `wide` positive clauses over neighbouring variables
+/// (satisfiable when num_vars is even: every clause has an odd member).
+Cnf shaped(std::int32_t num_vars, std::int32_t units, std::int32_t wide) {
+  Cnf cnf;
+  cnf.num_vars = num_vars;
+  for (std::int32_t i = 0; i < units; ++i) cnf.add_clause({neg((2 * i) % num_vars)});
+  for (std::int32_t i = 0; i < wide; ++i) {
+    cnf.add_clause({pos(i % num_vars), pos((i + 1) % num_vars)});
+  }
+  return cnf;
+}
 
-  backend.load(propagation_decided_free());
-  auto outcome = backend.presolve();
+TEST(UnitPropPresolver, DecidesByPropagation) {
+  UnitPropPresolver presolver;
+
+  const Presolve* outcome = presolver.presolve(propagation_decided_free());
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->solution_class, 2);
   EXPECT_EQ(outcome->free_vars, 1);
@@ -59,126 +74,66 @@ TEST(UnitPropBackend, DecidesByPropagation) {
   EXPECT_EQ(outcome->values[1], LBool::kFalse);
   EXPECT_EQ(outcome->values[2], LBool::kUndef);
 
-  backend.load(propagation_decided_unique());
-  outcome = backend.presolve();
+  outcome = presolver.presolve(propagation_decided_unique());
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->solution_class, 1);
   EXPECT_EQ(outcome->free_vars, 0);
 
-  backend.load(propagation_conflict());
-  outcome = backend.presolve();
+  outcome = presolver.presolve(propagation_conflict());
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->solution_class, 0);
 
-  backend.load(propagation_undecided());
-  EXPECT_EQ(backend.presolve(), nullptr) << "must report escalate";
+  EXPECT_EQ(presolver.presolve(propagation_undecided()), nullptr) << "must report escalate";
 }
 
-TEST(UnitPropBackend, SearchOpsThrow) {
-  UnitPropBackend backend;
-  backend.load(propagation_undecided());
-  EXPECT_FALSE(backend.supports_search());
-  EXPECT_THROW(backend.solve({}), std::logic_error);
-  EXPECT_THROW(backend.new_var(), std::logic_error);
-  EXPECT_THROW(backend.add_clause({}), std::logic_error);
-}
+TEST(SolverSession, RoutesByShape) {
+  // The route rule: unit propagation first when at least half of the
+  // clauses are units or the CNF has at most 16 variables; CDCL
+  // otherwise.  Read back from the per-route counters.
+  const auto routed = [](const Cnf& cnf) {
+    SolverSession session(cnf);
+    const SessionStats& s = session.stats();
+    EXPECT_EQ(s.backends[kCdcl].selected + s.backends[kUnitProp].selected, 1u);
+    return s.backends[kUnitProp].selected == 1 ? BackendKind::kUnitProp : BackendKind::kCdcl;
+  };
 
-TEST(BackendSelector, ForcedModesPinTheBackend) {
-  const FormulaShape shape = shape_of(propagation_decided_free());
-
-  BackendSelector selector;
-  selector.mode = BackendSelector::Mode::kCdcl;
-  EXPECT_EQ(selector.pick(shape), BackendKind::kCdcl);
-  selector.mode = BackendSelector::Mode::kUnitProp;
-  EXPECT_EQ(selector.pick(shape), BackendKind::kUnitProp);
-}
-
-TEST(BackendSelector, AutoPicksByShapeAndWorkload) {
-  BackendSelector selector;  // auto
-
-  // Unit-rich (tomography shape): unit-prop first, whatever the size.
-  FormulaShape unit_rich;
-  unit_rich.num_vars = 100;
-  unit_rich.num_clauses = 40;
-  unit_rich.num_units = 30;
-  EXPECT_EQ(selector.pick(unit_rich), BackendKind::kUnitProp);
-
-  // Large and few units: plain CDCL, sparse or dense.
-  FormulaShape wide;
-  wide.num_vars = 100;
-  wide.num_clauses = 40;
-  wide.num_units = 2;
-  EXPECT_EQ(selector.pick(wide), BackendKind::kCdcl);
-  FormulaShape dense;
-  dense.num_vars = 40;
-  dense.num_clauses = 200;
-  dense.num_units = 2;
-  EXPECT_EQ(selector.pick(dense), BackendKind::kCdcl);
-
-  // Tiny formulas always get the (nearly free) presolve attempt.
-  FormulaShape tiny;
-  tiny.num_vars = 8;
-  tiny.num_clauses = 12;
-  tiny.num_units = 1;
-  EXPECT_EQ(selector.pick(tiny), BackendKind::kUnitProp);
-}
-
-TEST(BackendSelector, ShapeOfCountsUnits) {
-  const FormulaShape shape = shape_of(propagation_decided_unique());
-  EXPECT_EQ(shape.num_vars, 3);
-  EXPECT_EQ(shape.num_clauses, 3);
-  EXPECT_EQ(shape.num_units, 2);
-  EXPECT_DOUBLE_EQ(shape.unit_fraction(), 2.0 / 3.0);
-}
-
-TEST(BackendSelector, Parse) {
-  EXPECT_EQ(BackendSelector::parse("auto"), BackendSelector::Mode::kAuto);
-  EXPECT_EQ(BackendSelector::parse("cdcl"), BackendSelector::Mode::kCdcl);
-  EXPECT_EQ(BackendSelector::parse("unitprop"), BackendSelector::Mode::kUnitProp);
-  for (const auto mode : {BackendSelector::Mode::kAuto, BackendSelector::Mode::kCdcl,
-                          BackendSelector::Mode::kUnitProp}) {
-    EXPECT_EQ(BackendSelector::parse(BackendSelector::to_string(mode)), mode);
-  }
-  // Retired backends are no longer modes.
-  for (const char* retired : {"count", "ipasir", "portfolio"}) {
-    EXPECT_FALSE(BackendSelector::parse(retired).has_value()) << retired;
-  }
-  EXPECT_FALSE(BackendSelector::parse("minisat").has_value());
-  EXPECT_FALSE(BackendSelector::parse("").has_value());
+  // Unit-rich (tomography shape): unit propagation, whatever the size.
+  EXPECT_EQ(routed(shaped(100, 30, 10)), BackendKind::kUnitProp);
+  EXPECT_EQ(routed(shaped(100, 20, 20)), BackendKind::kUnitProp) << "exactly half units";
+  // Tiny: the presolve attempt is nearly free.
+  EXPECT_EQ(routed(shaped(16, 1, 11)), BackendKind::kUnitProp);
+  // Wide with few units: straight to CDCL, sparse or dense.
+  EXPECT_EQ(routed(shaped(100, 2, 38)), BackendKind::kCdcl);
+  EXPECT_EQ(routed(shaped(40, 2, 198)), BackendKind::kCdcl);
+  EXPECT_EQ(routed(shaped(17, 19, 20)), BackendKind::kCdcl) << "just under half units";
+  // No clauses at all: no unit fraction, so size alone decides.
+  EXPECT_EQ(routed(shaped(17, 0, 0)), BackendKind::kCdcl);
+  EXPECT_EQ(routed(shaped(16, 0, 0)), BackendKind::kUnitProp);
 }
 
 TEST(SolverSession, CountsBackendSelectionAndEscalation) {
   SolverSession session;
-  const BackendKind unitprop = BackendKind::kUnitProp;
 
-  session.load(propagation_decided_free(), unitprop);
+  session.load(propagation_decided_free());
   EXPECT_TRUE(session.presolved());
-  EXPECT_EQ(session.active_backend(), BackendKind::kUnitProp);
   EXPECT_EQ(session.classify().solution_class, 2);
 
-  session.load(propagation_undecided(), unitprop);
-  EXPECT_FALSE(session.presolved());
-  EXPECT_EQ(session.active_backend(), BackendKind::kCdcl) << "escalated";
+  session.load(propagation_undecided());
+  EXPECT_FALSE(session.presolved()) << "escalated";
+  EXPECT_EQ(session.classify().solution_class, 2);
+
+  session.load(shaped(40, 2, 198));
+  EXPECT_FALSE(session.presolved()) << "routed to CDCL";
   EXPECT_EQ(session.classify().solution_class, 2);
 
   const auto& stats = session.stats();
-  const auto up = static_cast<std::size_t>(BackendKind::kUnitProp);
-  const auto cdcl = static_cast<std::size_t>(BackendKind::kCdcl);
-  EXPECT_EQ(stats.backends[up].selected, 2u);
-  EXPECT_EQ(stats.backends[up].served, 1u);
-  EXPECT_EQ(stats.backends[up].escalated, 1u);
-  EXPECT_EQ(stats.backends[cdcl].served, 1u);
-  EXPECT_EQ(stats.cnf_loads, 2u);
-}
-
-TEST(SolverSession, DefaultLoadServesCdcl) {
-  SolverSession session(propagation_decided_free());
-  EXPECT_FALSE(session.presolved());
-  EXPECT_EQ(session.active_backend(), BackendKind::kCdcl);
-  const auto cdcl = static_cast<std::size_t>(BackendKind::kCdcl);
-  EXPECT_EQ(session.stats().backends[cdcl].selected, 1u);
-  EXPECT_EQ(session.stats().backends[cdcl].served, 1u);
-  EXPECT_EQ(session.stats().backends[cdcl].escalated, 0u);
+  EXPECT_EQ(stats.backends[kUnitProp].selected, 2u);
+  EXPECT_EQ(stats.backends[kUnitProp].served, 1u);
+  EXPECT_EQ(stats.backends[kUnitProp].escalated, 1u);
+  EXPECT_EQ(stats.backends[kCdcl].selected, 1u);
+  EXPECT_EQ(stats.backends[kCdcl].served, 2u);
+  EXPECT_EQ(stats.backends[kCdcl].escalated, 0u);
+  EXPECT_EQ(stats.cnf_loads, 3u);
 }
 
 TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
@@ -188,7 +143,7 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
   Cnf cnf;
   cnf.num_vars = 70;
   cnf.add_clause({neg(0)});
-  SolverSession session(cnf, BackendKind::kUnitProp);
+  SolverSession session(cnf);
   ASSERT_TRUE(session.presolved());
   EXPECT_EQ(session.count_models_capped(5), 5u);
   EXPECT_EQ(session.count_models_capped(0), kCountCap) << "saturated exact count";
@@ -199,19 +154,6 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
   EXPECT_EQ(split.always_false, (std::vector<Var>{0}));
   EXPECT_EQ(split.potential_true.size(), 69u);
   EXPECT_EQ(session.stats().solve_calls, 0u) << "a decided presolve never searches";
-}
-
-TEST(MakeBackend, ProducesEveryKind) {
-  for (const BackendKind kind : {BackendKind::kCdcl, BackendKind::kUnitProp}) {
-    const auto backend = make_backend(kind);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->kind(), kind);
-  }
-  EXPECT_STREQ(to_string(BackendKind::kUnitProp), "unitprop");
-  // The counter slots of retired backends construct nothing.
-  for (const std::size_t retired : {1, 3, 4}) {
-    EXPECT_THROW(make_backend(static_cast<BackendKind>(retired)), std::invalid_argument);
-  }
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 
 #include <sstream>
 
+#include "../support/dimacs_reader.h"
+
 namespace ct::sat {
 namespace {
+
+using test::from_dimacs_string;
 
 Lit pos(Var v) { return Lit(v, false); }
 Lit neg(Var v) { return Lit(v, true); }

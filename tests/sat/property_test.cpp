@@ -121,14 +121,13 @@ TEST_P(SatAgreement, CounterAgreesWithBruteForce) {
   // way the session's counts must match the truth table.
   const Cnf cnf = random_cnf(GetParam());
   const std::uint64_t expected = brute_force_count(cnf);
-  UnitPropBackend backend;
-  backend.load(cnf);
-  if (const Presolve* outcome = backend.presolve()) {
+  UnitPropPresolver presolver;
+  if (const Presolve* outcome = presolver.presolve(cnf)) {
     EXPECT_EQ(outcome->solution_class == 0 ? std::uint64_t{0}
                                            : std::uint64_t{1} << outcome->free_vars,
               expected);
   }
-  SolverSession session(cnf, BackendKind::kUnitProp);
+  SolverSession session(cnf);
   EXPECT_EQ(session.count_models_capped(3), std::min<std::uint64_t>(expected, 3));
   EXPECT_EQ(session.count_models_capped(0), expected);
 }
@@ -188,10 +187,8 @@ INSTANTIATE_TEST_SUITE_P(RandomCnfs, SatAgreement, ::testing::ValuesIn(make_para
 
 // Tomography-shaped formulas: unit-negative clauses plus positive
 // disjunctions, exactly the structure the paper generates.
-class TomoShapedCnf : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TomoShapedCnf, AllEnginesAgree) {
-  util::Rng rng(GetParam());
+Cnf tomo_shaped_cnf(std::uint64_t seed) {
+  util::Rng rng(seed);
   Cnf cnf;
   cnf.num_vars = 12;
   // A few "censored path" clauses.
@@ -209,16 +206,45 @@ TEST_P(TomoShapedCnf, AllEnginesAgree) {
   for (int i = 0; i < negatives; ++i) {
     cnf.add_clause({Lit(static_cast<Var>(rng.index(12)), true)});
   }
+  return cnf;
+}
 
+constexpr std::uint64_t kTomoSeeds = 41;  // seeds 1..40
+
+class TomoShapedCnf : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TomoShapedCnf, AllEnginesAgree) {
+  // The session (on its route), the bare solver and the presolver on
+  // its own, each against the truth table.
+  const Cnf cnf = tomo_shaped_cnf(GetParam());
   const std::uint64_t expected = brute_force_count(cnf);
   SolverSession session(cnf);
   EXPECT_EQ(session.count_models_capped(0), expected);
   Solver solver;
   const bool ok = solver.add_cnf(cnf);
   EXPECT_EQ(ok && solver.solve() == SolveResult::kSat, expected > 0);
+  UnitPropPresolver presolver;
+  const Presolve* outcome = presolver.presolve(cnf);
+  EXPECT_EQ(outcome != nullptr, session.presolved());
+  if (outcome != nullptr) {
+    EXPECT_EQ(outcome->solution_class == 0 ? std::uint64_t{0}
+                                           : std::uint64_t{1} << outcome->free_vars,
+              expected);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TomoShapedCnf, ::testing::Range<std::uint64_t>(1, 41));
+INSTANTIATE_TEST_SUITE_P(Seeds, TomoShapedCnf, ::testing::Range<std::uint64_t>(1, kTomoSeeds));
+
+TEST(TomoShapedCnfRoutes, BothRoutesOccur) {
+  // The seeds above reach both routes: some CNFs are decided by unit
+  // propagation, the others escalate to CDCL.
+  SolverSession session;
+  for (std::uint64_t seed = 1; seed < kTomoSeeds; ++seed) session.load(tomo_shaped_cnf(seed));
+  const BackendCounters& unitprop =
+      session.stats().backends[static_cast<std::size_t>(BackendKind::kUnitProp)];
+  EXPECT_GT(unitprop.served, 0u) << "no CNF was decided by unit propagation";
+  EXPECT_GT(unitprop.escalated, 0u) << "no CNF escalated to CDCL";
+}
 
 }  // namespace
 }  // namespace ct::sat

@@ -1,4 +1,4 @@
-// SolverReuse: a solver, backend or session reloaded in place must be
+// SolverReuse: a solver or session reloaded in place must be
 // indistinguishable from a newly built one.  Solver::reset keeps every
 // buffer's capacity (clause arena, watch lists, heap, scratch vectors),
 // so state an earlier CNF left behind is the bug these suites hunt.
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "../support/fuzz_seed.h"
@@ -166,55 +165,39 @@ void append_stats(std::vector<std::int64_t>& trace, const SolverStats& s) {
   }
 }
 
-/// Runs `c` on a just-reset or just-built target (a Solver, or a
-/// SolverBackend after load) and flattens every observable into one
-/// trace.  Solver targets also record conflict_assumptions().
-template <class Target>
-std::vector<std::int64_t> drive(Target& target, const Case& c, Coverage* coverage) {
-  constexpr bool kIsSolver = std::is_same_v<Target, Solver>;
+/// Runs `c` on a just-reset or just-built solver and flattens every
+/// observable into one trace.
+std::vector<std::int64_t> drive(Solver& solver, const Case& c, Coverage* coverage) {
   std::vector<std::int64_t> trace;
-  const auto stats = [&] {
-    if constexpr (kIsSolver) {
-      append_stats(trace, target.stats());
-    } else {
-      append_stats(trace, target.solver_stats());
-    }
-  };
   const auto record_solve = [&](SolveResult r, std::int32_t num_vars) {
     trace.push_back(static_cast<std::int64_t>(r));
     if (r == SolveResult::kSat) {
       for (Var v = 0; v < num_vars; ++v) {
-        trace.push_back(static_cast<std::int64_t>(target.model_value(v)));
+        trace.push_back(static_cast<std::int64_t>(solver.model_value(v)));
       }
     }
-    if constexpr (kIsSolver) {
-      trace.push_back(-1);  // separator
-      for (const Lit l : target.conflict_assumptions()) trace.push_back(l.code());
-    }
-    stats();
+    trace.push_back(-1);  // separator
+    for (const Lit l : solver.conflict_assumptions()) trace.push_back(l.code());
+    append_stats(trace, solver.stats());
   };
 
-  if constexpr (kIsSolver) {
-    const bool ok = target.add_cnf(c.cnf);
-    trace.push_back(ok);
-    trace.push_back(target.is_inconsistent());
-    trace.push_back(target.num_vars());
-    if (!ok && coverage != nullptr) ++coverage->level_zero_unsat;
-  }
-  stats();
+  const bool ok = solver.add_cnf(c.cnf);
+  trace.push_back(ok);
+  trace.push_back(solver.is_inconsistent());
+  trace.push_back(solver.num_vars());
+  if (!ok && coverage != nullptr) ++coverage->level_zero_unsat;
+  append_stats(trace, solver.stats());
 
   std::int32_t num_vars = c.cnf.num_vars;
   Var guard = kUndefVar;
   for (const Query& q : c.queries) {
     switch (q.op) {
       case Query::Op::kSolve: {
-        const SolveResult r = target.solve(q.lits);
+        const SolveResult r = solver.solve(q.lits);
         record_solve(r, num_vars);
-        if constexpr (kIsSolver) {
-          if (coverage != nullptr && r == SolveResult::kUnsat &&
-              !target.conflict_assumptions().empty()) {
-            ++coverage->assumption_conflicts;
-          }
+        if (coverage != nullptr && r == SolveResult::kUnsat &&
+            !solver.conflict_assumptions().empty()) {
+          ++coverage->assumption_conflicts;
         }
         break;
       }
@@ -222,26 +205,26 @@ std::vector<std::int64_t> drive(Target& target, const Case& c, Coverage* coverag
         // SolverSession's enumeration step: solve under the guard, then
         // block the model with (~guard v ~model).
         if (guard == kUndefVar) {
-          guard = target.new_var();
+          guard = solver.new_var();
           num_vars = guard + 1;
           trace.push_back(guard);
         }
         const std::vector<Lit> assume{Lit(guard, false)};
-        const SolveResult r = target.solve(assume);
+        const SolveResult r = solver.solve(assume);
         record_solve(r, num_vars);
         if (r == SolveResult::kSat) {
           std::vector<Lit> block{Lit(guard, true)};
           for (Var v = 0; v < c.cnf.num_vars; ++v) {
-            block.emplace_back(v, target.model_value(v) == LBool::kTrue);
+            block.emplace_back(v, solver.model_value(v) == LBool::kTrue);
           }
-          trace.push_back(target.add_clause(block));
+          trace.push_back(solver.add_clause(block));
           if (coverage != nullptr) ++coverage->blocking_clauses;
         }
         break;
       }
       case Query::Op::kAddClause:
-        trace.push_back(target.add_clause(q.lits));
-        stats();
+        trace.push_back(solver.add_clause(q.lits));
+        append_stats(trace, solver.stats());
         break;
     }
   }
@@ -285,27 +268,11 @@ TEST(SolverReuse, ResetSolverMatchesAFreshSolver) {
   expect_covered(coverage);
 }
 
-TEST(SolverReuse, CdclBackendReloadMatchesFreshBackends) {
-  // One CdclBackend reloaded across the stream against a fresh backend
-  // per CNF.
-  const std::uint64_t seed = ct::test::fuzz_seed(20261020);
-  SCOPED_TRACE(ct::test::fuzz_trace(seed));
-  const std::vector<Case> stream = make_stream(seed, 30, 1);
-  CdclBackend reused;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
-    CdclBackend fresh;
-    fresh.load(stream[i].cnf);
-    reused.load(stream[i].cnf);
-    const std::vector<std::int64_t> want = drive(fresh, stream[i], nullptr);
-    EXPECT_EQ(drive(reused, stream[i], nullptr), want);
-  }
-}
-
 TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
-  // The session's own buffers (model cache, blocking clause, harvest)
-  // and the backends behind it, reused across loads under every pick
-  // the selector can produce for these shapes.
+  // The session's own buffers (model cache, blocking clause, harvest),
+  // its solver and its presolver, reused across loads on every route
+  // these shapes take: unit propagation decided or escalated, and CDCL
+  // picked outright (random CNFs wider than 16 variables).
   const std::uint64_t seed = ct::test::fuzz_seed(20261022);
   SCOPED_TRACE(ct::test::fuzz_trace(seed));
   util::Rng rng(seed);
@@ -315,11 +282,6 @@ TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
                                                                          : Shape::kRandom;
     stream.push_back(make_case(rng, shape));
   }
-  const BackendSelector selectors[] = {
-      {BackendSelector::Mode::kAuto},
-      {BackendSelector::Mode::kCdcl},
-      {BackendSelector::Mode::kUnitProp},
-  };
 
   SolverSession reused;
   int enumerated = 0;
@@ -327,12 +289,9 @@ TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE("CNF " + std::to_string(i) + " of the stream");
     const Cnf& cnf = stream[i].cnf;
-    const BackendKind primary = selectors[i % std::size(selectors)].pick(shape_of(cnf));
-    SolverSession fresh;
-    fresh.load(cnf, primary);
+    SolverSession fresh(cnf);
     const SessionStats before = reused.stats();
-    reused.load(cnf, primary);
-    EXPECT_EQ(reused.active_backend(), fresh.active_backend());
+    reused.load(cnf);
     EXPECT_EQ(reused.presolved(), fresh.presolved());
 
     const SolutionClassification want_class = fresh.classify();
@@ -354,9 +313,11 @@ TEST(SolverReuse, SessionArenaMatchesFreshSessions) {
   EXPECT_EQ(reused.stats().cnf_loads, stream.size());
   EXPECT_GT(enumerated, 0) << "no CNF enumerated models through blocking clauses";
   EXPECT_GT(presolved, 0) << "no CNF was decided by unit propagation";
-  EXPECT_GT(reused.stats().backends[static_cast<std::size_t>(BackendKind::kUnitProp)].escalated,
-            0u)
+  const auto& routes = reused.stats().backends;
+  EXPECT_GT(routes[static_cast<std::size_t>(BackendKind::kUnitProp)].escalated, 0u)
       << "no CNF escalated from unit propagation";
+  EXPECT_GT(routes[static_cast<std::size_t>(BackendKind::kCdcl)].selected, 0u)
+      << "no CNF was routed straight to CDCL";
 }
 
 }  // namespace
