@@ -239,8 +239,7 @@ int main(int argc, char** argv) {
             << stats.retained_clauses_now << ", underflows " << stats.gauge_underflows
             << "\n";
   std::cout << ct::analysis::render_headline(result)
-            << ct::analysis::render_score(result, scenario)
-            << ct::analysis::render_backends(result);
+            << ct::analysis::render_score(result, scenario);
 
   bool ok = !reader_failed.load();
   if (!ok) std::cerr << "FAIL: a reader observed a watermark regression\n";

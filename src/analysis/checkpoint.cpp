@@ -214,7 +214,6 @@ tomo::ClauseBuildStats load_clause_stats(util::ByteReader& r) {
 void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats) {
   w.u64(stats.cnf_loads);
   w.u64(stats.solve_calls);
-  w.u64(stats.models_found);
   w.u64(stats.fresh_clauses);
   w.u32(stats.arenas);
   w.u64(stats.snapshots_published);
@@ -222,7 +221,6 @@ void save_engine_stats(util::ByteWriter& w, const tomo::EngineStats& stats) {
   w.u64(stats.snapshot_stale_reads);
   w.u64(stats.snapshot_peak_readers);
   for (const sat::BackendCounters& b : stats.backends) {
-    w.u64(b.selected);
     w.u64(b.served);
     w.u64(b.escalated);
   }
@@ -232,7 +230,6 @@ tomo::EngineStats load_engine_stats(util::ByteReader& r) {
   tomo::EngineStats stats;
   stats.cnf_loads = r.u64();
   stats.solve_calls = r.u64();
-  stats.models_found = r.u64();
   stats.fresh_clauses = r.u64();
   stats.arenas = r.u32();
   stats.snapshots_published = r.u64();
@@ -240,7 +237,6 @@ tomo::EngineStats load_engine_stats(util::ByteReader& r) {
   stats.snapshot_stale_reads = r.u64();
   stats.snapshot_peak_readers = r.u64();
   for (sat::BackendCounters& b : stats.backends) {
-    b.selected = r.u64();
     b.served = r.u64();
     b.escalated = r.u64();
   }

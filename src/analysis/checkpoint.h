@@ -64,7 +64,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // the same rule.
 // v6: EngineStats lost the racing counters; v5 checkpoints are refused
 // by the same rule.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// v7: EngineStats lost the models-found and per-slot selected counters,
+// which only a SAT search filled; v6 checkpoints are refused by the
+// same rule.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).

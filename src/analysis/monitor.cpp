@@ -54,11 +54,11 @@ tomo::CnfBuildOptions ablation_build_options(const ExperimentOptions& options) {
 }
 
 /// One analysis pass's cumulative counters: its checkpointed base plus
-/// its live arenas.
+/// its live analyzers.
 tomo::EngineStats pass_stats(const tomo::EngineStats& base,
-                             const std::vector<tomo::CnfAnalyzer>& arenas) {
+                             const std::vector<tomo::CnfAnalyzer>& analyzers) {
   tomo::EngineStats stats = base;
-  for (const tomo::CnfAnalyzer& arena : arenas) stats.add_arena(arena.session_stats());
+  for (const tomo::CnfAnalyzer& analyzer : analyzers) stats += analyzer.stats();
   return stats;
 }
 
@@ -135,7 +135,7 @@ struct MonitorEngine::State {
   iclab::DatasetSummary summary;
   TruthTracker truth;
   tomo::ClauseBuildStats clause_stats;
-  /// Counters restored from the checkpoint (the live arenas and server
+  /// Counters restored from the checkpoint (the live analyzers and server
   /// restart from zero on resume and accumulate on top of these).
   Counters base;
   std::int64_t segments = 0;
@@ -146,8 +146,8 @@ MonitorEngine::MonitorEngine(Scenario& scenario, MonitorOptions options)
       options_(std::move(options)),
       fingerprint_(config_fingerprint(scenario, options_.experiment)),
       analysis_pool_(util::ThreadPool::workers_for(options_.experiment.num_threads)),
-      main_arenas_(analysis_pool_.size()),
-      ablation_arenas_(analysis_pool_.size()),
+      main_analyzers_(analysis_pool_.size()),
+      ablation_analyzers_(analysis_pool_.size()),
       state_(std::make_unique<State>(scenario, options_.experiment, analysis_pool_)) {
   if (options_.segment_days < 1) options_.segment_days = 1;
   main_analysis_ = options_.experiment.analysis;
@@ -258,22 +258,22 @@ void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
 void MonitorEngine::analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
                                      const std::vector<tomo::TomoCnf>& ablation_cnfs) {
   // Same scheduling as tomo::analyze_cnfs: one task per CNF on the
-  // worker's own arena, and out[i] slots keep the key-sorted batch
+  // worker's own analyzer, and out[i] slots keep the key-sorted batch
   // order, so the verdict vector is byte-identical for any lane count.
-  const auto analyze = [this](std::vector<tomo::CnfAnalyzer>& arenas,
+  const auto analyze = [this](std::vector<tomo::CnfAnalyzer>& analyzers,
                               const std::vector<tomo::TomoCnf>& cnfs,
                               const tomo::AnalysisOptions& options) {
     std::vector<tomo::CnfVerdict> out(cnfs.size());
     analysis_pool_.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
-      out[i] = arenas[worker].analyze(cnfs[i], options);
+      out[i] = analyzers[worker].analyze(cnfs[i], options);
     });
     return out;
   };
   const std::vector<tomo::CnfVerdict> main_verdicts =
-      analyze(main_arenas_, main_cnfs, main_analysis_);
+      analyze(main_analyzers_, main_cnfs, main_analysis_);
   ExperimentFolds& folds = state_->folds;
   for (std::size_t k = 0; k < main_cnfs.size(); ++k) folds.add_main(main_cnfs[k], main_verdicts[k]);
-  for (const tomo::CnfVerdict& v : analyze(ablation_arenas_, ablation_cnfs, ablation_analysis_)) {
+  for (const tomo::CnfVerdict& v : analyze(ablation_analyzers_, ablation_cnfs, ablation_analysis_)) {
     folds.fig4.add(v);
   }
 }
@@ -288,7 +288,7 @@ void MonitorEngine::publish_report() {
 
 MonitorEngine::Counters MonitorEngine::counters_now() const {
   const Counters& base = state_->base;
-  Counters now{pass_stats(base.main, main_arenas_), pass_stats(base.ablation, ablation_arenas_),
+  Counters now{pass_stats(base.main, main_analyzers_), pass_stats(base.ablation, ablation_analyzers_),
                base.server};
   now.server.snapshots_published += server_.published();
   now.server.snapshot_reads += server_.reads();
@@ -357,7 +357,7 @@ ExperimentResult MonitorEngine::finalize() {
   ExperimentResult result =
       finalize_experiment_result(*scenario_, options_.experiment, state.folds, state.summary,
                                  state.clause_stats, state.truth, state.churn_fold.snapshot());
-  result.engine_stats = pass_stats(state.base.main, main_arenas_);
+  result.engine_stats = pass_stats(state.base.main, main_analyzers_);
   return result;
 }
 

@@ -5,8 +5,8 @@
 // MonitorEngine runs the measurement platform as a *resident* loop:
 // measurements are ingested continuously in day segments, each segment
 // drains once — the CNFs of the windows it seals are analyzed as one
-// batch per analysis pass (on persistent per-worker solver arenas, one
-// fresh load per CNF) — and every data product accumulates in
+// batch per analysis pass (on persistent per-worker analyzers, each CNF
+// on its own) — and every data product accumulates in
 // ExperimentFolds (checkpoint.h's serialize_report() is the oracle).
 //
 // Segment pipeline: a segment's platform bundles are handed off as
@@ -249,7 +249,7 @@ class MonitorEngine {
   /// The SAT counters a checkpoint carries: one record per analysis
   /// pass and one for the snapshot server.
   struct Counters;
-  /// The state's checkpointed counters plus the live arenas and server.
+  /// The state's checkpointed counters plus the live analyzers and server.
   Counters counters_now() const;
 
   Scenario* scenario_;
@@ -259,9 +259,12 @@ class MonitorEngine {
   tomo::AnalysisOptions ablation_analysis_;
 
   // Execution state (never checkpointed).
-  util::ThreadPool analysis_pool_;  // the SAT lanes; the groupers borrow them too
-  std::vector<tomo::CnfAnalyzer> main_arenas_;
-  std::vector<tomo::CnfAnalyzer> ablation_arenas_;
+  // The analysis lanes, one CnfAnalyzer per lane and pass (each keeps
+  // its scratch buffers across batches); the groupers borrow the lanes
+  // too.
+  util::ThreadPool analysis_pool_;
+  std::vector<tomo::CnfAnalyzer> main_analyzers_;
+  std::vector<tomo::CnfAnalyzer> ablation_analyzers_;
   LiveReportServer server_;
   util::HwmGauge retained_;
 

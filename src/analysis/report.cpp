@@ -273,26 +273,6 @@ std::string render_regime_accuracy(const std::vector<RegimeAccuracyRow>& rows) {
   return out.str();
 }
 
-std::string render_backends(const ExperimentResult& result) {
-  const auto& stats = result.engine_stats;
-  util::TextTable table({"Backend", "Selected", "Served", "Escalated"});
-  for (const sat::BackendKind kind : {sat::BackendKind::kCdcl, sat::BackendKind::kUnitProp}) {
-    const sat::BackendCounters& c = stats.backends[static_cast<std::size_t>(kind)];
-    table.add_row({sat::to_string(kind),
-                   fmt_count(static_cast<std::int64_t>(c.selected)),
-                   fmt_count(static_cast<std::int64_t>(c.served)),
-                   fmt_count(static_cast<std::int64_t>(c.escalated))});
-  }
-  std::ostringstream out;
-  out << table.render("SAT backend mix (main analysis pass)");
-  out << "  CNF loads: " << fmt_count(static_cast<std::int64_t>(stats.cnf_loads))
-      << "   clauses loaded: " << fmt_count(static_cast<std::int64_t>(stats.fresh_clauses))
-      << "   solver calls: " << fmt_count(static_cast<std::int64_t>(stats.solve_calls))
-      << "   models found: " << fmt_count(static_cast<std::int64_t>(stats.models_found))
-      << "   arenas: " << stats.arenas << "\n";
-  return out.str();
-}
-
 std::string render_all(const ExperimentResult& result, const Scenario& scenario) {
   std::ostringstream out;
   out << render_headline(result) << "\n"
@@ -305,8 +285,7 @@ std::string render_all(const ExperimentResult& result, const Scenario& scenario)
       << render_table2(result) << "\n"
       << render_table3(result) << "\n"
       << render_fig5(result) << "\n"
-      << render_score(result, scenario) << "\n"
-      << render_backends(result);
+      << render_score(result, scenario);
   return out.str();
 }
 

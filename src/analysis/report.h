@@ -25,9 +25,6 @@ std::string render_table3(const ExperimentResult& result, std::size_t top_n = 5)
 std::string render_fig5(const ExperimentResult& result, std::size_t top_n = 15);
 std::string render_headline(const ExperimentResult& result);
 std::string render_score(const ExperimentResult& result, const Scenario& scenario);
-/// SAT backend mix of the main analysis pass (selected / served /
-/// escalated per backend, plus load/solve totals).
-std::string render_backends(const ExperimentResult& result);
 
 /// One row of the per-regime localization accuracy table
 /// (examples/accuracy_report; archived in EXPERIMENTS.md "Scenario

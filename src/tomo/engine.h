@@ -1,4 +1,4 @@
-// SAT-based analysis of tomography CNFs (paper §3.2).
+// Verdicts of the tomography CNFs (paper §3.2).
 //
 // Each CNF is classified by its number of satisfying assignments:
 //   0  — unsolvable (measurement noise or a policy change inside the
@@ -9,33 +9,30 @@
 //        is a *potential* censor; ASes False in every model are
 //        *definite non-censors* (the paper's >95% reduction).
 //
-// Architecture note (session + batching model): every verdict is
-// computed on a sat::SolverSession that loads the CNF exactly once and
-// serves classification, lazy capped counting, and backbone probes from
-// the same route — the session picks CDCL or the unit-prop presolve
-// per CNF from its shape (sat/backend.h).  The route never changes a
-// verdict, only how it is computed.
-// Each CNF is solved on its own, as in the paper: no solver state
-// carries over from one window to the next.  A CnfAnalyzer
-// is the per-worker "session arena": it owns one session and reuses it
-// across CNFs via load(), so its cumulative SessionStats expose the
-// one-load-per-verdict invariant.  analyze_cnfs schedules a batch by
-// index across a util::ThreadPool (work stealing, one arena per
-// worker) and writes verdict i into slot i, so the output vector is
-// byte-identical for any num_threads — including num_threads == 1,
-// which runs inline on the calling thread with no threads spawned.
+// The CNFs StreamingCnfBuilder::build_group emits are monotone: a
+// negative unit per AS on a clean path and an all-positive clause per
+// censored path.  Such a CNF's verdict has a closed form (engine.cpp
+// gives the argument), so a verdict is one pass over the clauses and no
+// SAT search; analyze_cnf refuses any other clause shape.  Each CNF is
+// analyzed on its own, as in the paper: nothing carries over from one
+// window to the next.  A CnfAnalyzer is one worker's scratch, reused
+// across CNFs.  analyze_cnfs schedules a batch by index across a
+// util::ThreadPool (work stealing, one analyzer per worker) and writes
+// verdict i into slot i, so the output vector is byte-identical for any
+// num_threads — including num_threads == 1, which runs inline on the
+// calling thread with no threads spawned.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "censor/policy.h"
 #include "sat/backend.h"
-#include "sat/session.h"
 #include "tomo/cnf_builder.h"
 
 namespace ct::tomo {
@@ -77,19 +74,20 @@ struct CnfVerdict {
   bool operator==(const CnfVerdict&) const = default;
 };
 
-/// Aggregate counters for a batch analysis (summed over all arenas).
+/// Aggregate counters for a batch analysis (summed over all analyzers).
 struct EngineStats {
-  /// Solver loads; one per CNF analyzed.
+  /// One per CNF analyzed.
   std::uint64_t cnf_loads = 0;
+  /// Always 0: no verdict searches.  Kept only because perfbench reads
+  /// it (sat.solve_calls); a `[benchmark]` PR drops both.
   std::uint64_t solve_calls = 0;
-  std::uint64_t models_found = 0;
   /// Always 0: every CNF is one fresh load.  Kept only because perfbench
   /// reads it (sat.delta_loads); a `[benchmark]` PR drops both.
   std::uint64_t delta_loads = 0;
-  /// Problem clauses loaded: the sum of |cnf.clauses| over the analyzed
-  /// batch, for every execution mode.
+  /// Problem clauses analyzed: the sum of |cnf.clauses| over the
+  /// analyzed batch, for every execution mode.
   std::uint64_t fresh_clauses = 0;
-  unsigned arenas = 0;  // worker sessions used
+  unsigned arenas = 0;  // analyzers (workers) used
   /// LiveReport snapshot-server counters (analysis::LiveReportServer,
   /// monitor runs only): snapshots published, reader snapshot() calls,
   /// calls that observed a snapshot older than the latest published
@@ -98,9 +96,13 @@ struct EngineStats {
   std::uint64_t snapshot_reads = 0;
   std::uint64_t snapshot_stale_reads = 0;
   std::uint64_t snapshot_peak_readers = 0;
-  /// Per-route selected/served/escalated counts, indexed by
-  /// sat::BackendKind; sum of `selected` (and of `served`) equals
-  /// cnf_loads, and unit-prop's selected = served + escalated.
+  /// The slot of `backends` that serves every verdict: perfbench prints
+  /// it as sat.served.unitprop, the search-free route.
+  static constexpr std::size_t kClosedFormSlot = 2;
+  /// Per-slot served/escalated counts: backends[kClosedFormSlot].served
+  /// equals cnf_loads; every other count reads 0.  Kept only because
+  /// perfbench reads all five slots (sat.served.*, sat.escalated); a
+  /// `[benchmark]` PR drops them.
   std::array<sat::BackendCounters, sat::kNumBackendKinds> backends{};
   /// Always 0: no backend races.  Kept only because perfbench reads it
   /// (sat.portfolio_races); a `[benchmark]` PR drops both.
@@ -108,34 +110,45 @@ struct EngineStats {
     std::uint64_t races = 0;
   } portfolio;
 
-  /// Sums one arena's cumulative SessionStats into these counters and
-  /// bumps `arenas` — the one aggregation path shared by analyze_cnfs
-  /// and the resident monitor.
-  void add_arena(const sat::SessionStats& s);
-  /// Field-wise merge of another aggregate (peaks by max), for callers
-  /// that keep one aggregate per analysis pass.
+  /// Field-wise merge of another aggregate (peaks by max): how
+  /// analyze_cnfs and the resident monitor sum their analyzers, and how
+  /// callers keep one aggregate per analysis pass.
   EngineStats& operator+=(const EngineStats& other);
 };
 
-/// Per-worker session arena: one reusable SolverSession, loaded once
-/// per analyzed CNF.
+/// One worker's analyzer: computes each verdict in closed form and keeps
+/// its scratch buffers across CNFs, so a worker that reuses it stops
+/// allocating once it has seen its largest CNF.
 class CnfAnalyzer {
  public:
+  /// Throws std::invalid_argument unless every clause of tc.cnf is a
+  /// negative unit or all-positive.
   CnfVerdict analyze(const TomoCnf& tc, const AnalysisOptions& options = {});
-  /// Counters summed over every CNF this arena analyzed.
-  const sat::SessionStats& session_stats() const { return session_.stats(); }
+  /// Counters over every CNF this analyzer analyzed, as one arena.
+  EngineStats stats() const;
 
  private:
-  sat::SolverSession session_;
+  std::uint64_t count_hitting_sets(std::int64_t unassigned, std::uint64_t cap);
+
+  // Per-CNF scratch, kept for its capacity.  value_[x] is -1 for a clean
+  // AS (and, while counting, for one branched false), 1 for a forced AS
+  // (and one branched true) and 0 for a free one.
+  std::vector<std::int8_t> value_;
+  std::vector<sat::Var> residue_vars_;     // the residues R_i, back to back
+  std::vector<std::size_t> residue_ends_;  // where each R_i ends
+  std::vector<std::span<const sat::Var>> open_;  // the R_i no forced AS hits
+  std::vector<sat::Var> branched_false_;   // count_hitting_sets' undo stack
+  std::uint64_t cnfs_ = 0;
+  std::uint64_t clauses_ = 0;
 };
 
-/// Analyzes one CNF on a throwaway arena.
+/// Analyzes one CNF on a throwaway analyzer.
 CnfVerdict analyze_cnf(const TomoCnf& tc, const AnalysisOptions& options = {});
 
 /// Analyzes a batch, possibly in parallel (options.num_threads); the
 /// result order matches `cnfs` and is independent of the thread count.
 /// When `stats` is non-null it receives counters summed over all worker
-/// arenas (stats->cnf_loads == cnfs.size() always holds).
+/// analyzers (stats->cnf_loads == cnfs.size() always holds).
 std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
                                      const AnalysisOptions& options = {},
                                      EngineStats* stats = nullptr);

@@ -12,7 +12,7 @@
 // callers that write results into a pre-sized slot `out[index]` get
 // output that is byte-identical for any thread count — only the
 // execution interleaving varies.  Worker-local scratch state (e.g., a
-// SAT solver arena) can be keyed on `worker`, which is always in
+// CnfAnalyzer) can be keyed on `worker`, which is always in
 // [0, size()).
 //
 // A pool constructed with one thread spawns no threads at all:

@@ -56,7 +56,8 @@ TEST(Report, Table2RespectsTopN) {
   ExperimentResult r = empty_result();
   for (int i = 0; i < 10; ++i) {
     Table2Row row;
-    row.country_code = "C" + std::to_string(i);
+    row.country_code = "C";
+    row.country_code += std::to_string(i);
     row.censor_asns = {1000 + i};
     r.table2.push_back(row);
   }

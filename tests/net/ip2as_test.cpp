@@ -91,9 +91,15 @@ TEST(AddressPlan, TiersGetMorePrefixes) {
   const AddressPlan plan = allocate_prefixes(g, cfg);
   for (const auto& info : g.ases()) {
     const auto count = static_cast<std::int32_t>(plan.prefixes[static_cast<std::size_t>(info.id)].size());
-    if (info.tier == topo::AsTier::kTier1) EXPECT_EQ(count, cfg.tier1_prefixes);
-    if (info.tier == topo::AsTier::kTransit) EXPECT_EQ(count, cfg.transit_prefixes);
-    if (info.tier == topo::AsTier::kStub) EXPECT_EQ(count, cfg.stub_prefixes);
+    if (info.tier == topo::AsTier::kTier1) {
+      EXPECT_EQ(count, cfg.tier1_prefixes);
+    }
+    if (info.tier == topo::AsTier::kTransit) {
+      EXPECT_EQ(count, cfg.transit_prefixes);
+    }
+    if (info.tier == topo::AsTier::kStub) {
+      EXPECT_EQ(count, cfg.stub_prefixes);
+    }
   }
 }
 

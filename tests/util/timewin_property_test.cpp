@@ -61,7 +61,9 @@ TEST(TimeWinProperty, WindowsTileContiguously) {
       const std::int32_t w = window_of(d, g);
       EXPECT_GE(w, prev);
       EXPECT_LE(w, prev + 1);
-      if (w != prev) EXPECT_EQ(d % window_length(g), 0);
+      if (w != prev) {
+        EXPECT_EQ(d % window_length(g), 0);
+      }
       prev = w;
     }
   }
