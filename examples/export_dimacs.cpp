@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                              std::string(ct::util::to_string(tc.key.granularity)) +
                              std::to_string(tc.key.window) + ".cnf";
     std::ofstream out(out_dir / name);
-    ct::sat::write_dimacs(out, tc.cnf, comments);
+    ct::sat::write_dimacs(out, ct::tomo::to_cnf(tc), comments);
     ++written;
   }
   std::cout << "wrote " << written << " DIMACS files (of " << cnfs.size()

@@ -14,7 +14,7 @@ namespace ct::tomo {
 
 namespace {
 
-std::uint64_t path_hash(const std::vector<topo::AsId>& path) {
+std::uint64_t path_hash(std::span<const topo::AsId> path) {
   std::uint64_t h = path.size();
   for (const topo::AsId as : path) {
     h = (h ^ static_cast<std::uint32_t>(as)) * 0x9E3779B97F4A7C15ULL;
@@ -31,13 +31,16 @@ std::uint64_t day_key_hash(topo::AsId vantage, std::int32_t url_id, PathPool::Pa
 
 }  // namespace
 
-std::size_t PathPool::find_slot(const std::vector<topo::AsId>& path, std::uint64_t hash) const {
+std::size_t PathPool::find_slot(std::span<const topo::AsId> path, std::uint64_t hash) const {
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
     const PathId id = slots_[i];
     if (id == kEmpty) return i;
     const auto at = static_cast<std::size_t>(id);
-    if (hashes_[at] == hash && paths_[at] == path) return i;
+    if (hashes_[at] == hash && std::equal(paths_[at].begin(), paths_[at].end(), path.begin(),
+                                          path.end())) {
+      return i;
+    }
   }
 }
 
@@ -51,13 +54,13 @@ void PathPool::grow() {
   }
 }
 
-PathPool::PathId PathPool::intern(const std::vector<topo::AsId>& path) {
+PathPool::PathId PathPool::intern(std::span<const topo::AsId> path) {
   const std::uint64_t hash = path_hash(path);
   if (slots_.empty()) grow();
   std::size_t slot = find_slot(path, hash);
   if (slots_[slot] != kEmpty) return slots_[slot];
   const auto id = static_cast<PathId>(paths_.size());
-  paths_.push_back(path);
+  paths_.emplace_back(path.begin(), path.end());
   hashes_.push_back(hash);
   if (2 * paths_.size() > slots_.size()) {
     grow();

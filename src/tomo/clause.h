@@ -19,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -40,7 +41,10 @@ class PathPool {
   using PathId = std::int32_t;
 
   /// Returns the id of `path`, interning it on first sight.
-  PathId intern(const std::vector<topo::AsId>& path);
+  PathId intern(std::span<const topo::AsId> path);
+  PathId intern(std::initializer_list<topo::AsId> path) {
+    return intern(std::span<const topo::AsId>(path.begin(), path.size()));
+  }
   const std::vector<topo::AsId>& get(PathId id) const {
     return paths_.at(static_cast<std::size_t>(id));
   }
@@ -59,7 +63,7 @@ class PathPool {
  private:
   /// The slot of `path` in slots_: its id's slot, or the empty slot
   /// where it would go.  slots_ must not be empty.
-  std::size_t find_slot(const std::vector<topo::AsId>& path, std::uint64_t hash) const;
+  std::size_t find_slot(std::span<const topo::AsId> path, std::uint64_t hash) const;
   /// Doubles slots_ (from 16) and re-inserts every id by its hash.
   void grow();
 

@@ -56,6 +56,21 @@ sat::Var TomoCnf::var_of(topo::AsId as) const {
   return -1;
 }
 
+sat::Cnf to_cnf(const TomoCnf& tc) {
+  sat::Cnf cnf;
+  cnf.num_vars = static_cast<std::int32_t>(tc.vars.size());
+  cnf.clauses.reserve(static_cast<std::size_t>(tc.num_negative_units) + tc.clause_ends.size());
+  for (std::size_t v = 0; v < tc.clean.size(); ++v) {
+    if (tc.clean[v] != 0) cnf.add_clause({sat::Lit(static_cast<sat::Var>(v), /*negated=*/true)});
+  }
+  for (std::size_t i = 0; i < tc.clause_ends.size(); ++i) {
+    std::vector<sat::Lit> lits;
+    for (const sat::Var v : tc.clause(i)) lits.emplace_back(v, /*negated=*/false);
+    cnf.add_clause(std::move(lits));
+  }
+  return cnf;
+}
+
 StreamingCnfBuilder::StampTable::Windows& StreamingCnfBuilder::StampTable::find_or_insert(
     std::uint32_t key) {
   if (2 * (size_ + 1) > slots_.size()) grow();  // load factor <= 1/2
@@ -255,40 +270,44 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
   for (const auto id : group.negative_ids) {
     for (const topo::AsId as : pool_->get(id)) scratch.touch(as).clean = true;
   }
+  std::size_t path_volume = 0;
   for (const auto id : group.positive_ids) {
-    for (const topo::AsId as : pool_->get(id)) scratch.touch(as);
+    const std::vector<topo::AsId>& path = pool_->get(id);
+    for (const topo::AsId as : path) scratch.touch(as);
+    path_volume += path.size();
   }
   std::sort(scratch.as_list.begin(), scratch.as_list.end());
   tc.vars = scratch.as_list;
-  tc.cnf.num_vars = static_cast<std::int32_t>(tc.vars.size());
+  tc.clean.resize(tc.vars.size());
   for (std::size_t v = 0; v < tc.vars.size(); ++v) {
-    slots[static_cast<std::size_t>(tc.vars[v])].var = static_cast<sat::Var>(v);
+    AsSlot& slot = slots[static_cast<std::size_t>(tc.vars[v])];
+    slot.var = static_cast<sat::Var>(v);
+    tc.clean[v] = slot.clean ? 1 : 0;
+    tc.num_negative_units += slot.clean ? 1 : 0;
   }
 
-  std::size_t num_clean = 0;
-  for (const topo::AsId as : tc.vars) num_clean += slots[static_cast<std::size_t>(as)].clean;
-  tc.cnf.clauses.reserve(num_clean + group.positive_ids.size());
-  tc.positive_paths.reserve(group.positive_ids.size());
-
-  // Negative units, in variable (= AS id) order.
-  for (std::size_t v = 0; v < tc.vars.size(); ++v) {
-    if (!slots[static_cast<std::size_t>(tc.vars[v])].clean) continue;
-    tc.cnf.add_clause({sat::Lit(static_cast<sat::Var>(v), /*negated=*/true)});
-    ++tc.num_negative_units;
-  }
-  // Positive disjunctions, one literal per distinct AS in path order
-  // (paths are a handful of hops, so a linear duplicate scan is cheapest).
+  // Positive clauses, one variable per distinct AS in path order (paths
+  // are a handful of hops, so a linear duplicate scan is cheapest), each
+  // beside a copy of its path.
+  tc.clause_vars.reserve(path_volume);
+  tc.clause_ends.reserve(group.positive_ids.size());
+  tc.path_ases.reserve(path_volume);
+  tc.path_ends.reserve(group.positive_ids.size());
   for (const auto id : group.positive_ids) {
-    const auto& path = pool_->get(id);
-    std::vector<sat::Lit> lits;
+    const std::vector<topo::AsId>& path = pool_->get(id);
+    const std::size_t begin = tc.clause_vars.size();
     for (const topo::AsId as : path) {
-      const sat::Lit lit(slots[static_cast<std::size_t>(as)].var, /*negated=*/false);
-      if (std::find(lits.begin(), lits.end(), lit) == lits.end()) lits.push_back(lit);
+      const sat::Var var = slots[static_cast<std::size_t>(as)].var;
+      if (std::find(tc.clause_vars.begin() + static_cast<std::ptrdiff_t>(begin),
+                    tc.clause_vars.end(), var) == tc.clause_vars.end()) {
+        tc.clause_vars.push_back(var);
+      }
     }
-    tc.cnf.add_clause(std::move(lits));
-    ++tc.num_positive_clauses;
-    tc.positive_paths.push_back(path);
+    tc.clause_ends.push_back(static_cast<std::uint32_t>(tc.clause_vars.size()));
+    tc.path_ases.insert(tc.path_ases.end(), path.begin(), path.end());
+    tc.path_ends.push_back(static_cast<std::uint32_t>(tc.path_ases.size()));
   }
+  tc.num_positive_clauses = static_cast<std::int32_t>(group.positive_ids.size());
   return tc;
 }
 

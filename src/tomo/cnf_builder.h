@@ -34,9 +34,10 @@
 // granularity is the back of its vector.  Cost per clause: one vector
 // index, one hash probe, and per granularity one compare plus at most
 // one push_back.  Each finished CNF is built with dense per-AS scratch
-// arrays (indexed by AsId).  Emission visits chains in index order,
-// granularities in enum order and windows in time order, which is
-// CnfKey order.
+// arrays (indexed by AsId) into TomoCnf's flat layout: a handful of
+// vectors per CNF, none per clause or path.  Emission visits chains in
+// index order, granularities in enum order and windows in time order,
+// which is CnfKey order.
 //
 // Fan-out.  A chain owns all of its state, so chains are grouped on
 // every core with no locking: the builder borrows a util::ThreadPool
@@ -80,21 +81,56 @@ struct CnfKey {
 void save_cnf_key(util::ByteWriter& w, const CnfKey& key);
 CnfKey load_cnf_key(util::ByteReader& r);
 
-/// A fully formed tomography SAT instance.
+/// A fully formed tomography SAT instance, in a flat layout that stands
+/// on its own (it holds no pool ids, so it outlives the PathPool its
+/// clauses were grouped from).  Variable v is AS vars[v].  The CNF is a
+/// negative unit for every variable with clean[v] set (its AS lies on a
+/// clean path of the window) and one all-positive clause per censored
+/// path.  Positive clause i is clause_vars[clause_ends[i - 1],
+/// clause_ends[i]) (from 0 for i = 0): the variables of censored path i,
+/// each once, in path order.  The censored paths themselves, vantage
+/// first and in first-occurrence order, are laid out the same way in
+/// path_ases and path_ends.  to_cnf() rebuilds the sat::Cnf.
 struct TomoCnf {
   CnfKey key;
-  /// Variable index -> AS id.
+  /// Variable index -> AS id, ascending.
   std::vector<topo::AsId> vars;
-  sat::Cnf cnf;
-  /// Deduplicated positive (anomaly-observed) paths, vantage first;
-  /// retained for the leakage analysis.
-  std::vector<std::vector<topo::AsId>> positive_paths;
+  /// One flag per variable: 1 iff it has a negative unit.
+  std::vector<std::uint8_t> clean;
+  std::vector<sat::Var> clause_vars;
+  std::vector<std::uint32_t> clause_ends;
+  /// The censored paths, retained for the leakage analysis.
+  std::vector<topo::AsId> path_ases;
+  std::vector<std::uint32_t> path_ends;
+  /// The number of positive clauses and of clean flags set.
   std::int32_t num_positive_clauses = 0;
   std::int32_t num_negative_units = 0;
 
   /// Variable of an AS, or -1 if the AS does not occur.
   sat::Var var_of(topo::AsId as) const;
+  /// Positive clause i.
+  std::span<const sat::Var> clause(std::size_t i) const {
+    return slice(clause_vars, clause_ends, i);
+  }
+  std::size_t num_positive_paths() const { return path_ends.size(); }
+  /// Censored path i, vantage first.
+  std::span<const topo::AsId> positive_path(std::size_t i) const {
+    return slice(path_ases, path_ends, i);
+  }
+
+ private:
+  template <typename T>
+  static std::span<const T> slice(const std::vector<T>& items,
+                                  const std::vector<std::uint32_t>& ends, std::size_t i) {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::span<const T>(items.data() + begin, ends[i] - begin);
+  }
 };
+
+/// The sat::Cnf of `tc`: its negative units in variable order, then its
+/// positive clauses in order.  For DIMACS export and external referees;
+/// the analyzer reads the flat layout.
+sat::Cnf to_cnf(const TomoCnf& tc);
 
 struct CnfBuildOptions {
   /// Granularities to build (all four by default).

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/serde.h"
@@ -30,44 +31,64 @@ namespace ct::tomo {
 //     unforced ASes that hits every R_i no forced AS already hits: the
 //     count is the number of such hitting sets, capped at count_cap.
 //
-// This is exact for the encoding build_group implements; any other
-// clause shape is refused.
+// This is exact for the encoding build_group implements, which is the
+// only encoding the flat layout can state.
+
+namespace {
+
+/// Throws std::invalid_argument unless the layout of `tc` is consistent:
+/// the analyzer indexes its scratch by every variable it reads.
+void check_layout(const TomoCnf& tc) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("analyze_cnf: inconsistent CNF layout: ") + what);
+  };
+  const std::size_t n = tc.vars.size();
+  if (tc.clean.size() != n) fail("clean flags and variables differ in number");
+  const auto num_clean =
+      static_cast<std::size_t>(std::count_if(tc.clean.begin(), tc.clean.end(),
+                                             [](std::uint8_t c) { return c != 0; }));
+  if (tc.num_negative_units < 0 || static_cast<std::size_t>(tc.num_negative_units) != num_clean) {
+    fail("num_negative_units is not the number of clean flags");
+  }
+  if (tc.num_positive_clauses < 0 ||
+      static_cast<std::size_t>(tc.num_positive_clauses) != tc.clause_ends.size()) {
+    fail("num_positive_clauses is not the number of clause ends");
+  }
+  std::uint32_t previous = 0;
+  for (const std::uint32_t end : tc.clause_ends) {
+    if (end < previous) fail("clause ends descend");
+    previous = end;
+  }
+  if (previous != tc.clause_vars.size()) fail("clause ends do not end at the literal array's end");
+  for (const sat::Var v : tc.clause_vars) {
+    if (v < 0 || static_cast<std::size_t>(v) >= n) fail("a literal names no variable");
+  }
+}
+
+}  // namespace
 
 CnfVerdict CnfAnalyzer::analyze(const TomoCnf& tc, const AnalysisOptions& options) {
-  const auto n = static_cast<std::size_t>(tc.cnf.num_vars);
-  const auto is_clean_unit = [](const std::vector<sat::Lit>& clause) {
-    return clause.size() == 1 && clause[0].negated();
-  };
-
-  // C, and the shape check.
-  value_.assign(n, 0);
-  std::size_t num_clean = 0;
-  for (const std::vector<sat::Lit>& clause : tc.cnf.clauses) {
-    if (is_clean_unit(clause)) {
-      std::int8_t& x = value_[static_cast<std::size_t>(clause[0].var())];
-      num_clean += x == 0 ? 1 : 0;
-      x = -1;
-    } else if (std::any_of(clause.begin(), clause.end(),
-                           [](sat::Lit l) { return l.negated(); })) {
-      throw std::invalid_argument(
-          "analyze_cnf: a clause is neither a negative unit nor all-positive");
-    }
-  }
+  check_layout(tc);
+  const std::size_t n = tc.vars.size();
   ++cnfs_;
-  clauses_ += tc.cnf.clauses.size();
+  clauses_ += static_cast<std::uint64_t>(tc.num_negative_units) + tc.clause_ends.size();
+
+  // C.
+  value_.resize(n);
+  for (std::size_t x = 0; x < n; ++x) value_[x] = tc.clean[x] != 0 ? -1 : 0;
+  const auto num_clean = static_cast<std::size_t>(tc.num_negative_units);
 
   CnfVerdict verdict;
   verdict.key = tc.key;
-  verdict.num_vars = tc.vars.size();
+  verdict.num_vars = n;
 
   // The R_i, the UNSAT test and the sole-member rule.
   residue_vars_.clear();
   residue_ends_.clear();
-  for (const std::vector<sat::Lit>& clause : tc.cnf.clauses) {
-    if (is_clean_unit(clause)) continue;
+  for (std::size_t i = 0; i < tc.clause_ends.size(); ++i) {
     const std::size_t begin = residue_vars_.size();
-    for (const sat::Lit l : clause) {
-      if (value_[static_cast<std::size_t>(l.var())] != -1) residue_vars_.push_back(l.var());
+    for (const sat::Var v : tc.clause(i)) {
+      if (value_[static_cast<std::size_t>(v)] != -1) residue_vars_.push_back(v);
     }
     if (residue_vars_.size() == begin) return verdict;  // class 0
     const sat::Var first = residue_vars_[begin];

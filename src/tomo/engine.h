@@ -12,12 +12,15 @@
 // The CNFs StreamingCnfBuilder::build_group emits are monotone: a
 // negative unit per AS on a clean path and an all-positive clause per
 // censored path.  Such a CNF's verdict has a closed form (engine.cpp
-// gives the argument), so a verdict is one pass over the clauses and no
-// SAT search; analyze_cnf refuses any other clause shape.  Each CNF is
+// gives the argument), so a verdict is one pass over the CNF and no SAT
+// search.  The analyzer reads TomoCnf's flat layout (the clean flags and
+// the positive clauses back to back), which can state no other clause
+// shape; analyze() checks that the layout is consistent and throws
+// std::invalid_argument if it is not.  Each CNF is
 // analyzed on its own, as in the paper: nothing carries over from one
 // window to the next.  A CnfAnalyzer is one worker's scratch, reused
 // across CNFs.  analyze_cnfs schedules a batch by index across a
-// util::ThreadPool (work stealing, one analyzer per worker) and writes
+// util::ThreadPool (chunked claims, one analyzer per worker) and writes
 // verdict i into slot i, so the output vector is byte-identical for any
 // num_threads — including num_threads == 1, which runs inline on the
 // calling thread with no threads spawned.
@@ -84,8 +87,9 @@ struct EngineStats {
   /// Always 0: every CNF is one fresh load.  Kept only because perfbench
   /// reads it (sat.delta_loads); a `[benchmark]` PR drops both.
   std::uint64_t delta_loads = 0;
-  /// Problem clauses analyzed: the sum of |cnf.clauses| over the
-  /// analyzed batch, for every execution mode.
+  /// Problem clauses analyzed: the sum of num_negative_units +
+  /// num_positive_clauses over the analyzed batch, for every execution
+  /// mode.
   std::uint64_t fresh_clauses = 0;
   unsigned arenas = 0;  // analyzers (workers) used
   /// LiveReport snapshot-server counters (analysis::LiveReportServer,
@@ -121,8 +125,11 @@ struct EngineStats {
 /// allocating once it has seen its largest CNF.
 class CnfAnalyzer {
  public:
-  /// Throws std::invalid_argument unless every clause of tc.cnf is a
-  /// negative unit or all-positive.
+  /// Throws std::invalid_argument, counting nothing, for an inconsistent
+  /// layout: clean.size() != vars.size(), clause ends that descend or do
+  /// not end at clause_vars' end, a literal outside [0, vars.size()), or
+  /// num_negative_units / num_positive_clauses disagreeing with the
+  /// layout.
   CnfVerdict analyze(const TomoCnf& tc, const AnalysisOptions& options = {});
   /// Counters over every CNF this analyzer analyzed, as one arena.
   EngineStats stats() const;

@@ -23,10 +23,20 @@ std::int32_t LeakageReport::censors_leaking_to_countries() const {
 
 void LeakageFold::add(const TomoCnf& cnf, const CnfVerdict& verdict) {
   if (verdict.solution_class != 1 || verdict.censors.empty()) return;
+  // The path slices are read only if their layout holds together.
+  std::uint32_t previous = 0;
+  for (const std::uint32_t end : cnf.path_ends) {
+    if (end < previous || end > cnf.path_ases.size()) {
+      throw std::invalid_argument("LeakageFold::add: inconsistent path layout");
+    }
+    previous = end;
+  }
   Evidence evidence;
   evidence.censors = verdict.censors;
-  evidence.paths.reserve(cnf.positive_paths.size());
-  for (const auto& path : cnf.positive_paths) evidence.paths.push_back(paths_.intern(path));
+  evidence.paths.reserve(cnf.num_positive_paths());
+  for (std::size_t i = 0; i < cnf.num_positive_paths(); ++i) {
+    evidence.paths.push_back(paths_.intern(cnf.positive_path(i)));
+  }
   evidence_.push_back(std::move(evidence));
 }
 

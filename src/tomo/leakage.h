@@ -55,7 +55,8 @@ struct LeakageReport {
 class LeakageFold {
  public:
   /// Folds one analyzed CNF; non-class-1 verdicts (and verdicts naming
-  /// no censor) are no-ops.
+  /// no censor) are no-ops.  Throws std::invalid_argument, folding
+  /// nothing, when the CNF's path ends descend or run past path_ases.
   void add(const TomoCnf& cnf, const CnfVerdict& verdict);
 
   /// Builds the report, attributing leaks only to `supported_censors`

@@ -15,11 +15,7 @@ unsigned ThreadPool::workers_for(unsigned requested) {
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   num_workers_ = num_threads == 0 ? hardware_threads() : num_threads;
-  if (num_workers_ == 1) return;  // serial mode: no threads, no queues
-  queues_.reserve(num_workers_);
-  for (unsigned i = 0; i < num_workers_; ++i) {
-    queues_.push_back(std::make_unique<WorkQueue>());
-  }
+  if (num_workers_ == 1) return;  // serial mode: no threads
   threads_.reserve(num_workers_);
   for (unsigned i = 0; i < num_workers_; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -43,80 +39,58 @@ void ThreadPool::for_each_index(
     return;
   }
 
-  // Scatter indices round-robin, tagged with the upcoming epoch so a
-  // straggler still scanning for the previous job cannot pick them up
-  // before it has observed the new job pointer.  Worker k drains its own
-  // deque front to back, so with equal task costs each worker touches a
-  // contiguous stride and steals only when it runs dry.
-  const std::uint64_t next_epoch = epoch_ + 1;
-  for (unsigned w = 0; w < num_workers_; ++w) {
-    const std::lock_guard<std::mutex> lock(queues_[w]->mutex);
-    queues_[w]->epoch = next_epoch;
-    for (std::size_t i = w; i < count; i += num_workers_) {
-      queues_[w]->tasks.push_back(i);
-    }
-  }
-
   std::unique_lock<std::mutex> lock(mutex_);
   job_ = &fn;
-  remaining_ = count;
+  count_ = count;
+  chunk_ = std::max<std::size_t>(1, count / (std::size_t{8} * num_workers_));
+  cursor_ = 0;
+  failed_ = false;
   first_error_ = nullptr;
-  epoch_ = next_epoch;
+  busy_ = num_workers_;
+  ++epoch_;
   work_ready_.notify_all();
-  job_done_.wait(lock, [this] { return remaining_ == 0; });
+  // Every worker takes part in every job, so none can still be inside
+  // this one when the next begins.
+  job_done_.wait(lock, [this] { return busy_ == 0; });
   job_ = nullptr;
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
-bool ThreadPool::next_task(unsigned id, std::uint64_t epoch, std::size_t& index) {
-  {
-    auto& own = *queues_[id];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    if (own.epoch == epoch && !own.tasks.empty()) {
-      index = own.tasks.front();
-      own.tasks.pop_front();
-      return true;
+void ThreadPool::run_chunks(unsigned id, const std::function<void(unsigned, std::size_t)>& job,
+                            std::size_t count, std::size_t chunk) {
+  while (!failed_) {
+    const std::size_t begin = cursor_.fetch_add(chunk);
+    if (begin >= count) return;
+    const std::size_t end = std::min(count, begin + chunk);
+    try {
+      for (std::size_t i = begin; i < end; ++i) job(id, i);
+    } catch (...) {
+      failed_ = true;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
+      return;
     }
   }
-  // Steal from the back of a sibling: the back of a round-robin stride
-  // is the work its owner would reach last, minimizing contention.
-  for (unsigned step = 1; step < num_workers_; ++step) {
-    auto& victim = *queues_[(id + step) % num_workers_];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.epoch == epoch && !victim.tasks.empty()) {
-      index = victim.tasks.back();
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
 }
 
 void ThreadPool::worker_loop(unsigned id) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     const std::function<void(unsigned, std::size_t)>* job = nullptr;
+    std::size_t count = 0;
+    std::size_t chunk = 1;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_ready_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
       if (stop_) return;
       seen_epoch = epoch_;
       job = job_;
+      count = count_;
+      chunk = chunk_;
     }
-    if (job == nullptr) continue;
-
-    std::size_t index = 0;
-    while (next_task(id, seen_epoch, index)) {
-      std::exception_ptr error;
-      try {
-        (*job)(id, index);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      if (--remaining_ == 0) job_done_.notify_all();
-    }
+    run_chunks(id, *job, count, chunk);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--busy_ == 0) job_done_.notify_all();
   }
 }
 

@@ -1,12 +1,17 @@
-// A small work-stealing thread pool for batch-parallel analysis.
+// A small thread pool for batch-parallel analysis.
 //
-// The pool owns `size()` persistent worker threads, each with its own
-// task deque.  for_each_index(count, fn) scatters indices [0, count)
-// round-robin across the worker deques; a worker drains its own deque
-// from the front and, when empty, steals from the back of a sibling's
-// deque, so one pathologically slow item (a hard CNF) does not idle the
-// rest of the pool.  The call blocks until every index has run and
-// rethrows the first exception any task threw.
+// The pool owns `size()` persistent worker threads.  for_each_index(count,
+// fn) hands out the indices [0, count) in fixed chunks of
+// max(1, count / (8 * size())) consecutive indices: each worker claims
+// the next chunk from one shared atomic cursor, runs it, and claims
+// again until the cursor passes `count`.  A claim is one atomic add, so a
+// batch of many tiny tasks (a CNF verdict each) pays no lock per task;
+// with about eight chunks per worker, one slow chunk still leaves the
+// others to the rest of the pool.  There is no work stealing: a claimed
+// chunk runs on its claimer.  The call blocks until every worker is done
+// with the job.  When a task throws, its worker stops, the other workers
+// finish the chunk they hold and claim no more, and the call rethrows the
+// first exception once; the pool stays usable for the next job.
 //
 // Determinism contract: fn(worker, index) receives a stable index, so
 // callers that write results into a pre-sized slot `out[index]` get
@@ -20,13 +25,12 @@
 // thread, giving exactly the single-threaded behavior and stack traces.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -59,26 +63,28 @@ class ThreadPool {
                       const std::function<void(unsigned worker, std::size_t index)>& fn);
 
  private:
-  struct WorkQueue {
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;
-    std::uint64_t epoch = 0;  // job generation the queued tasks belong to
-  };
-
   void worker_loop(unsigned id);
-  bool next_task(unsigned id, std::uint64_t epoch, std::size_t& index);
+  /// Claims and runs chunks of the current job until none is left or a
+  /// task has thrown.
+  void run_chunks(unsigned id, const std::function<void(unsigned, std::size_t)>& job,
+                  std::size_t count, std::size_t chunk);
 
   unsigned num_workers_ = 1;
-  std::vector<std::unique_ptr<WorkQueue>> queues_;
   std::vector<std::thread> threads_;
+
+  // The current job's claims, reset under mutex_ before a job starts.
+  std::atomic<std::size_t> cursor_{0};
+  std::atomic<bool> failed_{false};
 
   // Job state, guarded by mutex_.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable job_done_;
   const std::function<void(unsigned, std::size_t)>* job_ = nullptr;
-  std::size_t remaining_ = 0;
-  std::uint64_t epoch_ = 0;
+  std::size_t count_ = 0;
+  std::size_t chunk_ = 1;
+  std::uint64_t epoch_ = 0;  // job generation
+  unsigned busy_ = 0;        // workers not yet done with the current job
   std::exception_ptr first_error_;
   bool stop_ = false;
 };

@@ -49,7 +49,7 @@ std::vector<std::string> dimacs_of(const tomo::ClauseBuilder& builder) {
       tomo::build_cnfs(builder.pool(), builder.clauses());
   std::vector<std::string> out;
   out.reserve(cnfs.size());
-  for (const auto& cnf : cnfs) out.push_back(sat::to_dimacs_string(cnf.cnf));
+  for (const auto& cnf : cnfs) out.push_back(sat::to_dimacs_string(tomo::to_cnf(cnf)));
   return out;
 }
 

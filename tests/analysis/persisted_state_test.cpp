@@ -408,7 +408,8 @@ TEST(PersistedState, LeakageFold) {
       [](tomo::LeakageFold& fold, const tomo::CnfVerdict& v) {
         tomo::TomoCnf cnf;
         cnf.key = v.key;
-        cnf.positive_paths = {v.censors};
+        cnf.path_ases = v.censors;
+        cnf.path_ends = {static_cast<std::uint32_t>(v.censors.size())};
         fold.add(cnf, v);
       });
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdint>
 #include <ostream>
 #include <stdexcept>
@@ -23,10 +24,12 @@
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
+#include "sat/dimacs.h"
 #include "brute_force_reference.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
 #include "util/rng.h"
+#include "verdict_support.h"
 
 namespace ct::tomo {
 namespace {
@@ -35,6 +38,8 @@ using test::brute_force_verdict;
 
 /// The most variables a world CNF may have for the brute-force sweep.
 constexpr std::int32_t kSweepVars = 20;
+
+std::int32_t num_vars(const TomoCnf& tc) { return static_cast<std::int32_t>(tc.vars.size()); }
 
 /// The main pass's and the Figure-4 pass's CNFs of one world.
 std::vector<TomoCnf> world_cnfs(censor::ScenarioRegime regime) {
@@ -74,8 +79,8 @@ TEST_P(ClosedFormOracle, EveryVerdictMatchesTheClosedForm) {
   std::uint64_t clause_volume = 0;
   std::size_t swept = 0;
   for (const TomoCnf& tc : cnfs) {
-    clause_volume += tc.cnf.clauses.size();
-    swept += tc.cnf.num_vars <= kSweepVars ? 1 : 0;
+    clause_volume += to_cnf(tc).clauses.size();
+    swept += num_vars(tc) <= kSweepVars ? 1 : 0;
   }
   // The sweep covers nearly the whole world.
   EXPECT_GE(swept * 100, cnfs.size() * 95) << swept << " of " << cnfs.size() << " CNFs swept";
@@ -90,7 +95,7 @@ TEST_P(ClosedFormOracle, EveryVerdictMatchesTheClosedForm) {
     ASSERT_EQ(verdicts.size(), cnfs.size());
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < cnfs.size(); ++i) {
-      if (cnfs[i].cnf.num_vars > kSweepVars) continue;
+      if (num_vars(cnfs[i]) > kSweepVars) continue;
       if (verdicts[i] == brute_force_verdict(cnfs[i], options)) continue;
       if (++mismatches <= 5) ADD_FAILURE() << "CNF " << i << " differs from the sweep";
     }
@@ -115,13 +120,14 @@ INSTANTIATE_TEST_SUITE_P(Regimes, ClosedFormOracle, ::testing::ValuesIn(all_worl
 /// (anomalous paths, some with a repeated AS) plus negative units
 /// (clean paths), and some variables in no clause at all.
 TomoCnf random_monotone_cnf(util::Rng& rng) {
-  TomoCnf tc;
+  sat::Cnf cnf;
   const auto num_vars = static_cast<std::int32_t>(rng.uniform_int(1, 9));
-  tc.cnf.num_vars = num_vars;
+  cnf.num_vars = num_vars;
+  std::vector<topo::AsId> vars;
   for (std::int32_t v = 0; v < num_vars; ++v) {
-    tc.vars.push_back(static_cast<topo::AsId>(200 + 3 * v));
+    vars.push_back(static_cast<topo::AsId>(200 + 3 * v));
   }
-  rng.shuffle(tc.vars);
+  rng.shuffle(vars);
   const auto n = static_cast<std::size_t>(num_vars);
   const auto positives = rng.uniform_int(1, 4);
   for (std::int64_t i = 0; i < positives; ++i) {
@@ -130,12 +136,14 @@ TomoCnf random_monotone_cnf(util::Rng& rng) {
     for (std::int64_t k = 0; k < len; ++k) {
       clause.emplace_back(static_cast<sat::Var>(rng.index(n)), false);
     }
-    tc.cnf.add_clause(std::move(clause));
+    cnf.add_clause(std::move(clause));
   }
   const auto negatives = rng.uniform_int(0, num_vars / 2);
   for (std::int64_t i = 0; i < negatives; ++i) {
-    tc.cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(n)), true)});
+    cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(n)), true)});
   }
+  TomoCnf tc = test::from_cnf(cnf);
+  tc.vars = std::move(vars);
   return tc;
 }
 
@@ -179,17 +187,27 @@ TEST(ClosedFormOracle, MatchesBruteForceOnRandomMonotoneCnfs) {
 
 TEST(ClosedFormOracle, RefusesOtherClauseShapes) {
   // A mixed-sign clause, and an all-negative clause of two literals:
-  // neither a clean path's unit nor a censored path's disjunction.
+  // neither a clean path's unit nor a censored path's disjunction, so
+  // the flat layout cannot state them.  What the analyzer is handed
+  // instead, an inconsistent layout, it refuses alone and in a batch.
   for (const bool mixed : {true, false}) {
     SCOPED_TRACE(mixed ? "mixed-sign clause" : "all-negative clause");
-    TomoCnf tc;
-    tc.vars = {1, 2};
-    tc.cnf.num_vars = 2;
-    tc.cnf.add_clause({sat::Lit(0, false)});
-    tc.cnf.add_clause({sat::Lit(0, !mixed), sat::Lit(1, true)});
-    EXPECT_THROW(analyze_cnf(tc), std::invalid_argument);
-    EXPECT_THROW(analyze_cnfs({tc}), std::invalid_argument);
+    sat::Cnf cnf;
+    cnf.num_vars = 2;
+    cnf.add_clause({sat::Lit(0, false)});
+    cnf.add_clause({sat::Lit(0, !mixed), sat::Lit(1, true)});
+    EXPECT_THROW(test::from_cnf(cnf), std::invalid_argument);
   }
+  sat::Cnf monotone;
+  monotone.num_vars = 2;
+  monotone.add_clause({sat::Lit(0, false), sat::Lit(1, false)});
+  monotone.add_clause({sat::Lit(1, true)});
+  const TomoCnf broken = test::with_stray_last_literal(test::from_cnf(monotone));
+  EXPECT_THROW(analyze_cnf(broken), std::invalid_argument);
+  EXPECT_THROW(analyze_cnfs({broken}), std::invalid_argument);
+  AnalysisOptions threaded;
+  threaded.num_threads = 2;
+  EXPECT_THROW(analyze_cnfs({test::from_cnf(monotone), broken}, threaded), std::invalid_argument);
 }
 
 TEST(ClosedFormOracle, CountCapZeroKeepsEveryCappedCountAtZero) {
@@ -203,7 +221,7 @@ TEST(ClosedFormOracle, CountCapZeroKeepsEveryCappedCountAtZero) {
   ASSERT_FALSE(verdicts.empty());
   for (std::size_t i = 0; i < cnfs.size(); ++i) {
     EXPECT_EQ(verdicts[i].capped_count, 0u);
-    if (cnfs[i].cnf.num_vars <= kSweepVars) {
+    if (num_vars(cnfs[i]) <= kSweepVars) {
       EXPECT_EQ(verdicts[i], brute_force_verdict(cnfs[i], options));
     }
   }
@@ -216,7 +234,7 @@ TEST(ClosedFormOracle, ReusedAnalyzerMatchesFreshAnalyzers) {
   std::vector<TomoCnf> cnfs = world_cnfs(censor::ScenarioRegime::kAdaptive);
   ASSERT_GE(cnfs.size(), 2u);
   std::sort(cnfs.begin(), cnfs.end(), [](const TomoCnf& a, const TomoCnf& b) {
-    return a.cnf.num_vars < b.cnf.num_vars;
+    return a.vars.size() < b.vars.size();
   });
   // Smallest, largest, second smallest, second largest, ...
   std::vector<const TomoCnf*> order;
@@ -224,7 +242,7 @@ TEST(ClosedFormOracle, ReusedAnalyzerMatchesFreshAnalyzers) {
     order.push_back(&cnfs[lo++]);
     if (lo < hi) order.push_back(&cnfs[--hi]);
   }
-  ASSERT_LT(order.front()->cnf.num_vars, order[1]->cnf.num_vars);
+  ASSERT_LT(order.front()->vars.size(), order[1]->vars.size());
 
   for (const bool resolve_counts : {false, true}) {
     SCOPED_TRACE(std::string("resolve_counts=") + (resolve_counts ? "on" : "off"));
@@ -234,12 +252,54 @@ TEST(ClosedFormOracle, ReusedAnalyzerMatchesFreshAnalyzers) {
     std::size_t mismatches = 0;
     for (const TomoCnf* tc : order) {
       if (reused.analyze(*tc, options) == analyze_cnf(*tc, options)) continue;
-      if (++mismatches <= 5) ADD_FAILURE() << "a reused analyzer differs on " << tc->cnf.num_vars
+      if (++mismatches <= 5) ADD_FAILURE() << "a reused analyzer differs on " << tc->vars.size()
                                            << " variables";
     }
     EXPECT_EQ(mismatches, 0u);
     EXPECT_EQ(reused.stats().cnf_loads, cnfs.size());
   }
+}
+
+/// 64-bit FNV-1a, to pin long DIMACS text in a short constant.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(TomoDimacs, SmallScenarioBytesArePinned) {
+  // The DIMACS text of every CNF of every regime's small world, main
+  // and Figure-4 passes: to_cnf rebuilds exactly the clauses, in
+  // exactly the order, the builder emitted before the flat layout.  The
+  // hashes were recorded from CNFs built as sat::Cnf directly.
+  struct Pin {
+    censor::ScenarioRegime regime;
+    std::size_t cnfs;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {{censor::ScenarioRegime::kBaseline, 1594, 14549968366426290571ULL},
+                      {censor::ScenarioRegime::kRoutingInduced, 1294, 17648440929900967606ULL},
+                      {censor::ScenarioRegime::kMultipath, 1690, 16530781421765245382ULL},
+                      {censor::ScenarioRegime::kAdaptive, 3689, 12428227747371329934ULL},
+                      {censor::ScenarioRegime::kPathDiversity, 958, 1995846500058884331ULL}};
+  ASSERT_EQ(std::size(pins), censor::all_regimes().size());
+  constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+  std::uint64_t all = kFnvBasis;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(censor::to_string(pin.regime));
+    const std::vector<TomoCnf> cnfs = world_cnfs(pin.regime);
+    std::uint64_t h = kFnvBasis;
+    for (const TomoCnf& tc : cnfs) {
+      const std::string text = sat::to_dimacs_string(to_cnf(tc));
+      h = fnv1a(h, text);
+      all = fnv1a(all, text);
+    }
+    EXPECT_EQ(cnfs.size(), pin.cnfs);
+    EXPECT_EQ(h, pin.hash);
+  }
+  EXPECT_EQ(all, 15402081934502036484ULL);
 }
 
 }  // namespace

@@ -54,10 +54,15 @@ TEST(CnfBuilder, PaperExampleStructure) {
   EXPECT_EQ(tc.vars, (std::vector<topo::AsId>{1, 2, 3, 4}));
   EXPECT_EQ(tc.num_positive_clauses, 1);
   EXPECT_EQ(tc.num_negative_units, 3);  // ASes 1, 2, 4 seen clean
-  EXPECT_EQ(tc.cnf.num_vars, 4);
-  EXPECT_EQ(tc.cnf.clauses.size(), 4u);
-  ASSERT_EQ(tc.positive_paths.size(), 1u);
-  EXPECT_EQ(tc.positive_paths[0], (std::vector<topo::AsId>{1, 2, 3}));
+  EXPECT_EQ(tc.clean, (std::vector<std::uint8_t>{1, 1, 0, 1}));
+  EXPECT_EQ(tc.clause_vars, (std::vector<sat::Var>{0, 1, 2}));
+  EXPECT_EQ(tc.clause_ends, (std::vector<std::uint32_t>{3}));
+  const sat::Cnf cnf = to_cnf(tc);
+  EXPECT_EQ(cnf.num_vars, 4);
+  EXPECT_EQ(cnf.clauses.size(), 4u);
+  ASSERT_EQ(tc.num_positive_paths(), 1u);
+  EXPECT_EQ(tc.path_ases, (std::vector<topo::AsId>{1, 2, 3}));
+  EXPECT_EQ(tc.path_ends, (std::vector<std::uint32_t>{3}));
   EXPECT_EQ(tc.var_of(3), 2);
   EXPECT_EQ(tc.var_of(42), -1);
 }
@@ -156,8 +161,9 @@ TEST(CnfBuilder, DuplicateAsOnPathYieldsOneLiteral) {
   std::vector<PathClause> clauses{make_clause(pool, {1, 2, 1}, true)};
   const auto cnfs = build_cnfs(pool, clauses, day_only());
   ASSERT_EQ(cnfs.size(), 1u);
-  ASSERT_EQ(cnfs[0].cnf.clauses.size(), 1u);
-  EXPECT_EQ(cnfs[0].cnf.clauses[0].size(), 2u);
+  ASSERT_EQ(cnfs[0].num_positive_clauses, 1);
+  EXPECT_EQ(cnfs[0].clause(0).size(), 2u);
+  EXPECT_EQ(cnfs[0].positive_path(0).size(), 3u) << "the path itself keeps the repeat";
 }
 
 TEST(CnfBuilder, OutputSortedByKey) {
@@ -185,7 +191,8 @@ TEST(CnfBuilder, ChainGoingBackInDayThrows) {
   const auto cnfs = builder.flush();
   ASSERT_EQ(cnfs.size(), 4u);
   for (const auto& tc : cnfs) {
-    EXPECT_EQ(tc.positive_paths, (std::vector<std::vector<topo::AsId>>{{1, 2}}));
+    EXPECT_EQ(tc.path_ases, (std::vector<topo::AsId>{1, 2}));
+    EXPECT_EQ(tc.path_ends, (std::vector<std::uint32_t>{2}));
   }
 }
 
@@ -226,10 +233,22 @@ TEST(CnfBuilder, OtherChainMayStartAtAnEarlierDay) {
 
 // ---------------------------------------------------------------------
 // Oracle: the map/set grouping algorithm, written independently of the
-// builder, that build_cnfs must reproduce field for field.
+// builder and of TomoCnf's flat layout, that build_cnfs must reproduce
+// field for field.
 
-std::vector<TomoCnf> reference_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
-                                    const CnfBuildOptions& options) {
+/// A reference CNF: plain clauses and path copies.
+struct ReferenceCnf {
+  CnfKey key;
+  std::vector<topo::AsId> vars;
+  sat::Cnf cnf;
+  std::vector<std::vector<topo::AsId>> positive_paths;
+  std::int32_t num_positive_clauses = 0;
+  std::int32_t num_negative_units = 0;
+};
+
+std::vector<ReferenceCnf> reference_cnfs(const PathPool& pool,
+                                         const std::vector<PathClause>& clauses,
+                                         const CnfBuildOptions& options) {
   struct Group {
     std::vector<PathPool::PathId> positive_ids;
     std::set<PathPool::PathId> positive_seen;
@@ -246,10 +265,10 @@ std::vector<TomoCnf> reference_cnfs(const PathPool& pool, const std::vector<Path
       }
     }
   }
-  std::vector<TomoCnf> out;
+  std::vector<ReferenceCnf> out;
   for (const auto& [key, group] : groups) {
     if (group.positive_ids.empty()) continue;
-    TomoCnf tc;
+    ReferenceCnf tc;
     tc.key = key;
     std::set<topo::AsId> negative;
     for (const auto id : group.negative_seen) {
@@ -280,15 +299,21 @@ std::vector<TomoCnf> reference_cnfs(const PathPool& pool, const std::vector<Path
   return out;
 }
 
-void expect_cnfs_equal(const std::vector<TomoCnf>& got, const std::vector<TomoCnf>& want) {
+void expect_cnfs_equal(const std::vector<TomoCnf>& got, const std::vector<ReferenceCnf>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE("cnf " + std::to_string(i));
     EXPECT_EQ(got[i].key, want[i].key);
     EXPECT_EQ(got[i].vars, want[i].vars);
-    EXPECT_EQ(got[i].cnf.num_vars, want[i].cnf.num_vars);
-    EXPECT_EQ(got[i].cnf.clauses, want[i].cnf.clauses);
-    EXPECT_EQ(got[i].positive_paths, want[i].positive_paths);
+    const sat::Cnf cnf = to_cnf(got[i]);
+    EXPECT_EQ(cnf.num_vars, want[i].cnf.num_vars);
+    EXPECT_EQ(cnf.clauses, want[i].cnf.clauses);
+    std::vector<std::vector<topo::AsId>> paths;
+    for (std::size_t p = 0; p < got[i].num_positive_paths(); ++p) {
+      const std::span<const topo::AsId> path = got[i].positive_path(p);
+      paths.emplace_back(path.begin(), path.end());
+    }
+    EXPECT_EQ(paths, want[i].positive_paths);
     EXPECT_EQ(got[i].num_positive_clauses, want[i].num_positive_clauses);
     EXPECT_EQ(got[i].num_negative_units, want[i].num_negative_units);
   }
@@ -358,7 +383,7 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
                                util::Granularity::kDay};
     }
     if (trial >= 2) options.granularities = random_granularities(rng);
-    const std::vector<TomoCnf> want = reference_cnfs(pool, clauses, options);
+    const std::vector<ReferenceCnf> want = reference_cnfs(pool, clauses, options);
     expect_cnfs_equal(build_cnfs(pool, clauses, options), want);
 
     std::int32_t num_urls = 0;  // the tightest table the stream fits

@@ -10,6 +10,7 @@
 #include "tomo/engine.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "verdict_support.h"
 
 namespace ct::tomo {
 namespace {
@@ -25,14 +26,10 @@ bool verdicts_equal(const CnfVerdict& a, const CnfVerdict& b) {
 /// Random tomography-shaped instance built directly (positive path
 /// disjunctions + negative units), without going through build_cnfs.
 TomoCnf random_tomo_cnf(util::Rng& rng, std::int32_t url) {
-  TomoCnf tc;
-  tc.key.url_id = url;
-  tc.key.window = static_cast<std::int32_t>(rng.uniform_int(0, 5));
+  sat::Cnf cnf;
+  const auto window = static_cast<std::int32_t>(rng.uniform_int(0, 5));
   const auto num_vars = static_cast<std::int32_t>(rng.uniform_int(4, 14));
-  for (std::int32_t v = 0; v < num_vars; ++v) {
-    tc.vars.push_back(static_cast<topo::AsId>(100 + v));
-  }
-  tc.cnf.num_vars = num_vars;
+  cnf.num_vars = num_vars;
   const std::int64_t positives = rng.uniform_int(1, 3);
   for (std::int64_t i = 0; i < positives; ++i) {
     std::vector<sat::Lit> clause;
@@ -41,15 +38,16 @@ TomoCnf random_tomo_cnf(util::Rng& rng, std::int32_t url) {
       clause.emplace_back(static_cast<sat::Var>(rng.index(static_cast<std::size_t>(num_vars))),
                           false);
     }
-    tc.cnf.add_clause(std::move(clause));
+    cnf.add_clause(std::move(clause));
   }
   const std::int64_t negatives = rng.uniform_int(0, num_vars - 1);
   for (std::int64_t i = 0; i < negatives; ++i) {
-    tc.cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(static_cast<std::size_t>(num_vars))),
-                                true)});
+    cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(static_cast<std::size_t>(num_vars))),
+                             true)});
   }
-  tc.num_positive_clauses = static_cast<std::int32_t>(positives);
-  tc.num_negative_units = static_cast<std::int32_t>(negatives);
+  TomoCnf tc = test::from_cnf(cnf);
+  tc.key.url_id = url;
+  tc.key.window = window;
   return tc;
 }
 

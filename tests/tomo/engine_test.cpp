@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "tomo/cnf_builder.h"
 
 namespace ct::tomo {
@@ -109,6 +112,94 @@ TEST(Engine, AnalyzeCnfsBatches) {
   ASSERT_EQ(verdicts.size(), 2u);
   EXPECT_EQ(verdicts[0].key.url_id, 0);
   EXPECT_EQ(verdicts[1].key.url_id, 1);
+}
+
+// --- CnfLayout: the analyzer refuses an inconsistent flat layout --------
+
+/// AS 1 clean; censored paths (1 2 3) and (2 3): class 2.
+TomoCnf consistent_layout() {
+  TomoCnf tc;
+  tc.vars = {1, 2, 3};
+  tc.clean = {1, 0, 0};
+  tc.clause_vars = {0, 1, 2, 1, 2};
+  tc.clause_ends = {3, 5};
+  tc.path_ases = {1, 2, 3, 2, 3};
+  tc.path_ends = {3, 5};
+  tc.num_negative_units = 1;
+  tc.num_positive_clauses = 2;
+  return tc;
+}
+
+/// Expects `tc` refused by a fresh analyzer, by a threaded batch beside
+/// a consistent CNF, and by an analyzer that then counts nothing for it.
+void expect_refused(const TomoCnf& tc) {
+  EXPECT_THROW(analyze_cnf(tc), std::invalid_argument);
+  AnalysisOptions threaded;
+  threaded.num_threads = 2;
+  EXPECT_THROW(analyze_cnfs({consistent_layout(), tc}, threaded), std::invalid_argument);
+  CnfAnalyzer analyzer;
+  EXPECT_THROW(analyzer.analyze(tc), std::invalid_argument);
+  EXPECT_EQ(analyzer.stats().cnf_loads, 0u);
+  EXPECT_EQ(analyzer.analyze(consistent_layout()).solution_class, 2);
+}
+
+TEST(CnfLayout, ConsistentLayoutIsAnalyzed) {
+  const CnfVerdict v = analyze_cnf(consistent_layout());
+  EXPECT_EQ(v.solution_class, 2);
+  EXPECT_EQ(v.definite_noncensors, (std::vector<topo::AsId>{1}));
+  EXPECT_EQ(v.potential_censors, (std::vector<topo::AsId>{2, 3}));
+}
+
+TEST(CnfLayout, CleanFlagsMustMatchTheVariables) {
+  // One variable and a negative unit on x40: the flag would index past
+  // the analyzer's scratch.
+  TomoCnf tc;
+  tc.vars = {1};
+  tc.clean.assign(41, 0);
+  tc.clean[40] = 1;
+  tc.num_negative_units = 1;
+  expect_refused(tc);
+  tc = consistent_layout();
+  tc.clean.pop_back();
+  expect_refused(tc);
+}
+
+TEST(CnfLayout, ClauseEndsMustAscend) {
+  TomoCnf tc = consistent_layout();
+  tc.clause_ends = {5, 3};
+  expect_refused(tc);
+}
+
+TEST(CnfLayout, ClauseEndsMustNotRunPastTheLiterals) {
+  TomoCnf tc = consistent_layout();
+  tc.clause_ends = {3, 6};
+  expect_refused(tc);
+  tc.clause_ends = {3, 4};  // a literal after the last clause
+  expect_refused(tc);
+}
+
+TEST(CnfLayout, LiteralsMustNameAVariable) {
+  TomoCnf tc = consistent_layout();
+  tc.clause_vars[4] = 3;
+  expect_refused(tc);
+  tc.clause_vars[4] = -1;
+  expect_refused(tc);
+}
+
+TEST(CnfLayout, NegativeUnitCountMustMatchTheFlags) {
+  TomoCnf tc = consistent_layout();
+  tc.num_negative_units = 2;
+  expect_refused(tc);
+  tc.num_negative_units = 0;
+  expect_refused(tc);
+}
+
+TEST(CnfLayout, PositiveClauseCountMustMatchTheEnds) {
+  TomoCnf tc = consistent_layout();
+  tc.num_positive_clauses = 1;
+  expect_refused(tc);
+  tc.num_positive_clauses = 3;
+  expect_refused(tc);
 }
 
 TEST(IdentifiedCensors, UnionAcrossVerdicts) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -170,6 +172,26 @@ std::string fold_payload(const std::vector<std::vector<topo::AsId>>& pool_paths,
   w.size(paths.size());
   for (const PathPool::PathId id : paths) w.i32(id);
   return w.take();
+}
+
+TEST(Leakage, FoldRefusesAnInconsistentPathLayout) {
+  // A class-1 verdict whose CNF's path ends run past its ASes, or
+  // descend: the fold refuses it and keeps no evidence.
+  CnfVerdict v;
+  v.solution_class = 1;
+  v.censors = {2};
+  TomoCnf cnf;
+  cnf.path_ases = {0, 1, 2};
+  LeakageFold fold;
+  for (const std::vector<std::uint32_t>& ends :
+       {std::vector<std::uint32_t>{4}, std::vector<std::uint32_t>{2, 1}}) {
+    cnf.path_ends = ends;
+    EXPECT_THROW(fold.add(cnf, v), std::invalid_argument);
+  }
+  EXPECT_EQ(fold.evidence_count(), 0u);
+  cnf.path_ends = {2, 3};
+  fold.add(cnf, v);
+  EXPECT_EQ(fold.evidence_count(), 1u);
 }
 
 TEST(Leakage, FoldLoadRefusesIdsOutsideTheGraphOrPool) {

@@ -22,22 +22,24 @@
 namespace ct::tomo {
 namespace {
 
-using test::as_tomo_cnf;
 using test::brute_force_verdict;
 using test::exact_count_options;
+using test::from_cnf;
 using test::neg;
 using test::pos;
 
+std::int32_t num_vars(const TomoCnf& tc) { return static_cast<std::int32_t>(tc.vars.size()); }
+
 /// Exact model count of a small CNF by the referee.
 std::uint64_t brute_force_count(const TomoCnf& tc) {
-  return brute_force_verdict(tc, exact_count_options(tc.cnf.num_vars)).capped_count;
+  return brute_force_verdict(tc, exact_count_options(num_vars(tc))).capped_count;
 }
 
 /// Per-variable "true in some model", by the referee's split.
 std::vector<bool> brute_force_potential_true(const TomoCnf& tc) {
   const CnfVerdict v = brute_force_verdict(tc);
   return v.solution_class == 0 ? std::vector<bool>(tc.vars.size(), false)
-                               : test::verdict_model(v, tc.cnf.num_vars);
+                               : test::verdict_model(v, num_vars(tc));
 }
 
 struct RandomCnfParams {
@@ -66,7 +68,7 @@ TomoCnf random_cnf(const RandomCnfParams& p) {
       cnf.add_clause(std::move(path));
     }
   }
-  return as_tomo_cnf(std::move(cnf));
+  return from_cnf(cnf);
 }
 
 class SatAgreement : public ::testing::TestWithParam<RandomCnfParams> {};
@@ -78,7 +80,7 @@ TEST_P(SatAgreement, SolverAgreesWithBruteForce) {
   const CnfVerdict v = analyze_cnf(tc);
   EXPECT_EQ(v.solution_class > 0, expected > 0);
   if (v.solution_class > 0) {
-    EXPECT_TRUE(test::satisfies(tc.cnf, test::verdict_model(v, tc.cnf.num_vars)));
+    EXPECT_TRUE(test::satisfies(to_cnf(tc), test::verdict_model(v, num_vars(tc))));
   }
 }
 
@@ -88,7 +90,7 @@ TEST_P(SatAgreement, CounterAgreesWithBruteForce) {
   AnalysisOptions capped;
   capped.count_cap = 3;
   EXPECT_EQ(analyze_cnf(tc, capped).capped_count, std::min<std::uint64_t>(expected, 3));
-  EXPECT_EQ(analyze_cnf(tc, exact_count_options(tc.cnf.num_vars)).capped_count, expected);
+  EXPECT_EQ(analyze_cnf(tc, exact_count_options(num_vars(tc))).capped_count, expected);
 }
 
 TEST_P(SatAgreement, EnumerationAgreesWithBruteForce) {
@@ -99,7 +101,7 @@ TEST_P(SatAgreement, EnumerationAgreesWithBruteForce) {
   const CnfVerdict v = analyze_cnf(tc);
   EXPECT_EQ(v.solution_class, static_cast<int>(std::min<std::uint64_t>(expected, 2)));
   EXPECT_EQ(v.capped_count, std::min<std::uint64_t>(expected, 6));
-  EXPECT_EQ(analyze_cnf(tc, exact_count_options(tc.cnf.num_vars)).capped_count, expected);
+  EXPECT_EQ(analyze_cnf(tc, exact_count_options(num_vars(tc))).capped_count, expected);
   for (const bool resolve_counts : {false, true}) {
     AnalysisOptions options;
     options.resolve_counts = resolve_counts;
@@ -119,7 +121,7 @@ TEST_P(SatAgreement, PotentialTrueAgreesWithBruteForce) {
     return;
   }
   ASSERT_GT(v.solution_class, 0);
-  EXPECT_EQ(test::verdict_model(v, tc.cnf.num_vars), expected);
+  EXPECT_EQ(test::verdict_model(v, num_vars(tc)), expected);
   if (v.solution_class == 2) {
     // The definite non-censors are the exact complement.
     for (const sat::Var x : test::vars_of(v.definite_noncensors)) {
@@ -178,7 +180,7 @@ TomoCnf tomo_shaped_cnf(std::uint64_t seed) {
   }
   const int negatives = static_cast<int>(rng.uniform_int(2, 10));
   for (int i = 0; i < negatives; ++i) cnf.add_clause({neg(static_cast<sat::Var>(rng.index(12)))});
-  TomoCnf tc = as_tomo_cnf(std::move(cnf));
+  TomoCnf tc = from_cnf(cnf);
   tc.key.url_id = static_cast<std::int32_t>(seed);
   return tc;
 }
@@ -230,13 +232,13 @@ TomoCnf random_shaped_cnf(util::Rng& rng, std::int32_t num_vars) {
   for (std::int64_t i = 0; i < negatives; ++i) {
     cnf.add_clause({neg(static_cast<sat::Var>(rng.index(n)))});
   }
-  return as_tomo_cnf(std::move(cnf));
+  return from_cnf(cnf);
 }
 
 /// Every query of one CNF against the referee: the class, the unique
 /// model, counts capped at 3 and exhaustive, and the split.
 void expect_matches_referee(CnfAnalyzer& analyzer, const TomoCnf& tc) {
-  const std::int32_t n = tc.cnf.num_vars;
+  const std::int32_t n = num_vars(tc);
   const std::uint64_t count = brute_force_count(tc);
   const CnfVerdict v = analyzer.analyze(tc);
   EXPECT_EQ(v.solution_class, static_cast<int>(std::min<std::uint64_t>(count, 2)));

@@ -2,9 +2,9 @@
 // negative unit per clean-path AS, an all-positive clause per censored
 // path) go through tomo::CnfAnalyzer; the textbook formulas of other
 // shapes check the brute-force referee every oracle suite trusts
-// (brute_force_reference.h) and that the analyzer refuses them.  The
-// suites keep the names they had when a SAT solver computed the
-// verdicts.
+// (brute_force_reference.h) and that TomoCnf's flat layout cannot state
+// them (test::from_cnf refuses them).  The suites keep the names they
+// had when a SAT solver computed the verdicts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,20 +19,26 @@
 namespace ct::tomo {
 namespace {
 
-using test::as_tomo_cnf;
+using test::as_ids;
 using test::brute_force_verdict;
+using test::from_cnf;
 using test::neg;
 using test::pos;
 using test::vars_of;
 
 using Vars = std::vector<sat::Var>;
 
-/// A CNF of `num_vars` variables and the given clauses.
-TomoCnf make_cnf(std::int32_t num_vars, std::vector<std::vector<sat::Lit>> clauses) {
+/// A formula of `num_vars` variables and the given clauses.
+sat::Cnf formula(std::int32_t num_vars, std::vector<std::vector<sat::Lit>> clauses) {
   sat::Cnf cnf;
   cnf.num_vars = num_vars;
   cnf.clauses = std::move(clauses);
-  return as_tomo_cnf(std::move(cnf));
+  return cnf;
+}
+
+/// A tomography CNF of `num_vars` variables and the given clauses.
+TomoCnf make_cnf(std::int32_t num_vars, std::vector<std::vector<sat::Lit>> clauses) {
+  return from_cnf(formula(num_vars, std::move(clauses)));
 }
 
 /// (x0 v x1 v x2): 7 models over 3 vars.
@@ -41,10 +47,17 @@ TomoCnf disjunction3() { return make_cnf(3, {{pos(0), pos(1), pos(2)}}); }
 /// x0, ~x0: a censored path of one AS that a clean path also crosses.
 TomoCnf contradiction() { return make_cnf(1, {{pos(0)}, {neg(0)}}); }
 
-/// The referee's class of `tc`, after checking the analyzer refuses it.
-int refused_and_refereed(const TomoCnf& tc) {
-  EXPECT_THROW(analyze_cnf(tc), std::invalid_argument);
-  return brute_force_verdict(tc).solution_class;
+/// The referee's verdict of a formula whose variable v is AS
+/// kFirstAs + v.
+CnfVerdict refereed(const sat::Cnf& cnf, const AnalysisOptions& options = {}) {
+  return brute_force_verdict(cnf, as_ids(cnf.num_vars), options);
+}
+
+/// The referee's class of `cnf`, after checking the flat layout refuses
+/// it.
+int refused_and_refereed(const sat::Cnf& cnf) {
+  EXPECT_THROW(from_cnf(cnf), std::invalid_argument);
+  return refereed(cnf).solution_class;
 }
 
 // --- Solver: single formulas ---------------------------------------------
@@ -73,8 +86,8 @@ TEST(Solver, ContradictoryUnitsAreUnsat) {
 
 TEST(Solver, TautologyIsIgnored) {
   // (x0 v ~x0) constrains nothing: both values are models.  Not a
-  // tomography clause, so the analyzer refuses it.
-  EXPECT_EQ(refused_and_refereed(make_cnf(1, {{pos(0), neg(0)}})), 2);
+  // tomography clause, so the flat layout cannot state it.
+  EXPECT_EQ(refused_and_refereed(formula(1, {{pos(0), neg(0)}})), 2);
 }
 
 TEST(Solver, DuplicateLiteralsDeduped) {
@@ -88,16 +101,16 @@ TEST(Solver, DuplicateLiteralsDeduped) {
 
 TEST(Solver, SimpleImplicationChain) {
   // x0, x0->x1, x1->x2: all true, the only model.
-  const TomoCnf tc = make_cnf(3, {{pos(0)}, {neg(0), pos(1)}, {neg(1), pos(2)}});
-  EXPECT_EQ(refused_and_refereed(tc), 1);
-  EXPECT_EQ(vars_of(brute_force_verdict(tc).censors), (Vars{0, 1, 2}));
+  const sat::Cnf cnf = formula(3, {{pos(0)}, {neg(0), pos(1)}, {neg(1), pos(2)}});
+  EXPECT_EQ(refused_and_refereed(cnf), 1);
+  EXPECT_EQ(vars_of(refereed(cnf).censors), (Vars{0, 1, 2}));
 }
 
 TEST(Solver, UnsatTriangle) {
   // (x0 v x1) (x0 v ~x1) (~x0 v x1) (~x0 v ~x1) is UNSAT.
-  const TomoCnf tc = make_cnf(
+  const sat::Cnf cnf = formula(
       2, {{pos(0), pos(1)}, {pos(0), neg(1)}, {neg(0), pos(1)}, {neg(0), neg(1)}});
-  EXPECT_EQ(refused_and_refereed(tc), 0);
+  EXPECT_EQ(refused_and_refereed(cnf), 0);
 }
 
 TEST(Solver, ModelSatisfiesAllClauses) {
@@ -111,12 +124,12 @@ TEST(Solver, ModelSatisfiesAllClauses) {
                                   {neg(4)}});
   const CnfVerdict v = analyze_cnf(tc);
   ASSERT_GT(v.solution_class, 0);
-  EXPECT_TRUE(test::satisfies(tc.cnf, test::verdict_model(v, 6)));
+  EXPECT_TRUE(test::satisfies(to_cnf(tc), test::verdict_model(v, 6)));
   EXPECT_EQ(v, brute_force_verdict(tc));
 }
 
 /// Pigeonhole principle PHP(pigeons, holes).
-TomoCnf pigeonhole(int pigeons, int holes) {
+sat::Cnf pigeonhole(int pigeons, int holes) {
   sat::Cnf cnf;
   cnf.num_vars = pigeons * holes;
   auto var = [holes](int p, int h) { return p * holes + h; };
@@ -132,7 +145,7 @@ TomoCnf pigeonhole(int pigeons, int holes) {
       }
     }
   }
-  return as_tomo_cnf(std::move(cnf));
+  return cnf;
 }
 
 TEST(Solver, PigeonholeUnsat) {
@@ -144,11 +157,11 @@ TEST(Solver, PigeonholeUnsat) {
 
 TEST(Solver, PigeonholeExactFitSat) {
   // 4 pigeons in 4 holes: the 24 permutations.
-  const TomoCnf tc = pigeonhole(4, 4);
-  EXPECT_EQ(refused_and_refereed(tc), 2);
+  const sat::Cnf cnf = pigeonhole(4, 4);
+  EXPECT_EQ(refused_and_refereed(cnf), 2);
   AnalysisOptions exact;
   exact.count_cap = 100;
-  EXPECT_EQ(brute_force_verdict(tc, exact).capped_count, 24u);
+  EXPECT_EQ(refereed(cnf, exact).capped_count, 24u);
 }
 
 TEST(Solver, AssumptionsSatAndUnsat) {
@@ -169,15 +182,15 @@ TEST(Solver, AssumptionsSatAndUnsat) {
 TEST(Solver, IncrementalAddAfterSolve) {
   // A CNF that grows by one clean path at a time, on one analyzer:
   // (x0 v x1) has 3 models, ~x0 pins x1, ~x1 then makes it UNSAT.
-  TomoCnf tc = make_cnf(2, {{pos(0), pos(1)}});
+  sat::Cnf cnf = formula(2, {{pos(0), pos(1)}});
   CnfAnalyzer analyzer;
-  EXPECT_EQ(analyzer.analyze(tc).capped_count, 3u);
-  tc.cnf.add_clause({neg(0)});
-  const CnfVerdict pinned = analyzer.analyze(tc);
+  EXPECT_EQ(analyzer.analyze(from_cnf(cnf)).capped_count, 3u);
+  cnf.add_clause({neg(0)});
+  const CnfVerdict pinned = analyzer.analyze(from_cnf(cnf));
   ASSERT_EQ(pinned.solution_class, 1);
   EXPECT_EQ(vars_of(pinned.censors), Vars{1});
-  tc.cnf.add_clause({neg(1)});
-  EXPECT_EQ(analyzer.analyze(tc).solution_class, 0);
+  cnf.add_clause({neg(1)});
+  EXPECT_EQ(analyzer.analyze(from_cnf(cnf)).solution_class, 0);
 }
 
 TEST(Solver, AssumptionOnTrueLiteralStillSat) {
@@ -241,10 +254,7 @@ TEST(Classify, ZeroSolutions) {
 
 TEST(Classify, UniqueSolution) {
   // Paper scenario: (X v Y v Z) & ~X & ~Y  ==> unique model Z.
-  TomoCnf tc = disjunction3();
-  tc.cnf.add_clause({neg(0)});
-  tc.cnf.add_clause({neg(1)});
-  const CnfVerdict v = analyze_cnf(tc);
+  const CnfVerdict v = analyze_cnf(make_cnf(3, {{pos(0), pos(1), pos(2)}, {neg(0)}, {neg(1)}}));
   ASSERT_EQ(v.solution_class, 1);
   EXPECT_EQ(test::verdict_model(v, 3), (std::vector<bool>{false, false, true}));
 }
@@ -253,9 +263,7 @@ TEST(Classify, MultipleSolutions) { EXPECT_EQ(analyze_cnf(disjunction3()).soluti
 
 TEST(PotentialTrue, SplitsCensorsFromNonCensors) {
   // (x0 v x1 v x2) & ~x0: x0 can never be true; x1, x2 can.
-  TomoCnf tc = disjunction3();
-  tc.cnf.add_clause({neg(0)});
-  const CnfVerdict v = analyze_cnf(tc);
+  const CnfVerdict v = analyze_cnf(make_cnf(3, {{pos(0), pos(1), pos(2)}, {neg(0)}}));
   ASSERT_EQ(v.solution_class, 2);
   EXPECT_EQ(vars_of(v.definite_noncensors), Vars{0});
   EXPECT_EQ(vars_of(v.potential_censors), (Vars{1, 2}));
@@ -319,13 +327,11 @@ TomoCnf propagation_decided_free() { return make_cnf(3, {{pos(0), pos(1)}, {neg(
 
 // (x0 v x1), ~x1, ~x2: every variable decided: the unique model x0=T.
 TomoCnf propagation_decided_unique() {
-  TomoCnf tc = propagation_decided_free();
-  tc.cnf.add_clause({neg(2)});
-  return tc;
+  return make_cnf(3, {{pos(0), pos(1)}, {neg(1)}, {neg(2)}});
 }
 
 // (x0 v x1)(~x0 v ~x1): not a tomography CNF.
-TomoCnf propagation_undecided() { return make_cnf(2, {{pos(0), pos(1)}, {neg(0), neg(1)}}); }
+sat::Cnf propagation_undecided() { return formula(2, {{pos(0), pos(1)}, {neg(0), neg(1)}}); }
 
 /// `units` negative units on even variables, then `wide` censored
 /// paths over neighbouring variables (satisfiable when num_vars is
@@ -337,7 +343,7 @@ TomoCnf shaped(std::int32_t num_vars, std::int32_t units, std::int32_t wide) {
   for (std::int32_t i = 0; i < wide; ++i) {
     cnf.add_clause({pos(i % num_vars), pos((i + 1) % num_vars)});
   }
-  return as_tomo_cnf(std::move(cnf));
+  return from_cnf(cnf);
 }
 
 TEST(UnitPropPresolver, DecidesByPropagation) {
@@ -355,35 +361,38 @@ TEST(UnitPropPresolver, DecidesByPropagation) {
 
   EXPECT_EQ(analyze_cnf(make_cnf(2, {{pos(0)}, {neg(0)}})).solution_class, 0);
 
-  EXPECT_THROW(analyze_cnf(propagation_undecided()), std::invalid_argument);
+  EXPECT_THROW(from_cnf(propagation_undecided()), std::invalid_argument);
 }
 
 TEST(SolverSession, RoutesByShape) {
   // Every tomography CNF takes the closed form, whatever its size or
-  // share of units; any other shape is refused.
+  // share of units; the flat layout states no other shape.
   for (const TomoCnf& tc : {shaped(100, 30, 10), shaped(100, 20, 20), shaped(16, 1, 11),
                             shaped(100, 2, 38), shaped(40, 2, 198), shaped(18, 19, 20),
                             shaped(16, 0, 0)}) {
-    SCOPED_TRACE(std::to_string(tc.cnf.num_vars) + " vars, " +
-                 std::to_string(tc.cnf.clauses.size()) + " clauses");
+    const auto num_vars = static_cast<std::int32_t>(tc.vars.size());
+    SCOPED_TRACE(std::to_string(num_vars) + " vars, " +
+                 std::to_string(tc.num_negative_units + tc.num_positive_clauses) + " clauses");
     CnfAnalyzer analyzer;
     const CnfVerdict v = analyzer.analyze(tc);
     EXPECT_GT(v.solution_class, 0);
-    EXPECT_TRUE(test::satisfies(tc.cnf, test::verdict_model(v, tc.cnf.num_vars)));
-    if (tc.cnf.num_vars <= 20) {
+    EXPECT_TRUE(test::satisfies(to_cnf(tc), test::verdict_model(v, num_vars)));
+    if (num_vars <= 20) {
       EXPECT_EQ(v, brute_force_verdict(tc));
     }
     EXPECT_EQ(analyzer.stats().backends[EngineStats::kClosedFormSlot].served, 1u);
   }
-  EXPECT_THROW(analyze_cnf(propagation_undecided()), std::invalid_argument);
+  EXPECT_THROW(from_cnf(propagation_undecided()), std::invalid_argument);
 }
 
 TEST(SolverSession, CountsBackendSelectionAndEscalation) {
   // Every verdict counts once in the closed-form slot; nothing
-  // escalates or searches, and a refused CNF counts nowhere.
+  // escalates or searches, and a refused CNF (an inconsistent layout)
+  // counts nowhere.
   CnfAnalyzer analyzer;
   EXPECT_EQ(analyzer.analyze(propagation_decided_free()).solution_class, 2);
-  EXPECT_THROW(analyzer.analyze(propagation_undecided()), std::invalid_argument);
+  EXPECT_THROW(analyzer.analyze(test::with_stray_last_literal(propagation_decided_free())),
+               std::invalid_argument);
   EXPECT_EQ(analyzer.analyze(shaped(40, 2, 198)).solution_class, 2);
 
   const EngineStats stats = analyzer.stats();

@@ -13,6 +13,7 @@
 #include "brute_force_reference.h"
 #include "tomo/engine.h"
 #include "util/rng.h"
+#include "verdict_support.h"
 
 namespace ct::tomo {
 namespace {
@@ -24,13 +25,14 @@ constexpr std::uint64_t kCountCap = 6;
 /// Variables map to shuffled AS ids, so the verdict's sorting by AS is
 /// exercised.
 TomoCnf random_tomo_cnf(util::Rng& rng) {
-  TomoCnf tc;
+  sat::Cnf cnf;
   const auto num_vars = static_cast<std::int32_t>(rng.uniform_int(1, 12));
-  tc.cnf.num_vars = num_vars;
+  cnf.num_vars = num_vars;
+  std::vector<topo::AsId> vars;
   for (std::int32_t v = 0; v < num_vars; ++v) {
-    tc.vars.push_back(static_cast<topo::AsId>(100 + 7 * v));
+    vars.push_back(static_cast<topo::AsId>(100 + 7 * v));
   }
-  rng.shuffle(tc.vars);
+  rng.shuffle(vars);
   const auto n = static_cast<std::size_t>(num_vars);
   const auto positives = rng.uniform_int(1, 4);
   for (std::int64_t i = 0; i < positives; ++i) {
@@ -39,12 +41,14 @@ TomoCnf random_tomo_cnf(util::Rng& rng) {
     for (std::int64_t k = 0; k < len; ++k) {
       clause.emplace_back(static_cast<sat::Var>(rng.index(n)), false);
     }
-    tc.cnf.add_clause(std::move(clause));
+    cnf.add_clause(std::move(clause));
   }
   const auto negatives = rng.uniform_int(0, num_vars);
   for (std::int64_t i = 0; i < negatives; ++i) {
-    tc.cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(n)), true)});
+    cnf.add_clause({sat::Lit(static_cast<sat::Var>(rng.index(n)), true)});
   }
+  TomoCnf tc = test::from_cnf(cnf);
+  tc.vars = std::move(vars);
   return tc;
 }
 

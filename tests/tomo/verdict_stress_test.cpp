@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,7 +20,7 @@
 namespace ct::tomo {
 namespace {
 
-using test::as_tomo_cnf;
+using test::from_cnf;
 using test::neg;
 using test::pos;
 
@@ -46,18 +47,7 @@ TomoCnf random_paths(std::int32_t num_vars, int num_paths, double clean, std::ui
   sat::Cnf cnf;
   cnf.num_vars = num_vars;
   for (int i = 0; i < num_paths; ++i) add_path(cnf, rng, rng.bernoulli(clean), 0, num_vars);
-  return as_tomo_cnf(std::move(cnf));
-}
-
-/// The ASes with a negative unit.
-std::vector<bool> clean_set(const sat::Cnf& cnf) {
-  std::vector<bool> clean(static_cast<std::size_t>(cnf.num_vars), false);
-  for (const auto& clause : cnf.clauses) {
-    if (clause.size() == 1 && clause[0].negated()) {
-      clean[static_cast<std::size_t>(clause[0].var())] = true;
-    }
-  }
-  return clean;
+  return from_cnf(cnf);
 }
 
 /// Checks a verdict against the CNF without the referee: UNSAT has a
@@ -65,26 +55,27 @@ std::vector<bool> clean_set(const sat::Cnf& cnf) {
 /// model whose false ASes are exactly the clean ones; and the model is
 /// unique iff no true AS can be set false.
 void expect_self_consistent(const TomoCnf& tc, const CnfVerdict& v) {
-  const std::vector<bool> clean = clean_set(tc.cnf);
+  const sat::Cnf cnf = to_cnf(tc);
+  const auto clean = [&tc](sat::Var x) { return tc.clean[static_cast<std::size_t>(x)] != 0; };
   if (v.solution_class == 0) {
     bool all_clean_path = false;
-    for (const auto& clause : tc.cnf.clauses) {
-      if (clause.size() == 1 && clause[0].negated()) continue;
-      all_clean_path = all_clean_path || std::all_of(clause.begin(), clause.end(), [&](sat::Lit l) {
-                         return clean[static_cast<std::size_t>(l.var())];
-                       });
+    for (std::size_t i = 0; i < tc.clause_ends.size(); ++i) {
+      const std::span<const sat::Var> clause = tc.clause(i);
+      all_clean_path = all_clean_path || std::all_of(clause.begin(), clause.end(), clean);
     }
     EXPECT_TRUE(all_clean_path) << "UNSAT, yet every censored path has an AS off the clean paths";
     return;
   }
-  std::vector<bool> model = test::verdict_model(v, tc.cnf.num_vars);
-  ASSERT_TRUE(test::satisfies(tc.cnf, model));
-  for (std::size_t x = 0; x < model.size(); ++x) EXPECT_NE(model[x], clean[x]) << "AS " << x;
+  std::vector<bool> model = test::verdict_model(v, cnf.num_vars);
+  ASSERT_TRUE(test::satisfies(cnf, model));
+  for (std::size_t x = 0; x < model.size(); ++x) {
+    EXPECT_NE(model[x], clean(static_cast<sat::Var>(x))) << "AS " << x;
+  }
   bool some_true_as_is_free = false;
   for (std::size_t x = 0; x < model.size() && !some_true_as_is_free; ++x) {
     if (!model[x]) continue;
     model[x] = false;
-    some_true_as_is_free = test::satisfies(tc.cnf, model);
+    some_true_as_is_free = test::satisfies(cnf, model);
     model[x] = true;
   }
   EXPECT_EQ(v.solution_class == 2, some_true_as_is_free);
@@ -108,7 +99,7 @@ TomoCnf satisfiable_paths(std::int32_t num_vars, std::int32_t free_from, int cle
     const auto v = static_cast<sat::Var>(free_from + static_cast<std::int32_t>(rng.index(span)));
     cnf.clauses.back().push_back(pos(v));
   }
-  return as_tomo_cnf(std::move(cnf));
+  return from_cnf(cnf);
 }
 
 TEST_P(SolverStress, UnderconstrainedInstancesAreSatWithValidModels) {
@@ -140,13 +131,19 @@ TEST_P(SolverStress, AssumptionMonotonicity) {
   // stays UNSAT under {a, b, c, d}.  Assuming clean exactly the ASes the
   // verdict already calls clean changes nothing.
   const TomoCnf base = satisfiable_paths(60, 40, 6, 40, GetParam() + 2000);
+  // Clean-path units added to a CNF: its clean flags.
+  const auto assume_clean = [](TomoCnf tc, const std::vector<sat::Var>& xs) {
+    for (const sat::Var x : xs) tc.clean[static_cast<std::size_t>(x)] = 1;
+    tc.num_negative_units =
+        static_cast<std::int32_t>(std::count(tc.clean.begin(), tc.clean.end(), 1));
+    return tc;
+  };
   CnfAnalyzer analyzer;
   AnalysisOptions options;
   options.count_cap = 500;
   const CnfVerdict v = analyzer.analyze(base, options);
   ASSERT_GT(v.solution_class, 0);
-  TomoCnf restated = base;
-  for (const sat::Var x : test::vars_of(v.definite_noncensors)) restated.cnf.add_clause({neg(x)});
+  const TomoCnf restated = assume_clean(base, test::vars_of(v.definite_noncensors));
   EXPECT_EQ(analyzer.analyze(restated, options), v);
 
   util::Rng rng(GetParam());
@@ -156,7 +153,7 @@ TEST_P(SolverStress, AssumptionMonotonicity) {
     std::vector<bool> previous_model = test::verdict_model(v, 60);
     bool was_unsat = false;
     for (int k = 0; k < 4; ++k) {
-      assumed.cnf.add_clause({neg(static_cast<sat::Var>(rng.index(60)))});
+      assumed = assume_clean(std::move(assumed), {static_cast<sat::Var>(rng.index(60))});
       const CnfVerdict now = analyzer.analyze(assumed, options);
       EXPECT_LE(now.capped_count, previous);
       const std::vector<bool> model = test::verdict_model(now, 60);
@@ -178,7 +175,10 @@ TEST_P(SolverStress, IncrementalTighteningMonotone) {
   // Adding paths only removes models: the count never rises and a CNF
   // once UNSAT stays UNSAT.  The later rounds add clean paths only, so
   // the CNF must end UNSAT.
-  TomoCnf tc = random_paths(50, 40, 0.1, GetParam() + 3000);
+  util::Rng paths_rng(GetParam() + 3000);
+  sat::Cnf cnf;
+  cnf.num_vars = 50;
+  for (int i = 0; i < 40; ++i) add_path(cnf, paths_rng, paths_rng.bernoulli(0.1), 0, 50);
   util::Rng rng(GetParam() + 4000);
   CnfAnalyzer analyzer;
   AnalysisOptions options;
@@ -186,6 +186,7 @@ TEST_P(SolverStress, IncrementalTighteningMonotone) {
   std::uint64_t previous = options.count_cap;
   bool was_unsat = false;
   for (int round = 0; round < 30; ++round) {
+    const TomoCnf tc = from_cnf(cnf);
     const CnfVerdict v = analyzer.analyze(tc, options);
     EXPECT_LE(v.capped_count, previous) << "round " << round;
     if (was_unsat) {
@@ -194,7 +195,7 @@ TEST_P(SolverStress, IncrementalTighteningMonotone) {
     was_unsat = was_unsat || v.solution_class == 0;
     previous = v.capped_count;
     expect_self_consistent(tc, v);
-    add_path(tc.cnf, rng, round >= 10 || rng.bernoulli(0.5), 0, 50);
+    add_path(cnf, rng, round >= 10 || rng.bernoulli(0.5), 0, 50);
   }
   EXPECT_TRUE(was_unsat) << "20 clean paths should have emptied a censored path";
 }
@@ -210,7 +211,7 @@ TEST(SolverStress, ManySmallSolvesReuseOneSolver) {
     cnf.num_vars = 20;
     for (sat::Var p = 0; p + 1 < 20; p += 2) cnf.add_clause({pos(p), pos(p + 1)});
     cnf.add_clause({neg(v)});
-    const TomoCnf tc = as_tomo_cnf(std::move(cnf));
+    const TomoCnf tc = from_cnf(cnf);
     const CnfVerdict got = analyzer.analyze(tc);
     ASSERT_EQ(got.solution_class, 2);
     const std::vector<bool> model = test::verdict_model(got, 20);
@@ -224,9 +225,9 @@ TEST(SolverStress, ManySmallSolvesReuseOneSolver) {
   both.add_clause({pos(0), pos(1)});
   both.add_clause({neg(0)});
   both.add_clause({neg(1)});
-  EXPECT_EQ(analyzer.analyze(as_tomo_cnf(both)).solution_class, 0);
+  EXPECT_EQ(analyzer.analyze(from_cnf(both)).solution_class, 0);
   both.clauses.pop_back();
-  EXPECT_EQ(analyzer.analyze(as_tomo_cnf(both)).solution_class, 1);
+  EXPECT_EQ(analyzer.analyze(from_cnf(both)).solution_class, 1);
 }
 
 /// The reuse stream: tomography CNFs whose sizes rise and fall from one
@@ -258,7 +259,7 @@ std::vector<TomoCnf> reuse_stream(std::uint64_t seed, int length) {
           cnf.add_clause({pos(order[k]), pos(order[censors + rng.index(n - censors)]),
                           pos(order[censors + rng.index(n - censors)])});
         }
-        tc = as_tomo_cnf(std::move(cnf));
+        tc = from_cnf(cnf);
         break;
       }
       default:
@@ -280,15 +281,17 @@ void expect_every_class(const std::vector<CnfVerdict>& verdicts) {
 }
 
 TEST(SolverReuse, ResetSolverMatchesAFreshSolver) {
-  // One analyzer over the stream, with a refused CNF (thrown mid-scan)
+  // One analyzer over the stream, with a refused CNF (an inconsistent
+  // layout, found after its clean flags and first clause were read)
   // between every two: each verdict equals a fresh analyzer's, and the
   // refused CNFs count nowhere.
   const std::vector<TomoCnf> stream = reuse_stream(20260801, 150);
-  sat::Cnf mixed;
-  mixed.num_vars = 64;
-  for (sat::Var v = 0; v < 63; ++v) mixed.add_clause({neg(v)});
-  mixed.add_clause({pos(63), neg(0)});
-  const TomoCnf refused = as_tomo_cnf(std::move(mixed));
+  sat::Cnf broken;
+  broken.num_vars = 64;
+  for (sat::Var v = 0; v < 63; ++v) broken.add_clause({neg(v)});
+  broken.add_clause({pos(0), pos(63)});
+  broken.add_clause({pos(63), pos(62)});
+  const TomoCnf refused = test::with_stray_last_literal(from_cnf(broken));
 
   AnalysisOptions options;
   options.count_cap = 50;
@@ -296,11 +299,11 @@ TEST(SolverReuse, ResetSolverMatchesAFreshSolver) {
   std::vector<CnfVerdict> verdicts;
   std::uint64_t clauses = 0;
   for (const TomoCnf& tc : stream) {
-    SCOPED_TRACE("CNF " + std::to_string(tc.key.url_id) + ", " + std::to_string(tc.cnf.num_vars) +
+    SCOPED_TRACE("CNF " + std::to_string(tc.key.url_id) + ", " + std::to_string(tc.vars.size()) +
                  " vars");
     verdicts.push_back(reused.analyze(tc, options));
     EXPECT_EQ(verdicts.back(), analyze_cnf(tc, options));
-    clauses += tc.cnf.clauses.size();
+    clauses += to_cnf(tc).clauses.size();
     EXPECT_THROW(reused.analyze(refused, options), std::invalid_argument);
   }
   EXPECT_EQ(reused.stats().cnf_loads, stream.size());

@@ -1,11 +1,12 @@
 // Shared plumbing for the verdict suites that hold tomo::CnfAnalyzer to
 // known answers, to the brute-force referee (brute_force_reference.h)
-// and to its own invariants: wrapping a bare CNF as a TomoCnf, reading
+// and to its own invariants: laying a bare CNF out as a TomoCnf, reading
 // a verdict back as an assignment, and checking that assignment.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sat/types.h"
@@ -20,11 +21,49 @@ constexpr topo::AsId kFirstAs = 100;
 inline sat::Lit pos(sat::Var v) { return sat::Lit(v, false); }
 inline sat::Lit neg(sat::Var v) { return sat::Lit(v, true); }
 
-/// `cnf` as a TomoCnf whose variable v is AS kFirstAs + v.
-inline TomoCnf as_tomo_cnf(sat::Cnf cnf) {
+/// The AS ids of variables 0 .. num_vars - 1: kFirstAs + v.
+inline std::vector<topo::AsId> as_ids(std::int32_t num_vars) {
+  std::vector<topo::AsId> ases;
+  for (sat::Var v = 0; v < num_vars; ++v) ases.push_back(kFirstAs + v);
+  return ases;
+}
+
+/// `cnf` in TomoCnf's flat layout, variable v being AS kFirstAs + v:
+/// each negative unit sets a clean flag, and each other clause becomes a
+/// positive clause and a censored path of its variables' ASes.  Throws
+/// std::invalid_argument for a clause that is neither a negative unit
+/// nor all-positive, which the layout cannot state.
+inline TomoCnf from_cnf(const sat::Cnf& cnf) {
   TomoCnf tc;
-  for (sat::Var v = 0; v < cnf.num_vars; ++v) tc.vars.push_back(kFirstAs + v);
-  tc.cnf = std::move(cnf);
+  tc.vars = as_ids(cnf.num_vars);
+  tc.clean.assign(tc.vars.size(), 0);
+  for (const std::vector<sat::Lit>& clause : cnf.clauses) {
+    if (clause.size() == 1 && clause[0].negated()) {
+      tc.clean.at(static_cast<std::size_t>(clause[0].var())) = 1;
+      continue;
+    }
+    if (std::any_of(clause.begin(), clause.end(), [](sat::Lit l) { return l.negated(); })) {
+      throw std::invalid_argument(
+          "from_cnf: a clause is neither a negative unit nor all-positive");
+    }
+    for (const sat::Lit l : clause) {
+      tc.clause_vars.push_back(l.var());
+      tc.path_ases.push_back(kFirstAs + l.var());
+    }
+    tc.clause_ends.push_back(static_cast<std::uint32_t>(tc.clause_vars.size()));
+    tc.path_ends.push_back(static_cast<std::uint32_t>(tc.path_ases.size()));
+  }
+  tc.num_negative_units =
+      static_cast<std::int32_t>(std::count(tc.clean.begin(), tc.clean.end(), 1));
+  tc.num_positive_clauses = static_cast<std::int32_t>(tc.clause_ends.size());
+  return tc;
+}
+
+/// `tc` with its last literal pointing one past the last variable: a
+/// layout the analyzer refuses only after reading everything before it.
+/// `tc` must have a literal.
+inline TomoCnf with_stray_last_literal(TomoCnf tc) {
+  tc.clause_vars.back() = static_cast<sat::Var>(tc.vars.size());
   return tc;
 }
 

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,7 +89,7 @@ TEST(ThreadPool, ReusableAcrossJobs) {
 
 TEST(ThreadPool, ImbalancedLoadStillRunsEverything) {
   // One pathologically slow task must not stop siblings from finishing
-  // the rest of the batch (they steal it or work around it).
+  // the rest of the batch (they claim the other chunks).
   ThreadPool pool(4);
   std::atomic<int> done{0};
   pool.for_each_index(64, [&](unsigned, std::size_t i) {
@@ -112,6 +113,75 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
     pool.for_each_index(16, [&](unsigned, std::size_t) { ok.fetch_add(1); });
     EXPECT_EQ(ok.load(), 16);
   }
+}
+
+TEST(ThreadPool, ChunkBoundariesRunEveryIndexOnce) {
+  // Counts on both sides of the points where the chunk size changes and
+  // the last chunk is partial, twice over on each pool (reuse).
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    const std::size_t n = pool.size();
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t count :
+           {std::size_t{1}, n - 1, n, 8 * n - 1, 8 * n, 8 * n + 1, std::size_t{10007}}) {
+        SCOPED_TRACE(std::to_string(threads) + " workers, round " + std::to_string(round) +
+                     ", count " + std::to_string(count));
+        std::vector<std::atomic<int>> runs(count);
+        std::atomic<bool> worker_in_range{true};
+        pool.for_each_index(count, [&](unsigned worker, std::size_t i) {
+          if (worker >= threads) worker_in_range = false;
+          runs[i].fetch_add(1);
+        });
+        EXPECT_TRUE(worker_in_range.load());
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < count; ++i) wrong += runs[i].load() == 1 ? 0 : 1;
+        EXPECT_EQ(wrong, 0u) << "indices not run exactly once";
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ThrowInAMiddleChunkStopsNewClaims) {
+  // 10,007 indices on 4 workers: 33 chunks of 312 (the last of 23),
+  // claimed in ascending order.  Index `bad`, in the middle of chunk 16,
+  // throws.  Its worker runs nothing after it; the others finish the
+  // chunk they hold and claim no more, so the last chunk never starts
+  // (each chunk start sleeps 2 ms, so the others cannot race through the
+  // 16 chunks left while the throw unwinds).  The caller sees the
+  // exception once, and the pool runs the next job in full.
+  constexpr std::size_t kCount = 10007;
+  ThreadPool pool(4);
+  const std::size_t chunk = kCount / (8 * pool.size());  // the claim size
+  ASSERT_EQ(chunk, 312u);
+  const std::size_t bad = 16 * chunk + chunk / 2;
+  std::vector<std::atomic<int>> runs(kCount);
+  int caught = 0;
+  try {
+    pool.for_each_index(kCount, [&](unsigned, std::size_t i) {
+      if (i % chunk == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      runs[i].fetch_add(1);
+      if (i == bad) throw std::runtime_error("bad index");
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "bad index");
+  }
+  EXPECT_EQ(caught, 1);
+  for (std::size_t i = 0; i <= bad; i += chunk) {
+    EXPECT_EQ(runs[i].load(), 1) << "chunk start " << i << " before the throw";
+  }
+  for (std::size_t i = bad + 1; i < 17 * chunk; ++i) {
+    ASSERT_EQ(runs[i].load(), 0) << "index " << i << " ran after its chunk threw";
+  }
+  for (std::size_t i = 32 * chunk; i < kCount; ++i) {
+    ASSERT_EQ(runs[i].load(), 0) << "the last chunk was claimed after the throw";
+  }
+
+  std::vector<std::atomic<int>> again(kCount);
+  pool.for_each_index(kCount, [&](unsigned, std::size_t i) { again[i].fetch_add(1); });
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < kCount; ++i) wrong += again[i].load() == 1 ? 0 : 1;
+  EXPECT_EQ(wrong, 0u) << "the pool did not recover from the throw";
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ SyntheticStream make_stream(util::Rng& rng, Day num_days) {
 std::map<CnfKey, std::string> dimacs_by_key(const std::vector<TomoCnf>& cnfs) {
   std::map<CnfKey, std::string> out;
   for (const TomoCnf& tc : cnfs) {
-    const auto [it, inserted] = out.emplace(tc.key, sat::to_dimacs_string(tc.cnf));
+    const auto [it, inserted] = out.emplace(tc.key, sat::to_dimacs_string(to_cnf(tc)));
     EXPECT_TRUE(inserted) << "duplicate CNF key emitted";
   }
   return out;
