@@ -16,7 +16,6 @@
 
 #include "analysis/scenario.h"
 #include "cli.h"
-#include "sat/dimacs.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
 
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
                              std::string(ct::util::to_string(tc.key.granularity)) +
                              std::to_string(tc.key.window) + ".cnf";
     std::ofstream out(out_dir / name);
-    ct::sat::write_dimacs(out, ct::tomo::to_cnf(tc), comments);
+    ct::tomo::write_dimacs(out, ct::tomo::to_cnf(tc), comments);
     ++written;
   }
   std::cout << "wrote " << written << " DIMACS files (of " << cnfs.size()

@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
       flat_baseline = stats.retained_clauses_peak;
     }
     std::cout << "watermark " << stats.watermark << "/" << monitor.num_days()
-              << "  open-windows " << stats.open_main_windows << "+"
-              << stats.open_ablation_windows << "  churn-open " << stats.churn_open_entries
+              << "  open-windows " << stats.open_main_windows
+              << "  churn-open " << stats.churn_open_entries
               << "  churn fail/rep/down " << stats.churn_failures << "/" << stats.churn_repairs
               << "/" << stats.churn_links_down << "  retained-peak "
               << stats.retained_clauses_peak << "  reads " << stats.engine.snapshot_reads << "\n";

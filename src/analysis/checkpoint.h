@@ -67,7 +67,11 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43544350u;  // "CTCP"
 // v7: EngineStats lost the models-found and per-slot selected counters,
 // which only a SAT search filled; v6 checkpoints are refused by the
 // same rule.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+// v8: one CNF grouper: the Figure-4 grouper's section is gone, and each
+// group entry is a u32 path id << 1 | kept (Figure 4's strip keeps it)
+// instead of an i32 path id; v7 checkpoints are refused by the same
+// rule.
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// Hash of everything that determines the run's results (see header
 /// comment for what is deliberately excluded).

@@ -47,12 +47,6 @@ std::shared_ptr<const LiveReport> LiveReportServer::snapshot() const {
 
 namespace {
 
-tomo::CnfBuildOptions ablation_build_options(const ExperimentOptions& options) {
-  tomo::CnfBuildOptions build;
-  build.granularities = options.fig1_granularities;
-  return build;
-}
-
 /// One analysis pass's cumulative counters: its checkpointed base plus
 /// its live analyzers.
 tomo::EngineStats pass_stats(const tomo::EngineStats& base,
@@ -74,16 +68,15 @@ struct MonitorEngine::State {
   State(const Scenario& scenario, const ExperimentOptions& options, util::ThreadPool& lanes)
       : num_ases(scenario.graph().num_ases()),
         num_urls(static_cast<std::int32_t>(scenario.platform().urls().size())),
-        grouper(pool, num_urls, {}, &lanes),
+        grouper(pool, num_urls, {.kept_granularities = options.fig1_granularities}, &lanes),
         strip(pool, num_ases, num_urls),
-        ablation_grouper(pool, num_urls, ablation_build_options(options), &lanes),
         churn_fold(scenario.graph(), scenario.platform().vantages(),
                    scenario.platform().dest_ases(), scenario.platform().config().num_days,
                    scenario.platform().config().epochs_per_day),
         folds(options),
         summary(scenario.graph(), num_urls),
         truth(scenario.registry(), scenario.platform()) {}
-  // The groupers and the strip hold the address of `pool`.
+  // The grouper and the strip hold the address of `pool`.
   State(const State&) = delete;
   State& operator=(const State&) = delete;
 
@@ -93,7 +86,6 @@ struct MonitorEngine::State {
     pool.save(w);
     grouper.save(w);
     strip.save(w);
-    ablation_grouper.save(w);
     churn_fold.save(w);
     folds.save(w);
     summary.save(w);
@@ -106,12 +98,11 @@ struct MonitorEngine::State {
   }
 
   /// Loads a payload into this fresh state; the pool first, which
-  /// bounds the path ids of the groupers and the strip.
+  /// bounds the path ids of the grouper and the strip.
   void load(util::ByteReader& r) {
     pool.load(r, num_ases);
     grouper.load(r);
     strip.load(r);
-    ablation_grouper.load(r);
     churn_fold.load(r);
     folds.load(r, num_ases);
     summary.load(r);
@@ -127,9 +118,10 @@ struct MonitorEngine::State {
   const std::int32_t num_ases;
   const std::int32_t num_urls;  // the platform's URL list
   tomo::PathPool pool;  // global canonical path ids
+  /// Groups both analysis passes: the main CNFs, and Figure 4's from the
+  /// entries `strip` keeps.
   tomo::StreamingCnfBuilder grouper;
   tomo::ChurnStripFilter strip;
-  tomo::StreamingCnfBuilder ablation_grouper;
   ChurnFold churn_fold;
   ExperimentFolds folds;
   iclab::DatasetSummary summary;
@@ -228,25 +220,19 @@ std::vector<tomo::PathClause> MonitorEngine::hand_off(
 }
 
 void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
-  // Group the segment on the analysis lanes, then compact it in place
-  // to the strip's survivors, in stream order, for the ablation
-  // grouper.  The raw clauses live only until then — the retained
-  // gauge proves it.
+  // The strip marks, in stream order, the clauses Figure 4 keeps, and
+  // the segment is grouped with those marks on the analysis lanes.  The
+  // raw clauses live only until then — the retained gauge proves it.
   State& state = *state_;
   const auto retained = static_cast<std::int64_t>(clauses.size());
-  state.grouper.add(clauses);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < clauses.size(); ++i) {
-    if (state.strip.keep(clauses[i])) clauses[kept++] = clauses[i];
-  }
-  clauses.resize(kept);
-  state.ablation_grouper.add(clauses);
+  std::vector<std::uint8_t> kept(clauses.size());
+  for (std::size_t i = 0; i < clauses.size(); ++i) kept[i] = state.strip.keep(clauses[i]) ? 1 : 0;
+  state.grouper.add(clauses, kept);
   clauses = {};
   retained_.sub(retained);
 
   watermark_ = d1;
-  analyze_and_fold(state.grouper.advance_watermark(d1),
-                   state.ablation_grouper.advance_watermark(d1));
+  analyze_and_fold(state.grouper.advance_watermark(d1));
   // Seal the churn windows the segment completed; open entries stay
   // O(pairs x windows straddling the boundary).
   state.churn_fold.retire_before(d1);
@@ -255,25 +241,24 @@ void MonitorEngine::drain(std::vector<tomo::PathClause> clauses, util::Day d1) {
   publish_report();
 }
 
-void MonitorEngine::analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
-                                     const std::vector<tomo::TomoCnf>& ablation_cnfs) {
+void MonitorEngine::analyze_and_fold(const tomo::EmittedCnfs& cnfs) {
   // Same scheduling as tomo::analyze_cnfs: one task per CNF on the
   // worker's own analyzer, and out[i] slots keep the key-sorted batch
   // order, so the verdict vector is byte-identical for any lane count.
   const auto analyze = [this](std::vector<tomo::CnfAnalyzer>& analyzers,
-                              const std::vector<tomo::TomoCnf>& cnfs,
+                              const std::vector<tomo::TomoCnf>& batch,
                               const tomo::AnalysisOptions& options) {
-    std::vector<tomo::CnfVerdict> out(cnfs.size());
-    analysis_pool_.for_each_index(cnfs.size(), [&](unsigned worker, std::size_t i) {
-      out[i] = analyzers[worker].analyze(cnfs[i], options);
+    std::vector<tomo::CnfVerdict> out(batch.size());
+    analysis_pool_.for_each_index(batch.size(), [&](unsigned worker, std::size_t i) {
+      out[i] = analyzers[worker].analyze(batch[i], options);
     });
     return out;
   };
   const std::vector<tomo::CnfVerdict> main_verdicts =
-      analyze(main_analyzers_, main_cnfs, main_analysis_);
+      analyze(main_analyzers_, cnfs.main, main_analysis_);
   ExperimentFolds& folds = state_->folds;
-  for (std::size_t k = 0; k < main_cnfs.size(); ++k) folds.add_main(main_cnfs[k], main_verdicts[k]);
-  for (const tomo::CnfVerdict& v : analyze(ablation_analyzers_, ablation_cnfs, ablation_analysis_)) {
+  for (std::size_t k = 0; k < cnfs.main.size(); ++k) folds.add_main(cnfs.main[k], main_verdicts[k]);
+  for (const tomo::CnfVerdict& v : analyze(ablation_analyzers_, cnfs.kept, ablation_analysis_)) {
     folds.fig4.add(v);
   }
 }
@@ -350,7 +335,7 @@ ExperimentResult MonitorEngine::finalize() {
   // advance_watermark() emitted, so the emitted union equals the
   // build_cnfs() output over the whole stream.
   State& state = *state_;
-  analyze_and_fold(state.grouper.flush(), state.ablation_grouper.flush());
+  analyze_and_fold(state.grouper.flush());
   state.churn_fold.retire_before(num_days());
   publish_report();
 
@@ -367,7 +352,6 @@ MonitorStats MonitorEngine::stats() const {
   stats.segments_ingested = state_->segments;
   stats.checkpoints_written = checkpoints_written_;
   stats.open_main_windows = static_cast<std::int64_t>(state_->grouper.open_windows());
-  stats.open_ablation_windows = static_cast<std::int64_t>(state_->ablation_grouper.open_windows());
   stats.churn_open_entries = static_cast<std::int64_t>(state_->churn_fold.open_window_entries());
   stats.retained_clauses_now = retained_.current();
   stats.retained_clauses_peak = retained_.peak();

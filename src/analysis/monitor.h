@@ -15,19 +15,19 @@
 // clauses translated straight into the persistent pool
 // (tomo::hand_off_clauses) — and freed.  Within one
 // run_until() call, the next segment's platform run starts on its own
-// thread right then, and runs beside this segment's grouping, strip,
-// watermark advance, SAT passes, folds, CNF release, publish and
-// cadence checkpoint.  It touches no monitor state, and the state
-// changes in segment order, so reports, checkpoints and fingerprints
-// are byte-identical to one-segment-at-a-time calls, which prefetch
-// nothing.
+// thread right then, and runs beside this segment's strip and grouping
+// (one grouper for both passes), watermark advance, SAT passes, folds,
+// CNF release, publish and cadence checkpoint.  It touches no monitor
+// state, and the state changes in segment order, so reports,
+// checkpoints and fingerprints are byte-identical to
+// one-segment-at-a-time calls, which prefetch nothing.
 //
 // Crash safety: the monitor's persistent state — the interned path
-// pool, the open window groups of both CNF builders, the ablation
-// filter, the sealed churn fold, all four experiment folds, the dataset
-// summary, the truth tracker, the clause-build stats, and the
-// cumulative SAT counters — is one heap-held object built with its
-// geometry, whose groupers and filter borrow its own pool.
+// pool, the grouper's open window groups, the ablation filter, the
+// sealed churn fold, all four experiment folds, the dataset summary,
+// the truth tracker, the clause-build stats, and the cumulative SAT
+// counters — is one heap-held object built with its geometry, whose
+// grouper and filter borrow its own pool.
 // checkpoint() saves it into a versioned, fingerprinted envelope
 // (analysis/checkpoint.h).  A process killed at any point can restore()
 // the last checkpoint into a freshly constructed monitor and run to the
@@ -159,7 +159,6 @@ struct MonitorStats {
   /// O(open windows) state — these are the numbers that must stay flat
   /// over a multi-year run.
   std::int64_t open_main_windows = 0;
-  std::int64_t open_ablation_windows = 0;
   std::int64_t churn_open_entries = 0;
   std::int64_t retained_clauses_now = 0;
   std::int64_t retained_clauses_peak = 0;
@@ -238,9 +237,9 @@ class MonitorEngine {
   /// analyzes and folds the sealed CNFs, seals the churn windows and
   /// publishes.
   void drain(std::vector<tomo::PathClause> clauses, util::Day d1);
-  /// One SAT batch per pass; folds the verdicts.
-  void analyze_and_fold(const std::vector<tomo::TomoCnf>& main_cnfs,
-                        const std::vector<tomo::TomoCnf>& ablation_cnfs);
+  /// One SAT batch per pass (the kept CNFs are Figure 4's); folds the
+  /// verdicts.
+  void analyze_and_fold(const tomo::EmittedCnfs& cnfs);
   void publish_report();
   void maybe_checkpoint();
 
@@ -260,7 +259,7 @@ class MonitorEngine {
 
   // Execution state (never checkpointed).
   // The analysis lanes, one CnfAnalyzer per lane and pass (each keeps
-  // its scratch buffers across batches); the groupers borrow the lanes
+  // its scratch buffers across batches); the grouper borrows the lanes
   // too.
   util::ThreadPool analysis_pool_;
   std::vector<tomo::CnfAnalyzer> main_analyzers_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,6 +34,8 @@ namespace {
 
 void save_path_id(util::ByteWriter& w, PathPool::PathId id) { w.i32(id); }
 PathPool::PathId load_path_id(util::ByteReader& r) { return r.i32(); }
+void save_entry(util::ByteWriter& w, std::uint32_t e) { w.u32(e); }
+std::uint32_t load_entry(util::ByteReader& r) { return r.u32(); }
 
 /// Dedupe-table key of a (path id, observed) pair; path ids are
 /// non-negative.
@@ -71,8 +75,23 @@ sat::Cnf to_cnf(const TomoCnf& tc) {
   return cnf;
 }
 
-StreamingCnfBuilder::StampTable::Windows& StreamingCnfBuilder::StampTable::find_or_insert(
-    std::uint32_t key) {
+void write_dimacs(std::ostream& out, const sat::Cnf& cnf,
+                  const std::vector<std::string>& comments) {
+  for (const auto& comment : comments) out << "c " << comment << "\n";
+  out << "p cnf " << cnf.num_vars << " " << cnf.clauses.size() << "\n";
+  for (const auto& clause : cnf.clauses) {
+    for (const sat::Lit l : clause) out << l.to_dimacs() << " ";
+    out << "0\n";
+  }
+}
+
+std::string to_dimacs_string(const sat::Cnf& cnf, const std::vector<std::string>& comments) {
+  std::ostringstream out;
+  write_dimacs(out, cnf, comments);
+  return out.str();
+}
+
+StreamingCnfBuilder::Stamp& StreamingCnfBuilder::StampTable::find_or_insert(std::uint32_t key) {
   if (2 * (size_ + 1) > slots_.size()) grow();  // load factor <= 1/2
   const std::size_t mask = slots_.size() - 1;
   // Fibonacci hashing: the top bits_ bits of key * 2^64/phi.
@@ -80,13 +99,14 @@ StreamingCnfBuilder::StampTable::Windows& StreamingCnfBuilder::StampTable::find_
   while (slots_[i].key != key) {
     if (slots_[i].key == kEmpty) {
       slots_[i].key = key;
-      slots_[i].windows.fill(-1);
+      slots_[i].stamp.windows.fill(-1);
+      slots_[i].stamp.kept = 0;
       ++size_;
       break;
     }
     i = (i + 1) & mask;
   }
-  return slots_[i].windows;
+  return slots_[i].stamp;
 }
 
 void StreamingCnfBuilder::StampTable::grow() {
@@ -95,7 +115,7 @@ void StreamingCnfBuilder::StampTable::grow() {
   slots_.assign(std::size_t{1} << bits_, Slot{});
   size_ = 0;
   for (const Slot& slot : old) {
-    if (slot.key != kEmpty) find_or_insert(slot.key) = slot.windows;
+    if (slot.key != kEmpty) find_or_insert(slot.key) = slot.stamp;
   }
 }
 
@@ -104,7 +124,15 @@ StreamingCnfBuilder::StreamingCnfBuilder(const PathPool& pool, std::int32_t num_
     : granularities_(canonical_granularities(std::move(options.granularities))),
       pool_(&pool),
       threads_(threads),
-      chains_(static_cast<std::size_t>(std::max(num_urls, 0)) * censor::kNumAnomalies) {}
+      chains_(static_cast<std::size_t>(std::max(num_urls, 0)) * censor::kNumAnomalies) {
+  for (const util::Granularity g : options.kept_granularities) {
+    if (std::find(granularities_.begin(), granularities_.end(), g) == granularities_.end()) {
+      throw std::invalid_argument("StreamingCnfBuilder: kept granularity " +
+                                  std::string(util::to_string(g)) + " is not built");
+    }
+    kept_mask_ |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(g));
+  }
+}
 
 std::size_t StreamingCnfBuilder::open_groups(const Chain& chain) {
   std::size_t n = 0;
@@ -159,9 +187,14 @@ void StreamingCnfBuilder::for_each_range(std::size_t ranges, const RangeFn& fn) 
   }
 }
 
-void StreamingCnfBuilder::add(std::span<const PathClause> clauses) {
+void StreamingCnfBuilder::add(std::span<const PathClause> clauses,
+                              std::span<const std::uint8_t> kept) {
   // Every check that does not depend on chain state runs before any
   // state is touched, so such a rejected batch leaves no trace.
+  if (!kept.empty() && kept.size() != clauses.size()) {
+    throw std::logic_error("StreamingCnfBuilder::add: " + std::to_string(kept.size()) +
+                           " kept flags for " + std::to_string(clauses.size()) + " clauses");
+  }
   for (const PathClause& clause : clauses) {
     if (clause.day < watermark_) {
       throw std::logic_error("StreamingCnfBuilder::add: clause for day " +
@@ -185,29 +218,30 @@ void StreamingCnfBuilder::add(std::span<const PathClause> clauses) {
   for_each_range(num_ranges(clauses.size()),
                  [&](unsigned, std::size_t, std::size_t begin, std::size_t end) {
                    util::Day day = clauses.front().day;
-                   StampTable::Windows windows = windows_of(day);
-                   for (const PathClause& clause : clauses) {
+                   Windows windows = windows_of(day);
+                   for (std::size_t i = 0; i < clauses.size(); ++i) {
+                     const PathClause& clause = clauses[i];
                      const std::size_t index = chain_index(clause.url_id, clause.anomaly);
                      if (index < begin || index >= end) continue;
                      if (clause.day != day) {
                        day = clause.day;
                        windows = windows_of(day);
                      }
-                     file(chains_[index], clause, windows);
+                     file(chains_[index], clause, !kept.empty() && kept[i] != 0, windows);
                    }
                  });
 }
 
-StreamingCnfBuilder::StampTable::Windows StreamingCnfBuilder::windows_of(util::Day day) {
-  StampTable::Windows windows{};
+StreamingCnfBuilder::Windows StreamingCnfBuilder::windows_of(util::Day day) {
+  Windows windows{};
   for (const util::Granularity g : util::kAllGranularities) {
     windows[static_cast<std::size_t>(g)] = util::window_of(day, g);
   }
   return windows;
 }
 
-void StreamingCnfBuilder::file(Chain& chain, const PathClause& clause,
-                               const StampTable::Windows& windows) const {
+void StreamingCnfBuilder::file(Chain& chain, const PathClause& clause, bool kept,
+                               const Windows& windows) const {
   // Check the ordering precondition before touching the chain, so a
   // rejected clause leaves it as it was.
   for (const util::Granularity g : granularities_) {
@@ -220,8 +254,7 @@ void StreamingCnfBuilder::file(Chain& chain, const PathClause& clause,
                              " window (chain clauses must be day-ordered)");
     }
   }
-  StampTable::Windows& stamps =
-      chain.stamps.find_or_insert(stamp_key(clause.path_id, clause.observed));
+  Stamp& stamp = chain.stamps.find_or_insert(stamp_key(clause.path_id, clause.observed));
   for (const util::Granularity g : granularities_) {
     const std::size_t gi = static_cast<std::size_t>(g);
     const std::int32_t window = windows[gi];
@@ -229,11 +262,27 @@ void StreamingCnfBuilder::file(Chain& chain, const PathClause& clause,
     if (groups.empty() || groups.back().window != window) {
       groups.push_back(Group{window, {}, {}});
     }
-    if (stamps[gi] == window) continue;  // already in this window's group
-    stamps[gi] = window;
+    const unsigned bit = kept ? kept_mask_ & (1u << gi) : 0;
     Group& group = groups.back();
-    (clause.observed ? group.positive_ids : group.negative_ids).push_back(clause.path_id);
+    if (stamp.windows[gi] == window) {  // already in this window's group
+      if ((bit & ~stamp.kept) != 0) {
+        stamp.kept = static_cast<std::uint8_t>(stamp.kept | bit);
+        mark_kept(clause.observed ? group.positives : group.negatives, clause.path_id);
+      }
+      continue;
+    }
+    stamp.windows[gi] = window;
+    stamp.kept = static_cast<std::uint8_t>((stamp.kept & ~(1u << gi)) | bit);
+    (clause.observed ? group.positives : group.negatives)
+        .push_back(entry(clause.path_id, bit != 0 ? 1 : 0));
   }
+}
+
+void StreamingCnfBuilder::mark_kept(std::vector<Entry>& entries, PathPool::PathId id) {
+  // A kept repeat of an unkept entry (another vantage inferred the same
+  // path): under 5% of the default year's filings, so a scan finds the
+  // entry.
+  *std::find_if(entries.begin(), entries.end(), [id](Entry e) { return path_of(e) == id; }) |= 1;
 }
 
 StreamingCnfBuilder::AsSlot& StreamingCnfBuilder::EmitScratch::touch(topo::AsId as) {
@@ -252,7 +301,7 @@ StreamingCnfBuilder::AsSlot& StreamingCnfBuilder::EmitScratch::touch(topo::AsId 
   return slot;
 }
 
-TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
+TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group, Entry need,
                                          EmitScratch& scratch) const {
   TomoCnf tc;
   tc.key = key;
@@ -267,14 +316,19 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
   scratch.as_list.clear();
   // ASes seen on any clean path (the negative units), then the rest of
   // the variable space: every AS observed in this CNF's clauses.
-  for (const auto id : group.negative_ids) {
-    for (const topo::AsId as : pool_->get(id)) scratch.touch(as).clean = true;
+  const auto skip = [need](Entry e) { return (e & need) != need; };
+  for (const Entry e : group.negatives) {
+    if (skip(e)) continue;
+    for (const topo::AsId as : pool_->get(path_of(e))) scratch.touch(as).clean = true;
   }
   std::size_t path_volume = 0;
-  for (const auto id : group.positive_ids) {
-    const std::vector<topo::AsId>& path = pool_->get(id);
+  std::size_t num_paths = 0;
+  for (const Entry e : group.positives) {
+    if (skip(e)) continue;
+    const std::vector<topo::AsId>& path = pool_->get(path_of(e));
     for (const topo::AsId as : path) scratch.touch(as);
     path_volume += path.size();
+    ++num_paths;
   }
   std::sort(scratch.as_list.begin(), scratch.as_list.end());
   tc.vars = scratch.as_list;
@@ -290,11 +344,12 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
   // are a handful of hops, so a linear duplicate scan is cheapest), each
   // beside a copy of its path.
   tc.clause_vars.reserve(path_volume);
-  tc.clause_ends.reserve(group.positive_ids.size());
+  tc.clause_ends.reserve(num_paths);
   tc.path_ases.reserve(path_volume);
-  tc.path_ends.reserve(group.positive_ids.size());
-  for (const auto id : group.positive_ids) {
-    const std::vector<topo::AsId>& path = pool_->get(id);
+  tc.path_ends.reserve(num_paths);
+  for (const Entry e : group.positives) {
+    if (skip(e)) continue;
+    const std::vector<topo::AsId>& path = pool_->get(path_of(e));
     const std::size_t begin = tc.clause_vars.size();
     for (const topo::AsId as : path) {
       const sat::Var var = slots[static_cast<std::size_t>(as)].var;
@@ -307,12 +362,12 @@ TomoCnf StreamingCnfBuilder::build_group(const CnfKey& key, const Group& group,
     tc.path_ases.insert(tc.path_ases.end(), path.begin(), path.end());
     tc.path_ends.push_back(static_cast<std::uint32_t>(tc.path_ases.size()));
   }
-  tc.num_positive_clauses = static_cast<std::int32_t>(group.positive_ids.size());
+  tc.num_positive_clauses = static_cast<std::int32_t>(num_paths);
   return tc;
 }
 
 void StreamingCnfBuilder::close_chain(std::size_t index, util::Day complete_before,
-                                      EmitScratch& scratch, std::vector<TomoCnf>& out) {
+                                      EmitScratch& scratch, EmittedCnfs& out) {
   Chain& chain = chains_[index];
   if (open_groups(chain) == 0) return;
   CnfKey key = chain_key(index);
@@ -326,51 +381,64 @@ void StreamingCnfBuilder::close_chain(std::size_t index, util::Day complete_befo
       const Group& group = groups[closed];
       // 64-bit: a window end may exceed the Day range.
       if ((group.window + std::int64_t{1}) * length > complete_before) break;
-      if (group.positive_ids.empty()) continue;
+      if (group.positives.empty()) continue;
       key.window = group.window;
-      out.push_back(build_group(key, group, scratch));
+      out.main.push_back(build_group(key, group, 0, scratch));
+      if (((kept_mask_ >> gi) & 1) != 0 &&
+          std::any_of(group.positives.begin(), group.positives.end(),
+                      [](Entry e) { return (e & 1) != 0; })) {
+        out.kept.push_back(build_group(key, group, 1, scratch));
+      }
     }
     groups.erase(groups.begin(), groups.begin() + static_cast<std::ptrdiff_t>(closed));
   }
   if (open_groups(chain) == 0) chain.stamps = StampTable{};
 }
 
-std::vector<TomoCnf> StreamingCnfBuilder::close_before(util::Day complete_before) {
+EmittedCnfs StreamingCnfBuilder::close_before(util::Day complete_before) {
   const std::size_t ranges = num_ranges(chains_.size());
   if (scratch_.size() < lanes()) scratch_.resize(lanes());  // workers index it
-  std::vector<std::vector<TomoCnf>> by_range(ranges);
+  std::vector<EmittedCnfs> by_range(ranges);
   for_each_range(ranges, [&](unsigned worker, std::size_t r, std::size_t begin, std::size_t end) {
-    std::vector<TomoCnf> part;  // local, so the lanes share no vector header
+    EmittedCnfs part;  // local, so the lanes share no vector header
     for (std::size_t c = begin; c < end; ++c) {
       close_chain(c, complete_before, scratch_[worker], part);
     }
     by_range[r] = std::move(part);
   });
   // Ranges are contiguous and in chain order, which is key order.
-  std::size_t total = 0;
-  for (const auto& part : by_range) total += part.size();
-  std::vector<TomoCnf> out;
-  out.reserve(total);
-  for (auto& part : by_range) std::move(part.begin(), part.end(), std::back_inserter(out));
+  std::size_t mains = 0;
+  std::size_t kepts = 0;
+  for (const EmittedCnfs& part : by_range) {
+    mains += part.main.size();
+    kepts += part.kept.size();
+  }
+  EmittedCnfs out;
+  out.main.reserve(mains);
+  out.kept.reserve(kepts);
+  for (EmittedCnfs& part : by_range) {
+    std::move(part.main.begin(), part.main.end(), std::back_inserter(out.main));
+    std::move(part.kept.begin(), part.kept.end(), std::back_inserter(out.kept));
+  }
   return out;
 }
 
-std::vector<TomoCnf> StreamingCnfBuilder::advance_watermark(util::Day complete_before) {
+EmittedCnfs StreamingCnfBuilder::advance_watermark(util::Day complete_before) {
   if (complete_before <= watermark_) return {};  // monotone: never lower it
   watermark_ = complete_before;
   return close_before(watermark_);
 }
 
-std::vector<TomoCnf> StreamingCnfBuilder::flush() {
+EmittedCnfs StreamingCnfBuilder::flush() {
   watermark_ = std::numeric_limits<util::Day>::max();
   return close_before(watermark_);
 }
 
 void StreamingCnfBuilder::save(util::ByteWriter& w) const {
-  // Open groups in CnfKey order, each as its positive ids in
-  // first-occurrence order followed by the sorted negative id set.
+  // Open groups in CnfKey order, each as its positive entries in
+  // first-occurrence order followed by its negative entries, sorted.
   w.size(open_windows());
-  std::vector<PathPool::PathId> negatives;
+  std::vector<Entry> negatives;
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     CnfKey key = chain_key(c);
     for (std::size_t gi = 0; gi < kNumGranularities; ++gi) {
@@ -378,10 +446,10 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
       for (const Group& group : chains_[c].groups[gi]) {
         key.window = group.window;
         save_cnf_key(w, key);
-        util::save_vec(w, group.positive_ids, save_path_id);
-        negatives = group.negative_ids;
+        util::save_vec(w, group.positives, save_entry);
+        negatives = group.negatives;
         std::sort(negatives.begin(), negatives.end());
-        util::save_vec(w, negatives, save_path_id);
+        util::save_vec(w, negatives, save_entry);
       }
     }
   }
@@ -389,45 +457,60 @@ void StreamingCnfBuilder::save(util::ByteWriter& w) const {
 }
 
 void StreamingCnfBuilder::load(util::ByteReader& r) {
-  chains_ = std::vector<Chain>(chains_.size());
+  std::vector<Chain> chains(chains_.size());
   const std::size_t n = r.size();
   CnfKey previous;
   for (std::size_t i = 0; i < n; ++i) {
     const CnfKey key = load_cnf_key(r);
-    if (!has_chain(key.url_id, key.anomaly) || (i > 0 && !(previous < key))) {
+    if (!has_chain(key.url_id, key.anomaly) || key.window < 0 || (i > 0 && !(previous < key))) {
       throw util::SerdeError("StreamingCnfBuilder::load: window key (url " +
                              std::to_string(key.url_id) +
-                             ") outside the chain table or out of order");
+                             ") outside the chain table, negative or out of order");
     }
     previous = key;
     Group group;
     group.window = key.window;
-    util::load_vec(r, group.positive_ids, load_path_id);
-    util::load_vec(r, group.negative_ids, load_path_id);
-    const auto outside = [this](PathPool::PathId id) { return !has_path(id); };
-    if (std::any_of(group.positive_ids.begin(), group.positive_ids.end(), outside) ||
-        std::any_of(group.negative_ids.begin(), group.negative_ids.end(), outside)) {
+    util::load_vec(r, group.positives, load_entry);
+    util::load_vec(r, group.negatives, load_entry);
+    const std::size_t gi = static_cast<std::size_t>(key.granularity);
+    const Entry kept_bit = (kept_mask_ >> gi) & 1;
+    const auto invalid = [this, kept_bit](Entry e) {
+      return !has_path(path_of(e)) || (e & 1) > kept_bit;
+    };
+    if (std::any_of(group.positives.begin(), group.positives.end(), invalid) ||
+        std::any_of(group.negatives.begin(), group.negatives.end(), invalid)) {
       throw util::SerdeError("StreamingCnfBuilder::load: path id outside the pool's " +
-                             std::to_string(pool_->size()) + " paths");
+                             std::to_string(pool_->size()) +
+                             " paths, or a kept bit at a granularity that keeps none");
     }
-    Chain& chain = chains_[chain_index(key.url_id, key.anomaly)];
-    chain.groups[static_cast<std::size_t>(key.granularity)].push_back(std::move(group));
+    Chain& chain = chains[chain_index(key.url_id, key.anomaly)];
+    chain.groups[gi].push_back(std::move(group));
   }
   // Rebuild the dedupe stamps: replaying each chain's groups in window
   // order leaves every pair stamped with the latest window holding it.
-  for (Chain& chain : chains_) {
+  // A pair already stamped with the window being replayed is a path
+  // filed twice.  No kept bit is stamped: a kept repeat then finds its
+  // entry already kept.
+  for (Chain& chain : chains) {
     for (std::size_t gi = 0; gi < kNumGranularities; ++gi) {
       for (const Group& group : chain.groups[gi]) {
-        for (const auto id : group.positive_ids) {
-          chain.stamps.find_or_insert(stamp_key(id, true))[gi] = group.window;
-        }
-        for (const auto id : group.negative_ids) {
-          chain.stamps.find_or_insert(stamp_key(id, false))[gi] = group.window;
+        for (const bool observed : {true, false}) {
+          for (const Entry e : observed ? group.positives : group.negatives) {
+            std::int32_t& stamp =
+                chain.stamps.find_or_insert(stamp_key(path_of(e), observed)).windows[gi];
+            if (stamp == group.window) {
+              throw util::SerdeError("StreamingCnfBuilder::load: path id " +
+                                     std::to_string(path_of(e)) + " twice in one window group");
+            }
+            stamp = group.window;
+          }
         }
       }
     }
   }
-  watermark_ = r.i32();
+  const util::Day watermark = r.i32();
+  chains_ = std::move(chains);
+  watermark_ = watermark;
 }
 
 std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClause>& clauses,
@@ -440,7 +523,7 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
   for (const PathClause& clause : clauses) max_url = std::max(max_url, clause.url_id);
   StreamingCnfBuilder builder(pool, max_url + 1, options, threads);
   builder.add(clauses);
-  return builder.flush();
+  return builder.flush().main;
 }
 
 ChurnStripFilter::ChurnStripFilter(const PathPool& pool, std::int32_t num_vantages,

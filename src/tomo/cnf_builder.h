@@ -23,21 +23,34 @@
 // Layout.  Groups live per *chain* — one (URL, anomaly) pair, at dense
 // index url_id * kNumAnomalies + anomaly — and each chain keeps one
 // window-ordered vector of open groups per granularity, each group two
-// plain path-id vectors (positives in first-occurrence order, negatives
-// in any order).  Dedupe is a per-chain open-addressing table keyed by
-// (path id, observed) whose entry stamps, per granularity, the last
-// window that already holds the pair: a clause is new to its window
-// exactly when the stamp differs from that window.  That relies on the
-// one ordering precondition — within a chain, clauses arrive in
-// non-decreasing day order (the canonical stream is day-major, and
-// windows nest: 7 | 28 | 364) — so a chain's current window at each
-// granularity is the back of its vector.  Cost per clause: one vector
-// index, one hash probe, and per granularity one compare plus at most
-// one push_back.  Each finished CNF is built with dense per-AS scratch
-// arrays (indexed by AsId) into TomoCnf's flat layout: a handful of
-// vectors per CNF, none per clause or path.  Emission visits chains in
-// index order, granularities in enum order and windows in time order,
-// which is CnfKey order.
+// plain entry vectors (positives in first-occurrence order, negatives
+// in any order); an entry is a path id shifted left by one, its low bit
+// Figure 4's kept flag (below).  Dedupe is a per-chain open-addressing
+// table keyed by (path id, observed) whose entry stamps, per
+// granularity, the last window that already holds the pair: a clause
+// is new to its window exactly when the stamp differs from that window.
+// That relies on the one ordering precondition — within a chain,
+// clauses arrive in non-decreasing day order (the canonical stream is
+// day-major, and windows nest: 7 | 28 | 364) — so a chain's current
+// window at each granularity is the back of its vector.  Cost per
+// clause: one vector index, one hash probe, and per granularity one
+// compare plus at most one push_back.  Each finished CNF is built with
+// dense per-AS scratch arrays (indexed by AsId) into TomoCnf's flat
+// layout: a handful of vectors per CNF, none per clause or path.
+// Emission visits chains in index order, granularities in enum order
+// and windows in time order, which is CnfKey order.
+//
+// Figure 4 from the same groups.  Figure 4's ablation keeps, per
+// (vantage, URL), only the clauses on the pair's first path
+// (ChurnStripFilter), and rebuilds each window from those alone, so its
+// CNFs are subsets of the main groups.  add() takes an optional kept
+// flag per clause; at the kept granularities the flag is OR-ed into the
+// entry, over every clause the entry dedupes (the vantage is not part
+// of the path, so a kept clause may repeat another vantage's unkept
+// one).  A closing window then also emits the CNF of its kept entries,
+// if one of them is positive: the CNF build_cnfs makes of the kept
+// clauses alone, up to the order of its positive clauses (they keep
+// the main group's first-occurrence order).
 //
 // Fan-out.  A chain owns all of its state, so chains are grouped on
 // every core with no locking: the builder borrows a util::ThreadPool
@@ -54,7 +67,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sat/types.h"
@@ -132,12 +147,36 @@ struct TomoCnf {
 /// the analyzer reads the flat layout.
 sat::Cnf to_cnf(const TomoCnf& tc);
 
+/// Writes `cnf` in DIMACS format, so CNFs can go to external SAT
+/// tooling (the paper used an off-the-shelf solver).  `comments` lines
+/// are emitted as "c <line>" before the problem line.
+void write_dimacs(std::ostream& out, const sat::Cnf& cnf,
+                  const std::vector<std::string>& comments = {});
+
+/// write_dimacs into a string.
+std::string to_dimacs_string(const sat::Cnf& cnf, const std::vector<std::string>& comments = {});
+
 struct CnfBuildOptions {
   /// Granularities to build (all four by default).
   std::vector<util::Granularity> granularities{util::Granularity::kDay,
                                                util::Granularity::kWeek,
                                                util::Granularity::kMonth,
                                                util::Granularity::kYear};
+  /// Granularities at which StreamingCnfBuilder also emits the CNF of
+  /// each window's kept clauses (Figure 4's; none by default).  Each
+  /// must be one of `granularities`.  build_cnfs() files no kept flags,
+  /// so it builds the main CNFs only.
+  std::vector<util::Granularity> kept_granularities;
+};
+
+/// What one StreamingCnfBuilder::advance_watermark() or flush() call
+/// emits, each sorted by key.
+struct EmittedCnfs {
+  /// The CNF of every closed window with a positive clause.
+  std::vector<TomoCnf> main;
+  /// At the kept granularities, the CNF of every closed window's kept
+  /// entries, if one of them is positive.
+  std::vector<TomoCnf> kept;
 };
 
 /// Incremental per-window CNF construction.
@@ -156,12 +195,14 @@ struct CnfBuildOptions {
 /// any configured granularity throws std::logic_error, as does a late
 /// clause below the watermark.
 ///
-/// Determinism contract: each call returns its batch sorted by CnfKey,
+/// Determinism contract: each call returns its batches sorted by CnfKey,
 /// a window never reopens once emitted (a late add() throws), and the
-/// concatenation of all emitted batches is, as a set, exactly what
+/// concatenation of all emitted main batches is, as a set, exactly what
 /// build_cnfs() returns on the same stream — bit-identical CNFs, since
-/// both run this class.  None of it depends on the borrowed thread
-/// pool's size.
+/// both run this class.  The kept batches hold, key for key, the CNFs
+/// build_cnfs() makes of the kept clauses at the kept granularities,
+/// with the same variables, clean flags and positive clauses.  None of
+/// it depends on the borrowed thread pool's size.
 ///
 /// Memory: a chain's dedupe stamps are dropped as soon as it has no
 /// open group, so incremental state stays O(open windows).
@@ -176,70 +217,97 @@ class StreamingCnfBuilder {
   /// chain ranges on its lanes; null or one lane runs inline.  Both
   /// borrowed objects must outlive the builder (appending to the pool is
   /// fine; renumbering is not), and the builder must be the thread
-  /// pool's only user while one of its calls runs.
+  /// pool's only user while one of its calls runs.  Throws
+  /// std::invalid_argument if a kept granularity is not a granularity.
   StreamingCnfBuilder(const PathPool& pool, std::int32_t num_urls, CnfBuildOptions options = {},
                       util::ThreadPool* threads = nullptr);
 
   /// Files `clauses`, in span order within each chain, into their open
-  /// window groups.  Throws std::logic_error before touching any state
-  /// if a clause precedes the watermark (its window has already been
-  /// emitted), or names no chain of the table or no path of the pool.  A
-  /// clause that moves its chain back to an earlier window (the ordering
-  /// precondition) throws too; it is not filed, but other clauses of the
-  /// batch may have been.
-  void add(std::span<const PathClause> clauses);
+  /// window groups.  `kept`, if not empty, holds one flag per clause:
+  /// nonzero marks a clause Figure 4's ablation keeps.  Throws
+  /// std::logic_error before touching any state if `kept` has another
+  /// size, or a clause precedes the watermark (its window has already
+  /// been emitted), or names no chain of the table or no path of the
+  /// pool.  A clause that moves its chain back to an earlier window (the
+  /// ordering precondition) throws too; it is not filed, but other
+  /// clauses of the batch may have been.
+  void add(std::span<const PathClause> clauses, std::span<const std::uint8_t> kept = {});
   /// One clause: a span of one, filed inline.
-  void add(const PathClause& clause) { add(std::span<const PathClause>(&clause, 1)); }
+  void add(const PathClause& clause, bool kept = false) {
+    const std::uint8_t flag = kept ? 1 : 0;
+    add(std::span<const PathClause>(&clause, 1), std::span<const std::uint8_t>(&flag, 1));
+  }
 
   /// Raises the watermark to `complete_before` (no-op if not an
   /// increase) and emits the now-complete CNFs, sorted by key.  A window
   /// [start, start+len) is complete when start+len <= complete_before.
-  std::vector<TomoCnf> advance_watermark(util::Day complete_before);
+  EmittedCnfs advance_watermark(util::Day complete_before);
 
   /// Emits every still-open window, sorted by key, and raises the
   /// watermark past every representable day.  The result is exactly the
   /// complement of what advance_watermark() calls emitted.
-  std::vector<TomoCnf> flush();
+  EmittedCnfs flush();
 
   /// Lowest day a new clause may still carry.
   util::Day watermark() const { return watermark_; }
   std::size_t open_windows() const;
 
   /// Checkpoint support (analysis/checkpoint.h): persists the open
-  /// window groups in key order, each as its key, its positive path ids
-  /// in first-occurrence order and its sorted negative path ids, then
-  /// the watermark — NOT the options, the table size or the borrowed
-  /// pools, which are construction-time config the restoring caller must
-  /// recreate (the config fingerprint guards the options and URL count;
-  /// the thread count never changes the bytes).  The path ids resolve in
-  /// the borrowed pool, so load that pool first.  load() replaces every
-  /// open group and throws util::SerdeError for what add() refuses (no
-  /// such chain or path), a bad granularity or an unordered key.
+  /// window groups in key order, each as its key, its positive entries
+  /// in first-occurrence order and its sorted negative entries (an
+  /// entry is path id << 1 | kept, as a u32), then the watermark — NOT
+  /// the options, the table size or the borrowed pools, which are
+  /// construction-time config the restoring caller must recreate (the
+  /// config fingerprint guards the options and URL count; the thread
+  /// count never changes the bytes).  The path ids resolve in the
+  /// borrowed pool, so load that pool first.  load() replaces every
+  /// open group only once the whole section parsed, and throws
+  /// util::SerdeError, changing nothing, for what add() cannot produce:
+  /// no such chain or path, a path twice in one group's positives or
+  /// negatives, a kept bit outside the kept granularities, a bad
+  /// granularity, a negative window or an unordered key.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
   static constexpr std::size_t kNumGranularities = util::kAllGranularities.size();
 
-  /// One open (chain, granularity, window) group: deduplicated path ids
+  /// A group entry: path id << 1 | kept.  Path ids are non-negative
+  /// int32s, so the shift loses nothing.
+  using Entry = std::uint32_t;
+  static Entry entry(PathPool::PathId id, Entry kept) {
+    return (static_cast<Entry>(id) << 1) | kept;
+  }
+  static PathPool::PathId path_of(Entry e) { return static_cast<PathPool::PathId>(e >> 1); }
+
+  /// One open (chain, granularity, window) group: deduplicated entries
   /// in first-occurrence order (positives keep it for the leakage
   /// analysis; negatives only feed an AS union).
   struct Group {
     std::int32_t window = 0;
-    std::vector<PathPool::PathId> positive_ids;
-    std::vector<PathPool::PathId> negative_ids;
+    std::vector<Entry> positives;
+    std::vector<Entry> negatives;
+  };
+
+  /// One window per granularity (enum value).
+  using Windows = std::array<std::int32_t, kNumGranularities>;
+
+  /// A pair's dedupe stamp: per granularity, the last window that
+  /// already holds the pair (-1 for none), and, as bit `granularity` of
+  /// `kept`, whether that window's entry is known to be kept (a clear
+  /// bit only costs a scan that finds it kept).
+  struct Stamp {
+    Windows windows;
+    std::uint8_t kept;
   };
 
   /// A chain's dedupe table: open addressing with linear probing, keyed
-  /// by path_id << 1 | observed.  Each entry stamps, per granularity
-  /// (enum value), the last window that already holds the pair.
+  /// by path_id << 1 | observed.
   class StampTable {
    public:
-    using Windows = std::array<std::int32_t, kNumGranularities>;
-
-    /// The entry of `key`, inserted with every stamp at -1 (no window)
-    /// on first sight.
-    Windows& find_or_insert(std::uint32_t key);
+    /// The stamp of `key`, inserted with no window and nothing kept on
+    /// first sight.
+    Stamp& find_or_insert(std::uint32_t key);
 
    private:
     /// add() rejects negative path ids, and no pool could hold
@@ -247,7 +315,7 @@ class StreamingCnfBuilder {
     static constexpr std::uint32_t kEmpty = 0xffffffffu;
     struct Slot {
       std::uint32_t key = kEmpty;
-      Windows windows{};
+      Stamp stamp{};
     };
     void grow();
 
@@ -301,21 +369,29 @@ class StreamingCnfBuilder {
   /// and one per chain, and at least one.
   std::size_t num_ranges(std::size_t max_ranges) const;
   /// The window of `day` at every granularity (enum value order).
-  static StampTable::Windows windows_of(util::Day day);
+  static Windows windows_of(util::Day day);
   /// Files one validated clause, whose day has `windows`, into its
-  /// chain's open groups.
-  void file(Chain& chain, const PathClause& clause, const StampTable::Windows& windows) const;
+  /// chain's open groups, OR-ing `kept` into its entries at the kept
+  /// granularities.
+  void file(Chain& chain, const PathClause& clause, bool kept, const Windows& windows) const;
+  /// Sets the kept bit of path `id`'s entry, which `entries` holds.
+  static void mark_kept(std::vector<Entry>& entries, PathPool::PathId id);
   /// Emits (in key order) and drops every group ending at or before
   /// `complete_before`, releasing the stamps of chains left empty.
-  std::vector<TomoCnf> close_before(util::Day complete_before);
+  EmittedCnfs close_before(util::Day complete_before);
   /// close_before for one chain, appending to `out`.
   void close_chain(std::size_t index, util::Day complete_before, EmitScratch& scratch,
-                   std::vector<TomoCnf>& out);
-  TomoCnf build_group(const CnfKey& key, const Group& group, EmitScratch& scratch) const;
+                   EmittedCnfs& out);
+  /// The CNF of the group's entries that have every bit of `need` set:
+  /// all of them for 0, the kept ones for 1.
+  TomoCnf build_group(const CnfKey& key, const Group& group, Entry need,
+                      EmitScratch& scratch) const;
 
   /// The configured granularities, sorted by enum value with duplicates
   /// removed (a duplicate granularity files into the same group).
   std::vector<util::Granularity> granularities_;
+  /// Bit `granularity` set for each kept granularity.
+  std::uint8_t kept_mask_ = 0;
   /// Never null; a pointer so the builder stays copy-assignable.
   const PathPool* pool_;
   util::ThreadPool* threads_ = nullptr;
@@ -341,8 +417,8 @@ std::vector<TomoCnf> build_cnfs(const PathPool& pool, const std::vector<PathClau
 /// Clauses must arrive in canonical stream order and resolve in the
 /// borrowed interned pool (equal id <=> equal path; ids may only be
 /// appended, so the recorded first-path ids stay valid).  Both the batch
-/// strip_path_churn() and the resident monitor's Figure-4 pass run on
-/// this filter.
+/// strip_path_churn() and the resident monitor's kept flags
+/// (StreamingCnfBuilder::add) come from this filter.
 ///
 /// The first-path ids sit in a dense vantage x URL table of PathId,
 /// -1 meaning unseen: one lookup per clause, and a pool lookup only for

@@ -23,7 +23,6 @@
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
 #include "expect_churn.h"
-#include "sat/dimacs.h"
 #include "shard_scenario.h"
 #include "tomo/clause.h"
 #include "tomo/cnf_builder.h"
@@ -49,7 +48,7 @@ std::vector<std::string> dimacs_of(const tomo::ClauseBuilder& builder) {
       tomo::build_cnfs(builder.pool(), builder.clauses());
   std::vector<std::string> out;
   out.reserve(cnfs.size());
-  for (const auto& cnf : cnfs) out.push_back(sat::to_dimacs_string(tomo::to_cnf(cnf)));
+  for (const auto& cnf : cnfs) out.push_back(tomo::to_dimacs_string(tomo::to_cnf(cnf)));
   return out;
 }
 

@@ -418,11 +418,12 @@ TEST(MonitorCheckpoint, EnvelopeRefusals) {
     // A version-3 envelope (one combined EngineStats record), a
     // version-4 one (groupers with a private pool, positive-id sets and
     // an emitted count), a version-5 one (racing counters in the engine
-    // stats) and a version-6 one (models-found and selected counters in
-    // the engine stats) are refused by their version field too, even
-    // with a valid checksum.
-    ASSERT_EQ(kCheckpointVersion, 7u);
-    for (const std::uint32_t old : {3u, 4u, 5u, 6u}) {
+    // stats), a version-6 one (models-found and selected counters in
+    // the engine stats) and a version-7 one (a second, Figure-4 grouper
+    // and plain path ids in the groups) are refused by their version
+    // field too, even with a valid checksum.
+    ASSERT_EQ(kCheckpointVersion, 8u);
+    for (const std::uint32_t old : {3u, 4u, 5u, 6u, 7u}) {
       SCOPED_TRACE("version " + std::to_string(old));
       std::string stale = bytes;
       util::ByteWriter version;
@@ -461,8 +462,16 @@ void expect_crafted_id_refused(Scenario& scenario, const MonitorEngine& source,
   expect_crafted_bytes_refused(scenario, source, at, id.bytes());
 }
 
+/// The monitor's grouper over `pool`: it keeps Figure 4's entries at the
+/// Figure-1 granularities.
+tomo::StreamingCnfBuilder monitor_grouper(const Scenario& scenario, const tomo::PathPool& pool) {
+  return tomo::StreamingCnfBuilder(
+      pool, scenario.platform().config().num_urls,
+      {.kept_granularities = monitor_options(1).experiment.fig1_granularities});
+}
+
 /// A reader over `payload` positioned at the experiment folds: past the
-/// pool, both groupers, the strip filter and the churn fold, each loaded
+/// pool, the grouper, the strip filter and the churn fold, each loaded
 /// as the monitor loads it.
 util::ByteReader reader_at_folds(const Scenario& scenario, const std::string& payload) {
   util::ByteReader r(payload);
@@ -470,11 +479,9 @@ util::ByteReader reader_at_folds(const Scenario& scenario, const std::string& pa
   const std::int32_t num_urls = platform.config().num_urls;
   tomo::PathPool pool;
   pool.load(r, scenario.graph().num_ases());
-  tomo::StreamingCnfBuilder grouper(pool, num_urls);
-  grouper.load(r);
+  monitor_grouper(scenario, pool).load(r);
   tomo::ChurnStripFilter strip(pool, scenario.graph().num_ases(), num_urls);
   strip.load(r);
-  grouper.load(r);  // the ablation grouper: the same layout
   ChurnFold churn(scenario.graph(), platform.vantages(), platform.dest_ases(),
                   platform.config().num_days, platform.config().epochs_per_day);
   churn.load(r);
@@ -580,20 +587,19 @@ TEST(MonitorCheckpoint, StripEntryPastTheGraphIsRefused) {
     source.run_until(6);
     const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-    // Payload layout: pool | main grouper | strip filter | ...  Skip to
-    // the filter's entries, (vantage, URL, path id) in key order.
+    // Payload layout: pool | grouper | strip filter | ...  Skip to the
+    // filter's entries, (vantage, URL, path id) in key order.
     util::ByteReader r(opened.payload);
     tomo::PathPool pool;
     pool.load(r, scenario.graph().num_ases());
-    tomo::StreamingCnfBuilder grouper(pool, scenario.platform().config().num_urls);
-    grouper.load(r);
+    monitor_grouper(scenario, pool).load(r);
     const std::size_t strip_at = opened.payload.size() - r.remaining();
     const std::size_t entries = r.size();
     ASSERT_GT(entries, 0u);
 
     // The last entry's vantage becomes the graph's AS count: still in key
     // order, one past the table.  The refusal comes after the pool and the
-    // main grouper parsed; none of it may stick.
+    // grouper parsed; none of it may stick.
     const std::size_t last_vantage = strip_at + 8 + (entries - 1) * 12;
     expect_crafted_id_refused(scenario, source, last_vantage, scenario.graph().num_ases());
     // The untouched payload, resealed the same way, restores.
@@ -637,9 +643,9 @@ TEST(MonitorCheckpoint, GroupPathIdPastThePoolIsRefused) {
     source.run_until(6);
     const OpenedCheckpoint opened = open_checkpoint(source.checkpoint(), source.fingerprint());
 
-    // Payload layout: pool | main grouper: the open-window count, then
-    // each window's key (URL, anomaly, granularity, window) and positive
-    // path ids | ...
+    // Payload layout: pool | grouper: the open-window count, then each
+    // window's key (URL, anomaly, granularity, window) and positive
+    // entries (u32 path id << 1 | kept) | ...
     util::ByteReader r(opened.payload);
     tomo::PathPool pool;
     pool.load(r, scenario.graph().num_ases());
@@ -649,8 +655,10 @@ TEST(MonitorCheckpoint, GroupPathIdPastThePoolIsRefused) {
     r.u8();
     r.i32();
     ASSERT_GT(r.size(), 0u);  // the first window's positives
-    const std::size_t first_id = opened.payload.size() - r.remaining();
-    expect_crafted_id_refused(scenario, source, first_id, static_cast<std::int32_t>(pool.size()));
+    const std::size_t first_entry = opened.payload.size() - r.remaining();
+    util::ByteWriter entry;
+    entry.u32(static_cast<std::uint32_t>(pool.size()) << 1);
+    expect_crafted_bytes_refused(scenario, source, first_entry, entry.bytes());
   }
 }
 

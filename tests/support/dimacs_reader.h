@@ -1,4 +1,4 @@
-// DIMACS CNF reading, for the suites that round-trip sat::write_dimacs.
+// DIMACS CNF reading, for the suites that round-trip tomo::write_dimacs.
 // No shipped program reads DIMACS (export_dimacs only writes it), so
 // the parser lives with the tests.
 #pragma once

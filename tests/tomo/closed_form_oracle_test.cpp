@@ -7,14 +7,17 @@
 // with count resolution on and off, and sweeps each one of at most 20
 // variables (nearly all of them; the larger ones are left to the
 // solver-made goldens, the report hashes and the benchmark's pinned
-// verdict hashes).  The random suite sweeps small monotone CNFs with
-// model counts on both sides of the count cap.
+// verdict hashes).  A second world suite holds the monitor's Figure-4
+// verdicts, from one grouper's kept entries, to those of the strip
+// reference.  The random suite sweeps small monotone CNFs with model
+// counts on both sides of the count cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,7 +27,6 @@
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
 #include "censor/regime.h"
-#include "sat/dimacs.h"
 #include "brute_force_reference.h"
 #include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
@@ -111,6 +113,58 @@ TEST_P(ClosedFormOracle, EveryVerdictMatchesTheClosedForm) {
       EXPECT_EQ(stats.backends[k], (sat::BackendCounters{want, 0})) << "slot " << k;
     }
   }
+}
+
+TEST_P(ClosedFormOracle, OneGrouperFigure4VerdictsMatchTheStripReference) {
+  // The monitor's Figure 4: one grouper at all four granularities, fed
+  // the strip's kept flags in 28-day segments, emitting its kept
+  // entries at the Figure-1 granularities.  Its verdicts, counts
+  // resolved, equal those of build_cnfs over the strip's survivors.
+  analysis::ScenarioConfig config = analysis::small_scenario();
+  config.regime.regime = GetParam().regime;
+  analysis::Scenario scenario(config);
+  const auto sinks = analysis::run_platform(scenario, 1);
+  const PathPool& pool = sinks->clause_builder.pool();
+  const std::vector<PathClause>& clauses = sinks->clause_builder.clauses();
+  const std::vector<util::Granularity> fig1 = analysis::ExperimentOptions{}.fig1_granularities;
+  AnalysisOptions counts;
+  counts.resolve_counts = true;
+
+  CnfBuildOptions stripped;
+  stripped.granularities = fig1;
+  const std::vector<CnfVerdict> want =
+      analyze_cnfs(build_cnfs(pool, strip_path_churn(pool, clauses), stripped), counts);
+
+  const auto num_urls = static_cast<std::int32_t>(scenario.platform().urls().size());
+  CnfBuildOptions one;
+  one.kept_granularities = fig1;
+  StreamingCnfBuilder grouper(pool, num_urls, one);
+  ChurnStripFilter strip(pool, scenario.graph().num_ases(), num_urls);
+  std::vector<TomoCnf> kept_cnfs;
+  const auto take = [&kept_cnfs](EmittedCnfs cnfs) {
+    std::move(cnfs.kept.begin(), cnfs.kept.end(), std::back_inserter(kept_cnfs));
+  };
+  std::size_t i = 0;
+  for (util::Day end = 28; i < clauses.size(); end += 28) {
+    const std::size_t begin = i;
+    std::vector<std::uint8_t> kept;
+    for (; i < clauses.size() && clauses[i].day < end; ++i) kept.push_back(strip.keep(clauses[i]));
+    grouper.add(std::span(clauses).subspan(begin, i - begin), kept);
+    take(grouper.advance_watermark(end));
+  }
+  take(grouper.flush());
+  std::sort(kept_cnfs.begin(), kept_cnfs.end(),
+            [](const TomoCnf& a, const TomoCnf& b) { return a.key < b.key; });
+  const std::vector<CnfVerdict> got = analyze_cnfs(kept_cnfs, counts);
+
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (got[k] == want[k]) continue;
+    if (++mismatches <= 5) ADD_FAILURE() << "Figure-4 verdict " << k << " differs";
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << want.size() << " Figure-4 CNFs";
 }
 
 INSTANTIATE_TEST_SUITE_P(Regimes, ClosedFormOracle, ::testing::ValuesIn(all_worlds()),
@@ -292,7 +346,7 @@ TEST(TomoDimacs, SmallScenarioBytesArePinned) {
     const std::vector<TomoCnf> cnfs = world_cnfs(pin.regime);
     std::uint64_t h = kFnvBasis;
     for (const TomoCnf& tc : cnfs) {
-      const std::string text = sat::to_dimacs_string(to_cnf(tc));
+      const std::string text = to_dimacs_string(to_cnf(tc));
       h = fnv1a(h, text);
       all = fnv1a(all, text);
     }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -188,7 +189,7 @@ TEST(CnfBuilder, ChainGoingBackInDayThrows) {
                std::logic_error);
   // The rejected clause left no trace: one day window, one path.
   EXPECT_EQ(builder.open_windows(), 4u);
-  const auto cnfs = builder.flush();
+  const auto cnfs = builder.flush().main;
   ASSERT_EQ(cnfs.size(), 4u);
   for (const auto& tc : cnfs) {
     EXPECT_EQ(tc.path_ases, (std::vector<topo::AsId>{1, 2}));
@@ -205,7 +206,7 @@ TEST(CnfBuilder, ChainGoingBackWithinOneWindowIsAccepted) {
   StreamingCnfBuilder builder(pool, /*num_urls=*/1, weeks);
   builder.add(make_clause(pool, {1, 2}, true, 0, /*day=*/5));
   builder.add(make_clause(pool, {1, 3}, true, 0, /*day=*/4));
-  const auto cnfs = builder.flush();
+  const auto cnfs = builder.flush().main;
   ASSERT_EQ(cnfs.size(), 1u);
   EXPECT_EQ(cnfs[0].num_positive_clauses, 2);
 }
@@ -219,7 +220,7 @@ TEST(CnfBuilder, OtherChainMayStartAtAnEarlierDay) {
   builder.add(make_clause(pool, {1}, true, /*url=*/0, /*day=*/3));
   builder.add(make_clause(pool, {2}, true, /*url=*/2, /*day=*/1, censor::Anomaly::kRst));
   builder.add(make_clause(pool, {1}, true, /*url=*/0, /*day=*/4));
-  const auto cnfs = builder.flush();
+  const auto cnfs = builder.flush().main;
   ASSERT_EQ(cnfs.size(), 4u);
   std::vector<CnfKey> keys;
   for (const auto& tc : cnfs) keys.push_back(tc.key);
@@ -415,15 +416,191 @@ TEST(CnfBuilder, MatchesReferenceGrouperOnRandomStreams) {
           r.expect_end();
         }
         if (i < clauses.size() && rng.bernoulli(0.5)) {
-          take(builder->advance_watermark(clauses[i].day));
+          take(builder->advance_watermark(clauses[i].day).main);
         }
       }
-      take(builder->flush());
+      take(builder->flush().main);
       std::sort(streamed.begin(), streamed.end(),
                 [](const TomoCnf& a, const TomoCnf& b) { return a.key < b.key; });
       expect_cnfs_equal(streamed, want);
       if (HasFailure()) return;
     }
+  }
+}
+
+/// A CNF's positive clauses beside their paths, sorted: its content
+/// whatever the clause order.
+std::vector<std::pair<std::vector<sat::Var>, std::vector<topo::AsId>>> clause_path_pairs(
+    const TomoCnf& tc) {
+  std::vector<std::pair<std::vector<sat::Var>, std::vector<topo::AsId>>> pairs;
+  for (std::size_t i = 0; i < tc.clause_ends.size(); ++i) {
+    const std::span<const sat::Var> clause = tc.clause(i);
+    const std::span<const topo::AsId> path = tc.positive_path(i);
+    pairs.emplace_back(std::vector<sat::Var>(clause.begin(), clause.end()),
+                       std::vector<topo::AsId>(path.begin(), path.end()));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// CNF for CNF: the same key, variables, clean flags and (clause, path)
+/// pairs, in any clause order.
+void expect_same_content(const std::vector<TomoCnf>& got, const std::vector<TomoCnf>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("cnf " + std::to_string(i));
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].vars, want[i].vars);
+    EXPECT_EQ(got[i].clean, want[i].clean);
+    EXPECT_EQ(got[i].num_negative_units, want[i].num_negative_units);
+    EXPECT_EQ(got[i].num_positive_clauses, want[i].num_positive_clauses);
+    EXPECT_EQ(clause_path_pairs(got[i]), clause_path_pairs(want[i]));
+  }
+}
+
+/// `clauses` through a fresh builder of `options`, with the kept flags
+/// of one ChurnStripFilter over the stream, in random batches with
+/// random watermark advances and save/load round trips into a fresh
+/// builder: every batch each call emitted, sorted by key.
+EmittedCnfs stream_with_kept_flags(util::Rng& rng, const PathPool& pool,
+                                   const std::vector<PathClause>& clauses,
+                                   const CnfBuildOptions& options, util::ThreadPool* threads) {
+  std::int32_t num_urls = 0;
+  topo::AsId num_vantages = 0;
+  for (const PathClause& c : clauses) {
+    num_urls = std::max(num_urls, c.url_id + 1);
+    num_vantages = std::max(num_vantages, c.vantage + 1);
+  }
+  ChurnStripFilter strip(pool, num_vantages, num_urls);
+  std::vector<std::uint8_t> kept;
+  for (const PathClause& c : clauses) kept.push_back(strip.keep(c) ? 1 : 0);
+
+  auto builder = std::make_unique<StreamingCnfBuilder>(pool, num_urls, options, threads);
+  EmittedCnfs out;
+  const auto take = [&out](EmittedCnfs batch) {
+    for (TomoCnf& tc : batch.main) out.main.push_back(std::move(tc));
+    for (TomoCnf& tc : batch.kept) out.kept.push_back(std::move(tc));
+  };
+  std::size_t i = 0;
+  while (i < clauses.size()) {
+    const std::size_t n = std::min(clauses.size() - i, 1 + rng.index(40));
+    builder->add(std::span(clauses).subspan(i, n), std::span(kept).subspan(i, n));
+    i += n;
+    if (rng.bernoulli(0.2)) {
+      util::ByteWriter w;
+      builder->save(w);
+      builder = std::make_unique<StreamingCnfBuilder>(pool, num_urls, options, threads);
+      util::ByteReader r(w.bytes());
+      builder->load(r);
+      r.expect_end();
+    }
+    if (i < clauses.size() && rng.bernoulli(0.5)) take(builder->advance_watermark(clauses[i].day));
+  }
+  take(builder->flush());
+  const auto by_key = [](const TomoCnf& a, const TomoCnf& b) { return a.key < b.key; };
+  std::sort(out.main.begin(), out.main.end(), by_key);
+  std::sort(out.kept.begin(), out.kept.end(), by_key);
+  return out;
+}
+
+TEST(CnfBuilder, KeptSubsetMatchesTheStripReference) {
+  // Figure 4 from the main groups: the kept CNFs equal build_cnfs over
+  // the strip's survivors at the kept granularities, and the kept
+  // flags leave the main CNFs as they were.
+  const std::uint64_t seed = ct::test::fuzz_seed(20171120);
+  SCOPED_TRACE(ct::test::fuzz_trace(seed));
+  util::Rng rng(seed);
+  std::vector<std::unique_ptr<util::ThreadPool>> lanes;
+  for (const unsigned n : {1u, 2u, 3u, 7u}) lanes.push_back(std::make_unique<util::ThreadPool>(n));
+  std::size_t kept_cnfs = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    PathPool pool;
+    std::vector<PathClause> clauses = random_stream(rng, pool);
+    // A few vantages, so paths churn per (vantage, URL) and one path is
+    // often seen from a vantage that keeps it and one that does not.
+    for (PathClause& c : clauses) c.vantage = static_cast<topo::AsId>(rng.uniform_int(0, 3));
+    CnfBuildOptions options;
+    options.granularities = random_granularities(rng);
+    for (const util::Granularity g : options.granularities) {
+      if (rng.bernoulli(0.6)) options.kept_granularities.push_back(g);
+    }
+    if (options.kept_granularities.empty()) {
+      options.kept_granularities.push_back(options.granularities.back());
+    }
+    CnfBuildOptions stripped;
+    stripped.granularities = options.kept_granularities;
+    const std::vector<TomoCnf> want_kept =
+        build_cnfs(pool, strip_path_churn(pool, clauses), stripped);
+    const std::vector<ReferenceCnf> want_main = reference_cnfs(pool, clauses, options);
+    kept_cnfs += want_kept.size();
+
+    for (const auto& threads : lanes) {
+      SCOPED_TRACE("threads " + std::to_string(threads->size()));
+      const EmittedCnfs got = stream_with_kept_flags(rng, pool, clauses, options, threads.get());
+      expect_cnfs_equal(got.main, want_main);
+      expect_same_content(got.kept, want_kept);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(kept_cnfs, 200u);
+}
+
+TEST(CnfBuilder, KeptFlagIsOredOverDuplicateVantages) {
+  // Vantages 1 and 2 infer the same paths.  Vantage 1's first path is
+  // {1, 9}, so its clauses on {1, 2} and {3, 4} are churned; vantage
+  // 2's first path is {1, 2} and vantage 3's {3, 4}, so theirs are kept.
+  // The group holds each path once, whichever vantage came first, and
+  // its entry is kept if any clause on it was.
+  PathPool pool;
+  const auto clause = [&pool](std::vector<topo::AsId> path, bool observed, topo::AsId vantage) {
+    return make_clause(pool, std::move(path), observed, 0, 0, censor::Anomaly::kDns, vantage);
+  };
+  const PathClause first = clause({1, 9}, true, 1);
+  const std::vector<PathClause> churned{clause({1, 2}, true, 1), clause({3, 4}, false, 1)};
+  const std::vector<PathClause> kept{clause({1, 2}, true, 2), clause({3, 4}, false, 3)};
+  const auto join = [&first](const std::vector<PathClause>& a, const std::vector<PathClause>& b) {
+    std::vector<PathClause> out{first};
+    out.insert(out.end(), a.begin(), a.end());
+    out.insert(out.end(), b.begin(), b.end());
+    return out;
+  };
+  CnfBuildOptions days = day_only();
+  days.kept_granularities = {util::Granularity::kDay};
+  struct Case {
+    const char* name;
+    std::vector<PathClause> clauses;
+    std::size_t save_at;  // a save/load round trip before this clause
+  };
+  const std::vector<Case> cases{
+      {"unkept then kept", join(churned, kept), 0},
+      {"kept then unkept", join(kept, churned), 0},
+      {"unkept, save/load, kept", join(churned, kept), 3},
+      {"kept, save/load, unkept", join(kept, churned), 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<TomoCnf> want = build_cnfs(pool, strip_path_churn(pool, c.clauses), days);
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(want[0].num_positive_clauses, 2);     // {1, 9} and {1, 2}
+    EXPECT_EQ(want[0].num_negative_units, 2);       // 3 and 4
+
+    ChurnStripFilter strip(pool, 4, 1);
+    auto builder = std::make_unique<StreamingCnfBuilder>(pool, 1, days);
+    for (std::size_t i = 0; i < c.clauses.size(); ++i) {
+      if (i == c.save_at && i > 0) {
+        util::ByteWriter w;
+        builder->save(w);
+        builder = std::make_unique<StreamingCnfBuilder>(pool, 1, days);
+        util::ByteReader r(w.bytes());
+        builder->load(r);
+      }
+      builder->add(c.clauses[i], strip.keep(c.clauses[i]));
+    }
+    const EmittedCnfs got = builder->flush();
+    expect_same_content(got.kept, want);
+    ASSERT_EQ(got.main.size(), 1u);
+    EXPECT_EQ(got.main[0].num_positive_clauses, 2);
   }
 }
 
@@ -443,7 +620,7 @@ TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
   };
   EXPECT_THROW(builder.add(batch), std::logic_error);
   EXPECT_EQ(builder.open_windows(), open);
-  const auto cnfs = builder.flush();
+  const auto cnfs = builder.flush().main;
   ASSERT_EQ(cnfs.size(), 4u);  // url 0's day, week, month and year windows
   for (const auto& tc : cnfs) EXPECT_EQ(tc.key.url_id, 0);
 }
@@ -454,8 +631,10 @@ TEST(CnfBuilder, BatchBelowTheWatermarkThrowsAndFilesNothing) {
 /// A builder borrowing `pool`, with open groups in two chains at all
 /// four granularities, duplicate positives and negatives, a day window
 /// whose negatives arrive out of id order, and closed day windows behind
-/// a watermark of 2.
-StreamingCnfBuilder checkpoint_fixture(PathPool& pool) {
+/// a watermark of 2.  Two clauses are kept: the repeat of {1, 2, 3} on
+/// day 0, whose first sight was not, and {1, 4} on day 2.  Their flags
+/// mark entries only if `options` keeps a granularity.
+StreamingCnfBuilder checkpoint_fixture(PathPool& pool, const CnfBuildOptions& options = {}) {
   std::vector<PathClause> clauses{
       make_clause(pool, {1, 2, 3}, true, 0, 0, censor::Anomaly::kDns),
       make_clause(pool, {1, 4}, false, 0, 0, censor::Anomaly::kDns),
@@ -467,10 +646,11 @@ StreamingCnfBuilder checkpoint_fixture(PathPool& pool) {
       make_clause(pool, {1, 2, 3}, true, 0, 2, censor::Anomaly::kDns),
       make_clause(pool, {7}, false, 1, 3, censor::Anomaly::kRst),
   };
-  StreamingCnfBuilder builder(pool, /*num_urls=*/2);
-  for (const PathClause& c : clauses) {
-    if (c.day == 2 && builder.watermark() == 0) builder.advance_watermark(2);
-    builder.add(c);
+  const std::set<std::size_t> kept{2, 5};
+  StreamingCnfBuilder builder(pool, /*num_urls=*/2, options);
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    if (clauses[i].day == 2 && builder.watermark() == 0) builder.advance_watermark(2);
+    builder.add(clauses[i], kept.count(i) != 0);
   }
   return builder;
 }
@@ -532,6 +712,33 @@ std::string cut_v4_to_v5(const std::string& v4, std::int64_t emitted) {
   return v5;
 }
 
+/// A checkpoint-format-v5 builder payload in format v8, which writes
+/// each group's path ids as u32 entries, id << 1 | kept, with `kept`
+/// set where kept(key, id) says.  Every other byte is copied as it
+/// stands; a group's negatives stay sorted by id.
+std::string pack_v5_to_v8(const std::string& v5,
+                          const std::function<bool(const CnfKey&, PathPool::PathId)>& kept) {
+  util::ByteReader r(v5);
+  util::ByteWriter v8;
+  const std::size_t windows = r.size();
+  v8.size(windows);
+  for (std::size_t i = 0; i < windows; ++i) {
+    const CnfKey key = load_cnf_key(r);
+    save_cnf_key(v8, key);
+    for (int list = 0; list < 2; ++list) {  // positives, then negatives
+      const std::size_t n = r.size();
+      v8.size(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const PathPool::PathId id = r.i32();
+        v8.u32(static_cast<std::uint32_t>(id) << 1 | (kept(key, id) ? 1u : 0u));
+      }
+    }
+  }
+  v8.i32(r.i32());  // watermark
+  r.expect_end();
+  return v8.take();
+}
+
 TEST(CnfBuilder, CheckpointBytesAreStable) {
   // The fixture's bytes under checkpoint format v4, before the grouper
   // dropped its private pool, positive-id sets and emitted count.
@@ -548,23 +755,38 @@ TEST(CnfBuilder, CheckpointBytesAreStable) {
       "010000000303000000000100000000000000020000000100000000000000020000000100000000000000"
       "05000000020000000200000000000000";
   // Watermark 2 closed url 0's day-0 window and url 1's day-1 window.
-  const std::string expected = cut_v4_to_v5(from_hex(v4), /*emitted=*/2);
+  const std::string v5 = cut_v4_to_v5(from_hex(v4), /*emitted=*/2);
 
-  PathPool pool;
-  const StreamingCnfBuilder builder = checkpoint_fixture(pool);
-  util::ByteWriter w;
-  builder.save(w);
-  EXPECT_EQ(to_hex(w.bytes()), to_hex(expected));
+  // Without kept granularities every kept bit is 0.  Keeping weeks
+  // marks the week-0 entries of url 0's two kept paths: {1, 2, 3} (id
+  // 0) though its first sight was not kept, and {1, 4} (id 1).
+  CnfBuildOptions weeks;
+  weeks.kept_granularities = {util::Granularity::kWeek};
+  const auto none = [](const CnfKey&, PathPool::PathId) { return false; };
+  const auto kept_in_week = [](const CnfKey& key, PathPool::PathId id) {
+    return key.granularity == util::Granularity::kWeek && key.url_id == 0 && id <= 1;
+  };
+  for (const bool keep_weeks : {false, true}) {
+    SCOPED_TRACE(keep_weeks ? "weeks kept" : "nothing kept");
+    const CnfBuildOptions options = keep_weeks ? weeks : CnfBuildOptions{};
+    const std::string expected = keep_weeks ? pack_v5_to_v8(v5, kept_in_week)
+                                            : pack_v5_to_v8(v5, none);
+    PathPool pool;
+    const StreamingCnfBuilder builder = checkpoint_fixture(pool, options);
+    util::ByteWriter w;
+    builder.save(w);
+    EXPECT_EQ(to_hex(w.bytes()), to_hex(expected));
 
-  // load() + save() reproduces the bytes.
-  StreamingCnfBuilder restored(pool, /*num_urls=*/2);
-  util::ByteReader r(w.bytes());
-  restored.load(r);
-  r.expect_end();
-  util::ByteWriter again;
-  restored.save(again);
-  EXPECT_EQ(again.bytes(), w.bytes());
-  EXPECT_EQ(restored.open_windows(), builder.open_windows());
+    // load() + save() reproduces the bytes.
+    StreamingCnfBuilder restored(pool, /*num_urls=*/2, options);
+    util::ByteReader r(w.bytes());
+    restored.load(r);
+    r.expect_end();
+    util::ByteWriter again;
+    restored.save(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+    EXPECT_EQ(restored.open_windows(), builder.open_windows());
+  }
 }
 
 TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
@@ -594,7 +816,7 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   PathClause later = positive;
   later.day = 5;
   restored.add(later);
-  const auto cnfs = restored.flush();
+  const auto cnfs = restored.flush().main;
   ASSERT_EQ(cnfs.size(), 5u);  // days 3 and 5, week, month, year
   for (const auto& tc : cnfs) {
     SCOPED_TRACE(util::window_label(tc.key.window, tc.key.granularity));
@@ -602,20 +824,28 @@ TEST(CnfBuilder, PathSeenBeforeSaveIsNotFiledAgainAfterLoad) {
   }
 }
 
-/// A hand-built payload holding one open day window of `url_id` whose
-/// one positive path id is `path_id` — as a crafted checkpoint would.
-std::string one_window_payload(std::int32_t url_id, PathPool::PathId path_id = 0) {
-  const auto save_id = [](util::ByteWriter& w, PathPool::PathId id) { w.i32(id); };
+/// A hand-built payload holding one open day window of `url_id` with the
+/// given positive and negative entries (path id << 1 | kept) — as a
+/// crafted checkpoint would.
+std::string window_payload(std::int32_t url_id, const std::vector<std::uint32_t>& positives,
+                           const std::vector<std::uint32_t>& negatives = {},
+                           std::int32_t window = 0) {
+  const auto save_entry = [](util::ByteWriter& w, std::uint32_t e) { w.u32(e); };
   util::ByteWriter w;
   w.size(1);  // open windows
   w.i32(url_id);
   w.u8(static_cast<std::uint8_t>(censor::Anomaly::kDns));
   w.u8(static_cast<std::uint8_t>(util::Granularity::kDay));
-  w.i32(0);  // window
-  util::save_vec(w, std::vector<PathPool::PathId>{path_id}, save_id);  // positives
-  util::save_vec(w, std::vector<PathPool::PathId>{}, save_id);  // negatives
+  w.i32(window);
+  util::save_vec(w, positives, save_entry);
+  util::save_vec(w, negatives, save_entry);
   w.i32(0);  // watermark
   return w.take();
+}
+
+/// window_payload whose one positive entry is `path_id`, not kept.
+std::string one_window_payload(std::int32_t url_id, PathPool::PathId path_id = 0) {
+  return window_payload(url_id, {static_cast<std::uint32_t>(path_id) << 1});
 }
 
 /// A pool holding the one path {1, 2}, which one_window_payload's
@@ -687,6 +917,79 @@ TEST(CnfBuilder, LoadRefusesIdsOutsideTheirPool) {
   accepted.load(r4);
   r4.expect_end();
   EXPECT_EQ(accepted.open_windows(), builder.open_windows());
+}
+
+/// Expects a one-URL builder of `options` over `pool`, holding path 0's
+/// four windows, to refuse `payload` and keep those windows.
+void expect_load_refused(const PathPool& pool, const std::string& payload,
+                         const CnfBuildOptions& options = {}) {
+  StreamingCnfBuilder builder(pool, 1, options);
+  PathClause clause;
+  clause.path_id = 0;
+  clause.observed = true;
+  builder.add(clause);
+  util::ByteReader r(payload);
+  EXPECT_THROW(builder.load(r), util::SerdeError);
+  EXPECT_EQ(builder.open_windows(), 4u);
+}
+
+TEST(CnfBuilder, LoadRefusesAPathTwiceInOneGroup) {
+  // add() files a path once per group; unchecked, a repeated id was
+  // emitted as a duplicate clause and counted twice.
+  PathPool pool = one_path_pool();
+  pool.intern({3});
+  CnfBuildOptions days;
+  days.kept_granularities = {util::Granularity::kDay};
+  for (const auto& [positives, negatives] :
+       std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>{
+           {{0, 2, 0}, {}},  // path 0 twice in the positives
+           {{0, 1}, {}},     // the same path, once kept and once not
+           {{0}, {2, 2}},    // path 1 twice in the negatives
+       }) {
+    SCOPED_TRACE(::testing::PrintToString(positives) + " / " +
+                 ::testing::PrintToString(negatives));
+    expect_load_refused(pool, window_payload(0, positives, negatives), days);
+  }
+  // One path among both the positives and the negatives is what add()
+  // makes of a path seen censored and clean.
+  const std::string both = window_payload(0, {0, 3}, {0});
+  StreamingCnfBuilder builder(pool, 1, days);
+  util::ByteReader r(both);
+  builder.load(r);
+  r.expect_end();
+  util::ByteWriter again;
+  builder.save(again);
+  EXPECT_EQ(again.bytes(), both);
+}
+
+TEST(CnfBuilder, LoadRefusesANegativeWindow) {
+  // add() refuses a day below the watermark, which starts at 0.
+  const PathPool pool = one_path_pool();
+  for (const std::int32_t window : {-1, -5}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    expect_load_refused(pool, window_payload(0, {0}, {}, window));
+  }
+}
+
+TEST(CnfBuilder, LoadRefusesAKeptBitOutsideTheKeptGranularities) {
+  // add() sets a kept bit only at a kept granularity.
+  const PathPool pool = one_path_pool();
+  const std::string kept_day = window_payload(0, {0 << 1 | 1});
+  expect_load_refused(pool, kept_day);
+  CnfBuildOptions weeks;
+  weeks.kept_granularities = {util::Granularity::kWeek};
+  expect_load_refused(pool, kept_day, weeks);
+  expect_load_refused(pool, window_payload(0, {0}, {0 << 1 | 1}), weeks);
+
+  CnfBuildOptions days;
+  days.kept_granularities = {util::Granularity::kDay};
+  StreamingCnfBuilder builder(pool, 1, days);
+  util::ByteReader r(kept_day);
+  builder.load(r);
+  r.expect_end();
+  const EmittedCnfs cnfs = builder.flush();
+  ASSERT_EQ(cnfs.kept.size(), 1u);
+  EXPECT_EQ(cnfs.kept[0].path_ases, (std::vector<topo::AsId>{1, 2}));
 }
 
 TEST(StripPathChurn, KeepsOnlyFirstPathPerVantageUrl) {

@@ -1,15 +1,15 @@
-#include "sat/dimacs.h"
-
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "../support/dimacs_reader.h"
+#include "tomo/cnf_builder.h"
 
 namespace ct::sat {
 namespace {
 
 using test::from_dimacs_string;
+using tomo::to_dimacs_string;
 
 Lit pos(Var v) { return Lit(v, false); }
 Lit neg(Var v) { return Lit(v, true); }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sat/dimacs.h"
 #include "tomo/cnf_builder.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -114,7 +113,7 @@ SyntheticStream make_stream(util::Rng& rng, Day num_days) {
 std::map<CnfKey, std::string> dimacs_by_key(const std::vector<TomoCnf>& cnfs) {
   std::map<CnfKey, std::string> out;
   for (const TomoCnf& tc : cnfs) {
-    const auto [it, inserted] = out.emplace(tc.key, sat::to_dimacs_string(to_cnf(tc)));
+    const auto [it, inserted] = out.emplace(tc.key, to_dimacs_string(to_cnf(tc)));
     EXPECT_TRUE(inserted) << "duplicate CNF key emitted";
   }
   return out;
@@ -149,7 +148,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
       const Day next_day = i < s.clauses.size() ? s.clauses[i].day : num_days;
       if (rng.bernoulli(0.7)) {
         watermark = static_cast<Day>(rng.uniform_int(0, next_day));
-        for (TomoCnf& tc : builder.advance_watermark(watermark)) {
+        for (TomoCnf& tc : builder.advance_watermark(watermark).main) {
           // Monotone closure: a window never re-emits.
           EXPECT_TRUE(emitted_by_watermark.insert(tc.key).second)
               << "window re-emitted after closure";
@@ -161,7 +160,7 @@ TEST(StreamingWindowProperty, WatermarkPlusFlushEqualsBatchExactly) {
         }
       }
     }
-    std::vector<TomoCnf> flushed = builder.flush();
+    std::vector<TomoCnf> flushed = builder.flush().main;
     for (const TomoCnf& tc : flushed) {
       // flush() emits exactly the complement of the watermark batches.
       EXPECT_FALSE(emitted_by_watermark.count(tc.key))
@@ -215,7 +214,7 @@ TEST(StreamingWindowProperty, LateClauseForEmittedWindowThrows) {
   late.day = 10;
   EXPECT_NO_THROW(builder.add(late));
   // Lowering the watermark is a no-op, never a reopen.
-  EXPECT_TRUE(builder.advance_watermark(5).empty());
+  EXPECT_TRUE(builder.advance_watermark(5).main.empty());
   EXPECT_EQ(builder.watermark(), 10);
 }
 
@@ -237,7 +236,7 @@ TEST(StreamingWindowProperty, OpenWindowCountIsBounded) {
     // Every still-open window must extend past the watermark.
     // (Indirect check: advancing again with the same value emits
     // nothing, i.e. nothing complete is being held back.)
-    EXPECT_TRUE(builder.advance_watermark(fed).empty());
+    EXPECT_TRUE(builder.advance_watermark(fed).main.empty());
   }
   builder.flush();
   EXPECT_EQ(builder.open_windows(), 0u);
